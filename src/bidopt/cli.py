@@ -55,6 +55,7 @@ from .related import (
 )
 from .simulate import BidPolicy, policy_from_primal, simulate
 from .solver import (
+    ActiveEdgeInfeasible,
     InfeasibleInstance,
     NotConverged,
     certify,
@@ -184,11 +185,13 @@ def _cmd_solve(cfg: RunConfig) -> int:
         "certificate": {name: float(value) for name, value, _ in sol.report.rows()},
     }
     _emit_json(doc, cfg.output)
+    passed = sol.report.passed
     _status(
         f"solved {inst.n_items} items / {inst.n_contracts} contracts: "
         f"primal {sol.report.primal_value:.10g}, gap {sol.report.gap:.3e}"
+        + ("" if passed else f"; certificate FAILED at tol {sol.report.tol:g}")
     )
-    return 0
+    return 0 if passed else 3
 
 
 def _cmd_certify(cfg: RunConfig) -> int:
@@ -547,7 +550,7 @@ def main(argv=None) -> int:
     except InfeasibleInstance as exc:
         print(f"bidopt: infeasible: {exc}", file=sys.stderr)
         return 2
-    except (NotConverged, related.NotConverged) as exc:
+    except (NotConverged, related.NotConverged, ActiveEdgeInfeasible) as exc:
         print(f"bidopt: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

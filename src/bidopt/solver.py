@@ -9,12 +9,14 @@ contract pseudo-bids alone:
 
     D(rho) = sum_i rho_i C_i - sum_j lambda_j conjugate_j(max_i v_ij rho_i)
 
-which this module maximizes in three stages.  A cutting-plane master problem
-(outer linearization of the smooth convex conjugates; tangent slopes are the
-win rates) positions rho globally with a certified model gap.  A "polish"
-stage detects the max-tie pattern, snaps tied pseudo-bids to exact ratios via
-a spanning tree per tie component, and root-finds each component's single
-remaining degree of freedom.  Convergence is then *decided*, not assumed, by
+which this module maximizes in three stages, after a per-contract warm start.
+A cutting-plane master problem (outer linearization of the smooth convex
+conjugates; tangent slopes are the win rates), one LP grown by tangent rows
+and re-solved warm, positions rho globally with a certified model gap.  A
+"polish" stage, run before and after the master, detects the max-tie
+pattern, snaps tied pseudo-bids to exact ratios via a spanning tree per tie
+component, and root-finds each component's single remaining degree of
+freedom.  Convergence is then *decided*, not assumed, by
 a transportation LP over the current win rates: the point is stationary
 exactly when demand routes with no shortfall, the routing rides exact ties
 (zero theta-spend), and no priced supply is left unallocated; the same LP
@@ -36,6 +38,13 @@ from scipy.optimize import brentq
 from .costs import AuctionKind
 from .curves import BoundedUniform, Exponential, Hyperbolic, PowerLawDensity
 from .model import ProblemInstance, check_adequate_supply
+
+try:  # scipy's vendored HiGHS binding is private; without it the master falls back to linprog
+    from scipy.optimize._highspy._core import HighsLp as _HighsLp
+    from scipy.optimize._highspy._core import HighsModelStatus as _HighsModelStatus
+    from scipy.optimize._highspy._core import _Highs
+except ImportError:  # pragma: no cover - depends on the installed scipy
+    _Highs = None
 
 __all__ = [
     "DualSolution",
@@ -560,27 +569,6 @@ def _component_root(ws: _Workspace, idx, bet, jdx, m, t0: float) -> float | None
     return brentq(balance, 0.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
 
 
-def _polish_once(ws: _Workspace, rho: np.ndarray, delta: float) -> np.ndarray | None:
-    """Snap tie ratios and root-find each component's scale; None if degenerate."""
-    mu = ws.mu_of(rho)
-    components, comp_items = _detect_components(ws, rho, mu, delta)
-    new_rho = rho.copy()
-    changed = False
-    for beta, slope in zip(components, comp_items):
-        if not slope:
-            continue  # isolated contract with no usable items yet
-        idx = np.asarray(sorted(beta), dtype=np.intp)
-        bet = np.array([beta[i] for i in idx])
-        jdx = sorted(slope)
-        m = np.array([slope[j] for j in jdx])
-        t_star = _component_root(ws, idx, bet, jdx, m, float(new_rho[idx[0]] / bet[0]) or 1.0)
-        if t_star is None:
-            continue
-        new_rho[idx] = bet * t_star
-        changed = True
-    return new_rho if changed else None
-
-
 _POLISH_LADDER = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-8, 1e-10)
 
 
@@ -603,24 +591,17 @@ def _component_updates(ws: _Workspace, rho: np.ndarray, delta: float):
     return updates
 
 
-def _polish_once(ws: _Workspace, rho: np.ndarray, delta: float) -> np.ndarray | None:
-    """Snap tie ratios and root-find each component's scale; None if degenerate."""
-    updates = _component_updates(ws, rho, delta)
-    if not updates:
-        return None
-    new_rho = rho.copy()
-    for idx, vals in updates:
-        new_rho[idx] = vals
-    return new_rho
-
-
-def _accept_updates(ws: _Workspace, best_val: float, best_rho: np.ndarray, updates):
+def _accept_updates(ws: _Workspace, best_val: float, best_rho: np.ndarray, updates,
+                    level: bool = False):
     """Value-safeguarded acceptance of component snaps.
 
     Components are disjoint, so at a correct tie pattern the joint snap is the
     exact maximizer over the tie manifold; a wrong union spoils the whole
     candidate, so on rejection components are retried one at a time, then a
-    backtracking step toward the joint candidate is the last resort.
+    backtracking step toward the joint candidate is the last resort.  With
+    `level`, a joint snap whose value ties the current one to rounding is
+    taken as well: next to the optimum D is flat to within 1e-15, so only the
+    routing LP, not the value, can rank such points.
     """
     improved = False
     tiny = 1e-15 * (1.0 + abs(best_val))
@@ -629,6 +610,8 @@ def _accept_updates(ws: _Workspace, best_val: float, best_rho: np.ndarray, updat
         cand[idx] = vals
     val = ws.value(cand)
     if val > best_val + tiny:
+        return val, cand, True
+    if level and val >= best_val - tiny and not np.array_equal(cand, best_rho):
         return val, cand, True
     if len(updates) > 1:
         # largest moves first; cap the sweep to keep polish cheap
@@ -742,40 +725,102 @@ _LP_OPTIONS = {
 }
 
 
+class _MasterLP:
+    """min cost.x  s.t.  rows.x <= rhs, 0 <= x <= upper, grown by row blocks.
+
+    With scipy's vendored HiGHS binding the model is built once and each solve
+    hot-starts dual simplex from the previous basis; without it, linprog
+    re-solves the accumulated rows cold.  Lives for one master phase.
+    """
+
+    def __init__(self, cost: np.ndarray, upper: np.ndarray):
+        self.cost, self.upper = cost, upper.copy()
+        self.blocks: list = []
+        self.rhs: list = []
+        self.solves = self.iterations = 0
+        self.highs = None if _Highs is None else _Highs()
+        if self.highs is not None:
+            for key, val in {"output_flag": False, **_LP_OPTIONS}.items():
+                self.highs.setOptionValue(key, val)
+            lp = _HighsLp()
+            lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
+            lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(cost.size), self.upper
+            lp.a_matrix_.start_ = np.zeros(cost.size + 1, dtype=np.int32)
+            self.highs.passModel(lp)
+
+    def add_rows(self, rows, rhs: np.ndarray) -> None:
+        if self.highs is None:
+            self.blocks.append(rows)
+            self.rhs.append(rhs)
+            return
+        self.highs.addRows(rows.shape[0], np.full(rows.shape[0], -np.inf), rhs, rows.nnz,
+                           rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32), rows.data)
+
+    def solve(self, upper: np.ndarray):
+        """(x, objective, optimal) with the column upper bounds set to `upper`."""
+        from scipy import sparse
+        from scipy.optimize import linprog
+
+        self.solves += 1
+        if self.highs is None:
+            res = linprog(self.cost, A_ub=sparse.vstack(self.blocks, format="csr"),
+                          b_ub=np.concatenate(self.rhs), method="highs", options=_LP_OPTIONS,
+                          bounds=np.column_stack([np.zeros_like(upper), upper]))
+            self.iterations += int(res.nit)
+            return res.x, (float(res.fun) if res.success else math.nan), bool(res.success)
+        cols = np.flatnonzero(upper != self.upper).astype(np.int32)
+        if cols.size:
+            self.highs.changeColsBounds(cols.size, cols, np.zeros(cols.size), upper[cols])
+            self.upper = upper.copy()
+        self.highs.run()
+        info = self.highs.getInfo()
+        self.iterations += int(info.simplex_iteration_count)
+        ok = self.highs.getModelStatus() == _HighsModelStatus.kOptimal
+        return np.asarray(self.highs.getSolution().col_value), float(info.objective_function_value), ok
+
+
 def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float,
-                  rounds: int = 60):
+                  rounds: int = 60, stats: dict | None = None):
     """Outer linearization of the acquisition terms (cutting planes).
 
     Each item's conjugate cost is convex and smooth in its multiplier, so the
     dual maximization is the LP  max C.rho - sum_j lam_j t_j  over rho >= 0,
     mu_j >= v_ij rho_i, and t_j above the accumulated tangents of the
-    conjugate.  Tangents are added at each LP iterate's multipliers until the
-    model value (an upper bound on the dual optimum) meets the best true
-    value; the returned model gap is therefore a certified optimality bound.
-    Supergradient steps creep through argmax kinks microns at a time on
-    degenerate instances; the LP model jumps straight across them.
+    conjugate.  The LP is built once; each round appends the tangents at the
+    last iterate's multipliers and re-solves it warm (one master LP solve per
+    round, at most `rounds` solves), until the model value (an upper bound on
+    the dual optimum) meets the best true value; the returned model gap is
+    therefore a certified optimality bound.  The rho box only widens, in
+    place, when an iterate presses against it.  Supergradient steps creep
+    through argmax kinks microns at a time on degenerate instances; the LP
+    model jumps straight across them.  Returns (value, rho, gap, LP solves)
+    and adds the master's solve and simplex-iteration counts to `stats`.
     """
     from scipy import sparse
-    from scipy.optimize import linprog
 
     inst = ws.inst
     nz = np.flatnonzero(ws.nonempty)
     m2, n, d = nz.size, inst.n_contracts, inst.n_edges
-    if m2 == 0:
-        return best_val, best_rho, 0.0
+    if m2 == 0 or rounds <= 0:
+        return best_val, best_rho, math.inf, 0
     pos = np.full(inst.n_items, -1)
     pos[nz] = np.arange(m2)
 
     ar = np.arange(d)
-    edge_block = sparse.csr_matrix(
-        (
-            np.concatenate([inst.edge_v, -np.ones(d)]),
-            (np.concatenate([ar, ar]), np.concatenate([inst.edge_i, n + pos[inst.edge_j]])),
+    cost = np.concatenate([-ws.targets, np.zeros(m2), ws.lam[nz]])
+    rho_cap = 1e4 * (1.0 + float(np.max(best_rho, initial=0.0)))
+    upper = np.concatenate([np.full(n, rho_cap), np.full(2 * m2, np.inf)])
+    lp = _MasterLP(cost, upper)
+    lp.add_rows(
+        sparse.csr_matrix(
+            (
+                np.concatenate([inst.edge_v, -np.ones(d)]),
+                (np.concatenate([ar, ar]), np.concatenate([inst.edge_i, n + pos[inst.edge_j]])),
+            ),
+            shape=(d, n + 2 * m2),
         ),
-        shape=(d, n + 2 * m2),
+        np.zeros(d),
     )
-    blocks = [edge_block]
-    rhs = [np.zeros(d)]
     rows_mu = np.arange(m2)
 
     def add_tangents(mu_full: np.ndarray) -> None:
@@ -787,31 +832,26 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
             ),
             shape=(m2, n + 2 * m2),
         )
-        blocks.append(block)
-        rhs.append(win[nz] * mu_full[nz] - conj[nz])
+        lp.add_rows(block, win[nz] * mu_full[nz] - conj[nz])
 
     mu_w = ws.mu_of(best_rho)
     for f in (0.5, 1.0, 2.0, 8.0):
         add_tangents(f * mu_w)
-    cost = np.concatenate([-ws.targets, np.zeros(m2), ws.lam[nz]])
-    rho_cap = 1e4 * (1.0 + float(np.max(best_rho, initial=0.0)))
     gap = math.inf
     last_model = math.inf
     for _ in range(rounds):
-        bounds = [(0.0, rho_cap)] * n + [(0.0, None)] * (2 * m2)
-        res = linprog(cost, A_ub=sparse.vstack(blocks, format="csr"),
-                      b_ub=np.concatenate(rhs), bounds=bounds, method="highs",
-                      options=_LP_OPTIONS)
-        if not res.success:
+        x, obj, ok = lp.solve(upper)
+        if not ok:
             break
-        rho_hat = res.x[:n]
+        rho_hat = np.maximum(x[:n], 0.0)
         if float(np.max(rho_hat, initial=0.0)) > 0.999 * rho_cap:
             rho_cap *= 100.0
+            upper[:n] = rho_cap
             continue
         val_hat = ws.value(rho_hat)
         if val_hat > best_val:
             best_val, best_rho = val_hat, rho_hat.copy()
-        model = -float(res.fun)
+        model = -obj
         gap = model - best_val
         if gap <= 1e-14 * (1.0 + abs(best_val)) + 0.05 * tol * ws.scale:
             break
@@ -821,9 +861,13 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
             break
         last_model = model
         mu_lp = np.zeros(inst.n_items)
-        mu_lp[nz] = res.x[n : n + m2]
+        mu_lp[nz] = x[n : n + m2]
         add_tangents(mu_lp)
-    return best_val, best_rho, gap
+    if stats is not None:
+        stats["master_solves"] = stats.get("master_solves", 0) + lp.solves
+        stats["master_simplex_iterations"] = stats.get("master_simplex_iterations", 0) + lp.iterations
+        stats["master_backend"] = "linprog" if lp.highs is None else "highs"
+    return best_val, best_rho, gap, lp.solves
 
 
 def _refine(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float):
@@ -851,6 +895,7 @@ def _refine(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float):
         if kkt <= lim:
             converged = True
             break
+        snapped = False
         if shortfall > lim:
             moved = False
             if pivot_pat is not None:
@@ -863,12 +908,16 @@ def _refine(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float):
                 if jumped or moved:
                     best_val, best_rho, _ = _polish(ws, best_val, best_rho)
         elif pat is not None:
+            # demand routes: snap onto the routing's own tie pattern, even
+            # when the value cannot tell the snap from the current point
             updates = _updates_from_pattern(ws, best_rho, *pat)
             if updates:
-                best_val, best_rho, _ = _accept_updates(ws, best_val, best_rho, updates)
+                best_val, best_rho, snapped = _accept_updates(
+                    ws, best_val, best_rho, updates, level=True
+                )
         best_val, best_rho, _ = _coordinate_refine(ws, best_val, best_rho)
         best_val, best_rho, _ = _polish(ws, best_val, best_rho)
-        if best_val <= prev + 1e-15 * (1.0 + abs(prev)):
+        if not snapped and best_val <= prev + 1e-15 * (1.0 + abs(prev)):
             break
     return best_val, best_rho, converged, kkt
 
@@ -1133,14 +1182,24 @@ def solve_dual(
 ) -> DualSolution:
     """Maximize the reduced dual D(rho) over rho >= 0.
 
+    Phases: warm start -> tie polish -> warm cutting-plane master -> tie
+    polish -> routing-LP refine, then projected supergradient / polish /
+    refine rounds as a fallback until the routing LP certifies stationarity.
+    `max_iter` is one budget shared by the master (one unit per master LP
+    solve) and the supergradient steps; `max_iter=0` skips both.  The units
+    spent are stored in stats["iterations"], next to the master's solve and
+    simplex-iteration counts.
+
     Raises InfeasibleInstance when adequate supply fails and NotConverged
-    when the iteration budget runs out (or progress stalls) before the
-    tie-aware stationarity residual drops below tol.
+    when the budget runs out (or progress stalls) before the routing LP's
+    stationarity residual drops below tol.
     """
     if check_feasibility:
         chk = check_adequate_supply(inst, margin)
         if not chk:
             raise InfeasibleInstance(chk)
+    if stats is None:
+        stats = {}
     ws = _Workspace(inst)
     best_rho = np.zeros(inst.n_contracts)
     best_val = ws.value(best_rho)
@@ -1148,21 +1207,19 @@ def solve_dual(
     warm_val = ws.value(warm)
     if warm_val > best_val:
         best_val, best_rho = warm_val, warm.copy()
-    rho = warm
     best_val, best_rho, _ = _polish(ws, best_val, best_rho)
-    used = 0
+    # global positioning: the cutting-plane model jumps across the argmax
+    # kink landscape that defeats local ascent on degenerate instances
+    best_val, best_rho, _, used = _kelley_phase(
+        ws, best_val, best_rho, tol, rounds=min(60, max_iter), stats=stats
+    )
+    if used:
+        best_val, best_rho, _ = _polish(ws, best_val, best_rho)
+    best_val, best_rho, converged, kkt = _refine(ws, best_val, best_rho, tol)
+    rho = best_rho.copy()
     mark = -math.inf
     stagnant = 0
     phase_iters = max(150, min(400, max_iter // 10))
-    best_val, best_rho, converged, kkt = _refine(ws, best_val, best_rho, tol)
-    if not converged:
-        # global positioning: the cutting-plane model jumps across the argmax
-        # kink landscape that defeats local ascent on degenerate instances
-        best_val, best_rho, _ = _kelley_phase(ws, best_val, best_rho, tol)
-        used += 1
-        best_val, best_rho, _ = _polish(ws, best_val, best_rho)
-        rho = best_rho.copy()
-        best_val, best_rho, converged, kkt = _refine(ws, best_val, best_rho, tol)
     while not converged:
         if best_val > mark + 1e-12 * (1.0 + abs(mark)):
             mark = best_val
@@ -1170,8 +1227,7 @@ def solve_dual(
         else:
             stagnant += 1
         if used >= max_iter or stagnant >= 4:
-            if stats is not None:
-                stats["iterations"] = used
+            stats["iterations"] = used
             raise NotConverged(_finish_dual(ws, best_rho, best_val), kkt)
         # fallback wander for points the cutting-plane model cannot separate;
         # the ascent iterate deliberately keeps drifting across phases
@@ -1181,8 +1237,7 @@ def solve_dual(
         used += it
         best_val, best_rho, _ = _polish(ws, best_val, best_rho)
         best_val, best_rho, converged, kkt = _refine(ws, best_val, best_rho, tol)
-    if stats is not None:
-        stats["iterations"] = used
+    stats["iterations"] = used
     return _finish_dual(ws, best_rho, best_val)
 
 

@@ -6,6 +6,7 @@ subprocess to cover the module entry point.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -14,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
+import bidopt.cli
 from bidopt.cli import main
 from bidopt.model import instance_from_json
-from bidopt.solver import solve
+from bidopt.solver import ActiveEdgeInfeasible, solve
 
 SCALAR = {
     "items": [
@@ -134,6 +136,31 @@ def test_infeasible_exits_2(tmp_path):
     feas = json.loads(out.read_text())
     assert feas["feasible"] is False
     assert feas["certificate"]["demand"] > feas["certificate"]["reachable_supply"]
+
+
+def test_failed_certificate_exits_3_after_writing(tmp_path, monkeypatch):
+    # a negative tolerance fails every certificate row
+    def failing_solve(inst, **kwargs):
+        sol = solve(inst, **kwargs)
+        return dataclasses.replace(sol, report=dataclasses.replace(sol.report, tol=-1.0))
+
+    monkeypatch.setattr(bidopt.cli, "solve", failing_solve)
+    inp = write_json(tmp_path / "inst.json", SCALAR)
+    out = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    assert doc["solution"]["rho"][0] == pytest.approx(math.log(2.0), abs=1e-9)
+
+
+def test_active_edge_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def escalation_fails(inst, **kwargs):
+        raise ActiveEdgeInfeasible(1e-3, 1e-1)
+
+    monkeypatch.setattr(bidopt.cli, "solve", escalation_fails)
+    inp = write_json(tmp_path / "inst.json", SCALAR)
+    assert main(["solve", "--input", inp]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("bidopt: ")
 
 
 def test_feasibility_accepts_good_instance(tmp_path):

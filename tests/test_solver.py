@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from bidopt.costs import AcquisitionCost
 from bidopt.curves import BoundedUniform, Empirical, Exponential, Hyperbolic, PowerLawDensity
-from bidopt.model import Contract, ItemType, build_instance, random_instance
+from bidopt import solver
+from bidopt.model import Contract, ItemType, build_instance, random_instance, random_sparse_instance
 from bidopt.solver import (
     ActiveEdgeInfeasible,
     DualSolution,
@@ -242,6 +243,66 @@ def test_tolerance_self_consistency():
     b = solve(inst, tol=1e-10)
     scale = 1.0 + abs(b.dual.dual_value)
     assert abs(a.dual.dual_value - b.dual.dual_value) <= 1e-7 * scale
+
+
+def test_max_iter_budgets_the_master():
+    # each master LP solve spends one unit of max_iter; the unbudgeted
+    # master takes more than two solves on this instance
+    full, capped = {}, {}
+    solve_dual(mixed_instance(), stats=full)
+    solve_dual(mixed_instance(), max_iter=2, stats=capped)
+    assert full["master_solves"] > 2
+    assert full["iterations"] == full["master_solves"]
+    assert capped["master_solves"] == capped["iterations"] == 2
+
+
+# ---------------------------------------------------------------------------
+# cutting-plane master: warm HiGHS model against the linprog fallback
+
+
+def _solve_recording_master(inst, monkeypatch, tol=1e-8):
+    """solve() plus the gap and best value of every master phase it ran."""
+    runs = []
+    kelley = solver._kelley_phase
+
+    def recording(ws, *args, **kwargs):
+        out = kelley(ws, *args, **kwargs)
+        runs.append((out[0], out[2], ws.scale))
+        return out
+
+    monkeypatch.setattr(solver, "_kelley_phase", recording)
+    sol = solve(inst, tol=tol, certify_tol=1e-5)
+    monkeypatch.setattr(solver, "_kelley_phase", kelley)
+    return sol, runs
+
+
+@pytest.mark.parametrize("make", [
+    mixed_instance,
+    lambda: random_sparse_instance(np.random.default_rng(1), 60, 400),
+], ids=["mixed", "sparse-60x400"])
+def test_master_backends_agree(make, monkeypatch):
+    inst = make()
+    tol = 1e-8
+    warm, warm_runs = _solve_recording_master(inst, monkeypatch, tol)
+    monkeypatch.setattr(solver, "_Highs", None)
+    cold, cold_runs = _solve_recording_master(inst, monkeypatch, tol)
+    assert warm.report.passed and cold.report.passed
+    assert warm.dual.dual_value == pytest.approx(cold.dual.dual_value, rel=1e-9)
+    assert warm_runs and cold_runs
+    for value, gap, scale in warm_runs + cold_runs:
+        # the phase's stopping rule: model bound within reach of the best value
+        assert gap <= 1e-14 * (1.0 + abs(value)) + 0.05 * tol * scale
+
+
+def test_installed_scipy_uses_warm_master():
+    # scipy's HiGHS binding is private API; a scipy that drops it would
+    # silently bring back the cold linprog solves
+    assert solver._Highs is not None
+    stats = {}
+    solve_dual(mixed_instance(), stats=stats)
+    assert stats["master_backend"] == "highs"
+    assert stats["master_solves"] >= 1
+    assert stats["iterations"] >= stats["master_solves"]
 
 
 # ---------------------------------------------------------------------------
