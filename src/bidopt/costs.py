@@ -11,6 +11,11 @@ extended with 0 below and +inf above.  Its convex conjugate ``conjugate(mu)``
 prices a marginal win, and its derivative recovers the optimal bid through
 the bid mapping g (identity for second price, x + W(x)/W'(x) for first
 price).  All values are exact extended reals; nothing is clamped.
+
+Under first price the conjugate is max_x (mu - x) W(x), evaluated at the bid
+each curve family computes in closed form (``SupplyCurve._g_inverse``).  For
+empirical curves that bid is an exact argmax over the segments, where the
+objective is a concave quadratic, so it needs no monotone g.
 """
 from __future__ import annotations
 
@@ -132,7 +137,6 @@ class AcquisitionCost:
 
     def conjugate(self, mu):
         """Convex conjugate of ``lam``: sup_q (mu q - lam(q)), +inf for mu < 0."""
-        mass = self.total_mass
         if self.kind is AuctionKind.SECOND_PRICE:
 
             def go(ma):
@@ -141,15 +145,9 @@ class AcquisitionCost:
 
             return _wrap(mu, go)
 
-        cap = self.bid_cap
-        x_bar = self.curve.x_bar
-
         def go(ma):
-            inside = np.clip(ma, 0.0, cap if math.isfinite(cap) else None)
-            x = np.asarray(self._g_inverse(inside))
-            vals = (inside - x) * np.asarray(self.curve.eval(x))
-            if math.isfinite(cap):
-                vals = np.where(ma > cap, mass * (ma - x_bar), vals)
+            x = np.asarray(self.curve._g_inverse(ma))
+            vals = (np.maximum(ma, 0.0) - x) * np.asarray(self.curve.eval(x))
             return np.where(ma < 0.0, np.inf, vals)
 
         return _wrap(mu, go)
@@ -158,13 +156,7 @@ class AcquisitionCost:
         """Derivative of ``conjugate``: the acquisition rate a marginal price buys."""
         if self.kind is AuctionKind.SECOND_PRICE:
             return self.curve.eval(mu)
-        cap = self.bid_cap
-
-        def go(ma):
-            inside = np.clip(ma, 0.0, cap if math.isfinite(cap) else None)
-            return np.asarray(self.curve.eval(np.asarray(self._g_inverse(inside))))
-
-        return _wrap(mu, go)
+        return _wrap(mu, lambda ma: np.asarray(self.curve.eval(self.curve._g_inverse(ma))))
 
     # ------------------------------------------------------------------
     def bid_mapping(self, x):
@@ -200,7 +192,10 @@ class AcquisitionCost:
         return _wrap(x, go)
 
     def bid_mapping_inverse(self, mu):
-        """g^{-1}(mu); raises OutOfRange for mu beyond g(x_bar)."""
+        """g^{-1}(mu); raises OutOfRange for mu beyond g(x_bar).
+
+        Under first price this is the bid maximizing (mu - x) W(x).
+        """
         cap = self.bid_cap
         mu_arr = np.asarray(mu, dtype=float)
         if np.any(mu_arr > cap * (1.0 + 1e-9) if math.isfinite(cap) else mu_arr > cap):
@@ -209,35 +204,7 @@ class AcquisitionCost:
             return _wrap(mu, lambda ma: np.maximum(ma, 0.0))
         if math.isfinite(cap):
             mu = np.minimum(mu_arr, cap) if mu_arr.ndim else min(float(mu_arr), cap)
-        return self._g_inverse(mu)
-
-    def _g_inverse(self, mu):
-        closed = self.curve._g_inverse(mu)
-        if closed is not None:
-            return closed
-        return self._g_inverse_bisect(mu)
-
-    def _g_inverse_bisect(self, mu):
-        """Bisection on the (possibly jumpy) monotone bid mapping."""
-        x_bar = self.curve.x_bar
-        if not math.isfinite(x_bar):  # pragma: no cover - built-ins have closed forms
-            raise NotImplementedError("bisection inverse needs a finite x_bar")
-
-        def go(ma):
-            lo = np.zeros_like(ma)
-            hi = np.full_like(ma, x_bar)
-            for _ in range(120):
-                mid = 0.5 * (lo + hi)
-                val = np.asarray(self.bid_mapping(mid))
-                high = val > ma
-                hi = np.where(high, mid, hi)
-                lo = np.where(high, lo, mid)
-                if np.all(hi - lo <= 1e-15 * (1.0 + hi)):
-                    break
-            out = 0.5 * (lo + hi)
-            return np.where(ma <= 0.0, 0.0, out)
-
-        return _wrap(mu, go)
+        return self.curve._g_inverse(mu)
 
     # ------------------------------------------------------------------
     def __repr__(self):

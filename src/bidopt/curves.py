@@ -61,6 +61,35 @@ def _wrap(x, f):
     return out
 
 
+# Newton stops once a step is within a few ulps of the iterate
+_NEWTON_TOL = 4.0 * np.finfo(float).eps
+
+
+def _exp_first_bid(rate, mu):
+    """Solve x + (e^{rate x} - 1)/rate = mu elementwise by guarded Newton.
+
+    The root is bracketed by [0, min(mu, log1p(rate mu)/rate)]; a step that
+    leaves the (closed) bracket is replaced by bisection.  Broadcasts over
+    ``rate`` and ``mu``; 0 for mu <= 0.
+    """
+    m = np.maximum(mu, 0.0)
+    hi = np.minimum(m, np.log1p(rate * m) / rate)
+    x = 0.5 * hi
+    lo = np.zeros_like(x)
+    for _ in range(80):
+        em = np.expm1(rate * x)
+        val = x + em / rate - m
+        lo = np.where(val < 0.0, x, lo)
+        hi = np.where(val > 0.0, x, hi)
+        xn = x - val / (2.0 + em)
+        xn = np.where((xn < lo) | (xn > hi), 0.5 * (lo + hi), xn)
+        done = np.all(np.abs(xn - x) <= _NEWTON_TOL * (1.0 + np.abs(x)))
+        x = xn
+        if done:
+            break
+    return x
+
+
 class SupplyCurve:
     """Common evaluation logic; families implement the raw pieces."""
 
@@ -148,9 +177,12 @@ class SupplyCurve:
         """∫_0^x u dW(u); the full first moment for x >= x_bar."""
         raise NotImplementedError
 
-    # -- optional closed-form inverse of the first-price bid map -----------
+    # -- first-price bid at a marginal price --------------------------------
     def _g_inverse(self, mu):
-        return None
+        """The bid x maximizing (mu - x) W(x): g^{-1}(mu) where g is monotone."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no first-price bid formula; implement _g_inverse"
+        )
 
     # -- serialization ---------------------------------------------------------
     def params(self) -> dict:
@@ -228,32 +260,7 @@ class Exponential(SupplyCurve):
         return _wrap(x, go)
 
     def _g_inverse(self, mu):
-        # solve x + (e^{gx}-1)/g = mu with a guarded Newton iteration;
-        # root is bracketed by [0, min(mu, log1p(g*mu)/g)]
-        g = self.rate
-
-        def go(m):
-            m = np.asarray(m, dtype=float)
-            hi = np.minimum(m, np.log1p(g * np.maximum(m, 0.0)) / g)
-            x = 0.5 * hi
-            lo = np.zeros_like(x)
-            up = hi.copy()
-            for _ in range(80):
-                ex = np.exp(g * x)
-                val = x + (ex - 1.0) / g - m
-                lo = np.where(val < 0.0, x, lo)
-                up = np.where(val > 0.0, x, up)
-                step = val / (1.0 + ex)
-                xn = x - step
-                bad = (xn <= lo) | (xn >= up)
-                xn = np.where(bad, 0.5 * (lo + up), xn)
-                if np.all(np.abs(xn - x) <= 1e-16 * (1.0 + np.abs(x))):
-                    x = xn
-                    break
-                x = xn
-            return np.where(m <= 0.0, 0.0, x)
-
-        return _wrap(mu, go)
+        return _wrap(mu, lambda m: _exp_first_bid(self.rate, m))
 
     def params(self):
         return {"rate": self.rate}
@@ -400,10 +407,7 @@ class BoundedUniform(SupplyCurve):
         return _wrap(x, go)
 
     def _g_inverse(self, mu):
-        def go(m):
-            return np.maximum(m, 0.0) / 2.0
-
-        return _wrap(mu, go)
+        return _wrap(mu, lambda m: np.clip(m / 2.0, 0.0, self.x_max))
 
     def params(self):
         return {"x_max": self.x_max}
@@ -477,10 +481,7 @@ class PowerLawDensity(SupplyCurve):
         return _wrap(x, go)
 
     def _g_inverse(self, mu):
-        def go(m):
-            return 2.0 * np.maximum(m, 0.0) / 3.0
-
-        return _wrap(mu, go)
+        return _wrap(mu, lambda m: np.clip(2.0 * m / 3.0, 0.0, self.x_max))
 
     def params(self):
         return {"w0": self.w0, "x_max": self.x_max}
@@ -613,6 +614,27 @@ class Empirical(SupplyCurve):
             return self._cum_pmean[idx] + slopes[idx] * (inside**2 - xs[idx] ** 2) / 2.0
 
         return _wrap(x, go)
+
+    def _g_inverse(self, mu):
+        """Largest maximizer of (mu - x) W(x) over bids x; 0 for mu <= 0.
+
+        On segment k the objective is a concave quadratic whose maximum over
+        [x_k, x_{k+1}] is its stationary point (mu + x_k - w_k/s_k)/2 clipped
+        to the segment, so the best segment gives the exact maximizer without
+        the bid mapping having to be monotone.  The anchor segment (W = 0 at
+        its left knot) keeps the maximum >= 0 for every mu.
+        """
+        lo, hi, w_lo, s = self._xs[:-1], self._xs[1:], self._ws[:-1], self._slopes
+
+        def go(m):
+            mm = m[..., None]
+            x = np.clip((mm + lo - w_lo / s) / 2.0, lo, hi)
+            val = (mm - x) * (w_lo + s * (x - lo))
+            last = s.size - 1 - np.argmax(val[..., ::-1], axis=-1)
+            best = np.take_along_axis(x, last[..., None], axis=-1)[..., 0]
+            return np.where(m <= 0.0, 0.0, best)
+
+        return _wrap(mu, go)
 
     def params(self):
         return {"breakpoints": [[float(a), float(b)] for a, b in self.breakpoints]}

@@ -37,6 +37,7 @@ from scipy.optimize import brentq
 
 from .costs import AuctionKind
 from .curves import BoundedUniform, Exponential, Hyperbolic, PowerLawDensity
+from .curves import _NEWTON_TOL, _exp_first_bid
 from .model import ProblemInstance, check_adequate_supply
 
 try:  # scipy's vendored HiGHS binding is private; without it the master falls back to linprog
@@ -198,27 +199,6 @@ class Solution:
 # kernel against AcquisitionCost, which stays the semantic authority.
 
 
-def _exp_first_bid(gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Solve x + (e^{gamma x} - 1)/gamma = mu elementwise (guarded Newton)."""
-    m = np.maximum(mu, 0.0)
-    hi = np.minimum(m, np.log1p(gamma * m) / gamma)
-    x = 0.5 * hi
-    lo = np.zeros_like(x)
-    up = hi.copy()
-    for _ in range(80):
-        ex = np.exp(gamma * x)
-        val = x + (ex - 1.0) / gamma - m
-        lo = np.where(val < 0.0, x, lo)
-        up = np.where(val > 0.0, x, up)
-        xn = x - val / (1.0 + ex)
-        bad = (xn <= lo) | (xn >= up)
-        xn = np.where(bad, 0.5 * (lo + up), xn)
-        if np.all(np.abs(xn - x) <= 1e-16 * (1.0 + np.abs(x))):
-            return xn
-        x = xn
-    return x
-
-
 def _kernel_exp_second(p, mu):
     g = p["a"]
     win = -np.expm1(-g * mu)
@@ -300,19 +280,21 @@ def _scalar_exp_first_win(g: float) -> Callable[[float], float]:
         lo, hi = 0.0, min(mu, math.log1p(g * mu) / g)
         x = 0.5 * hi
         for _ in range(80):
-            ex = math.exp(g * x)
-            val = x + (ex - 1.0) / g - mu
+            em = math.expm1(g * x)
+            val = x + em / g - mu
+            if val == 0.0:
+                break
             if val < 0.0:
                 lo = x
             else:
                 hi = x
-            xn = x - val / (1.0 + ex)
-            if not lo < xn < hi:
+            xn = x - val / (2.0 + em)
+            if not lo <= xn <= hi:
                 xn = 0.5 * (lo + hi)
-            if abs(xn - x) <= 1e-16 * (1.0 + abs(x)):
-                x = xn
-                break
+            done = abs(xn - x) <= _NEWTON_TOL * (1.0 + abs(x))
             x = xn
+            if done:
+                break
         return -math.expm1(-g * x)
 
     return win

@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 
 import numpy as np
@@ -18,8 +19,17 @@ from bidopt.costs import (
     quadrature_partial_mean,
     write_cost_grid,
 )
-from bidopt.curves import BoundedUniform, Empirical, Exponential, Hyperbolic, PowerLawDensity
-from oracles import grid_sup_biconjugate, grid_sup_conjugate
+from bidopt.curves import (
+    BoundedUniform,
+    Empirical,
+    Exponential,
+    Hyperbolic,
+    PowerLawDensity,
+    alpha_concavity_check,
+    fit_empirical,
+)
+from bidopt.model import random_instance
+from oracles import grid_sup_biconjugate, grid_sup_conjugate, segment_max_first_price
 
 LN2 = math.log(2.0)
 
@@ -325,3 +335,68 @@ def test_write_cost_grid(tmp_path):
     q, lam, conj = map(float, rows[6])
     assert q == pytest.approx(0.5)
     assert lam == pytest.approx(0.125)
+
+
+# ---------------------------------------------------------------------------
+# first price on piecewise-linear curves: exact against the segment-max oracle
+
+
+def _fitted_two_concave(rng):
+    """An empirical curve fitted to exponential prices, coarsened until it
+    passes the 2-concavity check first-price pricing requires."""
+    prices = rng.exponential(1.0 / rng.uniform(0.5, 2.0), size=4000)
+    for clusters in (16, 8, 4):
+        curve = fit_empirical(prices, min_support=float(np.quantile(prices, 0.9)) / clusters)
+        if alpha_concavity_check(curve, 2.0):
+            return curve
+    return None
+
+
+@functools.lru_cache(maxsize=1)
+def fitted_first_price_curves():
+    # the first-price item of the 6x16 seed-11 mixed instance, drawn after
+    # the instance itself, then fits from fresh seeds
+    rng = np.random.default_rng(11)
+    random_instance(rng, 6, 16, edge_prob=0.5, slack_margin=0.02)
+    curves = [_fitted_two_concave(rng)]
+    curves += [_fitted_two_concave(np.random.default_rng(seed)) for seed in range(6)]
+    return curves
+
+
+def test_fitted_curves_have_non_monotone_bid_mappings():
+    # the case the exact kernel exists for: slopes rise at some knots, so
+    # g = x + W/W' is not monotone although the grid check passes
+    curves = fitted_first_price_curves()
+    assert all(c is not None for c in curves)
+    rising = [int(np.sum(np.diff(c._slopes) > 0.0)) for c in curves]
+    assert min(rising) > 0 and rising[0] >= 10
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_first_price_empirical_matches_segment_max(k):
+    cost = AcquisitionCost(fitted_first_price_curves()[k], "first_price")
+    x_bar = cost.curve.x_bar
+    mus = np.concatenate([
+        np.linspace(0.0, 2.5 * x_bar, 61)[1:],
+        np.asarray(cost.bid_mapping(np.linspace(0.02, 0.98, 13) * x_bar)),
+        [cost.bid_cap, 1.5 * cost.bid_cap],
+    ])
+    conj = np.asarray(cost.conjugate(mus))
+    win = np.asarray(cost.win_probability(mus))
+    for mu, c, w in zip(mus, conj, win):
+        best, wins = segment_max_first_price(cost.curve, mu)
+        assert c == pytest.approx(best, rel=1e-12), (k, mu)
+        assert any(w == pytest.approx(v, rel=1e-12, abs=1e-15) for v in wins), (k, mu, w, wins)
+        # scalar calls (the solver's per-item fallback) agree with the vector path
+        assert cost.conjugate(float(mu)) == c
+
+
+def test_first_price_spread_gap_curve():
+    # W = 0 below the first knot: bids under 0.5 win nothing, and the bid
+    # mapping has no density there, yet the conjugate is still exact
+    cost = AcquisitionCost(Empirical([(0.5, 0.0), (1.0, 0.5), (2.0, 1.0)]), "first_price")
+    assert cost.conjugate(0.3) == 0.0
+    assert cost.win_probability(0.3) == 0.0
+    assert cost.conjugate(0.6) == pytest.approx(0.0025, rel=1e-12)  # bid 0.55, W = 0.05
+    assert cost.win_probability(0.6) == pytest.approx(0.05, rel=1e-12)
+    assert cost.conjugate(np.array([0.3, 0.6])) == pytest.approx([0.0, 0.0025], rel=1e-12)

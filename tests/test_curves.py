@@ -13,6 +13,7 @@ from bidopt.curves import (
     Hyperbolic,
     InsufficientSamples,
     PowerLawDensity,
+    SupplyCurve,
     UndifferentiableAtBreakpoint,
     alpha_concavity_check,
     curve_from_json,
@@ -276,3 +277,9 @@ def test_param_validation():
         BoundedUniform(math.inf)
     with pytest.raises(ValueError):
         PowerLawDensity(1.0, -2.0)
+
+
+def test_first_price_bid_needs_a_family_formula():
+    # no generic fallback: a family without _g_inverse cannot price first price
+    with pytest.raises(NotImplementedError, match="_g_inverse"):
+        SupplyCurve()._g_inverse(1.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -328,6 +329,45 @@ def test_vectorized_kernels_match_cost_objects(curve, kind):
         conj, win = kern.conj_win(np.array([mu]))
         assert conj[0] == pytest.approx(cost.conjugate(mu), rel=1e-10, abs=1e-12)
         assert win[0] == pytest.approx(cost.win_probability(mu), rel=1e-10, abs=1e-12)
+
+
+NEWTON_RATES = [0.05, 0.3, 1.0, 1.3, 2.0, 7.5, 40.0]
+NEWTON_MUS = [1e-6, 1e-3, 0.1, 0.7, 1.0, 2.5, 10.0, 100.0, 1e4]
+
+
+def test_first_price_exponential_newton_stops_at_the_root(monkeypatch):
+    # the scalar root finder behind the solver's per-component brentq: count
+    # its exponentials (one per Newton step, plus the win rate) and check it
+    # against the cost object
+    calls = []
+    counting = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
+    counting.exp = lambda v: calls.append(v) or math.exp(v)
+    counting.expm1 = lambda v: calls.append(v) or math.expm1(v)
+    monkeypatch.setattr(solver, "math", counting)
+    steps = []
+    for rate in NEWTON_RATES:
+        win = solver._scalar_exp_first_win(rate)
+        cost = AcquisitionCost(Exponential(rate), "first_price")
+        for mu in NEWTON_MUS:
+            calls.clear()
+            w = win(mu)
+            steps.append(len(calls))
+            np.testing.assert_array_max_ulp(w, cost.win_probability(mu), maxulp=2)
+    assert max(steps) <= 16 and sum(steps) <= 8 * len(steps), steps
+
+
+def test_vectorized_exponential_newton_stops_at_the_root(monkeypatch):
+    # all (rate, mu) pairs in one kernel call, as for a group of items
+    rate, mu = (a.ravel() for a in np.meshgrid(NEWTON_RATES, NEWTON_MUS))
+    calls = []
+    exp, expm1 = np.exp, np.expm1
+    monkeypatch.setattr(np, "exp", lambda v: calls.append(1) or exp(v))
+    monkeypatch.setattr(np, "expm1", lambda v: calls.append(1) or expm1(v))
+    x = solver._exp_first_bid(rate, mu)
+    monkeypatch.undo()
+    assert len(calls) <= 16
+    ref = [AcquisitionCost(Exponential(r), "first_price").bid_mapping_inverse(m) for r, m in zip(rate, mu)]
+    np.testing.assert_array_max_ulp(x, ref, maxulp=2)
 
 
 def test_empirical_curve_goes_through_fallback():
