@@ -9,21 +9,21 @@ contract pseudo-bids alone:
 
     D(rho) = sum_i rho_i C_i - sum_j lambda_j conjugate_j(max_i v_ij rho_i)
 
-which this module maximizes in three stages, after a per-contract warm start.
-A cutting-plane master problem (outer linearization of the smooth convex
+which this module maximizes along one path.  A per-contract warm start
+launches it.  A "polish" stage detects the max-tie pattern, snaps tied
+pseudo-bids to exact ratios via a spanning tree per tie component, and
+root-finds each component's single remaining degree of freedom.  A
+cutting-plane master problem (outer linearization of the smooth convex
 conjugates; tangent slopes are the win rates), one LP grown by tangent rows
-and re-solved warm, positions rho globally with a certified model gap.  A
-"polish" stage, run before and after the master, detects the max-tie
-pattern, snaps tied pseudo-bids to exact ratios via a spanning tree per tie
-component, and root-finds each component's single remaining degree of
-freedom.  Convergence is then *decided*, not assumed, by
-a transportation LP over the current win rates: the point is stationary
-exactly when demand routes with no shortfall, the routing rides exact ties
-(zero theta-spend), and no priced supply is left unallocated; the same LP
-supplies the starving-cut direction, pivot captures, and tie pattern used to
-escape when the verdict is negative.  Projected supergradient phases with
-Polyak-style level steps remain as a fallback between verdicts.  Primal
-recovery converts the active-edge transportation problem into a plain
+and re-solved warm, then positions rho globally with a certified model gap,
+and a second polish snaps its vertex onto the tie pattern.  Convergence is
+then *decided*, not assumed, by a transportation LP over the current win
+rates: the point is stationary exactly when demand routes with no shortfall,
+the routing rides exact ties (zero theta-spend), and no priced supply is left
+unallocated.  When the verdict is negative the same LP supplies the move: a
+line search along its starving cut, or a snap onto the tie pattern its
+routing spans.  A point the routing LP never certifies raises NotConverged.
+Primal recovery converts the active-edge transportation problem into a plain
 max-flow in spend units and rescales to make fulfillment exact.
 """
 from __future__ import annotations
@@ -75,7 +75,7 @@ class InfeasibleInstance(RuntimeError):
 
 
 class NotConverged(RuntimeError):
-    """Iteration budget exhausted before the dual stationarity test passed."""
+    """The routing LP did not certify the best dual point as stationary."""
 
     def __init__(self, best, residual: float):
         self.best = best
@@ -388,7 +388,6 @@ class _Workspace:
         self.starts_nz = self.starts[self.nonempty]
         self.v_bi = inst.edge_v[self.by_item]
         self.i_bi = inst.edge_i[self.by_item]
-        self.j_bi = inst.edge_j[self.by_item]
         self.lam = inst.rates
         self.targets = inst.targets
         self.scale = 1.0 + float(inst.targets.sum())
@@ -401,6 +400,13 @@ class _Workspace:
             mu[self.nonempty] = np.maximum.reduceat(vals, self.starts_nz)
         return mu
 
+    def first_argmax(self, vals: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Item-major position of the first edge attaining each nonempty item's max."""
+        inst = self.inst
+        counts = np.diff(inst.item_start)[self.nonempty]
+        sent = np.where(vals == np.repeat(mu[self.nonempty], counts), np.arange(vals.size), vals.size)
+        return np.minimum.reduceat(sent, self.starts_nz) if self.starts_nz.size else np.array([], dtype=int)
+
     def value_grad(self, rho: np.ndarray):
         """D(rho), mu, a supergradient (lowest-index argmax selection), win rates."""
         inst = self.inst
@@ -410,11 +416,7 @@ class _Workspace:
             mu[self.nonempty] = np.maximum.reduceat(vals, self.starts_nz)
         conj, win = self.kernels.conj_win(mu)
         value = float(rho @ self.targets) - float(self.lam @ conj)
-        # first edge attaining each item's max, in item-major order
-        pos = np.arange(vals.size)
-        d = vals.size
-        sent = np.where(vals == np.repeat(mu[self.nonempty], np.diff(inst.item_start)[self.nonempty]), pos, d)
-        first = np.minimum.reduceat(sent, self.starts_nz) if self.starts_nz.size else np.array([], dtype=int)
+        first = self.first_argmax(vals, mu)
         grad = self.targets.copy()
         take = self.lam[self.nonempty] * win[self.nonempty] * self.v_bi[first]
         np.subtract.at(grad, self.i_bi[first], take)
@@ -426,110 +428,58 @@ class _Workspace:
         return float(rho @ self.targets) - float(self.lam @ conj)
 
 
-def _projected_residual(rho: np.ndarray, grad: np.ndarray) -> float:
-    proj = np.where(rho > 0.0, grad, np.maximum(grad, 0.0))
-    return float(np.max(np.abs(proj))) if proj.size else 0.0
-
-
-def _supergradient_phase(ws: _Workspace, rho, best_val, best_rho, iters: int, tol: float):
-    """Polyak level ascent; returns (current rho, best value, best rho, used, residual)."""
-    delta = 0.02 * (1.0 + abs(best_val))
-    stall = 0
-    residual = math.inf
-    used = 0
-    for used in range(1, iters + 1):
-        val, mu, grad, _ = ws.value_grad(rho)
-        residual = _projected_residual(rho, grad)
-        if val > best_val + 1e-15 * (1.0 + abs(best_val)):
-            best_val, best_rho = val, rho.copy()
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 40:
-                delta *= 0.6
-                stall = 0
-                if delta < 1e-13 * (1.0 + abs(best_val)):
-                    break
-        if residual <= tol * ws.scale:
-            break
-        gg = float(grad @ grad)
-        if gg == 0.0:
-            break
-        step = (best_val + delta - val) / gg
-        step = max(step, 1e-16)
-        rho = np.maximum(rho + step * grad, 0.0)
-    return rho, best_val, best_rho, used, residual
-
-
 # ---------------------------------------------------------------------------
 # tie-pattern polish
 
 
-def _detect_components(ws: _Workspace, rho: np.ndarray, mu: np.ndarray, delta: float):
-    """Group contracts tied through shared argmax items.
+def _near_ties(ws: _Workspace, rho: np.ndarray, mu: np.ndarray, delta: float) -> np.ndarray:
+    """Edges within relative slack delta of their item's max, on priced items."""
+    inst = ws.inst
+    mu_e = mu[inst.edge_j]
+    theta = mu_e - inst.edge_v * rho[inst.edge_i]
+    return np.flatnonzero((theta <= delta * (1.0 + mu_e)) & (mu_e > 1e-12 * ws.scale))
 
-    Returns (components, comp_items) where components[k] is a dict
-    contract -> ratio beta_i and comp_items[k] a dict item -> slope m_j, so
-    that within component k: rho_i = beta_i * t and mu_j = m_j * t.
+
+def _tie_components(ws: _Workspace, edges: np.ndarray):
+    """Contracts joined through shared items over the edge index set `edges`.
+
+    Returns (comp, beta, item_comp, slope): contract i lies in component
+    comp[i] with ratio beta[i], and item j in component item_comp[j] (-1
+    when no edge of the set touches it) with slope slope[j], so that within
+    a component rho_i = beta_i * t and mu_j = slope_j * t.  A component is
+    labelled by its lowest-index contract, whose beta is 1, and its ratios
+    follow v_ij rho_i = mu_j along a depth-first spanning tree from there.
     """
     inst = ws.inst
-    n = inst.n_contracts
-    edge_i, edge_j, edge_v = inst.edge_i, inst.edge_j, inst.edge_v
-    theta = mu[edge_j] - edge_v * rho[edge_i]
-    act_mask = (theta <= delta * (1.0 + mu[edge_j])) & (mu[edge_j] > 1e-12 * ws.scale)
-    act = np.flatnonzero(act_mask)
-
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    item_active: dict[int, list[int]] = {}
-    contract_items: dict[int, list[int]] = {}
-    for e in act.tolist():
-        j = int(edge_j[e])
-        i = int(edge_i[e])
-        item_active.setdefault(j, []).append(e)
-        contract_items.setdefault(i, []).append(j)
-    for j, edges in item_active.items():
-        first = find(int(edge_i[edges[0]]))
-        for e in edges[1:]:
-            rb = find(int(edge_i[e]))
-            if rb != first:
-                parent[rb] = first
-                first = find(first)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
-    # BFS tree per component fixes the pseudo-bid ratios
-    components = []
-    comp_items = []
-    for root in sorted(groups):
-        members = groups[root]
-        beta: dict[int, float] = {members[0]: 1.0}
-        slope: dict[int, float] = {}
-        queue = [members[0]]
-        while queue:
-            i = queue.pop()
-            for j in contract_items.get(i, ()):
-                if j in slope:
+    n, m = inst.n_contracts, inst.n_items
+    ei, ej = inst.edge_i[edges], inst.edge_j[edges]
+    by_j = np.argsort(ej, kind="stable")
+    # `edges` ascend, so each contract's edges are one run, in item order
+    c_start = np.searchsorted(ei, np.arange(n + 1)).tolist()
+    j_start = np.searchsorted(ej[by_j], np.arange(m + 1)).tolist()
+    ei, ej, ev, by_j = ei.tolist(), ej.tolist(), inst.edge_v[edges].tolist(), by_j.tolist()
+    comp, beta = [-1] * n, [1.0] * n
+    item_comp, slope = [-1] * m, [0.0] * m
+    for root in range(n):
+        if comp[root] >= 0:
+            continue
+        comp[root] = root
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for e in range(c_start[i], c_start[i + 1]):
+                j = ej[e]
+                if item_comp[j] >= 0:
                     continue
-                edges = item_active[j]
-                vmax = max(float(edge_v[e]) for e in edges if int(edge_i[e]) == i)
-                slope[j] = vmax * beta[i]
-                for e in edges:
-                    i2 = int(edge_i[e])
-                    if i2 not in beta:
-                        beta[i2] = slope[j] / float(edge_v[e])
-                        queue.append(i2)
-        components.append(beta)
-        comp_items.append(slope)
-    return components, comp_items
+                item_comp[j] = root
+                slope[j] = t = ev[e] * beta[i]
+                for f in by_j[j_start[j] : j_start[j + 1]]:
+                    i2 = ei[f]
+                    if comp[i2] < 0:
+                        comp[i2] = root
+                        beta[i2] = t / ev[f]
+                        stack.append(i2)
+    return np.array(comp), np.array(beta), np.array(item_comp), np.array(slope)
 
 
 def _component_root(ws: _Workspace, idx, bet, jdx, m, t0: float) -> float | None:
@@ -554,22 +504,18 @@ def _component_root(ws: _Workspace, idx, bet, jdx, m, t0: float) -> float | None
 _POLISH_LADDER = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-8, 1e-10)
 
 
-def _component_updates(ws: _Workspace, rho: np.ndarray, delta: float):
-    """Snapped pseudo-bids for every balanceable tie component at threshold delta."""
-    mu = ws.mu_of(rho)
-    components, comp_items = _detect_components(ws, rho, mu, delta)
+def _component_updates(ws: _Workspace, rho: np.ndarray, components):
+    """Snapped pseudo-bids for every tie component that balances along its ray."""
+    comp, beta, item_comp, slope = components
     updates = []
-    for beta, slope in zip(components, comp_items):
-        if not slope:
-            continue  # isolated contract with no usable items yet
-        idx = np.asarray(sorted(beta), dtype=np.intp)
-        bet = np.array([beta[i] for i in idx])
-        jdx = sorted(slope)
-        m = np.array([slope[j] for j in jdx])
-        t_star = _component_root(ws, idx, bet, jdx, m, float(rho[idx[0]] / bet[0]) or 1.0)
-        if t_star is None:
-            continue
-        updates.append((idx, bet * t_star))
+    for k in np.unique(item_comp[item_comp >= 0]).tolist():
+        idx = np.flatnonzero(comp == k)
+        jdx = np.flatnonzero(item_comp == k)
+        bet = beta[idx]
+        # k is the component's root contract, whose beta is 1
+        t_star = _component_root(ws, idx, bet, jdx.tolist(), slope[jdx], float(rho[k]) or 1.0)
+        if t_star is not None:
+            updates.append((idx, bet * t_star))
     return updates
 
 
@@ -621,7 +567,8 @@ def _polish(ws: _Workspace, best_val: float, best_rho: np.ndarray):
     improved = False
     for delta in _POLISH_LADDER:
         for _ in range(6):  # let the pattern settle at this threshold
-            updates = _component_updates(ws, best_rho, delta)
+            ties = _near_ties(ws, best_rho, ws.mu_of(best_rho), delta)
+            updates = _component_updates(ws, best_rho, _tie_components(ws, ties))
             if not updates:
                 break
             best_val, best_rho, acc = _accept_updates(ws, best_val, best_rho, updates)
@@ -634,15 +581,23 @@ def _polish(ws: _Workspace, best_val: float, best_rho: np.ndarray):
 def _cut_line_search(ws: _Workspace, best_val: float, best_rho: np.ndarray, y: np.ndarray):
     """Exact concave line search along a starving-cut certificate direction.
 
-    The phase-1 certificate guarantees a positive directional derivative, and
-    moving the whole cut together walks through the argmax-capture kinks that
-    block single-coordinate ascent.
+    The routing LP's certificate guarantees a positive directional
+    derivative, and moving the whole cut together walks through the
+    argmax-capture kinks that block single-coordinate ascent.  Next to a
+    flat optimum a shortfall s along the cut is worth only about s^2 / 2 of
+    D, below what the value can rank; there the step goes where the
+    directional derivative along the cut changes sign, and is taken when its
+    value ties the current one to rounding, for the next routing LP to judge.
     """
     from scipy.optimize import minimize_scalar
 
     def phi(h: float) -> float:
         return ws.value(best_rho + h * y)
 
+    def slope(h: float) -> float:
+        return float(ws.value_grad(best_rho + h * y)[2] @ y)
+
+    tiny = 1e-15 * (1.0 + abs(best_val))
     hs = [0.0]
     vals = [best_val]
     h = 1e-3 * (1.0 + float(np.max(best_rho, initial=0.0)))
@@ -660,43 +615,24 @@ def _cut_line_search(ws: _Workspace, best_val: float, best_rho: np.ndarray, y: n
     cand_val, cand_h = vals[k], hs[k]
     if res.success and -res.fun > cand_val:
         cand_val, cand_h = -float(res.fun), float(res.x)
-    if cand_val > best_val + 1e-15 * (1.0 + abs(best_val)) and cand_h > 0.0:
+    if cand_val > best_val + tiny and cand_h > 0.0:
         return cand_val, best_rho + cand_h * y, True
+    lo, hi = 0.0, hs[-1]
+    if slope(hi) >= 0.0:
+        return best_val, best_rho, False
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * (1.0 + hi):
+            break
+    cand = best_rho + lo * y
+    cand_val = ws.value(cand)
+    if lo > 0.0 and cand_val >= best_val - tiny:
+        return cand_val, cand, True
     return best_val, best_rho, False
-
-
-def _cut_kink_jump(ws: _Workspace, best_val: float, best_rho: np.ndarray, y: np.ndarray):
-    """Advance along a cut direction to the next argmax-capture kinks.
-
-    The interior optimum of the line search can sit microscopically below the
-    first capture point, which leaves the tie pattern unchanged and turns the
-    ascent into a creep.  The productive move is combinatorial: step exactly
-    onto (and past) the nearest capture distances so new ties appear, then let
-    the snap rebalance; keep whichever jump survives the value safeguard.
-    """
-    mu = ws.mu_of(best_rho)
-    vals = ws.v_bi * best_rho[ws.i_bi]
-    slopes = y[ws.i_bi] * ws.v_bi
-    mu_e = mu[ws.j_bi]
-    theta = mu_e - vals
-    active = theta <= 1e-12 * (1.0 + mu_e)
-    g = np.full(ws.inst.n_items, -np.inf)
-    np.maximum.at(g, ws.j_bi[active], slopes[active])
-    denom = slopes - g[ws.j_bi]
-    mask = (~active) & (denom > 1e-15) & (mu_e > 1e-12 * ws.scale)
-    if not np.any(mask):
-        return best_val, best_rho, False
-    h_first = float(np.min(theta[mask] / denom[mask]))
-    if not (np.isfinite(h_first) and h_first > 0.0):
-        return best_val, best_rho, False
-    improved = False
-    for mult in (1.0 + 1e-9, 2.0, 4.0, 8.0, 16.0, 32.0):
-        cand = best_rho + (h_first * mult) * y
-        cv, cr, _ = _polish(ws, ws.value(cand), cand)
-        if cv > best_val + 1e-15 * (1.0 + abs(best_val)):
-            best_val, best_rho = cv, cr
-            improved = True
-    return best_val, best_rho, improved
 
 
 # push HiGHS well below its default feasibility tolerances: model gaps and
@@ -773,9 +709,9 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
     round, at most `rounds` solves), until the model value (an upper bound on
     the dual optimum) meets the best true value; the returned model gap is
     therefore a certified optimality bound.  The rho box only widens, in
-    place, when an iterate presses against it.  Supergradient steps creep
-    through argmax kinks microns at a time on degenerate instances; the LP
-    model jumps straight across them.  Returns (value, rho, gap, LP solves)
+    place, when an iterate presses against it.  Local ascent creeps through
+    argmax kinks microns at a time on degenerate instances; the LP model
+    jumps straight across them.  Returns (value, rho, gap, LP solves)
     and adds the master's solve and simplex-iteration counts to `stats`.
     """
     from scipy import sparse
@@ -859,8 +795,10 @@ def _refine(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float):
     *any* tie pattern, right or wrong.  Stationarity is the routing LP's
     verdict: demand routes (no shortfall), the routing rides exact ties
     (no theta-spend), and every priced item's supply is consumed (no slack
-    value) — the three optimality conditions measured at once.
-    Returns (value, rho, converged, worst KKT violation seen).
+    value) — the three optimality conditions measured at once.  A shortfall
+    moves the point along the starving cut; otherwise it snaps onto the
+    routing's own tie pattern, even when the value cannot tell the snap from
+    the current point.  Returns (value, rho, converged, worst KKT violation).
     """
     converged = False
     lim = tol * ws.scale
@@ -872,76 +810,23 @@ def _refine(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float):
             kkt = _dual_residual(ws, best_rho, tie_delta=max(tol, 1e-10))
             converged = kkt <= lim
             break
-        shortfall, theta_cost, slack_value, cut, pat, pivot_pat = info
+        shortfall, theta_cost, slack_value, cut, pat = info
         kkt = max(shortfall, theta_cost, slack_value)
         if kkt <= lim:
             converged = True
             break
-        snapped = False
+        moved = False
         if shortfall > lim:
-            moved = False
-            if pivot_pat is not None:
-                updates = _updates_from_pattern(ws, best_rho, *pivot_pat)
-                if updates:
-                    best_val, best_rho, moved = _accept_updates(ws, best_val, best_rho, updates)
-            if not moved and cut is not None:
-                best_val, best_rho, jumped = _cut_kink_jump(ws, best_val, best_rho, cut)
+            if cut is not None:
                 best_val, best_rho, moved = _cut_line_search(ws, best_val, best_rho, cut)
-                if jumped or moved:
-                    best_val, best_rho, _ = _polish(ws, best_val, best_rho)
         elif pat is not None:
-            # demand routes: snap onto the routing's own tie pattern, even
-            # when the value cannot tell the snap from the current point
-            updates = _updates_from_pattern(ws, best_rho, *pat)
+            updates = _component_updates(ws, best_rho, pat)
             if updates:
-                best_val, best_rho, snapped = _accept_updates(
-                    ws, best_val, best_rho, updates, level=True
-                )
-        best_val, best_rho, _ = _coordinate_refine(ws, best_val, best_rho)
+                best_val, best_rho, moved = _accept_updates(ws, best_val, best_rho, updates, level=True)
         best_val, best_rho, _ = _polish(ws, best_val, best_rho)
-        if not snapped and best_val <= prev + 1e-15 * (1.0 + abs(prev)):
+        if not moved and best_val <= prev + 1e-15 * (1.0 + abs(prev)):
             break
     return best_val, best_rho, converged, kkt
-
-
-def _coordinate_refine(ws: _Workspace, best_val: float, best_rho: np.ndarray, top_k: int = 16):
-    """Exact 1-D maximization on the worst-balanced contracts.
-
-    D is concave in each rho_i alone but kinked where the contract captures or
-    loses an item's argmax; an exact scalar search climbs through those kinks,
-    which neither supergradient steps nor tie snapping can do.
-    """
-    from scipy.optimize import minimize_scalar
-
-    _, _, grad, _ = ws.value_grad(best_rho)
-    proj = np.where(best_rho > 0.0, grad, np.maximum(grad, 0.0))
-    order = np.argsort(-np.abs(proj))
-    hi_base = 4.0 * float(np.max(best_rho, initial=0.0)) + 1.0
-    improved = False
-    work = best_rho.copy()
-    for i in order[:top_k].tolist():
-        if abs(proj[i]) <= 1e-14 * ws.scale:
-            break
-
-        def along(r: float) -> float:
-            work[i] = r
-            return -ws.value(work)
-
-        cur = float(best_rho[i])
-        res = minimize_scalar(
-            along,
-            bounds=(0.0, max(hi_base, 8.0 * cur)),
-            method="bounded",
-            options={"xatol": 1e-13 * (1.0 + cur)},
-        )
-        work[i] = cur
-        if res.success and -res.fun > best_val + 1e-15 * (1.0 + abs(best_val)):
-            best_val = -res.fun
-            best_rho = best_rho.copy()
-            best_rho[i] = float(res.x)
-            work = best_rho.copy()
-            improved = True
-    return best_val, best_rho, improved
 
 
 def _routing_lp(ws: _Workspace, rho: np.ndarray):
@@ -990,116 +875,23 @@ def _routing_lp(ws: _Workspace, rho: np.ndarray):
     cut = y if np.any(y > 0.0) else None
     support = np.flatnonzero(flows > 1e-10 * (1.0 + float(flows.max(initial=0.0))))
     pattern = _pattern_from_support(ws, rho, mu, support) if support.size else None
-
-    # a starving contract must capture its cheapest blocked edge: force that
-    # edge into the support and let the snap rebalance the merged component
-    pivots = []
-    for i in np.flatnonzero(un > 1e-12 * (1.0 + inst.targets)).tolist():
-        sl = inst.contract_edges(i)
-        gaps = theta[sl] / inst.edge_v[sl]
-        blocked = np.flatnonzero(gaps > 0.0)
-        if blocked.size:
-            pivots.append(sl.start + int(blocked[np.argmin(gaps[blocked])]))
-    pivot_pattern = None
-    if pivots and support.size:
-        aug = np.union1d(support, np.asarray(pivots, dtype=np.intp))
-        pivot_pattern = _pattern_from_support(ws, rho, mu, aug)
-    return shortfall, theta_cost, slack_value, cut, pattern, pivot_pattern
+    return shortfall, theta_cost, slack_value, cut, pattern
 
 
 def _pattern_from_support(ws: _Workspace, rho: np.ndarray, mu: np.ndarray, support: np.ndarray):
-    inst = ws.inst
-    n = inst.n_contracts
-    parent = list(range(n))
+    """Tie components of the routing's support edges.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    item_support: dict[int, list[int]] = {}
-    contract_items: dict[int, list[int]] = {}
-    for e in support.tolist():
-        j, i = int(inst.edge_j[e]), int(inst.edge_i[e])
-        item_support.setdefault(j, []).append(e)
-        contract_items.setdefault(i, []).append(j)
-    for j, edges in item_support.items():
-        first = find(int(inst.edge_i[edges[0]]))
-        for e in edges[1:]:
-            rb = find(int(inst.edge_i[e]))
-            if rb != first:
-                parent[rb] = first
-                first = find(first)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
-    components = []
-    comp_items = []
-    for root in sorted(groups):
-        members = groups[root]
-        beta: dict[int, float] = {members[0]: 1.0}
-        slope: dict[int, float] = {}
-        queue = [members[0]]
-        while queue:
-            i = queue.pop()
-            for j in contract_items.get(i, ()):
-                if j in slope:
-                    continue
-                edges = item_support[j]
-                vmax = max(float(inst.edge_v[e]) for e in edges if int(inst.edge_i[e]) == i)
-                slope[j] = vmax * beta[i]
-                for e in edges:
-                    i2 = int(inst.edge_i[e])
-                    if i2 not in beta:
-                        beta[i2] = slope[j] / float(inst.edge_v[e])
-                        queue.append(i2)
-        components.append(beta)
-        comp_items.append(slope)
-
-    # every acquired item funds its argmax component, not only supported ones
-    comp_of: dict[int, int] = {}
-    for k, beta in enumerate(components):
-        for i in beta:
-            comp_of[i] = k
-    vals = ws.v_bi * rho[ws.i_bi]
-    counts = np.diff(inst.item_start)
-    for j in np.flatnonzero(ws.nonempty).tolist():
-        if mu[j] <= 1e-12 * ws.scale:
-            continue
-        k = None
-        for kk, slope in enumerate(comp_items):
-            if j in slope:
-                k = kk
-                break
-        if k is not None:
-            continue
-        start = inst.item_start[j]
-        seg = vals[start : start + counts[j]]
-        arg = int(np.argmax(seg))
-        i = int(ws.i_bi[start + arg])
-        v = float(ws.v_bi[start + arg])
-        k = comp_of[i]
-        comp_items[k][j] = v * components[k][i]
-    return components, comp_items
-
-
-def _updates_from_pattern(ws: _Workspace, rho: np.ndarray, components, comp_items):
-    updates = []
-    for beta, slope in zip(components, comp_items):
-        if not slope:
-            continue
-        idx = np.asarray(sorted(beta), dtype=np.intp)
-        bet = np.array([beta[i] for i in idx])
-        jdx = sorted(slope)
-        m = np.array([slope[j] for j in jdx])
-        t_star = _component_root(ws, idx, bet, jdx, m, float(rho[idx[0]] / bet[0]) or 1.0)
-        if t_star is None:
-            continue
-        updates.append((idx, bet * t_star))
-    return updates
+    Every priced item outside them still funds its argmax component, not
+    only the items the routing uses.
+    """
+    comp, beta, item_comp, slope = _tie_components(ws, support)
+    first = np.full(ws.inst.n_items, -1)
+    first[ws.nonempty] = ws.first_argmax(ws.v_bi * rho[ws.i_bi], mu)
+    loose = np.flatnonzero((item_comp < 0) & ws.nonempty & (mu > 1e-12 * ws.scale))
+    i = ws.i_bi[first[loose]]
+    item_comp[loose] = comp[i]
+    slope[loose] = ws.v_bi[first[loose]] * beta[i]
+    return comp, beta, item_comp, slope
 
 
 def _warm_start(ws: _Workspace) -> np.ndarray:
@@ -1127,27 +919,18 @@ def _warm_start(ws: _Workspace) -> np.ndarray:
 
 def _dual_residual(ws: _Workspace, rho: np.ndarray, tie_delta: float = 1e-9) -> float:
     """Stationarity residual treating tie components as jointly balanced."""
-    inst = ws.inst
-    val, mu, grad, win = ws.value_grad(rho)
-    components, comp_items = _detect_components(ws, rho, mu, tie_delta)
-    res = 0.0
-    in_comp = np.zeros(inst.n_contracts, dtype=bool)
-    for beta, slope in zip(components, comp_items):
-        idx = np.asarray(sorted(beta), dtype=np.intp)
-        if slope:
-            bet = np.array([beta[i] for i in idx])
-            jdx = np.asarray(sorted(slope), dtype=np.intp)
-            m = np.array([slope[j] for j in jdx])
-            demand = float(bet @ ws.targets[idx])
-            supply = float((ws.lam[jdx] * m) @ win[jdx])
-            res = max(res, abs(demand - supply) / (1.0 + abs(demand)))
-            in_comp[idx] = True
-    loose = ~in_comp
-    if loose.any():
-        proj = np.where(rho[loose] > 0.0, grad[loose], np.maximum(grad[loose], 0.0))
-        if proj.size:
-            res = max(res, float(np.max(np.abs(proj))) / ws.scale)
-    return res
+    _, mu, grad, win = ws.value_grad(rho)
+    comp, beta, item_comp, slope = _tie_components(ws, _near_ties(ws, rho, mu, tie_delta))
+    size = ws.inst.n_contracts
+    has = item_comp >= 0
+    demand = np.bincount(comp, beta * ws.targets, minlength=size)
+    supply = np.bincount(item_comp[has], ws.lam[has] * slope[has] * win[has], minlength=size)
+    funded = np.zeros(size, dtype=bool)
+    funded[item_comp[has]] = True
+    res = float(np.max(np.abs(demand - supply)[funded] / (1.0 + np.abs(demand[funded])), initial=0.0))
+    loose = ~funded[comp]
+    proj = np.where(rho[loose] > 0.0, grad[loose], np.maximum(grad[loose], 0.0))
+    return max(res, float(np.max(np.abs(proj), initial=0.0)) / ws.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -1164,17 +947,15 @@ def solve_dual(
 ) -> DualSolution:
     """Maximize the reduced dual D(rho) over rho >= 0.
 
-    Phases: warm start -> tie polish -> warm cutting-plane master -> tie
-    polish -> routing-LP refine, then projected supergradient / polish /
-    refine rounds as a fallback until the routing LP certifies stationarity.
-    `max_iter` is one budget shared by the master (one unit per master LP
-    solve) and the supergradient steps; `max_iter=0` skips both.  The units
-    spent are stored in stats["iterations"], next to the master's solve and
-    simplex-iteration counts.
+    One path: warm start -> tie polish -> warm cutting-plane master -> tie
+    polish -> routing-LP refine.  `max_iter` budgets the master's LP solves
+    (at most 60; `max_iter=0` skips the master); the solves spent are stored
+    in stats["iterations"], next to the master's solve and simplex-iteration
+    counts.
 
-    Raises InfeasibleInstance when adequate supply fails and NotConverged
-    when the budget runs out (or progress stalls) before the routing LP's
-    stationarity residual drops below tol.
+    Raises InfeasibleInstance when adequate supply fails and NotConverged,
+    carrying the best point, when the routing LP's stationarity residual
+    ends above tol.
     """
     if check_feasibility:
         chk = check_adequate_supply(inst, margin)
@@ -1195,31 +976,12 @@ def solve_dual(
     best_val, best_rho, _, used = _kelley_phase(
         ws, best_val, best_rho, tol, rounds=min(60, max_iter), stats=stats
     )
+    stats["iterations"] = used
     if used:
         best_val, best_rho, _ = _polish(ws, best_val, best_rho)
     best_val, best_rho, converged, kkt = _refine(ws, best_val, best_rho, tol)
-    rho = best_rho.copy()
-    mark = -math.inf
-    stagnant = 0
-    phase_iters = max(150, min(400, max_iter // 10))
-    while not converged:
-        if best_val > mark + 1e-12 * (1.0 + abs(mark)):
-            mark = best_val
-            stagnant = 0
-        else:
-            stagnant += 1
-        if used >= max_iter or stagnant >= 4:
-            stats["iterations"] = used
-            raise NotConverged(_finish_dual(ws, best_rho, best_val), kkt)
-        # fallback wander for points the cutting-plane model cannot separate;
-        # the ascent iterate deliberately keeps drifting across phases
-        rho, best_val, best_rho, it, _ = _supergradient_phase(
-            ws, rho, best_val, best_rho, min(phase_iters, max_iter - used), tol
-        )
-        used += it
-        best_val, best_rho, _ = _polish(ws, best_val, best_rho)
-        best_val, best_rho, converged, kkt = _refine(ws, best_val, best_rho, tol)
-    stats["iterations"] = used
+    if not converged:
+        raise NotConverged(_finish_dual(ws, best_rho, best_val), kkt)
     return _finish_dual(ws, best_rho, best_val)
 
 
@@ -1294,6 +1056,28 @@ def _dinic_max_flow(n_nodes: int, arcs: list[tuple[int, int, float]], source: in
     return flows, total
 
 
+def _bids_and_rates(inst: ProblemInstance, mu: np.ndarray):
+    """Per-item bids g_j^{-1}(mu_j) and acquisition rates lambda_j q_j(mu_j)."""
+    bids = np.zeros(inst.n_items)
+    s = np.zeros(inst.n_items)
+    for j, cost in enumerate(inst.costs):
+        cap = cost.bid_cap
+        mu_j = min(float(mu[j]), cap) if math.isfinite(cap) else float(mu[j])
+        bids[j] = cost.bid_mapping_inverse(mu_j)
+        s[j] = inst.rates[j] * cost.win_probability(float(mu[j]))
+    return bids, s
+
+
+def _spend_rate(inst: ProblemInstance, s: np.ndarray) -> float:
+    """Expected spend sum_j lambda_j Lambda_j(s_j / lambda_j) at acquisition rates s."""
+    value = 0.0
+    for j, cost in enumerate(inst.costs):
+        if s[j] > 0.0:
+            q = min(s[j] / inst.rates[j], 1.0 - 1e-12)
+            value += inst.rates[j] * float(cost.lam(q))
+    return float(value)
+
+
 def recover_primal(inst: ProblemInstance, dual: DualSolution, eps_active: float = 1e-6) -> PrimalSolution:
     """Bids, rates, and an allocation supported on the active edges.
 
@@ -1309,13 +1093,7 @@ def recover_primal(inst: ProblemInstance, dual: DualSolution, eps_active: float 
     n, m = inst.n_contracts, inst.n_items
     eps = eps_active * (1.0 + float(np.max(mu, initial=0.0)))
 
-    bids = np.zeros(m)
-    s_policy = np.zeros(m)
-    for j, cost in enumerate(inst.costs):
-        cap = cost.bid_cap
-        mu_j = min(float(mu[j]), cap) if math.isfinite(cap) else float(mu[j])
-        bids[j] = cost.bid_mapping_inverse(mu_j)
-        s_policy[j] = inst.rates[j] * cost.win_probability(float(mu[j]))
+    bids, s_policy = _bids_and_rates(inst, mu)
 
     active = np.flatnonzero(dual.theta <= eps)
     # spend-unit max flow: source -> item (mu_j s_j) -> contract (rho_i C_i) -> sink
@@ -1356,15 +1134,9 @@ def recover_primal(inst: ProblemInstance, dual: DualSolution, eps_active: float 
     nz = s[inst.edge_j] > 0.0
     gamma[nz] = R[nz] / s[inst.edge_j[nz]]
 
-    # spend rate at the realized acquisition rates
-    value = 0.0
-    for j, cost in enumerate(inst.costs):
-        if s[j] > 0.0:
-            q = min(s[j] / inst.rates[j], 1.0 - 1e-12)
-            value += inst.rates[j] * float(cost.lam(q))
     for arr in (s, R, bids, gamma):
         arr.setflags(write=False)
-    return PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=float(value))
+    return PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(inst, s))
 
 
 # ---------------------------------------------------------------------------
@@ -1484,25 +1256,13 @@ def solve_uniform_bid(inst: ProblemInstance):
             lo = mid
     rho_star = 0.5 * (lo + hi)
 
-    m, n = inst.n_items, inst.n_contracts
-    bids = np.zeros(m)
-    s = np.zeros(m)
-    for j, cost in enumerate(costs):
-        cap = cost.bid_cap
-        mu_j = min(rho_star, cap) if math.isfinite(cap) else rho_star
-        bids[j] = cost.bid_mapping_inverse(mu_j)
-        s[j] = lam[j] * cost.win_probability(rho_star)
+    bids, s = _bids_and_rates(inst, np.full(inst.n_items, rho_star))
     share = inst.targets / total
     R = s[inst.edge_j] * share[inst.edge_i]
     gamma = np.where(s[inst.edge_j] > 0.0, share[inst.edge_i], 0.0)
-    value = 0.0
-    for j, cost in enumerate(costs):
-        if s[j] > 0.0:
-            q = min(s[j] / lam[j], 1.0 - 1e-12)
-            value += lam[j] * float(cost.lam(q))
     for arr in (s, R, bids, gamma):
         arr.setflags(write=False)
-    return rho_star, PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=float(value))
+    return rho_star, PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(inst, s))
 
 
 # ---------------------------------------------------------------------------
@@ -1531,7 +1291,9 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
     """Rebuild a Solution from its JSON form (values recomputed, not trusted)."""
     rho = np.asarray(obj["rho"], dtype=float)
     mu = np.asarray(obj["mu"], dtype=float)
-    if rho.size != inst.n_contracts or mu.size != inst.n_items:
+    s = np.asarray(obj["s"], dtype=float)
+    bids = np.asarray(obj["bids"], dtype=float)
+    if rho.shape != (inst.n_contracts,) or any(a.shape != (inst.n_items,) for a in (mu, s, bids)):
         raise ValueError("solution dimensions do not match the instance")
     theta = mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]
     ws = _Workspace(inst)
@@ -1547,17 +1309,10 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
         if key not in pos:
             raise ValueError(f"allocation entry {key!r} is not an instance edge")
         R[pos[key]] = float(val)
-    s = np.asarray(obj["s"], dtype=float)
-    bids = np.asarray(obj["bids"], dtype=float)
     gamma = np.zeros(inst.n_edges)
     nz = s[inst.edge_j] > 0.0
     gamma[nz] = R[nz] / s[inst.edge_j[nz]]
-    value = 0.0
-    for j, cost in enumerate(inst.costs):
-        if s[j] > 0.0:
-            q = min(s[j] / inst.rates[j], 1.0 - 1e-12)
-            value += inst.rates[j] * float(cost.lam(q))
-    primal = PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=float(value))
+    primal = PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(inst, s))
     report = certify(inst, primal, dual)
     return Solution(
         dual=dual,

@@ -219,6 +219,25 @@ def test_simulate_bad_policy_exits_1(tmp_path):
     assert main(["simulate", "--input", inp, "--seed", "5"]) == 1
 
 
+@pytest.mark.parametrize("field", ["s", "bids"])
+@pytest.mark.parametrize("command", [["certify"], ["simulate", "--seed", "5", "--horizon", "100"]],
+                         ids=["certify", "simulate"])
+def test_short_solution_lists_exit_1(tmp_path, capsys, field, command):
+    # a per-item list shorter than the instance's item count is a parse
+    # failure: one message line, no traceback, and never "certified"
+    inp = write_json(tmp_path / "inst.json", MIXED)
+    solved = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
+    doc = json.loads(solved.read_text())
+    doc["solution"][field] = doc["solution"][field][:-1]
+    write_json(solved, doc)
+    capsys.readouterr()
+    assert main(command[:1] + ["--input", str(solved)] + command[1:]) == 1
+    captured = capsys.readouterr()
+    assert "certified" not in captured.out
+    assert captured.err.startswith("bidopt: ") and captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # budget / markowitz
 

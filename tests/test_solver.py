@@ -4,7 +4,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bidopt.costs import AcquisitionCost
@@ -93,6 +93,7 @@ def test_mixed_instance_certifies():
 
 
 @given(st.integers(0, 2**32 - 1))
+@example(1973774220)  # flat optimum: the cut step is placed by the directional derivative
 @settings(max_examples=15, deadline=None)
 def test_weak_duality(seed):
     rng = np.random.default_rng(seed)
@@ -255,6 +256,41 @@ def test_max_iter_budgets_the_master():
     assert full["master_solves"] > 2
     assert full["iterations"] == full["master_solves"]
     assert capped["master_solves"] == capped["iterations"] == 2
+
+
+# ---------------------------------------------------------------------------
+# single solve path: draws that pin its parts
+
+
+def _certifies_edgewise(sol):
+    assert sol.report.passed
+    assert sol.report.gap <= 1e-6
+    # complementary slackness edge by edge
+    assert np.max(sol.dual.theta * sol.primal.R) <= 1e-6 * (1.0 + abs(sol.primal.primal_value))
+
+
+def _fuzz_instance(seed):
+    """Draw `seed` of the fuzz corpus: up to 40 x 120, sparse to dense, slack down to 0.002."""
+    rng = np.random.default_rng(seed)
+    return random_instance(
+        rng, int(rng.integers(2, 41)), int(rng.integers(2, 121)),
+        edge_prob=float(rng.uniform(0.05, 0.9)), slack_margin=float(rng.uniform(0.002, 0.05)),
+    )
+
+
+def test_pre_master_polish_draw_certifies():
+    # fuzz draw 84 (27 x 89, 1949 edges) needs the tie polish before the master
+    inst = _fuzz_instance(84)
+    assert (inst.n_contracts, inst.n_items, inst.n_edges) == (27, 89, 1949)
+    _certifies_edgewise(solve(inst))
+
+
+@pytest.mark.slow
+def test_fuzz_corpus_certifies():
+    for seed in range(150):
+        sol = solve(_fuzz_instance(seed))
+        assert sol.report.passed, f"fuzz seed {seed}: {sol.report}"
+        assert np.max(sol.dual.theta * sol.primal.R) <= 1e-6 * (1.0 + abs(sol.primal.primal_value)), seed
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +473,12 @@ def test_certificate_csv(tmp_path):
 
 
 @given(st.integers(0, 2**32 - 1))
+@example(2497590332)  # flat optimum: the cut step is placed by the directional derivative
+@example(100150)  # needs the line search along the routing LP's starving cut
 @settings(max_examples=10, deadline=None)
 def test_random_instances_certify(seed):
     rng = np.random.default_rng(seed)
     inst = random_instance(
         rng, n_contracts=int(rng.integers(2, 12)), n_items=int(rng.integers(2, 6))
     )
-    sol = solve(inst, tol=1e-9)
-    assert sol.report.passed
-    assert sol.report.gap <= 1e-6
-    # complementary slackness edge by edge
-    assert np.max(sol.dual.theta * sol.primal.R) <= 1e-6 * (1.0 + abs(sol.primal.primal_value))
+    _certifies_edgewise(solve(inst, tol=1e-9))
