@@ -13,9 +13,11 @@ the bid mapping g (identity for second price, x + W(x)/W'(x) for first
 price).  All values are exact extended reals; nothing is clamped.
 
 Under first price the conjugate is max_x (mu - x) W(x), evaluated at the bid
-each curve family computes in closed form (``SupplyCurve._g_inverse``).  For
+each curve family computes in closed form (``SupplyCurve.bid``).  For
 empirical curves that bid is an exact argmax over the segments, where the
-objective is a concave quadratic, so it needs no monotone g.
+objective is a concave quadratic, so it needs no monotone g.  ``conj_win``
+composes a family's formulas into the conjugate and its derivative, the win
+rate, for one curve or for a group of curves of one family at once.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from .curves import Empirical, SupplyCurve, _wrap, alpha_concavity_check
 __all__ = [
     "AuctionKind",
     "AcquisitionCost",
+    "conj_win",
     "NotTwoConcave",
     "OutOfRange",
     "NotDifferentiable",
@@ -70,6 +73,22 @@ class NotDifferentiable(ValueError):
     """The bid mapping needs a positive density at the requested bid."""
 
 
+def conj_win(family, params, mu, first_price: bool):
+    """Conjugate and win rate of an acquisition cost at marginal prices mu >= 0.
+
+    Second price: conj(mu) = ∫_0^mu W and the win rate is W(mu).  First price:
+    at the bid x maximizing (mu - x) W(x), conj(mu) = (mu - x) W(x) and the win
+    rate is W(x).  ``family`` is a curve with ``params`` its
+    ``formula_params()``, or a parametric family class with one parameter
+    array per formula parameter, broadcasting against ``mu``.
+    """
+    if first_price:
+        x = family.bid(mu, *params)
+        win = family.w(x, *params)
+        return (mu - x) * win, win
+    return family.w_integral(mu, *params), family.w(mu, *params)
+
+
 class AcquisitionCost:
     """Expected-spend machinery for one supply curve under one price rule."""
 
@@ -80,8 +99,8 @@ class AcquisitionCost:
             res = alpha_concavity_check(curve, 2.0)
             if not res.concave:
                 raise NotTwoConcave(
-                    f"curve fails the 2-concavity grid check near x={res.witness:.6g}; "
-                    "first-price bid mappings are not monotone without it"
+                    f"curve fails the 2-concavity grid heuristic near x={res.witness:.6g}; "
+                    "first-price bid mappings are not monotone without 2-concavity"
                 )
 
     # ------------------------------------------------------------------
@@ -135,28 +154,17 @@ class AcquisitionCost:
 
         return _wrap(q, go)
 
+    def _conj_win(self, ma):
+        first = self.kind is AuctionKind.FIRST_PRICE
+        return conj_win(self.curve, self.curve.formula_params(), np.maximum(ma, 0.0), first)
+
     def conjugate(self, mu):
         """Convex conjugate of ``lam``: sup_q (mu q - lam(q)), +inf for mu < 0."""
-        if self.kind is AuctionKind.SECOND_PRICE:
-
-            def go(ma):
-                vals = np.asarray(self.curve.integral_cdf(np.maximum(ma, 0.0)))
-                return np.where(ma < 0.0, np.inf, vals)
-
-            return _wrap(mu, go)
-
-        def go(ma):
-            x = np.asarray(self.curve._g_inverse(ma))
-            vals = (np.maximum(ma, 0.0) - x) * np.asarray(self.curve.eval(x))
-            return np.where(ma < 0.0, np.inf, vals)
-
-        return _wrap(mu, go)
+        return _wrap(mu, lambda ma: np.where(ma < 0.0, np.inf, self._conj_win(ma)[0]))
 
     def win_probability(self, mu):
         """Derivative of ``conjugate``: the acquisition rate a marginal price buys."""
-        if self.kind is AuctionKind.SECOND_PRICE:
-            return self.curve.eval(mu)
-        return _wrap(mu, lambda ma: np.asarray(self.curve.eval(self.curve._g_inverse(ma))))
+        return _wrap(mu, lambda ma: self._conj_win(ma)[1])
 
     # ------------------------------------------------------------------
     def bid_mapping(self, x):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import wrightomega
 
 __all__ = [
     "SupplyCurve",
@@ -61,44 +62,38 @@ def _wrap(x, f):
     return out
 
 
-# Newton stops once a step is within a few ulps of the iterate
-_NEWTON_TOL = 4.0 * np.finfo(float).eps
-
-
-def _exp_first_bid(rate, mu):
-    """Solve x + (e^{rate x} - 1)/rate = mu elementwise by guarded Newton.
-
-    The root is bracketed by [0, min(mu, log1p(rate mu)/rate)]; a step that
-    leaves the (closed) bracket is replaced by bisection.  Broadcasts over
-    ``rate`` and ``mu``; 0 for mu <= 0.
-    """
-    m = np.maximum(mu, 0.0)
-    hi = np.minimum(m, np.log1p(rate * m) / rate)
-    x = 0.5 * hi
-    lo = np.zeros_like(x)
-    for _ in range(80):
-        em = np.expm1(rate * x)
-        val = x + em / rate - m
-        lo = np.where(val < 0.0, x, lo)
-        hi = np.where(val > 0.0, x, hi)
-        xn = x - val / (2.0 + em)
-        xn = np.where((xn < lo) | (xn > hi), 0.5 * (lo + hi), xn)
-        done = np.all(np.abs(xn - x) <= _NEWTON_TOL * (1.0 + np.abs(x)))
-        x = xn
-        if done:
-            break
-    return x
-
-
 class SupplyCurve:
     """Common evaluation logic; families implement the raw pieces."""
 
     family = "abstract"
 
-    # -- family-specific raw pieces (valid on the open support) ------------
-    def _cdf(self, x):  # pragma: no cover - abstract
+    # -- family formulas ------------------------------------------------------
+    # Each family writes W, its running integral and its first-price bid once,
+    # as w(x, *p), w_integral(mu, *p) and bid(mu, *p) for x, mu >= 0 and
+    # p = formula_params().  The parametric families make them static methods
+    # that broadcast over arrays of parameters, so that one call evaluates a
+    # whole group of curves (``costs.conj_win``).
+    def formula_params(self) -> tuple:
+        return tuple(self.params().values())
+
+    def w(self, x, *params):  # pragma: no cover - abstract
+        """W(x), held at the total mass beyond x_bar."""
         raise NotImplementedError
 
+    def w_integral(self, mu, *params):  # pragma: no cover - abstract
+        """∫_0^mu W(u) du."""
+        raise NotImplementedError
+
+    def bid(self, mu, *params):
+        """The largest bid x maximizing (mu - x) W(x)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no first-price bid formula; implement bid for _g_inverse"
+        )
+
+    def _cdf(self, x):
+        return self.w(x, *self.formula_params())
+
+    # -- family-specific raw pieces (valid on the open support) ------------
     def _quantile(self, q):  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -167,7 +162,7 @@ class SupplyCurve:
     # -- exact running integrals ---------------------------------------------
     def integral_cdf(self, mu):
         """∫_0^mu W(u) du with W held at its total mass beyond x_bar."""
-        raise NotImplementedError
+        return _wrap(mu, lambda m: self.w_integral(np.maximum(m, 0.0), *self.formula_params()))
 
     def integral_quantile(self, q):
         """∫_0^q W^{-1}(u) du for q in [0, total mass]."""
@@ -180,13 +175,11 @@ class SupplyCurve:
     # -- first-price bid at a marginal price --------------------------------
     def _g_inverse(self, mu):
         """The bid x maximizing (mu - x) W(x): g^{-1}(mu) where g is monotone."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no first-price bid formula; implement _g_inverse"
-        )
+        return _wrap(mu, lambda m: self.bid(np.maximum(m, 0.0), *self.formula_params()))
 
     # -- serialization ---------------------------------------------------------
     def params(self) -> dict:
-        raise NotImplementedError
+        return {}
 
     def to_json(self) -> dict:
         return {"family": self.family, "params": self.params()}
@@ -215,8 +208,30 @@ class Exponential(SupplyCurve):
     def p_bar(self) -> float:
         return 1.0 / self.rate
 
-    def _cdf(self, x):
-        return -np.expm1(-self.rate * x)
+    @staticmethod
+    def w(x, rate):
+        return -np.expm1(-rate * x)
+
+    @staticmethod
+    def w_integral(mu, rate):
+        return mu + np.expm1(-rate * mu) / rate
+
+    @staticmethod
+    def bid(mu, rate):
+        """Root of x + (e^{rate x} - 1)/rate = mu in closed form, then two Newton steps.
+
+        With a = 1 + rate mu the root is (a - omega(a))/rate, omega the Wright
+        omega function.  The closed form cancels digits for tiny and huge
+        rate mu (up to 8e-8 relative); the residual is convex and increasing
+        in x, so Newton steps from there converge from the right of the root
+        and restore those digits.
+        """
+        a = 1.0 + rate * mu
+        x = (a - wrightomega(a)) / rate
+        for _ in range(2):
+            em = np.expm1(rate * x)
+            x = x - (x + em / rate - mu) / (2.0 + em)
+        return x
 
     def _quantile(self, q):
         with np.errstate(divide="ignore"):
@@ -225,15 +240,6 @@ class Exponential(SupplyCurve):
 
     def _pdf(self, x):
         return self.rate * np.exp(-self.rate * x)
-
-    def integral_cdf(self, mu):
-        g = self.rate
-
-        def go(m):
-            m = np.maximum(m, 0.0)
-            return m + np.expm1(-g * m) / g
-
-        return _wrap(mu, go)
 
     def integral_quantile(self, q):
         g = self.rate
@@ -258,9 +264,6 @@ class Exponential(SupplyCurve):
             return (1.0 - tail) / g
 
         return _wrap(x, go)
-
-    def _g_inverse(self, mu):
-        return _wrap(mu, lambda m: _exp_first_bid(self.rate, m))
 
     def params(self):
         return {"rate": self.rate}
@@ -290,10 +293,20 @@ class Hyperbolic(SupplyCurve):
     def p_bar(self) -> float:
         return math.inf
 
-    def _cdf(self, x):
+    @staticmethod
+    def w(x, scale):
         with np.errstate(invalid="ignore"):
-            out = x / (self.scale + x)
+            out = x / (scale + x)
         return np.where(np.isinf(x), 1.0, out)
+
+    @staticmethod
+    def w_integral(mu, scale):
+        return mu - scale * np.log1p(mu / scale)
+
+    @staticmethod
+    def bid(mu, scale):
+        # g(x) = x (2c + x) / c  =>  x = c (sqrt(1 + mu/c) - 1)
+        return scale * (np.sqrt(1.0 + mu / scale) - 1.0)
 
     def _quantile(self, q):
         c = self.scale
@@ -304,15 +317,6 @@ class Hyperbolic(SupplyCurve):
     def _pdf(self, x):
         c = self.scale
         return c / (c + x) ** 2
-
-    def integral_cdf(self, mu):
-        c = self.scale
-
-        def go(m):
-            m = np.maximum(m, 0.0)
-            return m - c * np.log1p(m / c)
-
-        return _wrap(mu, go)
 
     def integral_quantile(self, q):
         c = self.scale
@@ -335,16 +339,6 @@ class Hyperbolic(SupplyCurve):
             return np.where(np.isinf(xa), np.inf, out)
 
         return _wrap(x, go)
-
-    def _g_inverse(self, mu):
-        # g(x) = x (2c + x) / c  =>  x = c (sqrt(1 + mu/c) - 1)
-        c = self.scale
-
-        def go(m):
-            m = np.maximum(m, 0.0)
-            return c * (np.sqrt(1.0 + m / c) - 1.0)
-
-        return _wrap(mu, go)
 
     def params(self):
         return {"scale": self.scale}
@@ -369,24 +363,23 @@ class BoundedUniform(SupplyCurve):
     def p_bar(self) -> float:
         return self.x_max / 2.0
 
-    def _cdf(self, x):
-        return x / self.x_max
+    @staticmethod
+    def w(x, x_max):
+        return np.minimum(x, x_max) / x_max
+
+    @staticmethod
+    def w_integral(mu, x_max):
+        return np.minimum(mu, x_max) ** 2 / (2.0 * x_max) + np.maximum(mu - x_max, 0.0)
+
+    @staticmethod
+    def bid(mu, x_max):
+        return np.minimum(mu / 2.0, x_max)
 
     def _quantile(self, q):
         return q * self.x_max
 
     def _pdf(self, x):
         return np.full_like(np.asarray(x, dtype=float), 1.0 / self.x_max)
-
-    def integral_cdf(self, mu):
-        b = self.x_max
-
-        def go(m):
-            m = np.maximum(m, 0.0)
-            inside = np.minimum(m, b)
-            return inside**2 / (2.0 * b) + np.maximum(m - b, 0.0)
-
-        return _wrap(mu, go)
 
     def integral_quantile(self, q):
         b = self.x_max
@@ -405,9 +398,6 @@ class BoundedUniform(SupplyCurve):
             return inside**2 / (2.0 * b)
 
         return _wrap(x, go)
-
-    def _g_inverse(self, mu):
-        return _wrap(mu, lambda m: np.clip(m / 2.0, 0.0, self.x_max))
 
     def params(self):
         return {"x_max": self.x_max}
@@ -443,24 +433,24 @@ class PowerLawDensity(SupplyCurve):
     def total_mass(self) -> float:
         return self.w0 * self.x_max**2 / 2.0
 
-    def _cdf(self, x):
-        return self.w0 * x**2 / 2.0
+    @staticmethod
+    def w(x, w0, x_max):
+        return w0 * np.minimum(x, x_max) ** 2 / 2.0
+
+    @staticmethod
+    def w_integral(mu, w0, x_max):
+        inside = np.minimum(mu, x_max)
+        return w0 * inside**3 / 6.0 + w0 * x_max**2 / 2.0 * np.maximum(mu - x_max, 0.0)
+
+    @staticmethod
+    def bid(mu, w0, x_max):
+        return np.minimum(2.0 * mu / 3.0, x_max)
 
     def _quantile(self, q):
         return np.sqrt(2.0 * q / self.w0)
 
     def _pdf(self, x):
         return self.w0 * x
-
-    def integral_cdf(self, mu):
-        w0, b = self.w0, self.x_max
-
-        def go(m):
-            m = np.maximum(m, 0.0)
-            inside = np.minimum(m, b)
-            return w0 * inside**3 / 6.0 + self.total_mass * np.maximum(m - b, 0.0)
-
-        return _wrap(mu, go)
 
     def integral_quantile(self, q):
         w0 = self.w0
@@ -479,9 +469,6 @@ class PowerLawDensity(SupplyCurve):
             return w0 * inside**3 / 3.0
 
         return _wrap(x, go)
-
-    def _g_inverse(self, mu):
-        return _wrap(mu, lambda m: np.clip(2.0 * m / 3.0, 0.0, self.x_max))
 
     def params(self):
         return {"w0": self.w0, "x_max": self.x_max}
@@ -546,7 +533,10 @@ class Empirical(SupplyCurve):
     def total_mass(self) -> float:
         return float(self._ws[-1])
 
-    def _cdf(self, x):
+    def formula_params(self) -> tuple:
+        return ()
+
+    def w(self, x):
         return np.interp(x, self._xs, self._ws)
 
     def _quantile(self, q):
@@ -581,18 +571,13 @@ class Empirical(SupplyCurve):
     def terminal_density(self) -> float:
         return float(self._slopes[-1])
 
-    def integral_cdf(self, mu):
+    def w_integral(self, mu):
         xs, ws, slopes = self._xs, self._ws, self._slopes
-
-        def go(m):
-            m = np.maximum(m, 0.0)
-            inside = np.clip(m, xs[0], xs[-1])
-            idx = np.clip(np.searchsorted(xs, inside, side="right") - 1, 0, len(slopes) - 1)
-            dx = inside - xs[idx]
-            base = self._cum_icdf[idx] + ws[idx] * dx + slopes[idx] * dx**2 / 2.0
-            return base + self.total_mass * np.maximum(m - xs[-1], 0.0)
-
-        return _wrap(mu, go)
+        inside = np.clip(mu, xs[0], xs[-1])
+        idx = np.clip(np.searchsorted(xs, inside, side="right") - 1, 0, len(slopes) - 1)
+        dx = inside - xs[idx]
+        base = self._cum_icdf[idx] + ws[idx] * dx + slopes[idx] * dx**2 / 2.0
+        return base + self.total_mass * np.maximum(mu - xs[-1], 0.0)
 
     def integral_quantile(self, q):
         xs, ws, slopes = self._xs, self._ws, self._slopes
@@ -615,7 +600,7 @@ class Empirical(SupplyCurve):
 
         return _wrap(x, go)
 
-    def _g_inverse(self, mu):
+    def bid(self, mu):
         """Largest maximizer of (mu - x) W(x) over bids x; 0 for mu <= 0.
 
         On segment k the objective is a concave quadratic whose maximum over
@@ -625,16 +610,13 @@ class Empirical(SupplyCurve):
         its left knot) keeps the maximum >= 0 for every mu.
         """
         lo, hi, w_lo, s = self._xs[:-1], self._xs[1:], self._ws[:-1], self._slopes
-
-        def go(m):
-            mm = m[..., None]
-            x = np.clip((mm + lo - w_lo / s) / 2.0, lo, hi)
-            val = (mm - x) * (w_lo + s * (x - lo))
-            last = s.size - 1 - np.argmax(val[..., ::-1], axis=-1)
-            best = np.take_along_axis(x, last[..., None], axis=-1)[..., 0]
-            return np.where(m <= 0.0, 0.0, best)
-
-        return _wrap(mu, go)
+        mu = np.asarray(mu, dtype=float)
+        mm = mu[..., None]
+        x = np.clip((mm + lo - w_lo / s) / 2.0, lo, hi)
+        val = (mm - x) * (w_lo + s * (x - lo))
+        last = s.size - 1 - np.argmax(val[..., ::-1], axis=-1)
+        best = np.take_along_axis(x, last[..., None], axis=-1)[..., 0]
+        return np.where(mu <= 0.0, 0.0, best)
 
     def params(self):
         return {"breakpoints": [[float(a), float(b)] for a, b in self.breakpoints]}
@@ -713,13 +695,16 @@ def _alpha_transform(w: np.ndarray, alpha: float) -> np.ndarray:
 def alpha_concavity_check(
     curve: SupplyCurve, alpha: float, grid_size: int = 2048
 ) -> ConcavityResult:
-    """Grid test of concavity of ell_alpha(W(x)) on the curve's support.
+    """Grid heuristic for concavity of ell_alpha(W(x)) on the curve's support.
 
     ell_alpha is the scaled power transform (log at alpha = 1).  The test
     compares successive chord slopes on a logarithmic grid over (0, x_hi),
     where x_hi is x_bar for bounded curves and the 0.999-mass point
-    otherwise.  Slopes must be non-increasing up to a relative tolerance;
-    the witness is the grid point where the first violation occurs.
+    otherwise.  Slopes must be non-increasing up to a tolerance relative to
+    the largest chord slope; the witness is the grid point where the first
+    violation occurs.  A pass is not a certificate: small rises between grid
+    points, or below the tolerance, go unseen, so fitted empirical curves
+    whose segment slopes rise at some knots can pass.
     """
     if grid_size < 8:
         raise ValueError("grid_size too small")

@@ -142,6 +142,13 @@ class ProblemInstance:
         return out
 
     @cached_property
+    def capacities(self) -> np.ndarray:
+        """Most wins per unit time each item can supply: arrival rate times curve mass."""
+        out = self.rates * np.array([it.curve.total_mass for it in self.items])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def targets(self) -> np.ndarray:
         """Target value rates per contract position."""
         out = np.array([c.target_rate for c in self.contracts])
@@ -281,12 +288,14 @@ class InfeasibilityCertificate:
     ``weights`` is the full dual certificate y: the instance is infeasible at
     the given margin because
 
-        sum_i y_i C_i  >  sum_j (1-margin) lambda_j max_{i in B_j} v_ij y_i
+        sum_i y_i C_i  >  sum_j (1-margin) lambda_j mass_j max_{i in B_j} v_ij y_i
 
+    where mass_j is the total mass of item j's supply curve
     (``weighted_shortfall`` is the difference).  When the support set S alone
     violates the coarser Hall-type ratio -- total demand of S divided by the
-    best valuation any member sees exceeding the total arrival rate the set
-    can reach -- ``hall_violation`` is True and the ratio fields describe it.
+    best valuation any member sees exceeding the total capacity lambda_j mass_j
+    the set can reach -- ``hall_violation`` is True and the ratio fields
+    describe it.
     """
 
     contract_ids: tuple
@@ -311,7 +320,7 @@ class InfeasibilityCertificate:
         for j in range(inst.n_items):
             edges = inst.item_edges(j)
             if edges.size:
-                cap += (1.0 - margin) * inst.rates[j] * float(np.max(vy[edges]))
+                cap += (1.0 - margin) * inst.capacities[j] * float(np.max(vy[edges]))
         return float(y @ inst.targets) - cap > 0.0
 
 
@@ -345,7 +354,10 @@ def _item_matrix(inst: ProblemInstance) -> sp.csr_matrix:
 
 
 def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> SupplyCheck:
-    """Phase-1 LP for: R >= 0, sum_j in A_i v_ij R_ij = C_i, sum_i R_ij <= (1-margin) lambda_j.
+    """Phase-1 LP for: R >= 0, sum_j in A_i v_ij R_ij = C_i, sum_i R_ij <= (1-margin) lambda_j mass_j.
+
+    mass_j is the total mass of item j's supply curve: winning every auction
+    acquires lambda_j mass_j per unit time.
 
     Feasible outcomes carry an explicit witness R (edge-aligned).  Infeasible
     outcomes carry an :class:`InfeasibilityCertificate` built from the LP
@@ -358,7 +370,7 @@ def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> Supply
     cost_vec = np.concatenate([np.zeros(d), np.ones(n)])
     a_eq = sp.hstack([_value_matrix(inst), sp.eye(n, format="csr")], format="csr")
     a_ub = sp.hstack([_item_matrix(inst), sp.csr_matrix((m, n))], format="csr")
-    cap = (1.0 - margin) * inst.rates
+    cap = (1.0 - margin) * inst.capacities
     res = linprog(
         cost_vec,
         A_ub=a_ub,
@@ -378,7 +390,7 @@ def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> Supply
 
     y = np.clip(np.asarray(res.eqlin.marginals, dtype=float), 0.0, 1.0)
     vy = inst.edge_v * y[inst.edge_i]
-    # weighted capacity sum_j (1-margin) lambda_j max_{i in B_j} v_ij y_i
+    # weighted capacity sum_j (1-margin) lambda_j mass_j max_{i in B_j} v_ij y_i
     per_item_max = np.zeros(m)
     for j in range(m):
         edges = inst.item_edges(j)
@@ -408,13 +420,13 @@ def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> Supply
 
 
 def _hall_numbers(inst: ProblemInstance, members: Sequence[int]):
-    """(violated?, demand, best valuation, reachable arrival rate) for a contract set."""
+    """(violated?, demand, best valuation, reachable capacity) for a contract set."""
     members = list(members)
     demand = float(inst.targets[members].sum())
     edge_sets = [inst.contract_edges(i) for i in members]
     best_v = max(float(np.max(inst.edge_v[s])) for s in edge_sets)
     reach_items = np.unique(np.concatenate([inst.edge_j[s] for s in edge_sets]))
-    reach = float(inst.rates[reach_items].sum())
+    reach = float(inst.capacities[reach_items].sum())
     return demand / best_v > reach, demand, best_v, reach
 
 
@@ -430,7 +442,7 @@ def max_scalable_target(inst: ProblemInstance, margin: float = 1e-6) -> float:
     fulfill = sp.hstack([-_value_matrix(inst), sp.csr_matrix(inst.targets[:, None])], format="csr")
     caps = sp.hstack([_item_matrix(inst), sp.csr_matrix((m, 1))], format="csr")
     a_ub = sp.vstack([fulfill, caps], format="csr")
-    b_ub = np.concatenate([np.zeros(n), (1.0 - margin) * inst.rates])
+    b_ub = np.concatenate([np.zeros(n), (1.0 - margin) * inst.capacities])
     res = linprog(cost_vec, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"target-scaling LP failed: {res.message}")

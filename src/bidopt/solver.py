@@ -12,8 +12,8 @@ contract pseudo-bids alone:
 which this module maximizes along one path.  A per-contract warm start
 launches it.  A "polish" stage detects the max-tie pattern, snaps tied
 pseudo-bids to exact ratios via a spanning tree per tie component, and
-root-finds each component's single remaining degree of freedom.  A
-cutting-plane master problem (outer linearization of the smooth convex
+root-finds the single remaining degree of freedom of all components at once.
+A cutting-plane master problem (outer linearization of the smooth convex
 conjugates; tangent slopes are the win rates), one LP grown by tangent rows
 and re-solved warm, then positions rho globally with a certified model gap,
 and a second polish snaps its vertex onto the tie pattern.  Convergence is
@@ -30,14 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .costs import AuctionKind
-from .curves import BoundedUniform, Exponential, Hyperbolic, PowerLawDensity
-from .curves import _NEWTON_TOL, _exp_first_bid
+from .costs import AuctionKind, conj_win
+from .curves import Empirical
 from .model import ProblemInstance, check_adequate_supply
 
 try:  # scipy's vendored HiGHS binding is private; without it the master falls back to linprog
@@ -190,186 +187,51 @@ class Solution:
 
 
 # ---------------------------------------------------------------------------
-# vectorized per-item conjugate/derivative kernels
-#
-# The hot loop needs conjugate_j(mu_j) and its derivative for all M items at
-# once.  AcquisitionCost vectorizes over mu for one item; these kernels
-# vectorize across items by grouping on (curve family, auction kind), with a
-# per-item fallback for empirical curves.  test_solver cross-checks every
-# kernel against AcquisitionCost, which stays the semantic authority.
-
-
-def _kernel_exp_second(p, mu):
-    g = p["a"]
-    win = -np.expm1(-g * mu)
-    return mu + np.expm1(-g * mu) / g, win
-
-
-def _kernel_hyp_second(p, mu):
-    c = p["a"]
-    return mu - c * np.log1p(mu / c), mu / (c + mu)
-
-
-def _kernel_bu_second(p, mu):
-    b = p["a"]
-    m = np.minimum(mu, b)
-    return m**2 / (2.0 * b) + np.maximum(mu - b, 0.0), m / b
-
-
-def _kernel_pl_second(p, mu):
-    w0, b = p["a"], p["b"]
-    m = np.minimum(mu, b)
-    mass = w0 * b**2 / 2.0
-    return w0 * m**3 / 6.0 + mass * np.maximum(mu - b, 0.0), w0 * m**2 / 2.0
-
-
-def _kernel_exp_first(p, mu):
-    g = p["a"]
-    x = _exp_first_bid(g, mu)
-    win = -np.expm1(-g * x)
-    return (mu - x) * win, win
-
-
-def _kernel_hyp_first(p, mu):
-    c = p["a"]
-    x = c * (np.sqrt(1.0 + mu / c) - 1.0)
-    win = np.where(mu > 0.0, x / (c + x), 0.0)
-    return (mu - x) * win, win
-
-
-def _kernel_bu_first(p, mu):
-    b = p["a"]
-    x = np.minimum(0.5 * mu, b)
-    win = x / b
-    conj = np.where(mu > 2.0 * b, mu - b, (mu - x) * win)
-    return conj, win
-
-
-def _kernel_pl_first(p, mu):
-    w0, b = p["a"], p["b"]
-    x = np.minimum(2.0 * mu / 3.0, b)
-    win = w0 * x**2 / 2.0
-    mass = w0 * b**2 / 2.0
-    conj = np.where(mu > 1.5 * b, mass * (mu - b), (mu - x) * win)
-    return conj, win
-
-
-_KERNELS: dict[tuple[type, AuctionKind], Callable] = {
-    (Exponential, AuctionKind.SECOND_PRICE): _kernel_exp_second,
-    (Hyperbolic, AuctionKind.SECOND_PRICE): _kernel_hyp_second,
-    (BoundedUniform, AuctionKind.SECOND_PRICE): _kernel_bu_second,
-    (PowerLawDensity, AuctionKind.SECOND_PRICE): _kernel_pl_second,
-    (Exponential, AuctionKind.FIRST_PRICE): _kernel_exp_first,
-    (Hyperbolic, AuctionKind.FIRST_PRICE): _kernel_hyp_first,
-    (BoundedUniform, AuctionKind.FIRST_PRICE): _kernel_bu_first,
-    (PowerLawDensity, AuctionKind.FIRST_PRICE): _kernel_pl_first,
-}
-
-_PARAM_FIELDS = {
-    Exponential: ("rate", None),
-    Hyperbolic: ("scale", None),
-    BoundedUniform: ("x_max", None),
-    PowerLawDensity: ("w0", "x_max"),
-}
-
-
-def _scalar_exp_first_win(g: float) -> Callable[[float], float]:
-    def win(mu: float) -> float:
-        if mu <= 0.0:
-            return 0.0
-        lo, hi = 0.0, min(mu, math.log1p(g * mu) / g)
-        x = 0.5 * hi
-        for _ in range(80):
-            em = math.expm1(g * x)
-            val = x + em / g - mu
-            if val == 0.0:
-                break
-            if val < 0.0:
-                lo = x
-            else:
-                hi = x
-            xn = x - val / (2.0 + em)
-            if not lo <= xn <= hi:
-                xn = 0.5 * (lo + hi)
-            done = abs(xn - x) <= _NEWTON_TOL * (1.0 + abs(x))
-            x = xn
-            if done:
-                break
-        return -math.expm1(-g * x)
-
-    return win
-
-
-def _scalar_win(item) -> Callable[[float], float]:
-    """Fast scalar win-rate closure q_j(mu) = W_j(g_j^{-1}(mu)) for one item."""
-    curve, kind = item.curve, item.auction
-    second = kind is AuctionKind.SECOND_PRICE
-    if isinstance(curve, Exponential):
-        g = curve.rate
-        if second:
-            return lambda mu: -math.expm1(-g * mu) if mu > 0.0 else 0.0
-        return _scalar_exp_first_win(g)
-    if isinstance(curve, Hyperbolic):
-        c = curve.scale
-        if second:
-            return lambda mu: mu / (c + mu) if mu > 0.0 else 0.0
-
-        def win_h1(mu: float) -> float:
-            if mu <= 0.0:
-                return 0.0
-            x = c * (math.sqrt(1.0 + mu / c) - 1.0)
-            return x / (c + x)
-
-        return win_h1
-    if isinstance(curve, BoundedUniform):
-        b = curve.x_max
-        if second:
-            return lambda mu: min(mu, b) / b if mu > 0.0 else 0.0
-        return lambda mu: min(0.5 * mu, b) / b if mu > 0.0 else 0.0
-    if isinstance(curve, PowerLawDensity):
-        w0, b = curve.w0, curve.x_max
-        if second:
-            return lambda mu: w0 * min(mu, b) ** 2 / 2.0 if mu > 0.0 else 0.0
-        return lambda mu: w0 * min(2.0 * mu / 3.0, b) ** 2 / 2.0 if mu > 0.0 else 0.0
-    cost = item.cost
-    return lambda mu: float(cost.win_probability(mu)) if mu > 0.0 else 0.0
+# per-item conjugates and win rates
 
 
 class _ItemKernels:
-    """conjugate(mu) and win(mu) for all items at once, grouped by family."""
+    """conjugate(mu) and win(mu) of items, one ``conj_win`` call per family group.
+
+    The items of one parametric family under one auction kind form a group
+    whose formulas take arrays of their parameters; an empirical curve is a
+    group of its own.  test_solver checks the grouped evaluation against
+    AcquisitionCost, one curve at a time.
+    """
 
     def __init__(self, inst: ProblemInstance):
-        self.m = inst.n_items
-        groups: dict[tuple[type, AuctionKind], list[int]] = {}
-        fallback: list[int] = []
-        for j, item in enumerate(inst.items):
-            key = (type(item.curve), item.auction)
-            if key in _KERNELS:
-                groups.setdefault(key, []).append(j)
-            else:
-                fallback.append(j)
-        self.groups = []
-        for key, idx in groups.items():
-            fa, fb = _PARAM_FIELDS[key[0]]
-            params = {
-                "a": np.array([getattr(inst.items[j].curve, fa) for j in idx]),
-                "b": np.array([getattr(inst.items[j].curve, fb) for j in idx]) if fb else None,
-            }
-            self.groups.append((np.asarray(idx, dtype=np.intp), _KERNELS[key], params))
-        self.fallback = [(j, inst.items[j].cost) for j in fallback]
-        self.win_scalar = [_scalar_win(item) for item in inst.items]
+        plist = [item.curve.formula_params() for item in inst.items]
+        keys: dict = {}
+        self.group = np.empty(inst.n_items, dtype=np.intp)
+        self.params = np.zeros((inst.n_items, max(map(len, plist), default=0)))
+        for j, (item, p) in enumerate(zip(inst.items, plist)):
+            family = item.curve if isinstance(item.curve, Empirical) else type(item.curve)
+            key = (family, item.auction is AuctionKind.FIRST_PRICE, len(p))
+            self.group[j] = keys.setdefault(key, len(keys))
+            self.params[j, : len(p)] = p
+        self.keys = list(keys)
+        self.all_items = self.batches(np.arange(inst.n_items))
+
+    def batches(self, items: np.ndarray) -> list:
+        """(positions in `items`, family, first price, parameter arrays) per group."""
+        g = self.group[items]
+        out = []
+        for k in np.unique(g).tolist():
+            sel = np.flatnonzero(g == k)
+            family, first, n_par = self.keys[k]
+            out.append((sel, family, first, tuple(self.params[items[sel], :n_par].T)))
+        return out
+
+    @staticmethod
+    def evaluate(batches: list, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """conjugate and win rate of the items `batches` was built for, at `mu`."""
+        conj, win = np.empty(mu.size), np.empty(mu.size)
+        for sel, family, first, params in batches:
+            conj[sel], win[sel] = conj_win(family, params, mu[sel], first)
+        return conj, win
 
     def conj_win(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        conj = np.zeros(self.m)
-        win = np.zeros(self.m)
-        for idx, kernel, params in self.groups:
-            c, w = kernel(params, mu[idx])
-            conj[idx] = c
-            win[idx] = w
-        for j, cost in self.fallback:
-            conj[j] = cost.conjugate(float(mu[j]))
-            win[j] = cost.win_probability(float(mu[j]))
-        return conj, win
+        return self.evaluate(self.all_items, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +252,7 @@ class _Workspace:
         self.i_bi = inst.edge_i[self.by_item]
         self.lam = inst.rates
         self.targets = inst.targets
+        self.root_calls = self.root_evals = 0  # _tie_roots calls and their balance evaluations
         self.scale = 1.0 + float(inst.targets.sum())
 
     def mu_of(self, rho: np.ndarray) -> np.ndarray:
@@ -482,23 +345,74 @@ def _tie_components(ws: _Workspace, edges: np.ndarray):
     return np.array(comp), np.array(beta), np.array(item_comp), np.array(slope)
 
 
-def _component_root(ws: _Workspace, idx, bet, jdx, m, t0: float) -> float | None:
-    """Root of the component balance C(t) = supply(t) along the tie ray."""
-    wins = [ws.kernels.win_scalar[j] for j in jdx]
-    lamm = [float(ws.lam[j]) * float(mj) for j, mj in zip(jdx, m)]
-    demand = float(bet @ ws.targets[idx])
+_EPS = np.finfo(float).eps
 
-    def balance(t: float) -> float:
-        return demand - sum(lm * w(mj * t) for lm, w, mj in zip(lamm, wins, m))
 
-    hi = max(t0, 1e-9)
+def _tie_roots(ws: _Workspace, demand: np.ndarray, t0: np.ndarray, comp: np.ndarray,
+               items: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Roots t_k of demand_k = sum_e lam_j m_e win_j(m_e t) for all components k at once.
+
+    Term e joins component comp[e] through item j = items[e] with slope
+    m_e = slopes[e].  The supply side rises from 0 towards its cap
+    sum_e lam_j m_e mass_j, so a component whose demand reaches the cap has
+    no root and gets NaN.  Brackets start by doubling from t0; then Illinois
+    regula falsi (Dowell & Jarratt 1971) shrinks them all at once, bisecting
+    a bracket that three steps failed to halve and keeping every step 2 eps
+    inside its bracket, down to a relative width of 4 eps.
+    """
+    k = demand.size
+    lamm = ws.lam[items] * slopes
+    batches = ws.kernels.batches(items)
+    cap = np.bincount(comp, slopes * ws.inst.capacities[items], minlength=k)
+    ws.root_calls += 1
+
+    def balance(t: np.ndarray) -> np.ndarray:
+        ws.root_evals += 1
+        _, win = ws.kernels.evaluate(batches, slopes * t[comp])
+        return demand - np.bincount(comp, lamm * win, minlength=k)
+
+    a, fa = np.zeros(k), demand.copy()
+    b = np.maximum(t0, 1e-9)
+    fb = balance(b)
+    live = demand < cap
     for _ in range(80):
-        if balance(hi) < 0.0:
+        up = live & (fb > 0.0)
+        if not up.any():
             break
-        hi *= 2.0
-    else:
-        return None  # component cannot balance along this tie ray
-    return brentq(balance, 0.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        a[up], fa[up] = b[up], fb[up]
+        b[up] *= 2.0
+        fb = balance(b)
+    t = np.where(live & (fb == 0.0), b, np.nan)
+    todo = live & (fb < 0.0)
+    side = np.zeros(k)  # +1 after a step that moved a, -1 after one that moved b
+    stall = np.zeros(k, dtype=int)
+    ref = b - a
+    for _ in range(300):
+        width = b - a
+        conv = todo & (width <= 4.0 * _EPS * b)
+        t[conv] = 0.5 * (a[conv] + b[conv])
+        todo &= ~conv
+        if not todo.any():
+            break
+        with np.errstate(invalid="ignore", divide="ignore"):
+            x = np.where(stall >= 3, 0.5 * (a + b), (a * fb - b * fa) / (fb - fa))
+        x = np.where(todo, np.clip(x, a + 2.0 * _EPS * b, b - 2.0 * _EPS * b), b)
+        fx = balance(x)
+        hit = todo & (fx == 0.0)
+        t[hit] = x[hit]
+        todo &= ~hit
+        go_a, go_b = todo & (fx > 0.0), todo & (fx < 0.0)
+        # Illinois: the end kept twice in a row has its value halved
+        fb = np.where(go_a & (side > 0.0), 0.5 * fb, fb)
+        fa = np.where(go_b & (side < 0.0), 0.5 * fa, fa)
+        a, fa = np.where(go_a, x, a), np.where(go_a, fx, fa)
+        b, fb = np.where(go_b, x, b), np.where(go_b, fx, fb)
+        side = np.where(go_a, 1.0, np.where(go_b, -1.0, side))
+        halved = b - a <= 0.5 * ref
+        ref = np.where(halved, b - a, ref)
+        stall = np.where(halved, 0, stall + 1)
+    t[todo] = 0.5 * (a[todo] + b[todo])
+    return t
 
 
 _POLISH_LADDER = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-8, 1e-10)
@@ -507,15 +421,19 @@ _POLISH_LADDER = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-8, 1e-10)
 def _component_updates(ws: _Workspace, rho: np.ndarray, components):
     """Snapped pseudo-bids for every tie component that balances along its ray."""
     comp, beta, item_comp, slope = components
+    jdx = np.flatnonzero(item_comp >= 0)
+    if jdx.size == 0:
+        return []
+    roots, term_comp = np.unique(item_comp[jdx], return_inverse=True)
+    demand = np.bincount(comp, beta * ws.targets, minlength=comp.size)[roots]
+    # a component is labelled by its root contract, whose beta is 1
+    t0 = np.where(rho[roots] > 0.0, rho[roots], 1.0)
+    t = _tie_roots(ws, demand, t0, term_comp, jdx, slope[jdx])
     updates = []
-    for k in np.unique(item_comp[item_comp >= 0]).tolist():
-        idx = np.flatnonzero(comp == k)
-        jdx = np.flatnonzero(item_comp == k)
-        bet = beta[idx]
-        # k is the component's root contract, whose beta is 1
-        t_star = _component_root(ws, idx, bet, jdx.tolist(), slope[jdx], float(rho[k]) or 1.0)
-        if t_star is not None:
-            updates.append((idx, bet * t_star))
+    for k, t_star in zip(roots.tolist(), t.tolist()):
+        if not math.isnan(t_star):
+            idx = np.flatnonzero(comp == k)
+            updates.append((idx, beta[idx] * t_star))
     return updates
 
 
@@ -901,20 +819,8 @@ def _warm_start(ws: _Workspace) -> np.ndarray:
     below the optimum — a good launch point for ascent.
     """
     inst = ws.inst
-    rho = np.zeros(inst.n_contracts)
-    for i in range(inst.n_contracts):
-        sl = inst.contract_edges(i)
-        t = _component_root(
-            ws,
-            np.array([i], dtype=np.intp),
-            np.array([1.0]),
-            inst.edge_j[sl].tolist(),
-            inst.edge_v[sl],
-            1.0,
-        )
-        if t is not None:
-            rho[i] = t
-    return rho
+    t = _tie_roots(ws, inst.targets, np.ones(inst.n_contracts), inst.edge_i, inst.edge_j, inst.edge_v)
+    return np.where(np.isnan(t), 0.0, t)
 
 
 def _dual_residual(ws: _Workspace, rho: np.ndarray, tie_delta: float = 1e-9) -> float:
@@ -951,7 +857,8 @@ def solve_dual(
     polish -> routing-LP refine.  `max_iter` budgets the master's LP solves
     (at most 60; `max_iter=0` skips the master); the solves spent are stored
     in stats["iterations"], next to the master's solve and simplex-iteration
-    counts.
+    counts and to the tie roots' batch calls and balance evaluations
+    (stats["tie_root_calls"], stats["tie_root_evals"]).
 
     Raises InfeasibleInstance when adequate supply fails and NotConverged,
     carrying the best point, when the routing LP's stationarity residual
@@ -980,6 +887,7 @@ def solve_dual(
     if used:
         best_val, best_rho, _ = _polish(ws, best_val, best_rho)
     best_val, best_rho, converged, kkt = _refine(ws, best_val, best_rho, tol)
+    stats["tie_root_calls"], stats["tie_root_evals"] = ws.root_calls, ws.root_evals
     if not converged:
         raise NotConverged(_finish_dual(ws, best_rho, best_val), kkt)
     return _finish_dual(ws, best_rho, best_val)
@@ -1069,11 +977,15 @@ def _bids_and_rates(inst: ProblemInstance, mu: np.ndarray):
 
 
 def _spend_rate(inst: ProblemInstance, s: np.ndarray) -> float:
-    """Expected spend sum_j lambda_j Lambda_j(s_j / lambda_j) at acquisition rates s."""
+    """Expected spend sum_j lambda_j Lambda_j(s_j / lambda_j) at acquisition rates s.
+
+    Win rates are clamped just below the curve's total mass, where Lambda may
+    be infinite.
+    """
     value = 0.0
     for j, cost in enumerate(inst.costs):
         if s[j] > 0.0:
-            q = min(s[j] / inst.rates[j], 1.0 - 1e-12)
+            q = min(s[j] / inst.rates[j], cost.total_mass * (1.0 - 1e-12))
             value += inst.rates[j] * float(cost.lam(q))
     return float(value)
 
@@ -1156,7 +1068,7 @@ def certify(
 
     s_from_r = np.zeros(inst.n_items)
     np.add.at(s_from_r, inst.edge_j, primal.R)
-    cap_viol = float(np.max(np.maximum(s_from_r - inst.rates, 0.0) / (1.0 + inst.rates)))
+    cap_viol = float(np.max(np.maximum(s_from_r - inst.capacities, 0.0) / (1.0 + inst.capacities)))
 
     comp = float(np.max(dual.theta * primal.R, initial=0.0)) / (1.0 + abs(p))
 

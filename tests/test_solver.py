@@ -1,11 +1,12 @@
 import json
 import math
-import types
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from bidopt.costs import AcquisitionCost
 from bidopt.curves import BoundedUniform, Empirical, Exponential, Hyperbolic, PowerLawDensity
@@ -209,10 +210,40 @@ def test_infeasible_instance_raises():
     assert exc.value.check is not None and not exc.value.check
 
 
-def test_not_converged_carries_best_iterate():
+def _one_item(curve, target):
+    item = ItemType("a", 1.0, curve, "second_price")
+    return build_instance([item], [Contract("x", target, {"a": 1.0})])
+
+
+def test_supply_below_unit_mass_is_infeasible():
+    # mass 0.5: winning every auction buys 0.5 per unit time, short of 0.8
+    inst = _one_item(PowerLawDensity(1.0, 1.0), 0.8)
+    with pytest.raises(InfeasibleInstance) as exc:
+        solve(inst)
+    assert exc.value.check.certificate.verify(inst, 1e-6)
+
+
+def test_supply_above_unit_mass_is_usable():
+    # mass 2.25 covers a target of 1.5 from one arrival per unit time
+    inst = _one_item(PowerLawDensity(0.5, 3.0), 1.5)
+    sol = solve(inst)
+    assert sol.report.passed
+    assert sol.primal.s[0] == pytest.approx(1.5, rel=1e-12)
+    assert sol.primal.primal_value == pytest.approx(float(inst.items[0].cost.lam(1.5)), rel=1e-12)
+
+
+def test_not_converged_carries_best_iterate(monkeypatch):
+    # with every move refused and no master, the solve stays at the warm
+    # start, which ignores the contention for shared items
+    def refuse(ws, best_val, best_rho, *args, **kwargs):
+        return best_val, best_rho, False
+
     inst = mixed_instance()
+    monkeypatch.setattr(solver, "_accept_updates", refuse)
+    monkeypatch.setattr(solver, "_cut_line_search", refuse)
     with pytest.raises(NotConverged) as exc:
-        solve_dual(inst, tol=0.0, max_iter=0)
+        solve_dual(inst, max_iter=0)
+    monkeypatch.undo()
     best = exc.value.best
     assert isinstance(best, DualSolution)
     assert best.rho.shape == (3,)
@@ -342,6 +373,14 @@ def test_installed_scipy_uses_warm_master():
     assert stats["iterations"] >= stats["master_solves"]
 
 
+def test_stats_count_tie_roots():
+    # every batch of tie components evaluates its balance at least once
+    stats = {}
+    solve_dual(mixed_instance(), stats=stats)
+    assert stats["tie_root_calls"] >= 1
+    assert stats["tie_root_evals"] >= stats["tie_root_calls"]
+
+
 # ---------------------------------------------------------------------------
 # kernels against the reference cost objects (dual-route check)
 
@@ -355,6 +394,8 @@ def test_installed_scipy_uses_warm_master():
     (BoundedUniform(2.5), "first_price"),
     (PowerLawDensity(0.9, 1.8), "second_price"),
     (PowerLawDensity(0.9, 1.8), "first_price"),
+    (Empirical([(0.5, 0.4), (1.5, 0.8), (3.0, 1.0)]), "second_price"),
+    (Empirical([(0.5, 0.4), (1.5, 0.8), (3.0, 1.0)]), "first_price"),
 ])
 def test_vectorized_kernels_match_cost_objects(curve, kind):
     item = ItemType("a", 1.0, curve, kind)
@@ -367,42 +408,77 @@ def test_vectorized_kernels_match_cost_objects(curve, kind):
         assert win[0] == pytest.approx(cost.win_probability(mu), rel=1e-10, abs=1e-12)
 
 
+def test_tie_roots_match_brentq_per_component():
+    # one batch of components mixing every family under both auctions and an
+    # empirical curve, each root against a scalar brentq over the cost
+    # objects; the last component's demand meets its supply cap, so it gets
+    # no update
+    emp = Empirical([(0.5, 0.4), (1.5, 0.8), (3.0, 1.0)])
+    parts = [
+        [(Exponential(0.7), "second_price", 1.0), (Hyperbolic(0.6), "first_price", 0.8),
+         (BoundedUniform(2.5), "second_price", 1.3)],
+        [(Hyperbolic(1.4), "second_price", 0.9), (PowerLawDensity(0.9, 1.8), "first_price", 1.1),
+         (emp, "first_price", 0.7)],
+        [(Exponential(1.3), "first_price", 1.2), (BoundedUniform(1.5), "first_price", 0.6),
+         (PowerLawDensity(0.4, 2.0), "second_price", 1.0), (emp, "second_price", 0.5)],
+        [(BoundedUniform(2.0), "second_price", 1.0), (Exponential(2.0), "first_price", 0.4)],
+    ]
+    items, contracts, item_comp, slope = [], [], [], []
+    for k, part in enumerate(parts):
+        vals, cap = {}, 0.0
+        for curve, kind, v in part:
+            j = len(items)
+            items.append(ItemType(f"i{j}", 1.0 + 0.1 * j, curve, kind))
+            vals[f"i{j}"] = v
+            cap += (1.0 + 0.1 * j) * v * curve.total_mass
+            item_comp.append(k)
+            slope.append(v)
+        contracts.append(Contract(f"c{k}", cap if k == 3 else 0.6 * cap, vals))
+    inst = build_instance(items, contracts)
+    ws = _Workspace(inst)
+    comps = (np.arange(4), np.ones(4), np.array(item_comp), np.array(slope))
+    updates = solver._component_updates(ws, np.ones(4), comps)
+    assert [idx.tolist() for idx, _ in updates] == [[0], [1], [2]]
+    for idx, vals in updates:
+        k = int(idx[0])
+        terms = [(it.arrival_rate * v, it.cost, v)
+                 for it, v, c in zip(inst.items, slope, item_comp) if c == k]
+
+        def balance(t):
+            return inst.targets[k] - sum(lv * cost.win_probability(v * t) for lv, cost, v in terms)
+
+        hi = 1.0
+        while balance(hi) >= 0.0:
+            hi *= 2.0
+        ref = brentq(balance, 0.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        assert vals[0] == pytest.approx(ref, rel=1e-13)
+
+
 NEWTON_RATES = [0.05, 0.3, 1.0, 1.3, 2.0, 7.5, 40.0]
-NEWTON_MUS = [1e-6, 1e-3, 0.1, 0.7, 1.0, 2.5, 10.0, 100.0, 1e4]
+NEWTON_MUS = [1e-9, 1e-6, 1e-3, 0.1, 0.7, 1.0, 2.5, 10.0, 100.0, 1e4, 1e8]
 
 
-def test_first_price_exponential_newton_stops_at_the_root(monkeypatch):
-    # the scalar root finder behind the solver's per-component brentq: count
-    # its exponentials (one per Newton step, plus the win rate) and check it
-    # against the cost object
-    calls = []
-    counting = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
-    counting.exp = lambda v: calls.append(v) or math.exp(v)
-    counting.expm1 = lambda v: calls.append(v) or math.expm1(v)
-    monkeypatch.setattr(solver, "math", counting)
-    steps = []
-    for rate in NEWTON_RATES:
-        win = solver._scalar_exp_first_win(rate)
-        cost = AcquisitionCost(Exponential(rate), "first_price")
-        for mu in NEWTON_MUS:
-            calls.clear()
-            w = win(mu)
-            steps.append(len(calls))
-            np.testing.assert_array_max_ulp(w, cost.win_probability(mu), maxulp=2)
-    assert max(steps) <= 16 and sum(steps) <= 8 * len(steps), steps
+def _exp_first_bid_40_digits(rate, mu):
+    """Root of x + (e^{rate x} - 1)/rate = mu to 40 digits, rounded to a float."""
+    with mpmath.workdps(40):
+        g, m = mpmath.mpf(rate), mpmath.mpf(mu)
+        a = 1 + g * m
+        x0 = (a - mpmath.lambertw(mpmath.exp(a)).real) / g
+        return float(mpmath.findroot(lambda x: x + mpmath.expm1(g * x) / g - m, x0))
 
 
 def test_vectorized_exponential_newton_stops_at_the_root(monkeypatch):
-    # all (rate, mu) pairs in one kernel call, as for a group of items
+    # all (rate, mu) pairs in one formula call, as for a group of items: the
+    # closed form plus its two Newton steps
     rate, mu = (a.ravel() for a in np.meshgrid(NEWTON_RATES, NEWTON_MUS))
     calls = []
     exp, expm1 = np.exp, np.expm1
     monkeypatch.setattr(np, "exp", lambda v: calls.append(1) or exp(v))
     monkeypatch.setattr(np, "expm1", lambda v: calls.append(1) or expm1(v))
-    x = solver._exp_first_bid(rate, mu)
+    x = Exponential.bid(mu, rate)
     monkeypatch.undo()
-    assert len(calls) <= 16
-    ref = [AcquisitionCost(Exponential(r), "first_price").bid_mapping_inverse(m) for r, m in zip(rate, mu)]
+    assert len(calls) <= 2
+    ref = [_exp_first_bid_40_digits(r, m) for r, m in zip(rate, mu)]
     np.testing.assert_array_max_ulp(x, ref, maxulp=2)
 
 
