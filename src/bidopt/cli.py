@@ -55,7 +55,6 @@ from .related import (
 )
 from .simulate import BidPolicy, policy_from_primal, simulate
 from .solver import (
-    ActiveEdgeInfeasible,
     InfeasibleInstance,
     NotConverged,
     certify,
@@ -87,14 +86,13 @@ class RunConfig:
     input: str | None = None
     output: str | None = None
     tol: float = 1e-8
-    eps_active: float = 1e-6
     seed: int | None = None
     horizon: float = 1000.0
     margin: float = 1e-6
     subset: str = "all"
 
     def __post_init__(self):
-        for name in ("tol", "eps_active", "margin", "horizon"):
+        for name in ("tol", "margin", "horizon"):
             if not float(getattr(self, name)) > 0.0:
                 raise ParseError(f"{name} must be positive")
         if self.command == "simulate" and self.seed is None:
@@ -178,7 +176,7 @@ def _emit_json(doc: dict, output) -> None:
 def _cmd_solve(cfg: RunConfig) -> int:
     obj = _load_json(cfg.input)
     inst = _parse_instance(obj, cfg.input)
-    sol = solve(inst, tol=cfg.tol, eps_active=cfg.eps_active, margin=cfg.margin)
+    sol = solve(inst, tol=cfg.tol, margin=cfg.margin)
     doc = {
         "instance": inst.to_json(),
         "solution": solution_to_json(inst, sol),
@@ -223,7 +221,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         sol = _parse_solution(inst, obj, cfg.input)
         policy = policy_from_primal(inst, sol.primal)
     else:
-        sol = solve(inst, tol=cfg.tol, eps_active=cfg.eps_active, margin=cfg.margin)
+        sol = solve(inst, tol=cfg.tol, margin=cfg.margin)
         policy = policy_from_primal(inst, sol.primal)
     try:
         policy.check(inst)
@@ -437,9 +435,7 @@ def _figure_sparsity(outdir: Path, cfg: RunConfig) -> Path:
     """
     rng = np.random.default_rng(0 if cfg.seed is None else cfg.seed)
     inst = random_sparse_instance(rng)
-    sol = solve(
-        inst, tol=cfg.tol, eps_active=cfg.eps_active, margin=cfg.margin, certify_tol=1e-5
-    )
+    sol = solve(inst, tol=cfg.tol, margin=cfg.margin, certify_tol=1e-5)
     d = inst.n_edges
     d_star = int(np.count_nonzero(sol.primal.R > 0.0))
     row = [
@@ -518,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="path to the command's JSON input")
         p.add_argument("--output", help="result path (directory for figures); stdout if omitted")
         p.add_argument("--tol", type=float, default=1e-8, help="solver / certificate tolerance")
-        p.add_argument("--eps-active", type=float, default=1e-6, dest="eps_active",
-                       help="slack threshold for keeping an edge active")
+        p.add_argument("--eps-active", type=float, default=None, dest="eps_active",
+                       help="deprecated and ignored")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (required to simulate)")
         p.add_argument("--horizon", type=float, default=1000.0, help="simulated time span")
         p.add_argument("--margin", type=float, default=1e-6, help="capacity margin for feasibility")
@@ -531,13 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.eps_active is not None:
+        print("bidopt: --eps-active is deprecated and ignored", file=sys.stderr)
     try:
         config = RunConfig(
             command=args.command,
             input=args.input,
             output=args.output,
             tol=args.tol,
-            eps_active=args.eps_active,
             seed=args.seed,
             horizon=args.horizon,
             margin=args.margin,
@@ -550,7 +547,7 @@ def main(argv=None) -> int:
     except InfeasibleInstance as exc:
         print(f"bidopt: infeasible: {exc}", file=sys.stderr)
         return 2
-    except (NotConverged, related.NotConverged, ActiveEdgeInfeasible) as exc:
+    except (NotConverged, related.NotConverged) as exc:
         print(f"bidopt: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -17,7 +17,8 @@ each curve family computes in closed form (``SupplyCurve.bid``).  For
 empirical curves that bid is an exact argmax over the segments, where the
 objective is a concave quadratic, so it needs no monotone g.  ``conj_win``
 composes a family's formulas into the conjugate and its derivative, the win
-rate, for one curve or for a group of curves of one family at once.
+rate, for one curve or for a group of curves of one family at once;
+``win_rate`` is that win rate alone.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ __all__ = [
     "AuctionKind",
     "AcquisitionCost",
     "conj_win",
+    "win_rate",
     "NotTwoConcave",
     "OutOfRange",
     "NotDifferentiable",
@@ -87,6 +89,11 @@ def conj_win(family, params, mu, first_price: bool):
         win = family.w(x, *params)
         return (mu - x) * win, win
     return family.w_integral(mu, *params), family.w(mu, *params)
+
+
+def win_rate(family, params, mu, first_price: bool):
+    """The win rate of ``conj_win`` alone, for callers that need no conjugate."""
+    return family.w(family.bid(mu, *params) if first_price else mu, *params)
 
 
 class AcquisitionCost:
@@ -154,17 +161,17 @@ class AcquisitionCost:
 
         return _wrap(q, go)
 
-    def _conj_win(self, ma):
+    def _formula(self, fn, ma):
         first = self.kind is AuctionKind.FIRST_PRICE
-        return conj_win(self.curve, self.curve.formula_params(), np.maximum(ma, 0.0), first)
+        return fn(self.curve, self.curve.formula_params(), np.maximum(ma, 0.0), first)
 
     def conjugate(self, mu):
         """Convex conjugate of ``lam``: sup_q (mu q - lam(q)), +inf for mu < 0."""
-        return _wrap(mu, lambda ma: np.where(ma < 0.0, np.inf, self._conj_win(ma)[0]))
+        return _wrap(mu, lambda ma: np.where(ma < 0.0, np.inf, self._formula(conj_win, ma)[0]))
 
     def win_probability(self, mu):
         """Derivative of ``conjugate``: the acquisition rate a marginal price buys."""
-        return _wrap(mu, lambda ma: self._conj_win(ma)[1])
+        return _wrap(mu, lambda ma: self._formula(win_rate, ma))
 
     # ------------------------------------------------------------------
     def bid_mapping(self, x):

@@ -23,8 +23,8 @@ the routing rides exact ties (zero theta-spend), and no priced supply is left
 unallocated.  When the verdict is negative the same LP supplies the move: a
 line search along its starving cut, or a snap onto the tie pattern its
 routing spans.  A point the routing LP never certifies raises NotConverged.
-Primal recovery converts the active-edge transportation problem into a plain
-max-flow in spend units and rescales to make fulfillment exact.
+Primal recovery takes the allocation from the flows of the routing LP that
+certified the point and rescales them to make fulfillment exact.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import AuctionKind, conj_win
+from .costs import AuctionKind, conj_win, win_rate
 from .curves import Empirical
 from .model import ProblemInstance, check_adequate_supply
 
@@ -51,7 +51,6 @@ __all__ = [
     "Solution",
     "InfeasibleInstance",
     "NotConverged",
-    "ActiveEdgeInfeasible",
     "PreconditionViolated",
     "solve_dual",
     "recover_primal",
@@ -80,17 +79,6 @@ class NotConverged(RuntimeError):
         super().__init__(f"dual solver did not converge: residual {residual:.3e}")
 
 
-class ActiveEdgeInfeasible(RuntimeError):
-    """The active-edge transportation problem cannot route all demand."""
-
-    def __init__(self, shortfall: float, eps_active: float):
-        self.shortfall = shortfall
-        self.eps_active = eps_active
-        super().__init__(
-            f"active edges at eps={eps_active:.3e} leave demand shortfall {shortfall:.3e}"
-        )
-
-
 class PreconditionViolated(ValueError):
     """An operation's structural precondition does not hold."""
 
@@ -101,16 +89,17 @@ class PreconditionViolated(ValueError):
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Pseudo-bids rho per contract, item multipliers mu, edge slacks theta."""
+    """Pseudo-bids rho per contract, item multipliers mu, edge slacks theta.
+
+    ``flows`` are the edge flows of the routing LP that certified rho, set by
+    solve_dual only; recover_primal reads the allocation from them.
+    """
 
     rho: np.ndarray
     mu: np.ndarray
     theta: np.ndarray
     dual_value: float
-
-    def active_edges(self, eps: float) -> np.ndarray:
-        """Boolean mask of edges with slack below eps (the A*/B* sets)."""
-        return self.theta <= eps
+    flows: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -179,10 +168,8 @@ class Solution:
     primal: PrimalSolution
     report: CertificateReport
     iterations: int
-    # absolute slack threshold the primal recovery ran with: edges whose
-    # theta exceeds it carry no flow.  solve() escalates the relative knob
-    # tenfold whenever the active-edge network cannot carry the targets, then
-    # stores the mu-scaled absolute value here.
+    # the largest slack theta on any edge that carries flow (0 when none
+    # does): edges whose theta exceeds it carry none
     eps_active: float = 0.0
 
 
@@ -229,6 +216,14 @@ class _ItemKernels:
         for sel, family, first, params in batches:
             conj[sel], win[sel] = conj_win(family, params, mu[sel], first)
         return conj, win
+
+    @staticmethod
+    def win(batches: list, mu: np.ndarray) -> np.ndarray:
+        """The win rate alone of the items `batches` was built for, at `mu`."""
+        win = np.empty(mu.size)
+        for sel, family, first, params in batches:
+            win[sel] = win_rate(family, params, mu[sel], first)
+        return win
 
     def conj_win(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.evaluate(self.all_items, mu)
@@ -368,7 +363,7 @@ def _tie_roots(ws: _Workspace, demand: np.ndarray, t0: np.ndarray, comp: np.ndar
 
     def balance(t: np.ndarray) -> np.ndarray:
         ws.root_evals += 1
-        _, win = ws.kernels.evaluate(batches, slopes * t[comp])
+        win = ws.kernels.win(batches, slopes * t[comp])
         return demand - np.bincount(comp, lamm * win, minlength=k)
 
     a, fa = np.zeros(k), demand.copy()
@@ -716,11 +711,13 @@ def _refine(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float):
     value) — the three optimality conditions measured at once.  A shortfall
     moves the point along the starving cut; otherwise it snaps onto the
     routing's own tie pattern, even when the value cannot tell the snap from
-    the current point.  Returns (value, rho, converged, worst KKT violation).
+    the current point.  Returns (value, rho, converged, worst KKT violation,
+    flows), where flows are the edge flows of the routing LP that certified
+    rho (None when none did).
     """
     converged = False
     lim = tol * ws.scale
-    kkt = math.inf
+    kkt, flows = math.inf, None
     for _ in range(12):
         prev = best_val
         info = _routing_lp(ws, best_rho)
@@ -728,10 +725,10 @@ def _refine(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float):
             kkt = _dual_residual(ws, best_rho, tie_delta=max(tol, 1e-10))
             converged = kkt <= lim
             break
-        shortfall, theta_cost, slack_value, cut, pat = info
+        shortfall, theta_cost, slack_value, cut, pat, routed = info
         kkt = max(shortfall, theta_cost, slack_value)
         if kkt <= lim:
-            converged = True
+            converged, flows = True, routed
             break
         moved = False
         if shortfall > lim:
@@ -744,7 +741,7 @@ def _refine(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float):
         best_val, best_rho, _ = _polish(ws, best_val, best_rho)
         if not moved and best_val <= prev + 1e-15 * (1.0 + abs(prev)):
             break
-    return best_val, best_rho, converged, kkt
+    return best_val, best_rho, converged, kkt, flows
 
 
 def _routing_lp(ws: _Workspace, rho: np.ndarray):
@@ -757,18 +754,18 @@ def _routing_lp(ws: _Workspace, rho: np.ndarray):
     and the theta-spend of the routing second, so one solve yields the demand
     shortfall, the theta-cost of the cheapest routing, the value of supply
     left unallocated at positive multipliers, the starving-cut certificate on
-    contracts, and the tie pattern spanned by the routing's support.  Returns
-    (shortfall, theta_cost, slack_value, cut, pattern) or None when the LP
-    fails; stationarity is exactly shortfall = theta_cost = slack_value = 0
-    (demand routes on exact ties and every priced item is fully consumed).
+    contracts, the tie pattern spanned by the routing's support, and the
+    routing itself.  Returns (shortfall, theta_cost, slack_value, cut, pattern,
+    flows) or None when the LP fails; stationarity is exactly shortfall =
+    theta_cost = slack_value = 0 (demand routes on exact ties and every priced
+    item is fully consumed), and then the flows are an optimal allocation.
     """
     from scipy import sparse
     from scipy.optimize import linprog
 
     inst = ws.inst
     mu = ws.mu_of(rho)
-    _, win = ws.kernels.conj_win(mu)
-    sigma = ws.lam * win
+    sigma = ws.lam * ws.kernels.win(ws.kernels.all_items, mu)
     d, n, m = inst.n_edges, inst.n_contracts, inst.n_items
     ar = np.arange(d)
     val_mat = sparse.csr_matrix((inst.edge_v, (inst.edge_i, ar)), shape=(n, d))
@@ -793,7 +790,7 @@ def _routing_lp(ws: _Workspace, rho: np.ndarray):
     cut = y if np.any(y > 0.0) else None
     support = np.flatnonzero(flows > 1e-10 * (1.0 + float(flows.max(initial=0.0))))
     pattern = _pattern_from_support(ws, rho, mu, support) if support.size else None
-    return shortfall, theta_cost, slack_value, cut, pattern
+    return shortfall, theta_cost, slack_value, cut, pattern, flows
 
 
 def _pattern_from_support(ws: _Workspace, rho: np.ndarray, mu: np.ndarray, support: np.ndarray):
@@ -886,94 +883,34 @@ def solve_dual(
     stats["iterations"] = used
     if used:
         best_val, best_rho, _ = _polish(ws, best_val, best_rho)
-    best_val, best_rho, converged, kkt = _refine(ws, best_val, best_rho, tol)
+    best_val, best_rho, converged, kkt, flows = _refine(ws, best_val, best_rho, tol)
     stats["tie_root_calls"], stats["tie_root_evals"] = ws.root_calls, ws.root_evals
     if not converged:
         raise NotConverged(_finish_dual(ws, best_rho, best_val), kkt)
-    return _finish_dual(ws, best_rho, best_val)
+    return _finish_dual(ws, best_rho, best_val, flows)
 
 
-def _finish_dual(ws: _Workspace, rho: np.ndarray, value: float) -> DualSolution:
+def _finish_dual(ws: _Workspace, rho: np.ndarray, value: float, flows=None) -> DualSolution:
     inst = ws.inst
     mu = ws.mu_of(rho)
     theta = mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]
     rho = rho.copy()
-    for arr in (rho, mu, theta):
-        arr.setflags(write=False)
-    return DualSolution(rho=rho, mu=mu, theta=theta, dual_value=value)
+    for arr in (rho, mu, theta, flows):
+        if arr is not None:
+            arr.setflags(write=False)
+    return DualSolution(rho=rho, mu=mu, theta=theta, dual_value=value, flows=flows)
 
 
 # ---------------------------------------------------------------------------
 # primal recovery
 
 
-def _dinic_max_flow(n_nodes: int, arcs: list[tuple[int, int, float]], source: int, sink: int):
-    """Deterministic Dinic max-flow; returns (flow per arc, total flow)."""
-    head: list[list[int]] = [[] for _ in range(n_nodes)]
-    to: list[int] = []
-    cap: list[float] = []
-
-    def add(u, v, c):
-        head[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        head[v].append(len(to))
-        to.append(u)
-        cap.append(0.0)
-
-    for u, v, c in arcs:
-        add(u, v, c)
-
-    eps = 1e-15 * (1.0 + max((c for _, _, c in arcs if math.isfinite(c)), default=1.0))
-    total = 0.0
-    while True:
-        level = [-1] * n_nodes
-        level[source] = 0
-        queue = [source]
-        for u in queue:
-            for e in head[u]:
-                if cap[e] > eps and level[to[e]] < 0:
-                    level[to[e]] = level[u] + 1
-                    queue.append(to[e])
-        if level[sink] < 0:
-            break
-        it = [0] * n_nodes
-
-        def dfs(u, pushed):
-            if u == sink:
-                return pushed
-            while it[u] < len(head[u]):
-                e = head[u][it[u]]
-                v = to[e]
-                if cap[e] > eps and level[v] == level[u] + 1:
-                    got = dfs(v, min(pushed, cap[e]))
-                    if got > 0.0:
-                        cap[e] -= got
-                        cap[e ^ 1] += got
-                        return got
-                it[u] += 1
-            return 0.0
-
-        while True:
-            pushed = dfs(source, math.inf)
-            if pushed <= 0.0:
-                break
-            total += pushed
-
-    flows = [cap[2 * k + 1] for k in range(len(arcs))]
-    return flows, total
-
-
-def _bids_and_rates(inst: ProblemInstance, mu: np.ndarray):
-    """Per-item bids g_j^{-1}(mu_j) and acquisition rates lambda_j q_j(mu_j)."""
+def _bids(inst: ProblemInstance, mu: np.ndarray) -> np.ndarray:
+    """Per-item bids g_j^{-1}(mu_j), each mu_j capped at the item's bid cap."""
     bids = np.zeros(inst.n_items)
-    s = np.zeros(inst.n_items)
     for j, cost in enumerate(inst.costs):
-        cap = cost.bid_cap
-        mu_j = min(float(mu[j]), cap) if math.isfinite(cap) else float(mu[j])
-        bids[j] = cost.bid_mapping_inverse(mu_j)
-        s[j] = inst.rates[j] * cost.win_probability(float(mu[j]))
-    return bids, s
+        bids[j] = cost.bid_mapping_inverse(min(float(mu[j]), cost.bid_cap))
+    return bids
 
 
 def _spend_rate(inst: ProblemInstance, s: np.ndarray) -> float:
@@ -990,58 +927,28 @@ def _spend_rate(inst: ProblemInstance, s: np.ndarray) -> float:
     return float(value)
 
 
-def recover_primal(inst: ProblemInstance, dual: DualSolution, eps_active: float = 1e-6) -> PrimalSolution:
-    """Bids, rates, and an allocation supported on the active edges.
+def recover_primal(inst: ProblemInstance, dual: DualSolution) -> PrimalSolution:
+    """Bids, rates, and the allocation routed by the routing LP at dual.rho.
 
-    The transportation problem (supplies s_j, demands C_i, arc gains v_ij)
-    becomes a pure max-flow in spend units: on active edges v_ij rho_i =
-    mu_j, so routing f = mu_j R_ij against item budgets mu_j s_j and contract
-    budgets rho_i C_i preserves both constraint families.  Raises
-    ActiveEdgeInfeasible when the flow cannot meet total demand (retry with a
-    larger eps_active).
+    At optimal pseudo-bids any routing of the targets over zero-slack edges
+    within the win-rate supplies is an optimal allocation (complementary
+    slackness), and that transportation problem is the routing LP which
+    certified the dual; its edge flows are R.  A dual without flows (read
+    back from JSON, or built by hand) gets them from one routing LP at its
+    rho, and NotConverged is raised when that LP fails.  Each contract's row
+    is then scaled to make fulfillment exact.
     """
-    mu = np.asarray(dual.mu, dtype=float)
-    rho = np.asarray(dual.rho, dtype=float)
-    n, m = inst.n_contracts, inst.n_items
-    eps = eps_active * (1.0 + float(np.max(mu, initial=0.0)))
-
-    bids, s_policy = _bids_and_rates(inst, mu)
-
-    active = np.flatnonzero(dual.theta <= eps)
-    # spend-unit max flow: source -> item (mu_j s_j) -> contract (rho_i C_i) -> sink
-    source, sink = m + n, m + n + 1
-    arcs: list[tuple[int, int, float]] = []
-    for j in range(m):
-        if mu[j] > 0.0 and s_policy[j] > 0.0:
-            arcs.append((source, j, float(mu[j] * s_policy[j])))
-    edge_arc: dict[int, int] = {}
-    for e in active:
-        i, j = int(inst.edge_i[e]), int(inst.edge_j[e])
-        if mu[j] > 0.0 and s_policy[j] > 0.0 and rho[i] > 0.0:
-            edge_arc[e] = len(arcs)
-            arcs.append((j, m + i, math.inf))
-    for i in range(n):
-        arcs.append((m + i, sink, float(rho[i] * inst.targets[i])))
-
-    flows, total = _dinic_max_flow(m + n + 2, arcs, source, sink)
-    demand_total = float(rho @ inst.targets)
-    shortfall = demand_total - total
-    if shortfall > 1e-7 * (1.0 + demand_total):
-        raise ActiveEdgeInfeasible(shortfall, eps_active)
-
-    R = np.zeros(inst.n_edges)
-    for e, a in edge_arc.items():
-        j = int(inst.edge_j[e])
-        R[e] = flows[a] / mu[j]
-    # make fulfillment exact: distribute each contract's residual proportionally
-    for i in range(n):
-        sl = inst.contract_edges(i)
-        delivered = float(inst.edge_v[sl] @ R[sl])
-        if delivered > 0.0:
-            R[sl] *= inst.targets[i] / delivered
-
-    s = np.zeros(m)
-    np.add.at(s, inst.edge_j, R)
+    flows = dual.flows
+    if flows is None:
+        info = _routing_lp(_Workspace(inst), np.asarray(dual.rho, dtype=float))
+        if info is None:
+            raise NotConverged(dual, math.inf)
+        flows = info[-1]
+    R = np.maximum(flows, 0.0)
+    delivered = np.bincount(inst.edge_i, inst.edge_v * R, minlength=inst.n_contracts)
+    R *= np.divide(inst.targets, delivered, out=np.ones(inst.n_contracts), where=delivered > 0.0)[inst.edge_i]
+    s = np.bincount(inst.edge_j, R, minlength=inst.n_items)
+    bids = _bids(inst, np.asarray(dual.mu, dtype=float))
     gamma = np.zeros(inst.n_edges)
     nz = s[inst.edge_j] > 0.0
     gamma[nz] = R[nz] / s[inst.edge_j[nz]]
@@ -1101,12 +1008,11 @@ def certify(
 def solve(
     inst: ProblemInstance,
     tol: float = 1e-8,
-    eps_active: float = 1e-6,
     max_iter: int = 20000,
     margin: float = 1e-6,
     certify_tol: float = 1e-6,
 ) -> Solution:
-    """Feasibility check, dual solve, primal recovery with eps escalation, certify."""
+    """Feasibility check, dual solve, primal recovery from its routing flows, certify."""
     chk = check_adequate_supply(inst, margin)
     if not chk:
         raise InfeasibleInstance(chk)
@@ -1114,24 +1020,14 @@ def solve(
     dual = solve_dual(
         inst, tol=tol, max_iter=max_iter, margin=margin, check_feasibility=False, stats=stats
     )
-    eps = eps_active
-    last_exc: ActiveEdgeInfeasible | None = None
-    for _ in range(6):
-        try:
-            primal = recover_primal(inst, dual, eps_active=eps)
-            break
-        except ActiveEdgeInfeasible as exc:
-            last_exc = exc
-            eps *= 10.0
-    else:
-        raise last_exc
+    primal = recover_primal(inst, dual)
     report = certify(inst, primal, dual, tol=certify_tol)
     return Solution(
         dual=dual,
         primal=primal,
         report=report,
         iterations=stats.get("iterations", 0),
-        eps_active=eps * (1.0 + float(np.max(dual.mu, initial=0.0))),
+        eps_active=float(np.max(dual.theta[primal.R > 0.0], initial=0.0)),
     )
 
 
@@ -1168,7 +1064,8 @@ def solve_uniform_bid(inst: ProblemInstance):
             lo = mid
     rho_star = 0.5 * (lo + hi)
 
-    bids, s = _bids_and_rates(inst, np.full(inst.n_items, rho_star))
+    bids = _bids(inst, np.full(inst.n_items, rho_star))
+    s = np.array([l * c.win_probability(rho_star) for l, c in zip(lam, costs)])
     share = inst.targets / total
     R = s[inst.edge_j] * share[inst.edge_i]
     gamma = np.where(s[inst.edge_j] > 0.0, share[inst.edge_i], 0.0)

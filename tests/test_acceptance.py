@@ -259,6 +259,8 @@ def test_06_large_sparse_instance():
     assert abs(sol.report.gap) <= 1e-5
     assert d_star <= d
     assert leaked == 0.0  # no flow on edges the duals price out
+    assert sol.report.max_comp_slack <= 1e-8
+    assert sol.eps_active == float(np.max(sol.dual.theta[sol.primal.R > 0.0]))
     print(
         f"PASS 06 sparse instance: gap {sol.report.gap:.2e}, "
         f"support {d_star}/{d} edges, {elapsed:.1f}s"

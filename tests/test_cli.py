@@ -18,7 +18,7 @@ import pytest
 import bidopt.cli
 from bidopt.cli import main
 from bidopt.model import instance_from_json
-from bidopt.solver import ActiveEdgeInfeasible, solve
+from bidopt.solver import NotConverged, solve
 
 SCALAR = {
     "items": [
@@ -95,7 +95,7 @@ def test_round_trip_certificate_matches_in_memory(tmp_path):
     assert main(["certify", "--input", str(solved), "--output", str(cert)]) == 0
 
     sol = solve(instance_from_json(MIXED), tol=1e-8)
-    rows = {r["metric"]: r for r in csv.DictReader(cert.open())}
+    rows = {r["metric"]: r for r in csv.DictReader(cert.read_text().splitlines())}
     assert abs(float(rows["relative_gap"]["value"]) - sol.report.gap) <= 1e-12
     assert rows["passed"]["value"] == "1"
 
@@ -152,15 +152,24 @@ def test_failed_certificate_exits_3_after_writing(tmp_path, monkeypatch):
     assert doc["solution"]["rho"][0] == pytest.approx(math.log(2.0), abs=1e-9)
 
 
-def test_active_edge_failure_exits_3(tmp_path, monkeypatch, capsys):
-    def escalation_fails(inst, **kwargs):
-        raise ActiveEdgeInfeasible(1e-3, 1e-1)
+def test_not_converged_exits_3(tmp_path, monkeypatch, capsys):
+    def never_converges(inst, **kwargs):
+        raise NotConverged(None, 1e-3)
 
-    monkeypatch.setattr(bidopt.cli, "solve", escalation_fails)
+    monkeypatch.setattr(bidopt.cli, "solve", never_converges)
     inp = write_json(tmp_path / "inst.json", SCALAR)
     assert main(["solve", "--input", inp]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("bidopt: ")
+
+
+def test_eps_active_is_deprecated_and_ignored(tmp_path, capsys):
+    inp = write_json(tmp_path / "inst.json", SCALAR)
+    out = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(out), "--eps-active", "1e-3"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err.count("bidopt: --eps-active is deprecated and ignored") == 1
+    assert json.loads(out.read_text())["certificate"]["relative_gap"] <= 1e-6
 
 
 def test_feasibility_accepts_good_instance(tmp_path):
@@ -328,7 +337,7 @@ def figdir(tmp_path_factory):
 
 
 def test_curve_grid_closed_forms(figdir):
-    rows = list(csv.DictReader(open(figdir / "curve_grids.csv")))
+    rows = list(csv.DictReader((figdir / "curve_grids.csv").read_text().splitlines()))
     assert len(rows) == 256
     for r in rows[1::37]:
         q = float(r["q"])
@@ -340,14 +349,14 @@ def test_curve_grid_closed_forms(figdir):
 
 
 def test_supply_sweep_pseudo_bids_meet(figdir):
-    rows = {r["target_1"]: r for r in csv.DictReader(open(figdir / "bifurcation_supply.csv"))}
+    rows = {r["target_1"]: r for r in csv.DictReader((figdir / "bifurcation_supply.csv").read_text().splitlines())}
     assert float(rows["0.99"]["rho_gap_rel"]) <= 1e-3
     assert float(rows["0.1"]["rho_gap_rel"]) >= 0.1
     assert float(rows["0.99"]["bid_2"]) > 10.0  # equal *and* large near capacity
 
 
 def test_cost_sweep_pseudo_bids_meet(figdir):
-    rows = list(csv.DictReader(open(figdir / "bifurcation_cost.csv")))
+    rows = list(csv.DictReader((figdir / "bifurcation_cost.csv").read_text().splitlines()))
     assert float(rows[0]["rho_gap_rel"]) >= 0.1  # pricey shared item: separate
     assert float(rows[-1]["rho_gap_rel"]) <= 1e-6  # cheap shared item: together
 

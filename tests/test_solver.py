@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,7 +14,6 @@ from bidopt.curves import BoundedUniform, Empirical, Exponential, Hyperbolic, Po
 from bidopt import solver
 from bidopt.model import Contract, ItemType, build_instance, random_instance, random_sparse_instance
 from bidopt.solver import (
-    ActiveEdgeInfeasible,
     DualSolution,
     InfeasibleInstance,
     NotConverged,
@@ -406,6 +406,8 @@ def test_vectorized_kernels_match_cost_objects(curve, kind):
         conj, win = kern.conj_win(np.array([mu]))
         assert conj[0] == pytest.approx(cost.conjugate(mu), rel=1e-10, abs=1e-12)
         assert win[0] == pytest.approx(cost.win_probability(mu), rel=1e-10, abs=1e-12)
+        # the win-only evaluation is the same arithmetic, bit for bit
+        assert kern.win(kern.all_items, np.array([mu]))[0] == win[0]
 
 
 def test_tie_roots_match_brentq_per_component():
@@ -500,16 +502,42 @@ def test_empirical_curve_goes_through_fallback():
 # recovery and serialization
 
 
-def test_recover_primal_rejects_tiny_eps():
-    # shrink eps_active until the flow cannot route; the exception reports it
+def test_recover_primal_without_flows():
+    # a dual that carries no flows (read back from JSON, built by hand) is
+    # routed by one routing LP at its rho: the same LP that certified it
     inst = mixed_instance()
     dual = solve_dual(inst, tol=1e-10)
-    primal = recover_primal(inst, dual, eps_active=1e-6)
+    assert dual.flows is not None
+    with_flows = recover_primal(inst, dual)
+    primal = recover_primal(inst, dataclasses.replace(dual, flows=None))
+    np.testing.assert_array_equal(primal.R, with_flows.R)
+    assert certify(inst, primal, dual).passed
     assert np.all(primal.R >= 0.0)
     # gamma sums to at most one per item
     g = np.zeros(inst.n_items)
     np.add.at(g, inst.edge_j, primal.gamma)
     assert np.all(g <= 1.0 + 1e-9)
+
+
+def test_recover_primal_without_flows_fails_when_routing_fails(monkeypatch):
+    inst = mixed_instance()
+    dual = dataclasses.replace(solve_dual(inst, tol=1e-10), flows=None)
+    monkeypatch.setattr(solver, "_routing_lp", lambda ws, rho: None)
+    with pytest.raises(NotConverged):
+        recover_primal(inst, dual)
+
+
+def test_recover_primal_reuses_the_certifying_flows(monkeypatch):
+    # solve_dual's dual carries the flows of the LP that certified it, so
+    # recovery solves no LP of its own
+    inst = mixed_instance()
+    dual = solve_dual(inst, tol=1e-10)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("recover_primal solved an LP")
+
+    monkeypatch.setattr("scipy.optimize.linprog", no_lp)
+    assert certify(inst, recover_primal(inst, dual), dual).passed
 
 
 def test_solution_json_round_trip(tmp_path):
