@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Certificate census: solve 868 fixed instances, then save or compare the results.
+
+The draws of test_04 (50), test_random_instances_certify (302), test_weak_duality
+(301) and the fuzz corpus (150), the 4 benchmark instances and the 61 bifurcation
+points.  About a minute: `--save FILE.npz` on one checkout, `--compare FILE.npz` on another.
+"""
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from bidopt import NotConverged, random_instance, solve  # noqa: E402
+from bidopt.cli import _chain_instance  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+
+def corpus():
+    """Yield (instance, solve keyword arguments) in a fixed order."""
+    # the property tests' 300 drawn seeds each, plus their pinned examples
+    drawn = {b: np.random.default_rng(b).integers(0, 2**32, 300).tolist() for b in (12345, 54321)}
+    for seeds, contracts, items, kw in ((range(7000, 7050), (1, 11), (2, 51), {}),
+                                        ([*drawn[12345], 2497590332, 100150], (2, 12), (2, 6), {"tol": 1e-9}),
+                                        ([*drawn[54321], 1973774220], (2, 8), (2, 5), {"tol": 1e-9})):
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            yield random_instance(rng, int(rng.integers(*contracts)), int(rng.integers(*items))), kw
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        n, m, p, s = rng.integers(2, 41), rng.integers(2, 121), rng.uniform(0.05, 0.9), rng.uniform(0.002, 0.05)
+        yield random_instance(rng, int(n), int(m), edge_prob=float(p), slack_margin=float(s)), {}
+    yield from ((inst, {"certify_tol": w.tol}) for w in WORKLOADS.values() for _, inst in w.build())
+    chains = [((0.5, r, 2.0), (0.3, 0.3)) for r in np.geomspace(1.0 / 16.0, 32.0, 41)]
+    chains += [((0.1, 1.0, 10.0), (c, 2.0 * c)) for c in [*np.linspace(0.05, 0.95, 19), 0.99]]
+    yield from ((_chain_instance(rates, targets), {}) for rates, targets in chains)
+
+
+def run() -> dict:
+    rows = []
+    for inst, kw in corpus():
+        try:
+            rep = (sol := solve(inst, **kw)).report
+            rows.append((sol.dual.rho, rep.dual_value, rep.gap, rep.max_comp_slack, rep.passed))
+        except NotConverged:
+            rows.append((np.full(inst.n_contracts, np.nan), np.nan, np.nan, np.nan, False))
+    rho, *rest = zip(*rows)
+    out = dict(zip(("D", "gap", "comp", "certified"), map(np.asarray, rest)))
+    return dict(out, rho=np.concatenate(rho), rho_len=np.array([r.size for r in rho]))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = ap.add_mutually_exclusive_group(required=True)
+    group.add_argument("--save", metavar="FILE.npz")
+    group.add_argument("--compare", metavar="FILE.npz")
+    args = ap.parse_args()
+    now = run()
+    if args.save:
+        np.savez(args.save, **now)
+        return print(f"saved {now['D'].size} instances, {int(now['certified'].sum())} certified")
+    old = dict(np.load(args.compare))
+    split = np.cumsum(now["rho_len"])[:-1]
+    same = [np.array_equal(a, b) for a, b in zip(np.split(now["rho"], split), np.split(old["rho"], split))]
+    moved = np.flatnonzero(~(np.array(same) & (now["D"] == old["D"])))
+    d_rho = np.where(now["rho"] == old["rho"], 0.0, np.abs(now["rho"] / old["rho"] - 1.0))
+    print(f"certified: {int(now['certified'].sum())} of {now['D'].size} (saved {int(old['certified'].sum())})")
+    print(f"rho and D bit-identical: {now['D'].size - moved.size}; differ at {moved.tolist()}")
+    print(f"max |dD|/(1+|D|): {np.nanmax(np.abs(now['D'] - old['D']) / (1 + np.abs(old['D']))):.3g}, "
+          f"max relative d rho: {np.nanmax(d_rho):.3g}")
+    print(", ".join(f"max |{k}|: {np.nanmax(np.abs(now[k])):.3g} (saved {np.nanmax(np.abs(old[k])):.3g})"
+                    for k in ("gap", "comp")))
+
+
+if __name__ == "__main__":
+    main()

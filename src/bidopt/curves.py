@@ -11,9 +11,14 @@ Extension conventions used throughout:
 * ``eval``     -- 0 for x <= 0, W(x_bar) (the total mass) for x >= x_bar.
 * ``inverse``  -- 0 for q <= 0, inf for q > total mass, x_bar at q == mass.
 
-Besides point evaluation each family provides exact running integrals
-(``integral_cdf``, ``integral_quantile``, ``partial_mean``) which the cost
-layer assembles into acquisition costs and their convex conjugates.
+Each family writes W (``w``), its running integral (``w_integral``), its
+first-price bid (``bid``), its quantile and its density.  The exact running
+integrals the cost layer assembles into acquisition costs and their convex
+conjugates are derived from them once, here in ``SupplyCurve``:
+``integral_cdf`` is ``w_integral``, ``integral_quantile`` follows by Young's
+equality, and ``partial_mean`` and ``p_bar`` are ``integral_quantile`` at
+W(x) and at the total mass.  Only the unbounded families (Exponential,
+Hyperbolic) write ``integral_quantile`` in closed form.
 """
 from __future__ import annotations
 
@@ -70,9 +75,12 @@ class SupplyCurve:
     # -- family formulas ------------------------------------------------------
     # Each family writes W, its running integral and its first-price bid once,
     # as w(x, *p), w_integral(mu, *p) and bid(mu, *p) for x, mu >= 0 and
-    # p = formula_params().  The parametric families make them static methods
-    # that broadcast over arrays of parameters, so that one call evaluates a
-    # whole group of curves (``costs.conj_win``).
+    # p = formula_params(), plus its quantile _quantile and density _pdf.  The
+    # parametric families make w, w_integral and bid static methods that
+    # broadcast over arrays of parameters, so that one call evaluates a whole
+    # group of curves (``costs.conj_win``).  The quantile integral, partial
+    # mean and mean price are derived from these below; only the unbounded
+    # families write integral_quantile themselves.
     def formula_params(self) -> tuple:
         return tuple(self.params().values())
 
@@ -102,11 +110,6 @@ class SupplyCurve:
 
     @property
     def x_bar(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def p_bar(self) -> float:
-        """First moment of the win price over the full support."""
         raise NotImplementedError
 
     @property
@@ -165,12 +168,32 @@ class SupplyCurve:
         return _wrap(mu, lambda m: self.w_integral(np.maximum(m, 0.0), *self.formula_params()))
 
     def integral_quantile(self, q):
-        """∫_0^q W^{-1}(u) du for q in [0, total mass]."""
-        raise NotImplementedError
+        """∫_0^q W^{-1}(u) du for q in [0, total mass].
+
+        Young's equality q W^{-1}(q) = ∫_0^q W^{-1} + ∫_0^{W^{-1}(q)} W with the
+        family's own w_integral.  Unbounded families override it in closed
+        form: as q nears the mass both terms diverge and cancel (Hyperbolic(1.3)
+        is off by 0.15 absolute at q = 1 - 1e-15).
+        """
+
+        def go(qa):
+            qa = np.clip(qa, 0.0, self.total_mass)
+            x = np.asarray(self.inverse(qa))
+            return qa * x - self.w_integral(x, *self.formula_params())
+
+        return _wrap(q, go)
 
     def partial_mean(self, x):
-        """∫_0^x u dW(u); the full first moment for x >= x_bar."""
-        raise NotImplementedError
+        """∫_0^x u dW(u), the full first moment for x >= x_bar.
+
+        Equals ∫_0^{W(x)} W^{-1} by the change of variables u = W^{-1}(v).
+        """
+        return self.integral_quantile(self.eval(x))
+
+    @property
+    def p_bar(self) -> float:
+        """First moment of the win price over the full support."""
+        return float(self.integral_quantile(self.total_mass))
 
     # -- first-price bid at a marginal price --------------------------------
     def _g_inverse(self, mu):
@@ -203,10 +226,6 @@ class Exponential(SupplyCurve):
     @property
     def x_bar(self) -> float:
         return math.inf
-
-    @property
-    def p_bar(self) -> float:
-        return 1.0 / self.rate
 
     @staticmethod
     def w(x, rate):
@@ -253,18 +272,6 @@ class Exponential(SupplyCurve):
 
         return _wrap(q, go)
 
-    def partial_mean(self, x):
-        g = self.rate
-
-        def go(xa):
-            xa = np.maximum(xa, 0.0)
-            with np.errstate(invalid="ignore"):
-                tail = np.exp(-g * xa) * (1.0 + g * xa)
-            tail = np.where(np.isfinite(xa), tail, 0.0)
-            return (1.0 - tail) / g
-
-        return _wrap(x, go)
-
     def params(self):
         return {"rate": self.rate}
 
@@ -287,10 +294,6 @@ class Hyperbolic(SupplyCurve):
 
     @property
     def x_bar(self) -> float:
-        return math.inf
-
-    @property
-    def p_bar(self) -> float:
         return math.inf
 
     @staticmethod
@@ -329,17 +332,6 @@ class Hyperbolic(SupplyCurve):
 
         return _wrap(q, go)
 
-    def partial_mean(self, x):
-        c = self.scale
-
-        def go(xa):
-            xa = np.maximum(xa, 0.0)
-            with np.errstate(invalid="ignore"):
-                out = c * (np.log1p(xa / c) + c / (c + xa) - 1.0)
-            return np.where(np.isinf(xa), np.inf, out)
-
-        return _wrap(x, go)
-
     def params(self):
         return {"scale": self.scale}
 
@@ -359,10 +351,6 @@ class BoundedUniform(SupplyCurve):
     def x_bar(self) -> float:
         return self.x_max
 
-    @property
-    def p_bar(self) -> float:
-        return self.x_max / 2.0
-
     @staticmethod
     def w(x, x_max):
         return np.minimum(x, x_max) / x_max
@@ -380,24 +368,6 @@ class BoundedUniform(SupplyCurve):
 
     def _pdf(self, x):
         return np.full_like(np.asarray(x, dtype=float), 1.0 / self.x_max)
-
-    def integral_quantile(self, q):
-        b = self.x_max
-
-        def go(qa):
-            qa = np.clip(qa, 0.0, 1.0)
-            return b * qa**2 / 2.0
-
-        return _wrap(q, go)
-
-    def partial_mean(self, x):
-        b = self.x_max
-
-        def go(xa):
-            inside = np.clip(xa, 0.0, b)
-            return inside**2 / (2.0 * b)
-
-        return _wrap(x, go)
 
     def params(self):
         return {"x_max": self.x_max}
@@ -426,10 +396,6 @@ class PowerLawDensity(SupplyCurve):
         return self.x_max
 
     @property
-    def p_bar(self) -> float:
-        return self.w0 * self.x_max**3 / 3.0
-
-    @property
     def total_mass(self) -> float:
         return self.w0 * self.x_max**2 / 2.0
 
@@ -451,24 +417,6 @@ class PowerLawDensity(SupplyCurve):
 
     def _pdf(self, x):
         return self.w0 * x
-
-    def integral_quantile(self, q):
-        w0 = self.w0
-
-        def go(qa):
-            qa = np.clip(qa, 0.0, self.total_mass)
-            return (2.0 / 3.0) * np.sqrt(2.0 / w0) * qa**1.5
-
-        return _wrap(q, go)
-
-    def partial_mean(self, x):
-        w0, b = self.w0, self.x_max
-
-        def go(xa):
-            inside = np.clip(xa, 0.0, b)
-            return w0 * inside**3 / 3.0
-
-        return _wrap(x, go)
 
     def params(self):
         return {"w0": self.w0, "x_max": self.x_max}
@@ -504,17 +452,10 @@ class Empirical(SupplyCurve):
         self._ws.setflags(write=False)
         self._slopes = np.diff(ws) / np.diff(xs)
         self._slopes.setflags(write=False)
-        # prefix integrals at the breakpoints
+        # prefix integrals of W at the breakpoints
         dx = np.diff(xs)
         self._cum_icdf = np.concatenate(
             [[0.0], np.cumsum(ws[:-1] * dx + self._slopes * dx**2 / 2.0)]
-        )
-        dq = np.diff(ws)
-        self._cum_iquant = np.concatenate(
-            [[0.0], np.cumsum(xs[:-1] * dq + dq**2 / (2.0 * self._slopes))]
-        )
-        self._cum_pmean = np.concatenate(
-            [[0.0], np.cumsum(self._slopes * (xs[1:] ** 2 - xs[:-1] ** 2) / 2.0)]
         )
 
     @property
@@ -524,10 +465,6 @@ class Empirical(SupplyCurve):
     @property
     def x_bar(self) -> float:
         return float(self._xs[-1])
-
-    @property
-    def p_bar(self) -> float:
-        return float(self._cum_pmean[-1])
 
     @property
     def total_mass(self) -> float:
@@ -565,9 +502,6 @@ class Empirical(SupplyCurve):
         inside = (xa >= self._xs[0]) & (xa < self._xs[-1]) & (xa >= 0.0)
         return np.where(inside, vals, 0.0)
 
-    def _pdf(self, x):  # pragma: no cover - density() is overridden
-        return self._slope_right(x)
-
     def terminal_density(self) -> float:
         return float(self._slopes[-1])
 
@@ -578,27 +512,6 @@ class Empirical(SupplyCurve):
         dx = inside - xs[idx]
         base = self._cum_icdf[idx] + ws[idx] * dx + slopes[idx] * dx**2 / 2.0
         return base + self.total_mass * np.maximum(mu - xs[-1], 0.0)
-
-    def integral_quantile(self, q):
-        xs, ws, slopes = self._xs, self._ws, self._slopes
-
-        def go(qa):
-            qa = np.clip(qa, 0.0, self.total_mass)
-            idx = np.clip(np.searchsorted(ws, qa, side="right") - 1, 0, len(slopes) - 1)
-            dq = qa - ws[idx]
-            return self._cum_iquant[idx] + xs[idx] * dq + dq**2 / (2.0 * slopes[idx])
-
-        return _wrap(q, go)
-
-    def partial_mean(self, x):
-        xs, slopes = self._xs, self._slopes
-
-        def go(xa):
-            inside = np.clip(xa, xs[0], xs[-1])
-            idx = np.clip(np.searchsorted(xs, inside, side="right") - 1, 0, len(slopes) - 1)
-            return self._cum_pmean[idx] + slopes[idx] * (inside**2 - xs[idx] ** 2) / 2.0
-
-        return _wrap(x, go)
 
     def bid(self, mu):
         """Largest maximizer of (mu - x) W(x) over bids x; 0 for mu <= 0.

@@ -496,54 +496,34 @@ def _cut_line_search(ws: _Workspace, best_val: float, best_rho: np.ndarray, y: n
 
     The routing LP's certificate guarantees a positive directional
     derivative, and moving the whole cut together walks through the
-    argmax-capture kinks that block single-coordinate ascent.  Next to a
-    flat optimum a shortfall s along the cut is worth only about s^2 / 2 of
-    D, below what the value can rank; there the step goes where the
-    directional derivative along the cut changes sign, and is taken when its
-    value ties the current one to rounding, for the next routing LP to judge.
+    argmax-capture kinks that block single-coordinate ascent.  D is concave
+    along the cut, so its maximizer is where the directional derivative
+    changes sign: the step is bracketed by doubling and then bisected on that
+    sign.  Next to a flat optimum a shortfall s along the cut is worth only
+    about s^2 / 2 of D, below what the value can rank, so the step is taken
+    when its value ties the current one to rounding too, for the next routing
+    LP to judge.
     """
-    from scipy.optimize import minimize_scalar
-
-    def phi(h: float) -> float:
-        return ws.value(best_rho + h * y)
 
     def slope(h: float) -> float:
         return float(ws.value_grad(best_rho + h * y)[2] @ y)
 
-    tiny = 1e-15 * (1.0 + abs(best_val))
-    hs = [0.0]
-    vals = [best_val]
-    h = 1e-3 * (1.0 + float(np.max(best_rho, initial=0.0)))
+    lo, hi = 0.0, 1e-3 * (1.0 + float(np.max(best_rho, initial=0.0)))
     for _ in range(60):
-        vals.append(phi(h))
-        hs.append(h)
-        if vals[-1] < vals[-2]:
+        if slope(hi) <= 0.0:
             break
-        h *= 2.0
-    res = minimize_scalar(
-        lambda t: -phi(t), bounds=(0.0, hs[-1]), method="bounded",
-        options={"xatol": 1e-14 * (1.0 + hs[-1])},
-    )
-    k = int(np.argmax(vals))
-    cand_val, cand_h = vals[k], hs[k]
-    if res.success and -res.fun > cand_val:
-        cand_val, cand_h = -float(res.fun), float(res.x)
-    if cand_val > best_val + tiny and cand_h > 0.0:
-        return cand_val, best_rho + cand_h * y, True
-    lo, hi = 0.0, hs[-1]
-    if slope(hi) >= 0.0:
-        return best_val, best_rho, False
+        lo, hi = hi, 2.0 * hi
     for _ in range(60):
+        if hi - lo <= 1e-15 * (1.0 + hi):
+            break
         mid = 0.5 * (lo + hi)
         if slope(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-15 * (1.0 + hi):
-            break
     cand = best_rho + lo * y
     cand_val = ws.value(cand)
-    if lo > 0.0 and cand_val >= best_val - tiny:
+    if lo > 0.0 and cand_val >= best_val - 1e-15 * (1.0 + abs(best_val)):
         return cand_val, cand, True
     return best_val, best_rho, False
 
@@ -721,9 +701,8 @@ def _refine(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float):
     for _ in range(12):
         prev = best_val
         info = _routing_lp(ws, best_rho)
-        if info is None:
-            kkt = _dual_residual(ws, best_rho, tie_delta=max(tol, 1e-10))
-            converged = kkt <= lim
+        if info is None:  # no verdict on the point, so it is not certified
+            kkt = math.inf
             break
         shortfall, theta_cost, slack_value, cut, pat, routed = info
         kkt = max(shortfall, theta_cost, slack_value)
@@ -820,22 +799,6 @@ def _warm_start(ws: _Workspace) -> np.ndarray:
     return np.where(np.isnan(t), 0.0, t)
 
 
-def _dual_residual(ws: _Workspace, rho: np.ndarray, tie_delta: float = 1e-9) -> float:
-    """Stationarity residual treating tie components as jointly balanced."""
-    _, mu, grad, win = ws.value_grad(rho)
-    comp, beta, item_comp, slope = _tie_components(ws, _near_ties(ws, rho, mu, tie_delta))
-    size = ws.inst.n_contracts
-    has = item_comp >= 0
-    demand = np.bincount(comp, beta * ws.targets, minlength=size)
-    supply = np.bincount(item_comp[has], ws.lam[has] * slope[has] * win[has], minlength=size)
-    funded = np.zeros(size, dtype=bool)
-    funded[item_comp[has]] = True
-    res = float(np.max(np.abs(demand - supply)[funded] / (1.0 + np.abs(demand[funded])), initial=0.0))
-    loose = ~funded[comp]
-    proj = np.where(rho[loose] > 0.0, grad[loose], np.maximum(grad[loose], 0.0))
-    return max(res, float(np.max(np.abs(proj), initial=0.0)) / ws.scale)
-
-
 # ---------------------------------------------------------------------------
 # public solver entry points
 
@@ -845,7 +808,6 @@ def solve_dual(
     tol: float = 1e-8,
     max_iter: int = 20000,
     margin: float = 1e-6,
-    check_feasibility: bool = True,
     stats: dict | None = None,
 ) -> DualSolution:
     """Maximize the reduced dual D(rho) over rho >= 0.
@@ -859,12 +821,11 @@ def solve_dual(
 
     Raises InfeasibleInstance when adequate supply fails and NotConverged,
     carrying the best point, when the routing LP's stationarity residual
-    ends above tol.
+    ends above tol or the routing LP fails.
     """
-    if check_feasibility:
-        chk = check_adequate_supply(inst, margin)
-        if not chk:
-            raise InfeasibleInstance(chk)
+    chk = check_adequate_supply(inst, margin)
+    if not chk:
+        raise InfeasibleInstance(chk)
     if stats is None:
         stats = {}
     ws = _Workspace(inst)
@@ -1013,13 +974,8 @@ def solve(
     certify_tol: float = 1e-6,
 ) -> Solution:
     """Feasibility check, dual solve, primal recovery from its routing flows, certify."""
-    chk = check_adequate_supply(inst, margin)
-    if not chk:
-        raise InfeasibleInstance(chk)
     stats: dict = {}
-    dual = solve_dual(
-        inst, tol=tol, max_iter=max_iter, margin=margin, check_feasibility=False, stats=stats
-    )
+    dual = solve_dual(inst, tol=tol, max_iter=max_iter, margin=margin, stats=stats)
     primal = recover_primal(inst, dual)
     report = certify(inst, primal, dual, tol=certify_tol)
     return Solution(

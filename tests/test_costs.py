@@ -277,7 +277,15 @@ def test_adaptive_simpson_polynomial():
 
 
 def test_exact_integrals_match_quadrature():
-    curves = [Exponential(0.7), Hyperbolic(1.3), BoundedUniform(1.0), PowerLawDensity(2.0, 1.0), EMP]
+    curves = [
+        Exponential(0.7),
+        Hyperbolic(1.3),
+        BoundedUniform(1.0),
+        PowerLawDensity(2.0, 1.0),
+        PowerLawDensity(0.8, 2.0),  # unnormalized: mass 1.6
+        EMP,
+        Empirical([(0.3, 0.0), (0.5, 0.2), (1.0, 0.9)]),  # spread gap below 0.3
+    ]
     for curve in curves:
         mass = curve.total_mass
         for mu in (0.35, 1.7):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,9 +91,23 @@ def test_moments():
     assert Exponential(2.0).p_bar == pytest.approx(0.5)
     assert Hyperbolic(1.0).p_bar == math.inf
     assert BoundedUniform(3.0).p_bar == pytest.approx(1.5)
+    # unnormalized volume profile: ∫_0^1 p * 2p dp
+    assert PowerLawDensity(2.0, 1.0).p_bar == pytest.approx(2.0 / 3.0)
     emp = Empirical([(1.0, 0.5), (2.0, 1.0)])
     # mass splits evenly over (0,1] and (1,2]: mean = 0.5/2*1 + 0.5/2*3 = 1.0
     assert emp.p_bar == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("curve,price,exact", [
+    (Exponential(0.7), 1 / 0.7, lambda x: (1 - mpmath.exp(-0.7 * x) * (1 + 0.7 * x)) / 0.7),
+    (Hyperbolic(1.3), 1.3, lambda x: 1.3 * (mpmath.log1p(x / 1.3) + 1.3 / (1.3 + x) - 1)),
+])
+def test_partial_mean_matches_mpmath(curve, price, exact):
+    # small bids are where the partial mean cancels most: it falls like x^2
+    with mpmath.workdps(40):
+        for x in np.geomspace(1e-3, 1e3, 61) * price:
+            ref = float(exact(mpmath.mpf(float(x))))
+            assert curve.partial_mean(x) == pytest.approx(ref, rel=1e-9), x
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,15 @@ def test_not_converged_carries_best_iterate(monkeypatch):
     assert best.dual_value <= ref.primal.primal_value + 1e-9
 
 
+def test_failed_routing_lp_leaves_the_solve_uncertified(monkeypatch):
+    # without the routing LP's verdict no point is certified
+    monkeypatch.setattr(solver, "_routing_lp", lambda ws, rho: None)
+    with pytest.raises(NotConverged) as exc:
+        solve_dual(mixed_instance())
+    assert exc.value.best.flows is None
+    assert exc.value.residual == math.inf
+
+
 def test_perturbed_dual_fails_certification():
     inst = mixed_instance()
     sol = solve(inst, tol=1e-10)
