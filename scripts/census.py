@@ -4,6 +4,8 @@
 The draws of test_04 (50), test_random_instances_certify (302), test_weak_duality
 (301) and the fuzz corpus (150), the 4 benchmark instances and the 61 bifurcation
 points.  About a minute: `--save FILE.npz` on one checkout, `--compare FILE.npz` on another.
+Each instance's master LP solves (`Solution.iterations`) are saved too, and
+`--compare` prints their census totals: a count that wall time on a busy host cannot blur.
 """
 import argparse
 import sys
@@ -44,11 +46,11 @@ def run() -> dict:
     for inst, kw in corpus():
         try:
             rep = (sol := solve(inst, **kw)).report
-            rows.append((sol.dual.rho, rep.dual_value, rep.gap, rep.max_comp_slack, rep.passed))
+            rows.append((sol.dual.rho, rep.dual_value, rep.gap, rep.max_comp_slack, rep.passed, sol.iterations))
         except NotConverged:
-            rows.append((np.full(inst.n_contracts, np.nan), np.nan, np.nan, np.nan, False))
+            rows.append((np.full(inst.n_contracts, np.nan), np.nan, np.nan, np.nan, False, np.nan))
     rho, *rest = zip(*rows)
-    out = dict(zip(("D", "gap", "comp", "certified"), map(np.asarray, rest)))
+    out = dict(zip(("D", "gap", "comp", "certified", "master_solves"), map(np.asarray, rest)))
     return dict(out, rho=np.concatenate(rho), rho_len=np.array([r.size for r in rho]))
 
 
@@ -68,11 +70,14 @@ def main() -> None:
     moved = np.flatnonzero(~(np.array(same) & (now["D"] == old["D"])))
     d_rho = np.where(now["rho"] == old["rho"], 0.0, np.abs(now["rho"] / old["rho"] - 1.0))
     print(f"certified: {int(now['certified'].sum())} of {now['D'].size} (saved {int(old['certified'].sum())})")
-    print(f"rho and D bit-identical: {now['D'].size - moved.size}; differ at {moved.tolist()}")
+    more = f" and {moved.size - 10} more" if moved.size > 10 else ""
+    print(f"rho and D bit-identical: {now['D'].size - moved.size}; differ at {moved.size}: {moved[:10].tolist()}{more}")
     print(f"max |dD|/(1+|D|): {np.nanmax(np.abs(now['D'] - old['D']) / (1 + np.abs(old['D']))):.3g}, "
           f"max relative d rho: {np.nanmax(d_rho):.3g}")
     print(", ".join(f"max |{k}|: {np.nanmax(np.abs(now[k])):.3g} (saved {np.nanmax(np.abs(old[k])):.3g})"
                     for k in ("gap", "comp")))
+    total = [f"{np.nansum(run['master_solves']):.0f}" if "master_solves" in run else "n/a" for run in (now, old)]
+    print(f"master LP solves: {total[0]} (saved {total[1]})")
 
 
 if __name__ == "__main__":

@@ -548,7 +548,7 @@ class _MasterLP:
         self.cost, self.upper = cost, upper.copy()
         self.blocks: list = []
         self.rhs: list = []
-        self.solves = self.iterations = 0
+        self.solves = self.iterations = self.rows = self.rows_max = 0
         self.highs = None if _Highs is None else _Highs()
         if self.highs is not None:
             for key, val in {"output_flag": False, **_LP_OPTIONS}.items():
@@ -560,6 +560,7 @@ class _MasterLP:
             self.highs.passModel(lp)
 
     def add_rows(self, rows, rhs: np.ndarray) -> None:
+        self.rows += rows.shape[0]
         if self.highs is None:
             self.blocks.append(rows)
             self.rhs.append(rhs)
@@ -573,6 +574,7 @@ class _MasterLP:
         from scipy.optimize import linprog
 
         self.solves += 1
+        self.rows_max = max(self.rows_max, self.rows)
         if self.highs is None:
             res = linprog(self.cost, A_ub=sparse.vstack(self.blocks, format="csr"),
                           b_ub=np.concatenate(self.rhs), method="highs", options=_LP_OPTIONS,
@@ -598,40 +600,53 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
     dual maximization is the LP  max C.rho - sum_j lam_j t_j  over rho >= 0,
     mu_j >= v_ij rho_i, and t_j above the accumulated tangents of the
     conjugate.  The LP is built once; each round appends the tangents at the
-    last iterate's multipliers and re-solves it warm (one master LP solve per
-    round, at most `rounds` solves), until the model value (an upper bound on
-    the dual optimum) meets the best true value; the returned model gap is
-    therefore a certified optimality bound.  The rho box only widens, in
-    place, when an iterate presses against it.  Local ascent creeps through
-    argmax kinks microns at a time on degenerate instances; the LP model
-    jumps straight across them.  Returns (value, rho, gap, LP solves)
-    and adds the master's solve and simplex-iteration counts to `stats`.
+    multipliers mu(rho) of the LP's last rho and re-solves it warm (one master
+    LP solve per round, at most `rounds` solves), until the model value meets
+    the best true value.  Local ascent creeps through argmax kinks microns at
+    a time on degenerate instances; the LP model jumps straight across them.
+
+    The edge rows mu_j >= v_ij rho_i are generated lazily (delayed constraint
+    generation): the model starts with the edges within 5% of their item's
+    max at the incoming point, and after every solve each item's first argmax
+    edge at the LP's rho joins it when the LP's mu_j violates that edge's row.
+    Dropping rows only enlarges the feasible set, so the model value stays an
+    upper bound on the dual optimum and the returned model gap stays a
+    certified optimality bound.  The rho box only widens, in place, when an
+    iterate presses against it and no edge row was added: a contract with no
+    row yet is unbounded in the model until its argmax edges join.  Returns
+    (value, rho, gap, LP solves) and adds the master's solve, simplex
+    iteration and row counts to `stats`.
     """
     from scipy import sparse
 
     inst = ws.inst
     nz = np.flatnonzero(ws.nonempty)
-    m2, n, d = nz.size, inst.n_contracts, inst.n_edges
+    m2, n = nz.size, inst.n_contracts
     if m2 == 0 or rounds <= 0:
         return best_val, best_rho, math.inf, 0
     pos = np.full(inst.n_items, -1)
     pos[nz] = np.arange(m2)
 
-    ar = np.arange(d)
     cost = np.concatenate([-ws.targets, np.zeros(m2), ws.lam[nz]])
     rho_cap = 1e4 * (1.0 + float(np.max(best_rho, initial=0.0)))
     upper = np.concatenate([np.full(n, rho_cap), np.full(2 * m2, np.inf)])
     lp = _MasterLP(cost, upper)
-    lp.add_rows(
-        sparse.csr_matrix(
-            (
-                np.concatenate([inst.edge_v, -np.ones(d)]),
-                (np.concatenate([ar, ar]), np.concatenate([inst.edge_i, n + pos[inst.edge_j]])),
+    in_model = np.zeros(inst.n_edges, dtype=bool)
+
+    def add_edge_rows(edges: np.ndarray) -> None:
+        k, ar = edges.size, np.arange(edges.size)
+        lp.add_rows(
+            sparse.csr_matrix(
+                (
+                    np.concatenate([inst.edge_v[edges], -np.ones(k)]),
+                    (np.concatenate([ar, ar]), np.concatenate([inst.edge_i[edges], n + pos[inst.edge_j[edges]]])),
+                ),
+                shape=(k, n + 2 * m2),
             ),
-            shape=(d, n + 2 * m2),
-        ),
-        np.zeros(d),
-    )
+            np.zeros(k),
+        )
+        in_model[edges] = True
+
     rows_mu = np.arange(m2)
 
     def add_tangents(mu_full: np.ndarray) -> None:
@@ -646,6 +661,8 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
         lp.add_rows(block, win[nz] * mu_full[nz] - conj[nz])
 
     mu_w = ws.mu_of(best_rho)
+    mu_e = mu_w[inst.edge_j]
+    add_edge_rows(np.flatnonzero(mu_e - inst.edge_v * best_rho[inst.edge_i] <= 0.05 * mu_e))
     for f in (0.5, 1.0, 2.0, 8.0):
         add_tangents(f * mu_w)
     gap = math.inf
@@ -654,10 +671,18 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
         x, obj, ok = lp.solve(upper)
         if not ok:
             break
-        rho_hat = np.maximum(x[:n], 0.0)
+        rho_hat, mu_lp = np.maximum(x[:n], 0.0), x[n : n + m2]
+        # each item's first argmax edge whose row the LP's point violates
+        mu_hat = ws.mu_of(rho_hat)
+        top = ws.by_item[ws.first_argmax(ws.v_bi * rho_hat[ws.i_bi], mu_hat)]
+        new = top[(mu_hat[nz] - mu_lp > 1e-12 * (1.0 + mu_lp)) & ~in_model[top]]
+        if new.size:
+            add_edge_rows(new)
         if float(np.max(rho_hat, initial=0.0)) > 0.999 * rho_cap:
-            rho_cap *= 100.0
-            upper[:n] = rho_cap
+            # add rows before widening the box: a contract without rows presses it
+            if not new.size:
+                rho_cap *= 100.0
+                upper[:n] = rho_cap
             continue
         val_hat = ws.value(rho_hat)
         if val_hat > best_val:
@@ -666,17 +691,17 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
         gap = model - best_val
         if gap <= 1e-14 * (1.0 + abs(best_val)) + 0.05 * tol * ws.scale:
             break
-        if model >= last_model - 1e-15 * (1.0 + abs(model)):
+        if not new.size and model >= last_model - 1e-15 * (1.0 + abs(model)):
             # tangent violations have dropped below the LP solver's feasibility
             # tolerance; the model cannot tighten further at this scale
             break
         last_model = model
-        mu_lp = np.zeros(inst.n_items)
-        mu_lp[nz] = x[n : n + m2]
-        add_tangents(mu_lp)
+        add_tangents(mu_hat)
     if stats is not None:
         stats["master_solves"] = stats.get("master_solves", 0) + lp.solves
         stats["master_simplex_iterations"] = stats.get("master_simplex_iterations", 0) + lp.iterations
+        stats["master_edge_rows"] = int(in_model.sum())
+        stats["master_rows_max"] = lp.rows_max
         stats["master_backend"] = "linprog" if lp.highs is None else "highs"
     return best_val, best_rho, gap, lp.solves
 
@@ -816,8 +841,10 @@ def solve_dual(
     polish -> routing-LP refine.  `max_iter` budgets the master's LP solves
     (at most 60; `max_iter=0` skips the master); the solves spent are stored
     in stats["iterations"], next to the master's solve and simplex-iteration
-    counts and to the tie roots' batch calls and balance evaluations
-    (stats["tie_root_calls"], stats["tie_root_evals"]).
+    counts, its edge rows in the final model (stats["master_edge_rows"]), the
+    largest row count any master solve saw (stats["master_rows_max"]), and the
+    tie roots' batch calls and balance evaluations (stats["tie_root_calls"],
+    stats["tie_root_evals"]).
 
     Raises InfeasibleInstance when adequate supply fails and NotConverged,
     carrying the best point, when the routing LP's stationarity residual
@@ -867,10 +894,16 @@ def _finish_dual(ws: _Workspace, rho: np.ndarray, value: float, flows=None) -> D
 
 
 def _bids(inst: ProblemInstance, mu: np.ndarray) -> np.ndarray:
-    """Per-item bids g_j^{-1}(mu_j), each mu_j capped at the item's bid cap."""
-    bids = np.zeros(inst.n_items)
-    for j, cost in enumerate(inst.costs):
-        bids[j] = cost.bid_mapping_inverse(min(float(mu[j]), cost.bid_cap))
+    """Per-item bids g_j^{-1}(mu_j), each mu_j capped at the item's bid cap.
+
+    One formula call per family group: the bid is the capped multiplier
+    itself under second price and the family's first-price ``bid`` (the
+    formula behind ``_g_inverse``) under first price.
+    """
+    bids = np.maximum(np.minimum(mu, [cost.bid_cap for cost in inst.costs]), 0.0)
+    for sel, family, first, params in _ItemKernels(inst).all_items:
+        if first:
+            bids[sel] = family.bid(bids[sel], *params)
     return bids
 
 

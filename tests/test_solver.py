@@ -338,13 +338,13 @@ def test_fuzz_corpus_certifies():
 
 
 def _solve_recording_master(inst, monkeypatch, tol=1e-8):
-    """solve() plus the gap and best value of every master phase it ran."""
+    """solve() plus the best value, gap and model value of every master phase it ran."""
     runs = []
     kelley = solver._kelley_phase
 
     def recording(ws, *args, **kwargs):
         out = kelley(ws, *args, **kwargs)
-        runs.append((out[0], out[2], ws.scale))
+        runs.append((out[0], out[2], ws.scale, out[0] + out[2]))
         return out
 
     monkeypatch.setattr(solver, "_kelley_phase", recording)
@@ -366,9 +366,37 @@ def test_master_backends_agree(make, monkeypatch):
     assert warm.report.passed and cold.report.passed
     assert warm.dual.dual_value == pytest.approx(cold.dual.dual_value, rel=1e-9)
     assert warm_runs and cold_runs
-    for value, gap, scale in warm_runs + cold_runs:
+    for value, gap, scale, _ in warm_runs + cold_runs:
         # the phase's stopping rule: model bound within reach of the best value
         assert gap <= 1e-14 * (1.0 + abs(value)) + 0.05 * tol * scale
+    for sol, runs in ((warm, warm_runs), (cold, cold_runs)):
+        _assert_model_bounds_dual(sol, runs)
+
+
+def _assert_model_bounds_dual(sol, runs):
+    # lazy edge rows only relax the master LP, so its model value stays an
+    # upper bound on the certified dual optimum
+    d = sol.dual.dual_value
+    for _, _, _, model in runs:
+        assert model >= d - 1e-12 * (1.0 + abs(d))
+
+
+def test_lazy_master_model_bounds_the_fuzz_duals(monkeypatch):
+    for seed in range(0, 150, 10):
+        sol, runs = _solve_recording_master(_fuzz_instance(seed), monkeypatch)
+        assert sol.report.passed, seed
+        _assert_model_bounds_dual(sol, runs)
+
+
+def test_master_generates_few_edge_rows():
+    # delayed constraint generation: most of the 3661 edge rows never bind,
+    # so never enter the master LP
+    inst = random_sparse_instance(np.random.default_rng(1), 60, 400)
+    stats = {}
+    solve_dual(inst, stats=stats)
+    assert stats["master_edge_rows"] <= inst.n_edges // 2
+    # every solve sees the edge rows plus at most one tangent block of 400 rows per round
+    assert stats["master_rows_max"] < inst.n_edges + 400 * stats["master_solves"]
 
 
 def test_installed_scipy_uses_warm_master():
@@ -526,6 +554,22 @@ def test_recover_primal_without_flows():
     g = np.zeros(inst.n_items)
     np.add.at(g, inst.edge_j, primal.gamma)
     assert np.all(g <= 1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("make", [
+    mixed_instance,
+    lambda: build_instance(
+        [ItemType("m", 1.0, Empirical([(0.5, 0.4), (1.5, 0.8), (3.0, 1.0)]), "first_price"),
+         ItemType("e", 1.0, Exponential(1.3), "first_price")],
+        [Contract("c", 0.5, {"m": 1.0, "e": 0.6})],
+    ),
+], ids=["mixed", "empirical-first-price"])
+def test_grouped_bids_match_per_item_inverse(make):
+    inst = make()
+    for mu in np.geomspace(1e-3, 50.0, 25):
+        mus = mu * np.linspace(0.5, 1.5, inst.n_items)
+        ref = [cost.bid_mapping_inverse(min(m, cost.bid_cap)) for m, cost in zip(mus, inst.costs)]
+        np.testing.assert_array_max_ulp(solver._bids(inst, mus), ref, maxulp=1)
 
 
 def test_recover_primal_without_flows_fails_when_routing_fails(monkeypatch):
