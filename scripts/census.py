@@ -6,6 +6,9 @@ The draws of test_04 (50), test_random_instances_certify (302), test_weak_dualit
 points.  About a minute: `--save FILE.npz` on one checkout, `--compare FILE.npz` on another.
 Each instance's master LP solves (`Solution.iterations`) are saved too, and
 `--compare` prints their census totals: a count that wall time on a busy host cannot blur.
+Each certified plan is also replayed (1e5 expected arrivals, seed 2026); the largest
+|value - target| / se over contracts and |cost - primal value| / se are saved, and
+`--compare` prints how many replays exceed 3 standard errors.
 """
 import argparse
 import sys
@@ -16,7 +19,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from bidopt import NotConverged, random_instance, solve  # noqa: E402
+from bidopt import NotConverged, policy_from_primal, random_instance, simulate, solve  # noqa: E402
 from bidopt.cli import _chain_instance  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
@@ -41,16 +44,27 @@ def corpus():
     yield from ((_chain_instance(rates, targets), {}) for rates, targets in chains)
 
 
+def replay_z(inst, sol) -> tuple[float, float]:
+    """Largest standard-error distance of a replay from the targets, and of its cost from the plan's."""
+    rep = simulate(inst, policy_from_primal(inst, sol.primal), 1e5 / float(inst.rates.sum()), seed=2026)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.abs(rep.value_rate - inst.targets) / rep.value_rate_se
+        cost = abs(rep.cost_rate - sol.report.primal_value) / rep.cost_rate_se
+    return float(np.max(value)), float(cost)
+
+
 def run() -> dict:
     rows = []
     for inst, kw in corpus():
         try:
             rep = (sol := solve(inst, **kw)).report
-            rows.append((sol.dual.rho, rep.dual_value, rep.gap, rep.max_comp_slack, rep.passed, sol.iterations))
+            z = replay_z(inst, sol) if rep.passed else (np.nan, np.nan)
+            rows.append((sol.dual.rho, rep.dual_value, rep.gap, rep.max_comp_slack, rep.passed, sol.iterations, *z))
         except NotConverged:
-            rows.append((np.full(inst.n_contracts, np.nan), np.nan, np.nan, np.nan, False, np.nan))
+            rows.append((np.full(inst.n_contracts, np.nan), *[np.nan] * 3, False, *[np.nan] * 3))
     rho, *rest = zip(*rows)
-    out = dict(zip(("D", "gap", "comp", "certified", "master_solves"), map(np.asarray, rest)))
+    names = ("D", "gap", "comp", "certified", "master_solves", "replay_value_z", "replay_cost_z")
+    out = dict(zip(names, map(np.asarray, rest)))
     return dict(out, rho=np.concatenate(rho), rho_len=np.array([r.size for r in rho]))
 
 
@@ -78,6 +92,10 @@ def main() -> None:
                     for k in ("gap", "comp")))
     total = [f"{np.nansum(run['master_solves']):.0f}" if "master_solves" in run else "n/a" for run in (now, old)]
     print(f"master LP solves: {total[0]} (saved {total[1]})")
+    for k in ("value", "cost"):
+        z = [run.get(f"replay_{k}_z") for run in (now, old)]
+        beyond = [f"{int(np.sum(v > 3.0))}, largest {np.nanmax(v):.3g}" if v is not None else "n/a" for v in z]
+        print(f"replays with {k} beyond 3 se: {beyond[0]} (saved {beyond[1]})")
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ Extension conventions used throughout:
 * ``inverse``  -- 0 for q <= 0, inf for q > total mass, x_bar at q == mass.
 
 Each family writes W (``w``), its running integral (``w_integral``), its
-first-price bid (``bid``), its quantile and its density.  The exact running
-integrals the cost layer assembles into acquisition costs and their convex
-conjugates are derived from them once, here in ``SupplyCurve``:
+first-price bid (``bid``), its quantile (``quantile``) and its density.  The
+exact running integrals the cost layer assembles into acquisition costs and
+their convex conjugates are derived from them once, here in ``SupplyCurve``:
 ``integral_cdf`` is ``w_integral``, ``integral_quantile`` follows by Young's
 equality, and ``partial_mean`` and ``p_bar`` are ``integral_quantile`` at
 W(x) and at the total mass.  Only the unbounded families (Exponential,
@@ -73,12 +73,13 @@ class SupplyCurve:
     family = "abstract"
 
     # -- family formulas ------------------------------------------------------
-    # Each family writes W, its running integral and its first-price bid once,
-    # as w(x, *p), w_integral(mu, *p) and bid(mu, *p) for x, mu >= 0 and
-    # p = formula_params(), plus its quantile _quantile and density _pdf.  The
-    # parametric families make w, w_integral and bid static methods that
-    # broadcast over arrays of parameters, so that one call evaluates a whole
-    # group of curves (``costs.conj_win``).  The quantile integral, partial
+    # Each family writes W, its running integral, its first-price bid and its
+    # quantile once, as w(x, *p), w_integral(mu, *p), bid(mu, *p) and
+    # quantile(q, *p) for x, mu >= 0, q in [0, total mass] and
+    # p = formula_params(), plus its density _pdf.  The parametric families
+    # make them static methods that broadcast over arrays of parameters, so
+    # that one call evaluates a whole group of curves (``costs.conj_win``,
+    # the simulator's price draws).  The quantile integral, partial
     # mean and mean price are derived from these below; only the unbounded
     # families write integral_quantile themselves.
     def formula_params(self) -> tuple:
@@ -98,13 +99,14 @@ class SupplyCurve:
             f"{type(self).__name__} has no first-price bid formula; implement bid for _g_inverse"
         )
 
+    def quantile(self, q, *params):  # pragma: no cover - abstract
+        """W^{-1}(q) for q in [0, total mass]."""
+        raise NotImplementedError
+
     def _cdf(self, x):
         return self.w(x, *self.formula_params())
 
     # -- family-specific raw pieces (valid on the open support) ------------
-    def _quantile(self, q):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _pdf(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -134,7 +136,7 @@ class SupplyCurve:
         mass = self.total_mass
 
         def go(qa):
-            inner = self._quantile(np.clip(qa, 0.0, mass))
+            inner = self.quantile(np.clip(qa, 0.0, mass), *self.formula_params())
             out = np.where(qa <= 0.0, 0.0, inner)
             return np.where(qa > mass, np.inf, out)
 
@@ -252,9 +254,10 @@ class Exponential(SupplyCurve):
             x = x - (x + em / rate - mu) / (2.0 + em)
         return x
 
-    def _quantile(self, q):
+    @staticmethod
+    def quantile(q, rate):
         with np.errstate(divide="ignore"):
-            inner = -np.log1p(-np.minimum(q, 1.0 - 1e-16)) / self.rate
+            inner = -np.log1p(-np.minimum(q, 1.0 - 1e-16)) / rate
         return np.where(q >= 1.0, np.inf, inner)
 
     def _pdf(self, x):
@@ -311,10 +314,10 @@ class Hyperbolic(SupplyCurve):
         # g(x) = x (2c + x) / c  =>  x = c (sqrt(1 + mu/c) - 1)
         return scale * (np.sqrt(1.0 + mu / scale) - 1.0)
 
-    def _quantile(self, q):
-        c = self.scale
+    @staticmethod
+    def quantile(q, scale):
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = c * q / (1.0 - q)
+            out = scale * q / (1.0 - q)
         return np.where(q >= 1.0, np.inf, out)
 
     def _pdf(self, x):
@@ -363,8 +366,9 @@ class BoundedUniform(SupplyCurve):
     def bid(mu, x_max):
         return np.minimum(mu / 2.0, x_max)
 
-    def _quantile(self, q):
-        return q * self.x_max
+    @staticmethod
+    def quantile(q, x_max):
+        return q * x_max
 
     def _pdf(self, x):
         return np.full_like(np.asarray(x, dtype=float), 1.0 / self.x_max)
@@ -412,8 +416,9 @@ class PowerLawDensity(SupplyCurve):
     def bid(mu, w0, x_max):
         return np.minimum(2.0 * mu / 3.0, x_max)
 
-    def _quantile(self, q):
-        return np.sqrt(2.0 * q / self.w0)
+    @staticmethod
+    def quantile(q, w0, x_max):
+        return np.sqrt(2.0 * q / w0)
 
     def _pdf(self, x):
         return self.w0 * x
@@ -476,7 +481,7 @@ class Empirical(SupplyCurve):
     def w(self, x):
         return np.interp(x, self._xs, self._ws)
 
-    def _quantile(self, q):
+    def quantile(self, q):
         return np.interp(q, self._ws, self._xs)
 
     def density(self, x):

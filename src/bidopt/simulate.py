@@ -10,6 +10,17 @@ for -- or abstains -- according to its per-arrival mixing weights.  A bid at
 or above the price wins (ties win) and pays the price on second-price items
 or the bid itself on first-price items.
 
+Each batch is a handful of array operations per (family, auction) group of
+items, not a loop over items.  Items take a fixed order that depends only on
+the instance: grouped by family and auction kind, an empirical curve a group
+of its own.  One Poisson draw gives the batch's arrival counts, then two
+uniform arrays give each arrival a price quantile u and a selection uniform,
+laid out item-contiguous in that order.  An arrival wins when u <= W(b), the
+same event as W^{-1}(u) <= b under inverse transform, so prices are computed
+only for second-price winners, one quantile call per group.  This layout
+replaced a per-item one: the same seed now gives different replays than
+before it, equally distributed.
+
 Batches use RNG streams spawned from one seed, so runs are reproducible
 bit-for-bit, batches are independent (they could run in parallel; sums over
 batches are order-independent), and batch means give honest standard errors.
@@ -26,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import AuctionKind
+from .curves import Empirical
 from .model import ProblemInstance
-from .solver import PrimalSolution
+from .solver import PrimalSolution, _ItemKernels
 
 __all__ = [
     "BidPolicy",
@@ -88,11 +99,11 @@ def policy_from_primal(inst: ProblemInstance, primal: PrimalSolution) -> BidPoli
     ``s_j / (lambda_j W_j(x_j))``, so the realized win rate matches ``s_j``
     even when the solution leaves some win capacity unused.
     """
+    win, _ = _Layout(inst).win_and_pay(primal.x)
+    lam_w = inst.rates * win
     bid_prob = np.zeros(inst.n_items)
-    for j, it in enumerate(inst.items):
-        lam_w = it.arrival_rate * float(it.curve.eval(float(primal.x[j])))
-        if lam_w > 0.0 and primal.s[j] > 0.0:
-            bid_prob[j] = min(1.0, float(primal.s[j]) / lam_w)
+    np.divide(primal.s, lam_w, out=bid_prob, where=(lam_w > 0.0) & (primal.s > 0.0))
+    np.minimum(bid_prob, 1.0, out=bid_prob)
     return BidPolicy(bids=primal.x.copy(), gamma=primal.gamma * bid_prob[inst.edge_j])
 
 
@@ -193,78 +204,153 @@ class ABComparison:
 # the event loop
 
 
-def _check_sampleable(inst: ProblemInstance) -> None:
+def _check_run(inst: ProblemInstance, policies, horizon: float, seed, n_batches: int) -> None:
+    """The argument checks of ``simulate`` and ``ab_compare``, made before any work."""
+    for policy in policies:
+        policy.check(inst)
     for it in inst.items:
         if it.curve.total_mass > 1.0 + 1e-12:
             raise ValueError(
                 f"item {it.id!r}: supply curve carries mass {it.curve.total_mass:.6g} > 1 "
                 "and is not a price distribution"
             )
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
+    if n_batches < 2:
+        raise ValueError("need at least 2 batches for standard errors")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
 
 
 def _batch_rngs(seed, n_batches: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_batches)]
 
 
-def _draw_batch(rng: np.random.Generator, inst: ProblemInstance, t_batch: float, deterministic: bool):
+class _Layout:
+    """The order in which a batch lays out its arrivals, fixed by the instance.
+
+    Items take positions group by group -- the (family, auction) groups of
+    ``solver._ItemKernels``, where an empirical curve is a group of its own --
+    in instance order within a group, and a batch's arrivals lie
+    item-contiguous in position order.  Edges follow their items' positions,
+    in ``item_edges`` order within an item.
+    """
+
+    def __init__(self, inst: ProblemInstance):
+        self.inst = inst
+        self.by_group = _ItemKernels(inst).all_items
+        self.x_bar = np.array([it.curve.x_bar for it in inst.items])
+        self.order = np.concatenate([sel for sel, *_ in self.by_group])
+        self.rank = np.empty(inst.n_items, dtype=np.intp)
+        self.rank[self.order] = np.arange(inst.n_items)
+        # second-price groups by their position slices; an empirical group
+        # prices through its curve's inverse, which also maps u = 0 to 0 when
+        # the support starts above 0
+        self.priced, stop = [], 0
+        for sel, family, first, params in self.by_group:
+            stop += sel.size
+            if not first:
+                quantile = family.inverse if isinstance(family, Empirical) else family.quantile
+                self.priced.append((slice(stop - sel.size, stop), quantile, params))
+        edges = np.argsort(self.rank[inst.edge_j], kind="stable")
+        self.edge_pos = self.rank[inst.edge_j[edges]]
+        self.edge_start = np.searchsorted(self.edge_pos, np.arange(inst.n_items + 1))
+        self.edges = edges
+        self.edge_contract = inst.edge_i[edges]
+        self.edge_value = inst.edge_v[edges]
+
+    def win_and_pay(self, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """W(b) and the expected payment per auction f(b) of every item, one call per group.
+
+        Second price pays the competing price, f(b) = b W(b) - ∫_0^b W (by
+        parts) at b clipped to x_bar; first price pays the bid, f(b) = b W(b).
+        """
+        win, pay = np.empty(bids.size), np.empty(bids.size)
+        for sel, family, first, params in self.by_group:
+            b = np.clip(bids[sel], 0.0, self.x_bar[sel])
+            win[sel] = w = family.w(b, *params)
+            pay[sel] = bids[sel] * w if first else b * w - family.w_integral(b, *params)
+        return win, pay
+
+
+def _draw_batch(rng: np.random.Generator, layout: _Layout, t_batch: float, deterministic: bool):
     """Exogenous randomness for one batch: arrival counts and two uniforms each.
 
-    The first uniform becomes the clearing price by inverse transform; the
-    second selects the contract.  Policies never touch the draws, so several
-    policies can be replayed against the same batch (common random numbers).
+    Counts come in position order, the uniforms item-contiguous in that
+    order.  The first uniform is the price quantile, the second selects the
+    contract.  Policies never touch the draws, so several policies can be
+    replayed against the same batch (common random numbers).
     """
-    if deterministic:
-        counts = np.round(inst.rates * t_batch).astype(np.int64)
-    else:
-        counts = rng.poisson(inst.rates * t_batch)
-    return [(rng.random(int(k)), rng.random(int(k))) for k in counts]
+    rates = layout.inst.rates * t_batch
+    counts = np.round(rates).astype(np.int64) if deterministic else rng.poisson(rates)
+    counts = counts[layout.order]
+    k = int(counts.sum())
+    return counts, rng.random(k), rng.random(k)
 
 
-def _replay(inst: ProblemInstance, policy: BidPolicy, draws) -> tuple[np.ndarray, np.ndarray, float]:
-    """Run one batch of draws under a policy; returns value/win/cost totals."""
-    value = np.zeros(inst.n_contracts)
-    wins = np.zeros(inst.n_items)
-    cost = 0.0
-    for j, it in enumerate(inst.items):
-        u_price, u_sel = draws[j]
-        edges = inst.item_edges(j)
-        if u_price.size == 0 or edges.size == 0:
-            continue
-        cum = np.cumsum(np.maximum(policy.gamma[edges], 0.0))
-        pick = np.searchsorted(cum, u_sel, side="right")
-        placed = pick < edges.size
-        if not np.any(placed):
-            continue
-        bid = float(policy.bids[j])
-        price = np.asarray(it.curve.inverse(u_price[placed]))
-        won = bid >= price
-        k = int(np.count_nonzero(won))
-        if k == 0:
-            continue
-        wins[j] = k
-        if it.auction is AuctionKind.SECOND_PRICE:
-            cost += float(price[won].sum())
-        else:
-            cost += bid * k
-        e_won = edges[pick[placed][won]]
-        np.add.at(value, inst.edge_i[e_won], inst.edge_v[e_won])
-    return value, wins, cost
+class _Plan:
+    """A policy against a layout: the per-position arrays every batch reads.
 
+    An arrival of position p bids when its selection uniform is below the
+    item's total weight ``mix[p]`` and wins when its price quantile is at most
+    ``thr[p] = W(b)``: under inverse transform that is the event
+    W^{-1}(u) <= b, so ties win.  The contract is the first edge whose
+    running weight exceeds the selection uniform, found by one search over
+    the complex keys position + 1j * running weight, which numpy orders
+    lexicographically.
+    """
 
-def _predictions(inst: ProblemInstance, policy: BidPolicy):
-    """Fluid-model rates implied by a policy: per-contract value, per-item wins, cost."""
-    win_prob = np.array(
-        [float(it.curve.eval(float(policy.bids[j]))) for j, it in enumerate(inst.items)]
-    )
-    mix = np.zeros(inst.n_items)
-    np.add.at(mix, inst.edge_j, np.maximum(policy.gamma, 0.0))
-    edge_rate = (inst.rates * win_prob)[inst.edge_j] * np.maximum(policy.gamma, 0.0)
-    value = np.zeros(inst.n_contracts)
-    np.add.at(value, inst.edge_i, edge_rate * inst.edge_v)
-    pay = np.array(
-        [float(cost.expected_cost(float(policy.bids[j]))) for j, cost in enumerate(inst.costs)]
-    )
-    return value, inst.rates * mix * win_prob, float(np.sum(inst.rates * mix * pay))
+    def __init__(self, layout: _Layout, policy: BidPolicy):
+        self.layout = layout
+        self.gamma = np.maximum(policy.gamma, 0.0)
+        self.win, self.pay = layout.win_and_pay(policy.bids)
+        # each item's running weights, summed left to right as np.cumsum sums
+        # them item by item: the k-th sum of every item at once
+        first, deg = layout.edge_start[:-1], np.diff(layout.edge_start)
+        cum = self.gamma[layout.edges]
+        for k in range(1, int(deg.max(initial=0))):
+            at = first[deg > k] + k
+            cum[at] += cum[at - 1]
+        self.keys = layout.edge_pos + 1j * cum
+        self.mix = np.zeros(deg.size)
+        self.mix[deg > 0] = cum[layout.edge_start[1:][deg > 0] - 1]
+        self.thr = self.win[layout.order]
+        self.first_bid = policy.bids[layout.order]
+        for sl, _, _ in layout.priced:
+            self.first_bid[sl] = 0.0
+
+    def replay(self, draws) -> tuple[np.ndarray, np.ndarray, float]:
+        """Run one batch of draws; returns value/win/cost totals."""
+        counts, u_price, u_sel = draws
+        lay = self.layout
+        n = counts.size
+        won = np.flatnonzero(
+            (u_sel < np.repeat(self.mix, counts)) & (u_price <= np.repeat(self.thr, counts))
+        )
+        pos = np.repeat(np.arange(n), counts).take(won)
+        wins = np.bincount(pos, minlength=n)
+        picked = np.searchsorted(self.keys, pos + 1j * u_sel.take(won), side="right")
+        value = np.bincount(
+            lay.edge_contract.take(picked),
+            weights=lay.edge_value.take(picked),
+            minlength=lay.inst.n_contracts,
+        )
+        cost = float(self.first_bid @ wins)
+        u_won = u_price.take(won)
+        start = np.concatenate(([0], np.cumsum(wins)))
+        for sl, quantile, params in lay.priced:
+            u = u_won[start[sl.start] : start[sl.stop]]
+            cost += float(np.sum(quantile(u, *(np.repeat(p, wins[sl]) for p in params))))
+        return value, wins[lay.rank], cost
+
+    def predictions(self):
+        """Fluid-model rates implied by the policy: per-contract value, per-item wins, cost."""
+        inst = self.layout.inst
+        mix = self.mix[self.layout.rank]
+        edge_rate = (inst.rates * self.win)[inst.edge_j] * self.gamma
+        value = np.zeros(inst.n_contracts)
+        np.add.at(value, inst.edge_i, edge_rate * inst.edge_v)
+        return value, inst.rates * mix * self.win, float(np.sum(inst.rates * mix * self.pay))
 
 
 def _mean_se(batch_rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,29 +384,25 @@ def simulate(
     """Replay ``policy`` for ``horizon`` time units and aggregate realized rates.
 
     The horizon splits into ``n_batches`` equal batches with independent RNG
-    streams spawned from ``seed``; standard errors come from the spread of
-    the batch means.  ``csv_path`` dumps the cumulative fulfillment-rate time
+    streams spawned from ``seed``, a nonnegative integer; standard errors
+    come from the spread of the batch means.  ``csv_path`` dumps the cumulative fulfillment-rate time
     series per contract, ``json_path`` the full report.
     """
-    policy.check(inst)
-    _check_sampleable(inst)
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
-    if n_batches < 2:
-        raise ValueError("need at least 2 batches for standard errors")
-
+    _check_run(inst, [policy], horizon, seed, n_batches)
+    layout = _Layout(inst)
+    plan = _Plan(layout, policy)
     t_batch = horizon / n_batches
     batch_value = np.zeros((n_batches, inst.n_contracts))
     batch_wins = np.zeros((n_batches, inst.n_items))
     batch_cost = np.zeros(n_batches)
     for b, rng in enumerate(_batch_rngs(seed, n_batches)):
-        draws = _draw_batch(rng, inst, t_batch, deterministic_arrivals)
-        batch_value[b], batch_wins[b], batch_cost[b] = _replay(inst, policy, draws)
+        draws = _draw_batch(rng, layout, t_batch, deterministic_arrivals)
+        batch_value[b], batch_wins[b], batch_cost[b] = plan.replay(draws)
 
     value_rate, value_se = _mean_se(batch_value / t_batch)
     win_rate, win_se = _mean_se(batch_wins / t_batch)
     cost_rate, cost_se = _mean_se(batch_cost / t_batch)
-    pred_value, pred_win, pred_cost = _predictions(inst, policy)
+    pred_value, pred_win, pred_cost = plan.predictions()
 
     for arr in (value_rate, value_se, pred_value, win_rate, win_se, pred_win):
         arr.setflags(write=False)
@@ -368,22 +450,17 @@ def ab_compare(
     policies = list(policies)
     if len(policies) < 2:
         raise ValueError("need at least two policies to compare")
-    for policy in policies:
-        policy.check(inst)
-    _check_sampleable(inst)
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
-    if n_batches < 2:
-        raise ValueError("need at least 2 batches for standard errors")
-
+    _check_run(inst, policies, horizon, seed, n_batches)
+    layout = _Layout(inst)
+    plans = [_Plan(layout, policy) for policy in policies]
     n_pol = len(policies)
     t_batch = horizon / n_batches
     batch_value = np.zeros((n_pol, n_batches, inst.n_contracts))
     batch_cost = np.zeros((n_pol, n_batches))
     for b, rng in enumerate(_batch_rngs(seed, n_batches)):
-        draws = _draw_batch(rng, inst, t_batch, deterministic_arrivals)
-        for p, policy in enumerate(policies):
-            batch_value[p, b], _, batch_cost[p, b] = _replay(inst, policy, draws)
+        draws = _draw_batch(rng, layout, t_batch, deterministic_arrivals)
+        for p, plan in enumerate(plans):
+            batch_value[p, b], _, batch_cost[p, b] = plan.replay(draws)
 
     cost_rates = batch_cost / t_batch
     cost_rate, cost_se = _mean_se(cost_rates.T)

@@ -61,3 +61,30 @@ def ks_distance(curve, samples: np.ndarray, grid: int = 4096) -> float:
     emp = np.searchsorted(samples, xs, side="right") / n
     model = np.asarray(curve.eval(xs))
     return float(np.max(np.abs(emp - model)))
+
+
+def replay_per_arrival(inst, policy, order, counts, u_price, u_sel):
+    """One batch of the simulator's draws replayed one arrival at a time.
+
+    ``counts[p]`` arrivals of item ``order[p]`` take the next uniforms in
+    turn.  Each arrival picks its contract by a search over the item's own
+    running weights, and wins when the price ``curve.inverse(u)`` is at most
+    the bid.  Returns per-contract value, per-item wins and cost.
+    """
+    value = np.zeros(inst.n_contracts)
+    wins = np.zeros(inst.n_items)
+    cost = 0.0
+    k = 0
+    for j, count in zip(order.tolist(), counts.tolist()):
+        item, edges, bid = inst.items[j], inst.item_edges(j), float(policy.bids[j])
+        cum = np.cumsum(np.maximum(policy.gamma[edges], 0.0))
+        for u, v in zip(u_price[k : k + count].tolist(), u_sel[k : k + count].tolist()):
+            pick = int(np.searchsorted(cum, v, side="right"))
+            price = float(item.curve.inverse(u))
+            if pick == edges.size or price > bid:
+                continue
+            wins[j] += 1
+            cost += price if item.auction.value == "second_price" else bid
+            value[inst.edge_i[edges[pick]]] += inst.edge_v[edges[pick]]
+        k += count
+    return value, wins, cost

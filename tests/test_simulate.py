@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -6,10 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidopt.model import Contract, ItemType, build_instance
-from bidopt.curves import BoundedUniform, Exponential, Hyperbolic, PowerLawDensity
+from bidopt.model import Contract, ItemType, build_instance, random_sparse_instance
+from bidopt.curves import (
+    BoundedUniform,
+    Empirical,
+    Exponential,
+    Hyperbolic,
+    PowerLawDensity,
+    alpha_concavity_check,
+    fit_empirical,
+)
 from bidopt.simulate import BidPolicy, ab_compare, policy_from_primal, simulate
 from bidopt.solver import solve
+from oracles import replay_per_arrival
+
+# the package's ``simulate`` function shadows its module of that name
+simulate_module = importlib.import_module("bidopt.simulate")
 
 
 def scalar_instance():
@@ -238,3 +251,146 @@ def test_replay_bounds(bid, weight, seed):
     assert report.cost_rate >= 0.0
     # single edge with unit value: every win credits the one contract
     assert report.value_rate[0] == pytest.approx(report.win_rate[0])
+
+
+# ---------------------------------------------------------------------------
+# the flat replay against a per-arrival oracle
+
+
+def fitted_curve(seed, first_price):
+    """An empirical curve fitted to exponential prices, 2-concave for first price."""
+    prices = np.random.default_rng(seed).exponential(1.2, size=2000)
+    for clusters in (16, 8, 4):
+        curve = fit_empirical(prices, min_support=float(np.quantile(prices, 0.9)) / clusters)
+        if not first_price or alpha_concavity_check(curve, 2.0):
+            return curve
+    raise AssertionError("no 2-concave fit")
+
+
+def oracle_instance():
+    """Every family under both auctions, edge cases included; returns (instance, policy)."""
+    spec = [  # id, rate, curve, auction, bid
+        ("e2", 3.0, Exponential(1.5), "second_price", 0.9),
+        ("e1", 2.0, Exponential(0.8), "first_price", 0.7),
+        ("h2", 2.5, Hyperbolic(0.7), "second_price", 1.1),
+        ("h1", 2.0, Hyperbolic(1.2), "first_price", 0.0),  # bids 0: never wins
+        ("u2", 2.0, BoundedUniform(2.0), "second_price", 3.0),  # above x_bar
+        ("u1", 1.5, BoundedUniform(1.5), "first_price", 0.6),
+        ("p2", 2.0, PowerLawDensity(0.5, 1.5), "second_price", 2.0),  # mass 0.5625, above x_bar
+        ("p1", 1.0, PowerLawDensity(2.0, 1.0), "first_price", 0.5),
+        ("f2", 2.5, fitted_curve(0, False), "second_price", 1.4),
+        ("f1", 2.0, fitted_curve(1, True), "first_price", 0.8),
+        ("gap", 1.5, Empirical([(0.2, 0.0), (1.0, 0.6), (2.0, 1.0)]), "second_price", 1.2),
+        ("lone", 1.0, Exponential(1.0), "second_price", 1.0),  # no edges
+        ("rare", 1e-9, Exponential(1.0), "second_price", 1.0),  # no arrivals
+    ]
+    items = [ItemType(i, r, c, a) for i, r, c, a, _ in spec]
+    contracts = [
+        Contract("c0", 1.0, {"e2": 1.0, "h2": 0.5, "u2": 0.7, "p2": 1.0, "f2": 0.4, "rare": 1.0}),
+        Contract("c1", 1.0, {"e2": 0.6, "e1": 1.0, "h1": 1.0, "u1": 0.8, "f1": 1.0, "gap": 0.9}),
+        Contract("c2", 1.0, {"e2": 0.3, "e1": 0.5, "h2": 1.2, "u2": 0.2, "p1": 1.0, "f2": 1.0, "f1": 0.5}),
+    ]
+    inst = build_instance(items, contracts)
+    # per item, in contract order: weights summing to exactly 1 with a zero
+    # between (e2), a leading zero (e1), a negative weight clipped to 0 (h2)
+    weights = {
+        "e2": [0.25, 0.0, 0.75], "e1": [0.0, 0.8], "h2": [-1e-13, 0.6], "h1": [0.8],
+        "u2": [0.5, 0.5], "u1": [0.9], "p2": [0.6], "p1": [1.0], "f2": [0.3, 0.4],
+        "f1": [0.5, 0.5], "gap": [0.7], "rare": [1.0],
+    }
+    gamma = np.zeros(inst.n_edges)
+    for j, item in enumerate(inst.items):
+        gamma[inst.item_edges(j)] = weights.get(item.id, [])
+    return inst, BidPolicy(bids=np.array([b for *_, b in spec]), gamma=gamma)
+
+
+def per_item_predictions(inst, policy):
+    """Fluid rates through each item's own curve.eval and expected_cost."""
+    g = np.maximum(policy.gamma, 0.0)
+    win = np.array([float(it.curve.eval(float(b))) for it, b in zip(inst.items, policy.bids)])
+    pay = np.array([float(c.expected_cost(float(b))) for c, b in zip(inst.costs, policy.bids)])
+    mix = np.zeros(inst.n_items)
+    np.add.at(mix, inst.edge_j, g)
+    value = np.zeros(inst.n_contracts)
+    np.add.at(value, inst.edge_i, (inst.rates * win)[inst.edge_j] * g * inst.edge_v)
+    return value, inst.rates * mix * win, float(np.sum(inst.rates * mix * pay))
+
+
+def test_flat_replay_matches_per_arrival_oracle():
+    inst, policy = oracle_instance()
+    layout = simulate_module._Layout(inst)
+    plan = simulate_module._Plan(layout, policy)
+    for rng in simulate_module._batch_rngs(5, 3):
+        counts, u_price, u_sel = draws = simulate_module._draw_batch(rng, layout, 150.0, False)
+        assert counts[layout.rank[-1]] == 0  # the rare item
+        value, wins, cost = plan.replay(draws)
+        o_value, o_wins, o_cost = replay_per_arrival(inst, policy, layout.order, counts, u_price, u_sel)
+        assert np.array_equal(wins, o_wins)
+        assert np.array_equal(value, o_value)
+        assert cost == pytest.approx(o_cost, rel=1e-12)
+        # every branch is exercised: the winning items are exactly those with
+        # a positive bid, weight and W(b) on some edge
+        assert set(np.flatnonzero(wins)) == {
+            j for j, it in enumerate(inst.items) if it.id not in ("h1", "lone", "rare")
+        }
+    p2 = [it.id for it in inst.items].index("p2")
+    assert plan.win[p2] == inst.items[p2].curve.total_mass == 0.5625
+
+
+def test_grouped_predictions_match_per_item_route():
+    inst, policy = oracle_instance()
+    report = simulate(inst, policy, horizon=10.0, seed=0, n_batches=2)
+    value, win, cost = per_item_predictions(inst, policy)
+    assert np.array_equal(report.predicted_value_rate, value)
+    assert np.array_equal(report.predicted_win_rate, win)
+    assert report.predicted_cost_rate == pytest.approx(cost, rel=1e-12)
+
+
+def test_replay_work_is_one_quantile_call_per_group_and_batch(monkeypatch):
+    inst = random_sparse_instance(np.random.default_rng(1), 60, 400)
+    rng = np.random.default_rng(2)
+    gamma = rng.uniform(0.0, 1.0, inst.n_edges)
+    mass = np.zeros(inst.n_items)
+    np.add.at(mass, inst.edge_j, gamma)
+    policy = BidPolicy(bids=rng.uniform(0.0, 2.0, inst.n_items), gamma=gamma / mass[inst.edge_j])
+    calls = []
+    quantile = Exponential.quantile
+
+    def counted(q, rate):
+        calls.append(q.size)
+        return quantile(q, rate)
+
+    monkeypatch.setattr(Exponential, "quantile", staticmethod(counted))
+    horizon = 1e5 / float(inst.rates.sum())
+    report = simulate(inst, policy, horizon=horizon, seed=2026, n_batches=20)
+    # one (exponential, second price) group: the per-item replay made 7,965
+    # inverse calls here
+    assert 0 < len(calls) <= 20
+    assert sum(calls) == pytest.approx(report.win_rate.sum() * horizon)
+    value, win, cost = per_item_predictions(inst, policy)
+    assert np.array_equal(report.predicted_value_rate, value)
+    assert np.array_equal(report.predicted_win_rate, win)
+    assert report.predicted_cost_rate == pytest.approx(cost, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [None, [1, 2], -1, 1.0, True, "7"])
+def test_bad_seed_rejected_before_any_batch(monkeypatch, seed):
+    inst = mixed_instance()
+    policy = BidPolicy(bids=np.ones(inst.n_items), gamma=np.full(inst.n_edges, 0.3))
+
+    def no_batches(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(simulate_module, "_draw_batch", no_batches)
+    with pytest.raises(ValueError, match="seed"):
+        simulate(inst, policy, horizon=1e5, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        ab_compare(inst, [policy, policy], horizon=1e5, seed=seed)
+
+
+def test_numpy_integer_seed_accepted():
+    inst = mixed_instance()
+    policy = BidPolicy(bids=np.ones(inst.n_items), gamma=np.full(inst.n_edges, 0.3))
+    a = simulate(inst, policy, horizon=50.0, seed=np.int64(4))
+    assert a.to_json() == simulate(inst, policy, horizon=50.0, seed=4).to_json()
+    assert ab_compare(inst, [policy, policy], horizon=50.0, seed=np.uint32(4)).seed == 4
