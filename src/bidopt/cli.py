@@ -514,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="path to the command's JSON input")
         p.add_argument("--output", help="result path (directory for figures); stdout if omitted")
         p.add_argument("--tol", type=float, default=1e-8, help="solver / certificate tolerance")
-        p.add_argument("--eps-active", type=float, default=None, dest="eps_active",
-                       help="deprecated and ignored")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (required to simulate)")
         p.add_argument("--horizon", type=float, default=1000.0, help="simulated time span")
         p.add_argument("--margin", type=float, default=1e-6, help="capacity margin for feasibility")
@@ -527,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.eps_active is not None:
-        print("bidopt: --eps-active is deprecated and ignored", file=sys.stderr)
     try:
         config = RunConfig(
             command=args.command,

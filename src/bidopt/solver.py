@@ -9,21 +9,20 @@ contract pseudo-bids alone:
 
     D(rho) = sum_i rho_i C_i - sum_j lambda_j conjugate_j(max_i v_ij rho_i)
 
-which this module maximizes along one path.  A per-contract warm start
-launches it.  A "polish" stage detects the max-tie pattern, snaps tied
-pseudo-bids to exact ratios via a spanning tree per tie component, and
-root-finds the single remaining degree of freedom of all components at once.
-A cutting-plane master problem (outer linearization of the smooth convex
-conjugates; tangent slopes are the win rates), one LP grown by tangent rows
-and re-solved warm, then positions rho globally with a certified model gap,
-and a second polish snaps its vertex onto the tie pattern.  Convergence is
-then *decided*, not assumed, by a transportation LP over the current win
-rates: the point is stationary exactly when demand routes with no shortfall,
+which this module maximizes along one straight path.  A per-contract warm
+start launches a cutting-plane master problem (outer linearization of the
+smooth convex conjugates; tangent slopes are the win rates), one LP grown by
+tangent rows and re-solved warm, which positions rho globally with a
+certified model gap.  The duals of the master's edge rows are an optimal
+allocation of its model (the Dantzig-Wolfe reading), so the edges they load
+give the max-tie pattern: one snap puts the tied pseudo-bids on exact ratios
+via a spanning tree per tie component and root-finds the single remaining
+degree of freedom of all components at once.  Convergence is then *decided*,
+not assumed, by one transportation LP over the win rates at the snapped
+point: the point is stationary exactly when demand routes with no shortfall,
 the routing rides exact ties (zero theta-spend), and no priced supply is left
-unallocated.  When the verdict is negative the same LP supplies the move: a
-line search along its starving cut, or a snap onto the tie pattern its
-routing spans.  A point the routing LP never certifies raises NotConverged.
-Primal recovery takes the allocation from the flows of the routing LP that
+unallocated.  A point that LP does not certify raises NotConverged.  Primal
+recovery takes the allocation from the flows of the routing LP that
 certified the point and rescales them to make fulfillment exact.
 """
 from __future__ import annotations
@@ -265,21 +264,6 @@ class _Workspace:
         sent = np.where(vals == np.repeat(mu[self.nonempty], counts), np.arange(vals.size), vals.size)
         return np.minimum.reduceat(sent, self.starts_nz) if self.starts_nz.size else np.array([], dtype=int)
 
-    def value_grad(self, rho: np.ndarray):
-        """D(rho), mu, a supergradient (lowest-index argmax selection), win rates."""
-        inst = self.inst
-        vals = self.v_bi * rho[self.i_bi]
-        mu = np.zeros(inst.n_items)
-        if self.starts_nz.size:
-            mu[self.nonempty] = np.maximum.reduceat(vals, self.starts_nz)
-        conj, win = self.kernels.conj_win(mu)
-        value = float(rho @ self.targets) - float(self.lam @ conj)
-        first = self.first_argmax(vals, mu)
-        grad = self.targets.copy()
-        take = self.lam[self.nonempty] * win[self.nonempty] * self.v_bi[first]
-        np.subtract.at(grad, self.i_bi[first], take)
-        return value, mu, grad, win
-
     def value(self, rho: np.ndarray) -> float:
         mu = self.mu_of(rho)
         conj, _ = self.kernels.conj_win(mu)
@@ -287,15 +271,7 @@ class _Workspace:
 
 
 # ---------------------------------------------------------------------------
-# tie-pattern polish
-
-
-def _near_ties(ws: _Workspace, rho: np.ndarray, mu: np.ndarray, delta: float) -> np.ndarray:
-    """Edges within relative slack delta of their item's max, on priced items."""
-    inst = ws.inst
-    mu_e = mu[inst.edge_j]
-    theta = mu_e - inst.edge_v * rho[inst.edge_i]
-    return np.flatnonzero((theta <= delta * (1.0 + mu_e)) & (mu_e > 1e-12 * ws.scale))
+# tie-pattern snap
 
 
 def _tie_components(ws: _Workspace, edges: np.ndarray):
@@ -410,9 +386,6 @@ def _tie_roots(ws: _Workspace, demand: np.ndarray, t0: np.ndarray, comp: np.ndar
     return t
 
 
-_POLISH_LADDER = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 1e-6, 1e-8, 1e-10)
-
-
 def _component_updates(ws: _Workspace, rho: np.ndarray, components):
     """Snapped pseudo-bids for every tie component that balances along its ray."""
     comp, beta, item_comp, slope = components
@@ -432,100 +405,24 @@ def _component_updates(ws: _Workspace, rho: np.ndarray, components):
     return updates
 
 
-def _accept_updates(ws: _Workspace, best_val: float, best_rho: np.ndarray, updates,
-                    level: bool = False):
-    """Value-safeguarded acceptance of component snaps.
+def _snap(ws: _Workspace, best_val: float, best_rho: np.ndarray, flows: np.ndarray):
+    """Snap rho onto the tie pattern of an allocation's loaded edges, once.
 
-    Components are disjoint, so at a correct tie pattern the joint snap is the
-    exact maximizer over the tie manifold; a wrong union spoils the whole
-    candidate, so on rejection components are retried one at a time, then a
-    backtracking step toward the joint candidate is the last resort.  With
-    `level`, a joint snap whose value ties the current one to rounding is
-    taken as well: next to the optimum D is flat to within 1e-15, so only the
-    routing LP, not the value, can rank such points.
+    Components are disjoint, so at the right tie pattern the joint snap is
+    the exact maximizer over the tie manifold.  It is kept when its value is
+    no worse than the current one to rounding: next to the optimum D is flat
+    to within 1e-15, so only the routing LP, not the value, can rank such
+    points.
     """
-    improved = False
-    tiny = 1e-15 * (1.0 + abs(best_val))
+    support = np.flatnonzero(flows > 1e-9 * (1.0 + float(flows.max(initial=0.0))))
+    pattern = _pattern_from_support(ws, best_rho, ws.mu_of(best_rho), support)
     cand = best_rho.copy()
-    for idx, vals in updates:
+    for idx, vals in _component_updates(ws, best_rho, pattern):
         cand[idx] = vals
     val = ws.value(cand)
-    if val > best_val + tiny:
-        return val, cand, True
-    if level and val >= best_val - tiny and not np.array_equal(cand, best_rho):
-        return val, cand, True
-    if len(updates) > 1:
-        # largest moves first; cap the sweep to keep polish cheap
-        updates = sorted(updates, key=lambda u: -float(np.max(np.abs(best_rho[u[0]] - u[1]))))
-        for idx, vals in updates[:40]:
-            trial = best_rho.copy()
-            trial[idx] = vals
-            v2 = ws.value(trial)
-            if v2 > best_val + tiny:
-                best_val, best_rho = v2, trial
-                improved = True
-    if not improved:
-        for frac in (0.5, 0.25, 0.1, 0.03):
-            trial = best_rho + frac * (cand - best_rho)
-            v2 = ws.value(trial)
-            if v2 > best_val + tiny:
-                best_val, best_rho = v2, trial
-                improved = True
-                break
-    return best_val, best_rho, improved
-
-
-def _polish(ws: _Workspace, best_val: float, best_rho: np.ndarray):
-    """Walk tie thresholds coarse to fine, keeping only ascent steps."""
-    improved = False
-    for delta in _POLISH_LADDER:
-        for _ in range(6):  # let the pattern settle at this threshold
-            ties = _near_ties(ws, best_rho, ws.mu_of(best_rho), delta)
-            updates = _component_updates(ws, best_rho, _tie_components(ws, ties))
-            if not updates:
-                break
-            best_val, best_rho, acc = _accept_updates(ws, best_val, best_rho, updates)
-            if not acc:
-                break
-            improved = True
-    return best_val, best_rho, improved
-
-
-def _cut_line_search(ws: _Workspace, best_val: float, best_rho: np.ndarray, y: np.ndarray):
-    """Exact concave line search along a starving-cut certificate direction.
-
-    The routing LP's certificate guarantees a positive directional
-    derivative, and moving the whole cut together walks through the
-    argmax-capture kinks that block single-coordinate ascent.  D is concave
-    along the cut, so its maximizer is where the directional derivative
-    changes sign: the step is bracketed by doubling and then bisected on that
-    sign.  Next to a flat optimum a shortfall s along the cut is worth only
-    about s^2 / 2 of D, below what the value can rank, so the step is taken
-    when its value ties the current one to rounding too, for the next routing
-    LP to judge.
-    """
-
-    def slope(h: float) -> float:
-        return float(ws.value_grad(best_rho + h * y)[2] @ y)
-
-    lo, hi = 0.0, 1e-3 * (1.0 + float(np.max(best_rho, initial=0.0)))
-    for _ in range(60):
-        if slope(hi) <= 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    for _ in range(60):
-        if hi - lo <= 1e-15 * (1.0 + hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    cand = best_rho + lo * y
-    cand_val = ws.value(cand)
-    if lo > 0.0 and cand_val >= best_val - 1e-15 * (1.0 + abs(best_val)):
-        return cand_val, cand, True
-    return best_val, best_rho, False
+    if val >= best_val - 1e-15 * (1.0 + abs(best_val)):
+        return val, cand
+    return best_val, best_rho
 
 
 # push HiGHS well below its default feasibility tolerances: model gaps and
@@ -541,13 +438,16 @@ class _MasterLP:
 
     With scipy's vendored HiGHS binding the model is built once and each solve
     hot-starts dual simplex from the previous basis; without it, linprog
-    re-solves the accumulated rows cold.  Lives for one master phase.
+    re-solves the accumulated rows cold.  `row_dual` holds the row duals of
+    the last optimal solve (None before one), one per row it saw.  Lives for
+    one master phase.
     """
 
     def __init__(self, cost: np.ndarray, upper: np.ndarray):
         self.cost, self.upper = cost, upper.copy()
         self.blocks: list = []
         self.rhs: list = []
+        self.row_dual = None
         self.solves = self.iterations = self.rows = self.rows_max = 0
         self.highs = None if _Highs is None else _Highs()
         if self.highs is not None:
@@ -580,6 +480,8 @@ class _MasterLP:
                           b_ub=np.concatenate(self.rhs), method="highs", options=_LP_OPTIONS,
                           bounds=np.column_stack([np.zeros_like(upper), upper]))
             self.iterations += int(res.nit)
+            if res.success:
+                self.row_dual = np.asarray(res.ineqlin.marginals, dtype=float)
             return res.x, (float(res.fun) if res.success else math.nan), bool(res.success)
         cols = np.flatnonzero(upper != self.upper).astype(np.int32)
         if cols.size:
@@ -589,7 +491,10 @@ class _MasterLP:
         info = self.highs.getInfo()
         self.iterations += int(info.simplex_iteration_count)
         ok = self.highs.getModelStatus() == _HighsModelStatus.kOptimal
-        return np.asarray(self.highs.getSolution().col_value), float(info.objective_function_value), ok
+        sol = self.highs.getSolution()
+        if ok:
+            self.row_dual = np.array(sol.row_dual, dtype=float)
+        return np.asarray(sol.col_value), float(info.objective_function_value), ok
 
 
 def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float,
@@ -602,8 +507,8 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
     conjugate.  The LP is built once; each round appends the tangents at the
     multipliers mu(rho) of the LP's last rho and re-solves it warm (one master
     LP solve per round, at most `rounds` solves), until the model value meets
-    the best true value.  Local ascent creeps through argmax kinks microns at
-    a time on degenerate instances; the LP model jumps straight across them.
+    the best true value; the LP model jumps straight across the argmax kinks
+    of degenerate instances.
 
     The edge rows mu_j >= v_ij rho_i are generated lazily (delayed constraint
     generation): the model starts with the edges within 5% of their item's
@@ -613,9 +518,18 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
     upper bound on the dual optimum and the returned model gap stays a
     certified optimality bound.  The rho box only widens, in place, when an
     iterate presses against it and no edge row was added: a contract with no
-    row yet is unbounded in the model until its argmax edges join.  Returns
-    (value, rho, gap, LP solves) and adds the master's solve, simplex
-    iteration and row counts to `stats`.
+    row yet is unbounded in the model until its argmax edges join; an
+    iterate that presses it still adds its tangents.
+
+    The LP's column for a contract with 0 < rho_i below the box has zero
+    reduced cost, C_i = sum_e v_e f_e over the contract's edge rows, where
+    f_e = -(row dual of v_e rho_i - mu_j <= 0) >= 0: the edge-row duals are an
+    allocation of the targets over the model's edges (the Dantzig-Wolfe
+    reading), loading only edges whose rows bind.  Returns (value, rho, gap,
+    LP solves, flows), flows being those duals of the last optimal solve
+    spread over all edges (zero off the model; None when no solve was
+    optimal), and adds the master's solve, simplex iteration and row counts
+    to `stats`.
     """
     from scipy import sparse
 
@@ -623,7 +537,7 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
     nz = np.flatnonzero(ws.nonempty)
     m2, n = nz.size, inst.n_contracts
     if m2 == 0 or rounds <= 0:
-        return best_val, best_rho, math.inf, 0
+        return best_val, best_rho, math.inf, 0, None
     pos = np.full(inst.n_items, -1)
     pos[nz] = np.arange(m2)
 
@@ -632,6 +546,7 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
     upper = np.concatenate([np.full(n, rho_cap), np.full(2 * m2, np.inf)])
     lp = _MasterLP(cost, upper)
     in_model = np.zeros(inst.n_edges, dtype=bool)
+    row_edge = []  # per row block, the edge of each row (-1 on tangent rows)
 
     def add_edge_rows(edges: np.ndarray) -> None:
         k, ar = edges.size, np.arange(edges.size)
@@ -646,6 +561,7 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
             np.zeros(k),
         )
         in_model[edges] = True
+        row_edge.append(edges)
 
     rows_mu = np.arange(m2)
 
@@ -659,6 +575,7 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
             shape=(m2, n + 2 * m2),
         )
         lp.add_rows(block, win[nz] * mu_full[nz] - conj[nz])
+        row_edge.append(np.full(m2, -1))
 
     mu_w = ws.mu_of(best_rho)
     mu_e = mu_w[inst.edge_j]
@@ -683,6 +600,7 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
             if not new.size:
                 rho_cap *= 100.0
                 upper[:n] = rho_cap
+            add_tangents(mu_hat)
             continue
         val_hat = ws.value(rho_hat)
         if val_hat > best_val:
@@ -703,66 +621,30 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
         stats["master_edge_rows"] = int(in_model.sum())
         stats["master_rows_max"] = lp.rows_max
         stats["master_backend"] = "linprog" if lp.highs is None else "highs"
-    return best_val, best_rho, gap, lp.solves
-
-
-def _refine(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float):
-    """Classify the point with the routing LP, move accordingly, and certify.
-
-    Component balance alone is a necessary condition only: a snap balances
-    *any* tie pattern, right or wrong.  Stationarity is the routing LP's
-    verdict: demand routes (no shortfall), the routing rides exact ties
-    (no theta-spend), and every priced item's supply is consumed (no slack
-    value) — the three optimality conditions measured at once.  A shortfall
-    moves the point along the starving cut; otherwise it snaps onto the
-    routing's own tie pattern, even when the value cannot tell the snap from
-    the current point.  Returns (value, rho, converged, worst KKT violation,
-    flows), where flows are the edge flows of the routing LP that certified
-    rho (None when none did).
-    """
-    converged = False
-    lim = tol * ws.scale
-    kkt, flows = math.inf, None
-    for _ in range(12):
-        prev = best_val
-        info = _routing_lp(ws, best_rho)
-        if info is None:  # no verdict on the point, so it is not certified
-            kkt = math.inf
-            break
-        shortfall, theta_cost, slack_value, cut, pat, routed = info
-        kkt = max(shortfall, theta_cost, slack_value)
-        if kkt <= lim:
-            converged, flows = True, routed
-            break
-        moved = False
-        if shortfall > lim:
-            if cut is not None:
-                best_val, best_rho, moved = _cut_line_search(ws, best_val, best_rho, cut)
-        elif pat is not None:
-            updates = _component_updates(ws, best_rho, pat)
-            if updates:
-                best_val, best_rho, moved = _accept_updates(ws, best_val, best_rho, updates, level=True)
-        best_val, best_rho, _ = _polish(ws, best_val, best_rho)
-        if not moved and best_val <= prev + 1e-15 * (1.0 + abs(prev)):
-            break
-    return best_val, best_rho, converged, kkt, flows
+    if lp.row_dual is None:
+        return best_val, best_rho, gap, lp.solves, None
+    edge = np.concatenate(row_edge)[: lp.row_dual.size]
+    flows = np.zeros(inst.n_edges)
+    flows[edge[edge >= 0]] = -lp.row_dual[edge >= 0]
+    return best_val, best_rho, gap, lp.solves, flows
 
 
 def _routing_lp(ws: _Workspace, rho: np.ndarray):
-    """Route demand over current win rates and measure how the point fails.
+    """Route demand over the win rates at rho and measure how the point fails.
 
-    Thresholding near-ties cannot tell a true tie from a small gap; the
-    transportation LP (demands C_i, supplies lambda_j q_j(mu_j), cost theta_e,
-    per-contract slack u_i priced high enough that slack is used only when no
-    routing exists) can.  Lexicographically it minimizes unmet demand first
-    and the theta-spend of the routing second, so one solve yields the demand
-    shortfall, the theta-cost of the cheapest routing, the value of supply
-    left unallocated at positive multipliers, the starving-cut certificate on
-    contracts, the tie pattern spanned by the routing's support, and the
-    routing itself.  Returns (shortfall, theta_cost, slack_value, cut, pattern,
-    flows) or None when the LP fails; stationarity is exactly shortfall =
-    theta_cost = slack_value = 0 (demand routes on exact ties and every priced
-    item is fully consumed), and then the flows are an optimal allocation.
+    Component balance alone is a necessary condition only: a snap balances
+    *any* tie pattern, right or wrong, and thresholding near-ties cannot tell
+    a true tie from a small gap.  The transportation LP (demands C_i,
+    supplies lambda_j q_j(mu_j), cost theta_e, per-contract slack u_i priced
+    high enough that slack is used only when no routing exists) can.
+    Lexicographically it minimizes unmet demand first and the theta-spend of
+    the routing second, so one solve yields the demand shortfall, the
+    theta-cost of the cheapest routing, the value of supply left unallocated
+    at positive multipliers, and the routing itself.  Returns (shortfall,
+    theta_cost, slack_value, flows) or None when the LP fails; stationarity
+    is exactly shortfall = theta_cost = slack_value = 0 (demand routes on
+    exact ties and every priced item is fully consumed), and then the flows
+    are an optimal allocation.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -785,23 +667,15 @@ def _routing_lp(ws: _Workspace, rho: np.ndarray):
     if not r.success:
         return None
     flows = r.x[:d]
-    un = r.x[d:]
-    shortfall = float(un.sum())
-    theta_cost = float(theta @ flows)
-    alloc = cap_mat @ flows
-    slack_value = float(np.clip(sigma - alloc, 0.0, None) @ mu)
-    y = np.clip(np.asarray(r.eqlin.marginals, dtype=float) / big, 0.0, 1.0)
-    cut = y if np.any(y > 0.0) else None
-    support = np.flatnonzero(flows > 1e-10 * (1.0 + float(flows.max(initial=0.0))))
-    pattern = _pattern_from_support(ws, rho, mu, support) if support.size else None
-    return shortfall, theta_cost, slack_value, cut, pattern, flows
+    slack_value = float(np.clip(sigma - cap_mat @ flows, 0.0, None) @ mu)
+    return float(r.x[d:].sum()), float(theta @ flows), slack_value, flows
 
 
 def _pattern_from_support(ws: _Workspace, rho: np.ndarray, mu: np.ndarray, support: np.ndarray):
-    """Tie components of the routing's support edges.
+    """Tie components of an allocation's support edges.
 
     Every priced item outside them still funds its argmax component, not
-    only the items the routing uses.
+    only the items the allocation uses.
     """
     comp, beta, item_comp, slope = _tie_components(ws, support)
     first = np.full(ws.inst.n_items, -1)
@@ -817,7 +691,7 @@ def _warm_start(ws: _Workspace) -> np.ndarray:
     """Per-contract pseudo-bids pretending each contract has its items alone.
 
     Ignoring contention under-prices contested items, so this usually lands
-    below the optimum — a good launch point for ascent.
+    below the optimum; it places the master's first edge rows and tangents.
     """
     inst = ws.inst
     t = _tie_roots(ws, inst.targets, np.ones(inst.n_contracts), inst.edge_i, inst.edge_j, inst.edge_v)
@@ -837,18 +711,19 @@ def solve_dual(
 ) -> DualSolution:
     """Maximize the reduced dual D(rho) over rho >= 0.
 
-    One path: warm start -> tie polish -> warm cutting-plane master -> tie
-    polish -> routing-LP refine.  `max_iter` budgets the master's LP solves
-    (at most 60; `max_iter=0` skips the master); the solves spent are stored
-    in stats["iterations"], next to the master's solve and simplex-iteration
+    One path: warm start -> warm cutting-plane master -> one snap onto the
+    tie pattern of the master's edge-row duals -> one routing-LP verdict.
+    `max_iter` budgets the master's LP solves (at most 60; `max_iter=0` skips
+    the master and with it the snap); the solves spent are stored in
+    stats["iterations"], next to the master's solve and simplex-iteration
     counts, its edge rows in the final model (stats["master_edge_rows"]), the
     largest row count any master solve saw (stats["master_rows_max"]), and the
     tie roots' batch calls and balance evaluations (stats["tie_root_calls"],
     stats["tie_root_evals"]).
 
     Raises InfeasibleInstance when adequate supply fails and NotConverged,
-    carrying the best point, when the routing LP's stationarity residual
-    ends above tol or the routing LP fails.
+    carrying the snapped point, when the routing LP's stationarity residual
+    there is above tol or the routing LP fails.
     """
     chk = check_adequate_supply(inst, margin)
     if not chk:
@@ -862,20 +737,18 @@ def solve_dual(
     warm_val = ws.value(warm)
     if warm_val > best_val:
         best_val, best_rho = warm_val, warm.copy()
-    best_val, best_rho, _ = _polish(ws, best_val, best_rho)
-    # global positioning: the cutting-plane model jumps across the argmax
-    # kink landscape that defeats local ascent on degenerate instances
-    best_val, best_rho, _, used = _kelley_phase(
+    best_val, best_rho, _, used, flows = _kelley_phase(
         ws, best_val, best_rho, tol, rounds=min(60, max_iter), stats=stats
     )
     stats["iterations"] = used
-    if used:
-        best_val, best_rho, _ = _polish(ws, best_val, best_rho)
-    best_val, best_rho, converged, kkt, flows = _refine(ws, best_val, best_rho, tol)
+    if flows is not None:
+        best_val, best_rho = _snap(ws, best_val, best_rho, flows)
+    info = _routing_lp(ws, best_rho)
     stats["tie_root_calls"], stats["tie_root_evals"] = ws.root_calls, ws.root_evals
-    if not converged:
+    kkt = math.inf if info is None else max(info[:3])
+    if kkt > tol * ws.scale:
         raise NotConverged(_finish_dual(ws, best_rho, best_val), kkt)
-    return _finish_dual(ws, best_rho, best_val, flows)
+    return _finish_dual(ws, best_rho, best_val, info[3])
 
 
 def _finish_dual(ws: _Workspace, rho: np.ndarray, value: float, flows=None) -> DualSolution:

@@ -163,15 +163,6 @@ def test_not_converged_exits_3(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("bidopt: ")
 
 
-def test_eps_active_is_deprecated_and_ignored(tmp_path, capsys):
-    inp = write_json(tmp_path / "inst.json", SCALAR)
-    out = tmp_path / "solved.json"
-    assert main(["solve", "--input", inp, "--output", str(out), "--eps-active", "1e-3"]) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert err.count("bidopt: --eps-active is deprecated and ignored") == 1
-    assert json.loads(out.read_text())["certificate"]["relative_gap"] <= 1e-6
-
-
 def test_feasibility_accepts_good_instance(tmp_path):
     inp = write_json(tmp_path / "inst.json", SCALAR)
     out = tmp_path / "feas.json"
@@ -181,10 +172,11 @@ def test_feasibility_accepts_good_instance(tmp_path):
     assert feas["slack"] == 0.0
 
 
-def test_usage_error_exits_1():
+@pytest.mark.parametrize("argv", [["--bogus"], ["--eps-active", "1e-3"]], ids=["bogus", "eps-active"])
+def test_usage_error_exits_1(argv):
     # argparse wants to exit 2 on usage errors; 2 is reserved for infeasibility
     with pytest.raises(SystemExit) as err:
-        main(["solve", "--bogus"])
+        main(["solve", *argv])
     assert err.value.code == 1
 
 

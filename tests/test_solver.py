@@ -94,7 +94,7 @@ def test_mixed_instance_certifies():
 
 
 @given(st.integers(0, 2**32 - 1))
-@example(1973774220)  # flat optimum: the cut step is placed by the directional derivative
+@example(1973774220)  # flat optimum: the snap lowers D by rounding only and is kept for the routing LP
 @settings(max_examples=15, deadline=None)
 def test_weak_duality(seed):
     rng = np.random.default_rng(seed)
@@ -233,17 +233,23 @@ def test_supply_above_unit_mass_is_usable():
 
 
 def test_not_converged_carries_best_iterate(monkeypatch):
-    # with every move refused and no master, the solve stays at the warm
-    # start, which ignores the contention for shared items
-    def refuse(ws, best_val, best_rho, *args, **kwargs):
-        return best_val, best_rho, False
+    # with no master there is no snap, so the solve stays at the warm start,
+    # which ignores the contention for shared items; the routing LP's one
+    # verdict on it fails the solve
+    verdicts = []
+    routing_lp = solver._routing_lp
+
+    def recording(ws, rho):
+        verdicts.append(routing_lp(ws, rho))
+        return verdicts[-1]
 
     inst = mixed_instance()
-    monkeypatch.setattr(solver, "_accept_updates", refuse)
-    monkeypatch.setattr(solver, "_cut_line_search", refuse)
+    monkeypatch.setattr(solver, "_routing_lp", recording)
     with pytest.raises(NotConverged) as exc:
         solve_dual(inst, max_iter=0)
     monkeypatch.undo()
+    assert len(verdicts) == 1
+    assert exc.value.residual == max(verdicts[0][:3])
     best = exc.value.best
     assert isinstance(best, DualSolution)
     assert best.rho.shape == (3,)
@@ -318,8 +324,9 @@ def _fuzz_instance(seed):
     )
 
 
-def test_pre_master_polish_draw_certifies():
-    # fuzz draw 84 (27 x 89, 1949 edges) needs the tie polish before the master
+def test_fuzz_draw_84_certifies():
+    # fuzz draw 84 (27 x 89, 1949 edges): its tie pattern comes from the
+    # master's edge-row duals alone
     inst = _fuzz_instance(84)
     assert (inst.n_contracts, inst.n_items, inst.n_edges) == (27, 89, 1949)
     _certifies_edgewise(solve(inst))
@@ -338,37 +345,46 @@ def test_fuzz_corpus_certifies():
 
 
 def _solve_recording_master(inst, monkeypatch, tol=1e-8):
-    """solve() plus the best value, gap and model value of every master phase it ran."""
-    runs = []
-    kelley = solver._kelley_phase
+    """solve() plus, per master phase it ran, (best value, gap, scale, model value, flows),
+    and the number of routing LPs it solved."""
+    runs, routing = [], []
+    kelley, routing_lp = solver._kelley_phase, solver._routing_lp
 
     def recording(ws, *args, **kwargs):
         out = kelley(ws, *args, **kwargs)
-        runs.append((out[0], out[2], ws.scale, out[0] + out[2]))
+        runs.append((out[0], out[2], ws.scale, out[0] + out[2], out[4]))
         return out
 
+    def counting(ws, rho):
+        routing.append(rho)
+        return routing_lp(ws, rho)
+
     monkeypatch.setattr(solver, "_kelley_phase", recording)
+    monkeypatch.setattr(solver, "_routing_lp", counting)
     sol = solve(inst, tol=tol, certify_tol=1e-5)
     monkeypatch.setattr(solver, "_kelley_phase", kelley)
-    return sol, runs
+    monkeypatch.setattr(solver, "_routing_lp", routing_lp)
+    return sol, runs, len(routing)
 
 
-@pytest.mark.parametrize("make", [
-    mixed_instance,
-    lambda: random_sparse_instance(np.random.default_rng(1), 60, 400),
-], ids=["mixed", "sparse-60x400"])
+SPARSE_60X400 = pytest.param(lambda: random_sparse_instance(np.random.default_rng(1), 60, 400), id="sparse-60x400")
+
+
+@pytest.mark.parametrize("make", [pytest.param(mixed_instance, id="mixed"), SPARSE_60X400])
 def test_master_backends_agree(make, monkeypatch):
     inst = make()
     tol = 1e-8
-    warm, warm_runs = _solve_recording_master(inst, monkeypatch, tol)
+    warm, warm_runs, _ = _solve_recording_master(inst, monkeypatch, tol)
     monkeypatch.setattr(solver, "_Highs", None)
-    cold, cold_runs = _solve_recording_master(inst, monkeypatch, tol)
+    cold, cold_runs, _ = _solve_recording_master(inst, monkeypatch, tol)
     assert warm.report.passed and cold.report.passed
     assert warm.dual.dual_value == pytest.approx(cold.dual.dual_value, rel=1e-9)
     assert warm_runs and cold_runs
-    for value, gap, scale, _ in warm_runs + cold_runs:
+    for value, gap, scale, _, flows in warm_runs + cold_runs:
         # the phase's stopping rule: model bound within reach of the best value
         assert gap <= 1e-14 * (1.0 + abs(value)) + 0.05 * tol * scale
+        # both backends hand their edge-row duals to the snap
+        assert flows is not None and flows.shape == (inst.n_edges,)
     for sol, runs in ((warm, warm_runs), (cold, cold_runs)):
         _assert_model_bounds_dual(sol, runs)
 
@@ -377,15 +393,58 @@ def _assert_model_bounds_dual(sol, runs):
     # lazy edge rows only relax the master LP, so its model value stays an
     # upper bound on the certified dual optimum
     d = sol.dual.dual_value
-    for _, _, _, model in runs:
+    for _, _, _, model, _ in runs:
         assert model >= d - 1e-12 * (1.0 + abs(d))
 
 
 def test_lazy_master_model_bounds_the_fuzz_duals(monkeypatch):
     for seed in range(0, 150, 10):
-        sol, runs = _solve_recording_master(_fuzz_instance(seed), monkeypatch)
+        sol, runs, routing = _solve_recording_master(_fuzz_instance(seed), monkeypatch)
         assert sol.report.passed, seed
         _assert_model_bounds_dual(sol, runs)
+        # one verdict per solve: the routing LP decides, it does not search
+        assert routing == 1, seed
+
+
+@pytest.mark.parametrize("seed", [1, 18, 19, 20, 29])
+def test_box_pressing_rounds_add_tangents(seed):
+    # from the raw warm start the master's first iterates press the rho box;
+    # a round that only widens the box must still add the tangents at the
+    # LP's point, or the box widens x100 a round until HiGHS finds the model
+    # unbounded and the phase ends with gap = inf
+    ws = _Workspace(_fuzz_instance(seed))
+    warm = solver._warm_start(ws)
+    value, _, gap, solves, _ = solver._kelley_phase(ws, ws.value(warm), warm, 1e-8)
+    assert solves > 0
+    assert math.isfinite(gap) and gap <= 1e-6 * (1.0 + abs(value))
+
+
+@pytest.mark.parametrize("make", [pytest.param(mixed_instance, id="mixed"), SPARSE_60X400])
+def test_master_row_duals_route_the_targets(make, monkeypatch):
+    # Dantzig-Wolfe reading of the master: a contract whose pseudo-bid column
+    # is strictly inside its box has zero reduced cost, so the flows read off
+    # the edge-row duals deliver exactly its target
+    inst = make()
+    ws = _Workspace(inst)
+    solved = []
+    master_solve = solver._MasterLP.solve
+
+    def recording(lp, upper):
+        x, obj, ok = master_solve(lp, upper)
+        if ok:
+            solved.append((x[: inst.n_contracts].copy(), upper[: inst.n_contracts].copy()))
+        return x, obj, ok
+
+    monkeypatch.setattr(solver._MasterLP, "solve", recording)
+    warm = solver._warm_start(ws)
+    *_, flows = solver._kelley_phase(ws, ws.value(warm), warm, 1e-8)
+    monkeypatch.undo()
+    rho, cap = solved[-1]
+    assert np.all(flows >= -1e-12)
+    delivered = np.bincount(inst.edge_i, inst.edge_v * flows, minlength=inst.n_contracts)
+    inner = (rho > 0.0) & (rho < cap)
+    assert inner.any()
+    assert np.all(np.abs(delivered - inst.targets)[inner] <= 1e-9 * (1.0 + inst.targets[inner]))
 
 
 def test_master_generates_few_edge_rows():
@@ -630,8 +689,8 @@ def test_certificate_csv(tmp_path):
 
 
 @given(st.integers(0, 2**32 - 1))
-@example(2497590332)  # flat optimum: the cut step is placed by the directional derivative
-@example(100150)  # needs the line search along the routing LP's starving cut
+@example(2497590332)  # the master's vertex is 9e-7 off stationarity; the snap from its duals certifies
+@example(100150)  # the master's vertex is 7e-7 off stationarity; the snap from its duals certifies
 @settings(max_examples=10, deadline=None)
 def test_random_instances_certify(seed):
     rng = np.random.default_rng(seed)
