@@ -9,6 +9,11 @@ matrices.
 Edges are stored contract-major (sorted by contract position, then item
 position), with a precomputed item-major permutation so per-item reductions
 are contiguous-slice operations.
+
+Every LP in bidopt is built and solved here, on scipy's private HiGHS
+binding: one transportation LP over the edges backs the adequate-supply
+check, :func:`max_scalable_target` and the solver's routing LP, and the
+solver's cutting-plane master is a persistent model on the same layer.
 """
 from __future__ import annotations
 
@@ -18,8 +23,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, HighsStatus, _Highs
 
 from .costs import AcquisitionCost, AuctionKind
 from .curves import SupplyCurve, curve_from_json
@@ -315,13 +319,7 @@ class InfeasibilityCertificate:
         pos = {c.id: k for k, c in enumerate(inst.contracts)}
         for cid, w in self.weights.items():
             y[pos[cid]] = w
-        vy = inst.edge_v * y[inst.edge_i]
-        cap = 0.0
-        for j in range(inst.n_items):
-            edges = inst.item_edges(j)
-            if edges.size:
-                cap += (1.0 - margin) * inst.capacities[j] * float(np.max(vy[edges]))
-        return float(y @ inst.targets) - cap > 0.0
+        return _weighted_shortfall(inst, y, margin) > 0.0
 
 
 @dataclass(frozen=True)
@@ -337,20 +335,96 @@ class SupplyCheck:
         return self.feasible
 
 
-def _value_matrix(inst: ProblemInstance) -> sp.csr_matrix:
-    """N x d matrix with v_e in row edge_i[e]."""
-    return sp.csr_matrix(
-        (inst.edge_v, (inst.edge_i, np.arange(inst.n_edges))),
-        shape=(inst.n_contracts, inst.n_edges),
-    )
+# ---------------------------------------------------------------------------
+# the HiGHS layer
 
 
-def _item_matrix(inst: ProblemInstance) -> sp.csr_matrix:
-    """M x d incidence matrix summing edge rates per item."""
-    return sp.csr_matrix(
-        (np.ones(inst.n_edges), (inst.edge_j, np.arange(inst.n_edges))),
-        shape=(inst.n_items, inst.n_edges),
+# push HiGHS well below its default feasibility tolerances: model gaps and
+# routing verdicts are read at the 1e-8 level, where 1e-7-feasible vertices lie
+_LP_OPTIONS = {"output_flag": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+# HiGHS reads bounds of 1e20 or more as infinite and rejects matrix values above 1e15
+_INFINITE_BOUND, _LARGE_VALUE = 1e20, 1e15
+# LP solves and simplex iterations over every HiGHS run in this process
+_lp_work = {"solves": 0, "simplex_iterations": 0}
+
+
+def _highs_status(status: HighsStatus, what: str) -> None:
+    """Raise ValueError when HiGHS rejected a model or rows; run() would still report kOk."""
+    if status == HighsStatus.kError:
+        raise ValueError(f"HiGHS rejected {what}")
+
+
+def _highs_model(cost, upper, row_lower, row_upper, start, index, value) -> _Highs:
+    """HiGHS holding  min cost.x  s.t.  row_lower <= A x <= row_upper, 0 <= x <= upper; A in CSC form."""
+    highs = _Highs()
+    for key, val in _LP_OPTIONS.items():
+        highs.setOptionValue(key, val)
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = row_lower.size
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(cost.size), upper
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = start.astype(np.int32), index.astype(np.int32)
+    lp.a_matrix_.value_ = value
+    _highs_status(highs.passModel(lp), "the LP")
+    return highs
+
+
+def _run_lp(highs: _Highs) -> bool:
+    """Solve (warm from the previous basis, if any); True when the model is optimal."""
+    status = highs.run()
+    _lp_work["solves"] += 1
+    _lp_work["simplex_iterations"] += int(highs.getInfo().simplex_iteration_count)
+    return status != HighsStatus.kError and highs.getModelStatus() == HighsModelStatus.kOptimal
+
+
+def _slack_columns(n: int, price: float):
+    """Extra columns for :func:`_transport_lp`: one slack per demand row at `price`."""
+    return np.full(n, price), np.arange(n + 1), np.arange(n), np.ones(n)
+
+
+def _transport_lp(inst: ProblemInstance, edge_cost, supply, demand, extra):
+    """min edge_cost.R + extra_cost.z  s.t.  lower <= V R + B z <= upper, S R <= supply, R, z >= 0.
+
+    Edge column e has v_e in demand row ``edge_i[e]`` (V) and 1 in supply
+    row ``n + edge_j[e]`` (S).  ``demand`` is (lower, upper) and ``extra`` is
+    (extra_cost, start, index, value), B in CSC form over the demand rows.
+    Returns (x, objective, row_dual) with x = (R, z) and the demand rows'
+    duals before the supply rows', or None when HiGHS ends at no optimum.
+    Raises ValueError naming an input outside the range HiGHS accepts.
+    """
+    n, d = inst.n_contracts, inst.n_edges
+    lower, upper = demand
+    extra_cost, extra_start, extra_index, extra_value = extra
+    for name, vals, limit, kind in (
+        ("valuation", inst.edge_v, _LARGE_VALUE, "matrix values"),
+        ("contract target", extra_value, _LARGE_VALUE, "matrix values"),
+        ("contract target", np.concatenate([lower, upper[np.isfinite(upper)]]), _INFINITE_BOUND, "row bounds"),
+        ("item supply", supply, _INFINITE_BOUND, "row bounds"),
+    ):
+        bad = vals[~(np.abs(vals) < limit)]
+        if bad.size:
+            raise ValueError(f"{name} {bad[0]:g} is outside the range HiGHS accepts ({kind} below {limit:g})")
+    cost = np.concatenate([edge_cost, extra_cost])
+    highs = _highs_model(
+        cost, np.full(cost.size, np.inf),
+        np.concatenate([lower, np.full(supply.size, -np.inf)]), np.concatenate([upper, supply]),
+        np.concatenate([2 * np.arange(d), 2 * d + extra_start]),
+        np.concatenate([np.column_stack([inst.edge_i, n + inst.edge_j]).ravel(), extra_index]),
+        np.concatenate([np.column_stack([inst.edge_v, np.ones(d)]).ravel(), extra_value]),
     )
+    if not _run_lp(highs):
+        return None
+    sol = highs.getSolution()
+    return np.array(sol.col_value), float(highs.getInfo().objective_function_value), np.array(sol.row_dual)
+
+
+def _weighted_shortfall(inst: ProblemInstance, y: np.ndarray, margin: float) -> float:
+    """sum_i y_i C_i - sum_j (1-margin) lambda_j mass_j max_{i in B_j} v_ij y_i (edgeless items add 0)."""
+    best = np.full(inst.n_items, -np.inf)
+    np.maximum.at(best, inst.edge_j, inst.edge_v * y[inst.edge_i])
+    best[np.isneginf(best)] = 0.0
+    return float(y @ inst.targets) - float(((1.0 - margin) * inst.capacities) @ best)
 
 
 def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> SupplyCheck:
@@ -365,38 +439,20 @@ def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> Supply
     """
     if not (0.0 <= margin < 1.0):
         raise ValueError("margin must lie in [0, 1)")
-    n, m, d = inst.n_contracts, inst.n_items, inst.n_edges
-    # variables: R (d) then per-contract slack (n); minimize total slack
-    cost_vec = np.concatenate([np.zeros(d), np.ones(n)])
-    a_eq = sp.hstack([_value_matrix(inst), sp.eye(n, format="csr")], format="csr")
-    a_ub = sp.hstack([_item_matrix(inst), sp.csr_matrix((m, n))], format="csr")
-    cap = (1.0 - margin) * inst.capacities
-    res = linprog(
-        cost_vec,
-        A_ub=a_ub,
-        b_ub=cap,
-        A_eq=a_eq,
-        b_eq=inst.targets,
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"feasibility LP failed: {res.message}")
-    slack = float(res.fun)
+    n, d = inst.n_contracts, inst.n_edges
+    # edge rates R, then per-contract slacks priced 1: minimize the total slack
+    res = _transport_lp(inst, np.zeros(d), (1.0 - margin) * inst.capacities,
+                        (inst.targets, inst.targets), _slack_columns(n, 1.0))
+    if res is None:
+        raise RuntimeError("feasibility LP found no optimum")
+    x, slack, row_dual = res
     if slack <= 1e-9 * (1.0 + float(inst.targets.sum())):
-        witness = np.array(res.x[:d])
+        witness = x[:d]
         witness.setflags(write=False)
         return SupplyCheck(feasible=True, slack=0.0, witness=witness)
 
-    y = np.clip(np.asarray(res.eqlin.marginals, dtype=float), 0.0, 1.0)
-    vy = inst.edge_v * y[inst.edge_i]
-    # weighted capacity sum_j (1-margin) lambda_j mass_j max_{i in B_j} v_ij y_i
-    per_item_max = np.zeros(m)
-    for j in range(m):
-        edges = inst.item_edges(j)
-        if edges.size:
-            per_item_max[j] = float(np.max(vy[edges]))
-    shortfall = float(y @ inst.targets) - float(cap @ per_item_max)
+    y = np.clip(row_dual[:n], 0.0, 1.0)
+    shortfall = _weighted_shortfall(inst, y, margin)
 
     # smallest top-k-by-weight contract set that violates the Hall-type ratio
     order = np.argsort(-y, kind="stable")
@@ -436,17 +492,14 @@ def max_scalable_target(inst: ProblemInstance, margin: float = 1e-6) -> float:
     Solved as one LP: maximize t subject to sum v_ij R_ij >= t C_i and the
     margin-tightened item capacities.
     """
-    n, m, d = inst.n_contracts, inst.n_items, inst.n_edges
-    # variables: R (d), t; minimize -t
-    cost_vec = np.concatenate([np.zeros(d), [-1.0]])
-    fulfill = sp.hstack([-_value_matrix(inst), sp.csr_matrix(inst.targets[:, None])], format="csr")
-    caps = sp.hstack([_item_matrix(inst), sp.csr_matrix((m, 1))], format="csr")
-    a_ub = sp.vstack([fulfill, caps], format="csr")
-    b_ub = np.concatenate([np.zeros(n), (1.0 - margin) * inst.capacities])
-    res = linprog(cost_vec, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"target-scaling LP failed: {res.message}")
-    return float(-res.fun)
+    n, d = inst.n_contracts, inst.n_edges
+    # edge rates R, then t with -C_i in every demand row: minimize -t
+    res = _transport_lp(inst, np.zeros(d), (1.0 - margin) * inst.capacities,
+                        (np.zeros(n), np.full(n, np.inf)),
+                        (np.array([-1.0]), np.array([0, n]), np.arange(n), -inst.targets))
+    if res is None:
+        raise RuntimeError("target-scaling LP found no optimum")
+    return -res[1]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ the routing rides exact ties (zero theta-spend), and no priced supply is left
 unallocated.  A point that LP does not certify raises NotConverged.  Primal
 recovery takes the allocation from the flows of the routing LP that
 certified the point and rescales them to make fulfillment exact.
+
+Both LPs run on the HiGHS layer of :mod:`bidopt.model`; the routing LP is
+its transportation LP with supplies lambda_j q_j(mu_j) and edge costs theta.
 """
 from __future__ import annotations
 
@@ -34,14 +37,8 @@ import numpy as np
 
 from .costs import AuctionKind, conj_win, win_rate
 from .curves import Empirical
-from .model import ProblemInstance, check_adequate_supply
-
-try:  # scipy's vendored HiGHS binding is private; without it the master falls back to linprog
-    from scipy.optimize._highspy._core import HighsLp as _HighsLp
-    from scipy.optimize._highspy._core import HighsModelStatus as _HighsModelStatus
-    from scipy.optimize._highspy._core import _Highs
-except ImportError:  # pragma: no cover - depends on the installed scipy
-    _Highs = None
+from .model import (ProblemInstance, _highs_model, _highs_status, _lp_work, _run_lp, _slack_columns,
+                    _transport_lp, check_adequate_supply)
 
 __all__ = [
     "DualSolution",
@@ -425,72 +422,41 @@ def _snap(ws: _Workspace, best_val: float, best_rho: np.ndarray, flows: np.ndarr
     return best_val, best_rho
 
 
-# push HiGHS well below its default feasibility tolerances: model gaps and
-# routing verdicts are read at the 1e-8 level, where 1e-7-feasible vertices lie
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
-
-
 class _MasterLP:
-    """min cost.x  s.t.  rows.x <= rhs, 0 <= x <= upper, grown by row blocks.
+    """min cost.x  s.t.  rows.x <= rhs, 0 <= x <= upper, grown by rows of two nonzeros.
 
-    With scipy's vendored HiGHS binding the model is built once and each solve
-    hot-starts dual simplex from the previous basis; without it, linprog
-    re-solves the accumulated rows cold.  `row_dual` holds the row duals of
-    the last optimal solve (None before one), one per row it saw.  Lives for
-    one master phase.
+    One HiGHS model is built with no rows; each solve hot-starts dual simplex
+    from the previous basis.  `row_dual` holds the row duals of the last
+    optimal solve (None before one), one per row it saw.  Lives for one
+    master phase.
     """
 
     def __init__(self, cost: np.ndarray, upper: np.ndarray):
-        self.cost, self.upper = cost, upper.copy()
-        self.blocks: list = []
-        self.rhs: list = []
+        self.upper = upper.copy()
         self.row_dual = None
         self.solves = self.iterations = self.rows = self.rows_max = 0
-        self.highs = None if _Highs is None else _Highs()
-        if self.highs is not None:
-            for key, val in {"output_flag": False, **_LP_OPTIONS}.items():
-                self.highs.setOptionValue(key, val)
-            lp = _HighsLp()
-            lp.num_col_ = lp.a_matrix_.num_col_ = cost.size
-            lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, np.zeros(cost.size), self.upper
-            lp.a_matrix_.start_ = np.zeros(cost.size + 1, dtype=np.int32)
-            self.highs.passModel(lp)
+        empty = np.zeros(0)
+        self.highs = _highs_model(cost, self.upper, empty, empty, np.zeros(cost.size + 1), empty, empty)
 
-    def add_rows(self, rows, rhs: np.ndarray) -> None:
-        self.rows += rows.shape[0]
-        if self.highs is None:
-            self.blocks.append(rows)
-            self.rhs.append(rhs)
-            return
-        self.highs.addRows(rows.shape[0], np.full(rows.shape[0], -np.inf), rhs, rows.nnz,
-                           rows.indptr[:-1].astype(np.int32), rows.indices.astype(np.int32), rows.data)
+    def add_rows(self, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray) -> None:
+        """Append rows vals[r, 0] x[cols[r, 0]] + vals[r, 1] x[cols[r, 1]] <= rhs[r]."""
+        k = rhs.size
+        self.rows += k
+        _highs_status(self.highs.addRows(k, np.full(k, -np.inf), rhs, 2 * k, 2 * np.arange(k, dtype=np.int32),
+                                         cols.astype(np.int32).ravel(), vals.ravel()),
+                      "the cutting-plane master's rows")
 
     def solve(self, upper: np.ndarray):
         """(x, objective, optimal) with the column upper bounds set to `upper`."""
-        from scipy import sparse
-        from scipy.optimize import linprog
-
         self.solves += 1
         self.rows_max = max(self.rows_max, self.rows)
-        if self.highs is None:
-            res = linprog(self.cost, A_ub=sparse.vstack(self.blocks, format="csr"),
-                          b_ub=np.concatenate(self.rhs), method="highs", options=_LP_OPTIONS,
-                          bounds=np.column_stack([np.zeros_like(upper), upper]))
-            self.iterations += int(res.nit)
-            if res.success:
-                self.row_dual = np.asarray(res.ineqlin.marginals, dtype=float)
-            return res.x, (float(res.fun) if res.success else math.nan), bool(res.success)
         cols = np.flatnonzero(upper != self.upper).astype(np.int32)
         if cols.size:
             self.highs.changeColsBounds(cols.size, cols, np.zeros(cols.size), upper[cols])
             self.upper = upper.copy()
-        self.highs.run()
+        ok = _run_lp(self.highs)
         info = self.highs.getInfo()
         self.iterations += int(info.simplex_iteration_count)
-        ok = self.highs.getModelStatus() == _HighsModelStatus.kOptimal
         sol = self.highs.getSolution()
         if ok:
             self.row_dual = np.array(sol.row_dual, dtype=float)
@@ -531,8 +497,6 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
     optimal), and adds the master's solve, simplex iteration and row counts
     to `stats`.
     """
-    from scipy import sparse
-
     inst = ws.inst
     nz = np.flatnonzero(ws.nonempty)
     m2, n = nz.size, inst.n_contracts
@@ -549,17 +513,8 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
     row_edge = []  # per row block, the edge of each row (-1 on tangent rows)
 
     def add_edge_rows(edges: np.ndarray) -> None:
-        k, ar = edges.size, np.arange(edges.size)
-        lp.add_rows(
-            sparse.csr_matrix(
-                (
-                    np.concatenate([inst.edge_v[edges], -np.ones(k)]),
-                    (np.concatenate([ar, ar]), np.concatenate([inst.edge_i[edges], n + pos[inst.edge_j[edges]]])),
-                ),
-                shape=(k, n + 2 * m2),
-            ),
-            np.zeros(k),
-        )
+        lp.add_rows(np.column_stack([inst.edge_i[edges], n + pos[inst.edge_j[edges]]]),
+                    np.column_stack([inst.edge_v[edges], -np.ones(edges.size)]), np.zeros(edges.size))
         in_model[edges] = True
         row_edge.append(edges)
 
@@ -567,14 +522,8 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
 
     def add_tangents(mu_full: np.ndarray) -> None:
         conj, win = ws.kernels.conj_win(mu_full)
-        block = sparse.csr_matrix(
-            (
-                np.concatenate([win[nz], -np.ones(m2)]),
-                (np.concatenate([rows_mu, rows_mu]), np.concatenate([n + rows_mu, n + m2 + rows_mu])),
-            ),
-            shape=(m2, n + 2 * m2),
-        )
-        lp.add_rows(block, win[nz] * mu_full[nz] - conj[nz])
+        lp.add_rows(np.column_stack([n + rows_mu, n + m2 + rows_mu]),
+                    np.column_stack([win[nz], -np.ones(m2)]), win[nz] * mu_full[nz] - conj[nz])
         row_edge.append(np.full(m2, -1))
 
     mu_w = ws.mu_of(best_rho)
@@ -620,7 +569,6 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
         stats["master_simplex_iterations"] = stats.get("master_simplex_iterations", 0) + lp.iterations
         stats["master_edge_rows"] = int(in_model.sum())
         stats["master_rows_max"] = lp.rows_max
-        stats["master_backend"] = "linprog" if lp.highs is None else "highs"
     if lp.row_dual is None:
         return best_val, best_rho, gap, lp.solves, None
     edge = np.concatenate(row_edge)[: lp.row_dual.size]
@@ -646,29 +594,19 @@ def _routing_lp(ws: _Workspace, rho: np.ndarray):
     exact ties and every priced item is fully consumed), and then the flows
     are an optimal allocation.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
-
     inst = ws.inst
     mu = ws.mu_of(rho)
     sigma = ws.lam * ws.kernels.win(ws.kernels.all_items, mu)
-    d, n, m = inst.n_edges, inst.n_contracts, inst.n_items
-    ar = np.arange(d)
-    val_mat = sparse.csr_matrix((inst.edge_v, (inst.edge_i, ar)), shape=(n, d))
-    cap_mat = sparse.csr_matrix((np.ones(d), (inst.edge_j, ar)), shape=(m, d))
+    d, n = inst.n_edges, inst.n_contracts
     theta = np.maximum(mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i], 0.0)
     big = 10.0 * (1.0 + float(np.max(theta / inst.edge_v, initial=0.0)))
-
-    a_eq = sparse.hstack([val_mat, sparse.eye(n, format="csr")], format="csr")
-    a_ub = sparse.hstack([cap_mat, sparse.csr_matrix((m, n))], format="csr")
-    c = np.concatenate([theta, np.full(n, big)])
-    r = linprog(c, A_ub=a_ub, b_ub=sigma, A_eq=a_eq, b_eq=inst.targets,
-                bounds=(0.0, None), method="highs", options=_LP_OPTIONS)
-    if not r.success:
+    res = _transport_lp(inst, theta, sigma, (inst.targets, inst.targets), _slack_columns(n, big))
+    if res is None:
         return None
-    flows = r.x[:d]
-    slack_value = float(np.clip(sigma - cap_mat @ flows, 0.0, None) @ mu)
-    return float(r.x[d:].sum()), float(theta @ flows), slack_value, flows
+    x = res[0]
+    flows = x[:d]
+    slack_value = float(np.clip(sigma - np.bincount(inst.edge_j, flows, minlength=inst.n_items), 0.0, None) @ mu)
+    return float(x[d:].sum()), float(theta @ flows), slack_value, flows
 
 
 def _pattern_from_support(ws: _Workspace, rho: np.ndarray, mu: np.ndarray, support: np.ndarray):
@@ -719,17 +657,19 @@ def solve_dual(
     counts, its edge rows in the final model (stats["master_edge_rows"]), the
     largest row count any master solve saw (stats["master_rows_max"]), and the
     tie roots' batch calls and balance evaluations (stats["tie_root_calls"],
-    stats["tie_root_evals"]).
+    stats["tie_root_evals"]), and the solves and simplex iterations of every
+    LP of the solve (stats["lp_solves"], stats["lp_simplex_iterations"]).
 
     Raises InfeasibleInstance when adequate supply fails and NotConverged,
     carrying the snapped point, when the routing LP's stationarity residual
     there is above tol or the routing LP fails.
     """
+    if stats is None:
+        stats = {}
+    work = dict(_lp_work)
     chk = check_adequate_supply(inst, margin)
     if not chk:
         raise InfeasibleInstance(chk)
-    if stats is None:
-        stats = {}
     ws = _Workspace(inst)
     best_rho = np.zeros(inst.n_contracts)
     best_val = ws.value(best_rho)
@@ -745,6 +685,7 @@ def solve_dual(
         best_val, best_rho = _snap(ws, best_val, best_rho, flows)
     info = _routing_lp(ws, best_rho)
     stats["tie_root_calls"], stats["tie_root_evals"] = ws.root_calls, ws.root_evals
+    stats.update({f"lp_{key}": _lp_work[key] - start for key, start in work.items()})
     kkt = math.inf if info is None else max(info[:3])
     if kkt > tol * ws.scale:
         raise NotConverged(_finish_dual(ws, best_rho, best_val), kkt)

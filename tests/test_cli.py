@@ -172,11 +172,25 @@ def test_feasibility_accepts_good_instance(tmp_path):
     assert feas["slack"] == 0.0
 
 
-@pytest.mark.parametrize("argv", [["--bogus"], ["--eps-active", "1e-3"]], ids=["bogus", "eps-active"])
-def test_usage_error_exits_1(argv):
+HUGE_TARGET = {**SCALAR, "contracts": [{"id": "c", "target": 1e300, "valuations": {"p": 1.0}}]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--bogus"], ["solve", "--eps-active", "1e-3"], ["feasibility", "--input"], ["solve", "--input"]],
+    ids=["bogus", "eps-active", "feasibility-huge-target", "solve-huge-target"],
+)
+def test_usage_error_exits_1(argv, tmp_path, capsys):
+    if argv[-1] == "--input":
+        # HiGHS reads a row bound of 1e20 or more as infinite
+        argv = [*argv, write_json(tmp_path / "inst.json", HUGE_TARGET)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("bidopt: contract target 1e+300")
+        return
     # argparse wants to exit 2 on usage errors; 2 is reserved for infeasibility
     with pytest.raises(SystemExit) as err:
-        main(["solve", *argv])
+        main(argv)
     assert err.value.code == 1
 
 

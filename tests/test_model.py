@@ -189,6 +189,39 @@ def test_max_scalable_target():
     assert max_scalable_target(inst, margin=0.1) == pytest.approx(1.8, abs=1e-9)
 
 
+def _scaled_targets(inst, t):
+    return build_instance(list(inst.items), [Contract(c.id, c.target_rate * t, c.valuations) for c in inst.contracts])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda s=s: random_instance(np.random.default_rng(s), 8, 20, edge_prob=0.3), id=f"random-{s}")
+     for s in range(3)]
+    + [pytest.param(lambda s=s: random_sparse_instance(np.random.default_rng(s), 30, 180), id=f"sparse-{s}")
+       for s in range(2)],
+)
+def test_max_scalable_target_is_the_supply_checks_threshold(make):
+    # both LPs go through the one transportation-LP layer: targets just
+    # below t* pass the supply check with a witness, just above it they fail
+    # with a certificate
+    margin = 1e-3
+    inst = make()
+    t = max_scalable_target(inst, margin)
+    below = _scaled_targets(inst, t * (1.0 - 1e-6))
+    chk = check_adequate_supply(below, margin)
+    assert chk
+    R = chk.witness
+    assert np.all(R >= 0.0)
+    delivered = np.bincount(below.edge_i, below.edge_v * R, minlength=below.n_contracts)
+    assert np.all(np.abs(delivered - below.targets) <= 1e-9 * (1.0 + below.targets.sum()))
+    used = np.bincount(below.edge_j, R, minlength=below.n_items)
+    assert np.all(used <= (1.0 - margin) * below.capacities * (1.0 + 1e-9))
+    above = _scaled_targets(inst, t * (1.0 + 1e-6))
+    chk = check_adequate_supply(above, margin)
+    assert not chk
+    assert chk.certificate.verify(above, margin)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_random_instances_feasible_with_uniform_certificates(seed):

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 
 from bidopt.costs import AcquisitionCost
 from bidopt.curves import BoundedUniform, Empirical, Exponential, Hyperbolic, PowerLawDensity
-from bidopt import solver
+from bidopt import model, solver
 from bidopt.model import Contract, ItemType, build_instance, random_instance, random_sparse_instance
 from bidopt.solver import (
     DualSolution,
@@ -341,7 +341,7 @@ def test_fuzz_corpus_certifies():
 
 
 # ---------------------------------------------------------------------------
-# cutting-plane master: warm HiGHS model against the linprog fallback
+# cutting-plane master
 
 
 def _solve_recording_master(inst, monkeypatch, tol=1e-8):
@@ -371,30 +371,26 @@ SPARSE_60X400 = pytest.param(lambda: random_sparse_instance(np.random.default_rn
 
 
 @pytest.mark.parametrize("make", [pytest.param(mixed_instance, id="mixed"), SPARSE_60X400])
-def test_master_backends_agree(make, monkeypatch):
+def test_warm_master_meets_its_gap(make, monkeypatch):
     inst = make()
     tol = 1e-8
-    warm, warm_runs, _ = _solve_recording_master(inst, monkeypatch, tol)
-    monkeypatch.setattr(solver, "_Highs", None)
-    cold, cold_runs, _ = _solve_recording_master(inst, monkeypatch, tol)
-    assert warm.report.passed and cold.report.passed
-    assert warm.dual.dual_value == pytest.approx(cold.dual.dual_value, rel=1e-9)
-    assert warm_runs and cold_runs
-    for value, gap, scale, _, flows in warm_runs + cold_runs:
+    sol, runs, _ = _solve_recording_master(inst, monkeypatch, tol)
+    assert sol.report.passed
+    assert runs
+    for value, gap, scale, _, flows in runs:
         # the phase's stopping rule: model bound within reach of the best value
         assert gap <= 1e-14 * (1.0 + abs(value)) + 0.05 * tol * scale
-        # both backends hand their edge-row duals to the snap
+        # the master hands its edge-row duals to the snap
         assert flows is not None and flows.shape == (inst.n_edges,)
-    for sol, runs in ((warm, warm_runs), (cold, cold_runs)):
-        _assert_model_bounds_dual(sol, runs)
+    _assert_model_bounds_dual(sol, runs)
 
 
 def _assert_model_bounds_dual(sol, runs):
     # lazy edge rows only relax the master LP, so its model value stays an
     # upper bound on the certified dual optimum
     d = sol.dual.dual_value
-    for _, _, _, model, _ in runs:
-        assert model >= d - 1e-12 * (1.0 + abs(d))
+    for _, _, _, bound, _ in runs:
+        assert bound >= d - 1e-12 * (1.0 + abs(d))
 
 
 def test_lazy_master_model_bounds_the_fuzz_duals(monkeypatch):
@@ -459,14 +455,21 @@ def test_master_generates_few_edge_rows():
 
 
 def test_installed_scipy_uses_warm_master():
-    # scipy's HiGHS binding is private API; a scipy that drops it would
-    # silently bring back the cold linprog solves
-    assert solver._Highs is not None
     stats = {}
     solve_dual(mixed_instance(), stats=stats)
-    assert stats["master_backend"] == "highs"
     assert stats["master_solves"] >= 1
     assert stats["iterations"] >= stats["master_solves"]
+
+
+@pytest.mark.parametrize("make", [pytest.param(mixed_instance, id="mixed"), SPARSE_60X400])
+def test_stats_count_every_lp(make):
+    # the HiGHS layer counts every LP of the solve: the feasibility LP, each
+    # master solve and the one routing LP
+    stats = {}
+    solve_dual(make(), stats=stats)
+    assert stats["master_solves"] >= 1
+    assert stats["lp_solves"] == stats["master_solves"] + 2
+    assert stats["lp_simplex_iterations"] >= stats["master_simplex_iterations"]
 
 
 def test_stats_count_tie_roots():
@@ -648,8 +651,10 @@ def test_recover_primal_reuses_the_certifying_flows(monkeypatch):
     def no_lp(*args, **kwargs):
         raise AssertionError("recover_primal solved an LP")
 
-    monkeypatch.setattr("scipy.optimize.linprog", no_lp)
+    monkeypatch.setattr(solver, "_transport_lp", no_lp)
+    solves = model._lp_work["solves"]
     assert certify(inst, recover_primal(inst, dual), dual).passed
+    assert model._lp_work["solves"] == solves
 
 
 def test_solution_json_round_trip(tmp_path):
