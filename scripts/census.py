@@ -6,6 +6,8 @@ The draws of test_04 (50), test_random_instances_certify (302), test_weak_dualit
 points.  About a minute: `--save FILE.npz` on one checkout, `--compare FILE.npz` on another.
 Each instance's master LP solves (`Solution.iterations`) are saved too, and
 `--compare` prints their census totals: a count that wall time on a busy host cannot blur.
+The primal value P (the plan's expected spend) is saved as well, and `--compare` prints the
+largest |dP| / (1 + |P|).
 Each certified plan is also replayed (1e5 expected arrivals, seed 2026); the largest
 |value - target| / se over contracts and |cost - primal value| / se are saved, and
 `--compare` prints how many replays exceed 3 standard errors.
@@ -59,11 +61,12 @@ def run() -> dict:
         try:
             rep = (sol := solve(inst, **kw)).report
             z = replay_z(inst, sol) if rep.passed else (np.nan, np.nan)
-            rows.append((sol.dual.rho, rep.dual_value, rep.gap, rep.max_comp_slack, rep.passed, sol.iterations, *z))
+            rows.append((sol.dual.rho, rep.dual_value, rep.primal_value, rep.gap, rep.max_comp_slack, rep.passed,
+                         sol.iterations, *z))
         except NotConverged:
-            rows.append((np.full(inst.n_contracts, np.nan), *[np.nan] * 3, False, *[np.nan] * 3))
+            rows.append((np.full(inst.n_contracts, np.nan), *[np.nan] * 4, False, *[np.nan] * 3))
     rho, *rest = zip(*rows)
-    names = ("D", "gap", "comp", "certified", "master_solves", "replay_value_z", "replay_cost_z")
+    names = ("D", "P", "gap", "comp", "certified", "master_solves", "replay_value_z", "replay_cost_z")
     out = dict(zip(names, map(np.asarray, rest)))
     return dict(out, rho=np.concatenate(rho), rho_len=np.array([r.size for r in rho]))
 
@@ -88,6 +91,8 @@ def main() -> None:
     print(f"rho and D bit-identical: {now['D'].size - moved.size}; differ at {moved.size}: {moved[:10].tolist()}{more}")
     print(f"max |dD|/(1+|D|): {np.nanmax(np.abs(now['D'] - old['D']) / (1 + np.abs(old['D']))):.3g}, "
           f"max relative d rho: {np.nanmax(d_rho):.3g}")
+    if "P" in old:
+        print(f"max |dP|/(1+|P|): {np.nanmax(np.abs(now['P'] - old['P']) / (1 + np.abs(old['P']))):.3g}")
     print(", ".join(f"max |{k}|: {np.nanmax(np.abs(now[k])):.3g} (saved {np.nanmax(np.abs(old[k])):.3g})"
                     for k in ("gap", "comp")))
     total = [f"{np.nansum(run['master_solves']):.0f}" if "master_solves" in run else "n/a" for run in (now, old)]

@@ -15,10 +15,10 @@ price).  All values are exact extended reals; nothing is clamped.
 Under first price the conjugate is max_x (mu - x) W(x), evaluated at the bid
 each curve family computes in closed form (``SupplyCurve.bid``).  For
 empirical curves that bid is an exact argmax over the segments, where the
-objective is a concave quadratic, so it needs no monotone g.  ``conj_win``
-composes a family's formulas into the conjugate and its derivative, the win
-rate, for one curve or for a group of curves of one family at once;
-``win_rate`` is that win rate alone.
+objective is a concave quadratic, so it needs no monotone g.  Each cost is
+written once over a family's formulas, for one curve or a group of curves of
+one family at once: ``conj_win`` (the conjugate and its derivative, the win
+rate), ``win_rate``, ``spend`` (lam) and ``pay`` (f = lam o W).
 """
 from __future__ import annotations
 
@@ -36,6 +36,8 @@ __all__ = [
     "AcquisitionCost",
     "conj_win",
     "win_rate",
+    "spend",
+    "pay",
     "NotTwoConcave",
     "OutOfRange",
     "NotDifferentiable",
@@ -96,6 +98,25 @@ def win_rate(family, params, mu, first_price: bool):
     return family.w(family.bid(mu, *params) if first_price else mu, *params)
 
 
+def spend(family, params, q, first_price: bool):
+    """Acquisition cost lam(q) at win rates q in [0, total mass]; ``family``, ``params`` as in ``conj_win``.
+
+    Second price: the quantile integral ∫_0^q W^{-1}.  First price: q W^{-1}(q).
+    """
+    if first_price:
+        return q * family.quantile(q, *params)
+    return family.quantile_integral(q, *params)
+
+
+def pay(family, params, x, first_price: bool):
+    """Expected payment per auction f(x) = lam(W(x)) at bids x >= 0; arguments as in ``spend``.
+
+    Second price: ∫_0^x u dW(u) = ∫_0^{W(x)} W^{-1}.  First price: x W(x).
+    """
+    win = family.w(x, *params)
+    return x * win if first_price else family.quantile_integral(win, *params)
+
+
 class AcquisitionCost:
     """Expected-spend machinery for one supply curve under one price rule."""
 
@@ -130,15 +151,7 @@ class AcquisitionCost:
     # ------------------------------------------------------------------
     def expected_cost(self, x):
         """f(x): expected payment per auction at bid x (0 for x <= 0)."""
-        if self.kind is AuctionKind.SECOND_PRICE:
-            return _wrap(x, lambda xa: np.where(xa <= 0, 0.0, self.curve.partial_mean(np.maximum(xa, 0.0))))
-
-        def go(xa):
-            with np.errstate(invalid="ignore"):
-                vals = xa * np.asarray(self.curve.eval(xa))
-            return np.where(xa <= 0, 0.0, vals)
-
-        return _wrap(x, go)
+        return _wrap(x, lambda xa: np.where(xa <= 0.0, 0.0, self._formula(pay, xa)))
 
     def lam(self, q):
         """Expected spend rate to win with probability (or volume) q.
@@ -146,20 +159,8 @@ class AcquisitionCost:
         0 for q <= 0, +inf beyond the total mass, strictly convex between.
         """
         mass = self.total_mass
-        second = self.kind is AuctionKind.SECOND_PRICE
-
-        def go(qa):
-            if second:
-                inner = np.asarray(self.curve.integral_quantile(np.clip(qa, 0.0, mass)))
-            else:
-                qc = np.clip(qa, 0.0, mass)
-                with np.errstate(invalid="ignore"):
-                    inner = qc * np.asarray(self.curve.inverse(qc))
-                inner = np.where(qc == 0.0, 0.0, inner)
-            out = np.where(qa <= 0.0, 0.0, inner)
-            return np.where(qa > mass, np.inf, out)
-
-        return _wrap(q, go)
+        return _wrap(q, lambda qa: np.where(qa > mass, np.inf,
+                                            np.where(qa <= 0.0, 0.0, self._formula(spend, np.minimum(qa, mass)))))
 
     def _formula(self, fn, ma):
         first = self.kind is AuctionKind.FIRST_PRICE

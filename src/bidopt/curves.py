@@ -12,17 +12,17 @@ Extension conventions used throughout:
 * ``inverse``  -- 0 for q <= 0, inf for q > total mass, x_bar at q == mass.
 
 Each family writes W (``w``), its running integral (``w_integral``), its
-first-price bid (``bid``), its quantile (``quantile``) and its density.  The
-exact running integrals the cost layer assembles into acquisition costs and
-their convex conjugates are derived from them once, here in ``SupplyCurve``:
-``integral_cdf`` is ``w_integral``, ``integral_quantile`` follows by Young's
-equality, and ``partial_mean`` and ``p_bar`` are ``integral_quantile`` at
-W(x) and at the total mass.  Only the unbounded families (Exponential,
-Hyperbolic) write ``integral_quantile`` in closed form.
+first-price bid (``bid``), its quantile (``quantile``) and its density; the
+quantile integral ∫_0^q W^{-1} (``quantile_integral``) follows by Young's
+equality, written once in ``SupplyCurve``, and only the unbounded families
+(Exponential, Hyperbolic) write it in closed form.  ``integral_cdf`` and
+``integral_quantile`` wrap ``w_integral`` and ``quantile_integral`` for one
+curve; ``partial_mean`` and ``p_bar`` are ``integral_quantile`` at W(x) and at the mass.
 """
 from __future__ import annotations
 
 import math
+import types
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,6 +58,16 @@ class UndifferentiableAtBreakpoint(UserWarning):
     """
 
 
+class _family_method:
+    """A method bound to what it is looked up on: a family class (with parameter arrays) or one curve."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __get__(self, obj, owner):
+        return types.MethodType(self.fn, owner if obj is None else obj)
+
+
 def _wrap(x, f):
     """Apply ``f`` to ``x`` as a float array, unwrapping 0-d results."""
     arr = np.asarray(x, dtype=float)
@@ -79,9 +89,8 @@ class SupplyCurve:
     # p = formula_params(), plus its density _pdf.  The parametric families
     # make them static methods that broadcast over arrays of parameters, so
     # that one call evaluates a whole group of curves (``costs.conj_win``,
-    # the simulator's price draws).  The quantile integral, partial
-    # mean and mean price are derived from these below; only the unbounded
-    # families write integral_quantile themselves.
+    # ``costs.spend``, the simulator's price draws).  quantile_integral(q, *p)
+    # is derived from them below; only the unbounded families write it.
     def formula_params(self) -> tuple:
         return tuple(self.params().values())
 
@@ -102,6 +111,18 @@ class SupplyCurve:
     def quantile(self, q, *params):  # pragma: no cover - abstract
         """W^{-1}(q) for q in [0, total mass]."""
         raise NotImplementedError
+
+    @_family_method
+    def quantile_integral(self, q, *params):
+        """∫_0^q W^{-1}(u) du for q in [0, total mass].
+
+        Young's equality q W^{-1}(q) = ∫_0^q W^{-1} + ∫_0^{W^{-1}(q)} W with the
+        family's own quantile and w_integral.  Unbounded families write it in
+        closed form: as q nears the mass both terms diverge and cancel
+        (Hyperbolic(1.3) is off by 0.15 absolute at q = 1 - 1e-15).
+        """
+        x = self.quantile(q, *params)
+        return q * x - self.w_integral(x, *params)
 
     def _cdf(self, x):
         return self.w(x, *self.formula_params())
@@ -170,26 +191,12 @@ class SupplyCurve:
         return _wrap(mu, lambda m: self.w_integral(np.maximum(m, 0.0), *self.formula_params()))
 
     def integral_quantile(self, q):
-        """∫_0^q W^{-1}(u) du for q in [0, total mass].
-
-        Young's equality q W^{-1}(q) = ∫_0^q W^{-1} + ∫_0^{W^{-1}(q)} W with the
-        family's own w_integral.  Unbounded families override it in closed
-        form: as q nears the mass both terms diverge and cancel (Hyperbolic(1.3)
-        is off by 0.15 absolute at q = 1 - 1e-15).
-        """
-
-        def go(qa):
-            qa = np.clip(qa, 0.0, self.total_mass)
-            x = np.asarray(self.inverse(qa))
-            return qa * x - self.w_integral(x, *self.formula_params())
-
-        return _wrap(q, go)
+        """∫_0^q W^{-1}(u) du, with q clipped to [0, total mass]."""
+        mass, params = self.total_mass, self.formula_params()
+        return _wrap(q, lambda qa: self.quantile_integral(np.clip(qa, 0.0, mass), *params))
 
     def partial_mean(self, x):
-        """∫_0^x u dW(u), the full first moment for x >= x_bar.
-
-        Equals ∫_0^{W(x)} W^{-1} by the change of variables u = W^{-1}(v).
-        """
+        """∫_0^x u dW(u) = ∫_0^{W(x)} W^{-1}, the full first moment for x >= x_bar."""
         return self.integral_quantile(self.eval(x))
 
     @property
@@ -260,20 +267,15 @@ class Exponential(SupplyCurve):
             inner = -np.log1p(-np.minimum(q, 1.0 - 1e-16)) / rate
         return np.where(q >= 1.0, np.inf, inner)
 
+    @staticmethod
+    def quantile_integral(q, rate):
+        one_m = 1.0 - q
+        # (1-q)ln(1-q) -> 0 as q -> 1
+        term = np.where(one_m > 0.0, one_m * np.log(np.maximum(one_m, 1e-300)), 0.0)
+        return (q + term) / rate
+
     def _pdf(self, x):
         return self.rate * np.exp(-self.rate * x)
-
-    def integral_quantile(self, q):
-        g = self.rate
-
-        def go(qa):
-            qa = np.clip(qa, 0.0, 1.0)
-            one_m = 1.0 - qa
-            # (1-q)ln(1-q) -> 0 as q -> 1
-            term = np.where(one_m > 0.0, one_m * np.log(np.maximum(one_m, 1e-300)), 0.0)
-            return (qa + term) / g
-
-        return _wrap(q, go)
 
     def params(self):
         return {"rate": self.rate}
@@ -320,20 +322,15 @@ class Hyperbolic(SupplyCurve):
             out = scale * q / (1.0 - q)
         return np.where(q >= 1.0, np.inf, out)
 
+    @staticmethod
+    def quantile_integral(q, scale):
+        with np.errstate(divide="ignore"):
+            out = scale * (-q - np.log1p(-q))
+        return np.where(q >= 1.0, np.inf, out)
+
     def _pdf(self, x):
         c = self.scale
         return c / (c + x) ** 2
-
-    def integral_quantile(self, q):
-        c = self.scale
-
-        def go(qa):
-            qa = np.clip(qa, 0.0, 1.0)
-            with np.errstate(divide="ignore"):
-                out = c * (-qa - np.log1p(-qa))
-            return np.where(qa >= 1.0, np.inf, out)
-
-        return _wrap(q, go)
 
     def params(self):
         return {"scale": self.scale}

@@ -146,9 +146,16 @@ class ProblemInstance:
         return out
 
     @cached_property
+    def masses(self) -> np.ndarray:
+        """Total mass of each item's supply curve: its largest win rate per auction."""
+        out = np.array([it.curve.total_mass for it in self.items])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def capacities(self) -> np.ndarray:
         """Most wins per unit time each item can supply: arrival rate times curve mass."""
-        out = self.rates * np.array([it.curve.total_mass for it in self.items])
+        out = self.rates * self.masses
         out.setflags(write=False)
         return out
 
@@ -162,6 +169,20 @@ class ProblemInstance:
     @cached_property
     def costs(self) -> tuple[AcquisitionCost, ...]:
         return tuple(it.cost for it in self.items)
+
+    @cached_property
+    def item_major(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(edge_v, edge_i) in item-major order, the items with edges, and where each one's run starts."""
+        nonempty = self.item_start[:-1] < self.item_start[1:]
+        return self.edge_v[self.by_item], self.edge_i[self.by_item], nonempty, self.item_start[:-1][nonempty]
+
+    def mu_of(self, rho: np.ndarray) -> np.ndarray:
+        """mu_j = max_{i in B_j} v_ij rho_i per item (0 for items no contract values)."""
+        v, i, nonempty, starts = self.item_major
+        mu = np.zeros(self.n_items)
+        if starts.size:
+            mu[nonempty] = np.maximum.reduceat(v * rho[i], starts)
+        return mu
 
     def contract_edges(self, i: int) -> slice:
         return slice(int(self.contract_start[i]), int(self.contract_start[i + 1]))
@@ -421,10 +442,7 @@ def _transport_lp(inst: ProblemInstance, edge_cost, supply, demand, extra):
 
 def _weighted_shortfall(inst: ProblemInstance, y: np.ndarray, margin: float) -> float:
     """sum_i y_i C_i - sum_j (1-margin) lambda_j mass_j max_{i in B_j} v_ij y_i (edgeless items add 0)."""
-    best = np.full(inst.n_items, -np.inf)
-    np.maximum.at(best, inst.edge_j, inst.edge_v * y[inst.edge_i])
-    best[np.isneginf(best)] = 0.0
-    return float(y @ inst.targets) - float(((1.0 - margin) * inst.capacities) @ best)
+    return float(y @ inst.targets) - float(((1.0 - margin) * inst.capacities) @ inst.mu_of(y))
 
 
 def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> SupplyCheck:

@@ -229,19 +229,20 @@ def lob_curve_from_density_csv(path) -> Empirical:
     return Empirical(list(zip(offsets.tolist(), volume.tolist())))
 
 
-def lob_cost(market: LobMarket, j: int, volume: float) -> float:
-    """Cost of a market order of size ``volume`` beyond mid-price notional.
+def lob_cost(market: LobMarket, j: int, volume):
+    """Cost of a market order of size ``volume`` (or of each in an array) beyond mid-price notional.
 
     Walking the book up to the marginal price W^{-1}(V) costs the integral of
     the quantile -- the second-price acquisition cost of the depth curve.
     """
-    if volume < 0.0:
+    volume = np.asarray(volume, dtype=float)
+    if np.any(volume < 0.0):
         raise ValueError("volume must be nonnegative")
     curve = market.curves[j]
     depth = curve.total_mass
-    if volume > depth * (1.0 + 1e-12):
-        raise InsufficientDepth(volume, depth)
-    return float(curve.integral_quantile(min(volume, depth)))
+    if np.any(volume > depth * (1.0 + 1e-12)):
+        raise InsufficientDepth(float(np.max(volume)), depth)
+    return curve.integral_quantile(volume)
 
 
 # ---------------------------------------------------------------------------

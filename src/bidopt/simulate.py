@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import pay
 from .curves import Empirical
 from .model import ProblemInstance
 from .solver import PrimalSolution, _ItemKernels
@@ -239,7 +240,6 @@ class _Layout:
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
         self.by_group = _ItemKernels(inst).all_items
-        self.x_bar = np.array([it.curve.x_bar for it in inst.items])
         self.order = np.concatenate([sel for sel, *_ in self.by_group])
         self.rank = np.empty(inst.n_items, dtype=np.intp)
         self.rank[self.order] = np.arange(inst.n_items)
@@ -262,15 +262,15 @@ class _Layout:
     def win_and_pay(self, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """W(b) and the expected payment per auction f(b) of every item, one call per group.
 
-        Second price pays the competing price, f(b) = b W(b) - ∫_0^b W (by
-        parts) at b clipped to x_bar; first price pays the bid, f(b) = b W(b).
+        f is ``costs.pay``; bids below 0 count as 0, and W is held at the
+        total mass beyond x_bar.
         """
-        win, pay = np.empty(bids.size), np.empty(bids.size)
+        win, paid = np.empty(bids.size), np.empty(bids.size)
         for sel, family, first, params in self.by_group:
-            b = np.clip(bids[sel], 0.0, self.x_bar[sel])
-            win[sel] = w = family.w(b, *params)
-            pay[sel] = bids[sel] * w if first else b * w - family.w_integral(b, *params)
-        return win, pay
+            b = np.maximum(bids[sel], 0.0)
+            win[sel] = family.w(b, *params)
+            paid[sel] = pay(family, params, b, first)
+        return win, paid
 
 
 def _draw_batch(rng: np.random.Generator, layout: _Layout, t_batch: float, deterministic: bool):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import AuctionKind, conj_win, win_rate
+from .costs import AuctionKind, conj_win, spend, win_rate
 from .curves import Empirical
 from .model import (ProblemInstance, _highs_model, _highs_status, _lp_work, _run_lp, _slack_columns,
                     _transport_lp, check_adequate_supply)
@@ -236,23 +236,11 @@ class _Workspace:
         self.inst = inst
         self.kernels = _ItemKernels(inst)
         self.by_item = inst.by_item
-        self.starts = inst.item_start[:-1]
-        self.nonempty = inst.item_start[:-1] < inst.item_start[1:]
-        self.starts_nz = self.starts[self.nonempty]
-        self.v_bi = inst.edge_v[self.by_item]
-        self.i_bi = inst.edge_i[self.by_item]
+        self.v_bi, self.i_bi, self.nonempty, self.starts_nz = inst.item_major
         self.lam = inst.rates
         self.targets = inst.targets
         self.root_calls = self.root_evals = 0  # _tie_roots calls and their balance evaluations
         self.scale = 1.0 + float(inst.targets.sum())
-
-    def mu_of(self, rho: np.ndarray) -> np.ndarray:
-        """mu_j = max_{i in B_j} v_ij rho_i (0 for items nobody values)."""
-        vals = self.v_bi * rho[self.i_bi]
-        mu = np.zeros(self.inst.n_items)
-        if self.starts_nz.size:
-            mu[self.nonempty] = np.maximum.reduceat(vals, self.starts_nz)
-        return mu
 
     def first_argmax(self, vals: np.ndarray, mu: np.ndarray) -> np.ndarray:
         """Item-major position of the first edge attaining each nonempty item's max."""
@@ -262,7 +250,7 @@ class _Workspace:
         return np.minimum.reduceat(sent, self.starts_nz) if self.starts_nz.size else np.array([], dtype=int)
 
     def value(self, rho: np.ndarray) -> float:
-        mu = self.mu_of(rho)
+        mu = self.inst.mu_of(rho)
         conj, _ = self.kernels.conj_win(mu)
         return float(rho @ self.targets) - float(self.lam @ conj)
 
@@ -412,7 +400,7 @@ def _snap(ws: _Workspace, best_val: float, best_rho: np.ndarray, flows: np.ndarr
     points.
     """
     support = np.flatnonzero(flows > 1e-9 * (1.0 + float(flows.max(initial=0.0))))
-    pattern = _pattern_from_support(ws, best_rho, ws.mu_of(best_rho), support)
+    pattern = _pattern_from_support(ws, best_rho, ws.inst.mu_of(best_rho), support)
     cand = best_rho.copy()
     for idx, vals in _component_updates(ws, best_rho, pattern):
         cand[idx] = vals
@@ -526,7 +514,7 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
                     np.column_stack([win[nz], -np.ones(m2)]), win[nz] * mu_full[nz] - conj[nz])
         row_edge.append(np.full(m2, -1))
 
-    mu_w = ws.mu_of(best_rho)
+    mu_w = inst.mu_of(best_rho)
     mu_e = mu_w[inst.edge_j]
     add_edge_rows(np.flatnonzero(mu_e - inst.edge_v * best_rho[inst.edge_i] <= 0.05 * mu_e))
     for f in (0.5, 1.0, 2.0, 8.0):
@@ -539,7 +527,7 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
             break
         rho_hat, mu_lp = np.maximum(x[:n], 0.0), x[n : n + m2]
         # each item's first argmax edge whose row the LP's point violates
-        mu_hat = ws.mu_of(rho_hat)
+        mu_hat = inst.mu_of(rho_hat)
         top = ws.by_item[ws.first_argmax(ws.v_bi * rho_hat[ws.i_bi], mu_hat)]
         new = top[(mu_hat[nz] - mu_lp > 1e-12 * (1.0 + mu_lp)) & ~in_model[top]]
         if new.size:
@@ -595,7 +583,7 @@ def _routing_lp(ws: _Workspace, rho: np.ndarray):
     are an optimal allocation.
     """
     inst = ws.inst
-    mu = ws.mu_of(rho)
+    mu = inst.mu_of(rho)
     sigma = ws.lam * ws.kernels.win(ws.kernels.all_items, mu)
     d, n = inst.n_edges, inst.n_contracts
     theta = np.maximum(mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i], 0.0)
@@ -694,7 +682,7 @@ def solve_dual(
 
 def _finish_dual(ws: _Workspace, rho: np.ndarray, value: float, flows=None) -> DualSolution:
     inst = ws.inst
-    mu = ws.mu_of(rho)
+    mu = inst.mu_of(rho)
     theta = mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]
     rho = rho.copy()
     for arr in (rho, mu, theta, flows):
@@ -707,7 +695,7 @@ def _finish_dual(ws: _Workspace, rho: np.ndarray, value: float, flows=None) -> D
 # primal recovery
 
 
-def _bids(inst: ProblemInstance, mu: np.ndarray) -> np.ndarray:
+def _bids(kernels: _ItemKernels, inst: ProblemInstance, mu: np.ndarray) -> np.ndarray:
     """Per-item bids g_j^{-1}(mu_j), each mu_j capped at the item's bid cap.
 
     One formula call per family group: the bid is the capped multiplier
@@ -715,24 +703,23 @@ def _bids(inst: ProblemInstance, mu: np.ndarray) -> np.ndarray:
     formula behind ``_g_inverse``) under first price.
     """
     bids = np.maximum(np.minimum(mu, [cost.bid_cap for cost in inst.costs]), 0.0)
-    for sel, family, first, params in _ItemKernels(inst).all_items:
+    for sel, family, first, params in kernels.all_items:
         if first:
             bids[sel] = family.bid(bids[sel], *params)
     return bids
 
 
-def _spend_rate(inst: ProblemInstance, s: np.ndarray) -> float:
+def _spend_rate(kernels: _ItemKernels, inst: ProblemInstance, s: np.ndarray) -> float:
     """Expected spend sum_j lambda_j Lambda_j(s_j / lambda_j) at acquisition rates s.
 
-    Win rates are clamped just below the curve's total mass, where Lambda may
-    be infinite.
+    One ``spend`` call per family group.  Win rates are clamped to
+    [0, mass (1 - 1e-12)]: Lambda is 0 at 0 and may be infinite at the mass.
     """
-    value = 0.0
-    for j, cost in enumerate(inst.costs):
-        if s[j] > 0.0:
-            q = min(s[j] / inst.rates[j], cost.total_mass * (1.0 - 1e-12))
-            value += inst.rates[j] * float(cost.lam(q))
-    return float(value)
+    q = np.clip(s / inst.rates, 0.0, inst.masses * (1.0 - 1e-12))
+    lam = np.empty(inst.n_items)
+    for sel, family, first, params in kernels.all_items:
+        lam[sel] = spend(family, params, q[sel], first)
+    return float(inst.rates @ lam)
 
 
 def recover_primal(inst: ProblemInstance, dual: DualSolution) -> PrimalSolution:
@@ -746,9 +733,10 @@ def recover_primal(inst: ProblemInstance, dual: DualSolution) -> PrimalSolution:
     rho, and NotConverged is raised when that LP fails.  Each contract's row
     is then scaled to make fulfillment exact.
     """
+    ws = _Workspace(inst)
     flows = dual.flows
     if flows is None:
-        info = _routing_lp(_Workspace(inst), np.asarray(dual.rho, dtype=float))
+        info = _routing_lp(ws, np.asarray(dual.rho, dtype=float))
         if info is None:
             raise NotConverged(dual, math.inf)
         flows = info[-1]
@@ -756,14 +744,14 @@ def recover_primal(inst: ProblemInstance, dual: DualSolution) -> PrimalSolution:
     delivered = np.bincount(inst.edge_i, inst.edge_v * R, minlength=inst.n_contracts)
     R *= np.divide(inst.targets, delivered, out=np.ones(inst.n_contracts), where=delivered > 0.0)[inst.edge_i]
     s = np.bincount(inst.edge_j, R, minlength=inst.n_items)
-    bids = _bids(inst, np.asarray(dual.mu, dtype=float))
+    bids = _bids(ws.kernels, inst, np.asarray(dual.mu, dtype=float))
     gamma = np.zeros(inst.n_edges)
     nz = s[inst.edge_j] > 0.0
     gamma[nz] = R[nz] / s[inst.edge_j[nz]]
 
     for arr in (s, R, bids, gamma):
         arr.setflags(write=False)
-    return PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(inst, s))
+    return PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(ws.kernels, inst, s))
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +775,7 @@ def certify(
 
     comp = float(np.max(dual.theta * primal.R, initial=0.0)) / (1.0 + abs(p))
 
-    ws = _Workspace(inst)
-    mu_res = float(np.max(np.abs(ws.mu_of(np.asarray(dual.rho)) - dual.mu), initial=0.0))
+    mu_res = float(np.max(np.abs(inst.mu_of(np.asarray(dual.rho)) - dual.mu), initial=0.0))
     # at optimum every contract prices off its cheapest useful item:
     # rho_i = min over edges of contract i of mu_j / v_ij
     ratio = dual.mu[inst.edge_j] / inst.edge_v
@@ -837,44 +824,32 @@ def solve(
 def solve_uniform_bid(inst: ProblemInstance):
     """Single pseudo-bid special case: all valuations 1, complete bipartite graph.
 
-    Bisection (tol 1e-12) on the monotone root of
-    sum_j lambda_j W_j(g_j^{-1}(rho)) = sum_i C_i, then proportional fill.
+    The monotone root of sum_j lambda_j W_j(g_j^{-1}(rho)) = sum_i C_i is one
+    tie component with every item at slope 1 (``_tie_roots``), then
+    proportional fill.  Raises InfeasibleInstance when the supply cannot
+    reach the total target.
     """
     if inst.n_edges != inst.n_contracts * inst.n_items:
         raise PreconditionViolated("every contract must value every item")
     if not np.allclose(inst.edge_v, 1.0, rtol=0.0, atol=0.0):
         raise PreconditionViolated("all valuations must equal 1")
     total = float(inst.targets.sum())
-    lam = inst.rates
-    costs = inst.costs
-
-    def acquired(rho: float) -> float:
-        return float(sum(l * c.win_probability(rho) for l, c in zip(lam, costs)))
-
-    hi = 1.0
-    for _ in range(200):
-        if acquired(hi) >= total:
-            break
-        hi *= 2.0
-    else:
+    ws = _Workspace(inst)
+    m = inst.n_items
+    rho_star = float(_tie_roots(ws, np.array([total]), np.ones(1), np.zeros(m, dtype=np.intp),
+                                np.arange(m), np.ones(m))[0])
+    if math.isnan(rho_star):
         raise InfeasibleInstance(None)
-    lo = 0.0
-    while hi - lo > 1e-12 * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if acquired(mid) >= total:
-            hi = mid
-        else:
-            lo = mid
-    rho_star = 0.5 * (lo + hi)
 
-    bids = _bids(inst, np.full(inst.n_items, rho_star))
-    s = np.array([l * c.win_probability(rho_star) for l, c in zip(lam, costs)])
+    mu = np.full(m, rho_star)
+    bids = _bids(ws.kernels, inst, mu)
+    s = inst.rates * ws.kernels.win(ws.kernels.all_items, mu)
     share = inst.targets / total
     R = s[inst.edge_j] * share[inst.edge_i]
     gamma = np.where(s[inst.edge_j] > 0.0, share[inst.edge_i], 0.0)
     for arr in (s, R, bids, gamma):
         arr.setflags(write=False)
-    return rho_star, PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(inst, s))
+    return rho_star, PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(ws.kernels, inst, s))
 
 
 # ---------------------------------------------------------------------------
@@ -911,20 +886,23 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
     ws = _Workspace(inst)
     dual = DualSolution(rho=rho, mu=mu, theta=theta, dual_value=ws.value(rho))
 
-    pos = {
-        (inst.contracts[int(inst.edge_i[e])].id, inst.items[int(inst.edge_j[e])].id): e
-        for e in range(inst.n_edges)
-    }
+    # each entry's edge by the contract-major key edge_i * n_items + edge_j, strictly increasing
+    c_pos = {c.id: k for k, c in enumerate(inst.contracts)}
+    j_pos = {it.id: k for k, it in enumerate(inst.items)}
+    entries = obj["R"]
+    ij = np.array([(c_pos.get(c, -1), j_pos.get(j, -1)) for c, j, _ in entries], dtype=np.intp).reshape(-1, 2)
+    key = ij[:, 0] * inst.n_items + ij[:, 1]
+    edge_key = inst.edge_i * inst.n_items + inst.edge_j
+    e = np.minimum(np.searchsorted(edge_key, key), inst.n_edges - 1)
+    bad = np.flatnonzero((ij.min(axis=1) < 0) | (edge_key[e] != key))
+    if bad.size:
+        raise ValueError(f"allocation entry {tuple(entries[bad[0]][:2])!r} is not an instance edge")
     R = np.zeros(inst.n_edges)
-    for cid, iid, val in obj["R"]:
-        key = (cid, iid)
-        if key not in pos:
-            raise ValueError(f"allocation entry {key!r} is not an instance edge")
-        R[pos[key]] = float(val)
+    R[e] = [float(val) for *_, val in entries]
     gamma = np.zeros(inst.n_edges)
     nz = s[inst.edge_j] > 0.0
     gamma[nz] = R[nz] / s[inst.edge_j[nz]]
-    primal = PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(inst, s))
+    primal = PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(ws.kernels, inst, s))
     report = certify(inst, primal, dual)
     return Solution(
         dual=dual,

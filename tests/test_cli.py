@@ -253,6 +253,25 @@ def test_short_solution_lists_exit_1(tmp_path, capsys, field, command):
     assert captured.err.startswith("bidopt: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("entry", [["u", "c", 0.1], ["v", "a", 0.1], ["w", "a", 0.1], ["u", "z", 0.1]],
+                         ids=["unvalued-pair", "unvalued-pair-wrapping", "unknown-contract", "unknown-item"])
+def test_allocation_off_the_edges_exits_1(tmp_path, capsys, entry):
+    # an allocation entry must name an instance edge; contract u values a
+    # and b, contract v values b and c
+    inp = write_json(tmp_path / "inst.json", MIXED)
+    solved = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
+    doc = json.loads(solved.read_text())
+    doc["solution"]["R"].append(entry)
+    write_json(solved, doc)
+    capsys.readouterr()
+    assert main(["certify", "--input", str(solved)]) == 1
+    captured = capsys.readouterr()
+    assert "certified" not in captured.out
+    assert captured.err.startswith("bidopt: ") and "is not an instance edge" in captured.err
+    assert repr((entry[0], entry[1])) in captured.err
+
+
 # ---------------------------------------------------------------------------
 # budget / markowitz
 

@@ -14,9 +14,11 @@ from bidopt.costs import (
     OutOfRange,
     adaptive_simpson,
     dark_pool_identity_check,
+    pay,
     quadrature_integral_cdf,
     quadrature_integral_quantile,
     quadrature_partial_mean,
+    spend,
     write_cost_grid,
 )
 from bidopt.curves import (
@@ -302,6 +304,45 @@ def test_exact_integrals_match_quadrature():
             assert curve.partial_mean(x) == pytest.approx(
                 quadrature_partial_mean(curve, x), abs=1e-8
             ), curve
+
+    # grouped spend and pay, one call per family group, under both auctions:
+    # q from 0 to the mass and x from 0 to beyond x_bar, where W is held at
+    # the mass; then AcquisitionCost's conventions at q beyond the mass and x <= 0
+    groups = [
+        [Exponential(0.7), Exponential(1.9)],
+        [Hyperbolic(1.3), Hyperbolic(0.5)],
+        [BoundedUniform(1.0), BoundedUniform(2.5)],
+        [PowerLawDensity(2.0, 1.0), PowerLawDensity(0.8, 2.0)],
+        [EMP],
+        [curves[-1]],  # spread gap below 0.3
+    ]
+    for group in groups:
+        family = group[0] if isinstance(group[0], Empirical) else type(group[0])
+        params = tuple(np.array(col) for col in zip(*(c.formula_params() for c in group)))
+        mass = np.array([c.total_mass for c in group])
+        hi = np.array([c.x_bar if math.isfinite(c.x_bar) else 1.6 for c in group])
+        for frac in (0.0, 0.3, 0.77, 1.0):
+            q = frac * mass
+            second, first = spend(family, params, q, False), spend(family, params, q, True)
+            for k, curve in enumerate(group):
+                bounded = math.isfinite(curve.x_bar)
+                ref = quadrature_integral_quantile(curve, q[k]) if frac < 1.0 or bounded else curve.p_bar
+                assert second[k] == pytest.approx(ref, abs=1e-8), (curve, frac)
+                assert first[k] == pytest.approx(q[k] * float(curve.inverse(q[k])), abs=1e-12), (curve, frac)
+        for frac in (0.0, 0.4, 0.9, 1.5):
+            x = frac * hi
+            second, first = pay(family, params, x, False), pay(family, params, x, True)
+            for k, curve in enumerate(group):
+                ref = quadrature_partial_mean(curve, x[k])
+                assert second[k] == pytest.approx(ref, abs=1e-8), (curve, frac)
+                assert first[k] == pytest.approx(x[k] * float(curve.eval(x[k])), abs=1e-12), (curve, frac)
+        for k, curve in enumerate(group):
+            for kind in AuctionKind:
+                if kind is AuctionKind.FIRST_PRICE and not alpha_concavity_check(curve, 2.0):
+                    continue
+                cost = AcquisitionCost(curve, kind)
+                assert cost.lam(np.array([-0.5, 0.0, 1.5 * mass[k]])).tolist() == [0.0, 0.0, math.inf]
+                assert cost.expected_cost(np.array([-0.5, 0.0])).tolist() == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ def test_markowitz_diagonal_sigma_separates():
         # scalar problem: minimize 0.5 d x^2 - a x + Lambda(x) over [0, depth]
         grid = np.linspace(0.0, lob.depth(j), 200001)
         vals = 0.5 * diag[j] * grid**2 - alpha[j] * grid
-        vals += np.array([lob_cost(lob, j, v) for v in grid])
+        vals += lob_cost(lob, j, grid)
         assert abs(x[j] - grid[np.argmin(vals)]) <= 2e-5 * (1.0 + lob.depth(j))
 
 

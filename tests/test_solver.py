@@ -278,7 +278,7 @@ def test_perturbed_dual_fails_certification():
     rho = sol.dual.rho.copy()
     rho[0] += 0.05
     ws = _Workspace(inst)
-    mu = ws.mu_of(rho)
+    mu = inst.mu_of(rho)
     theta = mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]
     fake = DualSolution(rho=rho, mu=mu, theta=theta, dual_value=ws.value(rho))
     report = certify(inst, sol.primal, fake, tol=1e-6)
@@ -618,7 +618,7 @@ def test_recover_primal_without_flows():
     assert np.all(g <= 1.0 + 1e-9)
 
 
-@pytest.mark.parametrize("make", [
+grouped_cases = pytest.mark.parametrize("make", [
     mixed_instance,
     lambda: build_instance(
         [ItemType("m", 1.0, Empirical([(0.5, 0.4), (1.5, 0.8), (3.0, 1.0)]), "first_price"),
@@ -626,12 +626,28 @@ def test_recover_primal_without_flows():
         [Contract("c", 0.5, {"m": 1.0, "e": 0.6})],
     ),
 ], ids=["mixed", "empirical-first-price"])
+
+
+@grouped_cases
 def test_grouped_bids_match_per_item_inverse(make):
     inst = make()
     for mu in np.geomspace(1e-3, 50.0, 25):
         mus = mu * np.linspace(0.5, 1.5, inst.n_items)
         ref = [cost.bid_mapping_inverse(min(m, cost.bid_cap)) for m, cost in zip(mus, inst.costs)]
-        np.testing.assert_array_max_ulp(solver._bids(inst, mus), ref, maxulp=1)
+        np.testing.assert_array_max_ulp(solver._bids(_ItemKernels(inst), inst, mus), ref, maxulp=1)
+
+
+@grouped_cases
+def test_grouped_spend_matches_per_item_lam(make):
+    # the per-item reference: lambda_j lam_j(q_j) summed over items with
+    # s_j > 0, each q_j clamped just below the curve's mass
+    inst = make()
+    kernels = _ItemKernels(inst)
+    ramp = np.linspace(0.1, 0.9, inst.n_items)
+    for s in (np.zeros(inst.n_items), ramp * inst.capacities, np.where(ramp < 0.5, -ramp, 1.5) * inst.capacities):
+        ref = sum(lam * float(cost.lam(min(sj / lam, cost.total_mass * (1.0 - 1e-12))))
+                  for sj, lam, cost in zip(s, inst.rates, inst.costs) if sj > 0.0)
+        assert solver._spend_rate(kernels, inst, s) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_recover_primal_without_flows_fails_when_routing_fails(monkeypatch):
