@@ -11,6 +11,8 @@ largest |dP| / (1 + |P|).
 Each certified plan is also replayed (1e5 expected arrivals, seed 2026); the largest
 |value - target| / se over contracts and |cost - primal value| / se are saved, and
 `--compare` prints how many replays exceed 3 standard errors.
+Each plan's bids (`primal.x`) are saved too, and `--compare` prints how many instances' bids,
+and how many replay z-scores, differ bitwise from the saved ones.
 """
 import argparse
 import sys
@@ -61,14 +63,26 @@ def run() -> dict:
         try:
             rep = (sol := solve(inst, **kw)).report
             z = replay_z(inst, sol) if rep.passed else (np.nan, np.nan)
-            rows.append((sol.dual.rho, rep.dual_value, rep.primal_value, rep.gap, rep.max_comp_slack, rep.passed,
-                         sol.iterations, *z))
+            rows.append((sol.dual.rho, sol.primal.x, rep.dual_value, rep.primal_value, rep.gap, rep.max_comp_slack,
+                         rep.passed, sol.iterations, *z))
         except NotConverged:
-            rows.append((np.full(inst.n_contracts, np.nan), *[np.nan] * 4, False, *[np.nan] * 3))
-    rho, *rest = zip(*rows)
+            rows.append((np.full(inst.n_contracts, np.nan), np.full(inst.n_items, np.nan), *[np.nan] * 4, False,
+                         *[np.nan] * 3))
+    rho, bids, *rest = zip(*rows)
     names = ("D", "P", "gap", "comp", "certified", "master_solves", "replay_value_z", "replay_cost_z")
     out = dict(zip(names, map(np.asarray, rest)))
-    return dict(out, rho=np.concatenate(rho), rho_len=np.array([r.size for r in rho]))
+    return dict(out, rho=np.concatenate(rho), rho_len=np.array([r.size for r in rho]),
+                bids=np.concatenate(bids), bids_len=np.array([b.size for b in bids]))
+
+
+def differ_bitwise(now: dict, old: dict, key: str) -> int:
+    """How many instances' `key` entries (NaN included) are not bit-identical to the saved ones."""
+    if f"{key}_len" in now:
+        split = np.cumsum(now[f"{key}_len"])[:-1]
+        pairs = zip(np.split(now[key], split), np.split(old[key], split))
+    else:
+        pairs = zip(now[key], old[key])
+    return sum(not np.array_equal(a, b, equal_nan=True) for a, b in pairs)
 
 
 def main() -> None:
@@ -101,6 +115,9 @@ def main() -> None:
         z = [run.get(f"replay_{k}_z") for run in (now, old)]
         beyond = [f"{int(np.sum(v > 3.0))}, largest {np.nanmax(v):.3g}" if v is not None else "n/a" for v in z]
         print(f"replays with {k} beyond 3 se: {beyond[0]} (saved {beyond[1]})")
+    for key, what in (("bids", "instances' bids"), ("replay_value_z", "replay value z-scores"),
+                      ("replay_cost_z", "replay cost z-scores")):
+        print(f"{what} that differ bitwise: {differ_bitwise(now, old, key) if key in old else 'n/a'}")
 
 
 if __name__ == "__main__":

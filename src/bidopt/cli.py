@@ -2,7 +2,8 @@
 
 Every command reads plain JSON and writes JSON or CSV so runs can be
 scripted, diffed, and replayed.  Artifacts are deterministic given
-(input, seed, tol).
+(input, seed, tol).  ``budget`` writes an unbounded bid (a slack budget on a
+curve with no largest useful bid) as null.
 
 Input shapes by command::
 
@@ -264,13 +265,13 @@ def _cmd_budget(cfg: RunConfig) -> int:
     obj = _load_json(cfg.input)
     bi = _parse_budget(obj, cfg.input)
     try:
-        theta, bids = solve_budget(bi, tol=min(cfg.tol, 1e-10))
+        theta, bids = solve_budget(bi)
         binding = True
     except BudgetSlack as slack:
         theta, bids, binding = 0.0, slack.bids, False
     doc = {
         "theta": float(theta),
-        "bids": [float(b) for b in bids],
+        "bids": [float(b) if np.isfinite(b) else None for b in bids],
         "binding": binding,
         "spend": float(budget_spend(bi, theta)),
         "budget": bi.budget,

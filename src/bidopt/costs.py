@@ -19,9 +19,13 @@ objective is a concave quadratic, so it needs no monotone g.  Each cost is
 written once over a family's formulas, for one curve or a group of curves of
 one family at once: ``conj_win`` (the conjugate and its derivative, the win
 rate), ``win_rate``, ``spend`` (lam) and ``pay`` (f = lam o W).
+``FamilyGroups`` groups a set of items by family and auction kind once and
+offers these four, plus the capped bid, over all of them; the solver, the
+simulator and the related problems all evaluate through it.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -38,6 +42,8 @@ __all__ = [
     "win_rate",
     "spend",
     "pay",
+    "FamilyGroups",
+    "monotone_root",
     "NotTwoConcave",
     "OutOfRange",
     "NotDifferentiable",
@@ -117,6 +123,155 @@ def pay(family, params, x, first_price: bool):
     return x * win if first_price else family.quantile_integral(win, *params)
 
 
+def _bid_cap(curve: SupplyCurve, first_price: bool) -> float:
+    """g(x_bar): the largest marginal price any bid on ``curve`` can express."""
+    if not first_price:
+        return curve.x_bar
+    term = curve.terminal_density()  # 0 when x_bar is infinite
+    return curve.x_bar + curve.total_mass / term if term > 0.0 else math.inf
+
+
+class FamilyGroups:
+    """A set of items grouped by curve family and auction kind, built once.
+
+    The items of one parametric family under one auction kind form a group
+    whose formulas take arrays of their parameters; an empirical curve is a
+    group of its own.  Each entry of ``groups`` is (item positions, family,
+    first price, parameter arrays), in order of first appearance, and every
+    method below makes one formula call per group.
+    """
+
+    def __init__(self, curves, first_price):
+        plist = [curve.formula_params() for curve in curves]
+        keys: dict = {}
+        self._group = np.empty(len(plist), dtype=np.intp)
+        self._params = np.zeros((len(plist), max(map(len, plist), default=0)))
+        for j, (curve, first, p) in enumerate(zip(curves, first_price, plist)):
+            family = curve if isinstance(curve, Empirical) else type(curve)
+            self._group[j] = keys.setdefault((family, bool(first), len(p)), len(keys))
+            self._params[j, : len(p)] = p
+        self._keys = list(keys)
+        self._x_bar = np.array([curve.x_bar for curve in curves])
+        self._cap = np.array([_bid_cap(curve, first) for curve, first in zip(curves, first_price)])
+        self.items = np.arange(len(plist))
+        self.groups = self._batches(self.items)
+
+    def _batches(self, items: np.ndarray) -> list:
+        g = self._group[items]
+        out = []
+        for k in np.unique(g).tolist():
+            sel = np.flatnonzero(g == k)
+            family, first, n_par = self._keys[k]
+            out.append((sel, family, first, tuple(self._params[items[sel], :n_par].T)))
+        return out
+
+    def take(self, items: np.ndarray) -> "FamilyGroups":
+        """The same grouping over item positions ``items`` (repeats allowed), one value per entry."""
+        out = copy.copy(self)
+        out.items, out.groups = items, self._batches(items)
+        return out
+
+    @property
+    def x_bar(self) -> np.ndarray:
+        """The largest useful bid of each item."""
+        return self._x_bar[self.items]
+
+    def _per_group(self, fn, x: np.ndarray, outputs: int = 1) -> np.ndarray:
+        """fn(family, params, x of the group, first price) per group, as rows of item-ordered values."""
+        out = np.empty((outputs, x.size))
+        for sel, family, first, params in self.groups:
+            out[:, sel] = fn(family, params, x[sel], first)
+        return out
+
+    def conj_win(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``conj_win`` of every item at its marginal price mu >= 0."""
+        return tuple(self._per_group(conj_win, mu, 2))
+
+    def win_rate(self, mu: np.ndarray) -> np.ndarray:
+        """``win_rate`` of every item at its marginal price mu >= 0."""
+        return self._per_group(win_rate, mu)[0]
+
+    def spend(self, q: np.ndarray) -> np.ndarray:
+        """``spend`` (lam) of every item at its win rate q in [0, total mass]."""
+        return self._per_group(spend, q)[0]
+
+    def pay(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``pay`` f(x) of every item at its bid, and the win rate W(x) that bid buys.
+
+        Bids below 0 count as 0, and W is held at the total mass beyond x_bar.
+        """
+        def paid_and_won(family, params, b, first):
+            return pay(family, params, b, first), family.w(b, *params)
+
+        return tuple(self._per_group(paid_and_won, np.maximum(x, 0.0), 2))
+
+    def bid(self, mu: np.ndarray) -> np.ndarray:
+        """Bids g^{-1}(mu) of every item, each mu capped at the item's bid cap g(x_bar).
+
+        The bid is the capped multiplier itself under second price and the
+        family's first-price ``bid`` under first price.
+        """
+        return self._per_group(lambda family, params, m, first: family.bid(m, *params) if first else m,
+                               np.maximum(np.minimum(mu, self._cap[self.items]), 0.0))[0]
+
+
+_EPS = np.finfo(float).eps
+
+
+def monotone_root(balance, f0: np.ndarray, t0: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Roots t > 0 of k nonincreasing functions at once, to a relative width of 4 eps.
+
+    ``balance(t)`` evaluates all k functions, the i-th at t[i]; ``f0`` holds
+    their values at 0, which must be positive.  Entries not ``live`` are
+    known to have no root and get NaN, as does an entry whose root lies
+    beyond 2^80 max(t0, 1e-9) or that 300 steps do not pin down.  Brackets
+    start by doubling from t0; then Illinois regula falsi (Dowell & Jarratt
+    1971) shrinks them all at once, stepping to the midpoint of a bracket
+    that three steps failed to halve and keeping every step 2 eps inside it.
+    """
+    k = f0.size
+    a, fa = np.zeros(k), f0.copy()
+    b = np.maximum(t0, 1e-9)
+    fb = balance(b)
+    for _ in range(80):
+        up = live & (fb > 0.0)
+        if not up.any():
+            break
+        a[up], fa[up] = b[up], fb[up]
+        b[up] *= 2.0
+        fb = balance(b)
+    t = np.where(live & (fb == 0.0), b, np.nan)
+    todo = live & (fb < 0.0)
+    side = np.zeros(k)  # +1 after a step that moved a, -1 after one that moved b
+    stall = np.zeros(k, dtype=int)
+    ref = b - a
+    for _ in range(300):
+        width = b - a
+        conv = todo & (width <= 4.0 * _EPS * b)
+        t[conv] = 0.5 * (a[conv] + b[conv])
+        todo &= ~conv
+        if not todo.any():
+            break
+        with np.errstate(invalid="ignore", divide="ignore"):
+            x = np.where(stall >= 3, 0.5 * (a + b), (a * fb - b * fa) / (fb - fa))
+        x = np.where(todo, np.clip(x, a + 2.0 * _EPS * b, b - 2.0 * _EPS * b), b)
+        fx = balance(x)
+        hit = todo & (fx == 0.0)
+        t[hit] = x[hit]
+        todo &= ~hit
+        go_a, go_b = todo & (fx > 0.0), todo & (fx < 0.0)
+        # Illinois: the end kept twice in a row has its value halved
+        fb = np.where(go_a & (side > 0.0), 0.5 * fb, fb)
+        fa = np.where(go_b & (side < 0.0), 0.5 * fa, fa)
+        a, fa = np.where(go_a, x, a), np.where(go_a, fx, fa)
+        b, fb = np.where(go_b, x, b), np.where(go_b, fx, fb)
+        side = np.where(go_a, 1.0, np.where(go_b, -1.0, side))
+        halved = b - a <= 0.5 * ref
+        ref = np.where(halved, b - a, ref)
+        stall = np.where(halved, 0, stall + 1)
+    return t
+
+
 class AcquisitionCost:
     """Expected-spend machinery for one supply curve under one price rule."""
 
@@ -139,14 +294,7 @@ class AcquisitionCost:
     @property
     def bid_cap(self) -> float:
         """g(x_bar): the largest marginal price any bid can express."""
-        if self.kind is AuctionKind.SECOND_PRICE:
-            return self.curve.x_bar
-        if math.isinf(self.curve.x_bar):
-            return math.inf
-        term = self.curve.terminal_density()
-        if term <= 0.0:
-            return math.inf
-        return self.curve.x_bar + self.curve.total_mass / term
+        return _bid_cap(self.curve, self.kind is AuctionKind.FIRST_PRICE)
 
     # ------------------------------------------------------------------
     def expected_cost(self, x):

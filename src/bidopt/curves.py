@@ -248,14 +248,14 @@ class Exponential(SupplyCurve):
     def bid(mu, rate):
         """Root of x + (e^{rate x} - 1)/rate = mu in closed form, then two Newton steps.
 
-        With a = 1 + rate mu the root is (a - omega(a))/rate, omega the Wright
-        omega function.  The closed form cancels digits for tiny and huge
-        rate mu (up to 8e-8 relative); the residual is convex and increasing
-        in x, so Newton steps from there converge from the right of the root
-        and restore those digits.
+        With a = 1 + rate mu the root is log(omega(a))/rate, omega the Wright
+        omega function (omega + log omega = a), which does not cancel digits
+        as the equal (a - omega(a))/rate does for huge rate mu.  Rounding
+        a = 1 + rate mu loses digits of tiny rate mu; the residual is convex
+        and increasing in x, so Newton steps from there restore them.
         """
         a = 1.0 + rate * mu
-        x = (a - wrightomega(a)) / rate
+        x = np.log(wrightomega(a)) / rate
         for _ in range(2):
             em = np.expm1(rate * x)
             x = x - (x + em / rate - mu) / (2.0 + em)
@@ -313,8 +313,9 @@ class Hyperbolic(SupplyCurve):
 
     @staticmethod
     def bid(mu, scale):
-        # g(x) = x (2c + x) / c  =>  x = c (sqrt(1 + mu/c) - 1)
-        return scale * (np.sqrt(1.0 + mu / scale) - 1.0)
+        # g(x) = x (2c + x) / c  =>  x = c (sqrt(1 + mu/c) - 1) = mu / (1 + sqrt(1 + mu/c)),
+        # the second form free of cancellation at small mu/c
+        return mu / (1.0 + np.sqrt(1.0 + mu / scale))
 
     @staticmethod
     def quantile(q, scale):

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, HighsStatus, _Highs
 
-from .costs import AcquisitionCost, AuctionKind
+from .costs import AcquisitionCost, AuctionKind, FamilyGroups
 from .curves import SupplyCurve, curve_from_json
 
 __all__ = [
@@ -171,6 +171,12 @@ class ProblemInstance:
         return tuple(it.cost for it in self.items)
 
     @cached_property
+    def groups(self) -> FamilyGroups:
+        """The items grouped by curve family and auction kind: every grouped cost call goes through it."""
+        return FamilyGroups([it.curve for it in self.items],
+                            [it.auction is AuctionKind.FIRST_PRICE for it in self.items])
+
+    @cached_property
     def item_major(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(edge_v, edge_i) in item-major order, the items with edges, and where each one's run starts."""
         nonempty = self.item_start[:-1] < self.item_start[1:]
@@ -183,6 +189,13 @@ class ProblemInstance:
         if starts.size:
             mu[nonempty] = np.maximum.reduceat(v * rho[i], starts)
         return mu
+
+    def first_argmax(self, rho: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Item-major position of the first edge attaining mu_j = mu_of(rho)_j, per item with edges."""
+        v, i, nonempty, starts = self.item_major
+        counts = np.diff(self.item_start)[nonempty]
+        sent = np.where(v * rho[i] == np.repeat(mu[nonempty], counts), np.arange(v.size), v.size)
+        return np.minimum.reduceat(sent, starts) if starts.size else np.array([], dtype=int)
 
     def contract_edges(self, i: int) -> slice:
         return slice(int(self.contract_start[i]), int(self.contract_start[i + 1]))

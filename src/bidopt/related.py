@@ -3,8 +3,10 @@
 Budget-constrained bidding flips the contract problem around: maximize the
 value of items won subject to a spend ceiling.  The optimal bid for item j is
 ``g_j^{-1}(v_j / theta)`` -- the shaded valuation under a second-price rule --
-where the single multiplier ``theta`` makes total spend meet the budget and
-comes out of a monotone bisection.
+where the single multiplier ``theta`` makes total spend meet the budget; its
+inverse is the one root of a monotone spend balance (``costs.monotone_root``).
+Bids and spend are grouped cost calls (``costs.FamilyGroups``), as in the
+contract solver.
 
 The second problem prices portfolio construction against order-book depth:
 buying volume V of an asset walks up the book, and the cost beyond mid-price
@@ -20,10 +22,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import bisect, brentq, minimize
+from scipy.optimize import brentq, minimize
 
+from .costs import AuctionKind, FamilyGroups, monotone_root
 from .curves import Empirical, PowerLawDensity, SupplyCurve, curve_from_json
 from .model import ItemType
 
@@ -85,7 +89,10 @@ class NotConverged(RuntimeError):
 
 @dataclass(frozen=True)
 class BudgetInstance:
-    """Value-maximizing bidder: items with per-item values and one spend cap."""
+    """Value-maximizing bidder: items with per-item values and one spend cap.
+
+    First-price items must pass the 2-concavity gate (``NotTwoConcave``).
+    """
 
     items: tuple[ItemType, ...]
     values: np.ndarray
@@ -104,67 +111,50 @@ class BudgetInstance:
             raise ValueError("at least one item value must be positive")
         if not (self.budget > 0.0 and math.isfinite(self.budget)):
             raise ValueError("budget must be positive and finite")
+        for it in self.items:
+            it.cost  # first-price items fail here when the curve is not 2-concave
 
     @property
     def n_items(self) -> int:
         return len(self.items)
 
+    @cached_property
+    def rates(self) -> np.ndarray:
+        return np.array([it.arrival_rate for it in self.items])
+
+    @cached_property
+    def groups(self) -> FamilyGroups:
+        return FamilyGroups([it.curve for it in self.items],
+                            [it.auction is AuctionKind.FIRST_PRICE for it in self.items])
+
 
 def budget_bids(bi: BudgetInstance, theta: float) -> np.ndarray:
     """Bids g_j^{-1}(v_j / theta); theta = 0 means bid the support maximum."""
-    bids = np.zeros(bi.n_items)
-    for j, it in enumerate(bi.items):
-        if theta == 0.0:
-            bids[j] = it.curve.x_bar
-            continue
-        if bi.values[j] == 0.0:
-            continue
-        cost = it.cost
-        mu = bi.values[j] / theta
-        cap = cost.bid_cap
-        if math.isfinite(cap):
-            mu = min(mu, cap)
-        bids[j] = float(cost.bid_mapping_inverse(mu))
-    return bids
+    return bi.groups.x_bar if theta == 0.0 else bi.groups.bid(bi.values / theta)
 
 
 def budget_spend(bi: BudgetInstance, theta: float) -> float:
     """Total spend rate at the bids implied by multiplier ``theta``."""
-    bids = budget_bids(bi, theta)
-    return sum(it.arrival_rate * float(it.cost.expected_cost(x)) for it, x in zip(bi.items, bids))
+    paid, _ = bi.groups.pay(budget_bids(bi, theta))
+    return float(bi.rates @ paid)
 
 
-def solve_budget(bi: BudgetInstance, tol: float = 1e-10) -> tuple[float, np.ndarray]:
-    """Multiplier and bids making total spend meet the budget exactly.
+def solve_budget(bi: BudgetInstance) -> tuple[float, np.ndarray]:
+    """Multiplier and bids making total spend meet the budget.
 
-    Spend is continuous and nonincreasing in theta (bids shrink as the
-    multiplier grows), so the root brackets by doubling/halving and closes by
-    bisection to ``tol``.  Raises BudgetSlack when even maximal bids cost no
-    more than the budget.
+    Spend is continuous and nondecreasing in u = 1/theta (bids grow as the
+    multiplier shrinks) and 0 at u = 0, so u is the root of budget - spend,
+    closed to a relative width of 4 eps.  Raises BudgetSlack when even
+    maximal bids cost no more than the budget, and ValueError when the
+    multiplier lies outside the bracket the root search covers.
     """
-    max_spend = budget_spend(bi, 0.0)
-    if bi.budget >= max_spend:
+    if bi.budget >= budget_spend(bi, 0.0):
         raise BudgetSlack(budget_bids(bi, 0.0))
-
-    def excess(theta: float) -> float:
-        return budget_spend(bi, theta) - bi.budget
-
-    hi = 1.0
-    for _ in range(200):
-        if excess(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - spend -> 0 as theta grows
-        raise RuntimeError("could not bracket the budget multiplier from above")
-    lo = hi / 2.0
-    for _ in range(2000):
-        if excess(lo) > 0.0:
-            break
-        lo /= 2.0
-    else:  # pragma: no cover - spend -> max_spend > B as theta -> 0
-        raise RuntimeError("could not bracket the budget multiplier from below")
-
-    theta = float(bisect(excess, lo, hi, xtol=tol))
+    budget = np.array([bi.budget])
+    u = monotone_root(lambda u: budget - budget_spend(bi, 1.0 / u[0]), budget, np.ones(1), np.ones(1, bool))[0]
+    if math.isnan(u):
+        raise ValueError(f"no budget multiplier theta within the searched bracket meets budget {bi.budget:g}")
+    theta = 1.0 / u
     return theta, budget_bids(bi, theta)
 
 
@@ -178,6 +168,7 @@ class LobMarket:
 
     ``curves[j]`` maps a price offset p (above mid) to the volume available
     at or below it; total mass is the book's full depth for that asset.
+    ``groups`` prices them as second-price items.
     """
 
     curves: tuple[SupplyCurve, ...]
@@ -193,6 +184,10 @@ class LobMarket:
 
     def depth(self, j: int) -> float:
         return self.curves[j].total_mass
+
+    @cached_property
+    def groups(self) -> FamilyGroups:
+        return FamilyGroups(self.curves, [False] * self.n_assets)
 
 
 def lob_curve_from_density_csv(path) -> Empirical:
@@ -386,18 +381,12 @@ def _conjugate_terms(mi: MarkowitzInstance, margins: np.ndarray) -> tuple[float,
     """sum_j Lambda_j^*(m_j) and its gradient (the book volume at each margin).
 
     The no-short extension makes the conjugate 0 with zero slope for m <= 0;
-    above, it is the running integral of the depth curve, whose derivative is
-    the cumulative volume itself -- no quantile inversions involved.
+    above, it is the second-price ``conj_win``: the running integral of the
+    depth curve, whose derivative is the cumulative volume itself -- no
+    quantile inversions involved.
     """
-    total = 0.0
-    grad = np.zeros_like(margins)
-    for j, curve in enumerate(mi.lob.curves):
-        mj = float(margins[j])
-        if mj <= 0.0:
-            continue
-        total += float(curve.integral_cdf(mj))
-        grad[j] = float(curve.eval(mj))
-    return total, grad
+    conj, volume = mi.lob.groups.conj_win(np.maximum(margins, 0.0))
+    return float(conj.sum()), volume
 
 
 def markowitz_dual_objective(mi: MarkowitzInstance, zeta: np.ndarray) -> float:

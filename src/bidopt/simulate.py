@@ -37,10 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import pay
 from .curves import Empirical
 from .model import ProblemInstance
-from .solver import PrimalSolution, _ItemKernels
+from .solver import PrimalSolution
 
 __all__ = [
     "BidPolicy",
@@ -100,7 +99,7 @@ def policy_from_primal(inst: ProblemInstance, primal: PrimalSolution) -> BidPoli
     ``s_j / (lambda_j W_j(x_j))``, so the realized win rate matches ``s_j``
     even when the solution leaves some win capacity unused.
     """
-    win, _ = _Layout(inst).win_and_pay(primal.x)
+    _, win = inst.groups.pay(primal.x)
     lam_w = inst.rates * win
     bid_prob = np.zeros(inst.n_items)
     np.divide(primal.s, lam_w, out=bid_prob, where=(lam_w > 0.0) & (primal.s > 0.0))
@@ -231,23 +230,23 @@ class _Layout:
     """The order in which a batch lays out its arrivals, fixed by the instance.
 
     Items take positions group by group -- the (family, auction) groups of
-    ``solver._ItemKernels``, where an empirical curve is a group of its own --
-    in instance order within a group, and a batch's arrivals lie
+    ``inst.groups``, where an empirical curve is a group of its own -- in
+    instance order within a group, and a batch's arrivals lie
     item-contiguous in position order.  Edges follow their items' positions,
     in ``item_edges`` order within an item.
     """
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
-        self.by_group = _ItemKernels(inst).all_items
-        self.order = np.concatenate([sel for sel, *_ in self.by_group])
+        groups = inst.groups.groups
+        self.order = np.concatenate([sel for sel, *_ in groups])
         self.rank = np.empty(inst.n_items, dtype=np.intp)
         self.rank[self.order] = np.arange(inst.n_items)
         # second-price groups by their position slices; an empirical group
         # prices through its curve's inverse, which also maps u = 0 to 0 when
         # the support starts above 0
         self.priced, stop = [], 0
-        for sel, family, first, params in self.by_group:
+        for sel, family, first, params in groups:
             stop += sel.size
             if not first:
                 quantile = family.inverse if isinstance(family, Empirical) else family.quantile
@@ -258,19 +257,6 @@ class _Layout:
         self.edges = edges
         self.edge_contract = inst.edge_i[edges]
         self.edge_value = inst.edge_v[edges]
-
-    def win_and_pay(self, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """W(b) and the expected payment per auction f(b) of every item, one call per group.
-
-        f is ``costs.pay``; bids below 0 count as 0, and W is held at the
-        total mass beyond x_bar.
-        """
-        win, paid = np.empty(bids.size), np.empty(bids.size)
-        for sel, family, first, params in self.by_group:
-            b = np.maximum(bids[sel], 0.0)
-            win[sel] = family.w(b, *params)
-            paid[sel] = pay(family, params, b, first)
-        return win, paid
 
 
 def _draw_batch(rng: np.random.Generator, layout: _Layout, t_batch: float, deterministic: bool):
@@ -303,7 +289,7 @@ class _Plan:
     def __init__(self, layout: _Layout, policy: BidPolicy):
         self.layout = layout
         self.gamma = np.maximum(policy.gamma, 0.0)
-        self.win, self.pay = layout.win_and_pay(policy.bids)
+        self.pay, self.win = layout.inst.groups.pay(policy.bids)
         # each item's running weights, summed left to right as np.cumsum sums
         # them item by item: the k-th sum of every item at once
         first, deg = layout.edge_start[:-1], np.diff(layout.edge_start)

@@ -27,6 +27,8 @@ certified the point and rescales them to make fulfillment exact.
 
 Both LPs run on the HiGHS layer of :mod:`bidopt.model`; the routing LP is
 its transportation LP with supplies lambda_j q_j(mu_j) and edge costs theta.
+Every per-item conjugate, win rate, spend and bid is one call per family
+group on the instance's grouping (``ProblemInstance.groups``).
 """
 from __future__ import annotations
 
@@ -35,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import AuctionKind, conj_win, spend, win_rate
-from .curves import Empirical
+from .costs import monotone_root
 from .model import (ProblemInstance, _highs_model, _highs_status, _lp_work, _run_lp, _slack_columns,
                     _transport_lp, check_adequate_supply)
 
@@ -170,96 +171,25 @@ class Solution:
 
 
 # ---------------------------------------------------------------------------
-# per-item conjugates and win rates
-
-
-class _ItemKernels:
-    """conjugate(mu) and win(mu) of items, one ``conj_win`` call per family group.
-
-    The items of one parametric family under one auction kind form a group
-    whose formulas take arrays of their parameters; an empirical curve is a
-    group of its own.  test_solver checks the grouped evaluation against
-    AcquisitionCost, one curve at a time.
-    """
-
-    def __init__(self, inst: ProblemInstance):
-        plist = [item.curve.formula_params() for item in inst.items]
-        keys: dict = {}
-        self.group = np.empty(inst.n_items, dtype=np.intp)
-        self.params = np.zeros((inst.n_items, max(map(len, plist), default=0)))
-        for j, (item, p) in enumerate(zip(inst.items, plist)):
-            family = item.curve if isinstance(item.curve, Empirical) else type(item.curve)
-            key = (family, item.auction is AuctionKind.FIRST_PRICE, len(p))
-            self.group[j] = keys.setdefault(key, len(keys))
-            self.params[j, : len(p)] = p
-        self.keys = list(keys)
-        self.all_items = self.batches(np.arange(inst.n_items))
-
-    def batches(self, items: np.ndarray) -> list:
-        """(positions in `items`, family, first price, parameter arrays) per group."""
-        g = self.group[items]
-        out = []
-        for k in np.unique(g).tolist():
-            sel = np.flatnonzero(g == k)
-            family, first, n_par = self.keys[k]
-            out.append((sel, family, first, tuple(self.params[items[sel], :n_par].T)))
-        return out
-
-    @staticmethod
-    def evaluate(batches: list, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """conjugate and win rate of the items `batches` was built for, at `mu`."""
-        conj, win = np.empty(mu.size), np.empty(mu.size)
-        for sel, family, first, params in batches:
-            conj[sel], win[sel] = conj_win(family, params, mu[sel], first)
-        return conj, win
-
-    @staticmethod
-    def win(batches: list, mu: np.ndarray) -> np.ndarray:
-        """The win rate alone of the items `batches` was built for, at `mu`."""
-        win = np.empty(mu.size)
-        for sel, family, first, params in batches:
-            win[sel] = win_rate(family, params, mu[sel], first)
-        return win
-
-    def conj_win(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.evaluate(self.all_items, mu)
-
-
-# ---------------------------------------------------------------------------
 # dual evaluation
 
 
-class _Workspace:
-    """Precomputed item-major edge views and kernels for one instance."""
+def _dual_value(inst: ProblemInstance, rho: np.ndarray) -> float:
+    """D(rho) = C.rho - sum_j lambda_j conjugate_j(mu_j(rho))."""
+    conj, _ = inst.groups.conj_win(inst.mu_of(rho))
+    return float(rho @ inst.targets) - float(inst.rates @ conj)
 
-    def __init__(self, inst: ProblemInstance):
-        self.inst = inst
-        self.kernels = _ItemKernels(inst)
-        self.by_item = inst.by_item
-        self.v_bi, self.i_bi, self.nonempty, self.starts_nz = inst.item_major
-        self.lam = inst.rates
-        self.targets = inst.targets
-        self.root_calls = self.root_evals = 0  # _tie_roots calls and their balance evaluations
-        self.scale = 1.0 + float(inst.targets.sum())
 
-    def first_argmax(self, vals: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        """Item-major position of the first edge attaining each nonempty item's max."""
-        inst = self.inst
-        counts = np.diff(inst.item_start)[self.nonempty]
-        sent = np.where(vals == np.repeat(mu[self.nonempty], counts), np.arange(vals.size), vals.size)
-        return np.minimum.reduceat(sent, self.starts_nz) if self.starts_nz.size else np.array([], dtype=int)
-
-    def value(self, rho: np.ndarray) -> float:
-        mu = self.inst.mu_of(rho)
-        conj, _ = self.kernels.conj_win(mu)
-        return float(rho @ self.targets) - float(self.lam @ conj)
+def _scale(inst: ProblemInstance) -> float:
+    """1 + total target: the scale tolerances on dual values and residuals are read at."""
+    return 1.0 + float(inst.targets.sum())
 
 
 # ---------------------------------------------------------------------------
 # tie-pattern snap
 
 
-def _tie_components(ws: _Workspace, edges: np.ndarray):
+def _tie_components(inst: ProblemInstance, edges: np.ndarray):
     """Contracts joined through shared items over the edge index set `edges`.
 
     Returns (comp, beta, item_comp, slope): contract i lies in component
@@ -269,7 +199,6 @@ def _tie_components(ws: _Workspace, edges: np.ndarray):
     labelled by its lowest-index contract, whose beta is 1, and its ratios
     follow v_ij rho_i = mu_j along a depth-first spanning tree from there.
     """
-    inst = ws.inst
     n, m = inst.n_contracts, inst.n_items
     ei, ej = inst.edge_i[edges], inst.edge_j[edges]
     by_j = np.argsort(ej, kind="stable")
@@ -301,87 +230,40 @@ def _tie_components(ws: _Workspace, edges: np.ndarray):
     return np.array(comp), np.array(beta), np.array(item_comp), np.array(slope)
 
 
-_EPS = np.finfo(float).eps
-
-
-def _tie_roots(ws: _Workspace, demand: np.ndarray, t0: np.ndarray, comp: np.ndarray,
-               items: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+def _tie_roots(inst: ProblemInstance, demand: np.ndarray, t0: np.ndarray, comp: np.ndarray,
+               items: np.ndarray, slopes: np.ndarray, stats: dict) -> np.ndarray:
     """Roots t_k of demand_k = sum_e lam_j m_e win_j(m_e t) for all components k at once.
 
     Term e joins component comp[e] through item j = items[e] with slope
     m_e = slopes[e].  The supply side rises from 0 towards its cap
     sum_e lam_j m_e mass_j, so a component whose demand reaches the cap has
-    no root and gets NaN.  Brackets start by doubling from t0; then Illinois
-    regula falsi (Dowell & Jarratt 1971) shrinks them all at once, bisecting
-    a bracket that three steps failed to halve and keeping every step 2 eps
-    inside its bracket, down to a relative width of 4 eps.
+    no root and gets NaN.  stats["tie_root_calls"] and
+    stats["tie_root_evals"] count the calls and the balance evaluations.
     """
     k = demand.size
-    lamm = ws.lam[items] * slopes
-    batches = ws.kernels.batches(items)
-    cap = np.bincount(comp, slopes * ws.inst.capacities[items], minlength=k)
-    ws.root_calls += 1
+    lamm = inst.rates[items] * slopes
+    groups = inst.groups.take(items)
+    cap = np.bincount(comp, slopes * inst.capacities[items], minlength=k)
+    stats["tie_root_calls"] = stats.get("tie_root_calls", 0) + 1
 
     def balance(t: np.ndarray) -> np.ndarray:
-        ws.root_evals += 1
-        win = ws.kernels.win(batches, slopes * t[comp])
-        return demand - np.bincount(comp, lamm * win, minlength=k)
+        stats["tie_root_evals"] = stats.get("tie_root_evals", 0) + 1
+        return demand - np.bincount(comp, lamm * groups.win_rate(slopes * t[comp]), minlength=k)
 
-    a, fa = np.zeros(k), demand.copy()
-    b = np.maximum(t0, 1e-9)
-    fb = balance(b)
-    live = demand < cap
-    for _ in range(80):
-        up = live & (fb > 0.0)
-        if not up.any():
-            break
-        a[up], fa[up] = b[up], fb[up]
-        b[up] *= 2.0
-        fb = balance(b)
-    t = np.where(live & (fb == 0.0), b, np.nan)
-    todo = live & (fb < 0.0)
-    side = np.zeros(k)  # +1 after a step that moved a, -1 after one that moved b
-    stall = np.zeros(k, dtype=int)
-    ref = b - a
-    for _ in range(300):
-        width = b - a
-        conv = todo & (width <= 4.0 * _EPS * b)
-        t[conv] = 0.5 * (a[conv] + b[conv])
-        todo &= ~conv
-        if not todo.any():
-            break
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x = np.where(stall >= 3, 0.5 * (a + b), (a * fb - b * fa) / (fb - fa))
-        x = np.where(todo, np.clip(x, a + 2.0 * _EPS * b, b - 2.0 * _EPS * b), b)
-        fx = balance(x)
-        hit = todo & (fx == 0.0)
-        t[hit] = x[hit]
-        todo &= ~hit
-        go_a, go_b = todo & (fx > 0.0), todo & (fx < 0.0)
-        # Illinois: the end kept twice in a row has its value halved
-        fb = np.where(go_a & (side > 0.0), 0.5 * fb, fb)
-        fa = np.where(go_b & (side < 0.0), 0.5 * fa, fa)
-        a, fa = np.where(go_a, x, a), np.where(go_a, fx, fa)
-        b, fb = np.where(go_b, x, b), np.where(go_b, fx, fb)
-        side = np.where(go_a, 1.0, np.where(go_b, -1.0, side))
-        halved = b - a <= 0.5 * ref
-        ref = np.where(halved, b - a, ref)
-        stall = np.where(halved, 0, stall + 1)
-    t[todo] = 0.5 * (a[todo] + b[todo])
-    return t
+    return monotone_root(balance, demand, t0, demand < cap)
 
 
-def _component_updates(ws: _Workspace, rho: np.ndarray, components):
+def _component_updates(inst: ProblemInstance, rho: np.ndarray, components, stats: dict):
     """Snapped pseudo-bids for every tie component that balances along its ray."""
     comp, beta, item_comp, slope = components
     jdx = np.flatnonzero(item_comp >= 0)
     if jdx.size == 0:
         return []
     roots, term_comp = np.unique(item_comp[jdx], return_inverse=True)
-    demand = np.bincount(comp, beta * ws.targets, minlength=comp.size)[roots]
+    demand = np.bincount(comp, beta * inst.targets, minlength=comp.size)[roots]
     # a component is labelled by its root contract, whose beta is 1
     t0 = np.where(rho[roots] > 0.0, rho[roots], 1.0)
-    t = _tie_roots(ws, demand, t0, term_comp, jdx, slope[jdx])
+    t = _tie_roots(inst, demand, t0, term_comp, jdx, slope[jdx], stats)
     updates = []
     for k, t_star in zip(roots.tolist(), t.tolist()):
         if not math.isnan(t_star):
@@ -390,7 +272,7 @@ def _component_updates(ws: _Workspace, rho: np.ndarray, components):
     return updates
 
 
-def _snap(ws: _Workspace, best_val: float, best_rho: np.ndarray, flows: np.ndarray):
+def _snap(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, flows: np.ndarray, stats: dict):
     """Snap rho onto the tie pattern of an allocation's loaded edges, once.
 
     Components are disjoint, so at the right tie pattern the joint snap is
@@ -400,11 +282,11 @@ def _snap(ws: _Workspace, best_val: float, best_rho: np.ndarray, flows: np.ndarr
     points.
     """
     support = np.flatnonzero(flows > 1e-9 * (1.0 + float(flows.max(initial=0.0))))
-    pattern = _pattern_from_support(ws, best_rho, ws.inst.mu_of(best_rho), support)
+    pattern = _pattern_from_support(inst, best_rho, inst.mu_of(best_rho), support)
     cand = best_rho.copy()
-    for idx, vals in _component_updates(ws, best_rho, pattern):
+    for idx, vals in _component_updates(inst, best_rho, pattern, stats):
         cand[idx] = vals
-    val = ws.value(cand)
+    val = _dual_value(inst, cand)
     if val >= best_val - 1e-15 * (1.0 + abs(best_val)):
         return val, cand
     return best_val, best_rho
@@ -451,7 +333,7 @@ class _MasterLP:
         return np.asarray(sol.col_value), float(info.objective_function_value), ok
 
 
-def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: float,
+def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, tol: float,
                   rounds: int = 60, stats: dict | None = None):
     """Outer linearization of the acquisition terms (cutting planes).
 
@@ -485,15 +367,14 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
     optimal), and adds the master's solve, simplex iteration and row counts
     to `stats`.
     """
-    inst = ws.inst
-    nz = np.flatnonzero(ws.nonempty)
+    nz = np.flatnonzero(inst.item_major[2])
     m2, n = nz.size, inst.n_contracts
     if m2 == 0 or rounds <= 0:
         return best_val, best_rho, math.inf, 0, None
     pos = np.full(inst.n_items, -1)
     pos[nz] = np.arange(m2)
 
-    cost = np.concatenate([-ws.targets, np.zeros(m2), ws.lam[nz]])
+    cost = np.concatenate([-inst.targets, np.zeros(m2), inst.rates[nz]])
     rho_cap = 1e4 * (1.0 + float(np.max(best_rho, initial=0.0)))
     upper = np.concatenate([np.full(n, rho_cap), np.full(2 * m2, np.inf)])
     lp = _MasterLP(cost, upper)
@@ -509,7 +390,7 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
     rows_mu = np.arange(m2)
 
     def add_tangents(mu_full: np.ndarray) -> None:
-        conj, win = ws.kernels.conj_win(mu_full)
+        conj, win = inst.groups.conj_win(mu_full)
         lp.add_rows(np.column_stack([n + rows_mu, n + m2 + rows_mu]),
                     np.column_stack([win[nz], -np.ones(m2)]), win[nz] * mu_full[nz] - conj[nz])
         row_edge.append(np.full(m2, -1))
@@ -528,7 +409,7 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
         rho_hat, mu_lp = np.maximum(x[:n], 0.0), x[n : n + m2]
         # each item's first argmax edge whose row the LP's point violates
         mu_hat = inst.mu_of(rho_hat)
-        top = ws.by_item[ws.first_argmax(ws.v_bi * rho_hat[ws.i_bi], mu_hat)]
+        top = inst.by_item[inst.first_argmax(rho_hat, mu_hat)]
         new = top[(mu_hat[nz] - mu_lp > 1e-12 * (1.0 + mu_lp)) & ~in_model[top]]
         if new.size:
             add_edge_rows(new)
@@ -539,12 +420,12 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
                 upper[:n] = rho_cap
             add_tangents(mu_hat)
             continue
-        val_hat = ws.value(rho_hat)
+        val_hat = _dual_value(inst, rho_hat)
         if val_hat > best_val:
             best_val, best_rho = val_hat, rho_hat.copy()
         model = -obj
         gap = model - best_val
-        if gap <= 1e-14 * (1.0 + abs(best_val)) + 0.05 * tol * ws.scale:
+        if gap <= 1e-14 * (1.0 + abs(best_val)) + 0.05 * tol * _scale(inst):
             break
         if not new.size and model >= last_model - 1e-15 * (1.0 + abs(model)):
             # tangent violations have dropped below the LP solver's feasibility
@@ -565,7 +446,7 @@ def _kelley_phase(ws: _Workspace, best_val: float, best_rho: np.ndarray, tol: fl
     return best_val, best_rho, gap, lp.solves, flows
 
 
-def _routing_lp(ws: _Workspace, rho: np.ndarray):
+def _routing_lp(inst: ProblemInstance, rho: np.ndarray):
     """Route demand over the win rates at rho and measure how the point fails.
 
     Component balance alone is a necessary condition only: a snap balances
@@ -582,9 +463,8 @@ def _routing_lp(ws: _Workspace, rho: np.ndarray):
     exact ties and every priced item is fully consumed), and then the flows
     are an optimal allocation.
     """
-    inst = ws.inst
     mu = inst.mu_of(rho)
-    sigma = ws.lam * ws.kernels.win(ws.kernels.all_items, mu)
+    sigma = inst.rates * inst.groups.win_rate(mu)
     d, n = inst.n_edges, inst.n_contracts
     theta = np.maximum(mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i], 0.0)
     big = 10.0 * (1.0 + float(np.max(theta / inst.edge_v, initial=0.0)))
@@ -597,30 +477,30 @@ def _routing_lp(ws: _Workspace, rho: np.ndarray):
     return float(x[d:].sum()), float(theta @ flows), slack_value, flows
 
 
-def _pattern_from_support(ws: _Workspace, rho: np.ndarray, mu: np.ndarray, support: np.ndarray):
+def _pattern_from_support(inst: ProblemInstance, rho: np.ndarray, mu: np.ndarray, support: np.ndarray):
     """Tie components of an allocation's support edges.
 
     Every priced item outside them still funds its argmax component, not
     only the items the allocation uses.
     """
-    comp, beta, item_comp, slope = _tie_components(ws, support)
-    first = np.full(ws.inst.n_items, -1)
-    first[ws.nonempty] = ws.first_argmax(ws.v_bi * rho[ws.i_bi], mu)
-    loose = np.flatnonzero((item_comp < 0) & ws.nonempty & (mu > 1e-12 * ws.scale))
-    i = ws.i_bi[first[loose]]
+    comp, beta, item_comp, slope = _tie_components(inst, support)
+    v_bi, i_bi, nonempty, _ = inst.item_major
+    first = np.full(inst.n_items, -1)
+    first[nonempty] = inst.first_argmax(rho, mu)
+    loose = np.flatnonzero((item_comp < 0) & nonempty & (mu > 1e-12 * _scale(inst)))
+    i = i_bi[first[loose]]
     item_comp[loose] = comp[i]
-    slope[loose] = ws.v_bi[first[loose]] * beta[i]
+    slope[loose] = v_bi[first[loose]] * beta[i]
     return comp, beta, item_comp, slope
 
 
-def _warm_start(ws: _Workspace) -> np.ndarray:
+def _warm_start(inst: ProblemInstance, stats: dict) -> np.ndarray:
     """Per-contract pseudo-bids pretending each contract has its items alone.
 
     Ignoring contention under-prices contested items, so this usually lands
     below the optimum; it places the master's first edge rows and tangents.
     """
-    inst = ws.inst
-    t = _tie_roots(ws, inst.targets, np.ones(inst.n_contracts), inst.edge_i, inst.edge_j, inst.edge_v)
+    t = _tie_roots(inst, inst.targets, np.ones(inst.n_contracts), inst.edge_i, inst.edge_j, inst.edge_v, stats)
     return np.where(np.isnan(t), 0.0, t)
 
 
@@ -658,30 +538,28 @@ def solve_dual(
     chk = check_adequate_supply(inst, margin)
     if not chk:
         raise InfeasibleInstance(chk)
-    ws = _Workspace(inst)
+    stats["tie_root_calls"] = stats["tie_root_evals"] = 0
     best_rho = np.zeros(inst.n_contracts)
-    best_val = ws.value(best_rho)
-    warm = _warm_start(ws)
-    warm_val = ws.value(warm)
+    best_val = _dual_value(inst, best_rho)
+    warm = _warm_start(inst, stats)
+    warm_val = _dual_value(inst, warm)
     if warm_val > best_val:
         best_val, best_rho = warm_val, warm.copy()
     best_val, best_rho, _, used, flows = _kelley_phase(
-        ws, best_val, best_rho, tol, rounds=min(60, max_iter), stats=stats
+        inst, best_val, best_rho, tol, rounds=min(60, max_iter), stats=stats
     )
     stats["iterations"] = used
     if flows is not None:
-        best_val, best_rho = _snap(ws, best_val, best_rho, flows)
-    info = _routing_lp(ws, best_rho)
-    stats["tie_root_calls"], stats["tie_root_evals"] = ws.root_calls, ws.root_evals
+        best_val, best_rho = _snap(inst, best_val, best_rho, flows, stats)
+    info = _routing_lp(inst, best_rho)
     stats.update({f"lp_{key}": _lp_work[key] - start for key, start in work.items()})
     kkt = math.inf if info is None else max(info[:3])
-    if kkt > tol * ws.scale:
-        raise NotConverged(_finish_dual(ws, best_rho, best_val), kkt)
-    return _finish_dual(ws, best_rho, best_val, info[3])
+    if kkt > tol * _scale(inst):
+        raise NotConverged(_finish_dual(inst, best_rho, best_val), kkt)
+    return _finish_dual(inst, best_rho, best_val, info[3])
 
 
-def _finish_dual(ws: _Workspace, rho: np.ndarray, value: float, flows=None) -> DualSolution:
-    inst = ws.inst
+def _finish_dual(inst: ProblemInstance, rho: np.ndarray, value: float, flows=None) -> DualSolution:
     mu = inst.mu_of(rho)
     theta = mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]
     rho = rho.copy()
@@ -695,31 +573,14 @@ def _finish_dual(ws: _Workspace, rho: np.ndarray, value: float, flows=None) -> D
 # primal recovery
 
 
-def _bids(kernels: _ItemKernels, inst: ProblemInstance, mu: np.ndarray) -> np.ndarray:
-    """Per-item bids g_j^{-1}(mu_j), each mu_j capped at the item's bid cap.
-
-    One formula call per family group: the bid is the capped multiplier
-    itself under second price and the family's first-price ``bid`` (the
-    formula behind ``_g_inverse``) under first price.
-    """
-    bids = np.maximum(np.minimum(mu, [cost.bid_cap for cost in inst.costs]), 0.0)
-    for sel, family, first, params in kernels.all_items:
-        if first:
-            bids[sel] = family.bid(bids[sel], *params)
-    return bids
-
-
-def _spend_rate(kernels: _ItemKernels, inst: ProblemInstance, s: np.ndarray) -> float:
+def _spend_rate(inst: ProblemInstance, s: np.ndarray) -> float:
     """Expected spend sum_j lambda_j Lambda_j(s_j / lambda_j) at acquisition rates s.
 
-    One ``spend`` call per family group.  Win rates are clamped to
-    [0, mass (1 - 1e-12)]: Lambda is 0 at 0 and may be infinite at the mass.
+    Win rates are clamped to [0, mass (1 - 1e-12)]: Lambda is 0 at 0 and may
+    be infinite at the mass.
     """
     q = np.clip(s / inst.rates, 0.0, inst.masses * (1.0 - 1e-12))
-    lam = np.empty(inst.n_items)
-    for sel, family, first, params in kernels.all_items:
-        lam[sel] = spend(family, params, q[sel], first)
-    return float(inst.rates @ lam)
+    return float(inst.rates @ inst.groups.spend(q))
 
 
 def recover_primal(inst: ProblemInstance, dual: DualSolution) -> PrimalSolution:
@@ -733,10 +594,9 @@ def recover_primal(inst: ProblemInstance, dual: DualSolution) -> PrimalSolution:
     rho, and NotConverged is raised when that LP fails.  Each contract's row
     is then scaled to make fulfillment exact.
     """
-    ws = _Workspace(inst)
     flows = dual.flows
     if flows is None:
-        info = _routing_lp(ws, np.asarray(dual.rho, dtype=float))
+        info = _routing_lp(inst, np.asarray(dual.rho, dtype=float))
         if info is None:
             raise NotConverged(dual, math.inf)
         flows = info[-1]
@@ -744,14 +604,14 @@ def recover_primal(inst: ProblemInstance, dual: DualSolution) -> PrimalSolution:
     delivered = np.bincount(inst.edge_i, inst.edge_v * R, minlength=inst.n_contracts)
     R *= np.divide(inst.targets, delivered, out=np.ones(inst.n_contracts), where=delivered > 0.0)[inst.edge_i]
     s = np.bincount(inst.edge_j, R, minlength=inst.n_items)
-    bids = _bids(ws.kernels, inst, np.asarray(dual.mu, dtype=float))
+    bids = inst.groups.bid(np.asarray(dual.mu, dtype=float))
     gamma = np.zeros(inst.n_edges)
     nz = s[inst.edge_j] > 0.0
     gamma[nz] = R[nz] / s[inst.edge_j[nz]]
 
     for arr in (s, R, bids, gamma):
         arr.setflags(write=False)
-    return PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(ws.kernels, inst, s))
+    return PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(inst, s))
 
 
 # ---------------------------------------------------------------------------
@@ -834,22 +694,21 @@ def solve_uniform_bid(inst: ProblemInstance):
     if not np.allclose(inst.edge_v, 1.0, rtol=0.0, atol=0.0):
         raise PreconditionViolated("all valuations must equal 1")
     total = float(inst.targets.sum())
-    ws = _Workspace(inst)
     m = inst.n_items
-    rho_star = float(_tie_roots(ws, np.array([total]), np.ones(1), np.zeros(m, dtype=np.intp),
-                                np.arange(m), np.ones(m))[0])
+    rho_star = float(_tie_roots(inst, np.array([total]), np.ones(1), np.zeros(m, dtype=np.intp),
+                                np.arange(m), np.ones(m), {})[0])
     if math.isnan(rho_star):
         raise InfeasibleInstance(None)
 
     mu = np.full(m, rho_star)
-    bids = _bids(ws.kernels, inst, mu)
-    s = inst.rates * ws.kernels.win(ws.kernels.all_items, mu)
+    bids = inst.groups.bid(mu)
+    s = inst.rates * inst.groups.win_rate(mu)
     share = inst.targets / total
     R = s[inst.edge_j] * share[inst.edge_i]
     gamma = np.where(s[inst.edge_j] > 0.0, share[inst.edge_i], 0.0)
     for arr in (s, R, bids, gamma):
         arr.setflags(write=False)
-    return rho_star, PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(ws.kernels, inst, s))
+    return rho_star, PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(inst, s))
 
 
 # ---------------------------------------------------------------------------
@@ -883,8 +742,7 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
     if rho.shape != (inst.n_contracts,) or any(a.shape != (inst.n_items,) for a in (mu, s, bids)):
         raise ValueError("solution dimensions do not match the instance")
     theta = mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]
-    ws = _Workspace(inst)
-    dual = DualSolution(rho=rho, mu=mu, theta=theta, dual_value=ws.value(rho))
+    dual = DualSolution(rho=rho, mu=mu, theta=theta, dual_value=_dual_value(inst, rho))
 
     # each entry's edge by the contract-major key edge_i * n_items + edge_j, strictly increasing
     c_pos = {c.id: k for k, c in enumerate(inst.contracts)}
@@ -902,7 +760,7 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
     gamma = np.zeros(inst.n_edges)
     nz = s[inst.edge_j] > 0.0
     gamma[nz] = R[nz] / s[inst.edge_j[nz]]
-    primal = PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(ws.kernels, inst, s))
+    primal = PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(inst, s))
     report = certify(inst, primal, dual)
     return Solution(
         dual=dual,

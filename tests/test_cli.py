@@ -330,6 +330,36 @@ def test_budget_slack_reports_max_bids(tmp_path):
     assert plan["spend"] == pytest.approx(1.0, abs=1e-12)  # mean price, always won
 
 
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_budget_writes_unbounded_bids_as_null(tmp_path, capsys):
+    # a slack budget bids the support maximum, which is unbounded here
+    doc = {
+        "items": [{"id": "a", "rate": 1.0, "curve": {"family": "exponential", "params": {"rate": 1.0}},
+                   "auction": "second_price"}],
+        "values": [1.0],
+        "budget": 5.0,
+    }
+    assert main(["budget", "--input", write_json(tmp_path / "budget.json", doc)]) == 0
+    plan = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert plan["binding"] is False
+    assert plan["bids"] == [None]
+    assert plan["spend"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_budget_first_price_without_2_concavity_exits_1(tmp_path, capsys):
+    doc = {
+        "items": [{"id": "a", "rate": 1.0, "curve": {"family": "empirical", "breakpoints": [[1.0, 0.2], [2.0, 0.8]]},
+                   "auction": "first_price"}],
+        "values": [1.0],
+        "budget": 0.1,
+    }
+    assert main(["budget", "--input", write_json(tmp_path / "budget.json", doc)]) == 1
+    assert "2-concavity" in capsys.readouterr().err
+
+
 def test_markowitz_routes_agree(tmp_path):
     doc = {
         "alpha": [1.0, 0.8],

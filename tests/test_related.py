@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bidopt.costs import NotTwoConcave
 from bidopt.curves import BoundedUniform, Empirical, Exponential, Hyperbolic, PowerLawDensity
 from bidopt.model import ItemType
 from bidopt.related import (
@@ -93,6 +95,38 @@ def test_budget_zero_value_item_gets_zero_bid():
     theta, bids = solve_budget(bi)
     assert bids[1] == 0.0
     assert bids[0] > 0.0
+
+
+@pytest.mark.parametrize("curve,budget", [
+    pytest.param(Exponential(1.0), 5.0, id="exponential-5"),
+    pytest.param(Exponential(1.0), 50.0, id="exponential-50"),
+    pytest.param(Hyperbolic(1.0), 50.0, id="hyperbolic-50"),
+    pytest.param(Hyperbolic(1.0), 500.0, id="hyperbolic-500"),
+])
+def test_budget_multiplier_meets_the_budget(curve, budget):
+    # one unit-value first-price item: the spend at the returned multiplier
+    # is the budget to rounding, with no warning on the way
+    bi = BudgetInstance(items=[ItemType("a", 1.0, curve, "first_price")], values=np.array([1.0]), budget=budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta, bids = solve_budget(bi)
+        assert abs(budget_spend(bi, theta) - budget) <= 1e-12 * budget
+    assert bids[0] == budget_bids(bi, theta)[0]
+
+
+def test_budget_multiplier_outside_the_bracket_raises():
+    # spend ~ log(1/theta) here, so a budget of 100 needs theta ~ e^-100,
+    # below the bracket the root search covers: no theta is returned
+    bi = BudgetInstance(items=[ItemType("a", 1.0, Exponential(1.0), "first_price")], values=np.array([1.0]),
+                        budget=100.0)
+    with pytest.raises(ValueError, match="theta"):
+        solve_budget(bi)
+
+
+def test_budget_instance_gates_first_price_curves():
+    kinked = Empirical([(1.0, 0.2), (2.0, 0.8)])
+    with pytest.raises(NotTwoConcave):
+        BudgetInstance(items=[ItemType("a", 1.0, kinked, "first_price")], values=np.array([1.0]), budget=0.1)
 
 
 def test_budget_validation():
@@ -260,12 +294,25 @@ def test_markowitz_two_asset_grid_search():
     assert markowitz_objective(mi, x) <= best[0] + 1e-9
 
 
-def test_markowitz_dual_matches_primal_random():
+# order books of the other families: their proximal steps take the
+# root-finding branch of the volume prox
+BOOKS = {
+    "empirical_spread_gap": lambda rng: Empirical(list(zip(np.cumsum(rng.uniform(0.2, 1.0, 5)).tolist(),
+                                                           [0.0, *np.cumsum(rng.uniform(0.2, 1.0, 4)).tolist()]))),
+    "bounded_uniform": lambda rng: BoundedUniform(float(rng.uniform(1.0, 3.0))),
+    "exponential": lambda rng: Exponential(float(rng.uniform(0.5, 3.0))),
+    "hyperbolic": lambda rng: Hyperbolic(float(rng.uniform(0.5, 3.0))),
+}
+
+
+@pytest.mark.parametrize("book", ["power_law", *BOOKS])
+def test_markowitz_dual_matches_primal_random(book):
     rng = np.random.default_rng(11)
     for m in [2, 3, 5]:
         sigma = spd_matrix(rng, m)
         alpha = rng.normal(size=m) * 2.0
-        mi = MarkowitzInstance(alpha=alpha, sigma=sigma, risk_aversion=1.5, lob=lob_for(rng, m))
+        lob = lob_for(rng, m) if book == "power_law" else LobMarket(tuple(BOOKS[book](rng) for _ in range(m)))
+        mi = MarkowitzInstance(alpha=alpha, sigma=sigma, risk_aversion=1.5, lob=lob)
         x_p = solve_markowitz_primal(mi, tol=1e-10)
         zeta, phi, x_d = solve_markowitz_dual(mi, tol=1e-8)
         assert np.allclose(x_p, x_d, atol=1e-6)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bidopt.costs import FamilyGroups
 from bidopt.model import Contract, ItemType, build_instance, random_sparse_instance
 from bidopt.curves import (
     BoundedUniform,
@@ -18,7 +19,7 @@ from bidopt.curves import (
     fit_empirical,
 )
 from bidopt.simulate import BidPolicy, ab_compare, policy_from_primal, simulate
-from bidopt.solver import solve
+from bidopt.solver import solution_from_json, solution_to_json, solve
 from oracles import replay_per_arrival
 
 # the package's ``simulate`` function shadows its module of that name
@@ -44,6 +45,26 @@ def mixed_instance():
         Contract("c2", 0.9, {"e": 0.3, "b": 1.0, "p": 0.5}),
     ]
     return build_instance(items, contracts)
+
+
+def test_grouping_is_built_once_per_instance(monkeypatch):
+    # solve, reading the plan back, the policy and the replay all share the
+    # instance's one family grouping
+    builds = []
+    init = FamilyGroups.__init__
+
+    def counting(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FamilyGroups, "__init__", counting)
+    inst = mixed_instance()
+    sol = solve(inst)
+    back = solution_from_json(inst, solution_to_json(inst, sol))
+    assert back.report.passed
+    rep = simulate(inst, policy_from_primal(inst, back.primal), horizon=200.0, seed=3)
+    assert rep.fulfillment_ok()
+    assert len(builds) == 1
 
 
 def overbid_policy(inst, sol, factor):

@@ -18,8 +18,6 @@ from bidopt.solver import (
     InfeasibleInstance,
     NotConverged,
     PreconditionViolated,
-    _ItemKernels,
-    _Workspace,
     certify,
     recover_primal,
     solution_from_json,
@@ -100,10 +98,9 @@ def test_weak_duality(seed):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, n_contracts=int(rng.integers(2, 8)), n_items=int(rng.integers(2, 5)))
     sol = solve(inst, tol=1e-9)
-    ws = _Workspace(inst)
     for _ in range(5):
         rho = rng.exponential(1.0, inst.n_contracts)
-        assert ws.value(rho) <= sol.primal.primal_value + 1e-7 * (1.0 + abs(sol.primal.primal_value))
+        assert solver._dual_value(inst, rho) <= sol.primal.primal_value + 1e-7 * (1.0 + abs(sol.primal.primal_value))
     assert sol.dual.dual_value <= sol.primal.primal_value + 1e-9 * (1.0 + abs(sol.primal.primal_value))
 
 
@@ -239,8 +236,8 @@ def test_not_converged_carries_best_iterate(monkeypatch):
     verdicts = []
     routing_lp = solver._routing_lp
 
-    def recording(ws, rho):
-        verdicts.append(routing_lp(ws, rho))
+    def recording(inst, rho):
+        verdicts.append(routing_lp(inst, rho))
         return verdicts[-1]
 
     inst = mixed_instance()
@@ -257,15 +254,14 @@ def test_not_converged_carries_best_iterate(monkeypatch):
     assert exc.value.residual > 0.0
     # the carried iterate is still a valid dual point: its value under an
     # independent evaluation matches, and weak duality holds against a solve
-    ws = _Workspace(inst)
-    assert ws.value(np.asarray(best.rho)) == pytest.approx(best.dual_value, rel=1e-12)
+    assert solver._dual_value(inst, np.asarray(best.rho)) == pytest.approx(best.dual_value, rel=1e-12)
     ref = solve(inst, tol=1e-10)
     assert best.dual_value <= ref.primal.primal_value + 1e-9
 
 
 def test_failed_routing_lp_leaves_the_solve_uncertified(monkeypatch):
     # without the routing LP's verdict no point is certified
-    monkeypatch.setattr(solver, "_routing_lp", lambda ws, rho: None)
+    monkeypatch.setattr(solver, "_routing_lp", lambda inst, rho: None)
     with pytest.raises(NotConverged) as exc:
         solve_dual(mixed_instance())
     assert exc.value.best.flows is None
@@ -277,10 +273,9 @@ def test_perturbed_dual_fails_certification():
     sol = solve(inst, tol=1e-10)
     rho = sol.dual.rho.copy()
     rho[0] += 0.05
-    ws = _Workspace(inst)
     mu = inst.mu_of(rho)
     theta = mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]
-    fake = DualSolution(rho=rho, mu=mu, theta=theta, dual_value=ws.value(rho))
+    fake = DualSolution(rho=rho, mu=mu, theta=theta, dual_value=solver._dual_value(inst, rho))
     report = certify(inst, sol.primal, fake, tol=1e-6)
     assert not report.passed
 
@@ -350,14 +345,14 @@ def _solve_recording_master(inst, monkeypatch, tol=1e-8):
     runs, routing = [], []
     kelley, routing_lp = solver._kelley_phase, solver._routing_lp
 
-    def recording(ws, *args, **kwargs):
-        out = kelley(ws, *args, **kwargs)
-        runs.append((out[0], out[2], ws.scale, out[0] + out[2], out[4]))
+    def recording(inst, *args, **kwargs):
+        out = kelley(inst, *args, **kwargs)
+        runs.append((out[0], out[2], solver._scale(inst), out[0] + out[2], out[4]))
         return out
 
-    def counting(ws, rho):
+    def counting(inst, rho):
         routing.append(rho)
-        return routing_lp(ws, rho)
+        return routing_lp(inst, rho)
 
     monkeypatch.setattr(solver, "_kelley_phase", recording)
     monkeypatch.setattr(solver, "_routing_lp", counting)
@@ -408,9 +403,9 @@ def test_box_pressing_rounds_add_tangents(seed):
     # a round that only widens the box must still add the tangents at the
     # LP's point, or the box widens x100 a round until HiGHS finds the model
     # unbounded and the phase ends with gap = inf
-    ws = _Workspace(_fuzz_instance(seed))
-    warm = solver._warm_start(ws)
-    value, _, gap, solves, _ = solver._kelley_phase(ws, ws.value(warm), warm, 1e-8)
+    inst = _fuzz_instance(seed)
+    warm = solver._warm_start(inst, {})
+    value, _, gap, solves, _ = solver._kelley_phase(inst, solver._dual_value(inst, warm), warm, 1e-8)
     assert solves > 0
     assert math.isfinite(gap) and gap <= 1e-6 * (1.0 + abs(value))
 
@@ -421,7 +416,6 @@ def test_master_row_duals_route_the_targets(make, monkeypatch):
     # is strictly inside its box has zero reduced cost, so the flows read off
     # the edge-row duals deliver exactly its target
     inst = make()
-    ws = _Workspace(inst)
     solved = []
     master_solve = solver._MasterLP.solve
 
@@ -432,8 +426,8 @@ def test_master_row_duals_route_the_targets(make, monkeypatch):
         return x, obj, ok
 
     monkeypatch.setattr(solver._MasterLP, "solve", recording)
-    warm = solver._warm_start(ws)
-    *_, flows = solver._kelley_phase(ws, ws.value(warm), warm, 1e-8)
+    warm = solver._warm_start(inst, {})
+    *_, flows = solver._kelley_phase(inst, solver._dual_value(inst, warm), warm, 1e-8)
     monkeypatch.undo()
     rho, cap = solved[-1]
     assert np.all(flows >= -1e-12)
@@ -499,14 +493,14 @@ def test_stats_count_tie_roots():
 def test_vectorized_kernels_match_cost_objects(curve, kind):
     item = ItemType("a", 1.0, curve, kind)
     inst = build_instance([item], [Contract("x", 0.1, {"a": 1.0})])
-    kern = _ItemKernels(inst)
+    groups = inst.groups
     cost = item.cost
     for mu in [0.0, 0.05, 0.3, 0.9, 1.7, 4.0, 25.0]:
-        conj, win = kern.conj_win(np.array([mu]))
+        conj, win = groups.conj_win(np.array([mu]))
         assert conj[0] == pytest.approx(cost.conjugate(mu), rel=1e-10, abs=1e-12)
         assert win[0] == pytest.approx(cost.win_probability(mu), rel=1e-10, abs=1e-12)
         # the win-only evaluation is the same arithmetic, bit for bit
-        assert kern.win(kern.all_items, np.array([mu]))[0] == win[0]
+        assert groups.win_rate(np.array([mu]))[0] == win[0]
 
 
 def test_tie_roots_match_brentq_per_component():
@@ -536,9 +530,8 @@ def test_tie_roots_match_brentq_per_component():
             slope.append(v)
         contracts.append(Contract(f"c{k}", cap if k == 3 else 0.6 * cap, vals))
     inst = build_instance(items, contracts)
-    ws = _Workspace(inst)
     comps = (np.arange(4), np.ones(4), np.array(item_comp), np.array(slope))
-    updates = solver._component_updates(ws, np.ones(4), comps)
+    updates = solver._component_updates(inst, np.ones(4), comps, {})
     assert [idx.tolist() for idx, _ in updates] == [[0], [1], [2]]
     for idx, vals in updates:
         k = int(idx[0])
@@ -555,17 +548,20 @@ def test_tie_roots_match_brentq_per_component():
         assert vals[0] == pytest.approx(ref, rel=1e-13)
 
 
-NEWTON_RATES = [0.05, 0.3, 1.0, 1.3, 2.0, 7.5, 40.0]
-NEWTON_MUS = [1e-9, 1e-6, 1e-3, 0.1, 0.7, 1.0, 2.5, 10.0, 100.0, 1e4, 1e8]
+NEWTON_RATES = [0.05, 0.3, 1.0, 1.3, 2.0, 3.0, 7.5, 40.0]
+NEWTON_MUS = [1e-9, 1e-6, 1e-3, 0.1, 0.7, 1.0, 2.5, 10.0, 100.0, 1e4, 1e8, 1e12, 1e16, 1e20, 1e30, 1e50]
 
 
-def _exp_first_bid_40_digits(rate, mu):
-    """Root of x + (e^{rate x} - 1)/rate = mu to 40 digits, rounded to a float."""
-    with mpmath.workdps(40):
+def _exp_first_bid_60_digits(rate, mu):
+    """Root of x + (e^{rate x} - 1)/rate = mu to 60 digits, rounded to a float.
+
+    The residual is taken relative to mu, so the root is pinned to 60 digits
+    at every scale of mu.
+    """
+    with mpmath.workdps(60):
         g, m = mpmath.mpf(rate), mpmath.mpf(mu)
-        a = 1 + g * m
-        x0 = (a - mpmath.lambertw(mpmath.exp(a)).real) / g
-        return float(mpmath.findroot(lambda x: x + mpmath.expm1(g * x) / g - m, x0))
+        x0 = mpmath.log(mpmath.lambertw(mpmath.exp(1 + g * m)).real) / g
+        return float(mpmath.findroot(lambda x: (x + mpmath.expm1(g * x) / g) / m - 1, x0))
 
 
 def test_vectorized_exponential_newton_stops_at_the_root(monkeypatch):
@@ -579,7 +575,17 @@ def test_vectorized_exponential_newton_stops_at_the_root(monkeypatch):
     x = Exponential.bid(mu, rate)
     monkeypatch.undo()
     assert len(calls) <= 2
-    ref = [_exp_first_bid_40_digits(r, m) for r, m in zip(rate, mu)]
+    ref = [_exp_first_bid_60_digits(r, m) for r, m in zip(rate, mu)]
+    np.testing.assert_array_max_ulp(x, ref, maxulp=2)
+
+
+def test_vectorized_hyperbolic_bid_keeps_its_digits():
+    # c (sqrt(1 + mu/c) - 1) cancels at small mu/c (8e-4 relative at
+    # mu = 1e-12); the bid formula must not
+    scale, mu = (a.ravel() for a in np.meshgrid([0.05, 0.4, 1.0, 2.5, 40.0], [1e-12, 1e-9, *NEWTON_MUS[1:]]))
+    x = Hyperbolic.bid(mu, scale)
+    with mpmath.workdps(50):
+        ref = [float(mpmath.mpf(c) * (mpmath.sqrt(1 + mpmath.mpf(m) / c) - 1)) for c, m in zip(scale, mu)]
     np.testing.assert_array_max_ulp(x, ref, maxulp=2)
 
 
@@ -634,7 +640,7 @@ def test_grouped_bids_match_per_item_inverse(make):
     for mu in np.geomspace(1e-3, 50.0, 25):
         mus = mu * np.linspace(0.5, 1.5, inst.n_items)
         ref = [cost.bid_mapping_inverse(min(m, cost.bid_cap)) for m, cost in zip(mus, inst.costs)]
-        np.testing.assert_array_max_ulp(solver._bids(_ItemKernels(inst), inst, mus), ref, maxulp=1)
+        np.testing.assert_array_max_ulp(inst.groups.bid(mus), ref, maxulp=1)
 
 
 @grouped_cases
@@ -642,18 +648,17 @@ def test_grouped_spend_matches_per_item_lam(make):
     # the per-item reference: lambda_j lam_j(q_j) summed over items with
     # s_j > 0, each q_j clamped just below the curve's mass
     inst = make()
-    kernels = _ItemKernels(inst)
     ramp = np.linspace(0.1, 0.9, inst.n_items)
     for s in (np.zeros(inst.n_items), ramp * inst.capacities, np.where(ramp < 0.5, -ramp, 1.5) * inst.capacities):
         ref = sum(lam * float(cost.lam(min(sj / lam, cost.total_mass * (1.0 - 1e-12))))
                   for sj, lam, cost in zip(s, inst.rates, inst.costs) if sj > 0.0)
-        assert solver._spend_rate(kernels, inst, s) == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert solver._spend_rate(inst, s) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_recover_primal_without_flows_fails_when_routing_fails(monkeypatch):
     inst = mixed_instance()
     dual = dataclasses.replace(solve_dual(inst, tol=1e-10), flows=None)
-    monkeypatch.setattr(solver, "_routing_lp", lambda ws, rho: None)
+    monkeypatch.setattr(solver, "_routing_lp", lambda inst, rho: None)
     with pytest.raises(NotConverged):
         recover_primal(inst, dual)
 
