@@ -205,6 +205,10 @@ class FamilyGroups:
 
         return tuple(self._per_group(paid_and_won, np.maximum(x, 0.0), 2))
 
+    def quantile(self, q: np.ndarray) -> np.ndarray:
+        """W^{-1}(q) of every item at q in [0, total mass]."""
+        return self._per_group(lambda family, params, v, first: family.quantile(v, *params), q)[0]
+
     def bid(self, mu: np.ndarray) -> np.ndarray:
         """Bids g^{-1}(mu) of every item, each mu capped at the item's bid cap g(x_bar).
 
@@ -216,6 +220,7 @@ class FamilyGroups:
 
 
 _EPS = np.finfo(float).eps
+_HALF_MAX = np.finfo(float).max / 2.0
 
 
 def monotone_root(balance, f0: np.ndarray, t0: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -224,17 +229,19 @@ def monotone_root(balance, f0: np.ndarray, t0: np.ndarray, live: np.ndarray) -> 
     ``balance(t)`` evaluates all k functions, the i-th at t[i]; ``f0`` holds
     their values at 0, which must be positive.  Entries not ``live`` are
     known to have no root and get NaN, as does an entry whose root lies
-    beyond 2^80 max(t0, 1e-9) or that 300 steps do not pin down.  Brackets
-    start by doubling from t0; then Illinois regula falsi (Dowell & Jarratt
-    1971) shrinks them all at once, stepping to the midpoint of a bracket
-    that three steps failed to halve and keeping every step 2 eps inside it.
+    beyond the largest float that doubling max(t0, 1e-9) reaches, or that
+    300 steps do not pin down.  Brackets start by doubling from t0 for as
+    long as the doubled end stays finite; then Illinois regula falsi
+    (Dowell & Jarratt 1971) shrinks them all at once, stepping to the
+    midpoint of a bracket that three steps failed to halve and keeping every
+    step 2 eps inside it.
     """
     k = f0.size
     a, fa = np.zeros(k), f0.copy()
     b = np.maximum(t0, 1e-9)
     fb = balance(b)
-    for _ in range(80):
-        up = live & (fb > 0.0)
+    while True:
+        up = live & (fb > 0.0) & (b <= _HALF_MAX)
         if not up.any():
             break
         a[up], fa[up] = b[up], fb[up]

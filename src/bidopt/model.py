@@ -14,16 +14,21 @@ Every LP in bidopt is built and solved here, on scipy's private HiGHS
 binding: one transportation LP over the edges backs the adequate-supply
 check, :func:`max_scalable_target` and the solver's routing LP, and the
 solver's cutting-plane master is a persistent model on the same layer.
+The binding is loaded straight from its file, without running the
+``scipy.optimize`` package (see :func:`_load_highs`).
 """
 from __future__ import annotations
 
 import csv
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, HighsStatus, _Highs
 
 from .costs import AcquisitionCost, AuctionKind, FamilyGroups
 from .curves import SupplyCurve, curve_from_json
@@ -371,6 +376,50 @@ class SupplyCheck:
 
 # ---------------------------------------------------------------------------
 # the HiGHS layer
+
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _highs_spec(scipy_dirs: Sequence[str]) -> importlib.machinery.ModuleSpec:
+    """Spec of scipy's HiGHS extension, looked up in ``optimize/_highspy`` under each of ``scipy_dirs``.
+
+    That is where scipy >= 1.17 puts it; ImportError names the installed
+    scipy and the module searched for when it is not there.
+    """
+    spec = importlib.machinery.PathFinder.find_spec(
+        _HIGHS_MODULE, [os.path.join(d, "optimize", "_highspy") for d in scipy_dirs])
+    if spec is None:
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            installed = f"scipy {version('scipy')}"
+        except PackageNotFoundError:
+            installed = "no scipy"
+        raise ImportError(f"bidopt needs scipy's HiGHS extension {_HIGHS_MODULE} (scipy >= 1.17); "
+                          f"searched {list(scipy_dirs)} with {installed} installed")
+    return spec
+
+
+def _load_highs():
+    """scipy's HiGHS extension, registered under its full name so a later ``import scipy.optimize`` reuses it.
+
+    Running ``scipy.optimize/__init__.py`` to reach it would cost most of
+    bidopt's import time, so the module is executed from its spec directly.
+    """
+    module = sys.modules.get(_HIGHS_MODULE)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        spec = _highs_spec(scipy.submodule_search_locations if scipy is not None else [])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_HIGHS_MODULE] = module
+    return module
+
+
+_highs = _load_highs()
+HighsLp, HighsModelStatus, HighsStatus, _Highs = (
+    _highs.HighsLp, _highs.HighsModelStatus, _highs.HighsStatus, _highs._Highs)
 
 
 # push HiGHS well below its default feasibility tolerances: model gaps and

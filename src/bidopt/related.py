@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .costs import AuctionKind, FamilyGroups, monotone_root
 from .curves import Empirical, PowerLawDensity, SupplyCurve, curve_from_json
@@ -145,8 +144,8 @@ def solve_budget(bi: BudgetInstance) -> tuple[float, np.ndarray]:
     Spend is continuous and nondecreasing in u = 1/theta (bids grow as the
     multiplier shrinks) and 0 at u = 0, so u is the root of budget - spend,
     closed to a relative width of 4 eps.  Raises BudgetSlack when even
-    maximal bids cost no more than the budget, and ValueError when the
-    multiplier lies outside the bracket the root search covers.
+    maximal bids cost no more than the budget, and ValueError when the root
+    search finds no u up to the largest float.
     """
     if bi.budget >= budget_spend(bi, 0.0):
         raise BudgetSlack(budget_bids(bi, 0.0))
@@ -315,27 +314,34 @@ def markowitz_objective(mi: MarkowitzInstance, x: np.ndarray) -> float:
     return quad + sum(lob_cost(mi.lob, j, float(x[j])) for j in range(mi.n_assets))
 
 
-def _prox_volume(curve: SupplyCurve, z: float, t: float) -> float:
-    """argmin_y Lambda(y) + (y - z)^2 / (2t) over 0 <= y <= depth."""
-    if z <= 0.0:
-        return 0.0
-    mass = curve.total_mass
-    if isinstance(curve, PowerLawDensity):
-        # Lambda'(y) = sqrt(2 y / w0); quadratic in sqrt(y)
-        b = math.sqrt(2.0 / curve.w0)
-        u = 0.5 * (-t * b + math.sqrt(t * t * b * b + 4.0 * z))
-        return min(u * u, mass)
-    x_bar = curve.x_bar
-    if math.isfinite(x_bar) and mass + t * x_bar <= z:
-        return mass
+def _volume_prox(market: LobMarket, t: float):
+    """The map z -> argmin_y sum_j Lambda_j(y_j) + |y - z|^2 / (2t) over 0 <= y <= depth, all assets at once.
 
-    def balance(y: float) -> float:
-        return y + t * float(curve.inverse(y)) - z
+    Coordinate j solves y + t W_j^{-1}(y) = z_j: one ``monotone_root`` of
+    z - y - t W^{-1}(y) over all assets per step.  The root lies below both
+    z and the top of the book (``mass * (1 - 1e-14)`` where the support is
+    unbounded), so the smaller of the two closes its bracket.  Masks take
+    the rest: PowerLawDensity books have a closed form, a book whose top
+    still balances below z is bought out, and one whose spread gap already
+    costs t W^{-1}(0) >= z buys nothing.
+    """
+    groups, curves = market.groups, market.curves
+    mass = np.array([c.total_mass for c in curves])
+    top = np.where(np.isfinite(groups.x_bar), mass, mass * (1.0 - 1e-14))
+    top_price, gap = groups.quantile(top), groups.quantile(np.zeros(mass.size))
+    power = np.array([isinstance(c, PowerLawDensity) for c in curves])
+    # PowerLawDensity: Lambda'(y) = sqrt(2 y / w0); quadratic in sqrt(y)
+    tb = t * np.array([math.sqrt(2.0 / c.w0) if isinstance(c, PowerLawDensity) else 0.0 for c in curves])
 
-    hi = mass if math.isfinite(x_bar) else mass * (1.0 - 1e-14)
-    if balance(hi) <= 0.0:
-        return mass
-    return max(float(brentq(balance, 0.0, hi, xtol=1e-14)), 0.0)
+    def prox(z: np.ndarray) -> np.ndarray:
+        u = 0.5 * (-tb + np.sqrt(tb * tb + 4.0 * np.maximum(z, 0.0)))
+        full = z - top - t * top_price >= 0.0
+        f0 = z - t * gap
+        live = ~power & ~full & (f0 > 0.0)
+        y = monotone_root(lambda v: z - v - t * groups.quantile(np.minimum(v, top)), f0, np.minimum(z, top), live)
+        return np.where(power, np.minimum(u * u, mass), np.where(full, mass, np.where(live, y, 0.0)))
+
+    return prox
 
 
 def solve_markowitz_primal(
@@ -350,11 +356,7 @@ def solve_markowitz_primal(
     m = mi.n_assets
     risk = mi.risk_aversion
     step = 1.0 / (risk * float(np.linalg.eigvalsh(mi.sigma)[-1]))
-
-    def prox(z: np.ndarray) -> np.ndarray:
-        if mi.lob is None:
-            return z
-        return np.array([_prox_volume(mi.lob.curves[j], float(z[j]), step) for j in range(m)])
+    prox = (lambda z: z) if mi.lob is None else _volume_prox(mi.lob, step)
 
     def forward(x: np.ndarray) -> np.ndarray:
         return prox(x - step * (risk * (mi.sigma @ x) - mi.alpha))
@@ -412,6 +414,8 @@ def solve_markowitz_dual(
     the book volume available at the margins alpha - phi, and the result is
     certified by the primal-dual objective gap (NotConverged beyond ``tol``).
     """
+    from scipy.optimize import minimize  # the only scipy.optimize user; kept out of bidopt's import
+
     chol = np.linalg.cholesky(mi.sigma)
     risk = mi.risk_aversion
 

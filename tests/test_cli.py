@@ -349,6 +349,21 @@ def test_budget_writes_unbounded_bids_as_null(tmp_path, capsys):
     assert plan["spend"] == pytest.approx(1.0, rel=1e-12)
 
 
+def test_budget_with_a_tiny_multiplier_exits_0(tmp_path, capsys):
+    # theta ~ e^-100 meets this budget: the root search must reach it
+    doc = {
+        "items": [{"id": "a", "rate": 1.0, "curve": {"family": "exponential", "params": {"rate": 1.0}},
+                   "auction": "first_price"}],
+        "values": [1.0],
+        "budget": 100.0,
+    }
+    assert main(["budget", "--input", write_json(tmp_path / "budget.json", doc)]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert plan["binding"] is True
+    assert plan["theta"] == pytest.approx(math.exp(-100.0), rel=1e-6)
+    assert plan["spend"] == pytest.approx(100.0, rel=1e-12)
+
+
 def test_budget_first_price_without_2_concavity_exits_1(tmp_path, capsys):
     doc = {
         "items": [{"id": "a", "rate": 1.0, "curve": {"family": "empirical", "breakpoints": [[1.0, 0.2], [2.0, 0.8]]},

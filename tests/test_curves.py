@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import wrightomega
 
 from bidopt.curves import (
     BoundedUniform,
@@ -16,6 +17,7 @@ from bidopt.curves import (
     PowerLawDensity,
     SupplyCurve,
     UndifferentiableAtBreakpoint,
+    _omega,
     alpha_concavity_check,
     curve_from_json,
     fit_empirical,
@@ -298,3 +300,10 @@ def test_first_price_bid_needs_a_family_formula():
     # no generic fallback: a family without _g_inverse cannot price first price
     with pytest.raises(NotImplementedError, match="_g_inverse"):
         SupplyCurve()._g_inverse(1.0)
+
+
+def test_omega_matches_scipy_wrightomega():
+    # the numpy Wright omega behind Exponential.bid, from a = 1 to the top of
+    # the float range; an overflow on the way would raise here as a warning
+    a = np.concatenate([[1.0, 2.0, 1.7e308, np.finfo(float).max], np.logspace(0.0, np.log10(1.7e308), 200001)])
+    np.testing.assert_array_max_ulp(_omega(a), wrightomega(a), maxulp=2)

@@ -1,4 +1,7 @@
+import importlib.metadata
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from bidopt.costs import AuctionKind, NotTwoConcave
 from bidopt.curves import BoundedUniform, Empirical, Exponential, Hyperbolic
+from bidopt import model
 from bidopt.model import (
     Contract,
     DuplicateId,
@@ -256,3 +260,42 @@ def test_instance_arrays_read_only():
         inst.edge_v[0] = 5.0
     with pytest.raises(ValueError):
         inst.rates[0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# the HiGHS extension, loaded without running scipy.optimize
+
+
+def _python(code: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_scipy_subpackage():
+    loaded = set(_python("import sys, bidopt, bidopt.cli; print(*sys.modules)").split())
+    assert "scipy.optimize._highspy._core" in loaded
+    assert not loaded & {"scipy.optimize", "scipy.special", "scipy.linalg", "scipy.sparse"}
+
+
+@pytest.mark.parametrize("first", ["bidopt", "scipy.optimize"])
+def test_highs_extension_is_shared_with_scipy_optimize(first):
+    # either import order leaves one extension module: the same _Highs class,
+    # and linprog still solves
+    out = _python(f"""
+import importlib
+importlib.import_module({first!r})
+import scipy.optimize
+from bidopt import model
+from scipy.optimize._highspy._core import _Highs
+res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+print(model._Highs is _Highs, res.status, res.fun)
+""")
+    assert out.split() == ["True", "0", "1.0"]
+
+
+def test_highs_lookup_names_scipy_and_the_module(tmp_path):
+    with pytest.raises(ImportError) as exc:
+        model._highs_spec([str(tmp_path)])
+    assert f"scipy {importlib.metadata.version('scipy')}" in str(exc.value)
+    assert "scipy.optimize._highspy._core" in str(exc.value)
