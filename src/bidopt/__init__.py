@@ -8,8 +8,8 @@ formulations (budget pacing, order-book portfolios); `cli` the command-line
 front end.
 
 The names below are the standard surface; anything else is reachable from
-its submodule.  `related` keeps its own `NotConverged` distinct from the
-solver's, so import it from the submodule explicitly.
+its submodule.  `NotConverged` is one class, raised by the contract solver
+and by `related`'s portfolio solvers alike.
 """
 
 from .costs import AcquisitionCost, AuctionKind, DarkPoolCheck, dark_pool_identity_check

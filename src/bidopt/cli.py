@@ -17,6 +17,20 @@ Input shapes by command::
                            "risk_aversion": r, "lob": [curve, ...] | null}
     figures               no input; writes CSVs into --output (a directory)
 
+Every command takes ``--output``; besides it each takes only the options it
+reads, and any other option is a usage error::
+
+    solve          --input --tol --margin
+    certify        --input --tol
+    simulate       --input --seed --horizon, and --tol --margin to solve a
+                   bare instance first
+    feasibility    --input --margin
+    budget         --input
+    markowitz      --input --tol
+    figures        --tol --seed --margin, and the subset to regenerate
+
+``--tol``, ``--margin`` and ``--horizon`` must be positive.
+
 Exit codes: 0 success; 1 unreadable or malformed input; 2 infeasible
 instance; 3 non-convergence or a certificate that misses tolerance.
 """
@@ -27,12 +41,11 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import related
 from .costs import AcquisitionCost, AuctionKind
 from .curves import Exponential, curve_from_json
 from .model import (
@@ -65,8 +78,6 @@ from .solver import (
 
 __all__ = [
     "ParseError",
-    "RunConfig",
-    "run",
     "main",
     "build_parser",
     "bifurcation_cost_sweep",
@@ -76,27 +87,6 @@ __all__ = [
 
 class ParseError(ValueError):
     """Input file missing, unreadable, or not matching the expected shape."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation: a command plus the shared knobs."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    tol: float = 1e-8
-    seed: int | None = None
-    horizon: float = 1000.0
-    margin: float = 1e-6
-    subset: str = "all"
-
-    def __post_init__(self):
-        for name in ("tol", "margin", "horizon"):
-            if not float(getattr(self, name)) > 0.0:
-                raise ParseError(f"{name} must be positive")
-        if self.command == "simulate" and self.seed is None:
-            raise ParseError("simulate needs --seed so runs are reproducible")
 
 
 def _status(msg: str) -> None:
@@ -173,16 +163,16 @@ def _emit_json(doc: dict, output) -> None:
 # commands
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    obj = _load_json(cfg.input)
-    inst = _parse_instance(obj, cfg.input)
-    sol = solve(inst, tol=cfg.tol, margin=cfg.margin)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    obj = _load_json(args.input)
+    inst = _parse_instance(obj, args.input)
+    sol = solve(inst, tol=args.tol, margin=args.margin)
     doc = {
         "instance": inst.to_json(),
         "solution": solution_to_json(inst, sol),
         "certificate": {name: float(value) for name, value, _ in sol.report.rows()},
     }
-    _emit_json(doc, cfg.output)
+    _emit_json(doc, args.output)
     passed = sol.report.passed
     _status(
         f"solved {inst.n_items} items / {inst.n_contracts} contracts: "
@@ -192,23 +182,25 @@ def _cmd_solve(cfg: RunConfig) -> int:
     return 0 if passed else 3
 
 
-def _cmd_certify(cfg: RunConfig) -> int:
-    obj = _load_json(cfg.input)
-    inst = _parse_instance(obj, cfg.input)
-    sol = _parse_solution(inst, obj, cfg.input)
+def _cmd_certify(args: argparse.Namespace) -> int:
+    obj = _load_json(args.input)
+    inst = _parse_instance(obj, args.input)
+    sol = _parse_solution(inst, obj, args.input)
     # parsing recomputed the certificate; only the tolerance it is read at changes
-    report = replace(sol.report, tol=cfg.tol)
-    if cfg.output is not None:
-        report.to_csv(cfg.output)
+    report = replace(sol.report, tol=args.tol)
+    if args.output is not None:
+        report.to_csv(args.output)
     for name, value, ok in report.rows():
         print(f"{name:>28s}  {value: .12e}  {'ok' if ok else 'FAIL'}")
-    print(f"{'certified' if report.passed else 'FAILED'} at tol {cfg.tol:g}")
+    print(f"{'certified' if report.passed else 'FAILED'} at tol {args.tol:g}")
     return 0 if report.passed else 3
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    obj = _load_json(cfg.input)
-    inst = _parse_instance(obj, cfg.input)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.seed is None:
+        raise ParseError("simulate needs --seed so runs are reproducible")
+    obj = _load_json(args.input)
+    inst = _parse_instance(obj, args.input)
     if "policy" in obj:
         rec = obj["policy"]
         try:
@@ -217,37 +209,37 @@ def _cmd_simulate(cfg: RunConfig) -> int:
                 gamma=np.asarray(rec["gamma"], dtype=float),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{cfg.input}: bad policy: {exc}") from exc
+            raise ParseError(f"{args.input}: bad policy: {exc}") from exc
     elif "solution" in obj:
-        sol = _parse_solution(inst, obj, cfg.input)
+        sol = _parse_solution(inst, obj, args.input)
         policy = policy_from_primal(inst, sol.primal)
     else:
-        sol = solve(inst, tol=cfg.tol, margin=cfg.margin)
+        sol = solve(inst, tol=args.tol, margin=args.margin)
         policy = policy_from_primal(inst, sol.primal)
     try:
         policy.check(inst)
     except ValueError as exc:
-        raise ParseError(f"{cfg.input}: policy does not fit the instance: {exc}") from exc
+        raise ParseError(f"{args.input}: policy does not fit the instance: {exc}") from exc
 
-    csv_path = None if cfg.output is None else str(Path(cfg.output).with_suffix(".csv"))
+    csv_path = None if args.output is None else str(Path(args.output).with_suffix(".csv"))
     report = simulate(
-        inst, policy, cfg.horizon, cfg.seed, csv_path=csv_path, json_path=cfg.output
+        inst, policy, args.horizon, args.seed, csv_path=csv_path, json_path=args.output
     )
-    if cfg.output is None:
+    if args.output is None:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     ok = report.fulfillment_ok()
     _status(
-        f"simulated horizon {cfg.horizon:g} over {report.n_batches} batches: "
+        f"simulated horizon {args.horizon:g} over {report.n_batches} batches: "
         f"cost rate {report.cost_rate:.6g}, fulfillment {'ok' if ok else 'SHORT'}"
     )
     return 0
 
 
-def _cmd_feasibility(cfg: RunConfig) -> int:
-    obj = _load_json(cfg.input)
-    inst = _parse_instance(obj, cfg.input)
-    chk = check_adequate_supply(inst, margin=cfg.margin)
-    doc: dict = {"feasible": bool(chk), "slack": float(chk.slack), "margin": cfg.margin}
+def _cmd_feasibility(args: argparse.Namespace) -> int:
+    obj = _load_json(args.input)
+    inst = _parse_instance(obj, args.input)
+    chk = check_adequate_supply(inst, margin=args.margin)
+    doc: dict = {"feasible": bool(chk), "slack": float(chk.slack), "margin": args.margin}
     if chk.certificate is not None:
         cert = chk.certificate
         doc["certificate"] = {
@@ -257,13 +249,13 @@ def _cmd_feasibility(cfg: RunConfig) -> int:
             "reachable_supply": float(cert.reachable_supply),
             "weighted_shortfall": float(cert.weighted_shortfall),
         }
-    _emit_json(doc, cfg.output)
+    _emit_json(doc, args.output)
     return 0 if chk else 2
 
 
-def _cmd_budget(cfg: RunConfig) -> int:
-    obj = _load_json(cfg.input)
-    bi = _parse_budget(obj, cfg.input)
+def _cmd_budget(args: argparse.Namespace) -> int:
+    obj = _load_json(args.input)
+    bi = _parse_budget(obj, args.input)
     try:
         theta, bids = solve_budget(bi)
         binding = True
@@ -276,18 +268,18 @@ def _cmd_budget(cfg: RunConfig) -> int:
         "spend": float(budget_spend(bi, theta)),
         "budget": bi.budget,
     }
-    _emit_json(doc, cfg.output)
+    _emit_json(doc, args.output)
     return 0
 
 
-def _cmd_markowitz(cfg: RunConfig) -> int:
-    obj = _load_json(cfg.input)
+def _cmd_markowitz(args: argparse.Namespace) -> int:
+    obj = _load_json(args.input)
     try:
         mi = markowitz_from_json(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{cfg.input}: bad portfolio problem: {exc}") from exc
-    x_primal = solve_markowitz_primal(mi, tol=cfg.tol)
-    zeta, phi, x_dual = solve_markowitz_dual(mi, tol=cfg.tol)
+        raise ParseError(f"{args.input}: bad portfolio problem: {exc}") from exc
+    x_primal = solve_markowitz_primal(mi, tol=args.tol)
+    zeta, phi, x_dual = solve_markowitz_dual(mi, tol=args.tol)
     doc = {
         "position": [float(v) for v in x_primal],
         "position_from_dual": [float(v) for v in x_dual],
@@ -296,7 +288,7 @@ def _cmd_markowitz(cfg: RunConfig) -> int:
         "zeta": [float(v) for v in zeta],
         "max_disagreement": float(np.max(np.abs(x_primal - x_dual))),
     }
-    _emit_json(doc, cfg.output)
+    _emit_json(doc, args.output)
     return 0
 
 
@@ -333,6 +325,16 @@ def _chain_instance(rates, targets) -> ProblemInstance:
     return build_instance(items, contracts)
 
 
+def _chain_sweep(key: str, grid, chain, tol: float) -> list[dict]:
+    """Solve ``_chain_instance(*chain(v))`` at each grid value v; one row per solve."""
+    rows = []
+    for v in np.asarray(grid, dtype=float):
+        sol = solve(_chain_instance(*chain(float(v))), tol=tol)
+        dual = sol.dual
+        rows.append({key: float(v), "rho": dual.rho.copy(), "mu": dual.mu.copy(), "bids": sol.primal.x.copy()})
+    return rows
+
+
 def bifurcation_cost_sweep(rate2_grid, targets=(0.3, 0.3), tol=1e-8) -> list[dict]:
     """Sweep the shared item's price scale through the three-item chain.
 
@@ -342,19 +344,7 @@ def bifurcation_cost_sweep(rate2_grid, targets=(0.3, 0.3), tol=1e-8) -> list[dic
     and their pseudo-bids rho collapse onto one value; a small rate splits
     the contracts onto their private items and the pseudo-bids separate.
     """
-    rows = []
-    for r2 in np.asarray(rate2_grid, dtype=float):
-        inst = _chain_instance((0.5, float(r2), 2.0), targets)
-        sol = solve(inst, tol=tol)
-        rows.append(
-            {
-                "rate_2": float(r2),
-                "rho": sol.dual.rho.copy(),
-                "mu": sol.dual.mu.copy(),
-                "bids": sol.primal.x.copy(),
-            }
-        )
-    return rows
+    return _chain_sweep("rate_2", rate2_grid, lambda r2: ((0.5, r2, 2.0), targets), tol)
 
 
 def bifurcation_supply_sweep(target1_grid, tol=1e-8) -> list[dict]:
@@ -367,19 +357,7 @@ def bifurcation_supply_sweep(target1_grid, tol=1e-8) -> list[dict]:
     the shared item binds for both contracts, and the pseudo-bids meet while
     the bids grow.
     """
-    rows = []
-    for c1 in np.asarray(target1_grid, dtype=float):
-        inst = _chain_instance((0.1, 1.0, 10.0), (float(c1), 2.0 * float(c1)))
-        sol = solve(inst, tol=tol)
-        rows.append(
-            {
-                "target_1": float(c1),
-                "rho": sol.dual.rho.copy(),
-                "mu": sol.dual.mu.copy(),
-                "bids": sol.primal.x.copy(),
-            }
-        )
-    return rows
+    return _chain_sweep("target_1", target1_grid, lambda c1: ((0.1, 1.0, 10.0), (c1, 2.0 * c1)), tol)
 
 
 def _sweep_rows(key: str, rows: list[dict]):
@@ -411,32 +389,20 @@ def _figure_curves(outdir: Path) -> Path:
     return _write_csv(outdir / "curve_grids.csv", header, rows)
 
 
-def _figure_bifurcation_cost(outdir: Path, cfg: RunConfig) -> Path:
-    grid = np.geomspace(1.0 / 16.0, 32.0, 41)
-    rows = bifurcation_cost_sweep(grid, tol=cfg.tol)
-    return _write_csv(
-        outdir / "bifurcation_cost.csv", ["rate_2"] + _SWEEP_HEADER, _sweep_rows("rate_2", rows)
-    )
+def _write_sweep(path: Path, key: str, rows: list[dict]) -> Path:
+    return _write_csv(path, [key] + _SWEEP_HEADER, _sweep_rows(key, rows))
 
 
-def _figure_bifurcation_supply(outdir: Path, cfg: RunConfig) -> Path:
-    grid = np.concatenate([np.linspace(0.05, 0.95, 19), [0.99]])
-    rows = bifurcation_supply_sweep(grid, tol=cfg.tol)
-    return _write_csv(
-        outdir / "bifurcation_supply.csv", ["target_1"] + _SWEEP_HEADER, _sweep_rows("target_1", rows)
-    )
-
-
-def _figure_sparsity(outdir: Path, cfg: RunConfig) -> Path:
+def _figure_sparsity(outdir: Path, args: argparse.Namespace) -> Path:
     """Solve one large random instance and record how sparse the optimum is.
 
     d counts the instance's edges, d_star the edges carrying allocation at
     the optimum; the certificate is computed at a looser bar than the small
     commands because the instance has a quarter-million edges.
     """
-    rng = np.random.default_rng(0 if cfg.seed is None else cfg.seed)
+    rng = np.random.default_rng(0 if args.seed is None else args.seed)
     inst = random_sparse_instance(rng)
-    sol = solve(inst, tol=cfg.tol, margin=cfg.margin, certify_tol=1e-5)
+    sol = solve(inst, tol=args.tol, margin=args.margin, certify_tol=1e-5)
     d = inst.n_edges
     d_star = int(np.count_nonzero(sol.primal.R > 0.0))
     row = [
@@ -452,21 +418,21 @@ def _figure_sparsity(outdir: Path, cfg: RunConfig) -> Path:
     return _write_csv(outdir / "sparsity.csv", header, [row])
 
 
-def _cmd_figures(cfg: RunConfig) -> int:
-    outdir = Path(cfg.output) if cfg.output is not None else Path("figures")
+def _cmd_figures(args: argparse.Namespace) -> int:
+    outdir = Path(args.output) if args.output is not None else Path("figures")
     outdir.mkdir(parents=True, exist_ok=True)
-    chosen = cfg.subset
-    if chosen not in _SUBSETS:
-        raise ParseError(f"unknown figure set {chosen!r}; pick one of {', '.join(_SUBSETS)}")
+    chosen = args.subset
     written = []
     if chosen in ("all", "curves"):
         written.append(_figure_curves(outdir))
     if chosen in ("all", "bifurcation-cost"):
-        written.append(_figure_bifurcation_cost(outdir, cfg))
+        rows = bifurcation_cost_sweep(np.geomspace(1.0 / 16.0, 32.0, 41), tol=args.tol)
+        written.append(_write_sweep(outdir / "bifurcation_cost.csv", "rate_2", rows))
     if chosen in ("all", "bifurcation-supply"):
-        written.append(_figure_bifurcation_supply(outdir, cfg))
+        rows = bifurcation_supply_sweep(np.concatenate([np.linspace(0.05, 0.95, 19), [0.99]]), tol=args.tol)
+        written.append(_write_sweep(outdir / "bifurcation_supply.csv", "target_1", rows))
     if chosen in ("all", "sparsity"):
-        written.append(_figure_sparsity(outdir, cfg))
+        written.append(_figure_sparsity(outdir, args))
     for p in written:
         _status(f"wrote {p}")
     return 0
@@ -475,20 +441,40 @@ def _cmd_figures(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "certify": _cmd_certify,
-    "simulate": _cmd_simulate,
-    "feasibility": _cmd_feasibility,
-    "budget": _cmd_budget,
-    "markowitz": _cmd_markowitz,
-    "figures": _cmd_figures,
+
+def _positive(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
+_OPTIONS = {
+    "input": {"help": "path to the command's JSON input"},
+    "tol": {"type": _positive, "default": 1e-8, "help": "solver / certificate tolerance"},
+    "seed": {"type": int, "default": None, "help": "RNG seed (required to simulate)"},
+    "horizon": {"type": _positive, "default": 1000.0, "help": "simulated time span"},
+    "margin": {"type": _positive, "default": 1e-6, "help": "capacity margin for feasibility"},
 }
 
-
-def run(config: RunConfig) -> int:
-    """Dispatch one configured command; returns the process exit status."""
-    return _COMMANDS[config.command](config)
+# each command with its help line and the options it reads besides --output
+_COMMANDS = {
+    "solve": (_cmd_solve, "solve an instance; write instance + solution + certificate JSON",
+              ("input", "tol", "margin")),
+    "certify": (_cmd_certify, "recheck a solved document's optimality certificate", ("input", "tol")),
+    "simulate": (_cmd_simulate, "replay a solved document or explicit policy through the simulator",
+                 ("input", "seed", "horizon", "tol", "margin")),
+    "feasibility": (_cmd_feasibility, "run the adequate-supply check; report witness or certificate",
+                    ("input", "margin")),
+    "budget": (_cmd_budget, "solve the budget-capped bidder; report multiplier and bids", ("input",)),
+    "markowitz": (_cmd_markowitz, "solve the cost-aware portfolio by primal and dual routes",
+                  ("input", "tol")),
+    "figures": (_cmd_figures, "regenerate the CSV data sets behind the standard plots",
+                ("tol", "seed", "margin")),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -501,23 +487,11 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bidopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "solve": "solve an instance; write instance + solution + certificate JSON",
-        "certify": "recheck a solved document's optimality certificate",
-        "simulate": "replay a solved document or explicit policy through the simulator",
-        "feasibility": "run the adequate-supply check; report witness or certificate",
-        "budget": "solve the budget-capped bidder; report multiplier and bids",
-        "markowitz": "solve the cost-aware portfolio by primal and dual routes",
-        "figures": "regenerate the CSV data sets behind the standard plots",
-    }
-    for name, text in helps.items():
+    for name, (_, text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        p.add_argument("--input", help="path to the command's JSON input")
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
         p.add_argument("--output", help="result path (directory for figures); stdout if omitted")
-        p.add_argument("--tol", type=float, default=1e-8, help="solver / certificate tolerance")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (required to simulate)")
-        p.add_argument("--horizon", type=float, default=1000.0, help="simulated time span")
-        p.add_argument("--margin", type=float, default=1e-6, help="capacity margin for feasibility")
         if name == "figures":
             p.add_argument("subset", nargs="?", default="all", choices=_SUBSETS,
                            help="which data set to regenerate")
@@ -527,24 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            input=args.input,
-            output=args.output,
-            tol=args.tol,
-            seed=args.seed,
-            horizon=args.horizon,
-            margin=args.margin,
-            subset=getattr(args, "subset", "all"),
-        )
-        return run(config)
+        return _COMMANDS[args.command][0](args)
     except ParseError as exc:
         print(f"bidopt: {exc}", file=sys.stderr)
         return 1
     except InfeasibleInstance as exc:
         print(f"bidopt: infeasible: {exc}", file=sys.stderr)
         return 2
-    except (NotConverged, related.NotConverged) as exc:
+    except NotConverged as exc:
         print(f"bidopt: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .curves import Empirical, SupplyCurve, _wrap, alpha_concavity_check
+from .curves import Empirical, SupplyCurve, _wrap
 
 __all__ = [
     "AuctionKind",
@@ -286,7 +286,7 @@ class AcquisitionCost:
         self.curve = curve
         self.kind = AuctionKind.parse(kind)
         if self.kind is AuctionKind.FIRST_PRICE:
-            res = alpha_concavity_check(curve, 2.0)
+            res = curve.two_concave()
             if not res.concave:
                 raise NotTwoConcave(
                     f"curve fails the 2-concavity grid heuristic near x={res.witness:.6g}; "

@@ -126,6 +126,17 @@ class SupplyCurve:
     def _cdf(self, x):
         return self.w(x, *self.formula_params())
 
+    def two_concave(self) -> ConcavityResult:
+        """Whether 1 - 1/W is concave on the support: the first-price gate.
+
+        Exact for the parametric families.  A concave positive W is
+        2-concave, since (1/W)'' = (2 W'^2 - W W'') / W^3 >= 0; that covers
+        Exponential, Hyperbolic and BoundedUniform, and PowerLawDensity has
+        1/W = 2 / (w0 x^2), convex.  Empirical overrides it with the grid
+        heuristic; a new family that none of this covers must too.
+        """
+        return ConcavityResult(True, 2.0)
+
     # -- family-specific raw pieces (valid on the open support) ------------
     def _pdf(self, x):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -410,6 +421,9 @@ class PowerLawDensity(SupplyCurve):
             raise ValueError("w0 must be a positive finite number")
         if not (self.x_max > 0 and math.isfinite(self.x_max)):
             raise ValueError("x_max must be a positive finite number")
+        # x_max**2 raises OverflowError on a float where x_max * x_max is inf
+        if not 0.0 < self.w0 * (self.x_max * self.x_max) / 2.0 < math.inf:
+            raise ValueError("the total mass w0 * x_max**2 / 2 must be a positive finite number")
 
     @property
     def x_bar(self) -> float:
@@ -525,6 +539,10 @@ class Empirical(SupplyCurve):
 
     def terminal_density(self) -> float:
         return float(self._slopes[-1])
+
+    def two_concave(self) -> ConcavityResult:
+        """The grid heuristic ``alpha_concavity_check`` at alpha = 2, with its witness."""
+        return alpha_concavity_check(self, 2.0)
 
     def w_integral(self, mu):
         xs, ws, slopes = self._xs, self._ws, self._slopes

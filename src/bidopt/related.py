@@ -29,6 +29,7 @@ import numpy as np
 from .costs import AuctionKind, FamilyGroups, monotone_root
 from .curves import Empirical, PowerLawDensity, SupplyCurve, curve_from_json
 from .model import ItemType
+from .solver import NotConverged
 
 __all__ = [
     "BudgetInstance",
@@ -71,15 +72,6 @@ class InsufficientDepth(ValueError):
         self.volume = volume
         self.depth = depth
         super().__init__(f"requested volume {volume:.6g} exceeds book depth {depth:.6g}")
-
-
-class NotConverged(RuntimeError):
-    """Iteration budget exhausted above the requested residual or gap."""
-
-    def __init__(self, best, residual: float):
-        self.best = best
-        self.residual = residual
-        super().__init__(f"did not converge: residual {residual:.3e}")
 
 
 # ---------------------------------------------------------------------------

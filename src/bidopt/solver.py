@@ -68,12 +68,15 @@ class InfeasibleInstance(RuntimeError):
 
 
 class NotConverged(RuntimeError):
-    """The routing LP did not certify the best dual point as stationary."""
+    """A solve ended above its residual or gap bound; `best` is the point it reached.
+
+    Raised by the dual solver and by `related`'s portfolio solvers.
+    """
 
     def __init__(self, best, residual: float):
         self.best = best
         self.residual = residual
-        super().__init__(f"dual solver did not converge: residual {residual:.3e}")
+        super().__init__(f"did not converge: residual {residual:.3e}")
 
 
 class PreconditionViolated(ValueError):
@@ -333,8 +336,13 @@ class _MasterLP:
         return np.asarray(sol.col_value), float(info.objective_function_value), ok
 
 
+# a termination guard: the master stops on its gap or stall test well before
+# it (at most 27 solves over the 868 instances of scripts/census.py)
+_MASTER_SOLVES = 60
+
+
 def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, tol: float,
-                  rounds: int = 60, stats: dict | None = None):
+                  stats: dict | None = None):
     """Outer linearization of the acquisition terms (cutting planes).
 
     Each item's conjugate cost is convex and smooth in its multiplier, so the
@@ -342,7 +350,7 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     mu_j >= v_ij rho_i, and t_j above the accumulated tangents of the
     conjugate.  The LP is built once; each round appends the tangents at the
     multipliers mu(rho) of the LP's last rho and re-solves it warm (one master
-    LP solve per round, at most `rounds` solves), until the model value meets
+    LP solve per round, at most _MASTER_SOLVES), until the model value meets
     the best true value; the LP model jumps straight across the argmax kinks
     of degenerate instances.
 
@@ -369,7 +377,7 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     """
     nz = np.flatnonzero(inst.item_major[2])
     m2, n = nz.size, inst.n_contracts
-    if m2 == 0 or rounds <= 0:
+    if m2 == 0:
         return best_val, best_rho, math.inf, 0, None
     pos = np.full(inst.n_items, -1)
     pos[nz] = np.arange(m2)
@@ -402,7 +410,7 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
         add_tangents(f * mu_w)
     gap = math.inf
     last_model = math.inf
-    for _ in range(rounds):
+    for _ in range(_MASTER_SOLVES):
         x, obj, ok = lp.solve(upper)
         if not ok:
             break
@@ -511,7 +519,6 @@ def _warm_start(inst: ProblemInstance, stats: dict) -> np.ndarray:
 def solve_dual(
     inst: ProblemInstance,
     tol: float = 1e-8,
-    max_iter: int = 20000,
     margin: float = 1e-6,
     stats: dict | None = None,
 ) -> DualSolution:
@@ -519,10 +526,8 @@ def solve_dual(
 
     One path: warm start -> warm cutting-plane master -> one snap onto the
     tie pattern of the master's edge-row duals -> one routing-LP verdict.
-    `max_iter` budgets the master's LP solves (at most 60; `max_iter=0` skips
-    the master and with it the snap); the solves spent are stored in
-    stats["iterations"], next to the master's solve and simplex-iteration
-    counts, its edge rows in the final model (stats["master_edge_rows"]), the
+    The master's LP solves are stored in stats["iterations"], next to the
+    master's solve and simplex-iteration counts, its edge rows in the final model (stats["master_edge_rows"]), the
     largest row count any master solve saw (stats["master_rows_max"]), and the
     tie roots' batch calls and balance evaluations (stats["tie_root_calls"],
     stats["tie_root_evals"]), and the solves and simplex iterations of every
@@ -545,9 +550,7 @@ def solve_dual(
     warm_val = _dual_value(inst, warm)
     if warm_val > best_val:
         best_val, best_rho = warm_val, warm.copy()
-    best_val, best_rho, _, used, flows = _kelley_phase(
-        inst, best_val, best_rho, tol, rounds=min(60, max_iter), stats=stats
-    )
+    best_val, best_rho, _, used, flows = _kelley_phase(inst, best_val, best_rho, tol, stats=stats)
     stats["iterations"] = used
     if flows is not None:
         best_val, best_rho = _snap(inst, best_val, best_rho, flows, stats)
@@ -663,13 +666,12 @@ def certify(
 def solve(
     inst: ProblemInstance,
     tol: float = 1e-8,
-    max_iter: int = 20000,
     margin: float = 1e-6,
     certify_tol: float = 1e-6,
 ) -> Solution:
     """Feasibility check, dual solve, primal recovery from its routing flows, certify."""
     stats: dict = {}
-    dual = solve_dual(inst, tol=tol, max_iter=max_iter, margin=margin, stats=stats)
+    dual = solve_dual(inst, tol=tol, margin=margin, stats=stats)
     primal = recover_primal(inst, dual)
     report = certify(inst, primal, dual, tol=certify_tol)
     return Solution(

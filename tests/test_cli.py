@@ -17,6 +17,8 @@ import pytest
 
 import bidopt.cli
 from bidopt.cli import main
+from bidopt.costs import AcquisitionCost
+from bidopt.curves import PowerLawDensity, alpha_concavity_check
 from bidopt.model import instance_from_json
 from bidopt.solver import NotConverged, solve
 
@@ -177,8 +179,10 @@ HUGE_TARGET = {**SCALAR, "contracts": [{"id": "c", "target": 1e300, "valuations"
 
 @pytest.mark.parametrize(
     "argv",
-    [["solve", "--bogus"], ["solve", "--eps-active", "1e-3"], ["feasibility", "--input"], ["solve", "--input"]],
-    ids=["bogus", "eps-active", "feasibility-huge-target", "solve-huge-target"],
+    [["solve", "--bogus"], ["solve", "--eps-active", "1e-3"], ["feasibility", "--input"], ["solve", "--input"],
+     ["solve", "--tol", "0"], ["feasibility", "--margin=-1e-6"], ["simulate", "--horizon", "nan"]],
+    ids=["bogus", "eps-active", "feasibility-huge-target", "solve-huge-target",
+         "zero-tol", "negative-margin", "nan-horizon"],
 )
 def test_usage_error_exits_1(argv, tmp_path, capsys):
     if argv[-1] == "--input":
@@ -192,6 +196,40 @@ def test_usage_error_exits_1(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 1
+
+
+# each command's options besides --output, which every command takes
+READS = {
+    "solve": {"--input", "--tol", "--margin"},
+    "certify": {"--input", "--tol"},
+    "simulate": {"--input", "--seed", "--horizon", "--tol", "--margin"},
+    "feasibility": {"--input", "--margin"},
+    "budget": {"--input"},
+    "markowitz": {"--input", "--tol"},
+    "figures": {"--tol", "--seed", "--margin"},
+}
+FLAG_VALUES = {"--input": ("in.json", "in.json"), "--output": ("out", "out"), "--tol": ("1e-6", 1e-6),
+               "--seed": ("3", 3), "--horizon": ("10", 10.0), "--margin": ("1e-3", 1e-3)}
+
+
+@pytest.mark.parametrize("flag", list(FLAG_VALUES))
+@pytest.mark.parametrize("command", list(READS))
+def test_commands_take_only_the_options_they_read(command, flag, capsys):
+    text, value = FLAG_VALUES[flag]
+    with pytest.raises(SystemExit) as help_exit:
+        main([command, "--help"])
+    assert help_exit.value.code == 0
+    listed = flag in capsys.readouterr().out
+    if flag == "--output" or flag in READS[command]:
+        assert listed
+        args = bidopt.cli.build_parser().parse_args([command, flag, text])
+        assert getattr(args, flag[2:]) == value
+    else:
+        # an option the command would ignore is a usage error
+        assert not listed
+        with pytest.raises(SystemExit) as err:
+            main([command, flag, text])
+        assert err.value.code == 1
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +308,31 @@ def test_allocation_off_the_edges_exits_1(tmp_path, capsys, entry):
     assert "certified" not in captured.out
     assert captured.err.startswith("bidopt: ") and "is not an instance edge" in captured.err
     assert repr((entry[0], entry[1])) in captured.err
+
+
+def power_law_doc(params) -> dict:
+    item = {"rate": 1.0, "curve": {"family": "power_law_density", "params": params}, "auction": "first_price"}
+    return {"items": [{"id": "p", **item}, {"id": "q", **item}],
+            "contracts": [{"id": "c", "target": 0.5, "valuations": {"p": 1.0, "q": 1.0}}]}
+
+
+@pytest.mark.parametrize("params", [{"w0": 1.0, "x_max": 1e6}, {"w0": 1e12, "x_max": 1.0}])
+def test_first_price_power_law_is_two_concave(tmp_path, capsys, params):
+    # 1 - 2/(w0 x^2) is concave, though the grid heuristic rejects both curves
+    curve = PowerLawDensity(**params)
+    assert not alpha_concavity_check(curve, 2.0)
+    assert curve.two_concave()
+    AcquisitionCost(curve, "first_price")
+    assert main(["solve", "--input", write_json(tmp_path / "inst.json", power_law_doc(params))]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["relative_gap"] <= 1e-12
+
+
+def test_power_law_mass_overflow_exits_1(tmp_path, capsys):
+    # w0 x_max^2 / 2 overflows in x_max^2
+    doc = power_law_doc({"w0": 1e-300, "x_max": 1e200})
+    assert main(["solve", "--input", write_json(tmp_path / "inst.json", doc)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("bidopt: ") and "total mass" in err[0]
 
 
 # ---------------------------------------------------------------------------

@@ -240,10 +240,14 @@ def test_not_converged_carries_best_iterate(monkeypatch):
         verdicts.append(routing_lp(inst, rho))
         return verdicts[-1]
 
+    def no_master(inst, best_val, best_rho, tol, stats=None):
+        return best_val, best_rho, math.inf, 0, None
+
     inst = mixed_instance()
     monkeypatch.setattr(solver, "_routing_lp", recording)
+    monkeypatch.setattr(solver, "_kelley_phase", no_master)
     with pytest.raises(NotConverged) as exc:
-        solve_dual(inst, max_iter=0)
+        solve_dual(inst)
     monkeypatch.undo()
     assert len(verdicts) == 1
     assert exc.value.residual == max(verdicts[0][:3])
@@ -286,17 +290,6 @@ def test_tolerance_self_consistency():
     b = solve(inst, tol=1e-10)
     scale = 1.0 + abs(b.dual.dual_value)
     assert abs(a.dual.dual_value - b.dual.dual_value) <= 1e-7 * scale
-
-
-def test_max_iter_budgets_the_master():
-    # each master LP solve spends one unit of max_iter; the unbudgeted
-    # master takes more than two solves on this instance
-    full, capped = {}, {}
-    solve_dual(mixed_instance(), stats=full)
-    solve_dual(mixed_instance(), max_iter=2, stats=capped)
-    assert full["master_solves"] > 2
-    assert full["iterations"] == full["master_solves"]
-    assert capped["master_solves"] == capped["iterations"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +445,7 @@ def test_installed_scipy_uses_warm_master():
     stats = {}
     solve_dual(mixed_instance(), stats=stats)
     assert stats["master_solves"] >= 1
-    assert stats["iterations"] >= stats["master_solves"]
+    assert stats["iterations"] == stats["master_solves"]
 
 
 @pytest.mark.parametrize("make", [pytest.param(mixed_instance, id="mixed"), SPARSE_60X400])
