@@ -4,8 +4,9 @@
 The draws of test_04 (50), test_random_instances_certify (302), test_weak_duality
 (301) and the fuzz corpus (150), the 4 benchmark instances and the 61 bifurcation
 points.  About a minute: `--save FILE.npz` on one checkout, `--compare FILE.npz` on another.
-Each instance's master LP solves (`Solution.iterations`) are saved too, and
-`--compare` prints their census totals: a count that wall time on a busy host cannot blur.
+Each instance's master LP solves (`Solution.iterations`), HiGHS simplex iterations and
+`solve` wall seconds are saved too, and `--compare` prints their census totals: the two counts
+are what wall time on a busy host cannot blur.
 The primal value P (the plan's expected spend) is saved as well, and `--compare` prints the
 largest |dP| / (1 + |P|).
 Each certified plan is also replayed (1e5 expected arrivals, seed 2026); the largest
@@ -16,6 +17,7 @@ and how many replay z-scores, differ bitwise from the saved ones.
 """
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from bidopt import NotConverged, policy_from_primal, random_instance, simulate, solve  # noqa: E402
 from bidopt.cli import _chain_instance  # noqa: E402
+from bidopt.model import _lp_work  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
@@ -60,16 +63,23 @@ def replay_z(inst, sol) -> tuple[float, float]:
 def run() -> dict:
     rows = []
     for inst, kw in corpus():
+        iterations, start = _lp_work["simplex_iterations"], time.perf_counter()
         try:
-            rep = (sol := solve(inst, **kw)).report
-            z = replay_z(inst, sol) if rep.passed else (np.nan, np.nan)
-            rows.append((sol.dual.rho, sol.primal.x, rep.dual_value, rep.primal_value, rep.gap, rep.max_comp_slack,
-                         rep.passed, sol.iterations, *z))
+            sol = solve(inst, **kw)
         except NotConverged:
+            sol = None
+        work = (_lp_work["simplex_iterations"] - iterations, time.perf_counter() - start)
+        if sol is None:
             rows.append((np.full(inst.n_contracts, np.nan), np.full(inst.n_items, np.nan), *[np.nan] * 4, False,
-                         *[np.nan] * 3))
+                         np.nan, *work, np.nan, np.nan))
+            continue
+        rep = sol.report
+        z = replay_z(inst, sol) if rep.passed else (np.nan, np.nan)
+        rows.append((sol.dual.rho, sol.primal.x, rep.dual_value, rep.primal_value, rep.gap, rep.max_comp_slack,
+                     rep.passed, sol.iterations, *work, *z))
     rho, bids, *rest = zip(*rows)
-    names = ("D", "P", "gap", "comp", "certified", "master_solves", "replay_value_z", "replay_cost_z")
+    names = ("D", "P", "gap", "comp", "certified", "master_solves", "lp_iterations", "solve_s", "replay_value_z",
+             "replay_cost_z")
     out = dict(zip(names, map(np.asarray, rest)))
     return dict(out, rho=np.concatenate(rho), rho_len=np.array([r.size for r in rho]),
                 bids=np.concatenate(bids), bids_len=np.array([b.size for b in bids]))
@@ -109,8 +119,10 @@ def main() -> None:
         print(f"max |dP|/(1+|P|): {np.nanmax(np.abs(now['P'] - old['P']) / (1 + np.abs(old['P']))):.3g}")
     print(", ".join(f"max |{k}|: {np.nanmax(np.abs(now[k])):.3g} (saved {np.nanmax(np.abs(old[k])):.3g})"
                     for k in ("gap", "comp")))
-    total = [f"{np.nansum(run['master_solves']):.0f}" if "master_solves" in run else "n/a" for run in (now, old)]
-    print(f"master LP solves: {total[0]} (saved {total[1]})")
+    for key, what, fmt in (("master_solves", "master LP solves", ".0f"), ("lp_iterations", "simplex iterations", ".0f"),
+                           ("solve_s", "solve seconds", ".1f")):
+        total = [f"{np.nansum(run[key]):{fmt}}" if key in run else "n/a" for run in (now, old)]
+        print(f"{what}: {total[0]} (saved {total[1]})")
     for k in ("value", "cost"):
         z = [run.get(f"replay_{k}_z") for run in (now, old)]
         beyond = [f"{int(np.sum(v > 3.0))}, largest {np.nanmax(v):.3g}" if v is not None else "n/a" for v in z]

@@ -119,8 +119,7 @@ def pay(family, params, x, first_price: bool):
 
     Second price: ∫_0^x u dW(u) = ∫_0^{W(x)} W^{-1}.  First price: x W(x).
     """
-    win = family.w(x, *params)
-    return x * win if first_price else family.quantile_integral(win, *params)
+    return x * family.w(x, *params) if first_price else family.price_integral(x, *params)
 
 
 def _bid_cap(curve: SupplyCurve, first_price: bool) -> float:

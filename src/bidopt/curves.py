@@ -15,9 +15,11 @@ Each family writes W (``w``), its running integral (``w_integral``), its
 first-price bid (``bid``), its quantile (``quantile``) and its density; the
 quantile integral ∫_0^q W^{-1} (``quantile_integral``) follows by Young's
 equality, written once in ``SupplyCurve``, and only the unbounded families
-(Exponential, Hyperbolic) write it in closed form.  ``integral_cdf`` and
-``integral_quantile`` wrap ``w_integral`` and ``quantile_integral`` for one
-curve; ``partial_mean`` and ``p_bar`` are ``integral_quantile`` at W(x) and at the mass.
+(Exponential, Hyperbolic) write it in closed form.  So does the price integral
+∫_0^x u dW(u) (``price_integral``), the quantile integral at W(x), which
+Hyperbolic writes in closed form.  ``integral_cdf``, ``integral_quantile`` and
+``partial_mean`` wrap ``w_integral``, ``quantile_integral`` and
+``price_integral`` for one curve; ``p_bar`` is ``integral_quantile`` at the mass.
 """
 from __future__ import annotations
 
@@ -123,6 +125,16 @@ class SupplyCurve:
         x = self.quantile(q, *params)
         return q * x - self.w_integral(x, *params)
 
+    @_family_method
+    def price_integral(self, x, *params):
+        """∫_0^x u dW(u) = ∫_0^{W(x)} W^{-1} for x >= 0: the second-price payment at bid x.
+
+        The quantile integral at W(x).  Hyperbolic writes it in closed form:
+        its W(x) rounds towards 1 at large x, and the quantile integral there
+        loses what W rounded away (inf from x = 1e16 at scale 1).
+        """
+        return self.quantile_integral(self.w(x, *params), *params)
+
     def _cdf(self, x):
         return self.w(x, *self.formula_params())
 
@@ -207,7 +219,7 @@ class SupplyCurve:
 
     def partial_mean(self, x):
         """∫_0^x u dW(u) = ∫_0^{W(x)} W^{-1}, the full first moment for x >= x_bar."""
-        return self.integral_quantile(self.eval(x))
+        return _wrap(x, lambda xa: self.price_integral(np.maximum(xa, 0.0), *self.formula_params()))
 
     @property
     def p_bar(self) -> float:
@@ -358,6 +370,11 @@ class Hyperbolic(SupplyCurve):
             out = scale * (-q - np.log1p(-q))
         return np.where(q >= 1.0, np.inf, out)
 
+    @staticmethod
+    def price_integral(x, scale):
+        # c (log(1 + x/c) - x/(c + x)), free of W(x)'s rounding towards 1
+        return scale * (np.log1p(x / scale) - Hyperbolic.w(x, scale))
+
     def _pdf(self, x):
         c = self.scale
         return c / (c + x) ** 2
@@ -440,7 +457,8 @@ class PowerLawDensity(SupplyCurve):
     @staticmethod
     def w_integral(mu, w0, x_max):
         inside = np.minimum(mu, x_max)
-        return w0 * inside**3 / 6.0 + w0 * x_max**2 / 2.0 * np.maximum(mu - x_max, 0.0)
+        # w0 first: inside**3 alone overflows beyond 5.6e102 while the mass is ordinary
+        return w0 * inside * inside * inside / 6.0 + w0 * x_max**2 / 2.0 * np.maximum(mu - x_max, 0.0)
 
     @staticmethod
     def bid(mu, w0, x_max):

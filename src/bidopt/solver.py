@@ -11,13 +11,13 @@ contract pseudo-bids alone:
 
 which this module maximizes along one straight path.  A per-contract warm
 start launches a cutting-plane master problem (outer linearization of the
-smooth convex conjugates; tangent slopes are the win rates), one LP grown by
-tangent rows and re-solved warm, which positions rho globally with a
-certified model gap.  The duals of the master's edge rows are an optimal
-allocation of its model (the Dantzig-Wolfe reading), so the edges they load
-give the max-tie pattern: one snap puts the tied pseudo-bids on exact ratios
-via a spanning tree per tie component and root-finds the single remaining
-degree of freedom of all components at once.  Convergence is then *decided*,
+smooth convex conjugates; tangent slopes are the win rates), one LP held in
+its Dantzig-Wolfe column form, grown by tangent and edge columns and
+re-solved warm, which positions rho globally with a certified model gap.
+The flows on the master's edge columns are an optimal allocation of its
+model, so the edges they load give the max-tie pattern: one snap puts the
+tied pseudo-bids on exact ratios via a spanning tree per tie component and
+root-finds the single remaining degree of freedom of all components at once.  Convergence is then *decided*,
 not assumed, by one transportation LP over the win rates at the snapped
 point: the point is stationary exactly when demand routes with no shortfall,
 the routing rides exact ties (zero theta-spend), and no priced supply is left
@@ -296,44 +296,51 @@ def _snap(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, flows: n
 
 
 class _MasterLP:
-    """min cost.x  s.t.  rows.x <= rhs, 0 <= x <= upper, grown by rows of two nonzeros.
+    """min rhs.y + cap sum z  s.t.  V f + z >= C, W y - S f >= 0, item sums of y <= lambda.
 
-    One HiGHS model is built with no rows; each solve hot-starts dual simplex
-    from the previous basis.  `row_dual` holds the row duals of the last
-    optimal solve (None before one), one per row it saw.  Lives for one
-    master phase.
+    The LP dual of the cutting-plane master, over f, y, z >= 0: n contract
+    rows and 2 m2 item rows, one column f_e per edge cut, y_k per tangent
+    cut (W: its win rate, rhs: its right-hand side) and z_i per contract
+    (cost: the rho box).  Its row duals are (rho, mu, -t) and its value is
+    the model value.  New columns keep the last basis primal feasible, so
+    each solve hot-starts primal simplex from it.  `col_value` holds the
+    column values of the last optimal solve (None before one).  Lives for
+    one master phase.
     """
 
-    def __init__(self, cost: np.ndarray, upper: np.ndarray):
-        self.upper = upper.copy()
-        self.row_dual = None
-        self.solves = self.iterations = self.rows = self.rows_max = 0
-        empty = np.zeros(0)
-        self.highs = _highs_model(cost, self.upper, empty, empty, np.zeros(cost.size + 1), empty, empty)
+    def __init__(self, targets: np.ndarray, rates: np.ndarray, cap: float):
+        self.n = n = targets.size
+        m2 = rates.size
+        self.cap, self.col_value = cap, None
+        self.solves = self.iterations = self.cuts = self.cuts_max = 0
+        self.highs = _highs_model(np.full(n, cap), np.full(n, np.inf),
+                                  np.concatenate([targets, np.zeros(m2), np.full(m2, -np.inf)]),
+                                  np.concatenate([np.full(n + m2, np.inf), rates]),
+                                  np.arange(n + 1), np.arange(n), np.ones(n))
+        self.highs.setOptionValue("simplex_strategy", 4)  # primal simplex
 
-    def add_rows(self, cols: np.ndarray, vals: np.ndarray, rhs: np.ndarray) -> None:
-        """Append rows vals[r, 0] x[cols[r, 0]] + vals[r, 1] x[cols[r, 1]] <= rhs[r]."""
-        k = rhs.size
-        self.rows += k
-        _highs_status(self.highs.addRows(k, np.full(k, -np.inf), rhs, 2 * k, 2 * np.arange(k, dtype=np.int32),
-                                         cols.astype(np.int32).ravel(), vals.ravel()),
-                      "the cutting-plane master's rows")
+    def add_cols(self, cost: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
+        """Append columns with vals[c, 0] in row rows[c, 0], vals[c, 1] in row rows[c, 1] and cost cost[c]."""
+        k = cost.size
+        self.cuts += k
+        _highs_status(self.highs.addCols(k, cost, np.zeros(k), np.full(k, np.inf), 2 * k,
+                                         2 * np.arange(k, dtype=np.int32), rows.astype(np.int32).ravel(),
+                                         vals.ravel()), "the cutting-plane master's columns")
 
-    def solve(self, upper: np.ndarray):
-        """(x, objective, optimal) with the column upper bounds set to `upper`."""
+    def solve(self, cap: float):
+        """(row duals, model value, optimal) with the contracts' box at cap."""
         self.solves += 1
-        self.rows_max = max(self.rows_max, self.rows)
-        cols = np.flatnonzero(upper != self.upper).astype(np.int32)
-        if cols.size:
-            self.highs.changeColsBounds(cols.size, cols, np.zeros(cols.size), upper[cols])
-            self.upper = upper.copy()
+        self.cuts_max = max(self.cuts_max, self.cuts)
+        if cap != self.cap:
+            self.highs.changeColsCost(self.n, np.arange(self.n, dtype=np.int32), np.full(self.n, cap))
+            self.cap = cap
         ok = _run_lp(self.highs)
         info = self.highs.getInfo()
         self.iterations += int(info.simplex_iteration_count)
         sol = self.highs.getSolution()
         if ok:
-            self.row_dual = np.array(sol.row_dual, dtype=float)
-        return np.asarray(sol.col_value), float(info.objective_function_value), ok
+            self.col_value = np.array(sol.col_value, dtype=float)
+        return np.asarray(sol.row_dual), float(info.objective_function_value), ok
 
 
 # a termination guard: the master stops on its gap or stall test well before
@@ -348,90 +355,83 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     Each item's conjugate cost is convex and smooth in its multiplier, so the
     dual maximization is the LP  max C.rho - sum_j lam_j t_j  over rho >= 0,
     mu_j >= v_ij rho_i, and t_j above the accumulated tangents of the
-    conjugate.  The LP is built once; each round appends the tangents at the
-    multipliers mu(rho) of the LP's last rho and re-solves it warm (one master
-    LP solve per round, at most _MASTER_SOLVES), until the model value meets
-    the best true value; the LP model jumps straight across the argmax kinks
-    of degenerate instances.
+    conjugate.  HiGHS holds that LP's dual (`_MasterLP`), built once, whose
+    columns are the cuts; each round appends the tangents at mu(rho) of the
+    LP's last rho and re-solves it warm (one master LP solve per round, at
+    most _MASTER_SOLVES), until the model value meets the best true value;
+    the LP model jumps straight across the argmax kinks of degenerate
+    instances.
 
-    The edge rows mu_j >= v_ij rho_i are generated lazily (delayed constraint
+    The edge cuts mu_j >= v_ij rho_i are generated lazily (delayed column
     generation): the model starts with the edges within 5% of their item's
-    max at the incoming point, and after every solve each item's first argmax
-    edge at the LP's rho joins it when the LP's mu_j violates that edge's row.
-    Dropping rows only enlarges the feasible set, so the model value stays an
-    upper bound on the dual optimum and the returned model gap stays a
-    certified optimality bound.  The rho box only widens, in place, when an
-    iterate presses against it and no edge row was added: a contract with no
-    row yet is unbounded in the model until its argmax edges join; an
-    iterate that presses it still adds its tangents.
+    max at the incoming point, and after every solve each item's first
+    argmax edge at the LP's rho joins it when the LP's mu_j violates that
+    edge's cut.  Dropping cuts only enlarges the feasible set of rho, so the
+    model value stays an upper bound on the dual optimum and the returned
+    model gap stays a certified optimality bound.  The rho box only widens,
+    in place, when an iterate presses against it and no edge was added: a
+    contract with no edge yet is unbounded in the model until its argmax
+    edges join; an iterate that presses it still adds its tangents.
 
-    The LP's column for a contract with 0 < rho_i below the box has zero
-    reduced cost, C_i = sum_e v_e f_e over the contract's edge rows, where
-    f_e = -(row dual of v_e rho_i - mu_j <= 0) >= 0: the edge-row duals are an
-    allocation of the targets over the model's edges (the Dantzig-Wolfe
-    reading), loading only edges whose rows bind.  Returns (value, rho, gap,
-    LP solves, flows), flows being those duals of the last optimal solve
-    spread over all edges (zero off the model; None when no solve was
-    optimal), and adds the master's solve, simplex iteration and row counts
-    to `stats`.
+    The edge columns are flows f_e >= 0 (the Dantzig-Wolfe reading): a
+    contract with 0 < rho_i below the box has a binding row, C_i = sum_e v_e
+    f_e, so the flows allocate the targets over the edges whose cuts bind.
+    Returns (value, rho, gap, LP solves, flows), flows being the edge
+    columns' values of the last optimal solve spread over all edges (zero
+    off the model; None when no solve was optimal), and adds the master's
+    solve, simplex iteration and cut counts to `stats`.
     """
     nz = np.flatnonzero(inst.item_major[2])
     m2, n = nz.size, inst.n_contracts
     if m2 == 0:
         return best_val, best_rho, math.inf, 0, None
-    pos = np.full(inst.n_items, -1)
-    pos[nz] = np.arange(m2)
+    row = np.full(inst.n_items, -1)
+    row[nz] = n + np.arange(m2)
 
-    cost = np.concatenate([-inst.targets, np.zeros(m2), inst.rates[nz]])
     rho_cap = 1e4 * (1.0 + float(np.max(best_rho, initial=0.0)))
-    upper = np.concatenate([np.full(n, rho_cap), np.full(2 * m2, np.inf)])
-    lp = _MasterLP(cost, upper)
+    lp = _MasterLP(inst.targets, inst.rates[nz], rho_cap)
     in_model = np.zeros(inst.n_edges, dtype=bool)
-    row_edge = []  # per row block, the edge of each row (-1 on tangent rows)
+    col_edge = [np.full(n, -1)]  # per column block, the edge of each column (-1 on z and tangent columns)
 
-    def add_edge_rows(edges: np.ndarray) -> None:
-        lp.add_rows(np.column_stack([inst.edge_i[edges], n + pos[inst.edge_j[edges]]]),
-                    np.column_stack([inst.edge_v[edges], -np.ones(edges.size)]), np.zeros(edges.size))
+    def add_edge_cols(edges: np.ndarray) -> None:
+        lp.add_cols(np.zeros(edges.size), np.column_stack([inst.edge_i[edges], row[inst.edge_j[edges]]]),
+                    np.column_stack([inst.edge_v[edges], -np.ones(edges.size)]))
         in_model[edges] = True
-        row_edge.append(edges)
-
-    rows_mu = np.arange(m2)
+        col_edge.append(edges)
 
     def add_tangents(mu_full: np.ndarray) -> None:
         conj, win = inst.groups.conj_win(mu_full)
-        lp.add_rows(np.column_stack([n + rows_mu, n + m2 + rows_mu]),
-                    np.column_stack([win[nz], -np.ones(m2)]), win[nz] * mu_full[nz] - conj[nz])
-        row_edge.append(np.full(m2, -1))
+        lp.add_cols(win[nz] * mu_full[nz] - conj[nz], np.column_stack([row[nz], m2 + row[nz]]),
+                    np.column_stack([win[nz], np.ones(m2)]))
+        col_edge.append(np.full(m2, -1))
 
     mu_w = inst.mu_of(best_rho)
     mu_e = mu_w[inst.edge_j]
-    add_edge_rows(np.flatnonzero(mu_e - inst.edge_v * best_rho[inst.edge_i] <= 0.05 * mu_e))
+    add_edge_cols(np.flatnonzero(mu_e - inst.edge_v * best_rho[inst.edge_i] <= 0.05 * mu_e))
     for f in (0.5, 1.0, 2.0, 8.0):
         add_tangents(f * mu_w)
     gap = math.inf
     last_model = math.inf
     for _ in range(_MASTER_SOLVES):
-        x, obj, ok = lp.solve(upper)
+        dual, model, ok = lp.solve(rho_cap)
         if not ok:
             break
-        rho_hat, mu_lp = np.maximum(x[:n], 0.0), x[n : n + m2]
-        # each item's first argmax edge whose row the LP's point violates
+        rho_hat, mu_lp = np.maximum(dual[:n], 0.0), dual[n : n + m2]
+        # each item's first argmax edge whose cut the LP's point violates
         mu_hat = inst.mu_of(rho_hat)
         top = inst.by_item[inst.first_argmax(rho_hat, mu_hat)]
         new = top[(mu_hat[nz] - mu_lp > 1e-12 * (1.0 + mu_lp)) & ~in_model[top]]
         if new.size:
-            add_edge_rows(new)
+            add_edge_cols(new)
         if float(np.max(rho_hat, initial=0.0)) > 0.999 * rho_cap:
-            # add rows before widening the box: a contract without rows presses it
+            # add edges before widening the box: a contract without edges presses it
             if not new.size:
                 rho_cap *= 100.0
-                upper[:n] = rho_cap
             add_tangents(mu_hat)
             continue
         val_hat = _dual_value(inst, rho_hat)
         if val_hat > best_val:
             best_val, best_rho = val_hat, rho_hat.copy()
-        model = -obj
         gap = model - best_val
         if gap <= 1e-14 * (1.0 + abs(best_val)) + 0.05 * tol * _scale(inst):
             break
@@ -445,12 +445,12 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
         stats["master_solves"] = stats.get("master_solves", 0) + lp.solves
         stats["master_simplex_iterations"] = stats.get("master_simplex_iterations", 0) + lp.iterations
         stats["master_edge_rows"] = int(in_model.sum())
-        stats["master_rows_max"] = lp.rows_max
-    if lp.row_dual is None:
+        stats["master_rows_max"] = lp.cuts_max
+    if lp.col_value is None:
         return best_val, best_rho, gap, lp.solves, None
-    edge = np.concatenate(row_edge)[: lp.row_dual.size]
+    edge = np.concatenate(col_edge)[: lp.col_value.size]
     flows = np.zeros(inst.n_edges)
-    flows[edge[edge >= 0]] = -lp.row_dual[edge >= 0]
+    flows[edge[edge >= 0]] = lp.col_value[edge >= 0]
     return best_val, best_rho, gap, lp.solves, flows
 
 
@@ -506,7 +506,7 @@ def _warm_start(inst: ProblemInstance, stats: dict) -> np.ndarray:
     """Per-contract pseudo-bids pretending each contract has its items alone.
 
     Ignoring contention under-prices contested items, so this usually lands
-    below the optimum; it places the master's first edge rows and tangents.
+    below the optimum; it places the master's first edge and tangent columns.
     """
     t = _tie_roots(inst, inst.targets, np.ones(inst.n_contracts), inst.edge_i, inst.edge_j, inst.edge_v, stats)
     return np.where(np.isnan(t), 0.0, t)
@@ -525,13 +525,17 @@ def solve_dual(
     """Maximize the reduced dual D(rho) over rho >= 0.
 
     One path: warm start -> warm cutting-plane master -> one snap onto the
-    tie pattern of the master's edge-row duals -> one routing-LP verdict.
-    The master's LP solves are stored in stats["iterations"], next to the
-    master's solve and simplex-iteration counts, its edge rows in the final model (stats["master_edge_rows"]), the
-    largest row count any master solve saw (stats["master_rows_max"]), and the
-    tie roots' batch calls and balance evaluations (stats["tie_root_calls"],
-    stats["tie_root_evals"]), and the solves and simplex iterations of every
-    LP of the solve (stats["lp_solves"], stats["lp_simplex_iterations"]).
+    tie pattern of the flows on the master's edge columns -> one routing-LP
+    verdict.  Keys it sets in `stats`:
+
+    - iterations, master_solves: the master's LP solves;
+    - master_simplex_iterations: the master's simplex iterations;
+    - master_edge_rows: edge cuts in the final master model;
+    - master_rows_max: the most cuts (edge and tangent) any master solve held;
+    - tie_root_calls, tie_root_evals: the tie roots' batch calls and balance
+      evaluations;
+    - lp_solves, lp_simplex_iterations: solves and simplex iterations of
+      every LP of the solve.
 
     Raises InfeasibleInstance when adequate supply fails and NotConverged,
     carrying the snapped point, when the routing LP's stationarity residual

@@ -310,8 +310,8 @@ def test_allocation_off_the_edges_exits_1(tmp_path, capsys, entry):
     assert repr((entry[0], entry[1])) in captured.err
 
 
-def power_law_doc(params) -> dict:
-    item = {"rate": 1.0, "curve": {"family": "power_law_density", "params": params}, "auction": "first_price"}
+def power_law_doc(params, auction="first_price") -> dict:
+    item = {"rate": 1.0, "curve": {"family": "power_law_density", "params": params}, "auction": auction}
     return {"items": [{"id": "p", **item}, {"id": "q", **item}],
             "contracts": [{"id": "c", "target": 0.5, "valuations": {"p": 1.0, "q": 1.0}}]}
 
@@ -324,6 +324,14 @@ def test_first_price_power_law_is_two_concave(tmp_path, capsys, params):
     assert curve.two_concave()
     AcquisitionCost(curve, "first_price")
     assert main(["solve", "--input", write_json(tmp_path / "inst.json", power_law_doc(params))]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["relative_gap"] <= 1e-12
+
+
+def test_second_price_power_law_keeps_its_running_integral_finite(tmp_path, capsys):
+    # mass 0.5 each, but x_max^3 overflows: w0 must enter the running integral
+    # before the cube; exit 0 means the certificate passed
+    doc = power_law_doc({"w0": 1e-300, "x_max": 1e150}, "second_price")
+    assert main(["solve", "--input", write_json(tmp_path / "inst.json", doc)]) == 0
     assert json.loads(capsys.readouterr().out)["certificate"]["relative_gap"] <= 1e-12
 
 

@@ -2,6 +2,7 @@ import csv
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,15 @@ def test_second_price_frozen_values():
     assert e.lam(0.375) == pytest.approx(0.078125, abs=1e-15)
     assert e.conjugate(1.0) == pytest.approx(0.35, abs=1e-15)
     assert e.conjugate(6.0) == pytest.approx(6.0 - EMP.p_bar, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e6, 1e12, 1e14, 1e16])
+def test_hyperbolic_second_price_payment_keeps_its_digits(x):
+    # c (log1p(x/c) - x/(c+x)) in closed form: read as the quantile integral at
+    # W(x), which rounds towards 1, it was 2.6e-5 off at 1e14 and inf at 1e16
+    with mpmath.workdps(50):
+        ref = float(mpmath.log1p(mpmath.mpf(x)) - mpmath.mpf(x) / (1 + mpmath.mpf(x)))
+    assert AcquisitionCost(Hyperbolic(1.0), "second_price").expected_cost(x) == pytest.approx(ref, rel=1e-15)
 
 
 def test_first_price_frozen_values():

@@ -314,7 +314,7 @@ def _fuzz_instance(seed):
 
 def test_fuzz_draw_84_certifies():
     # fuzz draw 84 (27 x 89, 1949 edges): its tie pattern comes from the
-    # master's edge-row duals alone
+    # flows on the master's edge columns alone
     inst = _fuzz_instance(84)
     assert (inst.n_contracts, inst.n_items, inst.n_edges) == (27, 89, 1949)
     _certifies_edgewise(solve(inst))
@@ -368,13 +368,13 @@ def test_warm_master_meets_its_gap(make, monkeypatch):
     for value, gap, scale, _, flows in runs:
         # the phase's stopping rule: model bound within reach of the best value
         assert gap <= 1e-14 * (1.0 + abs(value)) + 0.05 * tol * scale
-        # the master hands its edge-row duals to the snap
+        # the master hands its edge columns' flows to the snap
         assert flows is not None and flows.shape == (inst.n_edges,)
     _assert_model_bounds_dual(sol, runs)
 
 
 def _assert_model_bounds_dual(sol, runs):
-    # lazy edge rows only relax the master LP, so its model value stays an
+    # lazy edge cuts only relax the master LP, so its model value stays an
     # upper bound on the certified dual optimum
     d = sol.dual.dual_value
     for _, _, _, bound, _ in runs:
@@ -403,41 +403,79 @@ def test_box_pressing_rounds_add_tangents(seed):
     assert math.isfinite(gap) and gap <= 1e-6 * (1.0 + abs(value))
 
 
-@pytest.mark.parametrize("make", [pytest.param(mixed_instance, id="mixed"), SPARSE_60X400])
-def test_master_row_duals_route_the_targets(make, monkeypatch):
-    # Dantzig-Wolfe reading of the master: a contract whose pseudo-bid column
-    # is strictly inside its box has zero reduced cost, so the flows read off
-    # the edge-row duals deliver exactly its target
-    inst = make()
+def _kelley_recording_solves(inst, monkeypatch):
+    """_kelley_phase from the warm start plus, per optimal master solve,
+    (rho, box, model rows, model columns, cuts, column values)."""
     solved = []
     master_solve = solver._MasterLP.solve
 
-    def recording(lp, upper):
-        x, obj, ok = master_solve(lp, upper)
+    def recording(lp, cap):
+        dual, model, ok = master_solve(lp, cap)
         if ok:
-            solved.append((x[: inst.n_contracts].copy(), upper[: inst.n_contracts].copy()))
-        return x, obj, ok
+            solved.append((dual[: inst.n_contracts].copy(), cap, lp.highs.getNumRow(), lp.highs.getNumCol(),
+                           lp.cuts, lp.col_value))
+        return dual, model, ok
 
     monkeypatch.setattr(solver._MasterLP, "solve", recording)
     warm = solver._warm_start(inst, {})
-    *_, flows = solver._kelley_phase(inst, solver._dual_value(inst, warm), warm, 1e-8)
+    out = solver._kelley_phase(inst, solver._dual_value(inst, warm), warm, 1e-8)
     monkeypatch.undo()
-    rho, cap = solved[-1]
-    assert np.all(flows >= -1e-12)
+    return out, solved
+
+
+@pytest.mark.parametrize("make", [pytest.param(mixed_instance, id="mixed"), SPARSE_60X400])
+def test_master_edge_columns_route_the_targets(make, monkeypatch):
+    # Dantzig-Wolfe reading of the master: a contract whose pseudo-bid (its
+    # row's dual) is strictly inside the box has a binding row, so the flows
+    # on the edge columns deliver exactly its target
+    inst = make()
+    (*_, flows), solved = _kelley_recording_solves(inst, monkeypatch)
+    rho, cap, *_ = solved[-1]
+    assert np.all(flows >= 0.0)
     delivered = np.bincount(inst.edge_i, inst.edge_v * flows, minlength=inst.n_contracts)
     inner = (rho > 0.0) & (rho < cap)
     assert inner.any()
     assert np.all(np.abs(delivered - inst.targets)[inner] <= 1e-9 * (1.0 + inst.targets[inner]))
 
 
+@pytest.mark.parametrize("make", [pytest.param(mixed_instance, id="mixed"), SPARSE_60X400])
+def test_master_holds_cuts_as_columns(make, monkeypatch):
+    # the master's rows are fixed: n contract rows and two rows per item with
+    # an edge; every tangent and edge cut is a column, besides one z_i per contract
+    inst = make()
+    m2 = int(inst.item_major[2].sum())
+    (*_, flows), solved = _kelley_recording_solves(inst, monkeypatch)
+    assert len(solved) >= 2
+    for _, _, rows, cols, cuts, x in solved:
+        assert rows == inst.n_contracts + 2 * m2
+        assert cols == inst.n_contracts + cuts == x.size
+        # every column value, the flows among them, is nonnegative
+        assert np.all(x >= 0.0)
+    cuts = [c for *_, c, _ in solved]
+    assert cuts == sorted(cuts) and cuts[-1] > cuts[0]
+    # the flows handed to the snap are the last optimal solve's column values, copied
+    assert flows.any() and np.all(np.isin(flows[flows > 0.0], solved[-1][5]))
+
+
+def test_master_box_is_the_contract_columns_cost():
+    # with no cut yet a contract is priced only by its z column, so its
+    # pseudo-bid sits on the box, and widening the box reprices that column
+    lp = solver._MasterLP(np.array([0.5, 2.0]), np.array([1.0]), 10.0)
+    for cap in (10.0, 1000.0):
+        dual, model, ok = lp.solve(cap)
+        assert ok
+        assert np.array_equal(dual[:2], [cap, cap])
+        assert model == pytest.approx(2.5 * cap, rel=1e-15)
+
+
 def test_master_generates_few_edge_rows():
-    # delayed constraint generation: most of the 3661 edge rows never bind,
-    # so never enter the master LP
+    # delayed column generation: most of the 3661 edge cuts never bind, so
+    # their columns never enter the master LP
     inst = random_sparse_instance(np.random.default_rng(1), 60, 400)
     stats = {}
     solve_dual(inst, stats=stats)
     assert stats["master_edge_rows"] <= inst.n_edges // 2
-    # every solve sees the edge rows plus at most one tangent block of 400 rows per round
+    # every solve holds the edge cuts plus at most one tangent block of 400 cuts per round
     assert stats["master_rows_max"] < inst.n_edges + 400 * stats["master_solves"]
 
 
