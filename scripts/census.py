@@ -9,9 +9,12 @@ Each instance's master LP solves (`Solution.iterations`), HiGHS simplex iteratio
 are what wall time on a busy host cannot blur.
 The primal value P (the plan's expected spend) is saved as well, and `--compare` prints the
 largest |dP| / (1 + |P|).
-Each certified plan is also replayed (1e5 expected arrivals, seed 2026); the largest
-|value - target| / se over contracts and |cost - primal value| / se are saved, and
-`--compare` prints how many replays exceed 3 standard errors.
+Each certified plan is also replayed (1e5 expected arrivals, 20 batches, seeded with the
+instance's index, so the replays are independent); the largest |value - target| / se over
+contracts and |cost - primal value| / se are saved, and `--compare` prints how many replays
+exceed 3 standard errors next to the count expected by chance: sum_k 1 - (1 - p)^n_k over the
+replays, with n_k comparisons in replay k (its contracts, or 1 for the cost) and p the
+two-sided tail of Student's t with 19 degrees of freedom beyond 3.
 Each plan's bids (`primal.x`) are saved too, and `--compare` prints how many instances' bids,
 and how many replay z-scores, differ bitwise from the saved ones.
 """
@@ -21,6 +24,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.stats import t as student_t
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
@@ -51,9 +55,13 @@ def corpus():
     yield from ((_chain_instance(rates, targets), {}) for rates, targets in chains)
 
 
-def replay_z(inst, sol) -> tuple[float, float]:
+REPLAY_BATCHES = 20
+
+
+def replay_z(inst, sol, seed: int) -> tuple[float, float]:
     """Largest standard-error distance of a replay from the targets, and of its cost from the plan's."""
-    rep = simulate(inst, policy_from_primal(inst, sol.primal), 1e5 / float(inst.rates.sum()), seed=2026)
+    rep = simulate(inst, policy_from_primal(inst, sol.primal), 1e5 / float(inst.rates.sum()), seed=seed,
+                   n_batches=REPLAY_BATCHES)
     with np.errstate(divide="ignore", invalid="ignore"):
         value = np.abs(rep.value_rate - inst.targets) / rep.value_rate_se
         cost = abs(rep.cost_rate - sol.report.primal_value) / rep.cost_rate_se
@@ -62,7 +70,7 @@ def replay_z(inst, sol) -> tuple[float, float]:
 
 def run() -> dict:
     rows = []
-    for inst, kw in corpus():
+    for index, (inst, kw) in enumerate(corpus()):
         iterations, start = _lp_work["simplex_iterations"], time.perf_counter()
         try:
             sol = solve(inst, **kw)
@@ -74,7 +82,7 @@ def run() -> dict:
                          np.nan, *work, np.nan, np.nan))
             continue
         rep = sol.report
-        z = replay_z(inst, sol) if rep.passed else (np.nan, np.nan)
+        z = replay_z(inst, sol, index) if rep.passed else (np.nan, np.nan)
         rows.append((sol.dual.rho, sol.primal.x, rep.dual_value, rep.primal_value, rep.gap, rep.max_comp_slack,
                      rep.passed, sol.iterations, *work, *z))
     rho, bids, *rest = zip(*rows)
@@ -123,10 +131,13 @@ def main() -> None:
                            ("solve_s", "solve seconds", ".1f")):
         total = [f"{np.nansum(run[key]):{fmt}}" if key in run else "n/a" for run in (now, old)]
         print(f"{what}: {total[0]} (saved {total[1]})")
-    for k in ("value", "cost"):
+    tail = 2.0 * float(student_t.sf(3.0, REPLAY_BATCHES - 1))
+    for k, comparisons in (("value", now["rho_len"]), ("cost", np.ones_like(now["rho_len"]))):
         z = [run.get(f"replay_{k}_z") for run in (now, old)]
         beyond = [f"{int(np.sum(v > 3.0))}, largest {np.nanmax(v):.3g}" if v is not None else "n/a" for v in z]
-        print(f"replays with {k} beyond 3 se: {beyond[0]} (saved {beyond[1]})")
+        replayed = ~np.isnan(z[0])
+        expected = float(np.sum(1.0 - (1.0 - tail) ** comparisons[replayed]))
+        print(f"replays with {k} beyond 3 se: {beyond[0]}, {expected:.1f} expected (saved {beyond[1]})")
     for key, what in (("bids", "instances' bids"), ("replay_value_z", "replay value z-scores"),
                       ("replay_cost_z", "replay cost z-scores")):
         print(f"{what} that differ bitwise: {differ_bitwise(now, old, key) if key in old else 'n/a'}")

@@ -322,6 +322,10 @@ class Exponential(SupplyCurve):
         return {"rate": self.rate}
 
 
+# 1/33, 1/32, ..., 1/2: Horner coefficients of sum_{k=2}^{33} s^(k-2) / k
+_LOG_SERIES = 1.0 / np.arange(33.0, 1.0, -1.0)
+
+
 @dataclass(frozen=True, repr=False)
 class Hyperbolic(SupplyCurve):
     """W(x) = x / (scale + x); unbounded support, infinite mean price.
@@ -372,8 +376,16 @@ class Hyperbolic(SupplyCurve):
 
     @staticmethod
     def price_integral(x, scale):
-        # c (log(1 + x/c) - x/(c + x)), free of W(x)'s rounding towards 1
-        return scale * (np.log1p(x / scale) - Hyperbolic.w(x, scale))
+        # c (log(1 + t) - s) with t = x/c and s = W(x) = t/(1 + t), free of
+        # W(x)'s rounding towards 1.  As log(1 + t) = -log(1 - s), it equals
+        # c sum_{k>=2} s^k / k: below s = 1/3, where the difference cancels
+        # (2.9e-9 relative at x = 1e-8 c), that series to k = 33 is summed
+        # instead, its tail under half an ulp
+        s = Hyperbolic.w(x, scale)
+        series = np.zeros_like(s)
+        for coef in _LOG_SERIES:
+            series = series * s + coef
+        return np.where(s < 1.0 / 3.0, scale * (s * s * series), scale * (np.log1p(x / scale) - s))
 
     def _pdf(self, x):
         c = self.scale

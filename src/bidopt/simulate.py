@@ -13,20 +13,28 @@ or the bid itself on first-price items.
 Each batch is a handful of array operations per (family, auction) group of
 items, not a loop over items.  Items take a fixed order that depends only on
 the instance: grouped by family and auction kind, an empirical curve a group
-of its own.  One Poisson draw gives the batch's arrival counts, then two
-uniform arrays give each arrival a price quantile u and a selection uniform,
-laid out item-contiguous in that order.  An arrival wins when u <= W(b), the
-same event as W^{-1}(u) <= b under inverse transform, so prices are computed
-only for second-price winners, one quantile call per group.  This layout
-replaced a per-item one: the same seed now gives different replays than
-before it, equally distributed.
+of its own.  An arrival carries a price quantile u and a selection uniform,
+and it wins when u <= W(b) -- the same event as W^{-1}(u) <= b under inverse
+transform -- and its selection uniform is below the item's total weight.  So
+a batch draws only the arrivals inside that box: by Poisson thinning they
+form a Poisson process of rate lambda W(b) m (a binomial count under
+deterministic arrivals), uniform on the box, laid out item-contiguous in
+that order.  Prices are computed only for second-price winners, one quantile
+call per group, and an item whose positive weight sits on one contract
+credits it without a search.  Drawing only the box changed the random
+stream again: a given seed now gives a different, equally distributed,
+replay than before it.
 
 Batches use RNG streams spawned from one seed, so runs are reproducible
 bit-for-bit, batches are independent (they could run in parallel; sums over
 batches are order-independent), and batch means give honest standard errors.
-``ab_compare`` replays several policies against the *same* draws (common
-random numbers): identical policies produce exactly zero cost difference, and
-small true differences are not drowned in Monte-Carlo noise.
+The draws depend on the policy through its box, so two ``simulate`` calls
+with different policies do not share them.  ``ab_compare`` draws once in the
+union of its policies' boxes and replays every policy against the *same*
+points, each with its own win test (common random numbers): identical
+policies produce exactly zero cost difference, a policy that bids higher
+with the same weights wins a superset of the points, and small true
+differences are not drowned in Monte-Carlo noise.
 """
 from __future__ import annotations
 
@@ -242,6 +250,7 @@ class _Layout:
         self.order = np.concatenate([sel for sel, *_ in groups])
         self.rank = np.empty(inst.n_items, dtype=np.intp)
         self.rank[self.order] = np.arange(inst.n_items)
+        self.rates = inst.rates[self.order]
         # second-price groups by their position slices; an empirical group
         # prices through its curve's inverse, which also maps u = 0 to 0 when
         # the support starts above 0
@@ -259,19 +268,29 @@ class _Layout:
         self.edge_value = inst.edge_v[edges]
 
 
-def _draw_batch(rng: np.random.Generator, layout: _Layout, t_batch: float, deterministic: bool):
-    """Exogenous randomness for one batch: arrival counts and two uniforms each.
+def _draw_batch(rng: np.random.Generator, layout: _Layout, t_batch: float, deterministic: bool, box):
+    """One batch's arrivals inside the box ``box = (thr, mix)`` of each position.
 
-    Counts come in position order, the uniforms item-contiguous in that
-    order.  The first uniform is the price quantile, the second selects the
-    contract.  Policies never touch the draws, so several policies can be
-    replayed against the same batch (common random numbers).
+    An arrival carries a price quantile and a selection uniform, each uniform
+    on [0, 1); a policy can win it only when the quantile is at most W(b) and
+    the selection uniform is below the item's total weight.  Only the points
+    of [0, thr[p]) x [0, mix[p]) are drawn: those of a Poisson process form a
+    Poisson process, so position p gets Poisson(lambda t thr mix) of them
+    (Binomial(round(lambda t), thr mix) under deterministic arrivals), each
+    uniform on the box.  Returns the counts in position order, each point's
+    position, and its two uniforms, item-contiguous in position order.
     """
-    rates = layout.inst.rates * t_batch
-    counts = np.round(rates).astype(np.int64) if deterministic else rng.poisson(rates)
-    counts = counts[layout.order]
-    k = int(counts.sum())
-    return counts, rng.random(k), rng.random(k)
+    thr, mix = box
+    if deterministic:
+        counts = rng.binomial(np.round(layout.rates * t_batch).astype(np.int64), thr * mix)
+    else:
+        counts = rng.poisson(layout.rates * t_batch * thr * mix)
+    pos = np.repeat(np.arange(counts.size), counts)
+    u_price = rng.random(pos.size)
+    u_price *= np.repeat(thr, counts)
+    u_sel = rng.random(pos.size)
+    u_sel *= np.repeat(mix, counts)
+    return counts, pos, u_price, u_sel
 
 
 class _Plan:
@@ -281,9 +300,11 @@ class _Plan:
     item's total weight ``mix[p]`` and wins when its price quantile is at most
     ``thr[p] = W(b)``: under inverse transform that is the event
     W^{-1}(u) <= b, so ties win.  The contract is the first edge whose
-    running weight exceeds the selection uniform, found by one search over
-    the complex keys position + 1j * running weight, which numpy orders
-    lexicographically.
+    running weight exceeds the selection uniform.  A position whose positive
+    weight sits on one edge always picks that edge; the others search the
+    complex keys position + 1j * running weight, which numpy orders
+    lexicographically.  A zero-weight edge repeats the running weight before
+    it, so the search never picks it either.
     """
 
     def __init__(self, layout: _Layout, policy: BidPolicy):
@@ -293,7 +314,8 @@ class _Plan:
         # each item's running weights, summed left to right as np.cumsum sums
         # them item by item: the k-th sum of every item at once
         first, deg = layout.edge_start[:-1], np.diff(layout.edge_start)
-        cum = self.gamma[layout.edges]
+        weight = self.gamma[layout.edges]
+        cum = weight.copy()
         for k in range(1, int(deg.max(initial=0))):
             at = first[deg > k] + k
             cum[at] += cum[at - 1]
@@ -301,33 +323,43 @@ class _Plan:
         self.mix = np.zeros(deg.size)
         self.mix[deg > 0] = cum[layout.edge_start[1:][deg > 0] - 1]
         self.thr = self.win[layout.order]
+        # per position, the quantile and selection bounds of every winnable arrival
+        self.box = np.minimum(self.thr, 1.0), np.minimum(self.mix, 1.0)
+        # positions by their count of positive-weight edges
+        live = np.flatnonzero(weight > 0.0)
+        n_live = np.bincount(layout.edge_pos[live], minlength=deg.size)
+        self.split = n_live > 1
+        lone = n_live[layout.edge_pos[live]] == 1
+        self.lone_pos, self.lone_edge = layout.edge_pos[live[lone]], live[lone]
         self.first_bid = policy.bids[layout.order]
         for sl, _, _ in layout.priced:
             self.first_bid[sl] = 0.0
 
     def replay(self, draws) -> tuple[np.ndarray, np.ndarray, float]:
-        """Run one batch of draws; returns value/win/cost totals."""
-        counts, u_price, u_sel = draws
+        """Run one batch of draws; returns value/win/cost totals.
+
+        Points outside the policy's own box, drawn for another policy of an
+        ``ab_compare``, are dropped.
+        """
+        counts, pos, u_price, u_sel = draws
         lay = self.layout
-        n = counts.size
-        won = np.flatnonzero(
-            (u_sel < np.repeat(self.mix, counts)) & (u_price <= np.repeat(self.thr, counts))
-        )
-        pos = np.repeat(np.arange(n), counts).take(won)
-        wins = np.bincount(pos, minlength=n)
-        picked = np.searchsorted(self.keys, pos + 1j * u_sel.take(won), side="right")
-        value = np.bincount(
-            lay.edge_contract.take(picked),
-            weights=lay.edge_value.take(picked),
-            minlength=lay.inst.n_contracts,
-        )
-        cost = float(self.first_bid @ wins)
-        u_won = u_price.take(won)
-        start = np.concatenate(([0], np.cumsum(wins)))
+        won = (u_sel < np.repeat(self.mix, counts)) & (u_price <= np.repeat(self.thr, counts))
+        if not won.all():
+            pos, u_price, u_sel = pos[won], u_price[won], u_sel[won]
+            counts = np.bincount(pos, minlength=counts.size)
+        hits = np.zeros(lay.edges.size)
+        hits[self.lone_edge] = counts[self.lone_pos]
+        split = np.flatnonzero(np.repeat(self.split, counts))
+        if split.size:
+            keys = pos.take(split) + 1j * u_sel.take(split)
+            hits += np.bincount(np.searchsorted(self.keys, keys, side="right"), minlength=hits.size)
+        value = np.bincount(lay.edge_contract, weights=lay.edge_value * hits, minlength=lay.inst.n_contracts)
+        cost = float(self.first_bid @ counts)
+        start = np.concatenate(([0], np.cumsum(counts)))
         for sl, quantile, params in lay.priced:
-            u = u_won[start[sl.start] : start[sl.stop]]
-            cost += float(np.sum(quantile(u, *(np.repeat(p, wins[sl]) for p in params))))
-        return value, wins[lay.rank], cost
+            u = u_price[start[sl.start] : start[sl.stop]]
+            cost += float(np.sum(quantile(u, *(np.repeat(p, counts[sl]) for p in params))))
+        return value, counts[lay.rank], cost
 
     def predictions(self):
         """Fluid-model rates implied by the policy: per-contract value, per-item wins, cost."""
@@ -371,8 +403,10 @@ def simulate(
 
     The horizon splits into ``n_batches`` equal batches with independent RNG
     streams spawned from ``seed``, a nonnegative integer; standard errors
-    come from the spread of the batch means.  ``csv_path`` dumps the cumulative fulfillment-rate time
-    series per contract, ``json_path`` the full report.
+    come from the spread of the batch means.  Each batch draws only the
+    arrivals the policy can win, so the draws depend on the policy.
+    ``csv_path`` dumps the cumulative fulfillment-rate time series per
+    contract, ``json_path`` the full report.
     """
     _check_run(inst, [policy], horizon, seed, n_batches)
     layout = _Layout(inst)
@@ -382,7 +416,7 @@ def simulate(
     batch_wins = np.zeros((n_batches, inst.n_items))
     batch_cost = np.zeros(n_batches)
     for b, rng in enumerate(_batch_rngs(seed, n_batches)):
-        draws = _draw_batch(rng, layout, t_batch, deterministic_arrivals)
+        draws = _draw_batch(rng, layout, t_batch, deterministic_arrivals, plan.box)
         batch_value[b], batch_wins[b], batch_cost[b] = plan.replay(draws)
 
     value_rate, value_se = _mean_se(batch_value / t_batch)
@@ -428,10 +462,12 @@ def ab_compare(
 ) -> ABComparison:
     """Compare policies under common random numbers (policy 0 is the baseline).
 
-    Each batch's arrivals, prices, and selection uniforms are drawn once and
-    replayed under every policy, so cost differences are paired: identical
-    policies differ by exactly zero, and the difference of two good policies
-    carries far less variance than two independent runs would.
+    Each batch draws once, in the union of the policies' boxes (per item the
+    largest W(b) and the largest total weight), and replays the points under
+    every policy, each keeping the points of its own box.  So cost
+    differences are paired: identical policies differ by exactly zero, and
+    the difference of two good policies carries far less variance than two
+    independent runs would.
     """
     policies = list(policies)
     if len(policies) < 2:
@@ -439,12 +475,13 @@ def ab_compare(
     _check_run(inst, policies, horizon, seed, n_batches)
     layout = _Layout(inst)
     plans = [_Plan(layout, policy) for policy in policies]
+    box = tuple(np.maximum.reduce(bounds) for bounds in zip(*(plan.box for plan in plans)))
     n_pol = len(policies)
     t_batch = horizon / n_batches
     batch_value = np.zeros((n_pol, n_batches, inst.n_contracts))
     batch_cost = np.zeros((n_pol, n_batches))
     for b, rng in enumerate(_batch_rngs(seed, n_batches)):
-        draws = _draw_batch(rng, layout, t_batch, deterministic_arrivals)
+        draws = _draw_batch(rng, layout, t_batch, deterministic_arrivals, box)
         for p, plan in enumerate(plans):
             batch_value[p, b], _, batch_cost[p, b] = plan.replay(draws)
 

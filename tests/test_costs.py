@@ -99,6 +99,20 @@ def test_hyperbolic_second_price_payment_keeps_its_digits(x):
     assert AcquisitionCost(Hyperbolic(1.0), "second_price").expected_cost(x) == pytest.approx(ref, rel=1e-15)
 
 
+@pytest.mark.parametrize("scale", [3e-5, 0.7, 1.0, 2e4])
+def test_hyperbolic_second_price_payment_small_bids(scale):
+    # at small t = x/c the closed form's log1p(t) - t/(1+t) cancels (2.9e-9
+    # off at x = 1e-8 c); the series sum_{k>=2} s^k / k in s = W(x) does not
+    xs = np.geomspace(1e-12, 1e6, 721) * scale
+    with mpmath.workdps(50):
+        ref = []
+        for x in xs:
+            t = mpmath.mpf(x) / scale
+            ref.append(float(scale * (mpmath.log1p(t) - t / (1 + t))))
+    got = Hyperbolic.price_integral(xs, np.full(xs.size, scale))
+    assert np.all(np.abs(got / np.array(ref) - 1.0) <= 8.0 * np.finfo(float).eps)
+
+
 def test_first_price_frozen_values():
     c = AcquisitionCost(Exponential(1.0), "first_price")
     assert c.bid_mapping(1.0) == pytest.approx(math.e, rel=1e-14)

@@ -342,13 +342,17 @@ def test_flat_replay_matches_per_arrival_oracle():
     layout = simulate_module._Layout(inst)
     plan = simulate_module._Plan(layout, policy)
     for rng in simulate_module._batch_rngs(5, 3):
-        counts, u_price, u_sel = draws = simulate_module._draw_batch(rng, layout, 150.0, False)
+        counts, _, u_price, u_sel = draws = simulate_module._draw_batch(rng, layout, 150.0, False, plan.box)
         assert counts[layout.rank[-1]] == 0  # the rare item
         value, wins, cost = plan.replay(draws)
         o_value, o_wins, o_cost = replay_per_arrival(inst, policy, layout.order, counts, u_price, u_sel)
         assert np.array_equal(wins, o_wins)
-        assert np.array_equal(value, o_value)
+        # the replay credits each edge its hit count times its value, the
+        # oracle one value per arrival: equal up to the summation order
+        assert value == pytest.approx(o_value, rel=1e-12)
         assert cost == pytest.approx(o_cost, rel=1e-12)
+        # the draws hold only the policy's own box, so every drawn point wins
+        assert np.array_equal(wins, counts[layout.rank])
         # every branch is exercised: the winning items are exactly those with
         # a positive bid, weight and W(b) on some edge
         assert set(np.flatnonzero(wins)) == {
@@ -356,6 +360,109 @@ def test_flat_replay_matches_per_arrival_oracle():
         }
     p2 = [it.id for it in inst.items].index("p2")
     assert plan.win[p2] == inst.items[p2].curve.total_mass == 0.5625
+
+
+def test_one_edge_lookup_picks_what_the_search_picks():
+    inst, policy = oracle_instance()
+    layout = simulate_module._Layout(inst)
+    plan = simulate_module._Plan(layout, policy)
+    # the positions whose positive weight sits on one edge, zero weights
+    # before it (e1) and a negative weight clipped to 0 (h2) included
+    assert {inst.items[layout.order[p]].id for p in plan.lone_pos} == {
+        "e1", "h2", "h1", "u1", "p2", "p1", "gap", "rare"
+    }
+    lone = np.full(inst.n_items, -1)
+    lone[plan.lone_pos] = plan.lone_edge
+    for rng in simulate_module._batch_rngs(8, 3):
+        _, pos, _, u_sel = simulate_module._draw_batch(rng, layout, 150.0, False, plan.box)
+        searched = np.searchsorted(plan.keys, pos + 1j * u_sel, side="right")
+        # the search never lands on a zero-weight edge
+        assert np.all(plan.gamma[layout.edges[searched]] > 0.0)
+        at = lone[pos] >= 0
+        assert 0 < at.sum() < at.size
+        assert np.array_equal(lone[pos[at]], searched[at])
+
+
+def test_box_draws_are_calibrated():
+    # per item and run, wins are Poisson(lambda t W(b) mix): over S seeded
+    # runs the sample mean has standard deviation sqrt(mu / S) and the
+    # sample variance about sqrt((mu + 2 mu^2) / S)
+    inst, policy = oracle_instance()
+    horizon, runs = 8.0, 300
+    wins = np.array([
+        simulate(inst, policy, horizon=horizon, seed=seed, n_batches=2).win_rate * horizon
+        for seed in range(runs)
+    ])
+    assert np.allclose(wins, np.round(wins), rtol=0.0, atol=1e-9)
+    mu = simulate(inst, policy, horizon=horizon, seed=0, n_batches=2).predicted_win_rate * horizon
+    assert np.all(np.abs(wins.mean(axis=0) - mu) <= 4.0 * np.sqrt(mu / runs))
+    assert np.all(np.abs(wins.var(axis=0, ddof=1) - mu) <= 4.0 * np.sqrt((mu + 2.0 * mu**2) / runs))
+
+
+def test_deterministic_box_draws_never_exceed_the_arrivals():
+    # under deterministic arrivals a batch holds round(lambda t) arrivals per
+    # item, and the box keeps Binomial(round(lambda t), W(b) mix) of them
+    inst, policy = oracle_instance()
+    layout = simulate_module._Layout(inst)
+    plan = simulate_module._Plan(layout, policy)
+    t_batch, batches = 4.0, 400
+    n = np.round(inst.rates * t_batch)
+    wins = np.array([
+        plan.replay(simulate_module._draw_batch(rng, layout, t_batch, True, plan.box))[1]
+        for rng in simulate_module._batch_rngs(3, batches)
+    ])
+    assert np.all(wins <= n)
+    p = plan.thr[layout.rank] * plan.mix[layout.rank]
+    full = p == 1.0  # u2 bids above x_bar with weight 1
+    assert full.sum() == 1 and np.all(wins[:, full] == n[full])
+    sd = np.sqrt(n * p * (1.0 - p) / batches)
+    assert np.all(np.abs(wins.mean(axis=0) - n * p) <= 4.0 * sd)
+
+
+def other_policy(inst):
+    """Against ``oracle_instance``'s policy: higher bids on some items, lower
+    weights on others, and e1's weight split onto its first edge."""
+    spec = {  # id: (bid, weights)
+        "e2": (1.4, [0.1, 0.2, 0.3]), "e1": (0.4, [0.5, 0.3]), "h2": (2.0, [0.2, 0.3]),
+        "h1": (0.5, [0.4]), "u2": (1.0, [0.25, 0.75]), "u1": (1.2, [0.3]), "p2": (0.5, [1.0]),
+        "p1": (0.9, [0.4]), "f2": (0.6, [0.5, 0.5]), "f1": (1.5, [0.2, 0.3]), "gap": (0.5, [1.0]),
+        "lone": (1.0, []), "rare": (1.0, [0.5]),
+    }
+    gamma = np.zeros(inst.n_edges)
+    for j, item in enumerate(inst.items):
+        gamma[inst.item_edges(j)] = spec[item.id][1]
+    return BidPolicy(bids=np.array([spec[it.id][0] for it in inst.items]), gamma=gamma)
+
+
+def test_ab_policies_win_their_own_sub_boxes():
+    inst, first = oracle_instance()
+    policies = [first, other_policy(inst)]
+    layout = simulate_module._Layout(inst)
+    plans = [simulate_module._Plan(layout, policy) for policy in policies]
+    union = tuple(np.maximum(a, b) for a, b in zip(plans[0].box, plans[1].box))
+    horizon, n_batches, seed = 300.0, 4, 17
+    t_batch = horizon / n_batches
+    costs = np.zeros((2, n_batches))
+    for b, rng in enumerate(simulate_module._batch_rngs(seed, n_batches)):
+        counts, pos, u_price, u_sel = draws = simulate_module._draw_batch(rng, layout, t_batch, False, union)
+        item = layout.order[pos]
+        for k, (policy, plan) in enumerate(zip(policies, plans)):
+            value, wins, cost = plan.replay(draws)
+            # the win set is the policy's own box [0, W(b)] x [0, mix) of the shared points
+            thr = np.array([float(it.curve.eval(float(x))) for it, x in zip(inst.items, policy.bids)])
+            mix = np.zeros(inst.n_items)
+            np.add.at(mix, inst.edge_j, np.maximum(policy.gamma, 0.0))
+            inside = (u_price <= thr[item]) & (u_sel < mix[item])
+            assert np.array_equal(wins, np.bincount(item[inside], minlength=inst.n_items))
+            assert 0 < inside.sum() < inside.size  # a proper sub-box of the shared points
+            o_value, o_wins, o_cost = replay_per_arrival(inst, policy, layout.order, counts, u_price, u_sel)
+            assert np.array_equal(wins, o_wins)
+            assert value == pytest.approx(o_value, rel=1e-12)
+            assert cost == pytest.approx(o_cost, rel=1e-12)
+            costs[k, b] = o_cost / t_batch
+    cmp = ab_compare(inst, policies, horizon=horizon, seed=seed, n_batches=n_batches)
+    assert cmp.cost_rate == pytest.approx(costs.mean(axis=1), rel=1e-12)
+    assert cmp.delta_cost[1] == pytest.approx((costs[1] - costs[0]).mean(), rel=1e-12)
 
 
 def test_grouped_predictions_match_per_item_route():
