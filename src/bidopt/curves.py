@@ -262,6 +262,34 @@ def _omega(a):
     return w
 
 
+def _power_sum(x, coefs: np.ndarray) -> np.ndarray:
+    """sum_k coefs[k-1] x^k over k = 1, ..., coefs.size, entry by entry.
+
+    Two numpy calls, the powers and their weighted sum, where Horner's rule
+    would make two per coefficient.
+    """
+    return np.power(np.asarray(x, dtype=float)[..., None], np.arange(1.0, coefs.size + 1.0)).dot(coefs)
+
+
+# coefficients for _power_sum: 2 / (2k + 1) for k = 1, ..., 11, the series of
+# 2 (atanh(u) - u) / u in w = u^2; and (-1)^k / k! for k = 2, ..., 15 (0 at
+# k = 1), the series of y + expm1(-y), its tail under half an ulp for y <= 1/2
+_ATANH_TAIL = 2.0 / np.arange(3.0, 25.0, 2.0)
+_EXP_TAIL = np.array([0.0, *((-1.0) ** k / math.factorial(k) for k in range(2, 16))])
+
+
+def _log_tail(s):
+    """-s - log(1 - s) = sum_{k>=2} s^k / k for 0 <= s < 1/3, where that difference cancels.
+
+    With u = s / (2 - s), -log(1 - s) = 2 atanh(u) and 2u - s = s u, so it
+    is u (s + 2 u^-1 (atanh(u) - u)): positive terms, and the series of the
+    second one in w = u^2 <= 1/25 reaches half an ulp in 11 terms
+    (-s - log1p(-s) is 1.0e-8 off relative at s = 1e-8).
+    """
+    u = s / (2.0 - s)
+    return u * (s + _power_sum(u * u, _ATANH_TAIL))
+
+
 @dataclass(frozen=True, repr=False)
 class Exponential(SupplyCurve):
     """W(x) = 1 - exp(-rate * x); unbounded support, mean price 1/rate."""
@@ -283,7 +311,10 @@ class Exponential(SupplyCurve):
 
     @staticmethod
     def w_integral(mu, rate):
-        return mu + np.expm1(-rate * mu) / rate
+        # mu + expm1(-y)/rate with y = rate mu cancels at small y (1.3e-8
+        # relative at y = 1e-8); below y = 1/2 its series is summed instead
+        y = rate * mu
+        return np.where(y < 0.5, _power_sum(np.minimum(y, 0.5), _EXP_TAIL) / rate, mu + np.expm1(-y) / rate)
 
     @staticmethod
     def bid(mu, rate):
@@ -313,17 +344,15 @@ class Exponential(SupplyCurve):
         one_m = 1.0 - q
         # (1-q)ln(1-q) -> 0 as q -> 1
         term = np.where(one_m > 0.0, one_m * np.log(np.maximum(one_m, 1e-300)), 0.0)
-        return (q + term) / rate
+        # q + (1-q) ln(1-q) cancels at small q (all digits at q = 1e-8); as
+        # ln(1-q) = -q - L with L = _log_tail(q), it equals q^2 - (1-q) L there
+        return np.where(q < 1.0 / 3.0, q * q - one_m * _log_tail(q), q + term) / rate
 
     def _pdf(self, x):
         return self.rate * np.exp(-self.rate * x)
 
     def params(self):
         return {"rate": self.rate}
-
-
-# 1/33, 1/32, ..., 1/2: Horner coefficients of sum_{k=2}^{33} s^(k-2) / k
-_LOG_SERIES = 1.0 / np.arange(33.0, 1.0, -1.0)
 
 
 @dataclass(frozen=True, repr=False)
@@ -354,7 +383,12 @@ class Hyperbolic(SupplyCurve):
 
     @staticmethod
     def w_integral(mu, scale):
-        return mu - scale * np.log1p(mu / scale)
+        # c (t - log1p(t)) with t = mu/c cancels at small t (9.6e-9 relative at
+        # t = 1e-8).  With s = W(mu) = t/(1 + t), log1p(t) = s + _log_tail(s),
+        # so below s = 1/3 it is summed as c (t s - _log_tail(s)) instead
+        t = mu / scale
+        s = t / (1.0 + t)
+        return scale * np.where(s < 1.0 / 3.0, t * s - _log_tail(s), t - np.log1p(t))
 
     @staticmethod
     def bid(mu, scale):
@@ -370,22 +404,20 @@ class Hyperbolic(SupplyCurve):
 
     @staticmethod
     def quantile_integral(q, scale):
+        # c (-q - log1p(-q)) cancels below q = 1/3 (1.0e-8 relative at q =
+        # 1e-8), where the series _log_tail(q) is summed instead
         with np.errstate(divide="ignore"):
-            out = scale * (-q - np.log1p(-q))
+            out = scale * np.where(q < 1.0 / 3.0, _log_tail(q), -q - np.log1p(-q))
         return np.where(q >= 1.0, np.inf, out)
 
     @staticmethod
     def price_integral(x, scale):
         # c (log(1 + t) - s) with t = x/c and s = W(x) = t/(1 + t), free of
         # W(x)'s rounding towards 1.  As log(1 + t) = -log(1 - s), it equals
-        # c sum_{k>=2} s^k / k: below s = 1/3, where the difference cancels
-        # (2.9e-9 relative at x = 1e-8 c), that series to k = 33 is summed
-        # instead, its tail under half an ulp
+        # c _log_tail(s), summed below s = 1/3, where the difference cancels
+        # (2.9e-9 relative at x = 1e-8 c)
         s = Hyperbolic.w(x, scale)
-        series = np.zeros_like(s)
-        for coef in _LOG_SERIES:
-            series = series * s + coef
-        return np.where(s < 1.0 / 3.0, scale * (s * s * series), scale * (np.log1p(x / scale) - s))
+        return scale * np.where(s < 1.0 / 3.0, _log_tail(s), np.log1p(x / scale) - s)
 
     def _pdf(self, x):
         c = self.scale

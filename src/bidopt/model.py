@@ -187,6 +187,11 @@ class ProblemInstance:
         nonempty = self.item_start[:-1] < self.item_start[1:]
         return self.edge_v[self.by_item], self.edge_i[self.by_item], nonempty, self.item_start[:-1][nonempty]
 
+    @cached_property
+    def positions(self) -> tuple[dict, dict]:
+        """(contract id -> contract position, item id -> item position)."""
+        return {c.id: k for k, c in enumerate(self.contracts)}, {it.id: k for k, it in enumerate(self.items)}
+
     def mu_of(self, rho: np.ndarray) -> np.ndarray:
         """mu_j = max_{i in B_j} v_ij rho_i per item (0 for items no contract values)."""
         v, i, nonempty, starts = self.item_major
@@ -355,7 +360,7 @@ class InfeasibilityCertificate:
     def verify(self, inst: ProblemInstance, margin: float) -> bool:
         """Recheck the weighted inequality directly against the instance."""
         y = np.zeros(inst.n_contracts)
-        pos = {c.id: k for k, c in enumerate(inst.contracts)}
+        pos = inst.positions[0]
         for cid, w in self.weights.items():
             y[pos[cid]] = w
         return _weighted_shortfall(inst, y, margin) > 0.0
@@ -507,6 +512,20 @@ def _weighted_shortfall(inst: ProblemInstance, y: np.ndarray, margin: float) -> 
     return float(y @ inst.targets) - float(((1.0 - margin) * inst.capacities) @ inst.mu_of(y))
 
 
+def _supply_lp(inst: ProblemInstance, demand: np.ndarray, margin: float):
+    """The supply check's LP with the contracts asking for `demand`.
+
+    Returns (x, slack, row_dual, met) with x = (R, per-contract slacks
+    priced 1), slack their least total, and met when it is within
+    1e-9 (1 + total demand); None when HiGHS ends at no optimum.
+    """
+    res = _transport_lp(inst, np.zeros(inst.n_edges), (1.0 - margin) * inst.capacities,
+                        (demand, demand), _slack_columns(inst.n_contracts, 1.0))
+    if res is None:
+        return None
+    return *res, res[1] <= 1e-9 * (1.0 + float(demand.sum()))
+
+
 def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> SupplyCheck:
     """Phase-1 LP for: R >= 0, sum_j in A_i v_ij R_ij = C_i, sum_i R_ij <= (1-margin) lambda_j mass_j.
 
@@ -520,13 +539,11 @@ def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> Supply
     if not (0.0 <= margin < 1.0):
         raise ValueError("margin must lie in [0, 1)")
     n, d = inst.n_contracts, inst.n_edges
-    # edge rates R, then per-contract slacks priced 1: minimize the total slack
-    res = _transport_lp(inst, np.zeros(d), (1.0 - margin) * inst.capacities,
-                        (inst.targets, inst.targets), _slack_columns(n, 1.0))
+    res = _supply_lp(inst, inst.targets, margin)
     if res is None:
         raise RuntimeError("feasibility LP found no optimum")
-    x, slack, row_dual = res
-    if slack <= 1e-9 * (1.0 + float(inst.targets.sum())):
+    x, slack, row_dual, met = res
+    if met:
         witness = x[:d]
         witness.setflags(write=False)
         return SupplyCheck(feasible=True, slack=0.0, witness=witness)
@@ -671,6 +688,11 @@ def random_sparse_instance(
         for i in range(n_contracts)
     ]
     inst = build_instance(items, contracts)
+    # a draw that meets 1.25 times its targets is kept as it is; that one
+    # supply LP is far cheaper than max_scalable_target, needed only otherwise
+    at_125 = _supply_lp(inst, 1.25 * inst.targets, 1e-3)
+    if at_125 is not None and at_125[3]:
+        return inst
     t_max = max_scalable_target(inst, margin=1e-3)
     if t_max < 1.25:  # raw draw is infeasible or too close to the boundary
         scale = 0.8 * t_max

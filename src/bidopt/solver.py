@@ -177,9 +177,10 @@ class Solution:
 # dual evaluation
 
 
-def _dual_value(inst: ProblemInstance, rho: np.ndarray) -> float:
-    """D(rho) = C.rho - sum_j lambda_j conjugate_j(mu_j(rho))."""
-    conj, _ = inst.groups.conj_win(inst.mu_of(rho))
+def _dual_value(inst: ProblemInstance, rho: np.ndarray, conj: np.ndarray | None = None) -> float:
+    """D(rho) = C.rho - sum_j lambda_j conjugate_j(mu_j(rho)); `conj` are the conjugates at mu(rho), when known."""
+    if conj is None:
+        conj, _ = inst.groups.conj_win(inst.mu_of(rho))
     return float(rho @ inst.targets) - float(inst.rates @ conj)
 
 
@@ -295,6 +296,12 @@ def _snap(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, flows: n
     return best_val, best_rho
 
 
+# a tangent column is deleted once it has been nonbasic at this many optimal
+# solves in a row: at 2, fuzz draw 137 snaps onto a wrong tie pattern and the
+# census takes 1.4% more master solves
+_PRUNE_AFTER = 3
+
+
 class _MasterLP:
     """min rhs.y + cap sum z  s.t.  V f + z >= C, W y - S f >= 0, item sums of y <= lambda.
 
@@ -303,32 +310,46 @@ class _MasterLP:
     cut (W: its win rate, rhs: its right-hand side) and z_i per contract
     (cost: the rho box).  Its row duals are (rho, mu, -t) and its value is
     the model value.  New columns keep the last basis primal feasible, so
-    each solve hot-starts primal simplex from it.  `col_value` holds the
-    column values of the last optimal solve (None before one).  Lives for
-    one master phase.
+    each solve hot-starts primal simplex from it.
+
+    After each optimal solve, every tangent column that has been nonbasic
+    (reduced cost > 0) at the last _PRUNE_AFTER optimal solves is deleted
+    (cut deletion, Topkis 1970; bundle compression, Kiwiel 1985).  Such a
+    column weighs 0 at the optimum, so the optimum stays optimal, the basis
+    stays primal feasible and the model value cannot rise at a fixed box;
+    edge and z columns are never deleted.
+    `col_edge` holds each column's edge (-1 on z and tangent columns) and
+    `col_value` the column values of the last optimal solve (None before
+    one), both compacted with the columns, so that the first
+    `col_value.size` entries of `col_edge` are that solve's columns.  Lives
+    for one master phase.
     """
 
     def __init__(self, targets: np.ndarray, rates: np.ndarray, cap: float):
         self.n = n = targets.size
         m2 = rates.size
         self.cap, self.col_value = cap, None
-        self.solves = self.iterations = self.cuts = self.cuts_max = 0
+        self.col_edge = np.full(n, -1)
+        self.idle = np.zeros(n, dtype=int)  # per column, the optimal solves in a row it was nonbasic at
+        self.solves = self.iterations = self.cuts = self.cuts_max = self.pruned = 0
         self.highs = _highs_model(np.full(n, cap), np.full(n, np.inf),
                                   np.concatenate([targets, np.zeros(m2), np.full(m2, -np.inf)]),
                                   np.concatenate([np.full(n + m2, np.inf), rates]),
                                   np.arange(n + 1), np.arange(n), np.ones(n))
         self.highs.setOptionValue("simplex_strategy", 4)  # primal simplex
 
-    def add_cols(self, cost: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
-        """Append columns with vals[c, 0] in row rows[c, 0], vals[c, 1] in row rows[c, 1] and cost cost[c]."""
+    def add_cols(self, cost: np.ndarray, rows: np.ndarray, vals: np.ndarray, edges: np.ndarray) -> None:
+        """Append columns: column c has cost cost[c], vals[c, k] in row rows[c, k] (k = 0, 1) and edge edges[c]."""
         k = cost.size
         self.cuts += k
         _highs_status(self.highs.addCols(k, cost, np.zeros(k), np.full(k, np.inf), 2 * k,
                                          2 * np.arange(k, dtype=np.int32), rows.astype(np.int32).ravel(),
                                          vals.ravel()), "the cutting-plane master's columns")
+        self.col_edge = np.concatenate([self.col_edge, edges])
+        self.idle = np.concatenate([self.idle, np.zeros(k, dtype=int)])
 
     def solve(self, cap: float):
-        """(row duals, model value, optimal) with the contracts' box at cap."""
+        """(row duals, model value, optimal) with the contracts' box at cap; prunes when optimal."""
         self.solves += 1
         self.cuts_max = max(self.cuts_max, self.cuts)
         if cap != self.cap:
@@ -340,7 +361,25 @@ class _MasterLP:
         sol = self.highs.getSolution()
         if ok:
             self.col_value = np.array(sol.col_value, dtype=float)
+            self.prune(np.asarray(sol.col_dual) > 0.0)
         return np.asarray(sol.row_dual), float(info.objective_function_value), ok
+
+    def prune(self, nonbasic: np.ndarray) -> np.ndarray:
+        """Count the solves each column has stayed `nonbasic`, and delete the tangent columns due.
+
+        Returns the positions the deleted columns had.
+        """
+        self.idle = np.where(nonbasic, self.idle + 1, 0)
+        drop = (self.idle >= _PRUNE_AFTER) & (self.col_edge < 0)
+        drop[: self.n] = False
+        cols = np.flatnonzero(drop).astype(np.int32)
+        if cols.size:
+            _highs_status(self.highs.deleteCols(cols.size, cols), "the deletion of master columns")
+            keep = ~drop
+            self.idle, self.col_edge, self.col_value = self.idle[keep], self.col_edge[keep], self.col_value[keep]
+            self.cuts -= cols.size
+            self.pruned += cols.size
+        return cols
 
 
 # a termination guard: the master stops on its gap or stall test well before
@@ -360,7 +399,10 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     LP's last rho and re-solves it warm (one master LP solve per round, at
     most _MASTER_SOLVES), until the model value meets the best true value;
     the LP model jumps straight across the argmax kinks of degenerate
-    instances.
+    instances.  Tangents that stay slack are deleted (`_MasterLP`): their
+    columns weigh 0 at the LP optimum, so deleting them keeps that optimum,
+    and the model value still never rises at a fixed box (the stall test
+    below stays sound) and stays an upper bound on the dual optimum.
 
     The edge cuts mu_j >= v_ij rho_i are generated lazily (delayed column
     generation): the model starts with the edges within 5% of their item's
@@ -391,25 +433,21 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     rho_cap = 1e4 * (1.0 + float(np.max(best_rho, initial=0.0)))
     lp = _MasterLP(inst.targets, inst.rates[nz], rho_cap)
     in_model = np.zeros(inst.n_edges, dtype=bool)
-    col_edge = [np.full(n, -1)]  # per column block, the edge of each column (-1 on z and tangent columns)
 
     def add_edge_cols(edges: np.ndarray) -> None:
         lp.add_cols(np.zeros(edges.size), np.column_stack([inst.edge_i[edges], row[inst.edge_j[edges]]]),
-                    np.column_stack([inst.edge_v[edges], -np.ones(edges.size)]))
+                    np.column_stack([inst.edge_v[edges], -np.ones(edges.size)]), edges)
         in_model[edges] = True
-        col_edge.append(edges)
 
-    def add_tangents(mu_full: np.ndarray) -> None:
-        conj, win = inst.groups.conj_win(mu_full)
+    def add_tangents(mu_full: np.ndarray, conj: np.ndarray, win: np.ndarray) -> None:
         lp.add_cols(win[nz] * mu_full[nz] - conj[nz], np.column_stack([row[nz], m2 + row[nz]]),
-                    np.column_stack([win[nz], np.ones(m2)]))
-        col_edge.append(np.full(m2, -1))
+                    np.column_stack([win[nz], np.ones(m2)]), np.full(m2, -1))
 
     mu_w = inst.mu_of(best_rho)
     mu_e = mu_w[inst.edge_j]
     add_edge_cols(np.flatnonzero(mu_e - inst.edge_v * best_rho[inst.edge_i] <= 0.05 * mu_e))
     for f in (0.5, 1.0, 2.0, 8.0):
-        add_tangents(f * mu_w)
+        add_tangents(f * mu_w, *inst.groups.conj_win(f * mu_w))
     gap = math.inf
     last_model = math.inf
     for _ in range(_MASTER_SOLVES):
@@ -423,13 +461,14 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
         new = top[(mu_hat[nz] - mu_lp > 1e-12 * (1.0 + mu_lp)) & ~in_model[top]]
         if new.size:
             add_edge_cols(new)
+        conj, win = inst.groups.conj_win(mu_hat)
         if float(np.max(rho_hat, initial=0.0)) > 0.999 * rho_cap:
             # add edges before widening the box: a contract without edges presses it
             if not new.size:
                 rho_cap *= 100.0
-            add_tangents(mu_hat)
+            add_tangents(mu_hat, conj, win)
             continue
-        val_hat = _dual_value(inst, rho_hat)
+        val_hat = _dual_value(inst, rho_hat, conj)
         if val_hat > best_val:
             best_val, best_rho = val_hat, rho_hat.copy()
         gap = model - best_val
@@ -440,15 +479,16 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
             # tolerance; the model cannot tighten further at this scale
             break
         last_model = model
-        add_tangents(mu_hat)
+        add_tangents(mu_hat, conj, win)
     if stats is not None:
         stats["master_solves"] = stats.get("master_solves", 0) + lp.solves
         stats["master_simplex_iterations"] = stats.get("master_simplex_iterations", 0) + lp.iterations
         stats["master_edge_rows"] = int(in_model.sum())
         stats["master_rows_max"] = lp.cuts_max
+        stats["master_cols_pruned"] = stats.get("master_cols_pruned", 0) + lp.pruned
     if lp.col_value is None:
         return best_val, best_rho, gap, lp.solves, None
-    edge = np.concatenate(col_edge)[: lp.col_value.size]
+    edge = lp.col_edge[: lp.col_value.size]
     flows = np.zeros(inst.n_edges)
     flows[edge[edge >= 0]] = lp.col_value[edge >= 0]
     return best_val, best_rho, gap, lp.solves, flows
@@ -532,6 +572,7 @@ def solve_dual(
     - master_simplex_iterations: the master's simplex iterations;
     - master_edge_rows: edge cuts in the final master model;
     - master_rows_max: the most cuts (edge and tangent) any master solve held;
+    - master_cols_pruned: the tangent cuts the master deleted;
     - tie_root_calls, tie_root_evals: the tie roots' batch calls and balance
       evaluations;
     - lp_solves, lp_simplex_iterations: solves and simplex iterations of
@@ -646,8 +687,7 @@ def certify(
     # at optimum every contract prices off its cheapest useful item:
     # rho_i = min over edges of contract i of mu_j / v_ij
     ratio = dual.mu[inst.edge_j] / inst.edge_v
-    rho_min = np.full(inst.n_contracts, np.inf)
-    np.minimum.at(rho_min, inst.edge_i, ratio)
+    rho_min = np.minimum.reduceat(ratio, inst.contract_start[:-1])  # every contract has an edge
     rho_res = float(np.max(np.abs(rho_min - dual.rho) / (1.0 + np.abs(dual.rho))))
 
     return CertificateReport(
@@ -751,8 +791,7 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
     dual = DualSolution(rho=rho, mu=mu, theta=theta, dual_value=_dual_value(inst, rho))
 
     # each entry's edge by the contract-major key edge_i * n_items + edge_j, strictly increasing
-    c_pos = {c.id: k for k, c in enumerate(inst.contracts)}
-    j_pos = {it.id: k for k, it in enumerate(inst.items)}
+    c_pos, j_pos = inst.positions
     entries = obj["R"]
     ij = np.array([(c_pos.get(c, -1), j_pos.get(j, -1)) for c, j, _ in entries], dtype=np.intp).reshape(-1, 2)
     key = ij[:, 0] * inst.n_items + ij[:, 1]

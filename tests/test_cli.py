@@ -232,6 +232,21 @@ def test_commands_take_only_the_options_they_read(command, flag, capsys):
         assert err.value.code == 1
 
 
+def test_main_parses_each_call_as_a_fresh_parser_would(monkeypatch):
+    # the parser is built once per process, so no option or default of one
+    # call may leak into the next
+    cli = bidopt.cli
+    seen = []
+    for name in ("solve", "certify"):
+        monkeypatch.setitem(cli._COMMANDS, name, (lambda args: seen.append(vars(args)) or 0, *cli._COMMANDS[name][1:]))
+    argvs = [["solve", "--input", "a.json", "--tol", "1e-7", "--margin", "1e-3"], ["certify", "--input", "b.json"],
+             ["solve", "--input", "c.json"]]
+    for argv in argvs:
+        assert main(argv) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert seen == [vars(cli.build_parser.__wrapped__().parse_args(argv)) for argv in argvs]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

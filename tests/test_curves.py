@@ -112,6 +112,32 @@ def test_partial_mean_matches_mpmath(curve, price, exact):
             assert curve.partial_mean(x) == pytest.approx(ref, rel=1e-9), x
 
 
+_QUANTILES = np.concatenate([np.geomspace(1e-12, 0.5, 161), 1.0 - np.geomspace(0.5, 1e-15, 81)[1:]])
+
+
+@pytest.mark.parametrize("param", [3e-5, 0.7, 1.0, 2.5, 2e4])
+@pytest.mark.parametrize("formula,exact,unit", [
+    pytest.param(Exponential.w_integral, lambda mu, r: mu + mpmath.expm1(-r * mu) / r, lambda r: 1.0 / r,
+                 id="exponential-w_integral"),
+    pytest.param(Exponential.quantile_integral, lambda q, r: (q + (1 - q) * mpmath.log1p(-q)) / r, None,
+                 id="exponential-quantile_integral"),
+    pytest.param(Hyperbolic.w_integral, lambda mu, c: mu - c * mpmath.log1p(mu / c), lambda c: c,
+                 id="hyperbolic-w_integral"),
+    pytest.param(Hyperbolic.quantile_integral, lambda q, c: c * (-q - mpmath.log1p(-q)), None,
+                 id="hyperbolic-quantile_integral"),
+])
+def test_family_integrals_keep_small_arguments_digits(formula, exact, unit, param):
+    # each closed form subtracts two numbers near the argument, so at small
+    # arguments it cancels (1e-8 relative at 1e-8, and all digits of the
+    # exponential quantile integral there); below a threshold a series is
+    # summed instead, within 8 ulp of 50 digits from 1e-12 to 1e6 price units
+    # and over the whole quantile range
+    args = _QUANTILES if unit is None else np.geomspace(1e-12, 1e6, 241) * unit(param)
+    with mpmath.workdps(50):
+        ref = [float(exact(mpmath.mpf(float(a)), mpmath.mpf(param))) for a in args]
+    np.testing.assert_array_max_ulp(formula(args, np.full(args.size, param)), np.array(ref), maxulp=8)
+
+
 # ---------------------------------------------------------------------------
 # fitting
 

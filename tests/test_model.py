@@ -254,6 +254,33 @@ def test_random_sparse_instance_shape():
     assert check_adequate_supply(inst, margin=1e-3)
 
 
+def _sparse_draws(monkeypatch, seed, n, m):
+    """random_sparse_instance's draw, and the same draw with max_scalable_target called on it every time."""
+    fast = random_sparse_instance(np.random.default_rng(seed), n, m)
+    monkeypatch.setattr(model, "_supply_lp", lambda *args: None)
+    slow = random_sparse_instance(np.random.default_rng(seed), n, m)
+    monkeypatch.undo()
+    return fast, slow
+
+
+@pytest.mark.parametrize("seed,n,m", [(1, 60, 400), (0, 200, 1200), (0, 30, 180), (1, 30, 180), (11, 30, 180)])
+def test_random_sparse_instance_keeps_its_draws(monkeypatch, seed, n, m):
+    # the draws of the benchmark, test_06 and the model, solver and simulate
+    # tests meet 1.25 times their targets, so the one supply LP at 1.25 C
+    # keeps them as they are, as max_scalable_target's t >= 1.25 did
+    fast, slow = _sparse_draws(monkeypatch, seed, n, m)
+    assert fast.to_json() == slow.to_json()
+
+
+def test_random_sparse_instance_rescales_a_tight_draw(monkeypatch):
+    # this draw cannot meet 1.25 C, so its targets go to 80% of the largest
+    # satisfiable level, which max_scalable_target then reads as 1.25
+    fast, slow = _sparse_draws(monkeypatch, 0, 20, 60)
+    assert fast.to_json() == slow.to_json()
+    assert max_scalable_target(fast, 1e-3) == pytest.approx(1.25, rel=1e-9)
+    assert not model._supply_lp(fast, 1.25 * (1.0 + 1e-6) * fast.targets, 1e-3)[3]
+
+
 def test_instance_arrays_read_only():
     inst = stress_instance()
     with pytest.raises(ValueError):

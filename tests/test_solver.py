@@ -403,20 +403,47 @@ def test_box_pressing_rounds_add_tangents(seed):
     assert math.isfinite(gap) and gap <= 1e-6 * (1.0 + abs(value))
 
 
-def _kelley_recording_solves(inst, monkeypatch):
+def _kelley_recording_solves(inst, monkeypatch, deleted=None):
     """_kelley_phase from the warm start plus, per optimal master solve,
-    (rho, box, model rows, model columns, cuts, column values)."""
+    (rho, box, model rows, model columns, cuts, column values, model value).
+
+    Each column the master deletes is appended to `deleted` as (its kind:
+    "z", "edge" or "tangent", the reduced costs it had at the solves it was
+    in, oldest first).
+    """
     solved = []
-    master_solve = solver._MasterLP.solve
+    kinds, history = [], []  # per column of the model, its kind and its reduced costs
+    master = solver._MasterLP
+    master_solve, add_cols, prune = master.solve, master.add_cols, master.prune
+
+    def adding(lp, cost, rows, vals, edges):
+        if not kinds:
+            kinds.extend(["z"] * lp.n)
+            history.extend([] for _ in range(lp.n))
+        kinds.extend(np.where(edges >= 0, "edge", "tangent").tolist())
+        history.extend([] for _ in edges)
+        return add_cols(lp, cost, rows, vals, edges)
+
+    def pruning(lp, nonbasic):
+        for past, d in zip(history, lp.highs.getSolution().col_dual):
+            past.append(d)
+        gone = prune(lp, nonbasic)
+        for c in gone[::-1].tolist():
+            if deleted is not None:
+                deleted.append((kinds[c], history[c]))
+            del kinds[c], history[c]
+        return gone
 
     def recording(lp, cap):
         dual, model, ok = master_solve(lp, cap)
         if ok:
             solved.append((dual[: inst.n_contracts].copy(), cap, lp.highs.getNumRow(), lp.highs.getNumCol(),
-                           lp.cuts, lp.col_value))
+                           lp.cuts, lp.col_value, model))
         return dual, model, ok
 
-    monkeypatch.setattr(solver._MasterLP, "solve", recording)
+    monkeypatch.setattr(master, "solve", recording)
+    monkeypatch.setattr(master, "add_cols", adding)
+    monkeypatch.setattr(master, "prune", pruning)
     warm = solver._warm_start(inst, {})
     out = solver._kelley_phase(inst, solver._dual_value(inst, warm), warm, 1e-8)
     monkeypatch.undo()
@@ -444,15 +471,24 @@ def test_master_holds_cuts_as_columns(make, monkeypatch):
     # an edge; every tangent and edge cut is a column, besides one z_i per contract
     inst = make()
     m2 = int(inst.item_major[2].sum())
-    (*_, flows), solved = _kelley_recording_solves(inst, monkeypatch)
+    deleted = []
+    (*_, flows), solved = _kelley_recording_solves(inst, monkeypatch, deleted)
     assert len(solved) >= 2
-    for _, _, rows, cols, cuts, x in solved:
+    for _, _, rows, cols, cuts, x, _ in solved:
         assert rows == inst.n_contracts + 2 * m2
         assert cols == inst.n_contracts + cuts == x.size
         # every column value, the flows among them, is nonnegative
         assert np.all(x >= 0.0)
-    cuts = [c for *_, c, _ in solved]
-    assert cuts == sorted(cuts) and cuts[-1] > cuts[0]
+    # columns are only added or deleted at weight 0, so at a fixed box the
+    # model value never rises from one solve to the next
+    for (_, cap, *_, model), (_, next_cap, *_, next_model) in zip(solved, solved[1:]):
+        if next_cap == cap:
+            assert next_model <= model + 1e-13 * (1.0 + abs(model))
+    # only tangent columns are deleted, each after its last solves found it nonbasic
+    assert deleted
+    for kind, reduced in deleted:
+        assert kind == "tangent"
+        assert len(reduced) >= solver._PRUNE_AFTER >= 2 and min(reduced[-solver._PRUNE_AFTER:]) > 0.0
     # the flows handed to the snap are the last optimal solve's column values, copied
     assert flows.any() and np.all(np.isin(flows[flows > 0.0], solved[-1][5]))
 
@@ -477,6 +513,29 @@ def test_master_generates_few_edge_rows():
     assert stats["master_edge_rows"] <= inst.n_edges // 2
     # every solve holds the edge cuts plus at most one tangent block of 400 cuts per round
     assert stats["master_rows_max"] < inst.n_edges + 400 * stats["master_solves"]
+
+
+def test_master_deletes_tangents_that_stay_nonbasic(monkeypatch):
+    # without deletion the 60 x 400 master grows to 7,740 cuts over its 14
+    # solves; deleting the tangents that stay nonbasic holds it under half that
+    inst = random_sparse_instance(np.random.default_rng(1), 60, 400)
+    stats = {}
+    solve_dual(inst, stats=stats)
+    monkeypatch.setattr(solver, "_PRUNE_AFTER", solver._MASTER_SOLVES + 1)
+    unpruned = {}
+    solve_dual(inst, stats=unpruned)
+    assert unpruned["master_cols_pruned"] == 0 < stats["master_cols_pruned"]
+    assert stats["master_rows_max"] <= unpruned["master_rows_max"] // 2
+
+
+def test_fuzz_draw_137_certifies_with_a_pruned_master():
+    # fuzz draw 137 (21 x 104) snaps onto a wrong tie pattern (residual
+    # 1.5e-3) when tangents are deleted after two nonbasic solves
+    inst = _fuzz_instance(137)
+    stats = {}
+    solve_dual(inst, stats=stats)
+    assert stats["master_cols_pruned"] > 0
+    _certifies_edgewise(solve(inst))
 
 
 def test_installed_scipy_uses_warm_master():
