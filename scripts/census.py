@@ -4,9 +4,10 @@
 The draws of test_04 (50), test_random_instances_certify (302), test_weak_duality
 (301) and the fuzz corpus (150), the 4 benchmark instances and the 61 bifurcation
 points.  About a minute: `--save FILE.npz` on one checkout, `--compare FILE.npz` on another.
-Each instance's master LP solves (`Solution.iterations`), HiGHS simplex iterations and
-`solve` wall seconds are saved too, and `--compare` prints their census totals: the two counts
-are what wall time on a busy host cannot blur.
+Each instance's master LP solves (`Solution.iterations`), LP solves of every kind (the master's,
+the supply check's and each routing verdict's), HiGHS simplex iterations and `solve` wall seconds
+are saved too, and `--compare` prints their census totals: the counts are what wall time on a busy
+host cannot blur.
 The primal value P (the plan's expected spend) is saved as well, and `--compare` prints the
 largest |dP| / (1 + |P|).
 Each certified plan is also replayed (1e5 expected arrivals, 20 batches, seeded with the
@@ -71,12 +72,13 @@ def replay_z(inst, sol, seed: int) -> tuple[float, float]:
 def run() -> dict:
     rows = []
     for index, (inst, kw) in enumerate(corpus()):
-        iterations, start = _lp_work["simplex_iterations"], time.perf_counter()
+        before, start = dict(_lp_work), time.perf_counter()
         try:
             sol = solve(inst, **kw)
         except NotConverged:
             sol = None
-        work = (_lp_work["simplex_iterations"] - iterations, time.perf_counter() - start)
+        work = (_lp_work["solves"] - before["solves"], _lp_work["simplex_iterations"] - before["simplex_iterations"],
+                time.perf_counter() - start)
         if sol is None:
             rows.append((np.full(inst.n_contracts, np.nan), np.full(inst.n_items, np.nan), *[np.nan] * 4, False,
                          np.nan, *work, np.nan, np.nan))
@@ -86,8 +88,8 @@ def run() -> dict:
         rows.append((sol.dual.rho, sol.primal.x, rep.dual_value, rep.primal_value, rep.gap, rep.max_comp_slack,
                      rep.passed, sol.iterations, *work, *z))
     rho, bids, *rest = zip(*rows)
-    names = ("D", "P", "gap", "comp", "certified", "master_solves", "lp_iterations", "solve_s", "replay_value_z",
-             "replay_cost_z")
+    names = ("D", "P", "gap", "comp", "certified", "master_solves", "lp_solves", "lp_iterations", "solve_s",
+             "replay_value_z", "replay_cost_z")
     out = dict(zip(names, map(np.asarray, rest)))
     return dict(out, rho=np.concatenate(rho), rho_len=np.array([r.size for r in rho]),
                 bids=np.concatenate(bids), bids_len=np.array([b.size for b in bids]))
@@ -127,8 +129,8 @@ def main() -> None:
         print(f"max |dP|/(1+|P|): {np.nanmax(np.abs(now['P'] - old['P']) / (1 + np.abs(old['P']))):.3g}")
     print(", ".join(f"max |{k}|: {np.nanmax(np.abs(now[k])):.3g} (saved {np.nanmax(np.abs(old[k])):.3g})"
                     for k in ("gap", "comp")))
-    for key, what, fmt in (("master_solves", "master LP solves", ".0f"), ("lp_iterations", "simplex iterations", ".0f"),
-                           ("solve_s", "solve seconds", ".1f")):
+    for key, what, fmt in (("master_solves", "master LP solves", ".0f"), ("lp_solves", "LP solves", ".0f"),
+                           ("lp_iterations", "simplex iterations", ".0f"), ("solve_s", "solve seconds", ".1f")):
         total = [f"{np.nansum(run[key]):{fmt}}" if key in run else "n/a" for run in (now, old)]
         print(f"{what}: {total[0]} (saved {total[1]})")
     tail = 2.0 * float(student_t.sf(3.0, REPLAY_BATCHES - 1))

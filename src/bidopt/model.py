@@ -471,21 +471,27 @@ def _slack_columns(n: int, price: float):
     return np.full(n, price), np.arange(n + 1), np.arange(n), np.ones(n)
 
 
-def _transport_lp(inst: ProblemInstance, edge_cost, supply, demand, extra):
+def _transport_lp(inst: ProblemInstance, edge_cost, supply, demand, extra, edges=None):
     """min edge_cost.R + extra_cost.z  s.t.  lower <= V R + B z <= upper, S R <= supply, R, z >= 0.
 
     Edge column e has v_e in demand row ``edge_i[e]`` (V) and 1 in supply
-    row ``n + edge_j[e]`` (S).  ``demand`` is (lower, upper) and ``extra`` is
-    (extra_cost, start, index, value), B in CSC form over the demand rows.
-    Returns (x, objective, row_dual) with x = (R, z) and the demand rows'
-    duals before the supply rows', or None when HiGHS ends at no optimum.
-    Raises ValueError naming an input outside the range HiGHS accepts.
+    row ``n + edge_j[e]`` (S); with ``edges``, an index array, only those
+    edges are columns, in that order, and ``edge_cost`` is theirs.
+    ``demand`` is (lower, upper) and ``extra`` is (extra_cost, start, index,
+    value), B in CSC form over the demand rows.  Returns (x, objective,
+    row_dual) with x = (R, z) and the demand rows' duals before the supply
+    rows', or None when HiGHS ends at no optimum.  Raises ValueError naming
+    an input outside the range HiGHS accepts.
     """
-    n, d = inst.n_contracts, inst.n_edges
+    n = inst.n_contracts
+    ei, ej, ev = inst.edge_i, inst.edge_j, inst.edge_v
+    if edges is not None:
+        ei, ej, ev = ei[edges], ej[edges], ev[edges]
+    d = ev.size
     lower, upper = demand
     extra_cost, extra_start, extra_index, extra_value = extra
     for name, vals, limit, kind in (
-        ("valuation", inst.edge_v, _LARGE_VALUE, "matrix values"),
+        ("valuation", ev, _LARGE_VALUE, "matrix values"),
         ("contract target", extra_value, _LARGE_VALUE, "matrix values"),
         ("contract target", np.concatenate([lower, upper[np.isfinite(upper)]]), _INFINITE_BOUND, "row bounds"),
         ("item supply", supply, _INFINITE_BOUND, "row bounds"),
@@ -498,8 +504,8 @@ def _transport_lp(inst: ProblemInstance, edge_cost, supply, demand, extra):
         cost, np.full(cost.size, np.inf),
         np.concatenate([lower, np.full(supply.size, -np.inf)]), np.concatenate([upper, supply]),
         np.concatenate([2 * np.arange(d), 2 * d + extra_start]),
-        np.concatenate([np.column_stack([inst.edge_i, n + inst.edge_j]).ravel(), extra_index]),
-        np.concatenate([np.column_stack([inst.edge_v, np.ones(d)]).ravel(), extra_value]),
+        np.concatenate([np.column_stack([ei, n + ej]).ravel(), extra_index]),
+        np.concatenate([np.column_stack([ev, np.ones(d)]).ravel(), extra_value]),
     )
     if not _run_lp(highs):
         return None

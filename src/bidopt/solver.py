@@ -15,18 +15,24 @@ smooth convex conjugates; tangent slopes are the win rates), one LP held in
 its Dantzig-Wolfe column form, grown by tangent and edge columns and
 re-solved warm, which positions rho globally with a certified model gap.
 The flows on the master's edge columns are an optimal allocation of its
-model, so the edges they load give the max-tie pattern: one snap puts the
+model, so the edges they load give the max-tie pattern: a snap puts the
 tied pseudo-bids on exact ratios via a spanning tree per tie component and
-root-finds the single remaining degree of freedom of all components at once.  Convergence is then *decided*,
-not assumed, by one transportation LP over the win rates at the snapped
-point: the point is stationary exactly when demand routes with no shortfall,
-the routing rides exact ties (zero theta-spend), and no priced supply is left
-unallocated.  A point that LP does not certify raises NotConverged.  Primal
-recovery takes the allocation from the flows of the routing LP that
-certified the point and rescales them to make fulfillment exact.
+root-finds the single remaining degree of freedom of all components at
+once.  Convergence is then *decided*, not assumed, by a transportation LP
+over the win rates at the snapped point: the point is stationary exactly
+when demand routes with no shortfall, the routing rides exact ties (zero
+theta-spend), and no priced supply is left unallocated.  The master asks
+for that verdict each time the support of its flows repeats from one solve
+to the next, and the first verdict that certifies ends the solve; a master
+that stops on its gap, stall or round budget instead gets one snap and one
+verdict at its end, and a point that verdict does not certify raises
+NotConverged.  Primal recovery takes the allocation from the flows of the
+routing LP that certified the point and rescales them to make fulfillment
+exact.
 
 Both LPs run on the HiGHS layer of :mod:`bidopt.model`; the routing LP is
-its transportation LP with supplies lambda_j q_j(mu_j) and edge costs theta.
+its transportation LP with supplies lambda_j q_j(mu_j) and edge costs theta,
+over the edges whose theta is small enough to pass the verdict.
 Every per-item conjugate, win rate, spend and bid is one call per family
 group on the instance's grouping (``ProblemInstance.groups``).
 """
@@ -34,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -276,6 +283,11 @@ def _component_updates(inst: ProblemInstance, rho: np.ndarray, components, stats
     return updates
 
 
+def _support(flows: np.ndarray) -> np.ndarray:
+    """The edges an allocation loads: its flows above 1e-9 (1 + the largest flow)."""
+    return np.flatnonzero(flows > 1e-9 * (1.0 + float(flows.max(initial=0.0))))
+
+
 def _snap(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, flows: np.ndarray, stats: dict):
     """Snap rho onto the tie pattern of an allocation's loaded edges, once.
 
@@ -285,8 +297,7 @@ def _snap(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, flows: n
     to within 1e-15, so only the routing LP, not the value, can rank such
     points.
     """
-    support = np.flatnonzero(flows > 1e-9 * (1.0 + float(flows.max(initial=0.0))))
-    pattern = _pattern_from_support(inst, best_rho, inst.mu_of(best_rho), support)
+    pattern = _pattern_from_support(inst, best_rho, inst.mu_of(best_rho), _support(flows))
     cand = best_rho.copy()
     for idx, vals in _component_updates(inst, best_rho, pattern, stats):
         cand[idx] = vals
@@ -364,6 +375,13 @@ class _MasterLP:
             self.prune(np.asarray(sol.col_dual) > 0.0)
         return np.asarray(sol.row_dual), float(info.objective_function_value), ok
 
+    def edge_flows(self, n_edges: int) -> np.ndarray:
+        """The edge columns' values of the last optimal solve, spread over all edges (zero off the model)."""
+        edge = self.col_edge[: self.col_value.size]
+        flows = np.zeros(n_edges)
+        flows[edge[edge >= 0]] = self.col_value[edge >= 0]
+        return flows
+
     def prune(self, nonbasic: np.ndarray) -> np.ndarray:
         """Count the solves each column has stayed `nonbasic`, and delete the tangent columns due.
 
@@ -382,8 +400,9 @@ class _MasterLP:
         return cols
 
 
-# a termination guard: the master stops on its gap or stall test well before
-# it (at most 27 solves over the 868 instances of scripts/census.py)
+# a termination guard: the master stops on a verdict, its gap or its stall
+# test well before it (at most 18 solves over the 868 instances of
+# scripts/census.py)
 _MASTER_SOLVES = 60
 
 
@@ -397,12 +416,13 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     conjugate.  HiGHS holds that LP's dual (`_MasterLP`), built once, whose
     columns are the cuts; each round appends the tangents at mu(rho) of the
     LP's last rho and re-solves it warm (one master LP solve per round, at
-    most _MASTER_SOLVES), until the model value meets the best true value;
-    the LP model jumps straight across the argmax kinks of degenerate
-    instances.  Tangents that stay slack are deleted (`_MasterLP`): their
-    columns weigh 0 at the LP optimum, so deleting them keeps that optimum,
-    and the model value still never rises at a fixed box (the stall test
-    below stays sound) and stays an upper bound on the dual optimum.
+    most _MASTER_SOLVES), until the routing LP certifies the snap of its
+    flows or the model value meets the best true value; the LP model jumps
+    straight across the argmax kinks of degenerate instances.  Tangents that
+    stay slack are deleted (`_MasterLP`): their columns weigh 0 at the LP
+    optimum, so deleting them keeps that optimum, and the model value still
+    never rises at a fixed box (the stall test below stays sound) and stays
+    an upper bound on the dual optimum.
 
     The edge cuts mu_j >= v_ij rho_i are generated lazily (delayed column
     generation): the model starts with the edges within 5% of their item's
@@ -417,16 +437,30 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
 
     The edge columns are flows f_e >= 0 (the Dantzig-Wolfe reading): a
     contract with 0 < rho_i below the box has a binding row, C_i = sum_e v_e
-    f_e, so the flows allocate the targets over the edges whose cuts bind.
-    Returns (value, rho, gap, LP solves, flows), flows being the edge
-    columns' values of the last optimal solve spread over all edges (zero
-    off the model; None when no solve was optimal), and adds the master's
-    solve, simplex iteration and cut counts to `stats`.
+    f_e, so the flows allocate the targets over the edges whose cuts bind,
+    and their support is the tie pattern the snap needs.  That pattern is
+    identified long before the model gap closes (Wright 1993), so whenever
+    a solve's support repeats the previous optimal solve's, the best point
+    is snapped onto it and the routing LP judges the snap
+    (`_snap_verdict`); a point it certifies ends the phase, and a failed
+    verdict only lets the master go on.
+
+    Returns (value, rho, gap, LP solves, flows, verdict): flows are the
+    edge columns' values of the last optimal solve spread over all edges
+    (zero off the model; None when no solve was optimal), and gap is the
+    model value less the returned value.  When a verdict certified, the
+    returned point is the snap it judged and verdict its (residual, routing
+    flows); otherwise the point is the best the phase saw, not yet judged,
+    and verdict is None.  Adds the master's solve, simplex iteration and
+    cut counts, its routing verdicts and its stop reason (verdict, gap,
+    stall, budget or lp_failure) to `stats`.
     """
+    if stats is None:
+        stats = {}
     nz = np.flatnonzero(inst.item_major[2])
     m2, n = nz.size, inst.n_contracts
     if m2 == 0:
-        return best_val, best_rho, math.inf, 0, None
+        return best_val, best_rho, math.inf, 0, None, None
     row = np.full(inst.n_items, -1)
     row[nz] = n + np.arange(m2)
 
@@ -448,12 +482,16 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     add_edge_cols(np.flatnonzero(mu_e - inst.edge_v * best_rho[inst.edge_i] <= 0.05 * mu_e))
     for f in (0.5, 1.0, 2.0, 8.0):
         add_tangents(f * mu_w, *inst.groups.conj_win(f * mu_w))
-    gap = math.inf
-    last_model = math.inf
+    gap = last_model = math.inf
+    flows = support = None
+    stop = "budget"
     for _ in range(_MASTER_SOLVES):
         dual, model, ok = lp.solve(rho_cap)
         if not ok:
+            stop = "lp_failure"
             break
+        flows, last_support = lp.edge_flows(inst.n_edges), support
+        support = _support(flows)
         rho_hat, mu_lp = np.maximum(dual[:n], 0.0), dual[n : n + m2]
         # each item's first argmax edge whose cut the LP's point violates
         mu_hat = inst.mu_of(rho_hat)
@@ -473,56 +511,89 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
             best_val, best_rho = val_hat, rho_hat.copy()
         gap = model - best_val
         if gap <= 1e-14 * (1.0 + abs(best_val)) + 0.05 * tol * _scale(inst):
+            stop = "gap"
             break
         if not new.size and model >= last_model - 1e-15 * (1.0 + abs(model)):
             # tangent violations have dropped below the LP solver's feasibility
             # tolerance; the model cannot tighten further at this scale
+            stop = "stall"
             break
         last_model = model
+        if np.array_equal(support, last_support):
+            judged = _snap_verdict(inst, best_val, best_rho, flows, tol, stats)
+            if judged[2] <= tol * _scale(inst):
+                stop = "verdict"
+                break
         add_tangents(mu_hat, conj, win)
-    if stats is not None:
-        stats["master_solves"] = stats.get("master_solves", 0) + lp.solves
-        stats["master_simplex_iterations"] = stats.get("master_simplex_iterations", 0) + lp.iterations
-        stats["master_edge_rows"] = int(in_model.sum())
-        stats["master_rows_max"] = lp.cuts_max
-        stats["master_cols_pruned"] = stats.get("master_cols_pruned", 0) + lp.pruned
-    if lp.col_value is None:
-        return best_val, best_rho, gap, lp.solves, None
-    edge = lp.col_edge[: lp.col_value.size]
-    flows = np.zeros(inst.n_edges)
-    flows[edge[edge >= 0]] = lp.col_value[edge >= 0]
-    return best_val, best_rho, gap, lp.solves, flows
+    stats["master_solves"] = stats.get("master_solves", 0) + lp.solves
+    stats["master_simplex_iterations"] = stats.get("master_simplex_iterations", 0) + lp.iterations
+    stats["master_edge_rows"] = int(in_model.sum())
+    stats["master_rows_max"] = lp.cuts_max
+    stats["master_cols_pruned"] = stats.get("master_cols_pruned", 0) + lp.pruned
+    stats["master_stop"] = stop
+    if stop == "verdict":
+        value, rho, residual, routed = judged
+        return value, rho, model - value, lp.solves, flows, (residual, routed)
+    return best_val, best_rho, gap, lp.solves, flows, None
 
 
-def _routing_lp(inst: ProblemInstance, rho: np.ndarray):
+def _snap_verdict(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, flows, tol: float,
+                  stats: dict):
+    """Snap onto the tie pattern of `flows` (when not None), then judge the point by the routing LP.
+
+    Returns (value, rho, residual, routing flows): residual is the routing
+    LP's max(shortfall, theta_cost, slack_value), and the point is
+    certified when it is at most tol * _scale(inst); residual is inf and
+    the flows None when the routing LP fails.  stats["routing_lps"] counts
+    the verdicts.
+    """
+    if flows is not None:
+        best_val, best_rho = _snap(inst, best_val, best_rho, flows, stats)
+    info = _routing_lp(inst, best_rho, tol)
+    stats["routing_lps"] = stats.get("routing_lps", 0) + 1
+    if info is None:
+        return best_val, best_rho, math.inf, None
+    return best_val, best_rho, max(info[:3]), info[3]
+
+
+def _routing_lp(inst: ProblemInstance, rho: np.ndarray, tol: float):
     """Route demand over the win rates at rho and measure how the point fails.
 
     Component balance alone is a necessary condition only: a snap balances
     *any* tie pattern, right or wrong, and thresholding near-ties cannot tell
     a true tie from a small gap.  The transportation LP (demands C_i,
-    supplies lambda_j q_j(mu_j), cost theta_e, per-contract slack u_i priced
-    high enough that slack is used only when no routing exists) can.
-    Lexicographically it minimizes unmet demand first and the theta-spend of
-    the routing second, so one solve yields the demand shortfall, the
-    theta-cost of the cheapest routing, the value of supply left unallocated
-    at positive multipliers, and the routing itself.  Returns (shortfall,
-    theta_cost, slack_value, flows) or None when the LP fails; stationarity
-    is exactly shortfall = theta_cost = slack_value = 0 (demand routes on
-    exact ties and every priced item is fully consumed), and then the flows
-    are an optimal allocation.
+    supplies sigma_j = lambda_j q_j(mu_j), cost theta_e, per-contract slack
+    u_i priced high enough that slack is used only when no routing exists)
+    can.  Lexicographically it minimizes unmet demand first and the
+    theta-spend of the routing second, so one solve yields the demand
+    shortfall, the theta-cost of the cheapest routing, the value of supply
+    left unallocated at positive multipliers, and the routing itself.
+    Returns (shortfall, theta_cost, slack_value, flows) or None when the LP
+    fails; stationarity is exactly shortfall = theta_cost = slack_value = 0
+    (demand routes on exact ties and every priced item is fully consumed),
+    and then the flows are an optimal allocation.
+
+    Only the near-tight edges, theta_e <= tol (1 + sum C) / (1 + sum sigma),
+    are columns: any routing over them spends at most tol (1 + sum C) on
+    theta, so the theta-cost test holds by construction and the verdict
+    rests on the shortfall and the slack value; leaving the other edges out
+    can only raise the shortfall.  tol = inf routes over every edge.
     """
     mu = inst.mu_of(rho)
     sigma = inst.rates * inst.groups.win_rate(mu)
     d, n = inst.n_edges, inst.n_contracts
     theta = np.maximum(mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i], 0.0)
-    big = 10.0 * (1.0 + float(np.max(theta / inst.edge_v, initial=0.0)))
-    res = _transport_lp(inst, theta, sigma, (inst.targets, inst.targets), _slack_columns(n, big))
+    edges = np.flatnonzero(theta <= tol * _scale(inst) / (1.0 + float(sigma.sum())))
+    theta_in = theta[edges]
+    big = 10.0 * (1.0 + float(np.max(theta_in / inst.edge_v[edges], initial=0.0)))
+    res = _transport_lp(inst, theta_in, sigma, (inst.targets, inst.targets), _slack_columns(n, big), edges)
     if res is None:
         return None
     x = res[0]
-    flows = x[:d]
+    flows = np.zeros(d)
+    flows[edges] = x[: edges.size]
     slack_value = float(np.clip(sigma - np.bincount(inst.edge_j, flows, minlength=inst.n_items), 0.0, None) @ mu)
-    return float(x[d:].sum()), float(theta @ flows), slack_value, flows
+    return float(x[edges.size :].sum()), float(theta_in @ x[: edges.size]), slack_value, flows
 
 
 def _pattern_from_support(inst: ProblemInstance, rho: np.ndarray, mu: np.ndarray, support: np.ndarray):
@@ -564,23 +635,28 @@ def solve_dual(
 ) -> DualSolution:
     """Maximize the reduced dual D(rho) over rho >= 0.
 
-    One path: warm start -> warm cutting-plane master -> one snap onto the
-    tie pattern of the flows on the master's edge columns -> one routing-LP
-    verdict.  Keys it sets in `stats`:
+    One path: warm start -> warm cutting-plane master, which snaps onto the
+    tie pattern of its edge columns' flows and asks the routing LP for a
+    verdict each time that pattern repeats, and stops once a verdict
+    certifies -> otherwise one snap and one routing-LP verdict at the
+    master's end.  Keys it sets in `stats`:
 
     - iterations, master_solves: the master's LP solves;
     - master_simplex_iterations: the master's simplex iterations;
     - master_edge_rows: edge cuts in the final master model;
     - master_rows_max: the most cuts (edge and tangent) any master solve held;
     - master_cols_pruned: the tangent cuts the master deleted;
+    - master_stop: why the master stopped: verdict (a routing LP certified
+      its snap), gap, stall, budget (_MASTER_SOLVES) or lp_failure;
+    - routing_lps: the routing-LP verdicts run;
     - tie_root_calls, tie_root_evals: the tie roots' batch calls and balance
       evaluations;
     - lp_solves, lp_simplex_iterations: solves and simplex iterations of
       every LP of the solve.
 
     Raises InfeasibleInstance when adequate supply fails and NotConverged,
-    carrying the snapped point, when the routing LP's stationarity residual
-    there is above tol or the routing LP fails.
+    carrying the last point judged, when the routing LP's stationarity
+    residual there is above tol or the routing LP fails.
     """
     if stats is None:
         stats = {}
@@ -588,23 +664,22 @@ def solve_dual(
     chk = check_adequate_supply(inst, margin)
     if not chk:
         raise InfeasibleInstance(chk)
-    stats["tie_root_calls"] = stats["tie_root_evals"] = 0
+    stats["tie_root_calls"] = stats["tie_root_evals"] = stats["routing_lps"] = 0
     best_rho = np.zeros(inst.n_contracts)
     best_val = _dual_value(inst, best_rho)
     warm = _warm_start(inst, stats)
     warm_val = _dual_value(inst, warm)
     if warm_val > best_val:
         best_val, best_rho = warm_val, warm.copy()
-    best_val, best_rho, _, used, flows = _kelley_phase(inst, best_val, best_rho, tol, stats=stats)
+    best_val, best_rho, _, used, flows, verdict = _kelley_phase(inst, best_val, best_rho, tol, stats=stats)
     stats["iterations"] = used
-    if flows is not None:
-        best_val, best_rho = _snap(inst, best_val, best_rho, flows, stats)
-    info = _routing_lp(inst, best_rho)
+    if verdict is None:
+        best_val, best_rho, *verdict = _snap_verdict(inst, best_val, best_rho, flows, tol, stats)
+    kkt, routed = verdict
     stats.update({f"lp_{key}": _lp_work[key] - start for key, start in work.items()})
-    kkt = math.inf if info is None else max(info[:3])
     if kkt > tol * _scale(inst):
         raise NotConverged(_finish_dual(inst, best_rho, best_val), kkt)
-    return _finish_dual(inst, best_rho, best_val, info[3])
+    return _finish_dual(inst, best_rho, best_val, routed)
 
 
 def _finish_dual(inst: ProblemInstance, rho: np.ndarray, value: float, flows=None) -> DualSolution:
@@ -644,7 +719,7 @@ def recover_primal(inst: ProblemInstance, dual: DualSolution) -> PrimalSolution:
     """
     flows = dual.flows
     if flows is None:
-        info = _routing_lp(inst, np.asarray(dual.rho, dtype=float))
+        info = _routing_lp(inst, np.asarray(dual.rho, dtype=float), math.inf)
         if info is None:
             raise NotConverged(dual, math.inf)
         flows = info[-1]
@@ -673,12 +748,10 @@ def certify(
     p, d = primal.primal_value, dual.dual_value
     gap = (p - d) / (1.0 + abs(p))
 
-    delivered = np.zeros(inst.n_contracts)
-    np.add.at(delivered, inst.edge_i, inst.edge_v * primal.R)
+    delivered = np.bincount(inst.edge_i, inst.edge_v * primal.R, minlength=inst.n_contracts)
     fulfill = float(np.max(np.abs(delivered - inst.targets) / (1.0 + inst.targets)))
 
-    s_from_r = np.zeros(inst.n_items)
-    np.add.at(s_from_r, inst.edge_j, primal.R)
+    s_from_r = np.bincount(inst.edge_j, primal.R, minlength=inst.n_items)
     cap_viol = float(np.max(np.maximum(s_from_r - inst.capacities, 0.0) / (1.0 + inst.capacities)))
 
     comp = float(np.max(dual.theta * primal.R, initial=0.0)) / (1.0 + abs(p))
@@ -793,15 +866,18 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
     # each entry's edge by the contract-major key edge_i * n_items + edge_j, strictly increasing
     c_pos, j_pos = inst.positions
     entries = obj["R"]
-    ij = np.array([(c_pos.get(c, -1), j_pos.get(j, -1)) for c, j, _ in entries], dtype=np.intp).reshape(-1, 2)
-    key = ij[:, 0] * inst.n_items + ij[:, 1]
+    contract, item, val = zip(*entries, strict=True) if entries else ((), (), ())
+    k = len(val)
+    i = np.fromiter(map(c_pos.get, contract, repeat(-1)), np.intp, k)
+    j = np.fromiter(map(j_pos.get, item, repeat(-1)), np.intp, k)
+    key = i * inst.n_items + j
     edge_key = inst.edge_i * inst.n_items + inst.edge_j
     e = np.minimum(np.searchsorted(edge_key, key), inst.n_edges - 1)
-    bad = np.flatnonzero((ij.min(axis=1) < 0) | (edge_key[e] != key))
+    bad = np.flatnonzero((np.minimum(i, j) < 0) | (edge_key[e] != key))
     if bad.size:
-        raise ValueError(f"allocation entry {tuple(entries[bad[0]][:2])!r} is not an instance edge")
+        raise ValueError(f"allocation entry {(contract[bad[0]], item[bad[0]])!r} is not an instance edge")
     R = np.zeros(inst.n_edges)
-    R[e] = [float(val) for *_, val in entries]
+    R[e] = np.fromiter(map(float, val), float, k)  # float() rejects null and other non-numbers
     gamma = np.zeros(inst.n_edges)
     nz = s[inst.edge_j] > 0.0
     gamma[nz] = R[nz] / s[inst.edge_j[nz]]

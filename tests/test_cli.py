@@ -325,6 +325,23 @@ def test_allocation_off_the_edges_exits_1(tmp_path, capsys, entry):
     assert repr((entry[0], entry[1])) in captured.err
 
 
+@pytest.mark.parametrize("entry", [lambda c, j, r: [c, j, None], lambda c, j, r: [c, j, r, 0.0],
+                                   lambda c, j, r: [c, j]], ids=["null-flow", "four-fields", "two-fields"])
+def test_malformed_allocation_entry_exits_1(tmp_path, capsys, entry):
+    # an allocation entry is [contract, item, flow] with a number for the flow
+    inp = write_json(tmp_path / "inst.json", MIXED)
+    solved = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
+    doc = json.loads(solved.read_text())
+    doc["solution"]["R"][0] = entry(*doc["solution"]["R"][0])
+    write_json(solved, doc)
+    capsys.readouterr()
+    assert main(["certify", "--input", str(solved)]) == 1
+    captured = capsys.readouterr()
+    assert "certified" not in captured.out
+    assert captured.err.startswith("bidopt: ") and captured.err.count("\n") == 1
+
+
 def power_law_doc(params, auction="first_price") -> dict:
     item = {"rate": 1.0, "curve": {"family": "power_law_density", "params": params}, "auction": auction}
     return {"items": [{"id": "p", **item}, {"id": "q", **item}],

@@ -236,12 +236,12 @@ def test_not_converged_carries_best_iterate(monkeypatch):
     verdicts = []
     routing_lp = solver._routing_lp
 
-    def recording(inst, rho):
-        verdicts.append(routing_lp(inst, rho))
+    def recording(inst, rho, tol):
+        verdicts.append(routing_lp(inst, rho, tol))
         return verdicts[-1]
 
     def no_master(inst, best_val, best_rho, tol, stats=None):
-        return best_val, best_rho, math.inf, 0, None
+        return best_val, best_rho, math.inf, 0, None, None
 
     inst = mixed_instance()
     monkeypatch.setattr(solver, "_routing_lp", recording)
@@ -265,7 +265,7 @@ def test_not_converged_carries_best_iterate(monkeypatch):
 
 def test_failed_routing_lp_leaves_the_solve_uncertified(monkeypatch):
     # without the routing LP's verdict no point is certified
-    monkeypatch.setattr(solver, "_routing_lp", lambda inst, rho: None)
+    monkeypatch.setattr(solver, "_routing_lp", lambda inst, rho, tol: None)
     with pytest.raises(NotConverged) as exc:
         solve_dual(mixed_instance())
     assert exc.value.best.flows is None
@@ -333,26 +333,33 @@ def test_fuzz_corpus_certifies():
 
 
 def _solve_recording_master(inst, monkeypatch, tol=1e-8):
-    """solve() plus, per master phase it ran, (best value, gap, scale, model value, flows),
-    and the number of routing LPs it solved."""
-    runs, routing = [], []
-    kelley, routing_lp = solver._kelley_phase, solver._routing_lp
+    """solve() plus, per master phase it ran, (returned value, gap, scale, model value, flows,
+    stop reason), the solve's stats, and its master solves and routing verdicts in order:
+    "solve" per master LP solve and True or False per verdict, as it certified or not."""
+    runs, events, stats = [], [], []
+    kelley, routing_lp, master_solve = solver._kelley_phase, solver._routing_lp, solver._MasterLP.solve
 
     def recording(inst, *args, **kwargs):
         out = kelley(inst, *args, **kwargs)
-        runs.append((out[0], out[2], solver._scale(inst), out[0] + out[2], out[4]))
+        stats.append(kwargs["stats"])  # solve_dual's own dict, which it goes on filling
+        runs.append((out[0], out[2], solver._scale(inst), out[0] + out[2], out[4], stats[-1]["master_stop"]))
         return out
 
-    def counting(inst, rho):
-        routing.append(rho)
-        return routing_lp(inst, rho)
+    def counting(inst, rho, tol):
+        info = routing_lp(inst, rho, tol)
+        events.append(info is not None and max(info[:3]) <= tol * solver._scale(inst))
+        return info
+
+    def solving(lp, cap):
+        events.append("solve")
+        return master_solve(lp, cap)
 
     monkeypatch.setattr(solver, "_kelley_phase", recording)
     monkeypatch.setattr(solver, "_routing_lp", counting)
+    monkeypatch.setattr(solver._MasterLP, "solve", solving)
     sol = solve(inst, tol=tol, certify_tol=1e-5)
-    monkeypatch.setattr(solver, "_kelley_phase", kelley)
-    monkeypatch.setattr(solver, "_routing_lp", routing_lp)
-    return sol, runs, len(routing)
+    monkeypatch.undo()
+    return sol, runs, stats[-1], events
 
 
 SPARSE_60X400 = pytest.param(lambda: random_sparse_instance(np.random.default_rng(1), 60, 400), id="sparse-60x400")
@@ -362,14 +369,17 @@ SPARSE_60X400 = pytest.param(lambda: random_sparse_instance(np.random.default_rn
 def test_warm_master_meets_its_gap(make, monkeypatch):
     inst = make()
     tol = 1e-8
-    sol, runs, _ = _solve_recording_master(inst, monkeypatch, tol)
+    sol, runs, _, _ = _solve_recording_master(inst, monkeypatch, tol)
     assert sol.report.passed
     assert runs
-    for value, gap, scale, _, flows in runs:
-        # the phase's stopping rule: model bound within reach of the best value
-        assert gap <= 1e-14 * (1.0 + abs(value)) + 0.05 * tol * scale
+    for value, gap, scale, _, flows, stop in runs:
+        assert stop in ("gap", "verdict")
+        if stop == "gap":
+            # the phase's stopping rule: model bound within reach of the best value
+            assert gap <= 1e-14 * (1.0 + abs(value)) + 0.05 * tol * scale
         # the master hands its edge columns' flows to the snap
         assert flows is not None and flows.shape == (inst.n_edges,)
+    # a verdict stop returns the certified point: its model value bounds that D
     _assert_model_bounds_dual(sol, runs)
 
 
@@ -377,17 +387,47 @@ def _assert_model_bounds_dual(sol, runs):
     # lazy edge cuts only relax the master LP, so its model value stays an
     # upper bound on the certified dual optimum
     d = sol.dual.dual_value
-    for _, _, _, bound, _ in runs:
+    for _, _, _, bound, _, _ in runs:
         assert bound >= d - 1e-12 * (1.0 + abs(d))
 
 
 def test_lazy_master_model_bounds_the_fuzz_duals(monkeypatch):
     for seed in range(0, 150, 10):
-        sol, runs, routing = _solve_recording_master(_fuzz_instance(seed), monkeypatch)
+        sol, runs, stats, events = _solve_recording_master(_fuzz_instance(seed), monkeypatch)
         assert sol.report.passed, seed
         _assert_model_bounds_dual(sol, runs)
-        # one verdict per solve: the routing LP decides, it does not search
-        assert routing == 1, seed
+        verdicts = [e for e in events if e != "solve"]
+        assert len(verdicts) == stats["routing_lps"] >= 1, seed
+        # a verdict decides, it does not search: a failed one only lets the
+        # master go on, and the solve ends on the verdict that certifies
+        assert events[-1] is True, seed
+        for e, after in zip(events, events[1:]):
+            if e is False:
+                assert after == "solve", seed
+
+
+def test_draws_judged_more_than_once_certify(monkeypatch):
+    # a failed verdict inside the master costs one routing LP and the master
+    # goes on: test_04's draw 7001 (census index 1) takes 5 verdicts
+    rng = np.random.default_rng(7001)
+    inst = random_instance(rng, n_contracts=int(rng.integers(1, 11)), n_items=int(rng.integers(2, 51)))
+    sol, _, stats, events = _solve_recording_master(inst, monkeypatch)
+    assert stats["routing_lps"] >= 2
+    assert stats["master_stop"] == "verdict"
+    assert events.count(False) == stats["routing_lps"] - 1
+    _certifies_edgewise(sol)
+
+
+def test_near_tight_routing_lp_matches_the_full_one():
+    # at a certified point the routing LP over the near-tight edges reaches
+    # the shortfall, theta-cost and slack value of the one over every edge
+    for seed in range(0, 150, 10):
+        inst = _fuzz_instance(seed)
+        rho = np.asarray(solve_dual(inst).rho, dtype=float)
+        tight = solver._routing_lp(inst, rho, 1e-8)
+        full = solver._routing_lp(inst, rho, math.inf)
+        for a, b in zip(tight[:3], full[:3]):
+            assert abs(a - b) <= 1e-12, seed
 
 
 @pytest.mark.parametrize("seed", [1, 18, 19, 20, 29])
@@ -398,9 +438,17 @@ def test_box_pressing_rounds_add_tangents(seed):
     # unbounded and the phase ends with gap = inf
     inst = _fuzz_instance(seed)
     warm = solver._warm_start(inst, {})
-    value, _, gap, solves, _ = solver._kelley_phase(inst, solver._dual_value(inst, warm), warm, 1e-8)
+    stats = {}
+    value, _, gap, solves, _, verdict = solver._kelley_phase(inst, solver._dual_value(inst, warm), warm, 1e-8,
+                                                             stats)
     assert solves > 0
-    assert math.isfinite(gap) and gap <= 1e-6 * (1.0 + abs(value))
+    assert math.isfinite(gap)
+    if stats["master_stop"] == "gap":
+        assert gap <= 1e-6 * (1.0 + abs(value))
+    else:
+        # the master stopped on a routing verdict that certifies its point
+        assert stats["master_stop"] == "verdict"
+        assert verdict[0] <= 1e-8 * solver._scale(inst)
 
 
 def _kelley_recording_solves(inst, monkeypatch, deleted=None):
@@ -456,7 +504,7 @@ def test_master_edge_columns_route_the_targets(make, monkeypatch):
     # row's dual) is strictly inside the box has a binding row, so the flows
     # on the edge columns deliver exactly its target
     inst = make()
-    (*_, flows), solved = _kelley_recording_solves(inst, monkeypatch)
+    (*_, flows, _), solved = _kelley_recording_solves(inst, monkeypatch)
     rho, cap, *_ = solved[-1]
     assert np.all(flows >= 0.0)
     delivered = np.bincount(inst.edge_i, inst.edge_v * flows, minlength=inst.n_contracts)
@@ -472,7 +520,7 @@ def test_master_holds_cuts_as_columns(make, monkeypatch):
     inst = make()
     m2 = int(inst.item_major[2].sum())
     deleted = []
-    (*_, flows), solved = _kelley_recording_solves(inst, monkeypatch, deleted)
+    (*_, flows, _), solved = _kelley_recording_solves(inst, monkeypatch, deleted)
     assert len(solved) >= 2
     for _, _, rows, cols, cuts, x, _ in solved:
         assert rows == inst.n_contracts + 2 * m2
@@ -516,7 +564,7 @@ def test_master_generates_few_edge_rows():
 
 
 def test_master_deletes_tangents_that_stay_nonbasic(monkeypatch):
-    # without deletion the 60 x 400 master grows to 7,740 cuts over its 14
+    # without deletion the 60 x 400 master grows to 7,340 cuts over its 13
     # solves; deleting the tangents that stay nonbasic holds it under half that
     inst = random_sparse_instance(np.random.default_rng(1), 60, 400)
     stats = {}
@@ -548,11 +596,11 @@ def test_installed_scipy_uses_warm_master():
 @pytest.mark.parametrize("make", [pytest.param(mixed_instance, id="mixed"), SPARSE_60X400])
 def test_stats_count_every_lp(make):
     # the HiGHS layer counts every LP of the solve: the feasibility LP, each
-    # master solve and the one routing LP
+    # master solve and each routing verdict
     stats = {}
     solve_dual(make(), stats=stats)
     assert stats["master_solves"] >= 1
-    assert stats["lp_solves"] == stats["master_solves"] + 2
+    assert stats["lp_solves"] == stats["master_solves"] + stats["routing_lps"] + 1
     assert stats["lp_simplex_iterations"] >= stats["master_simplex_iterations"]
 
 
@@ -748,7 +796,7 @@ def test_grouped_spend_matches_per_item_lam(make):
 def test_recover_primal_without_flows_fails_when_routing_fails(monkeypatch):
     inst = mixed_instance()
     dual = dataclasses.replace(solve_dual(inst, tol=1e-10), flows=None)
-    monkeypatch.setattr(solver, "_routing_lp", lambda inst, rho: None)
+    monkeypatch.setattr(solver, "_routing_lp", lambda inst, rho, tol: None)
     with pytest.raises(NotConverged):
         recover_primal(inst, dual)
 
