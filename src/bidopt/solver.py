@@ -445,22 +445,22 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     (`_snap_verdict`); a point it certifies ends the phase, and a failed
     verdict only lets the master go on.
 
-    Returns (value, rho, gap, LP solves, flows, verdict): flows are the
-    edge columns' values of the last optimal solve spread over all edges
-    (zero off the model; None when no solve was optimal), and gap is the
-    model value less the returned value.  When a verdict certified, the
-    returned point is the snap it judged and verdict its (residual, routing
-    flows); otherwise the point is the best the phase saw, not yet judged,
-    and verdict is None.  Adds the master's solve, simplex iteration and
-    cut counts, its routing verdicts and its stop reason (verdict, gap,
-    stall, budget or lp_failure) to `stats`.
+    A phase that stops on its gap, stall or budget instead snaps onto the
+    flows of its last optimal solve (none when no solve was optimal) and
+    has that point judged.  Returns (value, rho, gap, LP solves, residual,
+    routing flows) of the last point judged: gap is the last model value
+    less that point's value (inf before any model value), and residual and
+    flows are its verdict's (`_snap_verdict`).  Adds the master's solve,
+    simplex iteration and cut counts, its routing verdicts and its stop
+    reason (verdict, gap, stall, budget or lp_failure) to `stats`.
     """
     if stats is None:
         stats = {}
     nz = np.flatnonzero(inst.item_major[2])
     m2, n = nz.size, inst.n_contracts
     if m2 == 0:
-        return best_val, best_rho, math.inf, 0, None, None
+        _, _, residual, routed = _snap_verdict(inst, best_val, best_rho, None, tol, stats)
+        return best_val, best_rho, math.inf, 0, residual, routed
     row = np.full(inst.n_items, -1)
     row[nz] = n + np.arange(m2)
 
@@ -482,7 +482,7 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     add_edge_cols(np.flatnonzero(mu_e - inst.edge_v * best_rho[inst.edge_i] <= 0.05 * mu_e))
     for f in (0.5, 1.0, 2.0, 8.0):
         add_tangents(f * mu_w, *inst.groups.conj_win(f * mu_w))
-    gap = last_model = math.inf
+    bound = last_model = math.inf
     flows = support = None
     stop = "budget"
     for _ in range(_MASTER_SOLVES):
@@ -509,8 +509,8 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
         val_hat = _dual_value(inst, rho_hat, conj)
         if val_hat > best_val:
             best_val, best_rho = val_hat, rho_hat.copy()
-        gap = model - best_val
-        if gap <= 1e-14 * (1.0 + abs(best_val)) + 0.05 * tol * _scale(inst):
+        bound = model
+        if model - best_val <= 1e-14 * (1.0 + abs(best_val)) + 0.05 * tol * _scale(inst):
             stop = "gap"
             break
         if not new.size and model >= last_model - 1e-15 * (1.0 + abs(model)):
@@ -531,10 +531,10 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     stats["master_rows_max"] = lp.cuts_max
     stats["master_cols_pruned"] = stats.get("master_cols_pruned", 0) + lp.pruned
     stats["master_stop"] = stop
-    if stop == "verdict":
-        value, rho, residual, routed = judged
-        return value, rho, model - value, lp.solves, flows, (residual, routed)
-    return best_val, best_rho, gap, lp.solves, flows, None
+    if stop != "verdict":
+        judged = _snap_verdict(inst, best_val, best_rho, flows, tol, stats)
+    value, rho, residual, routed = judged
+    return value, rho, bound - value, lp.solves, residual, routed
 
 
 def _snap_verdict(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, flows, tol: float,
@@ -671,11 +671,8 @@ def solve_dual(
     warm_val = _dual_value(inst, warm)
     if warm_val > best_val:
         best_val, best_rho = warm_val, warm.copy()
-    best_val, best_rho, _, used, flows, verdict = _kelley_phase(inst, best_val, best_rho, tol, stats=stats)
+    best_val, best_rho, _, used, kkt, routed = _kelley_phase(inst, best_val, best_rho, tol, stats=stats)
     stats["iterations"] = used
-    if verdict is None:
-        best_val, best_rho, *verdict = _snap_verdict(inst, best_val, best_rho, flows, tol, stats)
-    kkt, routed = verdict
     stats.update({f"lp_{key}": _lp_work[key] - start for key, start in work.items()})
     if kkt > tol * _scale(inst):
         raise NotConverged(_finish_dual(inst, best_rho, best_val), kkt)

@@ -241,7 +241,8 @@ def test_not_converged_carries_best_iterate(monkeypatch):
         return verdicts[-1]
 
     def no_master(inst, best_val, best_rho, tol, stats=None):
-        return best_val, best_rho, math.inf, 0, None, None
+        _, _, residual, routed = solver._snap_verdict(inst, best_val, best_rho, None, tol, stats)
+        return best_val, best_rho, math.inf, 0, residual, routed
 
     inst = mixed_instance()
     monkeypatch.setattr(solver, "_routing_lp", recording)
@@ -333,17 +334,23 @@ def test_fuzz_corpus_certifies():
 
 
 def _solve_recording_master(inst, monkeypatch, tol=1e-8):
-    """solve() plus, per master phase it ran, (returned value, gap, scale, model value, flows,
-    stop reason), the solve's stats, and its master solves and routing verdicts in order:
-    "solve" per master LP solve and True or False per verdict, as it certified or not."""
-    runs, events, stats = [], [], []
-    kelley, routing_lp, master_solve = solver._kelley_phase, solver._routing_lp, solver._MasterLP.solve
+    """solve() plus, per master phase it ran, (returned value, gap, scale, model value, flows
+    handed to its last snap, stop reason), the solve's stats, and its master solves and routing
+    verdicts in order: "solve" per master LP solve and True or False per verdict, as it
+    certified or not."""
+    runs, events, stats, snapped = [], [], [], []
+    kelley, routing_lp, master_solve, snap = solver._kelley_phase, solver._routing_lp, solver._MasterLP.solve, solver._snap
 
     def recording(inst, *args, **kwargs):
         out = kelley(inst, *args, **kwargs)
         stats.append(kwargs["stats"])  # solve_dual's own dict, which it goes on filling
-        runs.append((out[0], out[2], solver._scale(inst), out[0] + out[2], out[4], stats[-1]["master_stop"]))
+        runs.append((out[0], out[2], solver._scale(inst), out[0] + out[2], snapped[-1] if snapped else None,
+                     stats[-1]["master_stop"]))
         return out
+
+    def snapping(inst, best_val, best_rho, flows, stats):
+        snapped.append(flows)
+        return snap(inst, best_val, best_rho, flows, stats)
 
     def counting(inst, rho, tol):
         info = routing_lp(inst, rho, tol)
@@ -357,6 +364,7 @@ def _solve_recording_master(inst, monkeypatch, tol=1e-8):
     monkeypatch.setattr(solver, "_kelley_phase", recording)
     monkeypatch.setattr(solver, "_routing_lp", counting)
     monkeypatch.setattr(solver._MasterLP, "solve", solving)
+    monkeypatch.setattr(solver, "_snap", snapping)
     sol = solve(inst, tol=tol, certify_tol=1e-5)
     monkeypatch.undo()
     return sol, runs, stats[-1], events
@@ -431,37 +439,50 @@ def test_near_tight_routing_lp_matches_the_full_one():
 
 
 @pytest.mark.parametrize("seed", [1, 18, 19, 20, 29])
-def test_box_pressing_rounds_add_tangents(seed):
+def test_box_pressing_rounds_add_tangents(seed, monkeypatch):
     # from the raw warm start the master's first iterates press the rho box;
     # a round that only widens the box must still add the tangents at the
     # LP's point, or the box widens x100 a round until HiGHS finds the model
-    # unbounded and the phase ends with gap = inf
+    # unbounded and the phase ends with gap = inf.  No verdict certifies
+    # here, and a failed one leaves the master as it was, so the phase runs
+    # on until its model gap closes
+    inst = _fuzz_instance(seed)
+    warm = solver._warm_start(inst, {})
+    monkeypatch.setattr(solver, "_snap_verdict", lambda inst, val, rho, flows, tol, stats: (val, rho, math.inf, None))
+    stats = {}
+    value, _, gap, solves, *_ = solver._kelley_phase(inst, solver._dual_value(inst, warm), warm, 1e-8, stats)
+    assert solves > 0
+    assert stats["master_stop"] in ("gap", "stall")
+    assert math.isfinite(gap) and gap <= 1e-6 * (1.0 + abs(value))
+
+
+@pytest.mark.parametrize("seed", [1, 18, 19, 20, 29])
+def test_box_pressing_master_stops_on_a_certifying_verdict(seed):
+    # the same phases with their verdicts: each ends on one that certifies
+    # its snap, whose value the master's model value still bounds
     inst = _fuzz_instance(seed)
     warm = solver._warm_start(inst, {})
     stats = {}
-    value, _, gap, solves, _, verdict = solver._kelley_phase(inst, solver._dual_value(inst, warm), warm, 1e-8,
-                                                             stats)
+    value, _, gap, solves, residual, routed = solver._kelley_phase(inst, solver._dual_value(inst, warm), warm,
+                                                                   1e-8, stats)
     assert solves > 0
-    assert math.isfinite(gap)
-    if stats["master_stop"] == "gap":
-        assert gap <= 1e-6 * (1.0 + abs(value))
-    else:
-        # the master stopped on a routing verdict that certifies its point
-        assert stats["master_stop"] == "verdict"
-        assert verdict[0] <= 1e-8 * solver._scale(inst)
+    assert stats["master_stop"] == "verdict"
+    assert residual <= 1e-8 * solver._scale(inst) and routed is not None
+    assert math.isfinite(gap) and gap >= -1e-12 * (1.0 + abs(value))
 
 
 def _kelley_recording_solves(inst, monkeypatch, deleted=None):
-    """_kelley_phase from the warm start plus, per optimal master solve,
-    (rho, box, model rows, model columns, cuts, column values, model value).
+    """_kelley_phase from the warm start, per optimal master solve (rho, box,
+    model rows, model columns, cuts, column values, model value), and the
+    flows handed to the phase's last snap.
 
     Each column the master deletes is appended to `deleted` as (its kind:
     "z", "edge" or "tangent", the reduced costs it had at the solves it was
     in, oldest first).
     """
-    solved = []
+    solved, snapped = [], []
     kinds, history = [], []  # per column of the model, its kind and its reduced costs
-    master = solver._MasterLP
+    master, snap = solver._MasterLP, solver._snap
     master_solve, add_cols, prune = master.solve, master.add_cols, master.prune
 
     def adding(lp, cost, rows, vals, edges):
@@ -489,13 +510,18 @@ def _kelley_recording_solves(inst, monkeypatch, deleted=None):
                            lp.cuts, lp.col_value, model))
         return dual, model, ok
 
+    def snapping(inst, best_val, best_rho, flows, stats):
+        snapped.append(flows)
+        return snap(inst, best_val, best_rho, flows, stats)
+
     monkeypatch.setattr(master, "solve", recording)
+    monkeypatch.setattr(solver, "_snap", snapping)
     monkeypatch.setattr(master, "add_cols", adding)
     monkeypatch.setattr(master, "prune", pruning)
     warm = solver._warm_start(inst, {})
     out = solver._kelley_phase(inst, solver._dual_value(inst, warm), warm, 1e-8)
     monkeypatch.undo()
-    return out, solved
+    return out, solved, snapped[-1]
 
 
 @pytest.mark.parametrize("make", [pytest.param(mixed_instance, id="mixed"), SPARSE_60X400])
@@ -504,7 +530,7 @@ def test_master_edge_columns_route_the_targets(make, monkeypatch):
     # row's dual) is strictly inside the box has a binding row, so the flows
     # on the edge columns deliver exactly its target
     inst = make()
-    (*_, flows, _), solved = _kelley_recording_solves(inst, monkeypatch)
+    _, solved, flows = _kelley_recording_solves(inst, monkeypatch)
     rho, cap, *_ = solved[-1]
     assert np.all(flows >= 0.0)
     delivered = np.bincount(inst.edge_i, inst.edge_v * flows, minlength=inst.n_contracts)
@@ -520,7 +546,7 @@ def test_master_holds_cuts_as_columns(make, monkeypatch):
     inst = make()
     m2 = int(inst.item_major[2].sum())
     deleted = []
-    (*_, flows, _), solved = _kelley_recording_solves(inst, monkeypatch, deleted)
+    _, solved, flows = _kelley_recording_solves(inst, monkeypatch, deleted)
     assert len(solved) >= 2
     for _, _, rows, cols, cuts, x, _ in solved:
         assert rows == inst.n_contracts + 2 * m2
