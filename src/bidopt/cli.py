@@ -31,8 +31,10 @@ reads, and any other option is a usage error::
 
 ``--tol``, ``--margin`` and ``--horizon`` must be positive.
 
-Exit codes: 0 success; 1 unreadable or malformed input; 2 infeasible
-instance; 3 non-convergence or a certificate that misses tolerance.
+Exit codes: 0 success; 1 unreadable or malformed input (an instance with no
+contracts, or a solution with a null entry, included); 2 infeasible
+instance; 3 non-convergence (a feasibility LP that ends at no optimum
+included) or a certificate that misses tolerance.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .curves import Exponential, curve_from_json
 from .model import (
     Contract,
     ItemType,
+    LPFailure,
     ProblemInstance,
     build_instance,
     check_adequate_supply,
@@ -511,7 +514,7 @@ def main(argv=None) -> int:
     except InfeasibleInstance as exc:
         print(f"bidopt: infeasible: {exc}", file=sys.stderr)
         return 2
-    except NotConverged as exc:
+    except (NotConverged, LPFailure) as exc:
         print(f"bidopt: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

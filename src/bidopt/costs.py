@@ -278,19 +278,24 @@ def monotone_root(balance, f0: np.ndarray, t0: np.ndarray, live: np.ndarray) -> 
     return t
 
 
+def _gate_first_price(curve: SupplyCurve, kind: AuctionKind) -> None:
+    """Raise NotTwoConcave when a first-price `curve` is not 2-concave; the gate of every first-price item."""
+    if kind is AuctionKind.FIRST_PRICE:
+        res = curve.two_concave()
+        if not res.concave:
+            raise NotTwoConcave(
+                f"curve fails the 2-concavity grid heuristic near x={res.witness:.6g}; "
+                "first-price bid mappings are not monotone without 2-concavity"
+            )
+
+
 class AcquisitionCost:
     """Expected-spend machinery for one supply curve under one price rule."""
 
     def __init__(self, curve: SupplyCurve, kind: AuctionKind | str):
         self.curve = curve
         self.kind = AuctionKind.parse(kind)
-        if self.kind is AuctionKind.FIRST_PRICE:
-            res = curve.two_concave()
-            if not res.concave:
-                raise NotTwoConcave(
-                    f"curve fails the 2-concavity grid heuristic near x={res.witness:.6g}; "
-                    "first-price bid mappings are not monotone without 2-concavity"
-                )
+        _gate_first_price(curve, self.kind)
 
     # ------------------------------------------------------------------
     @property

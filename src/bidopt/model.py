@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .costs import AcquisitionCost, AuctionKind, FamilyGroups
+from .costs import AuctionKind, FamilyGroups, _gate_first_price
 from .curves import SupplyCurve, curve_from_json
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "InfeasibilityCertificate",
     "DuplicateId",
     "EmptyUsefulSet",
+    "LPFailure",
     "build_instance",
     "check_adequate_supply",
     "max_scalable_target",
@@ -48,6 +49,10 @@ __all__ = [
     "random_instance",
     "random_sparse_instance",
 ]
+
+
+class LPFailure(RuntimeError):
+    """HiGHS ended an LP of the supply check or the target scaling at no optimum."""
 
 
 class DuplicateId(ValueError):
@@ -64,7 +69,11 @@ class EmptyUsefulSet(ValueError):
 
 @dataclass(frozen=True)
 class ItemType:
-    """One auctioned item type: arrivals at ``arrival_rate`` priced by ``curve``."""
+    """One auctioned item type: arrivals at ``arrival_rate`` priced by ``curve``.
+
+    A first-price item is checked for 2-concavity when it is built, and
+    raises NotTwoConcave when its curve fails.
+    """
 
     id: str | int
     arrival_rate: float
@@ -77,11 +86,7 @@ class ItemType:
         if not (rate > 0.0 and np.isfinite(rate)):
             raise ValueError(f"item {self.id!r}: arrival_rate must be positive and finite")
         object.__setattr__(self, "arrival_rate", rate)
-
-    @cached_property
-    def cost(self) -> AcquisitionCost:
-        # first-price items fail here when the curve is not 2-concave
-        return AcquisitionCost(self.curve, self.auction)
+        _gate_first_price(self.curve, self.auction)
 
 
 @dataclass(frozen=True)
@@ -172,10 +177,6 @@ class ProblemInstance:
         return out
 
     @cached_property
-    def costs(self) -> tuple[AcquisitionCost, ...]:
-        return tuple(it.cost for it in self.items)
-
-    @cached_property
     def groups(self) -> FamilyGroups:
         """The items grouped by curve family and auction kind: every grouped cost call goes through it."""
         return FamilyGroups([it.curve for it in self.items],
@@ -250,9 +251,11 @@ class ProblemInstance:
 
 
 def build_instance(items: Sequence[ItemType], contracts: Sequence[Contract]) -> ProblemInstance:
-    """Validate ids, compile the edge index, and gate first-price curves."""
+    """Validate ids and compile the edge index; ValueError when there is no contract."""
     items = tuple(items)
     contracts = tuple(contracts)
+    if not contracts:
+        raise ValueError("the instance has no contracts")
     item_pos: dict = {}
     for pos, it in enumerate(items):
         if it.id in item_pos:
@@ -288,7 +291,7 @@ def build_instance(items: Sequence[ItemType], contracts: Sequence[Contract]) -> 
     for arr in (edge_i, edge_j, edge_v, contract_start, by_item, item_start):
         arr.setflags(write=False)
 
-    inst = ProblemInstance(
+    return ProblemInstance(
         items=items,
         contracts=contracts,
         edge_i=edge_i,
@@ -298,8 +301,6 @@ def build_instance(items: Sequence[ItemType], contracts: Sequence[Contract]) -> 
         by_item=by_item,
         item_start=item_start,
     )
-    inst.costs  # construct eagerly: first-price items must pass the 2-concavity gate
-    return inst
 
 
 def instance_from_json(obj: dict) -> ProblemInstance:
@@ -540,14 +541,14 @@ def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> Supply
 
     Feasible outcomes carry an explicit witness R (edge-aligned).  Infeasible
     outcomes carry an :class:`InfeasibilityCertificate` built from the LP
-    duals.
+    duals.  Raises LPFailure when HiGHS ends the LP at no optimum.
     """
     if not (0.0 <= margin < 1.0):
         raise ValueError("margin must lie in [0, 1)")
     n, d = inst.n_contracts, inst.n_edges
     res = _supply_lp(inst, inst.targets, margin)
     if res is None:
-        raise RuntimeError("feasibility LP found no optimum")
+        raise LPFailure("feasibility LP found no optimum")
     x, slack, row_dual, met = res
     if met:
         witness = x[:d]
@@ -601,7 +602,7 @@ def max_scalable_target(inst: ProblemInstance, margin: float = 1e-6) -> float:
                         (np.zeros(n), np.full(n, np.inf)),
                         (np.array([-1.0]), np.array([0, n]), np.arange(n), -inst.targets))
     if res is None:
-        raise RuntimeError("target-scaling LP found no optimum")
+        raise LPFailure("target-scaling LP found no optimum")
     return -res[1]
 
 

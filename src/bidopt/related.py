@@ -82,7 +82,7 @@ class InsufficientDepth(ValueError):
 class BudgetInstance:
     """Value-maximizing bidder: items with per-item values and one spend cap.
 
-    First-price items must pass the 2-concavity gate (``NotTwoConcave``).
+    First-price items pass the 2-concavity gate when each ``ItemType`` is built.
     """
 
     items: tuple[ItemType, ...]
@@ -102,8 +102,6 @@ class BudgetInstance:
             raise ValueError("at least one item value must be positive")
         if not (self.budget > 0.0 and math.isfinite(self.budget)):
             raise ValueError("budget must be positive and finite")
-        for it in self.items:
-            it.cost  # first-price items fail here when the curve is not 2-concave
 
     @property
     def n_items(self) -> int:

@@ -18,17 +18,17 @@ The flows on the master's edge columns are an optimal allocation of its
 model, so the edges they load give the max-tie pattern: a snap puts the
 tied pseudo-bids on exact ratios via a spanning tree per tie component and
 root-finds the single remaining degree of freedom of all components at
-once.  Convergence is then *decided*, not assumed, by a transportation LP
-over the win rates at the snapped point: the point is stationary exactly
-when demand routes with no shortfall, the routing rides exact ties (zero
-theta-spend), and no priced supply is left unallocated.  The master asks
-for that verdict each time the support of its flows repeats from one solve
-to the next, and the first verdict that certifies ends the solve; a master
-that stops on its gap, stall or round budget instead gets one snap and one
-verdict at its end, and a point that verdict does not certify raises
-NotConverged.  Primal recovery takes the allocation from the flows of the
-routing LP that certified the point and rescales them to make fulfillment
-exact.
+once.  Each snap is judged as it lands, whatever its D: convergence is
+*decided*, not assumed, by a transportation LP over the win rates at the
+snapped point, which is stationary exactly when demand routes with no
+shortfall, the routing rides exact ties (zero theta-spend), and no priced
+supply is left unallocated.  The master asks for that verdict each time
+the support of its flows repeats from one solve to the next, and the first
+verdict that certifies ends the solve; a master that stops on its gap,
+stall or round budget instead gets one snap and one verdict at its end, and
+a point that verdict does not certify raises NotConverged.  Primal recovery
+takes the allocation from the flows of the routing LP that certified the
+point and rescales them to make fulfillment exact.
 
 Both LPs run on the HiGHS layer of :mod:`bidopt.model`; the routing LP is
 its transportation LP with supplies lambda_j q_j(mu_j) and edge costs theta,
@@ -136,14 +136,7 @@ class CertificateReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.gap <= self.tol
-            and self.max_fulfillment_residual <= self.tol
-            and self.max_capacity_violation <= self.tol
-            and self.max_comp_slack <= self.tol
-            and self.max_mu_residual <= self.tol
-            and self.max_rho_residual <= self.tol
-        )
+        return all(ok for *_, ok in self.rows())
 
     def rows(self) -> list[tuple[str, float, bool]]:
         t = self.tol
@@ -288,23 +281,18 @@ def _support(flows: np.ndarray) -> np.ndarray:
     return np.flatnonzero(flows > 1e-9 * (1.0 + float(flows.max(initial=0.0))))
 
 
-def _snap(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, flows: np.ndarray, stats: dict):
-    """Snap rho onto the tie pattern of an allocation's loaded edges, once.
+def _snap(inst: ProblemInstance, rho: np.ndarray, flows: np.ndarray, stats: dict):
+    """Snap rho onto the tie pattern of an allocation's loaded edges, once; returns (D, snapped rho).
 
     Components are disjoint, so at the right tie pattern the joint snap is
-    the exact maximizer over the tie manifold.  It is kept when its value is
-    no worse than the current one to rounding: next to the optimum D is flat
-    to within 1e-15, so only the routing LP, not the value, can rank such
-    points.
+    the exact maximizer over the tie manifold.  Its value is not compared
+    with rho's: D may fall, and only the routing LP that judges the snap
+    (`_snap_verdict`) decides whether the point is stationary.
     """
-    pattern = _pattern_from_support(inst, best_rho, inst.mu_of(best_rho), _support(flows))
-    cand = best_rho.copy()
-    for idx, vals in _component_updates(inst, best_rho, pattern, stats):
-        cand[idx] = vals
-    val = _dual_value(inst, cand)
-    if val >= best_val - 1e-15 * (1.0 + abs(best_val)):
-        return val, cand
-    return best_val, best_rho
+    snapped = rho.copy()
+    for idx, vals in _component_updates(inst, rho, _tie_components(inst, _support(flows)), stats):
+        snapped[idx] = vals
+    return _dual_value(inst, snapped), snapped
 
 
 # a tangent column is deleted once it has been nonbasic at this many optimal
@@ -456,11 +444,9 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     """
     if stats is None:
         stats = {}
+    # the items with edges; never none, as every instance has a contract and every contract an edge
     nz = np.flatnonzero(inst.item_major[2])
     m2, n = nz.size, inst.n_contracts
-    if m2 == 0:
-        _, _, residual, routed = _snap_verdict(inst, best_val, best_rho, None, tol, stats)
-        return best_val, best_rho, math.inf, 0, residual, routed
     row = np.full(inst.n_items, -1)
     row[nz] = n + np.arange(m2)
 
@@ -537,8 +523,7 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     return value, rho, bound - value, lp.solves, residual, routed
 
 
-def _snap_verdict(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, flows, tol: float,
-                  stats: dict):
+def _snap_verdict(inst: ProblemInstance, value: float, rho: np.ndarray, flows, tol: float, stats: dict):
     """Snap onto the tie pattern of `flows` (when not None), then judge the point by the routing LP.
 
     Returns (value, rho, residual, routing flows): residual is the routing
@@ -548,12 +533,12 @@ def _snap_verdict(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     the verdicts.
     """
     if flows is not None:
-        best_val, best_rho = _snap(inst, best_val, best_rho, flows, stats)
-    info = _routing_lp(inst, best_rho, tol)
+        value, rho = _snap(inst, rho, flows, stats)
+    info = _routing_lp(inst, rho, tol)
     stats["routing_lps"] = stats.get("routing_lps", 0) + 1
     if info is None:
-        return best_val, best_rho, math.inf, None
-    return best_val, best_rho, max(info[:3]), info[3]
+        return value, rho, math.inf, None
+    return value, rho, max(info[:3]), info[3]
 
 
 def _routing_lp(inst: ProblemInstance, rho: np.ndarray, tol: float):
@@ -596,23 +581,6 @@ def _routing_lp(inst: ProblemInstance, rho: np.ndarray, tol: float):
     return float(x[edges.size :].sum()), float(theta_in @ x[: edges.size]), slack_value, flows
 
 
-def _pattern_from_support(inst: ProblemInstance, rho: np.ndarray, mu: np.ndarray, support: np.ndarray):
-    """Tie components of an allocation's support edges.
-
-    Every priced item outside them still funds its argmax component, not
-    only the items the allocation uses.
-    """
-    comp, beta, item_comp, slope = _tie_components(inst, support)
-    v_bi, i_bi, nonempty, _ = inst.item_major
-    first = np.full(inst.n_items, -1)
-    first[nonempty] = inst.first_argmax(rho, mu)
-    loose = np.flatnonzero((item_comp < 0) & nonempty & (mu > 1e-12 * _scale(inst)))
-    i = i_bi[first[loose]]
-    item_comp[loose] = comp[i]
-    slope[loose] = v_bi[first[loose]] * beta[i]
-    return comp, beta, item_comp, slope
-
-
 def _warm_start(inst: ProblemInstance, stats: dict) -> np.ndarray:
     """Per-contract pseudo-bids pretending each contract has its items alone.
 
@@ -639,7 +607,10 @@ def solve_dual(
     tie pattern of its edge columns' flows and asks the routing LP for a
     verdict each time that pattern repeats, and stops once a verdict
     certifies -> otherwise one snap and one routing-LP verdict at the
-    master's end.  Keys it sets in `stats`:
+    master's end.  The master starts from the warm start itself, and each
+    snap is judged as it lands: the routing LP decides it, with no
+    comparison of its D against the point it came from.  Keys it sets in
+    `stats`:
 
     - iterations, master_solves: the master's LP solves;
     - master_simplex_iterations: the master's simplex iterations;
@@ -665,18 +636,13 @@ def solve_dual(
     if not chk:
         raise InfeasibleInstance(chk)
     stats["tie_root_calls"] = stats["tie_root_evals"] = stats["routing_lps"] = 0
-    best_rho = np.zeros(inst.n_contracts)
-    best_val = _dual_value(inst, best_rho)
     warm = _warm_start(inst, stats)
-    warm_val = _dual_value(inst, warm)
-    if warm_val > best_val:
-        best_val, best_rho = warm_val, warm.copy()
-    best_val, best_rho, _, used, kkt, routed = _kelley_phase(inst, best_val, best_rho, tol, stats=stats)
+    value, rho, _, used, kkt, routed = _kelley_phase(inst, _dual_value(inst, warm), warm, tol, stats=stats)
     stats["iterations"] = used
     stats.update({f"lp_{key}": _lp_work[key] - start for key, start in work.items()})
     if kkt > tol * _scale(inst):
-        raise NotConverged(_finish_dual(inst, best_rho, best_val), kkt)
-    return _finish_dual(inst, best_rho, best_val, routed)
+        raise NotConverged(_finish_dual(inst, rho, value), kkt)
+    return _finish_dual(inst, rho, value, routed)
 
 
 def _finish_dual(inst: ProblemInstance, rho: np.ndarray, value: float, flows=None) -> DualSolution:
@@ -851,12 +817,12 @@ def solution_to_json(inst: ProblemInstance, sol: Solution) -> dict:
 
 def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
     """Rebuild a Solution from its JSON form (values recomputed, not trusted)."""
-    rho = np.asarray(obj["rho"], dtype=float)
-    mu = np.asarray(obj["mu"], dtype=float)
-    s = np.asarray(obj["s"], dtype=float)
-    bids = np.asarray(obj["bids"], dtype=float)
+    rho, mu, s, bids = (np.asarray(obj[key], dtype=float) for key in ("rho", "mu", "s", "bids"))
     if rho.shape != (inst.n_contracts,) or any(a.shape != (inst.n_items,) for a in (mu, s, bids)):
         raise ValueError("solution dimensions do not match the instance")
+    for key, a in zip(("rho", "mu", "s", "bids"), (rho, mu, s, bids)):
+        if not np.all(np.isfinite(a)):  # a JSON null reads as NaN
+            raise ValueError(f"solution {key} has a null or non-finite entry")
     theta = mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]
     dual = DualSolution(rho=rho, mu=mu, theta=theta, dual_value=_dual_value(inst, rho))
 

@@ -16,6 +16,8 @@ Supported shapes (by total edge count d <= 3):
 
 import numpy as np
 
+from bidopt.costs import AcquisitionCost
+
 __all__ = ["brute_force_value"]
 
 
@@ -25,7 +27,7 @@ def _q_grids(inst, n_bid):
     for j, item in enumerate(inst.items):
         q = np.linspace(0.0, (1.0 - 1e-9) * item.curve.total_mass, n_bid)
         qs.append(q)
-        costs.append(inst.rates[j] * np.asarray(item.cost.lam(q)))
+        costs.append(inst.rates[j] * np.asarray(AcquisitionCost(item.curve, item.auction).lam(q)))
     return qs, costs
 
 

@@ -13,13 +13,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bidopt.cli
 from bidopt.cli import main
 from bidopt.costs import AcquisitionCost
 from bidopt.curves import PowerLawDensity, alpha_concavity_check
-from bidopt.model import instance_from_json
+from bidopt.model import instance_from_json, random_instance
 from bidopt.solver import NotConverged, solve
 
 SCALAR = {
@@ -165,6 +166,27 @@ def test_not_converged_exits_3(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("bidopt: ")
 
 
+@pytest.mark.parametrize("command", ["solve", "feasibility"])
+def test_instance_without_contracts_exits_1(tmp_path, capsys, command):
+    inp = write_json(tmp_path / "inst.json", {"items": SCALAR["items"], "contracts": []})
+    assert main([command, "--input", inp]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bidopt: ") and err.count("\n") == 1 and "no contracts" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "feasibility"])
+def test_feasibility_lp_without_optimum_exits_3(tmp_path, capsys, command):
+    # rates and targets x 1e-10 sit below HiGHS's feasibility tolerance, and
+    # the supply check's LP on this draw ends at no optimum
+    doc = random_instance(np.random.default_rng(5), 4, 8, families=("exponential", "hyperbolic")).to_json()
+    for rec, key in [*((it, "rate") for it in doc["items"]), *((c, "target") for c in doc["contracts"])]:
+        rec[key] *= 1e-10
+    inp = write_json(tmp_path / "inst.json", doc)
+    assert main([command, "--input", inp]) == 3
+    err = capsys.readouterr().err
+    assert err == "bidopt: feasibility LP found no optimum\n"
+
+
 def test_feasibility_accepts_good_instance(tmp_path):
     inp = write_json(tmp_path / "inst.json", SCALAR)
     out = tmp_path / "feas.json"
@@ -287,17 +309,30 @@ def test_simulate_bad_policy_exits_1(tmp_path):
     assert main(["simulate", "--input", inp, "--seed", "5"]) == 1
 
 
-@pytest.mark.parametrize("field", ["s", "bids"])
+def _shortened(values):
+    return values[:-1]
+
+
+def _nulled(values):
+    return [None, *values[1:]]
+
+
+@pytest.mark.parametrize("field, damage", [
+    pytest.param("s", _shortened, id="s"),
+    pytest.param("bids", _shortened, id="bids"),
+    *(pytest.param(field, _nulled, id=f"null-{field}") for field in ("rho", "mu", "s", "bids")),
+])
 @pytest.mark.parametrize("command", [["certify"], ["simulate", "--seed", "5", "--horizon", "100"]],
                          ids=["certify", "simulate"])
-def test_short_solution_lists_exit_1(tmp_path, capsys, field, command):
-    # a per-item list shorter than the instance's item count is a parse
-    # failure: one message line, no traceback, and never "certified"
+def test_short_solution_lists_exit_1(tmp_path, capsys, field, damage, command):
+    # a per-item list shorter than the instance's item count, or a null
+    # entry in any list, is a parse failure: one message line, no
+    # traceback, and never "certified"
     inp = write_json(tmp_path / "inst.json", MIXED)
     solved = tmp_path / "solved.json"
     assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
     doc = json.loads(solved.read_text())
-    doc["solution"][field] = doc["solution"][field][:-1]
+    doc["solution"][field] = damage(doc["solution"][field])
     write_json(solved, doc)
     capsys.readouterr()
     assert main(command[:1] + ["--input", str(solved)] + command[1:]) == 1

@@ -99,9 +99,8 @@ def test_validation_of_scalars():
 
 def test_first_price_gate_fires_at_build():
     kinked = Empirical([(1.0, 0.2), (2.0, 0.8)])
-    item = ItemType("a", 1.0, kinked, "first_price")
     with pytest.raises(NotTwoConcave):
-        build_instance([item], [Contract("x", 0.1, {"a": 1.0})])
+        ItemType("a", 1.0, kinked, "first_price")
 
 
 def test_json_round_trip(tmp_path):

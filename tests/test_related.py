@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from bidopt.costs import NotTwoConcave
+from bidopt.costs import AcquisitionCost, NotTwoConcave
 from bidopt.curves import BoundedUniform, Empirical, Exponential, Hyperbolic, PowerLawDensity
 from bidopt.model import ItemType
 from bidopt.related import (
@@ -79,7 +79,7 @@ def test_budget_multiplier_monotone_in_budget():
         theta, bids = solve_budget(budget_instance(budget))
         thetas.append(theta)
         spent = sum(
-            it.arrival_rate * float(it.cost.expected_cost(x))
+            it.arrival_rate * float(AcquisitionCost(it.curve, it.auction).expected_cost(x))
             for it, x in zip(budget_instance(budget).items, bids)
         )
         assert spent == pytest.approx(budget, rel=1e-7)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidopt.costs import FamilyGroups
+from bidopt.costs import AcquisitionCost, FamilyGroups
 from bidopt.model import Contract, ItemType, build_instance, random_sparse_instance
 from bidopt.curves import (
     BoundedUniform,
@@ -67,13 +67,18 @@ def test_grouping_is_built_once_per_instance(monkeypatch):
     assert len(builds) == 1
 
 
+def item_costs(inst):
+    """Each item's own cost object, in item order."""
+    return [AcquisitionCost(it.curve, it.auction) for it in inst.items]
+
+
 def overbid_policy(inst, sol, factor):
     """The optimal mixing with every item's marginal price inflated by ``factor``."""
     policy = policy_from_primal(inst, sol.primal)
     bids = np.array(
         [
             cost.bid_mapping_inverse(min(factor * float(sol.dual.mu[j]), cost.bid_cap))
-            for j, cost in enumerate(inst.costs)
+            for j, cost in enumerate(item_costs(inst))
         ]
     )
     return BidPolicy(bids=bids, gamma=policy.gamma)
@@ -123,7 +128,7 @@ def test_scalar_realized_rates_within_three_sigma():
     assert abs(report.win_rate[0] - 0.5) <= 3.0 * report.win_rate_se[0]
     assert abs(report.value_rate[0] - 0.5) <= 3.0 * report.value_rate_se[0]
     # expected payment per auction at bid ln 2 for exp(1) prices
-    pred = inst.costs[0].lam(0.5)
+    pred = item_costs(inst)[0].lam(0.5)
     assert report.predicted_cost_rate == pytest.approx(float(pred), rel=1e-12)
     assert abs(report.cost_rate - report.predicted_cost_rate) <= 3.0 * report.cost_rate_se
     # binomial sanity: the batch SE should be near sqrt(p(1-p)/T)
@@ -329,7 +334,7 @@ def per_item_predictions(inst, policy):
     """Fluid rates through each item's own curve.eval and expected_cost."""
     g = np.maximum(policy.gamma, 0.0)
     win = np.array([float(it.curve.eval(float(b))) for it, b in zip(inst.items, policy.bids)])
-    pay = np.array([float(c.expected_cost(float(b))) for c, b in zip(inst.costs, policy.bids)])
+    pay = np.array([float(c.expected_cost(float(b))) for c, b in zip(item_costs(inst), policy.bids)])
     mix = np.zeros(inst.n_items)
     np.add.at(mix, inst.edge_j, g)
     value = np.zeros(inst.n_contracts)

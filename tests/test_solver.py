@@ -28,6 +28,11 @@ from bidopt.solver import (
 )
 
 
+def item_cost(item):
+    """The per-item cost object of an item: the reference the grouped kernels are checked against."""
+    return AcquisitionCost(item.curve, item.auction)
+
+
 def scalar_instance():
     item = ItemType("a", 1.0, Exponential(1.0), "second_price")
     return build_instance([item], [Contract("x", 0.5, {"a": 1.0})])
@@ -128,7 +133,7 @@ def test_binary_valuations_bid_at_pseudo_bid():
         if edges.size == 0:
             continue
         top = max(sol.dual.rho[inst.edge_i[e]] for e in edges)
-        assert sol.primal.x[j] == pytest.approx(min(top, inst.items[j].cost.bid_cap), rel=1e-9)
+        assert sol.primal.x[j] == pytest.approx(min(top, item_cost(inst.items[j]).bid_cap), rel=1e-9)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -226,7 +231,7 @@ def test_supply_above_unit_mass_is_usable():
     sol = solve(inst)
     assert sol.report.passed
     assert sol.primal.s[0] == pytest.approx(1.5, rel=1e-12)
-    assert sol.primal.primal_value == pytest.approx(float(inst.items[0].cost.lam(1.5)), rel=1e-12)
+    assert sol.primal.primal_value == pytest.approx(float(item_cost(inst.items[0]).lam(1.5)), rel=1e-12)
 
 
 def test_not_converged_carries_best_iterate(monkeypatch):
@@ -348,9 +353,9 @@ def _solve_recording_master(inst, monkeypatch, tol=1e-8):
                      stats[-1]["master_stop"]))
         return out
 
-    def snapping(inst, best_val, best_rho, flows, stats):
+    def snapping(inst, rho, flows, stats):
         snapped.append(flows)
-        return snap(inst, best_val, best_rho, flows, stats)
+        return snap(inst, rho, flows, stats)
 
     def counting(inst, rho, tol):
         info = routing_lp(inst, rho, tol)
@@ -423,6 +428,28 @@ def test_draws_judged_more_than_once_certify(monkeypatch):
     assert stats["routing_lps"] >= 2
     assert stats["master_stop"] == "verdict"
     assert events.count(False) == stats["routing_lps"] - 1
+    _certifies_edgewise(sol)
+
+
+def test_a_snap_below_the_point_it_left_is_judged_and_certifies(monkeypatch):
+    # a snap is judged by the routing LP whatever its D: on test_04's draw
+    # 7007 (census index 7) some snap lands below the value of the point it
+    # was handed, and the solve still certifies
+    rng = np.random.default_rng(7007)
+    inst = random_instance(rng, n_contracts=int(rng.integers(1, 11)), n_items=int(rng.integers(2, 51)))
+    drops = []
+    snap = solver._snap
+
+    def snapping(inst, rho, flows, stats):
+        value, snapped = snap(inst, rho, flows, stats)
+        handed = solver._dual_value(inst, rho)
+        drops.append((handed - value) / (1.0 + abs(handed)))
+        return value, snapped
+
+    monkeypatch.setattr(solver, "_snap", snapping)
+    sol = solve(inst)
+    monkeypatch.undo()
+    assert max(drops) > 1e-12
     _certifies_edgewise(sol)
 
 
@@ -510,9 +537,9 @@ def _kelley_recording_solves(inst, monkeypatch, deleted=None):
                            lp.cuts, lp.col_value, model))
         return dual, model, ok
 
-    def snapping(inst, best_val, best_rho, flows, stats):
+    def snapping(inst, rho, flows, stats):
         snapped.append(flows)
-        return snap(inst, best_val, best_rho, flows, stats)
+        return snap(inst, rho, flows, stats)
 
     monkeypatch.setattr(master, "solve", recording)
     monkeypatch.setattr(solver, "_snap", snapping)
@@ -658,7 +685,7 @@ def test_vectorized_kernels_match_cost_objects(curve, kind):
     item = ItemType("a", 1.0, curve, kind)
     inst = build_instance([item], [Contract("x", 0.1, {"a": 1.0})])
     groups = inst.groups
-    cost = item.cost
+    cost = item_cost(item)
     for mu in [0.0, 0.05, 0.3, 0.9, 1.7, 4.0, 25.0]:
         conj, win = groups.conj_win(np.array([mu]))
         assert conj[0] == pytest.approx(cost.conjugate(mu), rel=1e-10, abs=1e-12)
@@ -699,7 +726,7 @@ def test_tie_roots_match_brentq_per_component():
     assert [idx.tolist() for idx, _ in updates] == [[0], [1], [2]]
     for idx, vals in updates:
         k = int(idx[0])
-        terms = [(it.arrival_rate * v, it.cost, v)
+        terms = [(it.arrival_rate * v, item_cost(it), v)
                  for it, v, c in zip(inst.items, slope, item_comp) if c == k]
 
         def balance(t):
@@ -803,7 +830,7 @@ def test_grouped_bids_match_per_item_inverse(make):
     inst = make()
     for mu in np.geomspace(1e-3, 50.0, 25):
         mus = mu * np.linspace(0.5, 1.5, inst.n_items)
-        ref = [cost.bid_mapping_inverse(min(m, cost.bid_cap)) for m, cost in zip(mus, inst.costs)]
+        ref = [cost.bid_mapping_inverse(min(m, cost.bid_cap)) for m, cost in zip(mus, map(item_cost, inst.items))]
         np.testing.assert_array_max_ulp(inst.groups.bid(mus), ref, maxulp=1)
 
 
@@ -815,7 +842,7 @@ def test_grouped_spend_matches_per_item_lam(make):
     ramp = np.linspace(0.1, 0.9, inst.n_items)
     for s in (np.zeros(inst.n_items), ramp * inst.capacities, np.where(ramp < 0.5, -ramp, 1.5) * inst.capacities):
         ref = sum(lam * float(cost.lam(min(sj / lam, cost.total_mass * (1.0 - 1e-12))))
-                  for sj, lam, cost in zip(s, inst.rates, inst.costs) if sj > 0.0)
+                  for sj, lam, cost in zip(s, inst.rates, map(item_cost, inst.items)) if sj > 0.0)
         assert solver._spend_rate(inst, s) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
