@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .costs import AcquisitionCost, AuctionKind
-from .curves import Exponential, curve_from_json
+from .curves import Exponential
 from .model import (
     Contract,
     ItemType,
@@ -59,6 +59,7 @@ from .model import (
     build_instance,
     check_adequate_supply,
     instance_from_json,
+    item_from_json,
     random_sparse_instance,
 )
 from .related import (
@@ -137,17 +138,8 @@ def _parse_solution(inst: ProblemInstance, obj: dict, path):
 
 def _parse_budget(obj: dict, path) -> BudgetInstance:
     try:
-        items = tuple(
-            ItemType(
-                id=rec.get("id", f"item{k}"),
-                arrival_rate=rec["rate"],
-                curve=curve_from_json(rec["curve"]),
-                auction=AuctionKind.parse(rec["auction"]),
-            )
-            for k, rec in enumerate(obj["items"])
-        )
         return BudgetInstance(
-            items=items,
+            items=tuple(item_from_json({"id": f"item{k}", **rec}) for k, rec in enumerate(obj["items"])),
             values=np.asarray(obj["values"], dtype=float),
             budget=float(obj["budget"]),
         )

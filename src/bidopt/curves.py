@@ -20,6 +20,12 @@ equality, written once in ``SupplyCurve``, and only the unbounded families
 Hyperbolic writes in closed form.  ``integral_cdf``, ``integral_quantile`` and
 ``partial_mean`` wrap ``w_integral``, ``quantile_integral`` and
 ``price_integral`` for one curve; ``p_bar`` is ``integral_quantile`` at the mass.
+
+A parametric family (Exponential, Hyperbolic, BoundedUniform,
+PowerLawDensity) is declared once, by its dataclass fields: they are its
+parameters in formula order, each checked positive and finite, its
+``params()`` and its JSON form, and ``curve_from_json`` finds the family by
+its ``family`` name and builds it from exactly those fields.
 """
 from __future__ import annotations
 
@@ -290,16 +296,29 @@ def _log_tail(s):
     return u * (s + _power_sum(u * u, _ATANH_TAIL))
 
 
+class _Parametric(SupplyCurve):
+    """A family declared by its dataclass fields: positive finite parameters in formula order.
+
+    ``params()`` lists the fields, so ``formula_params()`` is the fields in
+    field order, and ``curve_from_json`` builds a family from exactly them.
+    """
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be a positive finite number")
+
+    def params(self) -> dict:
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+
 @dataclass(frozen=True, repr=False)
-class Exponential(SupplyCurve):
+class Exponential(_Parametric):
     """W(x) = 1 - exp(-rate * x); unbounded support, mean price 1/rate."""
 
     rate: float
     family = "exponential"
-
-    def __post_init__(self):
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValueError("rate must be a positive finite number")
 
     @property
     def x_bar(self) -> float:
@@ -351,12 +370,9 @@ class Exponential(SupplyCurve):
     def _pdf(self, x):
         return self.rate * np.exp(-self.rate * x)
 
-    def params(self):
-        return {"rate": self.rate}
-
 
 @dataclass(frozen=True, repr=False)
-class Hyperbolic(SupplyCurve):
+class Hyperbolic(_Parametric):
     """W(x) = x / (scale + x); unbounded support, infinite mean price.
 
     The infinite first moment makes the full-coverage acquisition cost
@@ -366,10 +382,6 @@ class Hyperbolic(SupplyCurve):
 
     scale: float
     family = "hyperbolic"
-
-    def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError("scale must be a positive finite number")
 
     @property
     def x_bar(self) -> float:
@@ -423,20 +435,13 @@ class Hyperbolic(SupplyCurve):
         c = self.scale
         return c / (c + x) ** 2
 
-    def params(self):
-        return {"scale": self.scale}
-
 
 @dataclass(frozen=True, repr=False)
-class BoundedUniform(SupplyCurve):
+class BoundedUniform(_Parametric):
     """Uniform price on (0, x_bar]: W(x) = x / x_bar."""
 
     x_max: float
     family = "bounded_uniform"
-
-    def __post_init__(self):
-        if not (self.x_max > 0 and math.isfinite(self.x_max)):
-            raise ValueError("x_max must be a positive finite number")
 
     @property
     def x_bar(self) -> float:
@@ -461,12 +466,9 @@ class BoundedUniform(SupplyCurve):
     def _pdf(self, x):
         return np.full_like(np.asarray(x, dtype=float), 1.0 / self.x_max)
 
-    def params(self):
-        return {"x_max": self.x_max}
-
 
 @dataclass(frozen=True, repr=False)
-class PowerLawDensity(SupplyCurve):
+class PowerLawDensity(_Parametric):
     """Unnormalized depth profile with density w0 * p on (0, x_bar].
 
     W(p) = w0 p^2 / 2 counts cumulative volume, not probability; the total
@@ -478,10 +480,7 @@ class PowerLawDensity(SupplyCurve):
     family = "power_law_density"
 
     def __post_init__(self):
-        if not (self.w0 > 0 and math.isfinite(self.w0)):
-            raise ValueError("w0 must be a positive finite number")
-        if not (self.x_max > 0 and math.isfinite(self.x_max)):
-            raise ValueError("x_max must be a positive finite number")
+        super().__post_init__()
         # x_max**2 raises OverflowError on a float where x_max * x_max is inf
         if not 0.0 < self.w0 * (self.x_max * self.x_max) / 2.0 < math.inf:
             raise ValueError("the total mass w0 * x_max**2 / 2 must be a positive finite number")
@@ -514,9 +513,6 @@ class PowerLawDensity(SupplyCurve):
 
     def _pdf(self, x):
         return self.w0 * x
-
-    def params(self):
-        return {"w0": self.w0, "x_max": self.x_max}
 
 
 class Empirical(SupplyCurve):
@@ -740,24 +736,22 @@ def alpha_concavity_check(
     return ConcavityResult(True, alpha)
 
 
-_FAMILIES = {
-    "exponential": lambda p: Exponential(rate=p["rate"]),
-    "hyperbolic": lambda p: Hyperbolic(scale=p["scale"]),
-    "bounded_uniform": lambda p: BoundedUniform(x_max=p["x_max"]),
-    "power_law_density": lambda p: PowerLawDensity(w0=p["w0"], x_max=p["x_max"]),
-}
+# each parametric family by its ``family`` name
+_PARAMETRIC = {cls.family: cls for cls in _Parametric.__subclasses__()}
 
 
 def curve_from_json(obj: dict) -> SupplyCurve:
-    """Rebuild a curve from its ``to_json`` form."""
+    """Rebuild a curve from its ``to_json`` form; a parametric family takes exactly its fields."""
     family = obj.get("family")
     if family == "empirical":
         pts = obj.get("breakpoints") or obj.get("params", {}).get("breakpoints")
         if pts is None:
             raise ValueError("empirical curve needs breakpoints")
         return Empirical([(float(a), float(b)) for a, b in pts])
-    try:
-        builder = _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown curve family: {family!r}") from None
-    return builder(obj.get("params", {}))
+    cls = _PARAMETRIC.get(family)
+    if cls is None:
+        raise ValueError(f"unknown curve family: {family!r}")
+    params = obj.get("params", {})
+    if set(params) != cls.__dataclass_fields__.keys():
+        raise ValueError(f"{family} curve takes the parameters {list(cls.__dataclass_fields__)}, not {sorted(params)}")
+    return cls(**params)

@@ -46,6 +46,7 @@ __all__ = [
     "check_adequate_supply",
     "max_scalable_target",
     "instance_from_json",
+    "item_from_json",
     "random_instance",
     "random_sparse_instance",
 ]
@@ -116,8 +117,25 @@ class Contract:
         object.__setattr__(self, "valuations", kept)
 
 
+class _Items:
+    """What a collection of ``ItemType``s, ``self.items``, gives every model built on it."""
+
+    @cached_property
+    def rates(self) -> np.ndarray:
+        """Arrival rates per item position."""
+        out = np.array([it.arrival_rate for it in self.items])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def groups(self) -> FamilyGroups:
+        """The items grouped by curve family and auction kind: every grouped cost call goes through it."""
+        return FamilyGroups([it.curve for it in self.items],
+                            [it.auction is AuctionKind.FIRST_PRICE for it in self.items])
+
+
 @dataclass(frozen=True)
-class ProblemInstance:
+class ProblemInstance(_Items):
     """Validated instance with a compiled sparse edge index.
 
     Edge k connects contract position ``edge_i[k]`` to item position
@@ -149,13 +167,6 @@ class ProblemInstance:
         return int(self.edge_v.size)
 
     @cached_property
-    def rates(self) -> np.ndarray:
-        """Arrival rates per item position."""
-        out = np.array([it.arrival_rate for it in self.items])
-        out.setflags(write=False)
-        return out
-
-    @cached_property
     def masses(self) -> np.ndarray:
         """Total mass of each item's supply curve: its largest win rate per auction."""
         out = np.array([it.curve.total_mass for it in self.items])
@@ -175,12 +186,6 @@ class ProblemInstance:
         out = np.array([c.target_rate for c in self.contracts])
         out.setflags(write=False)
         return out
-
-    @cached_property
-    def groups(self) -> FamilyGroups:
-        """The items grouped by curve family and auction kind: every grouped cost call goes through it."""
-        return FamilyGroups([it.curve for it in self.items],
-                            [it.auction is AuctionKind.FIRST_PRICE for it in self.items])
 
     @cached_property
     def item_major(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -303,17 +308,15 @@ def build_instance(items: Sequence[ItemType], contracts: Sequence[Contract]) -> 
     )
 
 
+def item_from_json(spec: dict) -> ItemType:
+    """Rebuild an item from its entry in ``ProblemInstance.to_json``: id, rate, curve and auction."""
+    return ItemType(id=spec["id"], arrival_rate=spec["rate"], curve=curve_from_json(spec["curve"]),
+                    auction=spec["auction"])
+
+
 def instance_from_json(obj: dict) -> ProblemInstance:
     """Rebuild an instance from its ``to_json`` form."""
-    items = [
-        ItemType(
-            id=spec["id"],
-            arrival_rate=spec["rate"],
-            curve=curve_from_json(spec["curve"]),
-            auction=AuctionKind.parse(spec["auction"]),
-        )
-        for spec in obj["items"]
-    ]
+    items = [item_from_json(spec) for spec in obj["items"]]
     by_str = {str(it.id): it.id for it in items}
     contracts = [
         Contract(

@@ -26,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .costs import AuctionKind, FamilyGroups, monotone_root
+from .costs import FamilyGroups, monotone_root
 from .curves import Empirical, PowerLawDensity, SupplyCurve, curve_from_json
-from .model import ItemType
+from .model import ItemType, _Items
 from .solver import NotConverged
 
 __all__ = [
@@ -79,7 +79,7 @@ class InsufficientDepth(ValueError):
 
 
 @dataclass(frozen=True)
-class BudgetInstance:
+class BudgetInstance(_Items):
     """Value-maximizing bidder: items with per-item values and one spend cap.
 
     First-price items pass the 2-concavity gate when each ``ItemType`` is built.
@@ -106,15 +106,6 @@ class BudgetInstance:
     @property
     def n_items(self) -> int:
         return len(self.items)
-
-    @cached_property
-    def rates(self) -> np.ndarray:
-        return np.array([it.arrival_rate for it in self.items])
-
-    @cached_property
-    def groups(self) -> FamilyGroups:
-        return FamilyGroups([it.curve for it in self.items],
-                            [it.auction is AuctionKind.FIRST_PRICE for it in self.items])
 
 
 def budget_bids(bi: BudgetInstance, theta: float) -> np.ndarray:

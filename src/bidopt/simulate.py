@@ -28,20 +28,22 @@ replay than before it.
 Batches use RNG streams spawned from one seed, so runs are reproducible
 bit-for-bit, batches are independent (they could run in parallel; sums over
 batches are order-independent), and batch means give honest standard errors.
-The draws depend on the policy through its box, so two ``simulate`` calls
-with different policies do not share them.  ``ab_compare`` draws once in the
-union of its policies' boxes and replays every policy against the *same*
-points, each with its own win test (common random numbers): identical
-policies produce exactly zero cost difference, a policy that bids higher
-with the same weights wins a superset of the points, and small true
-differences are not drowned in Monte-Carlo noise.
+``simulate`` and ``ab_compare`` share one replay loop, ``_replay``: each
+batch draws once in the union of its policies' boxes and replays every
+policy against the *same* points, each with its own win test (common random
+numbers).  ``simulate`` is its one-policy case, whose union is the policy's
+own box, so the draws depend on the policy and two ``simulate`` calls with
+different policies do not share them.  In ``ab_compare`` identical policies
+produce exactly zero cost difference, a policy that bids higher with the
+same weights wins a superset of the points, and small true differences are
+not drowned in Monte-Carlo noise.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -119,8 +121,25 @@ def policy_from_primal(inst: ProblemInstance, primal: PrimalSolution) -> BidPoli
 # reports
 
 
+def _covers(value_rate, value_se, targets, n_se):
+    """Whether realized value rates cover their targets within ``n_se`` standard errors (per row)."""
+    return np.all(value_rate + n_se * value_se >= targets, axis=-1)
+
+
+class _Report:
+    """A frozen dataclass of numbers and arrays that serializes from its own fields."""
+
+    def to_json(self) -> dict:
+        """Every field in field order, arrays as lists."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
+
+
 @dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(_Report):
     """Realized rates next to the fluid-model predictions, with standard errors.
 
     Predictions are policy-implied: win rate ``lambda_j m_j W_j(x_j)`` and
@@ -147,29 +166,11 @@ class SimulationReport:
 
     def fulfillment_ok(self, n_se: float = 3.0) -> bool:
         """True when every contract's realized rate covers its target within n_se errors."""
-        return bool(np.all(self.value_rate + n_se * self.value_rate_se >= self.targets))
-
-    def to_json(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "n_batches": self.n_batches,
-            "seed": self.seed,
-            "arrival_model": self.arrival_model,
-            "targets": self.targets.tolist(),
-            "value_rate": self.value_rate.tolist(),
-            "value_rate_se": self.value_rate_se.tolist(),
-            "predicted_value_rate": self.predicted_value_rate.tolist(),
-            "win_rate": self.win_rate.tolist(),
-            "win_rate_se": self.win_rate_se.tolist(),
-            "predicted_win_rate": self.predicted_win_rate.tolist(),
-            "cost_rate": self.cost_rate,
-            "cost_rate_se": self.cost_rate_se,
-            "predicted_cost_rate": self.predicted_cost_rate,
-        }
+        return bool(_covers(self.value_rate, self.value_rate_se, self.targets, n_se))
 
 
 @dataclass(frozen=True)
-class ABComparison:
+class ABComparison(_Report):
     """Common-random-number comparison of several policies on one instance.
 
     Policy 0 is the baseline: ``delta_cost[p] = cost_rate[p] - cost_rate[0]``
@@ -191,43 +192,9 @@ class ABComparison:
     value_rate_se: np.ndarray
     feasible: np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "n_batches": self.n_batches,
-            "seed": self.seed,
-            "arrival_model": self.arrival_model,
-            "n_se": self.n_se,
-            "cost_rate": self.cost_rate.tolist(),
-            "cost_rate_se": self.cost_rate_se.tolist(),
-            "delta_cost": self.delta_cost.tolist(),
-            "delta_cost_se": self.delta_cost_se.tolist(),
-            "value_rate": self.value_rate.tolist(),
-            "value_rate_se": self.value_rate_se.tolist(),
-            "feasible": self.feasible.tolist(),
-        }
-
 
 # ---------------------------------------------------------------------------
 # the event loop
-
-
-def _check_run(inst: ProblemInstance, policies, horizon: float, seed, n_batches: int) -> None:
-    """The argument checks of ``simulate`` and ``ab_compare``, made before any work."""
-    for policy in policies:
-        policy.check(inst)
-    for it in inst.items:
-        if it.curve.total_mass > 1.0 + 1e-12:
-            raise ValueError(
-                f"item {it.id!r}: supply curve carries mass {it.curve.total_mass:.6g} > 1 "
-                "and is not a price distribution"
-            )
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError("horizon must be positive and finite")
-    if n_batches < 2:
-        raise ValueError("need at least 2 batches for standard errors")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
 
 
 def _batch_rngs(seed, n_batches: int) -> list[np.random.Generator]:
@@ -388,6 +355,44 @@ def _write_fulfillment_csv(path, inst: ProblemInstance, t_batch: float, batch_va
             w.writerow([f"{t:.10g}"] + [f"{x / t:.10g}" for x in cum[b]])
 
 
+def _replay(inst: ProblemInstance, policies, horizon: float, seed, n_batches: int, deterministic: bool):
+    """Check the arguments before any work, then replay every policy against one draw per batch.
+
+    Each batch draws once in the union of the policies' boxes (per item the
+    largest W(b) and the largest total weight; for one policy its own box)
+    and replays the points under every policy, each keeping the points of
+    its own box.  Returns the plans, the batch length and the per-batch
+    value, win and cost totals, of shapes (policies, batches, contracts),
+    (policies, batches, items) and (policies, batches).
+    """
+    for policy in policies:
+        policy.check(inst)
+    for it in inst.items:
+        if it.curve.total_mass > 1.0 + 1e-12:
+            raise ValueError(
+                f"item {it.id!r}: supply curve carries mass {it.curve.total_mass:.6g} > 1 "
+                "and is not a price distribution"
+            )
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
+    if n_batches < 2:
+        raise ValueError("need at least 2 batches for standard errors")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
+    layout = _Layout(inst)
+    plans = [_Plan(layout, policy) for policy in policies]
+    box = tuple(np.maximum.reduce(bounds) for bounds in zip(*(plan.box for plan in plans)))
+    t_batch = horizon / n_batches
+    value = np.zeros((len(plans), n_batches, inst.n_contracts))
+    wins = np.zeros((len(plans), n_batches, inst.n_items))
+    cost = np.zeros((len(plans), n_batches))
+    for b, rng in enumerate(_batch_rngs(seed, n_batches)):
+        draws = _draw_batch(rng, layout, t_batch, deterministic, box)
+        for p, plan in enumerate(plans):
+            value[p, b], wins[p, b], cost[p, b] = plan.replay(draws)
+    return plans, t_batch, value, wins, cost
+
+
 def simulate(
     inst: ProblemInstance,
     policy: BidPolicy,
@@ -408,20 +413,10 @@ def simulate(
     ``csv_path`` dumps the cumulative fulfillment-rate time series per
     contract, ``json_path`` the full report.
     """
-    _check_run(inst, [policy], horizon, seed, n_batches)
-    layout = _Layout(inst)
-    plan = _Plan(layout, policy)
-    t_batch = horizon / n_batches
-    batch_value = np.zeros((n_batches, inst.n_contracts))
-    batch_wins = np.zeros((n_batches, inst.n_items))
-    batch_cost = np.zeros(n_batches)
-    for b, rng in enumerate(_batch_rngs(seed, n_batches)):
-        draws = _draw_batch(rng, layout, t_batch, deterministic_arrivals, plan.box)
-        batch_value[b], batch_wins[b], batch_cost[b] = plan.replay(draws)
-
-    value_rate, value_se = _mean_se(batch_value / t_batch)
-    win_rate, win_se = _mean_se(batch_wins / t_batch)
-    cost_rate, cost_se = _mean_se(batch_cost / t_batch)
+    (plan,), t_batch, value, wins, cost = _replay(inst, [policy], horizon, seed, n_batches, deterministic_arrivals)
+    value_rate, value_se = _mean_se(value[0] / t_batch)
+    win_rate, win_se = _mean_se(wins[0] / t_batch)
+    cost_rate, cost_se = _mean_se(cost[0] / t_batch)
     pred_value, pred_win, pred_cost = plan.predictions()
 
     for arr in (value_rate, value_se, pred_value, win_rate, win_se, pred_win):
@@ -443,7 +438,7 @@ def simulate(
         predicted_cost_rate=pred_cost,
     )
     if csv_path is not None:
-        _write_fulfillment_csv(csv_path, inst, t_batch, batch_value)
+        _write_fulfillment_csv(csv_path, inst, t_batch, value[0])
     if json_path is not None:
         with open(json_path, "w") as fh:
             json.dump(report.to_json(), fh, indent=2)
@@ -462,40 +457,23 @@ def ab_compare(
 ) -> ABComparison:
     """Compare policies under common random numbers (policy 0 is the baseline).
 
-    Each batch draws once, in the union of the policies' boxes (per item the
-    largest W(b) and the largest total weight), and replays the points under
-    every policy, each keeping the points of its own box.  So cost
-    differences are paired: identical policies differ by exactly zero, and
-    the difference of two good policies carries far less variance than two
+    Every policy replays the same points (``_replay``), so cost differences
+    are paired: identical policies differ by exactly zero, and the
+    difference of two good policies carries far less variance than two
     independent runs would.
     """
     policies = list(policies)
     if len(policies) < 2:
         raise ValueError("need at least two policies to compare")
-    _check_run(inst, policies, horizon, seed, n_batches)
-    layout = _Layout(inst)
-    plans = [_Plan(layout, policy) for policy in policies]
-    box = tuple(np.maximum.reduce(bounds) for bounds in zip(*(plan.box for plan in plans)))
-    n_pol = len(policies)
-    t_batch = horizon / n_batches
-    batch_value = np.zeros((n_pol, n_batches, inst.n_contracts))
-    batch_cost = np.zeros((n_pol, n_batches))
-    for b, rng in enumerate(_batch_rngs(seed, n_batches)):
-        draws = _draw_batch(rng, layout, t_batch, deterministic_arrivals, box)
-        for p, plan in enumerate(plans):
-            batch_value[p, b], _, batch_cost[p, b] = plan.replay(draws)
-
-    cost_rates = batch_cost / t_batch
+    _, t_batch, value, _, cost = _replay(inst, policies, horizon, seed, n_batches, deterministic_arrivals)
+    cost_rates = cost / t_batch
     cost_rate, cost_se = _mean_se(cost_rates.T)
     delta, delta_se = _mean_se((cost_rates - cost_rates[0]).T)
-    value_rate = np.zeros((n_pol, inst.n_contracts))
-    value_se = np.zeros((n_pol, inst.n_contracts))
-    feasible = np.zeros(n_pol, dtype=bool)
-    for p in range(n_pol):
-        value_rate[p], value_se[p] = _mean_se(batch_value[p] / t_batch)
-        feasible[p] = bool(
-            np.all(value_rate[p] + n_se * value_se[p] >= inst.targets)
-        )
+    value_rate = np.zeros((len(policies), inst.n_contracts))
+    value_se = np.zeros((len(policies), inst.n_contracts))
+    for p in range(len(policies)):
+        value_rate[p], value_se[p] = _mean_se(value[p] / t_batch)
+    feasible = _covers(value_rate, value_se, inst.targets, n_se)
 
     for arr in (cost_rate, cost_se, delta, delta_se, value_rate, value_se, feasible):
         arr.setflags(write=False)

@@ -669,6 +669,19 @@ def _spend_rate(inst: ProblemInstance, s: np.ndarray) -> float:
     return float(inst.rates @ inst.groups.spend(q))
 
 
+def _mixing(inst: ProblemInstance, s: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Mixing weights gamma_e = R_e / s_j of each edge's item j (0 where s_j = 0)."""
+    gamma = np.zeros(inst.n_edges)
+    nz = s[inst.edge_j] > 0.0
+    gamma[nz] = R[nz] / s[inst.edge_j[nz]]
+    return gamma
+
+
+def _eps_active(dual: DualSolution, primal: PrimalSolution) -> float:
+    """The largest slack theta over the edges that carry allocation (0 when none does)."""
+    return float(np.max(dual.theta[primal.R > 0.0], initial=0.0))
+
+
 def recover_primal(inst: ProblemInstance, dual: DualSolution) -> PrimalSolution:
     """Bids, rates, and the allocation routed by the routing LP at dual.rho.
 
@@ -691,10 +704,7 @@ def recover_primal(inst: ProblemInstance, dual: DualSolution) -> PrimalSolution:
     R *= np.divide(inst.targets, delivered, out=np.ones(inst.n_contracts), where=delivered > 0.0)[inst.edge_i]
     s = np.bincount(inst.edge_j, R, minlength=inst.n_items)
     bids = inst.groups.bid(np.asarray(dual.mu, dtype=float))
-    gamma = np.zeros(inst.n_edges)
-    nz = s[inst.edge_j] > 0.0
-    gamma[nz] = R[nz] / s[inst.edge_j[nz]]
-
+    gamma = _mixing(inst, s, R)
     for arr in (s, R, bids, gamma):
         arr.setflags(write=False)
     return PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(inst, s))
@@ -759,7 +769,7 @@ def solve(
         primal=primal,
         report=report,
         iterations=stats.get("iterations", 0),
-        eps_active=float(np.max(dual.theta[primal.R > 0.0], initial=0.0)),
+        eps_active=_eps_active(dual, primal),
     )
 
 
@@ -816,7 +826,12 @@ def solution_to_json(inst: ProblemInstance, sol: Solution) -> dict:
 
 
 def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
-    """Rebuild a Solution from its JSON form (values recomputed, not trusted)."""
+    """Rebuild a Solution from its JSON form.
+
+    Every derived value (dual and primal value, mixing weights, eps_active
+    and the certificate) is recomputed, not trusted; only the iteration
+    count is read as written.
+    """
     rho, mu, s, bids = (np.asarray(obj[key], dtype=float) for key in ("rho", "mu", "s", "bids"))
     if rho.shape != (inst.n_contracts,) or any(a.shape != (inst.n_items,) for a in (mu, s, bids)):
         raise ValueError("solution dimensions do not match the instance")
@@ -841,15 +856,12 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
         raise ValueError(f"allocation entry {(contract[bad[0]], item[bad[0]])!r} is not an instance edge")
     R = np.zeros(inst.n_edges)
     R[e] = np.fromiter(map(float, val), float, k)  # float() rejects null and other non-numbers
-    gamma = np.zeros(inst.n_edges)
-    nz = s[inst.edge_j] > 0.0
-    gamma[nz] = R[nz] / s[inst.edge_j[nz]]
-    primal = PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(inst, s))
+    primal = PrimalSolution(s=s, R=R, x=bids, gamma=_mixing(inst, s, R), primal_value=_spend_rate(inst, s))
     report = certify(inst, primal, dual)
     return Solution(
         dual=dual,
         primal=primal,
         report=report,
         iterations=int(obj.get("iters", 0)),
-        eps_active=float(obj.get("eps_active", 0.0)),
+        eps_active=_eps_active(dual, primal),
     )

@@ -202,9 +202,10 @@ HUGE_TARGET = {**SCALAR, "contracts": [{"id": "c", "target": 1e300, "valuations"
 @pytest.mark.parametrize(
     "argv",
     [["solve", "--bogus"], ["solve", "--eps-active", "1e-3"], ["feasibility", "--input"], ["solve", "--input"],
-     ["solve", "--tol", "0"], ["feasibility", "--margin=-1e-6"], ["simulate", "--horizon", "nan"]],
+     ["solve", "--tol", "0"], ["feasibility", "--margin=-1e-6"], ["simulate", "--horizon", "nan"],
+     ["solve", "--tol", "abc"]],
     ids=["bogus", "eps-active", "feasibility-huge-target", "solve-huge-target",
-         "zero-tol", "negative-margin", "nan-horizon"],
+         "zero-tol", "negative-margin", "nan-horizon", "non-numeric-tol"],
 )
 def test_usage_error_exits_1(argv, tmp_path, capsys):
     if argv[-1] == "--input":
@@ -218,6 +219,26 @@ def test_usage_error_exits_1(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 1
+
+
+MARKOWITZ = {"alpha": [1.0, 0.8], "sigma": [[1.0, 0.2], [0.2, 0.5]], "risk_aversion": 2.0, "lob": None}
+MISSPELT = {"family": "exponential", "params": {"rate": 1.0, "scael": 2.0}}
+
+
+@pytest.mark.parametrize("command, doc", [
+    pytest.param("solve", [SCALAR], id="top-level-array"),
+    pytest.param("certify", SCALAR, id="certify-without-solution"),
+    pytest.param("markowitz", {k: v for k, v in MARKOWITZ.items() if k != "sigma"}, id="markowitz-without-sigma"),
+    pytest.param("solve", {**SCALAR, "items": [{**SCALAR["items"][0], "curve": MISSPELT}]},
+                 id="unknown-curve-parameter"),
+    pytest.param("budget", {"items": [{"rate": 1.0, "curve": MISSPELT, "auction": "second_price"}],
+                            "values": [1.0], "budget": 0.5}, id="budget-unknown-curve-parameter"),
+])
+def test_malformed_document_exits_1(tmp_path, capsys, command, doc):
+    # one message line, no traceback
+    assert main([command, "--input", write_json(tmp_path / "doc.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bidopt: ") and captured.err.count("\n") == 1
 
 
 # each command's options besides --output, which every command takes
@@ -292,6 +313,22 @@ def test_simulate_deterministic_and_on_target(tmp_path):
     report = json.loads(sims[0].read_text())
     half = report["win_rate"][0]
     assert abs(half - 0.5) <= 5.0 * report["win_rate_se"][0]
+
+
+def test_simulate_solves_a_bare_instance_first(tmp_path, capsys, monkeypatch):
+    solved = []
+
+    def recording(inst, **kwargs):
+        solved.append(kwargs)
+        return solve(inst, **kwargs)
+
+    monkeypatch.setattr(bidopt.cli, "solve", recording)
+    inp = write_json(tmp_path / "inst.json", SCALAR)
+    argv = ["simulate", "--input", inp, "--seed", "11", "--horizon", "4000", "--tol", "1e-9", "--margin", "1e-3"]
+    assert main(argv) == 0
+    assert solved == [{"tol": 1e-9, "margin": 1e-3}]
+    report = json.loads(capsys.readouterr().out)
+    assert abs(report["win_rate"][0] - 0.5) <= 5.0 * report["win_rate_se"][0]
 
 
 def test_simulate_accepts_explicit_policy(tmp_path, capsys):
@@ -574,6 +611,16 @@ def test_figures_deterministic(tmp_path):
     for d in dirs:
         assert main(["figures", "curves", "--output", str(d)]) == 0
     assert (dirs[0] / "curve_grids.csv").read_bytes() == (dirs[1] / "curve_grids.csv").read_bytes()
+
+
+def test_figures_sparsity(tmp_path):
+    # the 1200 x 200 sparse draw of seed 0, certified at 1e-5: its optimum
+    # routes over a strict subset of the edges
+    assert main(["figures", "sparsity", "--output", str(tmp_path)]) == 0
+    (row,) = csv.DictReader((tmp_path / "sparsity.csv").read_text().splitlines())
+    assert (int(row["n_items"]), int(row["n_contracts"]), int(row["d"])) == (1200, 200, 38_095)
+    assert 0 < int(row["d_star"]) < int(row["d"])
+    assert abs(float(row["relative_gap"])) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,13 @@ def test_json_unknown_family():
         curve_from_json({"family": "cauchy", "params": {}})
 
 
+@pytest.mark.parametrize("params", [{"rate": 1.0, "scael": 2.0}, {}, {"scale": 1.0}],
+                         ids=["unknown", "missing", "another-family's"])
+def test_json_takes_exactly_the_family_fields(params):
+    with pytest.raises(ValueError, match="exponential curve takes the parameters"):
+        curve_from_json({"family": "exponential", "params": params})
+
+
 # ---------------------------------------------------------------------------
 # concavity checks
 
@@ -312,14 +319,16 @@ def test_alpha_concavity_monotone_in_alpha(alpha, gap, idx):
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rate must be a positive finite number"):
         Exponential(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="scale must be a positive finite number"):
         Hyperbolic(-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x_max must be a positive finite number"):
         BoundedUniform(math.inf)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="x_max must be a positive finite number"):
         PowerLawDensity(1.0, -2.0)
+    with pytest.raises(ValueError, match="w0 must be a positive finite number"):
+        PowerLawDensity(math.nan, 2.0)
 
 
 def test_first_price_bid_needs_a_family_formula():

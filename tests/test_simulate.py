@@ -244,6 +244,20 @@ def test_ab_overbidding_is_weakly_costlier_pathwise():
     assert cmp.delta_cost_se[1] < cmp.cost_rate_se[1]
 
 
+def test_ab_report_serializes_every_field_in_order():
+    inst = mixed_instance()
+    sol = solve(inst)
+    policies = [policy_from_primal(inst, sol.primal), overbid_policy(inst, sol, 1.1)]
+    cmp = ab_compare(inst, policies, horizon=100.0, seed=4)
+    doc = cmp.to_json()
+    assert list(doc) == ["horizon", "n_batches", "seed", "arrival_model", "n_se", "cost_rate", "cost_rate_se",
+                         "delta_cost", "delta_cost_se", "value_rate", "value_rate_se", "feasible"]
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc["value_rate"] == cmp.value_rate.tolist() and len(doc["value_rate"]) == 2
+    assert doc["feasible"] == [bool(f) for f in cmp.feasible]
+    assert (doc["horizon"], doc["n_batches"], doc["seed"], doc["n_se"]) == (100.0, 20, 4, 3.0)
+
+
 def test_ab_needs_two_policies():
     inst = scalar_instance()
     sol = solve(inst, tol=1e-10)

@@ -605,6 +605,31 @@ def test_master_box_is_the_contract_columns_cost():
         assert model == pytest.approx(2.5 * cap, rel=1e-15)
 
 
+def test_master_widens_a_box_its_iterates_press(monkeypatch):
+    # two contracts share one Hyperbolic(1) item and together ask for
+    # 0.99998 of its wins: the pseudo-bid W^{-1}(0.99998) = 49,999 lies far
+    # above the first box (1e4 (1 + the warm start's largest rho)), so the
+    # master presses it and widens it by 100, twice, before the solve certifies
+    inst = build_instance([ItemType("a", 1.0, Hyperbolic(1.0), "second_price")],
+                          [Contract("c1", 0.49999, {"a": 1.0}), Contract("c2", 0.49999, {"a": 1.0})])
+    caps = []
+    master_solve = solver._MasterLP.solve
+
+    def recording(lp, cap):
+        caps.append(cap)
+        return master_solve(lp, cap)
+
+    monkeypatch.setattr(solver._MasterLP, "solve", recording)
+    sol = solve(inst)
+    assert sol.report.passed
+    assert caps == sorted(caps)  # the box only widens
+    widths = sorted(set(caps))
+    assert len(widths) == 3 and 1e4 < widths[0] < 1e5
+    assert widths[1:] == pytest.approx([100.0 * widths[0], 1e4 * widths[0]], rel=1e-12)
+    # W^{-1}(0.99998) = 0.99998 / (1 - 0.99998), a difference that keeps about 11 digits
+    assert sol.dual.rho == pytest.approx(np.full(2, 49_999.0), rel=1e-10)
+
+
 def test_master_generates_few_edge_rows():
     # delayed column generation: most of the 3661 edge cuts never bind, so
     # their columns never enter the master LP
@@ -878,6 +903,17 @@ def test_solution_json_round_trip(tmp_path):
     assert back.report.passed
     assert np.allclose(back.primal.s, sol.primal.s, atol=1e-12)
     assert back.dual.dual_value == pytest.approx(sol.dual.dual_value, rel=1e-12)
+
+
+def test_solution_json_recomputes_eps_active():
+    # a document's eps_active is derived, so a tampered one is not read back
+    inst = random_instance(np.random.default_rng(3), 4, 6)
+    sol = solve(inst)
+    obj = solution_to_json(inst, sol)
+    obj["eps_active"] = 123.0
+    back = solution_from_json(inst, obj)
+    assert back.report.passed
+    assert back.eps_active == sol.eps_active == float(np.max(back.dual.theta[back.primal.R > 0.0], initial=0.0))
 
 
 def test_solution_json_rejects_foreign_edges():
