@@ -7,7 +7,7 @@ points.  About a minute: `--save FILE.npz` on one checkout, `--compare FILE.npz`
 Each instance's master LP solves (`Solution.iterations`), LP solves of every kind (the master's,
 the supply check's and each routing verdict's), HiGHS simplex iterations and `solve` wall seconds
 are saved too, and `--compare` prints their census totals: the counts are what wall time on a busy
-host cannot blur.
+host cannot blur.  Each replay's wall seconds are saved as well, and `--compare` prints their total.
 The primal value P (the plan's expected spend) is saved as well, and `--compare` prints the
 largest |dP| / (1 + |P|).
 Each certified plan is also replayed (1e5 expected arrivals, 20 batches, seeded with the
@@ -81,15 +81,17 @@ def run() -> dict:
                 time.perf_counter() - start)
         if sol is None:
             rows.append((np.full(inst.n_contracts, np.nan), np.full(inst.n_items, np.nan), *[np.nan] * 4, False,
-                         np.nan, *work, np.nan, np.nan))
+                         np.nan, *work, np.nan, np.nan, np.nan))
             continue
         rep = sol.report
+        start = time.perf_counter()
         z = replay_z(inst, sol, index) if rep.passed else (np.nan, np.nan)
+        replay_s = time.perf_counter() - start if rep.passed else np.nan
         rows.append((sol.dual.rho, sol.primal.x, rep.dual_value, rep.primal_value, rep.gap, rep.max_comp_slack,
-                     rep.passed, sol.iterations, *work, *z))
+                     rep.passed, sol.iterations, *work, *z, replay_s))
     rho, bids, *rest = zip(*rows)
     names = ("D", "P", "gap", "comp", "certified", "master_solves", "lp_solves", "lp_iterations", "solve_s",
-             "replay_value_z", "replay_cost_z")
+             "replay_value_z", "replay_cost_z", "replay_s")
     out = dict(zip(names, map(np.asarray, rest)))
     return dict(out, rho=np.concatenate(rho), rho_len=np.array([r.size for r in rho]),
                 bids=np.concatenate(bids), bids_len=np.array([b.size for b in bids]))
@@ -130,7 +132,8 @@ def main() -> None:
     print(", ".join(f"max |{k}|: {np.nanmax(np.abs(now[k])):.3g} (saved {np.nanmax(np.abs(old[k])):.3g})"
                     for k in ("gap", "comp")))
     for key, what, fmt in (("master_solves", "master LP solves", ".0f"), ("lp_solves", "LP solves", ".0f"),
-                           ("lp_iterations", "simplex iterations", ".0f"), ("solve_s", "solve seconds", ".1f")):
+                           ("lp_iterations", "simplex iterations", ".0f"), ("solve_s", "solve seconds", ".1f"),
+                           ("replay_s", "replay seconds", ".1f")):
         total = [f"{np.nansum(run[key]):{fmt}}" if key in run else "n/a" for run in (now, old)]
         print(f"{what}: {total[0]} (saved {total[1]})")
     tail = 2.0 * float(student_t.sf(3.0, REPLAY_BATCHES - 1))

@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .costs import AcquisitionCost, AuctionKind
-from .curves import Exponential
+from .curves import Exponential, _json_object
 from .model import (
     Contract,
     ItemType,
@@ -139,7 +139,8 @@ def _parse_solution(inst: ProblemInstance, obj: dict, path):
 def _parse_budget(obj: dict, path) -> BudgetInstance:
     try:
         return BudgetInstance(
-            items=tuple(item_from_json({"id": f"item{k}", **rec}) for k, rec in enumerate(obj["items"])),
+            items=tuple(item_from_json({"id": f"item{k}", **_json_object(rec, f"item {k}")})
+                        for k, rec in enumerate(obj["items"])),
             values=np.asarray(obj["values"], dtype=float),
             budget=float(obj["budget"]),
         )

@@ -740,18 +740,25 @@ def alpha_concavity_check(
 _PARAMETRIC = {cls.family: cls for cls in _Parametric.__subclasses__()}
 
 
+def _json_object(obj, what: str) -> dict:
+    """``obj`` if it is a JSON object; otherwise a ValueError that names ``what``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, not {obj!r:.40}")
+    return obj
+
+
 def curve_from_json(obj: dict) -> SupplyCurve:
     """Rebuild a curve from its ``to_json`` form; a parametric family takes exactly its fields."""
-    family = obj.get("family")
+    family = _json_object(obj, "curve").get("family")
     if family == "empirical":
-        pts = obj.get("breakpoints") or obj.get("params", {}).get("breakpoints")
+        pts = obj.get("breakpoints") or _json_object(obj.get("params", {}), "empirical curve params").get("breakpoints")
         if pts is None:
             raise ValueError("empirical curve needs breakpoints")
         return Empirical([(float(a), float(b)) for a, b in pts])
     cls = _PARAMETRIC.get(family)
     if cls is None:
         raise ValueError(f"unknown curve family: {family!r}")
-    params = obj.get("params", {})
+    params = _json_object(obj.get("params", {}), f"{family} curve params")
     if set(params) != cls.__dataclass_fields__.keys():
         raise ValueError(f"{family} curve takes the parameters {list(cls.__dataclass_fields__)}, not {sorted(params)}")
     return cls(**params)

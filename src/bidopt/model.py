@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .costs import AuctionKind, FamilyGroups, _gate_first_price
-from .curves import SupplyCurve, curve_from_json
+from .curves import SupplyCurve, _json_object, curve_from_json
 
 __all__ = [
     "ItemType",
@@ -310,22 +310,21 @@ def build_instance(items: Sequence[ItemType], contracts: Sequence[Contract]) -> 
 
 def item_from_json(spec: dict) -> ItemType:
     """Rebuild an item from its entry in ``ProblemInstance.to_json``: id, rate, curve and auction."""
-    return ItemType(id=spec["id"], arrival_rate=spec["rate"], curve=curve_from_json(spec["curve"]),
-                    auction=spec["auction"])
+    curve = curve_from_json(_json_object(spec["curve"], f"item {spec['id']!r}: curve"))
+    return ItemType(id=spec["id"], arrival_rate=spec["rate"], curve=curve, auction=spec["auction"])
 
 
 def instance_from_json(obj: dict) -> ProblemInstance:
     """Rebuild an instance from its ``to_json`` form."""
-    items = [item_from_json(spec) for spec in obj["items"]]
+    specs = enumerate(_json_object(obj, "instance")["items"])
+    items = [item_from_json(_json_object(spec, f"item {k}")) for k, spec in specs]
     by_str = {str(it.id): it.id for it in items}
-    contracts = [
-        Contract(
-            id=spec["id"],
-            target_rate=spec["target"],
-            valuations={by_str.get(str(j), j): v for j, v in spec["valuations"].items()},
-        )
-        for spec in obj["contracts"]
-    ]
+    contracts = []
+    for k, spec in enumerate(obj["contracts"]):
+        spec = _json_object(spec, f"contract {k}")
+        valuations = _json_object(spec["valuations"], f"contract {spec['id']!r}: valuations")
+        contracts.append(Contract(id=spec["id"], target_rate=spec["target"],
+                                  valuations={by_str.get(str(j), j): v for j, v in valuations.items()}))
     return build_instance(items, contracts)
 
 

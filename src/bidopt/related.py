@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .costs import FamilyGroups, monotone_root
-from .curves import Empirical, PowerLawDensity, SupplyCurve, curve_from_json
+from .curves import Empirical, PowerLawDensity, SupplyCurve, _json_object, curve_from_json
 from .model import ItemType, _Items
 from .solver import NotConverged
 
@@ -275,7 +275,8 @@ def markowitz_to_json(mi: MarkowitzInstance) -> dict:
 
 def markowitz_from_json(obj: dict) -> MarkowitzInstance:
     lob = obj.get("lob")
-    market = None if lob is None else LobMarket(tuple(curve_from_json(c) for c in lob))
+    market = None if lob is None else LobMarket(
+        tuple(curve_from_json(_json_object(c, f"lob curve {k}")) for k, c in enumerate(lob)))
     return MarkowitzInstance(
         alpha=np.asarray(obj["alpha"], dtype=float),
         sigma=np.asarray(obj["sigma"], dtype=float),

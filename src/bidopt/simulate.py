@@ -10,33 +10,39 @@ for -- or abstains -- according to its per-arrival mixing weights.  A bid at
 or above the price wins (ties win) and pays the price on second-price items
 or the bid itself on first-price items.
 
-Each batch is a handful of array operations per (family, auction) group of
-items, not a loop over items.  Items take a fixed order that depends only on
-the instance: grouped by family and auction kind, an empirical curve a group
-of its own.  An arrival carries a price quantile u and a selection uniform,
-and it wins when u <= W(b) -- the same event as W^{-1}(u) <= b under inverse
-transform -- and its selection uniform is below the item's total weight.  So
-a batch draws only the arrivals inside that box: by Poisson thinning they
-form a Poisson process of rate lambda W(b) m (a binomial count under
-deterministic arrivals), uniform on the box, laid out item-contiguous in
-that order.  Prices are computed only for second-price winners, one quantile
-call per group, and an item whose positive weight sits on one contract
-credits it without a search.  Drawing only the box changed the random
-stream again: a given seed now gives a different, equally distributed,
-replay than before it.
+An arrival is a point (u, v) of the unit square: u is its price quantile
+and v selects the contract.  A policy wins it when u <= W(b) -- the same
+event as W^{-1}(u) <= b under inverse transform -- and v is below the
+item's total weight m, and it credits the first edge whose running weight
+exceeds v.  So the points a policy can win lie in the box [0, W(b)) x
+[0, m), and cutting that box at the running weights leaves one cell per
+positive-weight edge, in which every point wins that edge.  By Poisson
+splitting (Kingman 1993) the cells hold independent Poisson counts of mean
+lambda t times their area, so a batch draws one count per cell (under
+deterministic arrivals, Binomial(round(lambda t), W(b) m) per item split
+over its cells by one multinomial), and hits, wins and value are sums of
+counts.  Only second-price cost needs single points: each winning point of
+a second-price cell draws its price quantile uniform on the cell's price
+stratum, one quantile call per (family, auction) group and batch.  Items
+take a fixed order that depends only on the instance: grouped by family and
+auction kind, an empirical curve a group of its own.  Drawing counts on
+cells changed the random stream again: a given seed now gives a different,
+equally distributed, replay than before it.
 
 Batches use RNG streams spawned from one seed, so runs are reproducible
 bit-for-bit, batches are independent (they could run in parallel; sums over
 batches are order-independent), and batch means give honest standard errors.
-``simulate`` and ``ab_compare`` share one replay loop, ``_replay``: each
-batch draws once in the union of its policies' boxes and replays every
-policy against the *same* points, each with its own win test (common random
-numbers).  ``simulate`` is its one-policy case, whose union is the policy's
-own box, so the draws depend on the policy and two ``simulate`` calls with
-different policies do not share them.  In ``ab_compare`` identical policies
-produce exactly zero cost difference, a policy that bids higher with the
-same weights wins a superset of the points, and small true differences are
-not drowned in Monte-Carlo noise.
+``simulate`` and ``ab_compare`` share one replay loop, ``_replay``: the union
+of the policies' boxes is cut at every policy's W(b) and running weights,
+so that in each cell every policy bids for one fixed edge or abstains and
+wins every point or none; each batch draws the cells' counts and prices
+once, and each policy sums the cells it wins (common random numbers).
+``simulate`` is its one-policy case, whose union is the policy's own box,
+so the draws depend on the policy and two ``simulate`` calls with different
+policies do not share them.  In ``ab_compare`` identical policies produce
+exactly zero cost difference, a policy that bids higher with the same
+weights wins a superset of the points, and small true differences are not
+drowned in Monte-Carlo noise.
 """
 from __future__ import annotations
 
@@ -202,13 +208,12 @@ def _batch_rngs(seed, n_batches: int) -> list[np.random.Generator]:
 
 
 class _Layout:
-    """The order in which a batch lays out its arrivals, fixed by the instance.
+    """The order of a batch's item positions, fixed by the instance.
 
     Items take positions group by group -- the (family, auction) groups of
     ``inst.groups``, where an empirical curve is a group of its own -- in
-    instance order within a group, and a batch's arrivals lie
-    item-contiguous in position order.  Edges follow their items' positions,
-    in ``item_edges`` order within an item.
+    instance order within a group.  Edges follow their items' positions, in
+    ``item_edges`` order within an item.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -231,47 +236,17 @@ class _Layout:
         self.edge_pos = self.rank[inst.edge_j[edges]]
         self.edge_start = np.searchsorted(self.edge_pos, np.arange(inst.n_items + 1))
         self.edges = edges
-        self.edge_contract = inst.edge_i[edges]
-        self.edge_value = inst.edge_v[edges]
-
-
-def _draw_batch(rng: np.random.Generator, layout: _Layout, t_batch: float, deterministic: bool, box):
-    """One batch's arrivals inside the box ``box = (thr, mix)`` of each position.
-
-    An arrival carries a price quantile and a selection uniform, each uniform
-    on [0, 1); a policy can win it only when the quantile is at most W(b) and
-    the selection uniform is below the item's total weight.  Only the points
-    of [0, thr[p]) x [0, mix[p]) are drawn: those of a Poisson process form a
-    Poisson process, so position p gets Poisson(lambda t thr mix) of them
-    (Binomial(round(lambda t), thr mix) under deterministic arrivals), each
-    uniform on the box.  Returns the counts in position order, each point's
-    position, and its two uniforms, item-contiguous in position order.
-    """
-    thr, mix = box
-    if deterministic:
-        counts = rng.binomial(np.round(layout.rates * t_batch).astype(np.int64), thr * mix)
-    else:
-        counts = rng.poisson(layout.rates * t_batch * thr * mix)
-    pos = np.repeat(np.arange(counts.size), counts)
-    u_price = rng.random(pos.size)
-    u_price *= np.repeat(thr, counts)
-    u_sel = rng.random(pos.size)
-    u_sel *= np.repeat(mix, counts)
-    return counts, pos, u_price, u_sel
 
 
 class _Plan:
-    """A policy against a layout: the per-position arrays every batch reads.
+    """A policy against a layout: its box and its cuts at each position.
 
-    An arrival of position p bids when its selection uniform is below the
-    item's total weight ``mix[p]`` and wins when its price quantile is at most
-    ``thr[p] = W(b)``: under inverse transform that is the event
-    W^{-1}(u) <= b, so ties win.  The contract is the first edge whose
-    running weight exceeds the selection uniform.  A position whose positive
-    weight sits on one edge always picks that edge; the others search the
-    complex keys position + 1j * running weight, which numpy orders
-    lexicographically.  A zero-weight edge repeats the running weight before
-    it, so the search never picks it either.
+    An arrival of position p carries a price quantile u and a selection
+    coordinate v, each uniform on [0, 1).  The policy bids when v is below
+    the item's total weight ``mix[p]``, for the first edge whose running
+    weight exceeds v, and wins when u is at most W(b): under inverse
+    transform that is the event W^{-1}(u) <= b, so ties win.  A
+    zero-weight edge repeats the running weight before it, so no v picks it.
     """
 
     def __init__(self, layout: _Layout, policy: BidPolicy):
@@ -281,52 +256,19 @@ class _Plan:
         # each item's running weights, summed left to right as np.cumsum sums
         # them item by item: the k-th sum of every item at once
         first, deg = layout.edge_start[:-1], np.diff(layout.edge_start)
-        weight = self.gamma[layout.edges]
-        cum = weight.copy()
+        cum = self.gamma[layout.edges]
         for k in range(1, int(deg.max(initial=0))):
             at = first[deg > k] + k
             cum[at] += cum[at - 1]
-        self.keys = layout.edge_pos + 1j * cum
         self.mix = np.zeros(deg.size)
         self.mix[deg > 0] = cum[layout.edge_start[1:][deg > 0] - 1]
-        self.thr = self.win[layout.order]
-        # per position, the quantile and selection bounds of every winnable arrival
-        self.box = np.minimum(self.thr, 1.0), np.minimum(self.mix, 1.0)
-        # positions by their count of positive-weight edges
-        live = np.flatnonzero(weight > 0.0)
-        n_live = np.bincount(layout.edge_pos[live], minlength=deg.size)
-        self.split = n_live > 1
-        lone = n_live[layout.edge_pos[live]] == 1
-        self.lone_pos, self.lone_edge = layout.edge_pos[live[lone]], live[lone]
+        # per position the box [0, W(b)) x [0, mix) of the winnable arrivals,
+        # and the running weights that cut its selection side
+        self.box = np.minimum(self.win[layout.order], 1.0), np.minimum(self.mix, 1.0)
+        self.cum = np.minimum(cum, 1.0)
         self.first_bid = policy.bids[layout.order]
         for sl, _, _ in layout.priced:
             self.first_bid[sl] = 0.0
-
-    def replay(self, draws) -> tuple[np.ndarray, np.ndarray, float]:
-        """Run one batch of draws; returns value/win/cost totals.
-
-        Points outside the policy's own box, drawn for another policy of an
-        ``ab_compare``, are dropped.
-        """
-        counts, pos, u_price, u_sel = draws
-        lay = self.layout
-        won = (u_sel < np.repeat(self.mix, counts)) & (u_price <= np.repeat(self.thr, counts))
-        if not won.all():
-            pos, u_price, u_sel = pos[won], u_price[won], u_sel[won]
-            counts = np.bincount(pos, minlength=counts.size)
-        hits = np.zeros(lay.edges.size)
-        hits[self.lone_edge] = counts[self.lone_pos]
-        split = np.flatnonzero(np.repeat(self.split, counts))
-        if split.size:
-            keys = pos.take(split) + 1j * u_sel.take(split)
-            hits += np.bincount(np.searchsorted(self.keys, keys, side="right"), minlength=hits.size)
-        value = np.bincount(lay.edge_contract, weights=lay.edge_value * hits, minlength=lay.inst.n_contracts)
-        cost = float(self.first_bid @ counts)
-        start = np.concatenate(([0], np.cumsum(counts)))
-        for sl, quantile, params in lay.priced:
-            u = u_price[start[sl.start] : start[sl.stop]]
-            cost += float(np.sum(quantile(u, *(np.repeat(p, counts[sl]) for p in params))))
-        return value, counts[lay.rank], cost
 
     def predictions(self):
         """Fluid-model rates implied by the policy: per-contract value, per-item wins, cost."""
@@ -336,6 +278,134 @@ class _Plan:
         value = np.zeros(inst.n_contracts)
         np.add.at(value, inst.edge_i, edge_rate * inst.edge_v)
         return value, inst.rates * mix * self.win, float(np.sum(inst.rates * mix * self.pay))
+
+
+def _strata(n: int, pos: np.ndarray, cuts: np.ndarray):
+    """Each position's intervals between consecutive distinct cuts, 0 included.
+
+    ``cuts[k]`` cuts position ``pos[k]``.  Returns the intervals' positions,
+    lower ends and upper ends, by position and then lower end.
+    """
+    pos = np.concatenate([np.arange(n), pos])
+    cuts = np.concatenate([np.zeros(n), cuts])
+    at = np.lexsort((cuts, pos))
+    pos, cuts = pos[at], cuts[at]
+    keep = (pos[1:] == pos[:-1]) & (cuts[1:] > cuts[:-1])
+    return pos[:-1][keep], cuts[:-1][keep], cuts[1:][keep]
+
+
+class _Cells:
+    """The union of some plans' boxes, cut into cells that every plan treats alike.
+
+    Per position the price side [0, max W(b)) is cut at every plan's W(b)
+    and the selection side [0, max mix) at every plan's running weights; a
+    cell is one price stratum times one selection stratum.  No cut of a plan
+    crosses a cell, so in each cell a plan bids for one fixed edge or
+    abstains, and wins every point or none.  Cells lie by position, then
+    price stratum, then selection stratum; one plan's cells are its
+    positive-weight edges.  A cell is ``priced`` when it sits at a
+    second-price position and some plan wins it.
+    """
+
+    def __init__(self, layout: _Layout, plans: list[_Plan]):
+        inst, k = layout.inst, len(plans)
+        n = inst.n_items
+        self.n_contracts, self.rank = inst.n_contracts, layout.rank
+        u_pos, u_lo, u_hi = _strata(n, np.tile(np.arange(n), k), np.concatenate([p.box[0] for p in plans]))
+        v_pos, v_lo, v_hi = _strata(n, np.tile(layout.edge_pos, k), np.concatenate([p.cum for p in plans]))
+        n_u, n_v = np.bincount(u_pos, minlength=n), np.bincount(v_pos, minlength=n)
+        size = n_u * n_v
+        self.pos = pos = np.repeat(np.arange(n), size)
+        rank = np.arange(pos.size) - np.repeat(np.cumsum(size) - size, size)
+        iu = (np.cumsum(n_u) - n_u)[pos] + rank // n_v[pos]
+        iv = (np.cumsum(n_v) - n_v)[pos] + rank % n_v[pos]
+        self.u_lo, self.u_hi, self.v_lo, self.v_hi = u_lo[iu], u_hi[iu], v_lo[iv], v_hi[iv]
+        self.area = (self.u_hi - self.u_lo) * (self.v_hi - self.v_lo)
+        self.rates = layout.rates[pos] * self.area
+        # deterministic arrivals: per position the union box's share of the
+        # arrivals, and each cell's share of the box, the position's last
+        # cell in the last column
+        self.arrival_rates = layout.rates
+        self.box = np.maximum.reduce([p.box[0] for p in plans]) * np.maximum.reduce([p.box[1] for p in plans])
+        width = int(size.max(initial=1))
+        self.column = rank + (width - size)[pos]
+        self.shares = np.zeros((n, width))
+        box = self.box[pos]
+        self.shares[pos, self.column] = np.divide(self.area, box, out=np.zeros(pos.size), where=box > 0.0)
+        # each plan's edge per cell (-1: abstains) and the cells it wins;
+        # the edge is the first whose running weight exceeds the cell's lower
+        # selection end, which is one of the cuts
+        self.edge, self.plans = [], []
+        won_any = np.zeros(pos.size, dtype=bool)
+        for plan in plans:
+            at = np.searchsorted(layout.edge_pos + 1j * plan.cum, pos + 1j * self.v_lo, side="right")
+            bids = at < layout.edges.size
+            bids[bids] = layout.edge_pos[at[bids]] == pos[bids]
+            edge = np.full(pos.size, -1)
+            edge[bids] = layout.edges[at[bids]]
+            won = np.flatnonzero(bids & (self.u_hi <= plan.box[0][pos]))
+            won_any[won] = True
+            self.edge.append(edge)
+            self.plans.append((won, pos[won], inst.edge_i[edge[won]], inst.edge_v[edge[won]],
+                               plan.first_bid[pos[won]]))
+        second = np.zeros(n, dtype=bool)
+        for sl, _, _ in layout.priced:
+            second[sl] = True
+        self.priced = np.flatnonzero(second[pos] & won_any)
+        priced_pos = pos[self.priced]
+        self.groups = []
+        for sl, quantile, params in layout.priced:
+            a, b = np.searchsorted(priced_pos, [sl.start, sl.stop])
+            self.groups.append((a, b, quantile, tuple(p[priced_pos[a:b] - sl.start] for p in params)))
+
+    def price(self, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Each cell's sum of second-price payments, one quantile call per group.
+
+        ``u`` holds the price quantiles of the priced cells' points, cell by
+        cell in order.
+        """
+        n = counts[self.priced]
+        start = np.concatenate(([0], np.cumsum(n)))
+        paid = np.empty(u.size)
+        for a, b, quantile, params in self.groups:
+            paid[start[a] : start[b]] = quantile(u[start[a] : start[b]], *(np.repeat(p, n[a:b]) for p in params))
+        price = np.zeros(counts.size)
+        live = np.flatnonzero(n)
+        if live.size:
+            price[self.priced[live]] = np.add.reduceat(paid, start[live])
+        return price
+
+    def replay(self, k: int, counts: np.ndarray, price: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Plan k's value/win/cost totals: sums over the cells it wins."""
+        won, pos, contract, value, bid = self.plans[k]
+        hits = counts[won]
+        wins = np.bincount(pos, weights=hits, minlength=self.rank.size)
+        value = np.bincount(contract, weights=hits * value, minlength=self.n_contracts)
+        return value, wins[self.rank], float(hits @ bid) + float(price[won].sum())
+
+
+def _draw_batch(rng: np.random.Generator, cells: _Cells, t_batch: float, deterministic: bool):
+    """One batch's point counts per cell, then the price quantiles of the priced cells' points.
+
+    Each cell's points form a Poisson process of rate lambda times the
+    cell's area (Poisson splitting), so their count is Poisson.  Under
+    deterministic arrivals a position's round(lambda t) arrivals put
+    Binomial(round(lambda t), W(b) mix) in the union box, split over its
+    cells by one multinomial draw.  A priced cell's points then take price
+    quantiles uniform on its price stratum, in position order.  Returns the
+    counts and the quantiles.
+    """
+    if deterministic:
+        arrivals = np.round(cells.arrival_rates * t_batch).astype(np.int64)
+        counts = rng.multinomial(rng.binomial(arrivals, cells.box), cells.shares)[cells.pos, cells.column]
+    else:
+        counts = rng.poisson(cells.rates * t_batch)
+    n = counts[cells.priced]
+    u = rng.random(n.sum())
+    lo = cells.u_lo[cells.priced]
+    u *= np.repeat(cells.u_hi[cells.priced] - lo, n)
+    u += np.repeat(lo, n)
+    return counts, u
 
 
 def _mean_se(batch_rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,12 +428,13 @@ def _write_fulfillment_csv(path, inst: ProblemInstance, t_batch: float, batch_va
 def _replay(inst: ProblemInstance, policies, horizon: float, seed, n_batches: int, deterministic: bool):
     """Check the arguments before any work, then replay every policy against one draw per batch.
 
-    Each batch draws once in the union of the policies' boxes (per item the
-    largest W(b) and the largest total weight; for one policy its own box)
-    and replays the points under every policy, each keeping the points of
-    its own box.  Returns the plans, the batch length and the per-batch
-    value, win and cost totals, of shapes (policies, batches, contracts),
-    (policies, batches, items) and (policies, batches).
+    The union of the policies' boxes (per item the largest W(b) and the
+    largest total weight; for one policy its own box) is cut into cells
+    once; each batch draws their counts and second-price payments once, and
+    every policy sums the cells it wins.  Returns the plans, the batch
+    length and the per-batch value, win and cost totals, of shapes
+    (policies, batches, contracts), (policies, batches, items) and
+    (policies, batches).
     """
     for policy in policies:
         policy.check(inst)
@@ -381,15 +452,16 @@ def _replay(inst: ProblemInstance, policies, horizon: float, seed, n_batches: in
         raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
     layout = _Layout(inst)
     plans = [_Plan(layout, policy) for policy in policies]
-    box = tuple(np.maximum.reduce(bounds) for bounds in zip(*(plan.box for plan in plans)))
+    cells = _Cells(layout, plans)
     t_batch = horizon / n_batches
     value = np.zeros((len(plans), n_batches, inst.n_contracts))
     wins = np.zeros((len(plans), n_batches, inst.n_items))
     cost = np.zeros((len(plans), n_batches))
     for b, rng in enumerate(_batch_rngs(seed, n_batches)):
-        draws = _draw_batch(rng, layout, t_batch, deterministic, box)
-        for p, plan in enumerate(plans):
-            value[p, b], wins[p, b], cost[p, b] = plan.replay(draws)
+        counts, u = _draw_batch(rng, cells, t_batch, deterministic)
+        price = cells.price(counts, u)
+        for p in range(len(plans)):
+            value[p, b], wins[p, b], cost[p, b] = cells.replay(p, counts, price)
     return plans, t_batch, value, wins, cost
 
 
@@ -408,8 +480,8 @@ def simulate(
 
     The horizon splits into ``n_batches`` equal batches with independent RNG
     streams spawned from ``seed``, a nonnegative integer; standard errors
-    come from the spread of the batch means.  Each batch draws only the
-    arrivals the policy can win, so the draws depend on the policy.
+    come from the spread of the batch means.  Each batch draws counts only
+    on the cells of the policy's own box, so the draws depend on the policy.
     ``csv_path`` dumps the cumulative fulfillment-rate time series per
     contract, ``json_path`` the full report.
     """

@@ -64,12 +64,13 @@ def ks_distance(curve, samples: np.ndarray, grid: int = 4096) -> float:
 
 
 def replay_per_arrival(inst, policy, order, counts, u_price, u_sel):
-    """One batch of the simulator's draws replayed one arrival at a time.
+    """One batch of explicit points replayed one arrival at a time.
 
-    ``counts[p]`` arrivals of item ``order[p]`` take the next uniforms in
-    turn.  Each arrival picks its contract by a search over the item's own
-    running weights, and wins when the price ``curve.inverse(u)`` is at most
-    the bid.  Returns per-contract value, per-item wins and cost.
+    ``counts[p]`` arrivals of item ``order[p]`` take the next price quantiles
+    and selection coordinates in turn.  Each arrival picks its contract by a
+    search over the item's own running weights, and wins when the price
+    ``curve.inverse(u)`` is at most the bid.  Returns per-contract value,
+    per-item wins and cost.
     """
     value = np.zeros(inst.n_contracts)
     wins = np.zeros(inst.n_items)

@@ -233,6 +233,16 @@ MISSPELT = {"family": "exponential", "params": {"rate": 1.0, "scael": 2.0}}
                  id="unknown-curve-parameter"),
     pytest.param("budget", {"items": [{"rate": 1.0, "curve": MISSPELT, "auction": "second_price"}],
                             "values": [1.0], "budget": 0.5}, id="budget-unknown-curve-parameter"),
+    # a JSON list where an object belongs
+    pytest.param("solve", {**SCALAR, "items": [{**SCALAR["items"][0], "curve": [1]}]}, id="curve-list"),
+    pytest.param("solve", {**SCALAR, "items": [{**SCALAR["items"][0], "curve": {"family": "empirical",
+                                                                               "params": [1]}}]},
+                 id="empirical-params-list"),
+    pytest.param("solve", {**SCALAR, "contracts": [{**SCALAR["contracts"][0], "valuations": [1]}]},
+                 id="valuations-list"),
+    pytest.param("budget", {"items": [{"rate": 1.0, "curve": [1], "auction": "second_price"}],
+                            "values": [1.0], "budget": 0.5}, id="budget-curve-list"),
+    pytest.param("markowitz", {**MARKOWITZ, "lob": [[1], [1]]}, id="markowitz-lob-list"),
 ])
 def test_malformed_document_exits_1(tmp_path, capsys, command, doc):
     # one message line, no traceback

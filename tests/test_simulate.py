@@ -356,50 +356,153 @@ def per_item_predictions(inst, policy):
     return value, inst.rates * mix * win, float(np.sum(inst.rates * mix * pay))
 
 
+def other_policy(inst):
+    """Against ``oracle_instance``'s policy: higher bids on some items, lower
+    weights on others, and e1's weight split onto its first edge."""
+    spec = {  # id: (bid, weights)
+        "e2": (1.4, [0.1, 0.2, 0.3]), "e1": (0.4, [0.5, 0.3]), "h2": (2.0, [0.2, 0.3]),
+        "h1": (0.5, [0.4]), "u2": (1.0, [0.25, 0.75]), "u1": (1.2, [0.3]), "p2": (0.5, [1.0]),
+        "p1": (0.9, [0.4]), "f2": (0.6, [0.5, 0.5]), "f1": (1.5, [0.2, 0.3]), "gap": (0.5, [1.0]),
+        "lone": (1.0, []), "rare": (1.0, [0.5]),
+    }
+    gamma = np.zeros(inst.n_edges)
+    for j, item in enumerate(inst.items):
+        gamma[inst.item_edges(j)] = spec[item.id][1]
+    return BidPolicy(bids=np.array([spec[it.id][0] for it in inst.items]), gamma=gamma)
+
+
+def cells_of(inst, policies):
+    """The layout and the cells of the policies' union box."""
+    layout = simulate_module._Layout(inst)
+    plans = [simulate_module._Plan(layout, policy) for policy in policies]
+    return layout, simulate_module._Cells(layout, plans)
+
+
+def box_of(inst, policy):
+    """Per item W(b) through curve.eval and the total weight, each clipped to 1."""
+    thr = np.array([float(it.curve.eval(float(x))) for it, x in zip(inst.items, policy.bids)])
+    mix = np.zeros(inst.n_items)
+    np.add.at(mix, inst.edge_j, np.maximum(policy.gamma, 0.0))
+    return np.minimum(thr, 1.0), np.minimum(mix, 1.0)
+
+
+def test_cells_tile_the_box():
+    inst, first = oracle_instance()
+    ids = [it.id for it in inst.items]
+    zero = [inst.item_edges(ids.index("e2"))[1], inst.item_edges(ids.index("e1"))[0],
+            inst.item_edges(ids.index("h2"))[0]]
+    for policies in ([first], [first, other_policy(inst)]):
+        layout, cells = cells_of(inst, policies)
+        item = layout.order[cells.pos]
+        boxes = [box_of(inst, policy) for policy in policies]
+        thr, mix = (np.maximum.reduce(side) for side in zip(*boxes))
+        # the cells' areas sum to the union box, and no two cells overlap
+        area = np.bincount(item, weights=cells.area, minlength=inst.n_items)
+        assert area == pytest.approx(thr * mix, rel=1e-12, abs=0.0)
+        assert np.all(cells.u_lo < cells.u_hi) and np.all(cells.v_lo < cells.v_hi)
+        for j in range(inst.n_items):
+            at = np.flatnonzero(item == j)
+            apart = ((cells.u_hi[at, None] <= cells.u_lo[at]) | (cells.u_hi[at] <= cells.u_lo[at, None])
+                     | (cells.v_hi[at, None] <= cells.v_lo[at]) | (cells.v_hi[at] <= cells.v_lo[at, None]))
+            assert np.all(apart | np.eye(at.size, dtype=bool))
+        for policy, edge, (_, own_mix) in zip(policies, cells.edge, boxes):
+            # each cell bids for a positive-weight edge of its item, the one
+            # whose running-weight interval holds the cell, or abstains above
+            # the item's total weight
+            bids = edge >= 0
+            assert np.all(inst.edge_j[edge[bids]] == item[bids])
+            assert np.all(policy.gamma[edge[bids]] > 0.0)
+            assert np.all(cells.v_lo[~bids] >= own_mix[item[~bids]] - 1e-15)
+            for c in np.flatnonzero(bids):
+                edges = inst.item_edges(int(item[c]))
+                cum = np.cumsum(np.maximum(policy.gamma[edges], 0.0))
+                k = int(np.flatnonzero(edges == edge[c])[0])
+                assert (cum[k - 1] if k else 0.0) <= cells.v_lo[c] and cells.v_hi[c] <= cum[k]
+        # the first policy's zero weights: between two edges (e2), leading
+        # (e1) and clipped from below 0 (h2)
+        assert not set(zero) & set(cells.edge[0].tolist())
+    # one policy: one cell per positive-weight edge of an item it can win
+    _, cells = cells_of(inst, [first])
+    thr, _ = box_of(inst, first)
+    live = np.flatnonzero((first.gamma > 0.0) & (thr[inst.edge_j] > 0.0))
+    assert np.array_equal(np.sort(cells.edge[0]), live)
+
+
+def expand_cells(cells, counts, u, rng):
+    """A batch's cells as explicit points, item-contiguous in position order.
+
+    A priced cell's points take the batch's own price quantiles; every other
+    quantile and every selection coordinate is uniform on the point's cell.
+    Returns the point counts per position, the quantiles and the selection
+    coordinates, as ``replay_per_arrival`` reads them.
+    """
+    u_all = rng.uniform(np.repeat(cells.u_lo, counts), np.repeat(cells.u_hi, counts))
+    priced = np.zeros(counts.size, dtype=bool)
+    priced[cells.priced] = True
+    u_all[np.repeat(priced, counts)] = u
+    v_all = rng.uniform(np.repeat(cells.v_lo, counts), np.repeat(cells.v_hi, counts))
+    per_pos = np.bincount(cells.pos, weights=counts, minlength=cells.rank.size).astype(int)
+    return per_pos, u_all, v_all
+
+
+def replay_against_oracle(inst, policies, horizon, n_batches, seed):
+    """Replay each batch's cells and, point by point, the per-arrival oracle.
+
+    Checks that they agree and that each policy wins exactly the cells of
+    its own sub-box [0, W(b)) x [0, mix); returns the cost rates per policy
+    and batch and the share of each batch's points each policy wins.
+    """
+    layout, cells = cells_of(inst, policies)
+    item = layout.order[cells.pos]
+    t_batch = horizon / n_batches
+    costs, shares = np.zeros((len(policies), n_batches)), np.zeros((len(policies), n_batches))
+    points = np.random.default_rng(seed + 1)
+    for b, rng in enumerate(simulate_module._batch_rngs(seed, n_batches)):
+        counts, u = simulate_module._draw_batch(rng, cells, t_batch, False)
+        price = cells.price(counts, u)
+        per_pos, u_all, v_all = expand_cells(cells, counts, u, points)
+        for k, policy in enumerate(policies):
+            value, wins, cost = cells.replay(k, counts, price)
+            o_value, o_wins, o_cost = replay_per_arrival(inst, policy, layout.order, per_pos, u_all, v_all)
+            assert np.array_equal(wins, o_wins)
+            # the replay sums per-cell totals, the oracle one point at a
+            # time: equal up to the summation order
+            assert value == pytest.approx(o_value, rel=1e-12)
+            assert cost == pytest.approx(o_cost, rel=1e-12)
+            thr, mix = box_of(inst, policy)
+            inside = ((cells.u_lo + cells.u_hi) / 2 < thr[item]) & ((cells.v_lo + cells.v_hi) / 2 < mix[item])
+            assert np.array_equal(wins, np.bincount(item[inside], weights=counts[inside], minlength=inst.n_items))
+            costs[k, b] = o_cost / t_batch
+            shares[k, b] = counts[inside].sum() / counts.sum()
+    return costs, shares
+
+
 def test_flat_replay_matches_per_arrival_oracle():
     inst, policy = oracle_instance()
-    layout = simulate_module._Layout(inst)
-    plan = simulate_module._Plan(layout, policy)
-    for rng in simulate_module._batch_rngs(5, 3):
-        counts, _, u_price, u_sel = draws = simulate_module._draw_batch(rng, layout, 150.0, False, plan.box)
-        assert counts[layout.rank[-1]] == 0  # the rare item
-        value, wins, cost = plan.replay(draws)
-        o_value, o_wins, o_cost = replay_per_arrival(inst, policy, layout.order, counts, u_price, u_sel)
-        assert np.array_equal(wins, o_wins)
-        # the replay credits each edge its hit count times its value, the
-        # oracle one value per arrival: equal up to the summation order
-        assert value == pytest.approx(o_value, rel=1e-12)
-        assert cost == pytest.approx(o_cost, rel=1e-12)
-        # the draws hold only the policy's own box, so every drawn point wins
-        assert np.array_equal(wins, counts[layout.rank])
-        # every branch is exercised: the winning items are exactly those with
-        # a positive bid, weight and W(b) on some edge
-        assert set(np.flatnonzero(wins)) == {
-            j for j, it in enumerate(inst.items) if it.id not in ("h1", "lone", "rare")
-        }
-    p2 = [it.id for it in inst.items].index("p2")
-    assert plan.win[p2] == inst.items[p2].curve.total_mass == 0.5625
-
-
-def test_one_edge_lookup_picks_what_the_search_picks():
-    inst, policy = oracle_instance()
-    layout = simulate_module._Layout(inst)
-    plan = simulate_module._Plan(layout, policy)
-    # the positions whose positive weight sits on one edge, zero weights
-    # before it (e1) and a negative weight clipped to 0 (h2) included
-    assert {inst.items[layout.order[p]].id for p in plan.lone_pos} == {
-        "e1", "h2", "h1", "u1", "p2", "p1", "gap", "rare"
+    _, shares = replay_against_oracle(inst, [policy], horizon=450.0, n_batches=3, seed=5)
+    # the cells hold only the policy's own box, so every drawn point wins
+    assert np.all(shares == 1.0)
+    # every branch is exercised: the winning items are exactly those with a
+    # positive bid, weight and W(b) on some edge
+    report = simulate(inst, policy, horizon=450.0, seed=5, n_batches=3)
+    assert set(np.flatnonzero(report.win_rate)) == {
+        j for j, it in enumerate(inst.items) if it.id not in ("h1", "lone", "rare")
     }
-    lone = np.full(inst.n_items, -1)
-    lone[plan.lone_pos] = plan.lone_edge
-    for rng in simulate_module._batch_rngs(8, 3):
-        _, pos, _, u_sel = simulate_module._draw_batch(rng, layout, 150.0, False, plan.box)
-        searched = np.searchsorted(plan.keys, pos + 1j * u_sel, side="right")
-        # the search never lands on a zero-weight edge
-        assert np.all(plan.gamma[layout.edges[searched]] > 0.0)
-        at = lone[pos] >= 0
-        assert 0 < at.sum() < at.size
-        assert np.array_equal(lone[pos[at]], searched[at])
+    layout, cells = cells_of(inst, [policy])
+    p2 = [it.id for it in inst.items].index("p2")
+    assert np.bincount(layout.order[cells.pos], weights=cells.area)[p2] == inst.items[p2].curve.total_mass * 0.6
+
+
+def test_ab_policies_win_their_own_sub_boxes():
+    inst, first = oracle_instance()
+    policies = [first, other_policy(inst)]
+    horizon, n_batches, seed = 300.0, 4, 17
+    costs, shares = replay_against_oracle(inst, policies, horizon, n_batches, seed)
+    # each policy's win set is a proper sub-box of the shared points
+    assert np.all((0.0 < shares) & (shares < 1.0))
+    cmp = ab_compare(inst, policies, horizon=horizon, seed=seed, n_batches=n_batches)
+    assert cmp.cost_rate == pytest.approx(costs.mean(axis=1), rel=1e-12)
+    assert cmp.delta_cost[1] == pytest.approx((costs[1] - costs[0]).mean(), rel=1e-12)
 
 
 def test_box_draws_are_calibrated():
@@ -418,70 +521,55 @@ def test_box_draws_are_calibrated():
     assert np.all(np.abs(wins.var(axis=0, ddof=1) - mu) <= 4.0 * np.sqrt((mu + 2.0 * mu**2) / runs))
 
 
+@pytest.mark.parametrize("deterministic", [False, True], ids=["poisson", "deterministic"])
+def test_edge_hits_are_calibrated(deterministic):
+    # per edge and run, hits are Poisson(lambda t W(b) gamma_e), or under
+    # deterministic arrivals Binomial(round(lambda t), W(b) gamma_e): over S
+    # seeded runs the sample mean has standard deviation sigma / sqrt(S) and
+    # the sample variance about sqrt((mu_4 - sigma^4) / S)
+    inst, policy = oracle_instance()
+    layout, cells = cells_of(inst, [policy])
+    t_batch, runs = 4.0, 300
+    edge = cells.edge[0]
+    hits, wins = np.zeros((runs, inst.n_edges)), np.zeros((runs, inst.n_items))
+    for r, rng in enumerate(simulate_module._batch_rngs(29, runs)):
+        counts, u = simulate_module._draw_batch(rng, cells, t_batch, deterministic)
+        hits[r] = np.bincount(edge, weights=counts, minlength=inst.n_edges)
+        wins[r] = cells.replay(0, counts, cells.price(counts, u))[1]
+    thr, _ = box_of(inst, policy)
+    p = thr[inst.edge_j] * np.maximum(policy.gamma, 0.0)
+    if deterministic:
+        n = np.round(inst.rates * t_batch)
+        assert np.all(wins <= n)
+        mean, var = n[inst.edge_j] * p, n[inst.edge_j] * p * (1.0 - p)
+        mu_4 = var * (1.0 + 3.0 * (n[inst.edge_j] - 2.0) * p * (1.0 - p))
+    else:
+        mean = var = inst.rates[inst.edge_j] * t_batch * p
+        mu_4 = var + 3.0 * var**2
+    assert np.all(np.abs(hits.mean(axis=0) - mean) <= 4.0 * np.sqrt(var / runs))
+    assert np.all(np.abs(hits.var(axis=0, ddof=1) - var) <= 4.0 * np.sqrt((mu_4 - var**2) / runs))
+    # the zero weights never hit
+    assert np.all(hits[:, policy.gamma <= 0.0] == 0.0)
+
+
 def test_deterministic_box_draws_never_exceed_the_arrivals():
     # under deterministic arrivals a batch holds round(lambda t) arrivals per
     # item, and the box keeps Binomial(round(lambda t), W(b) mix) of them
     inst, policy = oracle_instance()
-    layout = simulate_module._Layout(inst)
-    plan = simulate_module._Plan(layout, policy)
+    layout, cells = cells_of(inst, [policy])
     t_batch, batches = 4.0, 400
     n = np.round(inst.rates * t_batch)
-    wins = np.array([
-        plan.replay(simulate_module._draw_batch(rng, layout, t_batch, True, plan.box))[1]
-        for rng in simulate_module._batch_rngs(3, batches)
-    ])
+    wins = np.zeros((batches, inst.n_items))
+    for b, rng in enumerate(simulate_module._batch_rngs(3, batches)):
+        counts, u = simulate_module._draw_batch(rng, cells, t_batch, True)
+        wins[b] = cells.replay(0, counts, cells.price(counts, u))[1]
     assert np.all(wins <= n)
-    p = plan.thr[layout.rank] * plan.mix[layout.rank]
+    thr, mix = box_of(inst, policy)
+    p = thr * mix
     full = p == 1.0  # u2 bids above x_bar with weight 1
     assert full.sum() == 1 and np.all(wins[:, full] == n[full])
     sd = np.sqrt(n * p * (1.0 - p) / batches)
     assert np.all(np.abs(wins.mean(axis=0) - n * p) <= 4.0 * sd)
-
-
-def other_policy(inst):
-    """Against ``oracle_instance``'s policy: higher bids on some items, lower
-    weights on others, and e1's weight split onto its first edge."""
-    spec = {  # id: (bid, weights)
-        "e2": (1.4, [0.1, 0.2, 0.3]), "e1": (0.4, [0.5, 0.3]), "h2": (2.0, [0.2, 0.3]),
-        "h1": (0.5, [0.4]), "u2": (1.0, [0.25, 0.75]), "u1": (1.2, [0.3]), "p2": (0.5, [1.0]),
-        "p1": (0.9, [0.4]), "f2": (0.6, [0.5, 0.5]), "f1": (1.5, [0.2, 0.3]), "gap": (0.5, [1.0]),
-        "lone": (1.0, []), "rare": (1.0, [0.5]),
-    }
-    gamma = np.zeros(inst.n_edges)
-    for j, item in enumerate(inst.items):
-        gamma[inst.item_edges(j)] = spec[item.id][1]
-    return BidPolicy(bids=np.array([spec[it.id][0] for it in inst.items]), gamma=gamma)
-
-
-def test_ab_policies_win_their_own_sub_boxes():
-    inst, first = oracle_instance()
-    policies = [first, other_policy(inst)]
-    layout = simulate_module._Layout(inst)
-    plans = [simulate_module._Plan(layout, policy) for policy in policies]
-    union = tuple(np.maximum(a, b) for a, b in zip(plans[0].box, plans[1].box))
-    horizon, n_batches, seed = 300.0, 4, 17
-    t_batch = horizon / n_batches
-    costs = np.zeros((2, n_batches))
-    for b, rng in enumerate(simulate_module._batch_rngs(seed, n_batches)):
-        counts, pos, u_price, u_sel = draws = simulate_module._draw_batch(rng, layout, t_batch, False, union)
-        item = layout.order[pos]
-        for k, (policy, plan) in enumerate(zip(policies, plans)):
-            value, wins, cost = plan.replay(draws)
-            # the win set is the policy's own box [0, W(b)] x [0, mix) of the shared points
-            thr = np.array([float(it.curve.eval(float(x))) for it, x in zip(inst.items, policy.bids)])
-            mix = np.zeros(inst.n_items)
-            np.add.at(mix, inst.edge_j, np.maximum(policy.gamma, 0.0))
-            inside = (u_price <= thr[item]) & (u_sel < mix[item])
-            assert np.array_equal(wins, np.bincount(item[inside], minlength=inst.n_items))
-            assert 0 < inside.sum() < inside.size  # a proper sub-box of the shared points
-            o_value, o_wins, o_cost = replay_per_arrival(inst, policy, layout.order, counts, u_price, u_sel)
-            assert np.array_equal(wins, o_wins)
-            assert value == pytest.approx(o_value, rel=1e-12)
-            assert cost == pytest.approx(o_cost, rel=1e-12)
-            costs[k, b] = o_cost / t_batch
-    cmp = ab_compare(inst, policies, horizon=horizon, seed=seed, n_batches=n_batches)
-    assert cmp.cost_rate == pytest.approx(costs.mean(axis=1), rel=1e-12)
-    assert cmp.delta_cost[1] == pytest.approx((costs[1] - costs[0]).mean(), rel=1e-12)
 
 
 def test_grouped_predictions_match_per_item_route():
@@ -507,13 +595,43 @@ def test_replay_work_is_one_quantile_call_per_group_and_batch(monkeypatch):
         calls.append(q.size)
         return quantile(q, rate)
 
+    class CountingRng:
+        """A batch's generator that counts the uniforms it draws."""
+
+        def __init__(self, rng):
+            self.rng, self.uniforms = rng, 0
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def random(self, *args, **kwargs):
+            out = self.rng.random(*args, **kwargs)
+            self.uniforms += np.size(out)
+            return out
+
+        def uniform(self, *args, **kwargs):
+            out = self.rng.uniform(*args, **kwargs)
+            self.uniforms += np.size(out)
+            return out
+
+    rngs = []
+    spawn = simulate_module._batch_rngs
+
+    def counting_rngs(seed, n_batches):
+        rngs.extend(CountingRng(rng) for rng in spawn(seed, n_batches))
+        return rngs
+
     monkeypatch.setattr(Exponential, "quantile", staticmethod(counted))
+    monkeypatch.setattr(simulate_module, "_batch_rngs", counting_rngs)
     horizon = 1e5 / float(inst.rates.sum())
     report = simulate(inst, policy, horizon=horizon, seed=2026, n_batches=20)
     # one (exponential, second price) group: the per-item replay made 7,965
     # inverse calls here
-    assert 0 < len(calls) <= 20
+    assert len(calls) == 20
     assert sum(calls) == pytest.approx(report.win_rate.sum() * horizon)
+    # each batch draws a uniform only for a second-price win's price, none
+    # to select a contract
+    assert all(rng.uniforms <= wins for rng, wins in zip(rngs, calls, strict=True))
     value, win, cost = per_item_predictions(inst, policy)
     assert np.array_equal(report.predicted_value_rate, value)
     assert np.array_equal(report.predicted_win_rate, win)
