@@ -18,6 +18,10 @@ replays, with n_k comparisons in replay k (its contracts, or 1 for the cost) and
 two-sided tail of Student's t with 19 degrees of freedom beyond 3.
 Each plan's bids (`primal.x`) are saved too, and `--compare` prints how many instances' bids,
 and how many replay z-scores, differ bitwise from the saved ones.
+Each instance's edge count and master LP rows (n contracts + 2 per item with an edge) are saved,
+and `--compare` splits the master LP solves, simplex iterations and solve seconds at
+`_ALL_EDGES_PER_ROW` edges per master row, where the master starts from every edge column
+(`n/a` for a save without the sizes).
 """
 import argparse
 import sys
@@ -33,6 +37,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from bidopt import NotConverged, policy_from_primal, random_instance, simulate, solve  # noqa: E402
 from bidopt.cli import _chain_instance  # noqa: E402
 from bidopt.model import _lp_work  # noqa: E402
+from bidopt.solver import _ALL_EDGES_PER_ROW  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
@@ -72,6 +77,7 @@ def replay_z(inst, sol, seed: int) -> tuple[float, float]:
 def run() -> dict:
     rows = []
     for index, (inst, kw) in enumerate(corpus()):
+        size = inst.n_edges, inst.n_contracts + 2 * np.count_nonzero(inst.item_major[2])
         before, start = dict(_lp_work), time.perf_counter()
         try:
             sol = solve(inst, **kw)
@@ -81,17 +87,17 @@ def run() -> dict:
                 time.perf_counter() - start)
         if sol is None:
             rows.append((np.full(inst.n_contracts, np.nan), np.full(inst.n_items, np.nan), *[np.nan] * 4, False,
-                         np.nan, *work, np.nan, np.nan, np.nan))
+                         np.nan, *work, np.nan, np.nan, np.nan, *size))
             continue
         rep = sol.report
         start = time.perf_counter()
         z = replay_z(inst, sol, index) if rep.passed else (np.nan, np.nan)
         replay_s = time.perf_counter() - start if rep.passed else np.nan
         rows.append((sol.dual.rho, sol.primal.x, rep.dual_value, rep.primal_value, rep.gap, rep.max_comp_slack,
-                     rep.passed, sol.iterations, *work, *z, replay_s))
+                     rep.passed, sol.iterations, *work, *z, replay_s, *size))
     rho, bids, *rest = zip(*rows)
     names = ("D", "P", "gap", "comp", "certified", "master_solves", "lp_solves", "lp_iterations", "solve_s",
-             "replay_value_z", "replay_cost_z", "replay_s")
+             "replay_value_z", "replay_cost_z", "replay_s", "n_edges", "master_rows")
     out = dict(zip(names, map(np.asarray, rest)))
     return dict(out, rho=np.concatenate(rho), rho_len=np.array([r.size for r in rho]),
                 bids=np.concatenate(bids), bids_len=np.array([b.size for b in bids]))
@@ -105,6 +111,13 @@ def differ_bitwise(now: dict, old: dict, key: str) -> int:
     else:
         pairs = zip(now[key], old[key])
     return sum(not np.array_equal(a, b, equal_nan=True) for a, b in pairs)
+
+
+def all_edges(run: dict):
+    """Which instances have at most _ALL_EDGES_PER_ROW edges per master row (None for a save without sizes)."""
+    if "n_edges" not in run:
+        return None
+    return run["n_edges"] <= _ALL_EDGES_PER_ROW * run["master_rows"]
 
 
 def main() -> None:
@@ -136,6 +149,14 @@ def main() -> None:
                            ("replay_s", "replay seconds", ".1f")):
         total = [f"{np.nansum(run[key]):{fmt}}" if key in run else "n/a" for run in (now, old)]
         print(f"{what}: {total[0]} (saved {total[1]})")
+    sides = [(side, all_edges(side)) for side in (now, old)]
+    split = [f"{few.sum()} of {few.size}" if few is not None else "n/a" for _, few in sides]
+    print(f"instances with <= {_ALL_EDGES_PER_ROW} edges per master row: {split[0]} (saved {split[1]})")
+    for key, what, fmt in (("master_solves", "master LP solves", ".0f"), ("lp_iterations", "simplex iterations", ".0f"),
+                           ("solve_s", "solve seconds", ".1f")):
+        total = [f"{np.nansum(side[key][few]):{fmt}} / {np.nansum(side[key][~few]):{fmt}}"
+                 if few is not None and key in side else "n/a" for side, few in sides]
+        print(f"{what} at <= / > {_ALL_EDGES_PER_ROW} edges per master row: {total[0]} (saved {total[1]})")
     tail = 2.0 * float(student_t.sf(3.0, REPLAY_BATCHES - 1))
     for k, comparisons in (("value", now["rho_len"]), ("cost", np.ones_like(now["rho_len"]))):
         z = [run.get(f"replay_{k}_z") for run in (now, old)]

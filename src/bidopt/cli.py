@@ -76,6 +76,7 @@ from .simulate import BidPolicy, policy_from_primal, simulate
 from .solver import (
     InfeasibleInstance,
     NotConverged,
+    primal_from_json,
     solution_from_json,
     solution_to_json,
     solve,
@@ -127,11 +128,12 @@ def _parse_instance(obj: dict, path) -> ProblemInstance:
         raise ParseError(f"{path}: bad instance: {exc}") from exc
 
 
-def _parse_solution(inst: ProblemInstance, obj: dict, path):
+def _parse_solution(inst: ProblemInstance, obj: dict, path, read=solution_from_json):
+    """`read` of the document's solution entry: `solution_from_json`, or `primal_from_json` for the plan alone."""
     if "solution" not in obj:
         raise ParseError(f"{path}: no 'solution' entry; run `solve` first")
     try:
-        return solution_from_json(inst, obj["solution"])
+        return read(inst, obj["solution"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad solution: {exc}") from exc
 
@@ -208,8 +210,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{args.input}: bad policy: {exc}") from exc
     elif "solution" in obj:
-        sol = _parse_solution(inst, obj, args.input)
-        policy = policy_from_primal(inst, sol.primal)
+        # the replay needs only the plan: neither D(rho) nor the certificate
+        *_, primal = _parse_solution(inst, obj, args.input, primal_from_json)
+        policy = policy_from_primal(inst, primal)
     else:
         sol = solve(inst, tol=args.tol, margin=args.margin)
         policy = policy_from_primal(inst, sol.primal)

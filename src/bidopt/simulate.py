@@ -425,13 +425,21 @@ def _write_fulfillment_csv(path, inst: ProblemInstance, t_batch: float, batch_va
             w.writerow([f"{t:.10g}"] + [f"{x / t:.10g}" for x in cum[b]])
 
 
+# the most points one batch may draw in expectation; each second-price point
+# takes a float64 price quantile, so 2**26 of them take 512 MiB
+_MAX_BATCH_POINTS = 2**26
+
+
 def _replay(inst: ProblemInstance, policies, horizon: float, seed, n_batches: int, deterministic: bool):
-    """Check the arguments before any work, then replay every policy against one draw per batch.
+    """Check the arguments before any draw, then replay every policy against one draw per batch.
 
     The union of the policies' boxes (per item the largest W(b) and the
     largest total weight; for one policy its own box) is cut into cells
     once; each batch draws their counts and second-price payments once, and
-    every policy sums the cells it wins.  Returns the plans, the batch
+    every policy sums the cells it wins.  A batch that would draw more than
+    _MAX_BATCH_POINTS points in expectation raises ValueError: Poisson
+    arrivals draw only the points in the union box, deterministic arrivals
+    count every arrival.  Returns the plans, the batch
     length and the per-batch value, win and cost totals, of shapes
     (policies, batches, contracts), (policies, batches, items) and
     (policies, batches).
@@ -454,6 +462,10 @@ def _replay(inst: ProblemInstance, policies, horizon: float, seed, n_batches: in
     plans = [_Plan(layout, policy) for policy in policies]
     cells = _Cells(layout, plans)
     t_batch = horizon / n_batches
+    points = t_batch * float(np.sum(cells.arrival_rates if deterministic else cells.rates))
+    if not points <= _MAX_BATCH_POINTS:
+        raise ValueError(f"horizon {horizon:g} puts {points:.3g} expected points in each of its {n_batches} "
+                         f"batches, above the {_MAX_BATCH_POINTS} a batch may draw")
     value = np.zeros((len(plans), n_batches, inst.n_contracts))
     wins = np.zeros((len(plans), n_batches, inst.n_items))
     cost = np.zeros((len(plans), n_batches))

@@ -63,6 +63,7 @@ __all__ = [
     "solve_uniform_bid",
     "solution_to_json",
     "solution_from_json",
+    "primal_from_json",
 ]
 
 
@@ -388,8 +389,19 @@ class _MasterLP:
         return cols
 
 
+# the master starts from every edge column when the instance has at most this
+# many edges per master row (n contracts + 2 m2 items with edges); each wave
+# of lazily found edges costs a master solve, while a column present from the
+# start costs only pricing.  Over the 868 instances of scripts/census.py,
+# seeding every instance with all edges cuts master LP solves from 4,902 to
+# 3,254 but slows the cold first solve of large ones (the 60 x 400 benchmark
+# draw, 4.26 edges per row: 1,641 -> 2,022 simplex iterations, 22 -> 57 ms on
+# 2 cores); at 3 the census takes 3,366 master solves, and that draw and
+# test_06 (14.7 edges per row) keep the lazy path
+_ALL_EDGES_PER_ROW = 3
+
 # a termination guard: the master stops on a verdict, its gap or its stall
-# test well before it (at most 18 solves over the 868 instances of
+# test well before it (at most 17 solves over the 868 instances of
 # scripts/census.py)
 _MASTER_SOLVES = 60
 
@@ -412,9 +424,11 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     never rises at a fixed box (the stall test below stays sound) and stays
     an upper bound on the dual optimum.
 
-    The edge cuts mu_j >= v_ij rho_i are generated lazily (delayed column
-    generation): the model starts with the edges within 5% of their item's
-    max at the incoming point, and after every solve each item's first
+    The edge cuts mu_j >= v_ij rho_i enter the model as columns.  On an
+    instance with at most _ALL_EDGES_PER_ROW edges per master row the model
+    starts with all of them; otherwise they are generated lazily (delayed
+    column generation): the model starts with the edges within 5% of their
+    item's max at the incoming point, and after every solve each item's first
     argmax edge at the LP's rho joins it when the LP's mu_j violates that
     edge's cut.  Dropping cuts only enlarges the feasible set of rho, so the
     model value stays an upper bound on the dual optimum and the returned
@@ -464,8 +478,11 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
                     np.column_stack([win[nz], np.ones(m2)]), np.full(m2, -1))
 
     mu_w = inst.mu_of(best_rho)
-    mu_e = mu_w[inst.edge_j]
-    add_edge_cols(np.flatnonzero(mu_e - inst.edge_v * best_rho[inst.edge_i] <= 0.05 * mu_e))
+    if inst.n_edges <= _ALL_EDGES_PER_ROW * (n + 2 * m2):
+        add_edge_cols(np.arange(inst.n_edges))
+    else:
+        mu_e = mu_w[inst.edge_j]
+        add_edge_cols(np.flatnonzero(mu_e - inst.edge_v * best_rho[inst.edge_i] <= 0.05 * mu_e))
     for f in (0.5, 1.0, 2.0, 8.0):
         add_tangents(f * mu_w, *inst.groups.conj_win(f * mu_w))
     bound = last_model = math.inf
@@ -825,12 +842,12 @@ def solution_to_json(inst: ProblemInstance, sol: Solution) -> dict:
     }
 
 
-def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
-    """Rebuild a Solution from its JSON form.
+def primal_from_json(inst: ProblemInstance, obj: dict) -> tuple[np.ndarray, np.ndarray, PrimalSolution]:
+    """Read a Solution's JSON form: (rho, mu, primal solution), every entry checked.
 
-    Every derived value (dual and primal value, mixing weights, eps_active
-    and the certificate) is recomputed, not trusted; only the iteration
-    count is read as written.
+    The mixing weights and the primal value are recomputed, not trusted.
+    Neither D(rho) nor the certificate is evaluated (`solution_from_json`
+    adds both), so a replay reads its plan without them.
     """
     rho, mu, s, bids = (np.asarray(obj[key], dtype=float) for key in ("rho", "mu", "s", "bids"))
     if rho.shape != (inst.n_contracts,) or any(a.shape != (inst.n_items,) for a in (mu, s, bids)):
@@ -838,8 +855,6 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
     for key, a in zip(("rho", "mu", "s", "bids"), (rho, mu, s, bids)):
         if not np.all(np.isfinite(a)):  # a JSON null reads as NaN
             raise ValueError(f"solution {key} has a null or non-finite entry")
-    theta = mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]
-    dual = DualSolution(rho=rho, mu=mu, theta=theta, dual_value=_dual_value(inst, rho))
 
     # each entry's edge by the contract-major key edge_i * n_items + edge_j, strictly increasing
     c_pos, j_pos = inst.positions
@@ -856,12 +871,23 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
         raise ValueError(f"allocation entry {(contract[bad[0]], item[bad[0]])!r} is not an instance edge")
     R = np.zeros(inst.n_edges)
     R[e] = np.fromiter(map(float, val), float, k)  # float() rejects null and other non-numbers
-    primal = PrimalSolution(s=s, R=R, x=bids, gamma=_mixing(inst, s, R), primal_value=_spend_rate(inst, s))
-    report = certify(inst, primal, dual)
+    return rho, mu, PrimalSolution(s=s, R=R, x=bids, gamma=_mixing(inst, s, R), primal_value=_spend_rate(inst, s))
+
+
+def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
+    """Rebuild a Solution from its JSON form (read by `primal_from_json`).
+
+    Every derived value (dual and primal value, mixing weights, eps_active
+    and the certificate) is recomputed, not trusted; only the iteration
+    count is read as written.
+    """
+    rho, mu, primal = primal_from_json(inst, obj)
+    theta = mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]
+    dual = DualSolution(rho=rho, mu=mu, theta=theta, dual_value=_dual_value(inst, rho))
     return Solution(
         dual=dual,
         primal=primal,
-        report=report,
+        report=certify(inst, primal, dual),
         iterations=int(obj.get("iters", 0)),
         eps_active=_eps_active(dual, primal),
     )

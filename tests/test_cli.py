@@ -356,6 +356,43 @@ def test_simulate_bad_policy_exits_1(tmp_path):
     assert main(["simulate", "--input", inp, "--seed", "5"]) == 1
 
 
+def test_simulate_reads_the_plan_without_evaluating_d_or_certifying(tmp_path, capsys, monkeypatch):
+    # the replay needs only the primal plan: D(rho) and the certificate of the
+    # stored solution are never computed, and the report is the one the
+    # certified Solution's policy gives
+    inp = write_json(tmp_path / "inst.json", MIXED)
+    solved = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
+    doc = json.loads(solved.read_text())
+    inst = instance_from_json(doc["instance"])
+    sol = bidopt.solver.solution_from_json(inst, doc["solution"])
+    want = bidopt.simulate(inst, bidopt.policy_from_primal(inst, sol.primal), 500.0, 5).to_json()
+    calls = []
+
+    def counting(name):
+        real = getattr(bidopt.solver, name)
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in ("_dual_value", "certify"):
+        monkeypatch.setattr(bidopt.solver, name, counting(name))
+    capsys.readouterr()
+    assert main(["simulate", "--input", str(solved), "--seed", "5", "--horizon", "500"]) == 0
+    assert calls == []
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(want))
+
+
+@pytest.mark.parametrize("horizon", ["1e17", "1e300"])
+def test_simulate_beyond_the_batch_cap_exits_1(tmp_path, capsys, horizon):
+    # one message line, no traceback, no allocation of the batch
+    inp = write_json(tmp_path / "inst.json", MIXED)
+    solved = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--input", str(solved), "--seed", "5", "--horizon", horizon]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"bidopt: horizon {float(horizon):g} puts")
+
+
 def _shortened(values):
     return values[:-1]
 

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -273,6 +274,32 @@ def test_unnormalized_curve_rejected():
     policy = BidPolicy(bids=np.array([1.0]), gamma=np.array([1.0]))
     with pytest.raises(ValueError, match="mass"):
         simulate(inst, policy, horizon=10.0, seed=0)
+
+
+@pytest.mark.parametrize("deterministic", [False, True], ids=["poisson", "deterministic"])
+@pytest.mark.parametrize("horizon", [1e17, 1e19, 1e300])
+def test_a_horizon_beyond_the_batch_cap_is_rejected_before_any_draw(horizon, deterministic):
+    # each batch would draw far more than 2**26 points; numpy's own errors
+    # were a failed allocation, "lam value too large", "array is too big" and
+    # an invalid cast
+    inst = mixed_instance()
+    policy = BidPolicy(bids=np.ones(inst.n_items), gamma=np.full(inst.n_edges, 0.3))
+    with pytest.raises(ValueError, match="^" + re.escape(f"horizon {horizon:g} puts")):
+        simulate(inst, policy, horizon=horizon, seed=0, deterministic_arrivals=deterministic)
+
+
+def test_the_batch_cap_counts_the_points_a_batch_draws(monkeypatch):
+    # Poisson arrivals draw only the points in the box [0, W(b)) x [0, mix),
+    # here 0.5 x 0.5 of the arrivals; deterministic arrivals count every arrival
+    inst = scalar_instance()
+    policy = BidPolicy(bids=np.array([math.log(2.0)]), gamma=np.array([0.5]))
+    monkeypatch.setattr(simulate_module, "_MAX_BATCH_POINTS", 1000)
+    simulate(inst, policy, horizon=6e4, seed=0)  # 750 points per batch
+    with pytest.raises(ValueError, match="^horizon 100000 puts 1.25e"):
+        simulate(inst, policy, horizon=1e5, seed=0)
+    simulate(inst, policy, horizon=2e4, seed=0, deterministic_arrivals=True)  # 1000 arrivals per batch
+    with pytest.raises(ValueError, match="^horizon 60000 puts 3e"):
+        simulate(inst, policy, horizon=6e4, seed=0, deterministic_arrivals=True)
 
 
 # ---------------------------------------------------------------------------

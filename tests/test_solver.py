@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -26,6 +28,9 @@ from bidopt.solver import (
     solve_dual,
     solve_uniform_bid,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import mixed_pipeline  # noqa: E402
 
 
 def item_cost(item):
@@ -318,6 +323,12 @@ def _fuzz_instance(seed):
     )
 
 
+def _test04_instance(seed):
+    """Draw `seed` of test_04 (seeds 7000-7049): up to 10 x 50, edge probability 0.6."""
+    rng = np.random.default_rng(seed)
+    return random_instance(rng, n_contracts=int(rng.integers(1, 11)), n_items=int(rng.integers(2, 51)))
+
+
 def test_fuzz_draw_84_certifies():
     # fuzz draw 84 (27 x 89, 1949 edges): its tie pattern comes from the
     # flows on the master's edge columns alone
@@ -421,9 +432,8 @@ def test_lazy_master_model_bounds_the_fuzz_duals(monkeypatch):
 
 def test_draws_judged_more_than_once_certify(monkeypatch):
     # a failed verdict inside the master costs one routing LP and the master
-    # goes on: test_04's draw 7001 (census index 1) takes 5 verdicts
-    rng = np.random.default_rng(7001)
-    inst = random_instance(rng, n_contracts=int(rng.integers(1, 11)), n_items=int(rng.integers(2, 51)))
+    # goes on: test_04's draw 7001 (census index 1) takes 2 verdicts
+    inst = _test04_instance(7001)
     sol, _, stats, events = _solve_recording_master(inst, monkeypatch)
     assert stats["routing_lps"] >= 2
     assert stats["master_stop"] == "verdict"
@@ -433,10 +443,9 @@ def test_draws_judged_more_than_once_certify(monkeypatch):
 
 def test_a_snap_below_the_point_it_left_is_judged_and_certifies(monkeypatch):
     # a snap is judged by the routing LP whatever its D: on test_04's draw
-    # 7007 (census index 7) some snap lands below the value of the point it
+    # 7024 (census index 24) some snap lands below the value of the point it
     # was handed, and the solve still certifies
-    rng = np.random.default_rng(7007)
-    inst = random_instance(rng, n_contracts=int(rng.integers(1, 11)), n_items=int(rng.integers(2, 51)))
+    inst = _test04_instance(7024)
     drops = []
     snap = solver._snap
 
@@ -566,10 +575,13 @@ def test_master_edge_columns_route_the_targets(make, monkeypatch):
     assert np.all(np.abs(delivered - inst.targets)[inner] <= 1e-9 * (1.0 + inst.targets[inner]))
 
 
-@pytest.mark.parametrize("make", [pytest.param(mixed_instance, id="mixed"), SPARSE_60X400])
+@pytest.mark.parametrize("make", [pytest.param(lambda: _test04_instance(7007), id="draw-7007"), SPARSE_60X400])
 def test_master_holds_cuts_as_columns(make, monkeypatch):
     # the master's rows are fixed: n contract rows and two rows per item with
-    # an edge; every tangent and edge cut is a column, besides one z_i per contract
+    # an edge; every tangent and edge cut is a column, besides one z_i per
+    # contract.  test_04's draw 7007 (6 x 7, both auctions, 27 edges) starts
+    # from every edge column and the 60 x 400 draw generates them lazily;
+    # both delete tangents
     inst = make()
     m2 = int(inst.item_major[2].sum())
     deleted = []
@@ -635,10 +647,27 @@ def test_master_generates_few_edge_rows():
     # their columns never enter the master LP
     inst = random_sparse_instance(np.random.default_rng(1), 60, 400)
     stats = {}
-    solve_dual(inst, stats=stats)
+    dual = solve_dual(inst, stats=stats)
     assert stats["master_edge_rows"] <= inst.n_edges // 2
+    # 4.26 edges per master row: above _ALL_EDGES_PER_ROW, so the lazy path
+    assert inst.n_edges > solver._ALL_EDGES_PER_ROW * (inst.n_contracts + 2 * int(inst.item_major[2].sum()))
+    assert (stats["master_edge_rows"], stats["master_solves"]) == (940, 11)
+    assert dual.dual_value == 3.5856545039489536
     # every solve holds the edge cuts plus at most one tangent block of 400 cuts per round
     assert stats["master_rows_max"] < inst.n_edges + 400 * stats["master_solves"]
+
+
+def test_master_starts_from_every_edge_on_mixed_pipeline():
+    # the benchmark's mixed-pipeline instances have 1.56, 1.84 and 2.27 edges
+    # per master row, so the master holds every edge column from its first
+    # solve and spends no solve finding edges
+    solves = 0
+    for _, inst in mixed_pipeline():
+        stats = {}
+        solve_dual(inst, stats=stats)
+        assert stats["master_edge_rows"] == inst.n_edges
+        solves += stats["master_solves"]
+    assert solves <= 13  # 21 with the edge columns generated lazily
 
 
 def test_master_deletes_tangents_that_stay_nonbasic(monkeypatch):
