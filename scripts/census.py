@@ -22,6 +22,9 @@ Each instance's edge count and master LP rows (n contracts + 2 per item with an 
 and `--compare` splits the master LP solves, simplex iterations and solve seconds at
 `_ALL_EDGES_PER_ROW` edges per master row, where the master starts from every edge column
 (`n/a` for a save without the sizes).
+Each solve's tie-root work (`Solution.stats`: `tie_root_calls` batched root calls and
+`tie_root_evals` balance evaluations) is saved too, and `--compare` prints their totals
+(`n/a` for a save without them).
 """
 import argparse
 import sys
@@ -87,17 +90,19 @@ def run() -> dict:
                 time.perf_counter() - start)
         if sol is None:
             rows.append((np.full(inst.n_contracts, np.nan), np.full(inst.n_items, np.nan), *[np.nan] * 4, False,
-                         np.nan, *work, np.nan, np.nan, np.nan, *size))
+                         np.nan, *work, np.nan, np.nan, np.nan, *size, np.nan, np.nan))
             continue
         rep = sol.report
         start = time.perf_counter()
         z = replay_z(inst, sol, index) if rep.passed else (np.nan, np.nan)
         replay_s = time.perf_counter() - start if rep.passed else np.nan
         rows.append((sol.dual.rho, sol.primal.x, rep.dual_value, rep.primal_value, rep.gap, rep.max_comp_slack,
-                     rep.passed, sol.iterations, *work, *z, replay_s, *size))
+                     rep.passed, sol.iterations, *work, *z, replay_s, *size,
+                     sol.stats["tie_root_calls"], sol.stats["tie_root_evals"]))
     rho, bids, *rest = zip(*rows)
     names = ("D", "P", "gap", "comp", "certified", "master_solves", "lp_solves", "lp_iterations", "solve_s",
-             "replay_value_z", "replay_cost_z", "replay_s", "n_edges", "master_rows")
+             "replay_value_z", "replay_cost_z", "replay_s", "n_edges", "master_rows", "tie_root_calls",
+             "tie_root_evals")
     out = dict(zip(names, map(np.asarray, rest)))
     return dict(out, rho=np.concatenate(rho), rho_len=np.array([r.size for r in rho]),
                 bids=np.concatenate(bids), bids_len=np.array([b.size for b in bids]))
@@ -146,7 +151,8 @@ def main() -> None:
                     for k in ("gap", "comp")))
     for key, what, fmt in (("master_solves", "master LP solves", ".0f"), ("lp_solves", "LP solves", ".0f"),
                            ("lp_iterations", "simplex iterations", ".0f"), ("solve_s", "solve seconds", ".1f"),
-                           ("replay_s", "replay seconds", ".1f")):
+                           ("replay_s", "replay seconds", ".1f"), ("tie_root_calls", "tie-root calls", ".0f"),
+                           ("tie_root_evals", "tie-root balance evaluations", ".0f")):
         total = [f"{np.nansum(run[key]):{fmt}}" if key in run else "n/a" for run in (now, old)]
         print(f"{what}: {total[0]} (saved {total[1]})")
     sides = [(side, all_edges(side)) for side in (now, old)]

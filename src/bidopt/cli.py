@@ -1,7 +1,8 @@
 """Command-line front end: solve, certify, simulate, and export figure data.
 
 Every command reads plain JSON and writes JSON or CSV so runs can be
-scripted, diffed, and replayed.  Artifacts are deterministic given
+scripted, diffed, and replayed.  JSON is written compact with sorted keys
+(``python -m json.tool`` indents it).  Artifacts are deterministic given
 (input, seed, tol).  ``budget`` writes an unbounded bid (a slack budget on a
 curve with no largest useful bid) as null.
 
@@ -32,7 +33,8 @@ reads, and any other option is a usage error::
 ``--tol``, ``--margin`` and ``--horizon`` must be positive.
 
 Exit codes: 0 success; 1 unreadable or malformed input (an instance with no
-contracts, or a solution with a null entry, included); 2 infeasible
+contracts, a solution with a null entry or a non-integer ``iters``, or a
+JSON integer too large for a float, included); 2 infeasible
 instance; 3 non-convergence (a feasibility LP that ends at no optimum
 included) or a certificate that misses tolerance.
 """
@@ -95,6 +97,11 @@ class ParseError(ValueError):
     """Input file missing, unreadable, or not matching the expected shape."""
 
 
+# what a document reader raises on a document of the wrong shape; OverflowError
+# comes from a JSON integer too large for a float (float(10**400))
+_BAD_INPUT = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _status(msg: str) -> None:
     # keep stdout clean for JSON; progress goes to stderr
     print(msg, file=sys.stderr)
@@ -113,7 +120,7 @@ def _load_json(path) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
@@ -124,7 +131,7 @@ def _parse_instance(obj: dict, path) -> ProblemInstance:
     doc = obj.get("instance", obj)
     try:
         return instance_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise ParseError(f"{path}: bad instance: {exc}") from exc
 
 
@@ -134,7 +141,7 @@ def _parse_solution(inst: ProblemInstance, obj: dict, path, read=solution_from_j
         raise ParseError(f"{path}: no 'solution' entry; run `solve` first")
     try:
         return read(inst, obj["solution"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise ParseError(f"{path}: bad solution: {exc}") from exc
 
 
@@ -146,12 +153,13 @@ def _parse_budget(obj: dict, path) -> BudgetInstance:
             values=np.asarray(obj["values"], dtype=float),
             budget=float(obj["budget"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise ParseError(f"{path}: bad budget problem: {exc}") from exc
 
 
 def _emit_json(doc: dict, output) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    """Write `doc` compact, with sorted keys, to `output` or stdout: json's C encoder runs only without indent."""
+    text = json.dumps(doc, sort_keys=True)
     if output is None:
         print(text)
     else:
@@ -207,7 +215,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 bids=np.asarray(rec["bids"], dtype=float),
                 gamma=np.asarray(rec["gamma"], dtype=float),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_INPUT as exc:
             raise ParseError(f"{args.input}: bad policy: {exc}") from exc
     elif "solution" in obj:
         # the replay needs only the plan: neither D(rho) nor the certificate
@@ -226,7 +234,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         inst, policy, args.horizon, args.seed, csv_path=csv_path, json_path=args.output
     )
     if args.output is None:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        _emit_json(report.to_json(), None)
     ok = report.fulfillment_ok()
     _status(
         f"simulated horizon {args.horizon:g} over {report.n_batches} batches: "
@@ -276,7 +284,7 @@ def _cmd_markowitz(args: argparse.Namespace) -> int:
     obj = _load_json(args.input)
     try:
         mi = markowitz_from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_INPUT as exc:
         raise ParseError(f"{args.input}: bad portfolio problem: {exc}") from exc
     x_primal = solve_markowitz_primal(mi, tol=args.tol)
     zeta, phi, x_dual = solve_markowitz_dual(mi, tol=args.tol)

@@ -18,10 +18,11 @@ empirical curves that bid is an exact argmax over the segments, where the
 objective is a concave quadratic, so it needs no monotone g.  Each cost is
 written once over a family's formulas, for one curve or a group of curves of
 one family at once: ``conj_win`` (the conjugate and its derivative, the win
-rate), ``win_rate``, ``spend`` (lam) and ``pay`` (f = lam o W).
-``FamilyGroups`` groups a set of items by family and auction kind once and
-offers these four, plus the capped bid, over all of them; the solver, the
-simulator and the related problems all evaluate through it.
+rate), ``win_rate``, ``win_slope`` (the win rate and its own derivative),
+``spend`` (lam) and ``pay`` (f = lam o W).  ``FamilyGroups`` groups a set of
+items by family and auction kind once and offers these, plus the capped bid,
+over all of them; the solver, the simulator and the related problems all
+evaluate through it.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ __all__ = [
     "AcquisitionCost",
     "conj_win",
     "win_rate",
+    "win_slope",
     "spend",
     "pay",
     "FamilyGroups",
@@ -104,6 +106,18 @@ def win_rate(family, params, mu, first_price: bool):
     return family.w(family.bid(mu, *params) if first_price else mu, *params)
 
 
+def win_slope(family, params, mu, first_price: bool):
+    """The win rate of ``win_rate``, bit for bit, and its derivative in mu below the bid cap.
+
+    Second price: W(mu) and the density W'(mu).  First price: W(x) and
+    W'(x) x'(mu) at the bid x = bid(mu), x' from the family's ``bid_slope``.
+    """
+    if first_price:
+        x = family.bid(mu, *params)
+        return family.w(x, *params), family.w_slope(x, *params) * family.bid_slope(mu, x, *params)
+    return family.w(mu, *params), family.w_slope(mu, *params)
+
+
 def spend(family, params, q, first_price: bool):
     """Acquisition cost lam(q) at win rates q in [0, total mass]; ``family``, ``params`` as in ``conj_win``.
 
@@ -135,9 +149,13 @@ class FamilyGroups:
 
     The items of one parametric family under one auction kind form a group
     whose formulas take arrays of their parameters; an empirical curve is a
-    group of its own.  Each entry of ``groups`` is (item positions, family,
-    first price, parameter arrays), in order of first appearance, and every
-    method below makes one formula call per group.
+    group of its own.  ``order`` lists the item positions group by group,
+    groups in order of first appearance and positions ascending within one,
+    and each entry of ``groups`` is (its slice of ``order``, family, first
+    price, parameter arrays).  Every method below gathers its prices into
+    that order once, makes one formula call per group on a slice, and
+    scatters the values back.  The prices may carry leading axes: each
+    method then evaluates every row of them in the same calls.
     """
 
     def __init__(self, curves, first_price):
@@ -152,22 +170,26 @@ class FamilyGroups:
         self._keys = list(keys)
         self._x_bar = np.array([curve.x_bar for curve in curves])
         self._cap = np.array([_bid_cap(curve, first) for curve, first in zip(curves, first_price)])
-        self.items = np.arange(len(plist))
-        self.groups = self._batches(self.items)
+        self._batch(np.arange(len(plist)))
 
-    def _batches(self, items: np.ndarray) -> list:
+    def _batch(self, items: np.ndarray) -> None:
+        """Group the entries ``items``: set ``items``, ``order``, ``rank`` (order's inverse) and ``groups``."""
         g = self._group[items]
-        out = []
-        for k in np.unique(g).tolist():
-            sel = np.flatnonzero(g == k)
+        self.items, self.order = items, np.argsort(g, kind="stable")
+        self.rank = np.argsort(self.order)
+        self._item_cap = self._cap[items]
+        keys, start = np.unique(g[self.order], return_index=True)
+        stop = [*start[1:].tolist(), items.size]
+        self.groups = []
+        for k, lo, hi in zip(keys.tolist(), start.tolist(), stop):
             family, first, n_par = self._keys[k]
-            out.append((sel, family, first, tuple(self._params[items[sel], :n_par].T)))
-        return out
+            params = tuple(self._params[items[self.order[lo:hi]], :n_par].T)
+            self.groups.append((slice(lo, hi), family, first, params))
 
     def take(self, items: np.ndarray) -> "FamilyGroups":
         """The same grouping over item positions ``items`` (repeats allowed), one value per entry."""
         out = copy.copy(self)
-        out.items, out.groups = items, self._batches(items)
+        out._batch(items)
         return out
 
     @property
@@ -176,11 +198,15 @@ class FamilyGroups:
         return self._x_bar[self.items]
 
     def _per_group(self, fn, x: np.ndarray, outputs: int = 1) -> np.ndarray:
-        """fn(family, params, x of the group, first price) per group, as rows of item-ordered values."""
-        out = np.empty((outputs, x.size))
-        for sel, family, first, params in self.groups:
-            out[:, sel] = fn(family, params, x[sel], first)
-        return out
+        """fn(family, params, x of the group, first price) per group, as rows of item-ordered values.
+
+        The items run along the last axis of x.
+        """
+        xs = x.take(self.order, axis=-1)
+        out = np.empty((outputs, *x.shape))
+        for sl, family, first, params in self.groups:
+            out[..., sl] = fn(family, params, xs[..., sl], first)
+        return out.take(self.rank, axis=-1)
 
     def conj_win(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``conj_win`` of every item at its marginal price mu >= 0."""
@@ -189,6 +215,15 @@ class FamilyGroups:
     def win_rate(self, mu: np.ndarray) -> np.ndarray:
         """``win_rate`` of every item at its marginal price mu >= 0."""
         return self._per_group(win_rate, mu)[0]
+
+    def win_slope(self, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``win_slope`` of every item: its win rate, bit for bit ``win_rate``'s, and the rate's slope in mu.
+
+        The slope is 0 from the item's bid cap g(x_bar) on, where the win
+        rate holds at the total mass.
+        """
+        win, slope = self._per_group(win_slope, mu, 2)
+        return win, np.where(mu < self._item_cap, slope, 0.0)
 
     def spend(self, q: np.ndarray) -> np.ndarray:
         """``spend`` (lam) of every item at its win rate q in [0, total mass]."""
@@ -215,66 +250,119 @@ class FamilyGroups:
         family's first-price ``bid`` under first price.
         """
         return self._per_group(lambda family, params, m, first: family.bid(m, *params) if first else m,
-                               np.maximum(np.minimum(mu, self._cap[self.items]), 0.0))[0]
+                               np.maximum(np.minimum(mu, self._item_cap), 0.0))[0]
 
 
 _EPS = np.finfo(float).eps
 _HALF_MAX = np.finfo(float).max / 2.0
 
 
+def _evaluate(balance, t: np.ndarray):
+    """balance(t) as (values, slopes), slopes None when the balance gives none."""
+    out = balance(t)
+    return out if isinstance(out, tuple) else (out, None)
+
+
 def monotone_root(balance, f0: np.ndarray, t0: np.ndarray, live: np.ndarray) -> np.ndarray:
     """Roots t > 0 of k nonincreasing functions at once, to a relative width of 4 eps.
 
-    ``balance(t)`` evaluates all k functions, the i-th at t[i]; ``f0`` holds
+    ``balance(t)`` evaluates all k functions, the i-th at t[i], and may
+    return (values, slopes) with each function's derivative; ``f0`` holds
     their values at 0, which must be positive.  Entries not ``live`` are
     known to have no root and get NaN, as does an entry whose root lies
     beyond the largest float that doubling max(t0, 1e-9) reaches, or that
-    300 steps do not pin down.  Brackets start by doubling from t0 for as
-    long as the doubled end stays finite; then Illinois regula falsi
-    (Dowell & Jarratt 1971) shrinks them all at once, stepping to the
-    midpoint of a bracket that three steps failed to halve and keeping every
-    step 2 eps inside it.
+    300 steps inside its bracket do not pin down.  Each entry's bracket
+    starts by doubling from t0 for as long as the doubled end stays finite;
+    then Illinois regula falsi (Dowell & Jarratt 1971) shrinks it, stepping
+    to the midpoint of a bracket that three steps failed to halve and
+    keeping every step 2 eps inside it.  Every entry takes its own steps in
+    each batched evaluation, whichever stage the others are at.
+
+    With slopes, each step is first tried as a Newton step from the last
+    point evaluated, safeguarded as in rtsafe (Press et al., Numerical
+    Recipes, 9.4): it is taken when it is finite, at most half as long as
+    the step before it, and stays inside the bracket (while doubling: short
+    of the doubled end); otherwise the doubling or Illinois step is.  A
+    Newton step is at least 2 eps long, relative to the end it leaves, so
+    that once the point sits on the root the next step crosses it and
+    closes the bracket.  Without slopes the steps are the doubling and
+    Illinois steps alone.
     """
     k = f0.size
     a, fa = np.zeros(k), f0.copy()
     b = np.maximum(t0, 1e-9)
-    fb = balance(b)
+    fb, db = _evaluate(balance, b)
+    fb = fb.copy()  # the bracket's arrays are updated in place
+    t = np.full(k, np.nan)
+    grow, todo = live.copy(), np.zeros(k, dtype=bool)  # doubling b, and shrinking [a, b]
+    side, ref = np.zeros(k), np.zeros(k)  # side: +1 after a step that moved a, -1 after one that moved b
+    stall, steps = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    # the last point evaluated, its value and slope, and the length of the step that reached it
+    last, f_last, d_last, step = b, fb, db, np.full(k, np.inf)
     while True:
-        up = live & (fb > 0.0) & (b <= _HALF_MAX)
-        if not up.any():
+        growing = np.count_nonzero(grow)
+        if growing:
+            done = grow & ~((fb > 0.0) & (b <= _HALF_MAX))
+            if np.count_nonzero(done):
+                grow &= ~done
+                growing = np.count_nonzero(grow)
+                hit = done & (fb == 0.0)
+                t[hit] = b[hit]
+                done &= fb < 0.0
+                todo |= done
+                ref[done] = b[done] - a[done]
+        todo &= steps < 300
+        conv = todo & (b - a <= 4.0 * _EPS * b)
+        if np.count_nonzero(conv):
+            t[conv] = 0.5 * (a[conv] + b[conv])
+            todo &= ~conv
+        moving = todo | grow
+        if not np.count_nonzero(moving):
             break
-        a[up], fa[up] = b[up], fb[up]
-        b[up] *= 2.0
-        fb = balance(b)
-    t = np.where(live & (fb == 0.0), b, np.nan)
-    todo = live & (fb < 0.0)
-    side = np.zeros(k)  # +1 after a step that moved a, -1 after one that moved b
-    stall = np.zeros(k, dtype=int)
-    ref = b - a
-    for _ in range(300):
-        width = b - a
-        conv = todo & (width <= 4.0 * _EPS * b)
-        t[conv] = 0.5 * (a[conv] + b[conv])
-        todo &= ~conv
-        if not todo.any():
-            break
+        x, rest = b, moving
         with np.errstate(invalid="ignore", divide="ignore"):
-            x = np.where(stall >= 3, 0.5 * (a + b), (a * fb - b * fa) / (fb - fa))
-        x = np.where(todo, np.clip(x, a + 2.0 * _EPS * b, b - 2.0 * _EPS * b), b)
-        fx = balance(x)
+            if d_last is not None:
+                dn = f_last / -d_last
+                size = np.abs(dn)
+                n = np.copysign(np.maximum(size, 2.0 * _EPS * last), dn) + last
+                inside = (n > a) & (n < b)
+                if growing:
+                    inside = np.where(grow, (dn > 0.0) & (dn <= b), inside)
+                newton = moving & inside & (size <= 0.5 * step)
+                x, rest = np.where(newton, n, b), moving & ~newton
+            if np.count_nonzero(rest):
+                y = np.where(stall >= 3, 0.5 * (a + b), (a * fb - b * fa) / (fb - fa))
+                y = np.minimum(np.maximum(y, a + 2.0 * _EPS * b), b - 2.0 * _EPS * b)
+                if growing:
+                    y = np.where(grow, 2.0 * b, y)
+                x = np.where(rest, y, x)
+        fx, dx = _evaluate(balance, x)
+        if dx is not None:
+            last, f_last, d_last, step = x, fx, dx, np.abs(x - last)
+        if growing:
+            np.copyto(a, b, where=grow)
+            np.copyto(fa, fb, where=grow)
+            np.copyto(b, x, where=grow)
+            np.copyto(fb, fx, where=grow)
+        steps += todo
         hit = todo & (fx == 0.0)
-        t[hit] = x[hit]
-        todo &= ~hit
+        if np.count_nonzero(hit):
+            t[hit] = x[hit]
+            todo &= ~hit
         go_a, go_b = todo & (fx > 0.0), todo & (fx < 0.0)
         # Illinois: the end kept twice in a row has its value halved
-        fb = np.where(go_a & (side > 0.0), 0.5 * fb, fb)
-        fa = np.where(go_b & (side < 0.0), 0.5 * fa, fa)
-        a, fa = np.where(go_a, x, a), np.where(go_a, fx, fa)
-        b, fb = np.where(go_b, x, b), np.where(go_b, fx, fb)
-        side = np.where(go_a, 1.0, np.where(go_b, -1.0, side))
-        halved = b - a <= 0.5 * ref
-        ref = np.where(halved, b - a, ref)
-        stall = np.where(halved, 0, stall + 1)
+        fb[go_a & (side > 0.0)] *= 0.5
+        fa[go_b & (side < 0.0)] *= 0.5
+        np.copyto(a, x, where=go_a)
+        np.copyto(fa, fx, where=go_a)
+        np.copyto(b, x, where=go_b)
+        np.copyto(fb, fx, where=go_b)
+        side[go_a], side[go_b] = 1.0, -1.0
+        width = b - a
+        halved = width <= 0.5 * ref
+        np.copyto(ref, width, where=halved)
+        stall += todo
+        stall[halved] = 0
     return t
 
 
@@ -350,7 +438,7 @@ class AcquisitionCost:
 
         def go(xa):
             if isinstance(curve, Empirical):
-                dens = curve._slope_right(xa)
+                dens = curve.w_slope(xa)
             else:
                 dens = np.asarray(curve.density(xa))
             w = np.asarray(curve.eval(xa))

@@ -12,7 +12,8 @@ Extension conventions used throughout:
 * ``inverse``  -- 0 for q <= 0, inf for q > total mass, x_bar at q == mass.
 
 Each family writes W (``w``), its running integral (``w_integral``), its
-first-price bid (``bid``), its quantile (``quantile``) and its density; the
+first-price bid (``bid``), its quantile (``quantile``), its density
+(``w_slope``) and the bid's derivative in the marginal price (``bid_slope``); the
 quantile integral ∫_0^q W^{-1} (``quantile_integral``) follows by Young's
 equality, written once in ``SupplyCurve``, and only the unbounded families
 (Exponential, Hyperbolic) write it in closed form.  So does the price integral
@@ -90,10 +91,11 @@ class SupplyCurve:
     family = "abstract"
 
     # -- family formulas ------------------------------------------------------
-    # Each family writes W, its running integral, its first-price bid and its
-    # quantile once, as w(x, *p), w_integral(mu, *p), bid(mu, *p) and
-    # quantile(q, *p) for x, mu >= 0, q in [0, total mass] and
-    # p = formula_params(), plus its density _pdf.  The parametric families
+    # Each family writes W, its running integral, its first-price bid, its
+    # quantile, its density and its bid's slope once, as w(x, *p),
+    # w_integral(mu, *p), bid(mu, *p), quantile(q, *p), w_slope(x, *p) and
+    # bid_slope(mu, x, *p) for x, mu >= 0, q in [0, total mass] and
+    # p = formula_params().  The parametric families
     # make them static methods that broadcast over arrays of parameters, so
     # that one call evaluates a whole group of curves (``costs.conj_win``,
     # ``costs.spend``, the simulator's price draws).  quantile_integral(q, *p)
@@ -117,6 +119,14 @@ class SupplyCurve:
 
     def quantile(self, q, *params):  # pragma: no cover - abstract
         """W^{-1}(q) for q in [0, total mass]."""
+        raise NotImplementedError
+
+    def w_slope(self, x, *params):  # pragma: no cover - abstract
+        """W'(x) on the open support: the density, by the formula of its interior."""
+        raise NotImplementedError
+
+    def bid_slope(self, mu, x, *params):  # pragma: no cover - abstract
+        """dx/dmu of the first-price bid x = bid(mu) below the bid cap."""
         raise NotImplementedError
 
     @_family_method
@@ -155,10 +165,6 @@ class SupplyCurve:
         """
         return ConcavityResult(True, 2.0)
 
-    # -- family-specific raw pieces (valid on the open support) ------------
-    def _pdf(self, x):  # pragma: no cover - abstract
-        raise NotImplementedError
-
     @property
     def x_bar(self) -> float:
         raise NotImplementedError
@@ -195,7 +201,7 @@ class SupplyCurve:
         def go(xa):
             inside = (xa > 0.0) & (xa <= self.x_bar)
             with np.errstate(over="ignore", invalid="ignore"):
-                vals = self._pdf(np.where(inside, xa, 1.0))
+                vals = self.w_slope(np.where(inside, xa, 1.0), *self.formula_params())
             return np.where(inside, vals, 0.0)
 
         return _wrap(x, go)
@@ -204,7 +210,7 @@ class SupplyCurve:
         """lim W'(x) as x approaches x_bar from below (0 when x_bar = inf)."""
         if math.isinf(self.x_bar):
             return 0.0
-        return float(self._pdf(np.asarray(self.x_bar)))
+        return float(self.w_slope(np.asarray(self.x_bar), *self.formula_params()))
 
     # -- sampling -------------------------------------------------------------
     def sample(self, rng: np.random.Generator, size=None):
@@ -367,8 +373,14 @@ class Exponential(_Parametric):
         # ln(1-q) = -q - L with L = _log_tail(q), it equals q^2 - (1-q) L there
         return np.where(q < 1.0 / 3.0, q * q - one_m * _log_tail(q), q + term) / rate
 
-    def _pdf(self, x):
-        return self.rate * np.exp(-self.rate * x)
+    @staticmethod
+    def w_slope(x, rate):
+        return rate * np.exp(-rate * x)
+
+    @staticmethod
+    def bid_slope(mu, x, rate):
+        # (mu - x) W'(x) = W(x) differentiated: x' = W' / (2 W' - (mu - x) W'')
+        return 1.0 / (2.0 + rate * (mu - x))
 
 
 @dataclass(frozen=True, repr=False)
@@ -431,9 +443,14 @@ class Hyperbolic(_Parametric):
         s = Hyperbolic.w(x, scale)
         return scale * np.where(s < 1.0 / 3.0, _log_tail(s), np.log1p(x / scale) - s)
 
-    def _pdf(self, x):
-        c = self.scale
-        return c / (c + x) ** 2
+    @staticmethod
+    def w_slope(x, scale):
+        return scale / (scale + x) ** 2
+
+    @staticmethod
+    def bid_slope(mu, x, scale):
+        # x (2c + x) = c mu differentiated
+        return (scale + x) / (2.0 * (scale + mu))
 
 
 @dataclass(frozen=True, repr=False)
@@ -463,8 +480,13 @@ class BoundedUniform(_Parametric):
     def quantile(q, x_max):
         return q * x_max
 
-    def _pdf(self, x):
-        return np.full_like(np.asarray(x, dtype=float), 1.0 / self.x_max)
+    @staticmethod
+    def w_slope(x, x_max):
+        return 0.0 * x + 1.0 / x_max
+
+    @staticmethod
+    def bid_slope(mu, x, x_max):
+        return 0.5
 
 
 @dataclass(frozen=True, repr=False)
@@ -511,8 +533,13 @@ class PowerLawDensity(_Parametric):
     def quantile(q, w0, x_max):
         return np.sqrt(2.0 * q / w0)
 
-    def _pdf(self, x):
-        return self.w0 * x
+    @staticmethod
+    def w_slope(x, w0, x_max):
+        return w0 * x
+
+    @staticmethod
+    def bid_slope(mu, x, w0, x_max):
+        return 2.0 / 3.0
 
 
 class Empirical(SupplyCurve):
@@ -545,6 +572,9 @@ class Empirical(SupplyCurve):
         self._ws.setflags(write=False)
         self._slopes = np.diff(ws) / np.diff(xs)
         self._slopes.setflags(write=False)
+        # the right-derivative of W after each breakpoint, padded with the 0 below the anchor
+        self._slope_after = np.concatenate([[0.0], self._slopes, [0.0]])
+        self._w_per_slope = ws[:-1] / self._slopes  # the bid's segment offsets w_k / s_k
         # prefix integrals of W at the breakpoints
         dx = np.diff(xs)
         self._cum_icdf = np.concatenate(
@@ -583,20 +613,21 @@ class Empirical(SupplyCurve):
                     UndifferentiableAtBreakpoint,
                     stacklevel=3,
                 )
-            return self._slope_right(xa)
+            return self.w_slope(xa)
 
         return _wrap(x, go)
 
-    def _slope_right(self, xa):
-        """Right-derivative of W (0 outside the open support)."""
-        idx = np.searchsorted(self._xs, xa, side="right") - 1
-        idx = np.clip(idx, 0, len(self._slopes) - 1)
-        vals = self._slopes[idx]
-        inside = (xa >= self._xs[0]) & (xa < self._xs[-1]) & (xa >= 0.0)
-        return np.where(inside, vals, 0.0)
-
     def terminal_density(self) -> float:
         return float(self._slopes[-1])
+
+    def w_slope(self, x):
+        """Right-derivative of W (0 outside [x0, x_bar), as x0 >= 0)."""
+        return self._slope_after[np.searchsorted(self._xs, x, side="right")]
+
+    def bid_slope(self, mu, x):
+        """1/2 where the bid is its segment's stationary point; 0 where it sits on a knot."""
+        knot = self._xs[np.minimum(np.searchsorted(self._xs, x), self._xs.size - 1)]
+        return np.where(knot == x, 0.0, 0.5)
 
     def two_concave(self) -> ConcavityResult:
         """The grid heuristic ``alpha_concavity_check`` at alpha = 2, with its witness."""
@@ -604,8 +635,8 @@ class Empirical(SupplyCurve):
 
     def w_integral(self, mu):
         xs, ws, slopes = self._xs, self._ws, self._slopes
-        inside = np.clip(mu, xs[0], xs[-1])
-        idx = np.clip(np.searchsorted(xs, inside, side="right") - 1, 0, len(slopes) - 1)
+        inside = np.minimum(np.maximum(mu, xs[0]), xs[-1])  # np.clip, without its overhead
+        idx = np.minimum(np.searchsorted(xs, inside, side="right") - 1, len(slopes) - 1)
         dx = inside - xs[idx]
         base = self._cum_icdf[idx] + ws[idx] * dx + slopes[idx] * dx**2 / 2.0
         return base + self.total_mass * np.maximum(mu - xs[-1], 0.0)
@@ -622,10 +653,10 @@ class Empirical(SupplyCurve):
         lo, hi, w_lo, s = self._xs[:-1], self._xs[1:], self._ws[:-1], self._slopes
         mu = np.asarray(mu, dtype=float)
         mm = mu[..., None]
-        x = np.clip((mm + lo - w_lo / s) / 2.0, lo, hi)
+        x = np.minimum(np.maximum((mm + lo - self._w_per_slope) / 2.0, lo), hi)  # np.clip, without its overhead
         val = (mm - x) * (w_lo + s * (x - lo))
         last = s.size - 1 - np.argmax(val[..., ::-1], axis=-1)
-        best = np.take_along_axis(x, last[..., None], axis=-1)[..., 0]
+        best = x.reshape(-1, s.size)[np.arange(last.size), last.ravel()].reshape(mu.shape)
         return np.where(mu <= 0.0, 0.0, best)
 
     def params(self):

@@ -218,20 +218,13 @@ class _Layout:
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
-        groups = inst.groups.groups
-        self.order = np.concatenate([sel for sel, *_ in groups])
-        self.rank = np.empty(inst.n_items, dtype=np.intp)
-        self.rank[self.order] = np.arange(inst.n_items)
+        self.order, self.rank = inst.groups.order, inst.groups.rank
         self.rates = inst.rates[self.order]
         # second-price groups by their position slices; an empirical group
         # prices through its curve's inverse, which also maps u = 0 to 0 when
         # the support starts above 0
-        self.priced, stop = [], 0
-        for sel, family, first, params in groups:
-            stop += sel.size
-            if not first:
-                quantile = family.inverse if isinstance(family, Empirical) else family.quantile
-                self.priced.append((slice(stop - sel.size, stop), quantile, params))
+        self.priced = [(sl, family.inverse if isinstance(family, Empirical) else family.quantile, params)
+                       for sl, family, first, params in inst.groups.groups if not first]
         edges = np.argsort(self.rank[inst.edge_j], kind="stable")
         self.edge_pos = self.rank[inst.edge_j[edges]]
         self.edge_start = np.searchsorted(self.edge_pos, np.arange(inst.n_items + 1))
@@ -525,7 +518,8 @@ def simulate(
         _write_fulfillment_csv(csv_path, inst, t_batch, value[0])
     if json_path is not None:
         with open(json_path, "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
+            # json.dumps without indent runs json's C encoder; json.dump never does
+            fh.write(json.dumps(report.to_json(), sort_keys=True))
     return report
 
 

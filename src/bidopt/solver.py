@@ -39,8 +39,10 @@ group on the instance's grouping (``ProblemInstance.groups``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -172,6 +174,9 @@ class Solution:
     # the largest slack theta on any edge that carries flow (0 when none
     # does): edges whose theta exceeds it carry none
     eps_active: float = 0.0
+    # solve_dual's counters (its `stats`), read-only; empty for a solution
+    # read back from JSON, whose document does not carry them
+    stats: Mapping = field(default_factory=lambda: MappingProxyType({}))
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +247,25 @@ def _tie_roots(inst: ProblemInstance, demand: np.ndarray, t0: np.ndarray, comp: 
     Term e joins component comp[e] through item j = items[e] with slope
     m_e = slopes[e].  The supply side rises from 0 towards its cap
     sum_e lam_j m_e mass_j, so a component whose demand reaches the cap has
-    no root and gets NaN.  stats["tie_root_calls"] and
-    stats["tie_root_evals"] count the calls and the balance evaluations.
+    no root and gets NaN.  Each balance evaluation is one
+    ``FamilyGroups.win_slope`` pass, which gives the supply's derivative
+    sum_e lam_j m_e^2 win_j'(m_e t) too, so `monotone_root` takes
+    safeguarded Newton steps: from a t0 near the roots (the snap starts
+    from the master's rho) they close every bracket in about four
+    evaluations.  stats["tie_root_calls"] and stats["tie_root_evals"] count
+    the calls and the balance evaluations.
     """
     k = demand.size
     lamm = inst.rates[items] * slopes
+    lamm2 = lamm * slopes
     groups = inst.groups.take(items)
     cap = np.bincount(comp, slopes * inst.capacities[items], minlength=k)
     stats["tie_root_calls"] = stats.get("tie_root_calls", 0) + 1
 
-    def balance(t: np.ndarray) -> np.ndarray:
+    def balance(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         stats["tie_root_evals"] = stats.get("tie_root_evals", 0) + 1
-        return demand - np.bincount(comp, lamm * groups.win_rate(slopes * t[comp]), minlength=k)
+        win, slope = groups.win_slope(slopes * t[comp])
+        return demand - np.bincount(comp, lamm * win, minlength=k), -np.bincount(comp, lamm2 * slope, minlength=k)
 
     return monotone_root(balance, demand, t0, demand < cap)
 
@@ -297,8 +309,8 @@ def _snap(inst: ProblemInstance, rho: np.ndarray, flows: np.ndarray, stats: dict
 
 
 # a tangent column is deleted once it has been nonbasic at this many optimal
-# solves in a row: at 2, fuzz draw 137 snaps onto a wrong tie pattern and the
-# census takes 1.4% more master solves
+# solves in a row: the 868 instances of scripts/census.py take 3,366 master
+# solves at 3, 3,371 at 2 and 3,417 at 1, all of them certified
 _PRUNE_AFTER = 3
 
 
@@ -400,6 +412,12 @@ class _MasterLP:
 # test_06 (14.7 edges per row) keep the lazy path
 _ALL_EDGES_PER_ROW = 3
 
+
+def _lazy_edges(inst: ProblemInstance) -> bool:
+    """Whether the master generates its edge columns lazily: above _ALL_EDGES_PER_ROW edges per master row."""
+    return inst.n_edges > _ALL_EDGES_PER_ROW * (inst.n_contracts + 2 * int(np.count_nonzero(inst.item_major[2])))
+
+
 # a termination guard: the master stops on a verdict, its gap or its stall
 # test well before it (at most 17 solves over the 868 instances of
 # scripts/census.py)
@@ -407,7 +425,7 @@ _MASTER_SOLVES = 60
 
 
 def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, tol: float,
-                  stats: dict | None = None):
+                  stats: dict | None = None, every_edge: bool = False):
     """Outer linearization of the acquisition terms (cutting planes).
 
     Each item's conjugate cost is convex and smooth in its multiplier, so the
@@ -424,13 +442,13 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     never rises at a fixed box (the stall test below stays sound) and stays
     an upper bound on the dual optimum.
 
-    The edge cuts mu_j >= v_ij rho_i enter the model as columns.  On an
-    instance with at most _ALL_EDGES_PER_ROW edges per master row the model
-    starts with all of them; otherwise they are generated lazily (delayed
-    column generation): the model starts with the edges within 5% of their
-    item's max at the incoming point, and after every solve each item's first
-    argmax edge at the LP's rho joins it when the LP's mu_j violates that
-    edge's cut.  Dropping cuts only enlarges the feasible set of rho, so the
+    The edge cuts mu_j >= v_ij rho_i enter the model as columns.  With
+    `every_edge`, or on an instance with at most _ALL_EDGES_PER_ROW edges per
+    master row, the model starts with all of them; otherwise they are
+    generated lazily (delayed column generation): the model starts with the
+    edges within 5% of their item's max at the incoming point, and after
+    every solve each item's first argmax edge at the LP's rho joins it when
+    the LP's mu_j violates that edge's cut.  Dropping cuts only enlarges the feasible set of rho, so the
     model value stays an upper bound on the dual optimum and the returned
     model gap stays a certified optimality bound.  The rho box only widens,
     in place, when an iterate presses against it and no edge was added: a
@@ -474,17 +492,21 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
         in_model[edges] = True
 
     def add_tangents(mu_full: np.ndarray, conj: np.ndarray, win: np.ndarray) -> None:
-        lp.add_cols(win[nz] * mu_full[nz] - conj[nz], np.column_stack([row[nz], m2 + row[nz]]),
-                    np.column_stack([win[nz], np.ones(m2)]), np.full(m2, -1))
+        """One tangent column per item with edges at each row of mu_full (conj, win: the values there)."""
+        win = win[..., nz]
+        lp.add_cols((win * mu_full[..., nz] - conj[..., nz]).ravel(),
+                    np.tile(np.column_stack([row[nz], m2 + row[nz]]), (win.size // m2, 1)),
+                    np.column_stack([win.ravel(), np.ones(win.size)]), np.full(win.size, -1))
 
     mu_w = inst.mu_of(best_rho)
-    if inst.n_edges <= _ALL_EDGES_PER_ROW * (n + 2 * m2):
+    if every_edge or not _lazy_edges(inst):
         add_edge_cols(np.arange(inst.n_edges))
     else:
         mu_e = mu_w[inst.edge_j]
         add_edge_cols(np.flatnonzero(mu_e - inst.edge_v * best_rho[inst.edge_i] <= 0.05 * mu_e))
-    for f in (0.5, 1.0, 2.0, 8.0):
-        add_tangents(f * mu_w, *inst.groups.conj_win(f * mu_w))
+    # the starting tangent ladder, f mu(warm) for f in 0.5, 1, 2, 8: one pass over the four rows
+    ladder = np.multiply.outer([0.5, 1.0, 2.0, 8.0], mu_w)
+    add_tangents(ladder, *inst.groups.conj_win(ladder))
     bound = last_model = math.inf
     flows = support = None
     stop = "budget"
@@ -531,7 +553,7 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     stats["master_solves"] = stats.get("master_solves", 0) + lp.solves
     stats["master_simplex_iterations"] = stats.get("master_simplex_iterations", 0) + lp.iterations
     stats["master_edge_rows"] = int(in_model.sum())
-    stats["master_rows_max"] = lp.cuts_max
+    stats["master_rows_max"] = max(stats.get("master_rows_max", 0), lp.cuts_max)
     stats["master_cols_pruned"] = stats.get("master_cols_pruned", 0) + lp.pruned
     stats["master_stop"] = stop
     if stop != "verdict":
@@ -626,16 +648,19 @@ def solve_dual(
     certifies -> otherwise one snap and one routing-LP verdict at the
     master's end.  The master starts from the warm start itself, and each
     snap is judged as it lands: the routing LP decides it, with no
-    comparison of its D against the point it came from.  Keys it sets in
-    `stats`:
+    comparison of its D against the point it came from.  A master that held
+    only some of the edge columns and whose last verdict fails runs once
+    more from the point that verdict judged, with every edge column from
+    the start.  Keys it sets in `stats`:
 
-    - iterations, master_solves: the master's LP solves;
+    - iterations, master_solves: the master's LP solves (both runs);
     - master_simplex_iterations: the master's simplex iterations;
     - master_edge_rows: edge cuts in the final master model;
     - master_rows_max: the most cuts (edge and tangent) any master solve held;
     - master_cols_pruned: the tangent cuts the master deleted;
     - master_stop: why the master stopped: verdict (a routing LP certified
       its snap), gap, stall, budget (_MASTER_SOLVES) or lp_failure;
+    - master_fallbacks: 1 when the master ran again with every edge column;
     - routing_lps: the routing-LP verdicts run;
     - tie_root_calls, tie_root_evals: the tie roots' batch calls and balance
       evaluations;
@@ -655,6 +680,12 @@ def solve_dual(
     stats["tie_root_calls"] = stats["tie_root_evals"] = stats["routing_lps"] = 0
     warm = _warm_start(inst, stats)
     value, rho, _, used, kkt, routed = _kelley_phase(inst, _dual_value(inst, warm), warm, tol, stats=stats)
+    stats["master_fallbacks"] = 0
+    if kkt > tol * _scale(inst) and _lazy_edges(inst):
+        # the lazy edge columns can miss an edge the tie pattern needs
+        stats["master_fallbacks"] = 1
+        value, rho, _, more, kkt, routed = _kelley_phase(inst, value, rho, tol, stats, every_edge=True)
+        used += more
     stats["iterations"] = used
     stats.update({f"lp_{key}": _lp_work[key] - start for key, start in work.items()})
     if kkt > tol * _scale(inst):
@@ -787,6 +818,7 @@ def solve(
         report=report,
         iterations=stats.get("iterations", 0),
         eps_active=_eps_active(dual, primal),
+        stats=MappingProxyType(stats),
     )
 
 
@@ -879,8 +911,11 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
 
     Every derived value (dual and primal value, mixing weights, eps_active
     and the certificate) is recomputed, not trusted; only the iteration
-    count is read as written.
+    count is read as written, and it must be a finite integer.
     """
+    iters = obj.get("iters", 0)
+    if isinstance(iters, bool) or not (isinstance(iters, int) or isinstance(iters, float) and iters.is_integer()):
+        raise ValueError(f"solution iters must be a finite integer, not {iters!r:.40}")
     rho, mu, primal = primal_from_json(inst, obj)
     theta = mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]
     dual = DualSolution(rho=rho, mu=mu, theta=theta, dual_value=_dual_value(inst, rho))
@@ -888,6 +923,6 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
         dual=dual,
         primal=primal,
         report=certify(inst, primal, dual),
-        iterations=int(obj.get("iters", 0)),
+        iterations=int(iters),
         eps_active=_eps_active(dual, primal),
     )

@@ -103,6 +103,20 @@ def test_round_trip_certificate_matches_in_memory(tmp_path):
     assert rows["passed"]["value"] == "1"
 
 
+def test_compact_solve_document_round_trips(tmp_path):
+    # solve and simulate write one line of JSON with sorted keys (json's C
+    # encoder), and certify and simulate read the solved document back
+    inp = write_json(tmp_path / "inst.json", MIXED)
+    solved, sim = tmp_path / "solved.json", tmp_path / "sim.json"
+    assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
+    text = solved.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    assert main(["certify", "--input", str(solved)]) == 0
+    assert main(["simulate", "--input", str(solved), "--seed", "3", "--horizon", "50", "--output", str(sim)]) == 0
+    text = sim.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True)
+
+
 def test_certify_rejects_tampering(tmp_path):
     inp = write_json(tmp_path / "inst.json", MIXED)
     solved = tmp_path / "solved.json"
@@ -459,6 +473,44 @@ def test_malformed_allocation_entry_exits_1(tmp_path, capsys, entry):
     captured = capsys.readouterr()
     assert "certified" not in captured.out
     assert captured.err.startswith("bidopt: ") and captured.err.count("\n") == 1
+
+
+# a JSON integer too large for a float: float() raises OverflowError on it
+HUGE = 10**400
+
+
+def _with_huge_rate(doc: dict) -> dict:
+    return {**doc, "items": [{**doc["items"][0], "rate": HUGE}, *doc["items"][1:]]}
+
+
+def _with_huge_flow(doc: dict) -> dict:
+    return {**doc, "R": [[*doc["R"][0][:2], HUGE], *doc["R"][1:]]}
+
+
+def _with_infinite_iters(doc: dict) -> dict:
+    return {**doc, "iters": math.inf}  # json writes it as Infinity
+
+
+@pytest.mark.parametrize("command, part, damage", [
+    *(pytest.param(c, "instance", _with_huge_rate, id=f"huge-rate-{c}")
+      for c in ("solve", "feasibility", "certify", "simulate")),
+    *(pytest.param(c, "solution", _with_huge_flow, id=f"huge-flow-{c}") for c in ("certify", "simulate")),
+    pytest.param("certify", "solution", _with_infinite_iters, id="infinite-iters-certify"),
+])
+def test_numbers_no_float_holds_exit_1(tmp_path, capsys, command, part, damage):
+    # one message line that names the document, no traceback
+    inp = write_json(tmp_path / "inst.json", MIXED)
+    solved = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
+    doc = json.loads(solved.read_text())
+    doc[part] = damage(doc[part])
+    path = write_json(tmp_path / "damaged.json", doc if command in ("certify", "simulate") else doc["instance"])
+    capsys.readouterr()
+    argv = [command, "--input", path] + (["--seed", "5", "--horizon", "100"] if command == "simulate" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "certified" not in captured.out
+    assert captured.err.startswith(f"bidopt: {path}: ") and captured.err.count("\n") == 1
 
 
 def power_law_doc(params, auction="first_price") -> dict:

@@ -29,6 +29,7 @@ from bidopt.related import (
     solve_markowitz_dual,
     solve_markowitz_primal,
 )
+from bidopt.related import _volume_prox
 
 # ---------------------------------------------------------------------------
 # budget-constrained bidding
@@ -52,6 +53,22 @@ def test_budget_second_price_bids_are_shaded_valuations():
         expected = min(bi.values[j] / theta, bi.items[j].curve.x_bar)
         assert bids[j] == pytest.approx(expected, rel=1e-12)
     assert budget_spend(bi, theta) == pytest.approx(0.8, abs=1e-8)
+
+
+def test_budget_and_proximal_roots_keep_their_bits():
+    # neither balance gives slopes, so monotone_root takes the doubling and
+    # Illinois steps alone and finds the same floats as without Newton steps
+    values = np.array([1.0, 0.7, 0.4])
+    thetas = [solve_budget(BudgetInstance(items=budget_instance().items, values=values, budget=b))[0]
+              for b in (0.3, 0.8, 2.0)]
+    assert [t.hex() for t in thetas] == ["0x1.6490ac7ce1819p+0", "0x1.840356032f3f1p-1", "0x1.9371df24f84b5p-2"]
+    first = [ItemType("h", 1.0, Hyperbolic(0.7), "first_price"), ItemType("e", 1.3, Exponential(1.2), "first_price")]
+    theta, _ = solve_budget(BudgetInstance(items=first, values=np.array([2.0, 1.1]), budget=0.3))
+    assert theta.hex() == "0x1.a66ac5161c298p+0"
+    books = (Exponential(1.5), Hyperbolic(0.8), BoundedUniform(2.0), Empirical([(0.3, 0.0), (0.8, 0.5), (2.0, 1.2)]))
+    y = _volume_prox(LobMarket(books), 0.7)(np.array([0.4, 0.9, 1.3, 2.5]))
+    assert [v.hex() for v in y] == ["0x1.09ea86c29b2a6p-2", "0x1.c9da022d8ea4cp-2", "0x1.1555555555555p-1",
+                                    "0x1.27904a7904a79p+0"]
 
 
 def test_budget_first_price_hyperbolic_closed_form():

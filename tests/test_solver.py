@@ -329,6 +329,26 @@ def _test04_instance(seed):
     return random_instance(rng, n_contracts=int(rng.integers(1, 11)), n_items=int(rng.integers(2, 51)))
 
 
+def _fresh_draw(seed):
+    """A draw of the fresh-draw generator: up to 29 x 79, sparse to dense, slack down to 0.002."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 30)), int(rng.integers(2, 80))
+    edge_prob, slack = float(rng.uniform(0.05, 0.9)), float(rng.uniform(0.002, 0.05))
+    return random_instance(rng, n, m, edge_prob=edge_prob, slack_margin=slack)
+
+
+@pytest.mark.parametrize("seed, shape", [(30027449, (26, 40, 401)), (2979142920, (23, 35, 585))])
+def test_failed_lazy_master_runs_again_with_every_edge(seed, shape):
+    # both draws take the lazy edge path, and its master stops on its gap at
+    # a snap its verdict fails (residuals 8.7e-5 and 0.27); the same master
+    # started from that point with every edge column certifies
+    inst = _fresh_draw(seed)
+    assert (inst.n_contracts, inst.n_items, inst.n_edges) == shape
+    sol = solve(inst)
+    assert sol.stats["master_fallbacks"] == 1
+    _certifies_edgewise(sol)
+
+
 def test_fuzz_draw_84_certifies():
     # fuzz draw 84 (27 x 89, 1949 edges): its tie pattern comes from the
     # flows on the master's edge columns alone
@@ -717,13 +737,40 @@ def test_stats_count_tie_roots():
     solve_dual(mixed_instance(), stats=stats)
     assert stats["tie_root_calls"] >= 1
     assert stats["tie_root_evals"] >= stats["tie_root_calls"]
+    assert stats["master_fallbacks"] == 0
+
+
+def test_tie_roots_take_newton_steps_on_mixed_pipeline():
+    # the warm start and the snap each take one batched root: 13, 13 and 11
+    # balance evaluations per solve with Newton steps, 19, 21 and 19 with
+    # doubling and Illinois steps alone
+    for _, inst in mixed_pipeline():
+        stats = {}
+        solve_dual(inst, stats=stats)
+        assert stats["tie_root_calls"] == 2
+        assert stats["tie_root_evals"] <= 13
+
+
+def test_solution_keeps_the_solve_counters_read_only():
+    inst = mixed_instance()
+    stats = {}
+    solve_dual(inst, stats=stats)
+    sol = solve(inst)
+    assert dict(sol.stats) == stats
+    assert sol.stats["iterations"] == sol.iterations
+    with pytest.raises(TypeError):
+        sol.stats["iterations"] = 0
+    # the JSON document does not carry them, so a solution read back has none
+    doc = solution_to_json(inst, sol)
+    assert set(doc) == {"rho", "mu", "bids", "s", "R", "gap", "iters", "eps_active"}
+    assert dict(solution_from_json(inst, doc).stats) == {}
 
 
 # ---------------------------------------------------------------------------
 # kernels against the reference cost objects (dual-route check)
 
 
-@pytest.mark.parametrize("curve,kind", [
+KERNEL_CASES = [
     (Exponential(0.7), "second_price"),
     (Exponential(1.3), "first_price"),
     (Hyperbolic(0.6), "second_price"),
@@ -734,7 +781,10 @@ def test_stats_count_tie_roots():
     (PowerLawDensity(0.9, 1.8), "first_price"),
     (Empirical([(0.5, 0.4), (1.5, 0.8), (3.0, 1.0)]), "second_price"),
     (Empirical([(0.5, 0.4), (1.5, 0.8), (3.0, 1.0)]), "first_price"),
-])
+]
+
+
+@pytest.mark.parametrize("curve,kind", KERNEL_CASES)
 def test_vectorized_kernels_match_cost_objects(curve, kind):
     item = ItemType("a", 1.0, curve, kind)
     inst = build_instance([item], [Contract("x", 0.1, {"a": 1.0})])
@@ -746,6 +796,38 @@ def test_vectorized_kernels_match_cost_objects(curve, kind):
         assert win[0] == pytest.approx(cost.win_probability(mu), rel=1e-10, abs=1e-12)
         # the win-only evaluation is the same arithmetic, bit for bit
         assert groups.win_rate(np.array([mu]))[0] == win[0]
+
+
+@pytest.mark.parametrize("curve,kind", KERNEL_CASES)
+def test_win_slope_pass_is_the_win_rate_and_its_derivative(curve, kind):
+    # one pass gives the win rate, bit for bit, and its derivative in mu,
+    # against a central difference wherever the two one-sided differences
+    # agree (away from the kinks: bounded supports, empirical knots and the
+    # jumps of an empirical first-price win rate)
+    mu = np.geomspace(0.01, 30.0, 241)
+    inst = build_instance([ItemType("a", 1.0, curve, kind)], [Contract("x", 0.1, {"a": 1.0})])
+    groups = inst.groups.take(np.zeros(mu.size, dtype=int))  # the one item at every price
+    win, slope = groups.win_slope(mu)
+    assert np.array_equal(win, groups.win_rate(mu))
+    h = 1e-6 * mu
+    up, down = groups.win_rate(mu + h), groups.win_rate(mu - h)
+    noise = 8.0 * np.finfo(float).eps * (up + down) / h  # rounding of W, carried into the differences
+    smooth = np.abs((up - win) - (win - down)) <= 1e-3 * (up - down) + noise
+    assert smooth.sum() >= 0.8 * mu.size
+    central = (up - down) / (2.0 * h)
+    assert np.all(np.abs(central - slope)[smooth] <= (1e-6 * np.abs(slope) + noise)[smooth])
+
+
+@pytest.mark.parametrize("make", [pytest.param(mixed_instance, id="mixed"),
+                                  pytest.param(lambda: mixed_pipeline()[0][1], id="mixed-11")])
+def test_grouped_kernels_take_every_row_of_a_price_array(make):
+    # the master's starting tangent ladder, f mu for four f, in one pass:
+    # the same values, bit for bit, as one pass per row
+    inst = make()
+    mu = np.multiply.outer([0.5, 1.0, 2.0, 8.0], inst.mu_of(np.linspace(0.5, 2.0, inst.n_contracts)))
+    conj, win = inst.groups.conj_win(mu)
+    for row, c, w in zip(mu, conj, win):
+        assert all(map(np.array_equal, (c, w), inst.groups.conj_win(row)))
 
 
 def test_tie_roots_match_brentq_per_component():
