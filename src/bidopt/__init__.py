@@ -35,7 +35,7 @@ from .model import (
     random_instance,
     random_sparse_instance,
 )
-from .simulate import BidPolicy, SimulationReport, ab_compare, policy_from_primal, simulate
+from .simulate import BidPolicy, SimulationReport, policy_from_primal, simulate
 from .solver import (
     CertificateReport,
     DualSolution,
@@ -73,7 +73,6 @@ __all__ = [
     "Solution",
     "SupplyCheck",
     "SupplyCurve",
-    "ab_compare",
     "alpha_concavity_check",
     "build_instance",
     "certify",

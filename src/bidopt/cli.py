@@ -206,6 +206,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ParseError("simulate needs --seed so runs are reproducible")
+    # the fulfillment CSV takes the report's name with the suffix .csv
+    csv_path = None if args.output is None else Path(args.output).with_suffix(".csv")
+    if csv_path is not None and csv_path == Path(args.output):
+        raise ParseError(f"--output {args.output}: the fulfillment CSV is written beside the report "
+                         "under the suffix .csv, so the report needs another suffix")
     obj = _load_json(args.input)
     inst = _parse_instance(obj, args.input)
     if "policy" in obj:
@@ -229,7 +234,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ParseError(f"{args.input}: policy does not fit the instance: {exc}") from exc
 
-    csv_path = None if args.output is None else str(Path(args.output).with_suffix(".csv"))
     report = simulate(
         inst, policy, args.horizon, args.seed, csv_path=csv_path, json_path=args.output
     )

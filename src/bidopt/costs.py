@@ -27,7 +27,6 @@ evaluate through it.
 from __future__ import annotations
 
 import copy
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,7 +54,6 @@ __all__ = [
     "quadrature_integral_cdf",
     "quadrature_integral_quantile",
     "quadrature_partial_mean",
-    "write_cost_grid",
 ]
 
 
@@ -554,15 +552,3 @@ def dark_pool_identity_check(
     mc = float(np.mean(gains))
     se = float(np.std(gains, ddof=1) / math.sqrt(n_samples))
     return DarkPoolCheck(mc_value=mc, exact_value=float(cost.conjugate(x)), stderr=se, n_samples=n_samples)
-
-
-def write_cost_grid(cost: AcquisitionCost, path, n: int = 257) -> None:
-    """CSV grid (q, lam(q), conjugate(q)) on [0, mass] for plotting."""
-    qs = np.linspace(0.0, cost.total_mass, n)
-    lam = np.asarray(cost.lam(qs))
-    conj = np.asarray(cost.conjugate(qs))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["q", "lam", "conjugate"])
-        for row in zip(qs, lam, conj):
-            w.writerow([f"{v:.12g}" for v in row])

@@ -19,7 +19,6 @@ The binding is loaded straight from its file, without running the
 """
 from __future__ import annotations
 
-import csv
 import importlib.machinery
 import importlib.util
 import os
@@ -240,19 +239,6 @@ class ProblemInstance(_Items):
                 for c in self.contracts
             ],
         }
-
-    def write_edges_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "j", "v"])
-            for k in range(self.n_edges):
-                w.writerow(
-                    [
-                        self.contracts[self.edge_i[k]].id,
-                        self.items[self.edge_j[k]].id,
-                        f"{self.edge_v[k]:.12g}",
-                    ]
-                )
 
 
 def build_instance(items: Sequence[ItemType], contracts: Sequence[Contract]) -> ProblemInstance:

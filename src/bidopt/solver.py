@@ -295,7 +295,10 @@ def _support(flows: np.ndarray) -> np.ndarray:
 
 
 def _snap(inst: ProblemInstance, rho: np.ndarray, flows: np.ndarray, stats: dict):
-    """Snap rho onto the tie pattern of an allocation's loaded edges, once; returns (D, snapped rho).
+    """Snap rho onto the tie pattern of an allocation's loaded edges, once.
+
+    Returns D, the snapped rho, and mu and the win rates there, all from
+    one pass of the group formulas (`conj_win`).
 
     Components are disjoint, so at the right tie pattern the joint snap is
     the exact maximizer over the tie manifold.  Its value is not compared
@@ -305,7 +308,9 @@ def _snap(inst: ProblemInstance, rho: np.ndarray, flows: np.ndarray, stats: dict
     snapped = rho.copy()
     for idx, vals in _component_updates(inst, rho, _tie_components(inst, _support(flows)), stats):
         snapped[idx] = vals
-    return _dual_value(inst, snapped), snapped
+    mu = inst.mu_of(snapped)
+    conj, win = inst.groups.conj_win(mu)
+    return _dual_value(inst, snapped, conj), snapped, mu, win
 
 
 # a tangent column is deleted once it has been nonbasic at this many optimal
@@ -571,17 +576,20 @@ def _snap_verdict(inst: ProblemInstance, value: float, rho: np.ndarray, flows, t
     the flows None when the routing LP fails.  stats["routing_lps"] counts
     the verdicts.
     """
-    if flows is not None:
-        value, rho = _snap(inst, rho, flows, stats)
-    info = _routing_lp(inst, rho, tol)
+    if flows is None:
+        mu = inst.mu_of(rho)
+        win = inst.groups.win_rate(mu)
+    else:
+        value, rho, mu, win = _snap(inst, rho, flows, stats)
+    info = _routing_lp(inst, rho, mu, win, tol)
     stats["routing_lps"] = stats.get("routing_lps", 0) + 1
     if info is None:
         return value, rho, math.inf, None
     return value, rho, max(info[:3]), info[3]
 
 
-def _routing_lp(inst: ProblemInstance, rho: np.ndarray, tol: float):
-    """Route demand over the win rates at rho and measure how the point fails.
+def _routing_lp(inst: ProblemInstance, rho: np.ndarray, mu: np.ndarray, win: np.ndarray, tol: float):
+    """Route demand over the win rates ``win`` at rho (mu = mu(rho)) and measure how the point fails.
 
     Component balance alone is a necessary condition only: a snap balances
     *any* tie pattern, right or wrong, and thresholding near-ties cannot tell
@@ -603,8 +611,7 @@ def _routing_lp(inst: ProblemInstance, rho: np.ndarray, tol: float):
     rests on the shortfall and the slack value; leaving the other edges out
     can only raise the shortfall.  tol = inf routes over every edge.
     """
-    mu = inst.mu_of(rho)
-    sigma = inst.rates * inst.groups.win_rate(mu)
+    sigma = inst.rates * win
     d, n = inst.n_edges, inst.n_contracts
     theta = np.maximum(mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i], 0.0)
     edges = np.flatnonzero(theta <= tol * _scale(inst) / (1.0 + float(sigma.sum())))
@@ -743,7 +750,9 @@ def recover_primal(inst: ProblemInstance, dual: DualSolution) -> PrimalSolution:
     """
     flows = dual.flows
     if flows is None:
-        info = _routing_lp(inst, np.asarray(dual.rho, dtype=float), math.inf)
+        rho = np.asarray(dual.rho, dtype=float)
+        mu = inst.mu_of(rho)
+        info = _routing_lp(inst, rho, mu, inst.groups.win_rate(mu), math.inf)
         if info is None:
             raise NotConverged(dual, math.inf)
         flows = info[-1]

@@ -339,6 +339,22 @@ def test_simulate_deterministic_and_on_target(tmp_path):
     assert abs(half - 0.5) <= 5.0 * report["win_rate_se"][0]
 
 
+def test_simulate_output_named_like_its_csv_exits_1(tmp_path, capsys, monkeypatch):
+    # the fulfillment CSV takes the output's name with the suffix .csv: an
+    # --output ending in .csv would be written twice, so it is refused
+    # before any draw
+    inp = write_json(tmp_path / "inst.json", SCALAR)
+    solved = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(sys.modules["bidopt.simulate"], "_draw_batch", None)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--input", str(solved), "--seed", "11", "--output", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"bidopt: --output {out}:")
+    assert not out.exists()
+
+
 def test_simulate_solves_a_bare_instance_first(tmp_path, capsys, monkeypatch):
     solved = []
 

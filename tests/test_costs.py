@@ -1,4 +1,3 @@
-import csv
 import functools
 import math
 
@@ -20,7 +19,6 @@ from bidopt.costs import (
     quadrature_integral_quantile,
     quadrature_partial_mean,
     spend,
-    write_cost_grid,
 )
 from bidopt.curves import (
     BoundedUniform,
@@ -391,23 +389,6 @@ def test_dark_pool_identity_empirical():
 def test_dark_pool_rejects_first_price():
     with pytest.raises(ValueError):
         dark_pool_identity_check(AcquisitionCost(Exponential(1.0), "first_price"), 1.0)
-
-
-# ---------------------------------------------------------------------------
-# output helpers
-
-
-def test_write_cost_grid(tmp_path):
-    cost = AcquisitionCost(BoundedUniform(1.0), "second_price")
-    path = tmp_path / "grid.csv"
-    write_cost_grid(cost, path, n=11)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["q", "lam", "conjugate"]
-    assert len(rows) == 12
-    q, lam, conj = map(float, rows[6])
-    assert q == pytest.approx(0.5)
-    assert lam == pytest.approx(0.125)
 
 
 # ---------------------------------------------------------------------------

@@ -113,16 +113,6 @@ def test_json_round_trip(tmp_path):
     assert back.contracts[1].target_rate == pytest.approx(1.98)
 
 
-def test_edges_csv(tmp_path):
-    inst = stress_instance()
-    path = tmp_path / "edges.csv"
-    inst.write_edges_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "i,j,v"
-    assert len(rows) == 5
-    assert rows[1].split(",")[:2] == ["c1", "i0"]
-
-
 # ---------------------------------------------------------------------------
 # adequate supply
 

@@ -19,7 +19,7 @@ from bidopt.curves import (
     alpha_concavity_check,
     fit_empirical,
 )
-from bidopt.simulate import BidPolicy, ab_compare, policy_from_primal, simulate
+from bidopt.simulate import BidPolicy, policy_from_primal, simulate
 from bidopt.solver import solution_from_json, solution_to_json, solve
 from oracles import replay_per_arrival
 
@@ -71,18 +71,6 @@ def test_grouping_is_built_once_per_instance(monkeypatch):
 def item_costs(inst):
     """Each item's own cost object, in item order."""
     return [AcquisitionCost(it.curve, it.auction) for it in inst.items]
-
-
-def overbid_policy(inst, sol, factor):
-    """The optimal mixing with every item's marginal price inflated by ``factor``."""
-    policy = policy_from_primal(inst, sol.primal)
-    bids = np.array(
-        [
-            cost.bid_mapping_inverse(min(factor * float(sol.dual.mu[j]), cost.bid_cap))
-            for j, cost in enumerate(item_costs(inst))
-        ]
-    )
-    return BidPolicy(bids=bids, gamma=policy.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -207,64 +195,6 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         # item "e" feeds two contracts; 0.6 each oversubscribes it
         BidPolicy(bids=np.ones(inst.n_items), gamma=np.full(inst.n_edges, 0.6)).check(inst)
-
-
-# ---------------------------------------------------------------------------
-# common-random-number comparisons
-
-
-def test_ab_identical_policies_tie_exactly():
-    inst = mixed_instance()
-    sol = solve(inst, tol=1e-10)
-    policy = policy_from_primal(inst, sol.primal)
-    cmp = ab_compare(inst, [policy, policy], horizon=300.0, seed=9)
-    assert cmp.delta_cost[1] == 0.0
-    assert cmp.delta_cost_se[1] == 0.0
-    assert cmp.cost_rate[0] == cmp.cost_rate[1]
-
-
-def test_ab_baseline_agrees_with_simulate():
-    inst = mixed_instance()
-    sol = solve(inst, tol=1e-10)
-    policy = policy_from_primal(inst, sol.primal)
-    alone = simulate(inst, policy, horizon=300.0, seed=9)
-    cmp = ab_compare(inst, [policy, policy], horizon=300.0, seed=9)
-    assert cmp.cost_rate[0] == alone.cost_rate
-
-
-def test_ab_overbidding_is_weakly_costlier_pathwise():
-    inst = mixed_instance()
-    sol = solve(inst, tol=1e-10)
-    optimal = policy_from_primal(inst, sol.primal)
-    inflated = overbid_policy(inst, sol, 1.1)
-    cmp = ab_compare(inst, [optimal, inflated], horizon=5e3, seed=21)
-    # same draws, same placements, higher bids: the win set only grows and
-    # every shared win pays the same (second price) or more (first price)
-    assert cmp.delta_cost[1] > 0.0
-    assert bool(cmp.feasible[0]) and bool(cmp.feasible[1])
-    assert cmp.delta_cost_se[1] < cmp.cost_rate_se[1]
-
-
-def test_ab_report_serializes_every_field_in_order():
-    inst = mixed_instance()
-    sol = solve(inst)
-    policies = [policy_from_primal(inst, sol.primal), overbid_policy(inst, sol, 1.1)]
-    cmp = ab_compare(inst, policies, horizon=100.0, seed=4)
-    doc = cmp.to_json()
-    assert list(doc) == ["horizon", "n_batches", "seed", "arrival_model", "n_se", "cost_rate", "cost_rate_se",
-                         "delta_cost", "delta_cost_se", "value_rate", "value_rate_se", "feasible"]
-    assert json.loads(json.dumps(doc)) == doc
-    assert doc["value_rate"] == cmp.value_rate.tolist() and len(doc["value_rate"]) == 2
-    assert doc["feasible"] == [bool(f) for f in cmp.feasible]
-    assert (doc["horizon"], doc["n_batches"], doc["seed"], doc["n_se"]) == (100.0, 20, 4, 3.0)
-
-
-def test_ab_needs_two_policies():
-    inst = scalar_instance()
-    sol = solve(inst, tol=1e-10)
-    policy = policy_from_primal(inst, sol.primal)
-    with pytest.raises(ValueError):
-        ab_compare(inst, [policy], horizon=10.0, seed=0)
 
 
 def test_unnormalized_curve_rejected():
@@ -398,13 +328,6 @@ def other_policy(inst):
     return BidPolicy(bids=np.array([spec[it.id][0] for it in inst.items]), gamma=gamma)
 
 
-def cells_of(inst, policies):
-    """The layout and the cells of the policies' union box."""
-    layout = simulate_module._Layout(inst)
-    plans = [simulate_module._Plan(layout, policy) for policy in policies]
-    return layout, simulate_module._Cells(layout, plans)
-
-
 def box_of(inst, policy):
     """Per item W(b) through curve.eval and the total weight, each clipped to 1."""
     thr = np.array([float(it.curve.eval(float(x))) for it, x in zip(inst.items, policy.bids)])
@@ -413,123 +336,110 @@ def box_of(inst, policy):
     return np.minimum(thr, 1.0), np.minimum(mix, 1.0)
 
 
+def cell_bounds(inst, policy, cells):
+    """Each cell's strip of its item's box: the price side's upper end W(b),
+    and the selection side [lo, hi) between its edge's running weight and
+    the one before it, summed by np.cumsum over the item's own edges."""
+    thr, _ = box_of(inst, policy)
+    item = cells.order[cells.pos]
+    v_lo, v_hi = np.zeros(item.size), np.zeros(item.size)
+    for c, (j, e) in enumerate(zip(item.tolist(), cells.edge.tolist())):
+        edges = inst.item_edges(j)
+        cum = np.minimum(np.cumsum(np.maximum(policy.gamma[edges], 0.0)), 1.0)
+        k = int(np.flatnonzero(edges == e)[0])
+        v_lo[c], v_hi[c] = (cum[k - 1] if k else 0.0), cum[k]
+    return thr[item], v_lo, v_hi
+
+
 def test_cells_tile_the_box():
     inst, first = oracle_instance()
     ids = [it.id for it in inst.items]
     zero = [inst.item_edges(ids.index("e2"))[1], inst.item_edges(ids.index("e1"))[0],
             inst.item_edges(ids.index("h2"))[0]]
-    for policies in ([first], [first, other_policy(inst)]):
-        layout, cells = cells_of(inst, policies)
-        item = layout.order[cells.pos]
-        boxes = [box_of(inst, policy) for policy in policies]
-        thr, mix = (np.maximum.reduce(side) for side in zip(*boxes))
-        # the cells' areas sum to the union box, and no two cells overlap
+    for policy in (first, other_policy(inst)):
+        cells = simulate_module._Cells(inst, policy)
+        item = cells.order[cells.pos]
+        thr, mix = box_of(inst, policy)
+        # one cell per positive-weight edge of an item the policy can win
+        live = np.flatnonzero((policy.gamma > 0.0) & (thr[inst.edge_j] > 0.0))
+        assert np.array_equal(np.sort(cells.edge), live)
+        assert np.all(inst.edge_j[cells.edge] == item)
+        # each cell is its edge's strip [0, W(b)) x [lo, hi); the strips lie
+        # by position and then selection side without overlap, and their
+        # areas sum to the box
+        u_hi, v_lo, v_hi = cell_bounds(inst, policy, cells)
+        assert np.all(v_lo < v_hi)
+        same = cells.pos[1:] == cells.pos[:-1]
+        assert np.all(cells.pos[1:] >= cells.pos[:-1]) and np.all(v_hi[:-1][same] <= v_lo[1:][same])
+        assert cells.area == pytest.approx(u_hi * (v_hi - v_lo), rel=1e-12, abs=0.0)
         area = np.bincount(item, weights=cells.area, minlength=inst.n_items)
         assert area == pytest.approx(thr * mix, rel=1e-12, abs=0.0)
-        assert np.all(cells.u_lo < cells.u_hi) and np.all(cells.v_lo < cells.v_hi)
-        for j in range(inst.n_items):
-            at = np.flatnonzero(item == j)
-            apart = ((cells.u_hi[at, None] <= cells.u_lo[at]) | (cells.u_hi[at] <= cells.u_lo[at, None])
-                     | (cells.v_hi[at, None] <= cells.v_lo[at]) | (cells.v_hi[at] <= cells.v_lo[at, None]))
-            assert np.all(apart | np.eye(at.size, dtype=bool))
-        for policy, edge, (_, own_mix) in zip(policies, cells.edge, boxes):
-            # each cell bids for a positive-weight edge of its item, the one
-            # whose running-weight interval holds the cell, or abstains above
-            # the item's total weight
-            bids = edge >= 0
-            assert np.all(inst.edge_j[edge[bids]] == item[bids])
-            assert np.all(policy.gamma[edge[bids]] > 0.0)
-            assert np.all(cells.v_lo[~bids] >= own_mix[item[~bids]] - 1e-15)
-            for c in np.flatnonzero(bids):
-                edges = inst.item_edges(int(item[c]))
-                cum = np.cumsum(np.maximum(policy.gamma[edges], 0.0))
-                k = int(np.flatnonzero(edges == edge[c])[0])
-                assert (cum[k - 1] if k else 0.0) <= cells.v_lo[c] and cells.v_hi[c] <= cum[k]
-        # the first policy's zero weights: between two edges (e2), leading
-        # (e1) and clipped from below 0 (h2)
-        assert not set(zero) & set(cells.edge[0].tolist())
-    # one policy: one cell per positive-weight edge of an item it can win
-    _, cells = cells_of(inst, [first])
-    thr, _ = box_of(inst, first)
-    live = np.flatnonzero((first.gamma > 0.0) & (thr[inst.edge_j] > 0.0))
-    assert np.array_equal(np.sort(cells.edge[0]), live)
+    # the first policy's zero weights: between two edges (e2), leading (e1)
+    # and clipped from below 0 (h2)
+    assert not set(zero) & set(simulate_module._Cells(inst, first).edge.tolist())
 
 
-def expand_cells(cells, counts, u, rng):
+def expand_cells(cells, bounds, counts, u, rng):
     """A batch's cells as explicit points, item-contiguous in position order.
 
     A priced cell's points take the batch's own price quantiles; every other
-    quantile and every selection coordinate is uniform on the point's cell.
-    Returns the point counts per position, the quantiles and the selection
-    coordinates, as ``replay_per_arrival`` reads them.
+    quantile and every selection coordinate is uniform on the point's cell,
+    whose ``bounds`` come from ``cell_bounds``.  Returns the point counts per
+    position, the quantiles and the selection coordinates, as
+    ``replay_per_arrival`` reads them.
     """
-    u_all = rng.uniform(np.repeat(cells.u_lo, counts), np.repeat(cells.u_hi, counts))
+    u_hi, v_lo, v_hi = bounds
+    u_all = rng.uniform(0.0, np.repeat(u_hi, counts))
     priced = np.zeros(counts.size, dtype=bool)
     priced[cells.priced] = True
     u_all[np.repeat(priced, counts)] = u
-    v_all = rng.uniform(np.repeat(cells.v_lo, counts), np.repeat(cells.v_hi, counts))
+    v_all = rng.uniform(np.repeat(v_lo, counts), np.repeat(v_hi, counts))
     per_pos = np.bincount(cells.pos, weights=counts, minlength=cells.rank.size).astype(int)
     return per_pos, u_all, v_all
 
 
-def replay_against_oracle(inst, policies, horizon, n_batches, seed):
+def replay_against_oracle(inst, policy, horizon, n_batches, seed):
     """Replay each batch's cells and, point by point, the per-arrival oracle.
 
-    Checks that they agree and that each policy wins exactly the cells of
-    its own sub-box [0, W(b)) x [0, mix); returns the cost rates per policy
-    and batch and the share of each batch's points each policy wins.
+    Checks that they agree and that the policy wins every drawn point, all
+    of which lie in its box [0, W(b)) x [0, mix); returns the cost rate per
+    batch.
     """
-    layout, cells = cells_of(inst, policies)
-    item = layout.order[cells.pos]
+    cells = simulate_module._Cells(inst, policy)
+    bounds = cell_bounds(inst, policy, cells)
+    item = cells.order[cells.pos]
     t_batch = horizon / n_batches
-    costs, shares = np.zeros((len(policies), n_batches)), np.zeros((len(policies), n_batches))
+    costs = np.zeros(n_batches)
     points = np.random.default_rng(seed + 1)
     for b, rng in enumerate(simulate_module._batch_rngs(seed, n_batches)):
         counts, u = simulate_module._draw_batch(rng, cells, t_batch, False)
-        price = cells.price(counts, u)
-        per_pos, u_all, v_all = expand_cells(cells, counts, u, points)
-        for k, policy in enumerate(policies):
-            value, wins, cost = cells.replay(k, counts, price)
-            o_value, o_wins, o_cost = replay_per_arrival(inst, policy, layout.order, per_pos, u_all, v_all)
-            assert np.array_equal(wins, o_wins)
-            # the replay sums per-cell totals, the oracle one point at a
-            # time: equal up to the summation order
-            assert value == pytest.approx(o_value, rel=1e-12)
-            assert cost == pytest.approx(o_cost, rel=1e-12)
-            thr, mix = box_of(inst, policy)
-            inside = ((cells.u_lo + cells.u_hi) / 2 < thr[item]) & ((cells.v_lo + cells.v_hi) / 2 < mix[item])
-            assert np.array_equal(wins, np.bincount(item[inside], weights=counts[inside], minlength=inst.n_items))
-            costs[k, b] = o_cost / t_batch
-            shares[k, b] = counts[inside].sum() / counts.sum()
-    return costs, shares
+        value, wins, cost = cells.replay(counts, cells.price(counts, u))
+        per_pos, u_all, v_all = expand_cells(cells, bounds, counts, u, points)
+        o_value, o_wins, o_cost = replay_per_arrival(inst, policy, cells.order, per_pos, u_all, v_all)
+        assert np.array_equal(wins, o_wins)
+        # the replay sums per-cell totals, the oracle one point at a time:
+        # equal up to the summation order
+        assert value == pytest.approx(o_value, rel=1e-12)
+        assert cost == pytest.approx(o_cost, rel=1e-12)
+        assert np.array_equal(wins, np.bincount(item, weights=counts, minlength=inst.n_items))
+        costs[b] = o_cost / t_batch
+    return costs
 
 
 def test_flat_replay_matches_per_arrival_oracle():
-    inst, policy = oracle_instance()
-    _, shares = replay_against_oracle(inst, [policy], horizon=450.0, n_batches=3, seed=5)
-    # the cells hold only the policy's own box, so every drawn point wins
-    assert np.all(shares == 1.0)
+    inst, first = oracle_instance()
     # every branch is exercised: the winning items are exactly those with a
     # positive bid, weight and W(b) on some edge
-    report = simulate(inst, policy, horizon=450.0, seed=5, n_batches=3)
-    assert set(np.flatnonzero(report.win_rate)) == {
-        j for j, it in enumerate(inst.items) if it.id not in ("h1", "lone", "rare")
-    }
-    layout, cells = cells_of(inst, [policy])
+    for policy, losers in ((first, ("h1", "lone", "rare")), (other_policy(inst), ("lone", "rare"))):
+        costs = replay_against_oracle(inst, policy, horizon=450.0, n_batches=3, seed=5)
+        report = simulate(inst, policy, horizon=450.0, seed=5, n_batches=3)
+        assert report.cost_rate == pytest.approx(costs.mean(), rel=1e-12)
+        assert set(np.flatnonzero(report.win_rate)) == {
+            j for j, it in enumerate(inst.items) if it.id not in losers
+        }
+    cells = simulate_module._Cells(inst, first)
     p2 = [it.id for it in inst.items].index("p2")
-    assert np.bincount(layout.order[cells.pos], weights=cells.area)[p2] == inst.items[p2].curve.total_mass * 0.6
-
-
-def test_ab_policies_win_their_own_sub_boxes():
-    inst, first = oracle_instance()
-    policies = [first, other_policy(inst)]
-    horizon, n_batches, seed = 300.0, 4, 17
-    costs, shares = replay_against_oracle(inst, policies, horizon, n_batches, seed)
-    # each policy's win set is a proper sub-box of the shared points
-    assert np.all((0.0 < shares) & (shares < 1.0))
-    cmp = ab_compare(inst, policies, horizon=horizon, seed=seed, n_batches=n_batches)
-    assert cmp.cost_rate == pytest.approx(costs.mean(axis=1), rel=1e-12)
-    assert cmp.delta_cost[1] == pytest.approx((costs[1] - costs[0]).mean(), rel=1e-12)
+    assert np.bincount(cells.order[cells.pos], weights=cells.area)[p2] == inst.items[p2].curve.total_mass * 0.6
 
 
 def test_box_draws_are_calibrated():
@@ -555,14 +465,14 @@ def test_edge_hits_are_calibrated(deterministic):
     # seeded runs the sample mean has standard deviation sigma / sqrt(S) and
     # the sample variance about sqrt((mu_4 - sigma^4) / S)
     inst, policy = oracle_instance()
-    layout, cells = cells_of(inst, [policy])
+    cells = simulate_module._Cells(inst, policy)
     t_batch, runs = 4.0, 300
-    edge = cells.edge[0]
+    edge = cells.edge
     hits, wins = np.zeros((runs, inst.n_edges)), np.zeros((runs, inst.n_items))
     for r, rng in enumerate(simulate_module._batch_rngs(29, runs)):
         counts, u = simulate_module._draw_batch(rng, cells, t_batch, deterministic)
         hits[r] = np.bincount(edge, weights=counts, minlength=inst.n_edges)
-        wins[r] = cells.replay(0, counts, cells.price(counts, u))[1]
+        wins[r] = cells.replay(counts, cells.price(counts, u))[1]
     thr, _ = box_of(inst, policy)
     p = thr[inst.edge_j] * np.maximum(policy.gamma, 0.0)
     if deterministic:
@@ -583,13 +493,13 @@ def test_deterministic_box_draws_never_exceed_the_arrivals():
     # under deterministic arrivals a batch holds round(lambda t) arrivals per
     # item, and the box keeps Binomial(round(lambda t), W(b) mix) of them
     inst, policy = oracle_instance()
-    layout, cells = cells_of(inst, [policy])
+    cells = simulate_module._Cells(inst, policy)
     t_batch, batches = 4.0, 400
     n = np.round(inst.rates * t_batch)
     wins = np.zeros((batches, inst.n_items))
     for b, rng in enumerate(simulate_module._batch_rngs(3, batches)):
         counts, u = simulate_module._draw_batch(rng, cells, t_batch, True)
-        wins[b] = cells.replay(0, counts, cells.price(counts, u))[1]
+        wins[b] = cells.replay(counts, cells.price(counts, u))[1]
     assert np.all(wins <= n)
     thr, mix = box_of(inst, policy)
     p = thr * mix
@@ -676,8 +586,6 @@ def test_bad_seed_rejected_before_any_batch(monkeypatch, seed):
     monkeypatch.setattr(simulate_module, "_draw_batch", no_batches)
     with pytest.raises(ValueError, match="seed"):
         simulate(inst, policy, horizon=1e5, seed=seed)
-    with pytest.raises(ValueError, match="seed"):
-        ab_compare(inst, [policy, policy], horizon=1e5, seed=seed)
 
 
 def test_numpy_integer_seed_accepted():
@@ -685,4 +593,4 @@ def test_numpy_integer_seed_accepted():
     policy = BidPolicy(bids=np.ones(inst.n_items), gamma=np.full(inst.n_edges, 0.3))
     a = simulate(inst, policy, horizon=50.0, seed=np.int64(4))
     assert a.to_json() == simulate(inst, policy, horizon=50.0, seed=4).to_json()
-    assert ab_compare(inst, [policy, policy], horizon=50.0, seed=np.uint32(4)).seed == 4
+    assert simulate(inst, policy, horizon=50.0, seed=np.uint32(4)).seed == 4

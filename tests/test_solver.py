@@ -246,8 +246,8 @@ def test_not_converged_carries_best_iterate(monkeypatch):
     verdicts = []
     routing_lp = solver._routing_lp
 
-    def recording(inst, rho, tol):
-        verdicts.append(routing_lp(inst, rho, tol))
+    def recording(inst, rho, mu, win, tol):
+        verdicts.append(routing_lp(inst, rho, mu, win, tol))
         return verdicts[-1]
 
     def no_master(inst, best_val, best_rho, tol, stats=None):
@@ -276,7 +276,7 @@ def test_not_converged_carries_best_iterate(monkeypatch):
 
 def test_failed_routing_lp_leaves_the_solve_uncertified(monkeypatch):
     # without the routing LP's verdict no point is certified
-    monkeypatch.setattr(solver, "_routing_lp", lambda inst, rho, tol: None)
+    monkeypatch.setattr(solver, "_routing_lp", lambda inst, rho, mu, win, tol: None)
     with pytest.raises(NotConverged) as exc:
         solve_dual(mixed_instance())
     assert exc.value.best.flows is None
@@ -388,8 +388,8 @@ def _solve_recording_master(inst, monkeypatch, tol=1e-8):
         snapped.append(flows)
         return snap(inst, rho, flows, stats)
 
-    def counting(inst, rho, tol):
-        info = routing_lp(inst, rho, tol)
+    def counting(inst, rho, mu, win, tol):
+        info = routing_lp(inst, rho, mu, win, tol)
         events.append(info is not None and max(info[:3]) <= tol * solver._scale(inst))
         return info
 
@@ -470,10 +470,10 @@ def test_a_snap_below_the_point_it_left_is_judged_and_certifies(monkeypatch):
     snap = solver._snap
 
     def snapping(inst, rho, flows, stats):
-        value, snapped = snap(inst, rho, flows, stats)
+        value, snapped, mu, win = snap(inst, rho, flows, stats)
         handed = solver._dual_value(inst, rho)
         drops.append((handed - value) / (1.0 + abs(handed)))
-        return value, snapped
+        return value, snapped, mu, win
 
     monkeypatch.setattr(solver, "_snap", snapping)
     sol = solve(inst)
@@ -488,8 +488,10 @@ def test_near_tight_routing_lp_matches_the_full_one():
     for seed in range(0, 150, 10):
         inst = _fuzz_instance(seed)
         rho = np.asarray(solve_dual(inst).rho, dtype=float)
-        tight = solver._routing_lp(inst, rho, 1e-8)
-        full = solver._routing_lp(inst, rho, math.inf)
+        mu = inst.mu_of(rho)
+        win = inst.groups.win_rate(mu)
+        tight = solver._routing_lp(inst, rho, mu, win, 1e-8)
+        full = solver._routing_lp(inst, rho, mu, win, math.inf)
         for a, b in zip(tight[:3], full[:3]):
             assert abs(a - b) <= 1e-12, seed
 
@@ -985,7 +987,7 @@ def test_grouped_spend_matches_per_item_lam(make):
 def test_recover_primal_without_flows_fails_when_routing_fails(monkeypatch):
     inst = mixed_instance()
     dual = dataclasses.replace(solve_dual(inst, tol=1e-10), flows=None)
-    monkeypatch.setattr(solver, "_routing_lp", lambda inst, rho, tol: None)
+    monkeypatch.setattr(solver, "_routing_lp", lambda inst, rho, mu, win, tol: None)
     with pytest.raises(NotConverged):
         recover_primal(inst, dual)
 
