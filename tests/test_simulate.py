@@ -442,6 +442,29 @@ def test_flat_replay_matches_per_arrival_oracle():
     assert np.bincount(cells.order[cells.pos], weights=cells.area)[p2] == inst.items[p2].curve.total_mass * 0.6
 
 
+def test_ab_policies_win_their_own_sub_boxes():
+    # on the points drawn in one policy's cells, the per-arrival oracle of
+    # the other policy wins exactly those in its own box [0, W(b)) x [0, mix),
+    # a proper subset of them
+    inst, first = oracle_instance()
+    policies = (first, other_policy(inst))
+    horizon, n_batches, seed = 300.0, 4, 17
+    for policy, rival in (policies, policies[::-1]):
+        cells = simulate_module._Cells(inst, policy)
+        bounds = cell_bounds(inst, policy, cells)
+        item = cells.order[cells.pos]
+        thr, mix = box_of(inst, rival)
+        points = np.random.default_rng(seed + 1)
+        for rng in simulate_module._batch_rngs(seed, n_batches):
+            counts, u = simulate_module._draw_batch(rng, cells, horizon / n_batches, False)
+            per_pos, u_all, v_all = expand_cells(cells, bounds, counts, u, points)
+            _, wins, _ = replay_per_arrival(inst, rival, cells.order, per_pos, u_all, v_all)
+            j_all = np.repeat(item, counts)
+            inside = (u_all < thr[j_all]) & (v_all < mix[j_all])
+            assert np.array_equal(wins, np.bincount(j_all[inside], minlength=inst.n_items))
+            assert 0 < inside.sum() < inside.size
+
+
 def test_box_draws_are_calibrated():
     # per item and run, wins are Poisson(lambda t W(b) mix): over S seeded
     # runs the sample mean has standard deviation sqrt(mu / S) and the
