@@ -17,7 +17,9 @@ exceed 3 standard errors next to the count expected by chance: sum_k 1 - (1 - p)
 replays, with n_k comparisons in replay k (its contracts, or 1 for the cost) and p the
 two-sided tail of Student's t with 19 degrees of freedom beyond 3.
 Each plan's bids (`primal.x`) are saved too, and `--compare` prints how many instances' bids,
-and how many replay z-scores, differ bitwise from the saved ones.
+and how many replay z-scores, differ bitwise from the saved ones, and for the cost z-scores the
+largest relative difference among those that differ (|cost - P| / se magnifies a relative change of
+the cost by cost / |cost - P|).
 Each instance's edge count and master LP rows (n contracts + 2 per item with an edge) are saved,
 and `--compare` splits the master LP solves, simplex iterations and solve seconds at
 `_ALL_EDGES_PER_ROW` edges per master row, where the master starts from every edge column
@@ -118,6 +120,12 @@ def differ_bitwise(now: dict, old: dict, key: str) -> int:
     return sum(not np.array_equal(a, b, equal_nan=True) for a, b in pairs)
 
 
+def largest_relative_difference(now: np.ndarray, old: np.ndarray) -> float:
+    """The largest |now - old| / |old| over the entries that differ (NaN where both are NaN counts as equal)."""
+    differ = (now != old) & ~(np.isnan(now) & np.isnan(old))
+    return float(np.max(np.abs(now[differ] - old[differ]) / np.abs(old[differ])))
+
+
 def all_edges(run: dict):
     """Which instances have at most _ALL_EDGES_PER_ROW edges per master row (None for a save without sizes)."""
     if "n_edges" not in run:
@@ -172,7 +180,10 @@ def main() -> None:
         print(f"replays with {k} beyond 3 se: {beyond[0]}, {expected:.1f} expected (saved {beyond[1]})")
     for key, what in (("bids", "instances' bids"), ("replay_value_z", "replay value z-scores"),
                       ("replay_cost_z", "replay cost z-scores")):
-        print(f"{what} that differ bitwise: {differ_bitwise(now, old, key) if key in old else 'n/a'}")
+        count = differ_bitwise(now, old, key) if key in old else "n/a"
+        if count and key == "replay_cost_z":
+            count = f"{count}, largest relative difference {largest_relative_difference(now[key], old[key]):.3g}"
+        print(f"{what} that differ bitwise: {count}")
 
 
 if __name__ == "__main__":

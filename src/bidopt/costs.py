@@ -50,10 +50,6 @@ __all__ = [
     "NotDifferentiable",
     "DarkPoolCheck",
     "dark_pool_identity_check",
-    "adaptive_simpson",
-    "quadrature_integral_cdf",
-    "quadrature_integral_quantile",
-    "quadrature_partial_mean",
 ]
 
 
@@ -470,51 +466,6 @@ class AcquisitionCost:
     # ------------------------------------------------------------------
     def __repr__(self):
         return f"AcquisitionCost({self.curve!r}, {self.kind.value})"
-
-
-# ---------------------------------------------------------------------------
-# quadrature cross-checks (adaptive Simpson)
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 60) -> float:
-    """Adaptive Simpson integral of a scalar function on [a, b]."""
-    if b <= a:
-        return 0.0
-
-    def simpson(fa, fm, fb, h):
-        return h * (fa + 4.0 * fm + fb) / 6.0
-
-    def rec(a, fa, b, fb, m, fm, whole, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return rec(a, fa, m, fm, lm, flm, left, depth + 1) + rec(
-            m, fm, b, fb, rm, frm, right, depth + 1
-        )
-
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    return rec(a, fa, b, fb, m, fm, simpson(fa, fm, fb, b - a), 0)
-
-
-def quadrature_integral_quantile(curve: SupplyCurve, q: float, tol: float = 1e-10) -> float:
-    """∫_0^q W^{-1} by adaptive Simpson; independent route for cross-checks."""
-    return adaptive_simpson(lambda u: float(curve.inverse(u)), 0.0, float(q), tol)
-
-
-def quadrature_integral_cdf(curve: SupplyCurve, mu: float, tol: float = 1e-10) -> float:
-    """∫_0^mu W by adaptive Simpson (W held at its mass beyond x_bar)."""
-    return adaptive_simpson(lambda u: float(curve.eval(u)), 0.0, float(mu), tol)
-
-
-def quadrature_partial_mean(curve: SupplyCurve, x: float, tol: float = 1e-10) -> float:
-    """∫_0^x u dW via integration by parts: x W(x) - ∫_0^x W."""
-    x = float(x)
-    return x * float(curve.eval(x)) - quadrature_integral_cdf(curve, x, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,16 @@ Extension conventions used throughout:
 * ``inverse``  -- 0 for q <= 0, inf for q > total mass, x_bar at q == mass.
 
 Each family writes W (``w``), its running integral (``w_integral``), its
-first-price bid (``bid``), its quantile (``quantile``), its density
-(``w_slope``) and the bid's derivative in the marginal price (``bid_slope``); the
-quantile integral ∫_0^q W^{-1} (``quantile_integral``) follows by Young's
-equality, written once in ``SupplyCurve``, and only the unbounded families
-(Exponential, Hyperbolic) write it in closed form.  So does the price integral
-∫_0^x u dW(u) (``price_integral``), the quantile integral at W(x), which
-Hyperbolic writes in closed form.  ``integral_cdf``, ``integral_quantile`` and
+first-price bid (``bid``), its quantile, its density (``w_slope``) and the
+bid's derivative in the marginal price (``bid_slope``).  Each parametric
+family is a scale family, W^{-1}(q; p) = scale(p) shape(q): it writes a
+parameter-free shape (``quantile_shape``) and a scale (``quantile_scale``),
+which ``quantile`` composes.  The quantile integral ∫_0^q W^{-1}
+(``quantile_integral``) follows by Young's equality, written once in
+``SupplyCurve``, and only the unbounded families (Exponential, Hyperbolic)
+write it in closed form.  So does the price integral ∫_0^x u dW(u)
+(``price_integral``), the quantile integral at W(x), which Hyperbolic writes
+in closed form.  ``integral_cdf``, ``integral_quantile`` and
 ``partial_mean`` wrap ``w_integral``, ``quantile_integral`` and
 ``price_integral`` for one curve; ``p_bar`` is ``integral_quantile`` at the mass.
 
@@ -93,13 +96,15 @@ class SupplyCurve:
     # -- family formulas ------------------------------------------------------
     # Each family writes W, its running integral, its first-price bid, its
     # quantile, its density and its bid's slope once, as w(x, *p),
-    # w_integral(mu, *p), bid(mu, *p), quantile(q, *p), w_slope(x, *p) and
-    # bid_slope(mu, x, *p) for x, mu >= 0, q in [0, total mass] and
-    # p = formula_params().  The parametric families
-    # make them static methods that broadcast over arrays of parameters, so
-    # that one call evaluates a whole group of curves (``costs.conj_win``,
-    # ``costs.spend``, the simulator's price draws).  quantile_integral(q, *p)
-    # is derived from them below; only the unbounded families write it.
+    # w_integral(mu, *p), bid(mu, *p), quantile_shape(q, out=None) (free of
+    # parameters and of guards, into ``out`` when given) and
+    # quantile_scale(*p), w_slope(x, *p) and bid_slope(mu, x, *p) for
+    # x, mu >= 0, q in [0, total mass] and p = formula_params().  The
+    # parametric families make them static methods that broadcast over arrays
+    # of parameters, so that one call evaluates a whole group of curves
+    # (``costs.conj_win``, ``costs.spend``).  quantile(q, *p) and
+    # quantile_integral(q, *p) are derived from them below; only the
+    # unbounded families write the latter.
     def formula_params(self) -> tuple:
         return tuple(self.params().values())
 
@@ -117,9 +122,16 @@ class SupplyCurve:
             f"{type(self).__name__} has no first-price bid formula; implement bid for _g_inverse"
         )
 
-    def quantile(self, q, *params):  # pragma: no cover - abstract
-        """W^{-1}(q) for q in [0, total mass]."""
-        raise NotImplementedError
+    # an unbounded family's W^{-1} is inf from q = 1 on, where its shape diverges
+    unbounded = False
+
+    @_family_method
+    def quantile(self, q, *params):
+        """W^{-1}(q) = quantile_scale(*p) quantile_shape(q) for q in [0, total mass]."""
+        if not self.unbounded:
+            return self.quantile_scale(*params) * self.quantile_shape(q)
+        with np.errstate(divide="ignore"):
+            return np.where(q >= 1.0, np.inf, self.quantile_scale(*params) * self.quantile_shape(np.minimum(q, 1.0)))
 
     def w_slope(self, x, *params):  # pragma: no cover - abstract
         """W'(x) on the open support: the density, by the formula of its interior."""
@@ -325,6 +337,7 @@ class Exponential(_Parametric):
 
     rate: float
     family = "exponential"
+    unbounded = True
 
     @property
     def x_bar(self) -> float:
@@ -359,10 +372,12 @@ class Exponential(_Parametric):
         return x
 
     @staticmethod
-    def quantile(q, rate):
-        with np.errstate(divide="ignore"):
-            inner = -np.log1p(-np.minimum(q, 1.0 - 1e-16)) / rate
-        return np.where(q >= 1.0, np.inf, inner)
+    def quantile_shape(q, out=None):
+        return np.negative(np.log1p(np.negative(q, out=out), out=out), out=out)
+
+    @staticmethod
+    def quantile_scale(rate):
+        return 1.0 / rate
 
     @staticmethod
     def quantile_integral(q, rate):
@@ -394,6 +409,7 @@ class Hyperbolic(_Parametric):
 
     scale: float
     family = "hyperbolic"
+    unbounded = True
 
     @property
     def x_bar(self) -> float:
@@ -421,10 +437,12 @@ class Hyperbolic(_Parametric):
         return mu / (1.0 + np.sqrt(1.0 + mu / scale))
 
     @staticmethod
-    def quantile(q, scale):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = scale * q / (1.0 - q)
-        return np.where(q >= 1.0, np.inf, out)
+    def quantile_shape(q, out=None):
+        return np.divide(q, 1.0 - q, out=out)
+
+    @staticmethod
+    def quantile_scale(scale):
+        return scale
 
     @staticmethod
     def quantile_integral(q, scale):
@@ -477,8 +495,12 @@ class BoundedUniform(_Parametric):
         return np.minimum(mu / 2.0, x_max)
 
     @staticmethod
-    def quantile(q, x_max):
-        return q * x_max
+    def quantile_shape(q, out=None):
+        return np.positive(q, out=out)
+
+    @staticmethod
+    def quantile_scale(x_max):
+        return x_max
 
     @staticmethod
     def w_slope(x, x_max):
@@ -530,8 +552,12 @@ class PowerLawDensity(_Parametric):
         return np.minimum(2.0 * mu / 3.0, x_max)
 
     @staticmethod
-    def quantile(q, w0, x_max):
-        return np.sqrt(2.0 * q / w0)
+    def quantile_shape(q, out=None):
+        return np.sqrt(q, out=out)
+
+    @staticmethod
+    def quantile_scale(w0, x_max):
+        return np.sqrt(2.0 / w0)
 
     @staticmethod
     def w_slope(x, w0, x_max):

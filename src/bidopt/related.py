@@ -313,7 +313,8 @@ def _volume_prox(market: LobMarket, t: float):
     top_price, gap = groups.quantile(top), groups.quantile(np.zeros(mass.size))
     power = np.array([isinstance(c, PowerLawDensity) for c in curves])
     # PowerLawDensity: Lambda'(y) = sqrt(2 y / w0); quadratic in sqrt(y)
-    tb = t * np.array([math.sqrt(2.0 / c.w0) if isinstance(c, PowerLawDensity) else 0.0 for c in curves])
+    tb = t * np.array([c.quantile_scale(*c.formula_params()) if isinstance(c, PowerLawDensity) else 0.0
+                       for c in curves])
 
     def prox(z: np.ndarray) -> np.ndarray:
         u = 0.5 * (-tb + np.sqrt(tb * tb + 4.0 * np.maximum(z, 0.0)))

@@ -22,10 +22,12 @@ lambda t times their area, so a batch draws one count per cell (under
 deterministic arrivals, Binomial(round(lambda t), W(b) m) per item split
 over its cells by one multinomial), and hits, wins and value are sums of
 counts.  Only second-price cost needs single points: each winning point of
-a second-price cell draws its price quantile uniform on [0, W(b)), one
-quantile call per (family, auction) group and batch.  Items take a fixed
-order that depends only on the instance: grouped by family and auction
-kind, an empirical curve a group of its own.  The cells, and so the draws,
+a second-price cell draws its price quantile uniform on [0, W(b)); as
+W^{-1}(q) = scale shape(q) in each parametric family (Devroye 1986, ch. 2),
+a cell's price sum is its scale times its points' shapes summed, one
+in-place shape pass per (family, auction) group and batch.  Items take a
+fixed order that depends only on the instance: grouped by family and
+auction kind, an empirical curve a group of its own.  The cells, and so the draws,
 depend on the policy: two policies replayed with one seed do not share
 their draws.
 
@@ -214,11 +216,8 @@ class _Cells:
         self.shares = np.zeros((inst.n_items, width))
         box = self.box[self.pos]
         self.shares[self.pos, self.column] = np.divide(self.area, box, out=np.zeros(self.pos.size), where=box > 0.0)
-        # second-price cells pay a drawn price, first-price cells the bid; an
-        # empirical group prices through its curve's inverse, which also maps
-        # u = 0 to 0 when the support starts above 0
-        priced = [(sl, family.inverse if isinstance(family, Empirical) else family.quantile, params)
-                  for sl, family, first_price, params in inst.groups.groups if not first_price]
+        # second-price cells pay a drawn price, first-price cells the bid
+        priced = [(sl, family, params) for sl, family, first_price, params in inst.groups.groups if not first_price]
         second = np.zeros(inst.n_items, dtype=bool)
         for sl, _, _ in priced:
             second[sl] = True
@@ -226,12 +225,18 @@ class _Cells:
         self.contract, self.value = inst.edge_i[self.edge], inst.edge_v[self.edge]
         self.priced = np.flatnonzero(second[self.pos])
         priced_pos = self.pos[self.priced]
-        # a priced cell's points take price quantiles uniform on [0, u_hi)
+        # a priced cell's points take price quantiles uniform on [0, u_hi),
+        # and its prices are its scale times its group's shape of them
         self.u_hi = thr[priced_pos]
+        self.scale = np.ones(priced_pos.size)
         self.groups = []
-        for sl, quantile, params in priced:
+        for sl, family, params in priced:
             a, b = np.searchsorted(priced_pos, [sl.start, sl.stop])
-            self.groups.append((a, b, quantile, tuple(p[priced_pos[a:b] - sl.start] for p in params)))
+            if isinstance(family, Empirical):
+                self.groups.append((a, b, _empirical_shape(family)))
+            else:
+                self.scale[a:b] = family.quantile_scale(*(p[priced_pos[a:b] - sl.start] for p in params))
+                self.groups.append((a, b, family.quantile_shape))
 
     def predictions(self):
         """Fluid-model rates implied by the policy: per-contract value, per-item wins, cost."""
@@ -243,20 +248,22 @@ class _Cells:
         return value, inst.rates * mix * self.win, float(np.sum(inst.rates * mix * self.pay))
 
     def price(self, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Each cell's sum of second-price payments, one quantile call per group.
+        """Each cell's sum of second-price payments: its scale times the sum of its group's shape.
 
         ``u`` holds the price quantiles of the priced cells' points, cell by
-        cell in order.
+        cell in order, and is overwritten: one pass per group turns its
+        slice into shapes in place, then one sum per cell.  Every quantile
+        lies in [0, W(b)), below the total mass, so the shapes need no guard.
         """
         n = counts[self.priced]
         start = np.concatenate(([0], np.cumsum(n)))
-        paid = np.empty(u.size)
-        for a, b, quantile, params in self.groups:
-            paid[start[a] : start[b]] = quantile(u[start[a] : start[b]], *(np.repeat(p, n[a:b]) for p in params))
+        for a, b, shape in self.groups:
+            q = u[start[a] : start[b]]
+            shape(q, out=q)
         price = np.zeros(counts.size)
         live = np.flatnonzero(n)
         if live.size:
-            price[self.priced[live]] = np.add.reduceat(paid, start[live])
+            price[self.priced[live]] = np.add.reduceat(u, start[live]) * self.scale[live]
         return price
 
     def replay(self, counts: np.ndarray, price: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -264,6 +271,18 @@ class _Cells:
         wins = np.bincount(self.pos, weights=counts, minlength=self.rank.size)
         value = np.bincount(self.contract, weights=counts * self.value, minlength=self.inst.n_contracts)
         return value, wins[self.rank], float(counts @ self.bid) + float(price.sum())
+
+
+def _empirical_shape(curve: Empirical):
+    """One curve's W^{-1} on quantiles in [0, mass), in place: its knots interpolated, 0 at q = 0 as under ``inverse``."""
+    gap = curve.breakpoints[0][0] > 0.0  # the support starts above 0
+
+    def shape(q, out):
+        zero = np.flatnonzero(q == 0.0) if gap else []
+        out[:] = curve.quantile(q)
+        out[zero] = 0.0
+
+    return shape
 
 
 def _draw_batch(rng: np.random.Generator, cells: _Cells, t_batch: float, deterministic: bool):
@@ -305,8 +324,9 @@ def _write_fulfillment_csv(path, inst: ProblemInstance, t_batch: float, batch_va
             w.writerow([f"{t:.10g}"] + [f"{x / t:.10g}" for x in cum[b]])
 
 
-# the most points one batch may draw in expectation; each second-price point
-# takes a float64 price quantile, so 2**26 of them take 512 MiB
+# the most points one batch may draw in expectation; drawing and pricing a
+# batch peaks at 16 bytes per second-price point (tracemalloc, every family:
+# the float64 quantiles and their upper ends), so 2**26 of them take 1 GiB
 _MAX_BATCH_POINTS = 2**26
 
 
@@ -324,7 +344,7 @@ def simulate(
     """Replay ``policy`` for ``horizon`` time units and aggregate realized rates.
 
     The arguments are checked before any draw.  The horizon splits into
-    ``n_batches`` equal batches with independent RNG streams spawned from
+    ``n_batches`` equal batches of positive length with independent RNG streams spawned from
     ``seed``, a nonnegative integer; standard errors come from the spread of
     the batch means.  Each batch draws counts on the cells of the policy's
     box.  A batch that would draw more than _MAX_BATCH_POINTS points in
@@ -344,10 +364,12 @@ def simulate(
         raise ValueError("horizon must be positive and finite")
     if n_batches < 2:
         raise ValueError("need at least 2 batches for standard errors")
+    t_batch = horizon / n_batches
+    if not t_batch > 0.0:
+        raise ValueError(f"horizon {float(horizon)!r} splits into {n_batches} batches of length 0")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
     cells = _Cells(inst, policy)
-    t_batch = horizon / n_batches
     points = t_batch * float(np.sum(cells.arrival_rates if deterministic_arrivals else cells.rates))
     if not points <= _MAX_BATCH_POINTS:
         raise ValueError(f"horizon {horizon:g} puts {points:.3g} expected points in each of its {n_batches} "

@@ -217,17 +217,24 @@ HUGE_TARGET = {**SCALAR, "contracts": [{"id": "c", "target": 1e300, "valuations"
     "argv",
     [["solve", "--bogus"], ["solve", "--eps-active", "1e-3"], ["feasibility", "--input"], ["solve", "--input"],
      ["solve", "--tol", "0"], ["feasibility", "--margin=-1e-6"], ["simulate", "--horizon", "nan"],
-     ["solve", "--tol", "abc"]],
+     ["solve", "--tol", "abc"], ["simulate", "--seed", "1", "--horizon", "5e-324", "--input"]],
     ids=["bogus", "eps-active", "feasibility-huge-target", "solve-huge-target",
-         "zero-tol", "negative-margin", "nan-horizon", "non-numeric-tol"],
+         "zero-tol", "negative-margin", "nan-horizon", "non-numeric-tol", "subnormal-horizon"],
 )
-def test_usage_error_exits_1(argv, tmp_path, capsys):
+def test_usage_error_exits_1(argv, tmp_path, capsys, monkeypatch):
     if argv[-1] == "--input":
-        # HiGHS reads a row bound of 1e20 or more as infinite
-        argv = [*argv, write_json(tmp_path / "inst.json", HUGE_TARGET)]
-        assert main(argv) == 1
+        # HiGHS reads a row bound of 1e20 or more as infinite; a horizon of
+        # 5e-324 splits into batches of length 0, refused before any draw
+        if argv[0] == "simulate":
+            doc, message = {"instance": SCALAR, "policy": {"bids": [0.7], "gamma": [0.8]}}, "bidopt: horizon 5e-324 "
+        else:
+            doc, message = HUGE_TARGET, "bidopt: contract target 1e+300"
+        monkeypatch.setattr(sys.modules["bidopt.simulate"], "_draw_batch", None)
+        out = tmp_path / "sim.json"
+        assert main([*argv, write_json(tmp_path / "inst.json", doc), "--output", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("bidopt: contract target 1e+300")
+        assert len(err) == 1 and err[0].startswith(message)
+        assert not out.exists()
         return
     # argparse wants to exit 2 on usage errors; 2 is reserved for infeasibility
     with pytest.raises(SystemExit) as err:

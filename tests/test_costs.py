@@ -12,12 +12,8 @@ from bidopt.costs import (
     AuctionKind,
     NotTwoConcave,
     OutOfRange,
-    adaptive_simpson,
     dark_pool_identity_check,
     pay,
-    quadrature_integral_cdf,
-    quadrature_integral_quantile,
-    quadrature_partial_mean,
     spend,
 )
 from bidopt.curves import (
@@ -30,7 +26,15 @@ from bidopt.curves import (
     fit_empirical,
 )
 from bidopt.model import random_instance
-from oracles import grid_sup_biconjugate, grid_sup_conjugate, segment_max_first_price
+from oracles import (
+    adaptive_simpson,
+    grid_sup_biconjugate,
+    grid_sup_conjugate,
+    quadrature_integral_cdf,
+    quadrature_integral_quantile,
+    quadrature_partial_mean,
+    segment_max_first_price,
+)
 
 LN2 = math.log(2.0)
 

@@ -413,7 +413,8 @@ def replay_against_oracle(inst, policy, horizon, n_batches, seed):
     points = np.random.default_rng(seed + 1)
     for b, rng in enumerate(simulate_module._batch_rngs(seed, n_batches)):
         counts, u = simulate_module._draw_batch(rng, cells, t_batch, False)
-        value, wins, cost = cells.replay(counts, cells.price(counts, u))
+        # price overwrites its quantiles
+        value, wins, cost = cells.replay(counts, cells.price(counts, u.copy()))
         per_pos, u_all, v_all = expand_cells(cells, bounds, counts, u, points)
         o_value, o_wins, o_cost = replay_per_arrival(inst, policy, cells.order, per_pos, u_all, v_all)
         assert np.array_equal(wins, o_wins)
@@ -440,6 +441,28 @@ def test_flat_replay_matches_per_arrival_oracle():
     cells = simulate_module._Cells(inst, first)
     p2 = [it.id for it in inst.items].index("p2")
     assert np.bincount(cells.order[cells.pos], weights=cells.area)[p2] == inst.items[p2].curve.total_mass * 0.6
+
+
+def test_price_matches_the_per_point_inverse():
+    # each cell's scale times its group's shape summed, against every point
+    # priced by its own curve's inverse and summed per cell: all four
+    # families, the fitted curve whose support starts at 0, and the gap curve
+    # whose support starts above 0 with a drawn u = 0, which inverse prices at 0
+    inst, first = oracle_instance()
+    ids = np.array([it.id for it in inst.items])
+    for policy in (first, other_policy(inst)):
+        cells = simulate_module._Cells(inst, policy)
+        item = cells.order[cells.pos[cells.priced]]
+        for rng in simulate_module._batch_rngs(3, 4):
+            counts, u = simulate_module._draw_batch(rng, cells, 200.0, False)
+            n = counts[cells.priced]
+            start = np.concatenate(([0], np.cumsum(n)))
+            assert set(ids[item[n > 0]]) == {"e2", "h2", "u2", "p2", "f2", "gap"}
+            u[start[np.flatnonzero((ids[item] == "gap") & (n > 0))[0]]] = 0.0
+            price = cells.price(counts, u.copy())
+            want = [inst.items[j].curve.inverse(u[a:b]).sum() for j, a, b in zip(item, start[:-1], start[1:])]
+            np.testing.assert_allclose(price[cells.priced], want, rtol=1e-13, atol=0.0)
+            assert np.all(np.delete(price, cells.priced) == 0.0)
 
 
 def test_ab_policies_win_their_own_sub_boxes():
@@ -549,11 +572,11 @@ def test_replay_work_is_one_quantile_call_per_group_and_batch(monkeypatch):
     np.add.at(mass, inst.edge_j, gamma)
     policy = BidPolicy(bids=rng.uniform(0.0, 2.0, inst.n_items), gamma=gamma / mass[inst.edge_j])
     calls = []
-    quantile = Exponential.quantile
+    shape = Exponential.quantile_shape
 
-    def counted(q, rate):
+    def counted(q, out=None):
         calls.append(q.size)
-        return quantile(q, rate)
+        return shape(q, out)
 
     class CountingRng:
         """A batch's generator that counts the uniforms it draws."""
@@ -581,12 +604,12 @@ def test_replay_work_is_one_quantile_call_per_group_and_batch(monkeypatch):
         rngs.extend(CountingRng(rng) for rng in spawn(seed, n_batches))
         return rngs
 
-    monkeypatch.setattr(Exponential, "quantile", staticmethod(counted))
+    monkeypatch.setattr(Exponential, "quantile_shape", staticmethod(counted))
     monkeypatch.setattr(simulate_module, "_batch_rngs", counting_rngs)
     horizon = 1e5 / float(inst.rates.sum())
     report = simulate(inst, policy, horizon=horizon, seed=2026, n_batches=20)
-    # one (exponential, second price) group: the per-item replay made 7,965
-    # inverse calls here
+    # one (exponential, second price) group, one shape pass per batch: the
+    # per-item replay made 7,965 inverse calls here
     assert len(calls) == 20
     assert sum(calls) == pytest.approx(report.win_rate.sum() * horizon)
     # each batch draws a uniform only for a second-price win's price, none
@@ -609,6 +632,20 @@ def test_bad_seed_rejected_before_any_batch(monkeypatch, seed):
     monkeypatch.setattr(simulate_module, "_draw_batch", no_batches)
     with pytest.raises(ValueError, match="seed"):
         simulate(inst, policy, horizon=1e5, seed=seed)
+
+
+@pytest.mark.parametrize("horizon", [5e-324, 1e-323])
+def test_a_horizon_of_zero_length_batches_is_rejected_before_any_batch(monkeypatch, horizon):
+    # horizon / n_batches underflows to 0 although the horizon is positive
+    inst = mixed_instance()
+    policy = BidPolicy(bids=np.ones(inst.n_items), gamma=np.full(inst.n_edges, 0.3))
+
+    def no_batches(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(simulate_module, "_draw_batch", no_batches)
+    with pytest.raises(ValueError, match=re.escape(f"horizon {horizon!r} splits into 20 batches of length 0")):
+        simulate(inst, policy, horizon=horizon, seed=1)
 
 
 def test_numpy_integer_seed_accepted():
