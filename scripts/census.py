@@ -16,10 +16,10 @@ contracts and |cost - primal value| / se are saved, and `--compare` prints how m
 exceed 3 standard errors next to the count expected by chance: sum_k 1 - (1 - p)^n_k over the
 replays, with n_k comparisons in replay k (its contracts, or 1 for the cost) and p the
 two-sided tail of Student's t with 19 degrees of freedom beyond 3.
-Each plan's bids (`primal.x`) are saved too, and `--compare` prints how many instances' bids,
-and how many replay z-scores, differ bitwise from the saved ones, and for the cost z-scores the
-largest relative difference among those that differ (|cost - P| / se magnifies a relative change of
-the cost by cost / |cost - P|).
+Each plan's bids (`primal.x`) and each replay's cost rate are saved too, and `--compare` prints
+how many instances' bids, replay z-scores and replay costs differ bitwise from the saved ones, and
+for the costs the largest relative difference among those that differ (`n/a` for a save without
+them).
 Each instance's edge count and master LP rows (n contracts + 2 per item with an edge) are saved,
 and `--compare` splits the master LP solves, simplex iterations and solve seconds at
 `_ALL_EDGES_PER_ROW` edges per master row, where the master starts from every edge column
@@ -69,14 +69,14 @@ def corpus():
 REPLAY_BATCHES = 20
 
 
-def replay_z(inst, sol, seed: int) -> tuple[float, float]:
-    """Largest standard-error distance of a replay from the targets, and of its cost from the plan's."""
+def replay_z(inst, sol, seed: int) -> tuple[float, float, float]:
+    """Largest standard-error distance of a replay from the targets, that of its cost from the plan's, and the cost."""
     rep = simulate(inst, policy_from_primal(inst, sol.primal), 1e5 / float(inst.rates.sum()), seed=seed,
                    n_batches=REPLAY_BATCHES)
     with np.errstate(divide="ignore", invalid="ignore"):
         value = np.abs(rep.value_rate - inst.targets) / rep.value_rate_se
         cost = abs(rep.cost_rate - sol.report.primal_value) / rep.cost_rate_se
-    return float(np.max(value)), float(cost)
+    return float(np.max(value)), float(cost), float(rep.cost_rate)
 
 
 def run() -> dict:
@@ -92,19 +92,19 @@ def run() -> dict:
                 time.perf_counter() - start)
         if sol is None:
             rows.append((np.full(inst.n_contracts, np.nan), np.full(inst.n_items, np.nan), *[np.nan] * 4, False,
-                         np.nan, *work, np.nan, np.nan, np.nan, *size, np.nan, np.nan))
+                         np.nan, *work, np.nan, np.nan, np.nan, np.nan, *size, np.nan, np.nan))
             continue
         rep = sol.report
         start = time.perf_counter()
-        z = replay_z(inst, sol, index) if rep.passed else (np.nan, np.nan)
+        z = replay_z(inst, sol, index) if rep.passed else (np.nan, np.nan, np.nan)
         replay_s = time.perf_counter() - start if rep.passed else np.nan
         rows.append((sol.dual.rho, sol.primal.x, rep.dual_value, rep.primal_value, rep.gap, rep.max_comp_slack,
                      rep.passed, sol.iterations, *work, *z, replay_s, *size,
                      sol.stats["tie_root_calls"], sol.stats["tie_root_evals"]))
     rho, bids, *rest = zip(*rows)
     names = ("D", "P", "gap", "comp", "certified", "master_solves", "lp_solves", "lp_iterations", "solve_s",
-             "replay_value_z", "replay_cost_z", "replay_s", "n_edges", "master_rows", "tie_root_calls",
-             "tie_root_evals")
+             "replay_value_z", "replay_cost_z", "replay_cost", "replay_s", "n_edges", "master_rows",
+             "tie_root_calls", "tie_root_evals")
     out = dict(zip(names, map(np.asarray, rest)))
     return dict(out, rho=np.concatenate(rho), rho_len=np.array([r.size for r in rho]),
                 bids=np.concatenate(bids), bids_len=np.array([b.size for b in bids]))
@@ -179,9 +179,9 @@ def main() -> None:
         expected = float(np.sum(1.0 - (1.0 - tail) ** comparisons[replayed]))
         print(f"replays with {k} beyond 3 se: {beyond[0]}, {expected:.1f} expected (saved {beyond[1]})")
     for key, what in (("bids", "instances' bids"), ("replay_value_z", "replay value z-scores"),
-                      ("replay_cost_z", "replay cost z-scores")):
+                      ("replay_cost_z", "replay cost z-scores"), ("replay_cost", "replay costs")):
         count = differ_bitwise(now, old, key) if key in old else "n/a"
-        if count and key == "replay_cost_z":
+        if count and key == "replay_cost":
             count = f"{count}, largest relative difference {largest_relative_difference(now[key], old[key]):.3g}"
         print(f"{what} that differ bitwise: {count}")
 

@@ -33,8 +33,9 @@ reads, and any other option is a usage error::
 ``--tol``, ``--margin`` and ``--horizon`` must be positive.
 
 Exit codes: 0 success; 1 unreadable or malformed input (an instance with no
-contracts, a solution with a null entry or a non-integer ``iters``, or a
-JSON integer too large for a float, included); 2 infeasible
+contracts, a solution with a null entry or a non-integer ``iters``, a
+non-finite number wherever a number is read, or a JSON integer too large
+for a float, included); 2 infeasible
 instance; 3 non-convergence (a feasibility LP that ends at no optimum
 included) or a certificate that misses tolerance.
 """

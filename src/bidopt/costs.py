@@ -431,10 +431,7 @@ class AcquisitionCost:
         cap = self.bid_cap
 
         def go(xa):
-            if isinstance(curve, Empirical):
-                dens = curve.w_slope(xa)
-            else:
-                dens = np.asarray(curve.density(xa))
+            dens = np.asarray(curve.density(xa))
             w = np.asarray(curve.eval(xa))
             interior = (xa > 0.0) & (xa < x_bar)
             if np.any(interior & (dens <= 0.0)):

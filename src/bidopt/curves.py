@@ -13,7 +13,9 @@ Extension conventions used throughout:
 
 Each family writes W (``w``), its running integral (``w_integral``), its
 first-price bid (``bid``), its quantile, its density (``w_slope``) and the
-bid's derivative in the marginal price (``bid_slope``).  Each parametric
+bid's derivative in the marginal price (``bid_slope``).  One ``density``
+serves every family: ``w_slope`` on (0, x_bar], 0 elsewhere, which for an
+``Empirical`` curve is the right-derivative at a knot.  Each parametric
 family is a scale family, W^{-1}(q; p) = scale(p) shape(q): it writes a
 parameter-free shape (``quantile_shape``) and a scale (``quantile_scale``),
 which ``quantile`` composes.  The quantile integral ∫_0^q W^{-1}
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import math
 import types
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,7 +51,6 @@ __all__ = [
     "Empirical",
     "ConcavityResult",
     "InsufficientSamples",
-    "UndifferentiableAtBreakpoint",
     "alpha_concavity_check",
     "fit_empirical",
     "curve_from_json",
@@ -59,14 +59,6 @@ __all__ = [
 
 class InsufficientSamples(ValueError):
     """Raised when fewer than two distinct price samples are supplied."""
-
-
-class UndifferentiableAtBreakpoint(UserWarning):
-    """Emitted when a density is requested exactly at a breakpoint.
-
-    The right-derivative is returned; this warning is the flag that the
-    two-sided derivative does not exist there.
-    """
 
 
 class _family_method:
@@ -210,6 +202,7 @@ class SupplyCurve:
         return _wrap(q, go)
 
     def density(self, x):
+        """W'(x): ``w_slope`` on (0, x_bar], 0 elsewhere."""
         def go(xa):
             inside = (xa > 0.0) & (xa <= self.x_bar)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -573,9 +566,9 @@ class Empirical(SupplyCurve):
 
     Breakpoints run from an anchor (x0, 0) -- x0 is 0 for fitted price
     curves, possibly positive for order-book profiles with a spread gap --
-    up to (x_K, mass).  Evaluation interpolates linearly; the density is the
-    piecewise-constant segment slope, with the right-derivative returned
-    (and an UndifferentiableAtBreakpoint warning emitted) exactly at knots.
+    up to (x_K, mass), all finite.  Evaluation interpolates linearly; the
+    density (``w_slope``) is the piecewise-constant segment slope, the
+    right-derivative at a knot.
     """
 
     family = "empirical"
@@ -588,6 +581,8 @@ class Empirical(SupplyCurve):
             raise ValueError("need at least one breakpoint above the anchor")
         xs = np.array([p[0] for p in pts])
         ws = np.array([p[1] for p in pts])
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ws))):
+            raise ValueError("breakpoints must be finite")
         if xs[0] < 0.0:
             raise ValueError("breakpoint positions must be nonnegative")
         if not (np.all(np.diff(xs) > 0.0) and np.all(np.diff(ws) > 0.0)):
@@ -627,21 +622,6 @@ class Empirical(SupplyCurve):
 
     def quantile(self, q):
         return np.interp(q, self._ws, self._xs)
-
-    def density(self, x):
-        xs, slopes = self._xs, self._slopes
-
-        def go(xa):
-            at_knot = np.isin(xa, xs)
-            if np.any(at_knot):
-                warnings.warn(
-                    "density requested exactly at a breakpoint; returning the right-derivative",
-                    UndifferentiableAtBreakpoint,
-                    stacklevel=3,
-                )
-            return self.w_slope(xa)
-
-        return _wrap(x, go)
 
     def terminal_density(self) -> float:
         return float(self._slopes[-1])

@@ -10,6 +10,10 @@ Edges are stored contract-major (sorted by contract position, then item
 position), with a precomputed item-major permutation so per-item reductions
 are contiguous-slice operations.
 
+The adequate-supply check returns a witness allocation, or an
+:class:`InfeasibilityCertificate`: plain data (the LP duals y and a Hall-type
+ratio) that can be rechecked from the targets and capacities alone.
+
 Every LP in bidopt is built and solved here, on scipy's private HiGHS
 binding: one transportation LP over the edges backs the adequate-supply
 check, :func:`max_scalable_target` and the solver's routing LP, and the
@@ -328,11 +332,11 @@ class InfeasibilityCertificate:
         sum_i y_i C_i  >  sum_j (1-margin) lambda_j mass_j max_{i in B_j} v_ij y_i
 
     where mass_j is the total mass of item j's supply curve
-    (``weighted_shortfall`` is the difference).  When the support set S alone
-    violates the coarser Hall-type ratio -- total demand of S divided by the
-    best valuation any member sees exceeding the total capacity lambda_j mass_j
-    the set can reach -- ``hall_violation`` is True and the ratio fields
-    describe it.
+    (``weighted_shortfall`` is the difference).  ``contract_ids`` is the
+    shortest prefix of the support, by descending weight, that violates the
+    coarser Hall-type ratio ``demand / best_valuation > reachable_supply``
+    (the capacity lambda_j mass_j it can reach), or the whole support when
+    none does; the ratio fields describe it.
     """
 
     contract_ids: tuple
@@ -341,18 +345,6 @@ class InfeasibilityCertificate:
     best_valuation: float
     reachable_supply: float
     weighted_shortfall: float
-
-    @property
-    def hall_violation(self) -> bool:
-        return self.demand / self.best_valuation > self.reachable_supply
-
-    def verify(self, inst: ProblemInstance, margin: float) -> bool:
-        """Recheck the weighted inequality directly against the instance."""
-        y = np.zeros(inst.n_contracts)
-        pos = inst.positions[0]
-        for cid, w in self.weights.items():
-            y[pos[cid]] = w
-        return _weighted_shortfall(inst, y, margin) > 0.0
 
 
 @dataclass(frozen=True)
@@ -546,16 +538,14 @@ def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> Supply
     y = np.clip(row_dual[:n], 0.0, 1.0)
     shortfall = _weighted_shortfall(inst, y, margin)
 
-    # smallest top-k-by-weight contract set that violates the Hall-type ratio
+    # smallest top-k-by-weight contract set that violates the Hall-type ratio, else the whole support
     order = np.argsort(-y, kind="stable")
     support = [k for k in order if y[k] > 1e-12] or [int(order[0])]
-    chosen = support
     for k in range(1, len(support) + 1):
-        s = support[:k]
-        if _hall_numbers(inst, s)[0]:
-            chosen = s
+        chosen = support[:k]
+        violated, demand, best_v, reach = _hall_numbers(inst, chosen)
+        if violated:
             break
-    violated, demand, best_v, reach = _hall_numbers(inst, chosen)
     cert = InfeasibilityCertificate(
         contract_ids=tuple(inst.contracts[k].id for k in chosen),
         weights={inst.contracts[k].id: float(y[k]) for k in support},

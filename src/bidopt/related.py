@@ -15,11 +15,12 @@ supply curve.  That makes transaction costs convex in volume, so a
 mean-variance portfolio with realistic market-order costs is one convex
 program (solved by proximal gradient) with a smooth conjugate dual in
 Cholesky coordinates (solved quasi-Newton); each solve certifies the other
-through the duality gap.
+through the duality gap.  A book is read as one supply curve per asset in
+``curve_from_json`` form (``markowitz_from_json``); a measured depth profile
+is an ``Empirical`` curve through its cumulative volumes.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .costs import FamilyGroups, monotone_root
-from .curves import Empirical, PowerLawDensity, SupplyCurve, _json_object, curve_from_json
+from .curves import PowerLawDensity, SupplyCurve, _json_object, curve_from_json
 from .model import ItemType, _Items
 from .solver import NotConverged
 
@@ -42,12 +43,10 @@ __all__ = [
     "budget_bids",
     "budget_spend",
     "lob_cost",
-    "lob_curve_from_density_csv",
     "solve_markowitz_primal",
     "solve_markowitz_dual",
     "markowitz_objective",
     "markowitz_dual_objective",
-    "markowitz_to_json",
     "markowitz_from_json",
 ]
 
@@ -170,40 +169,6 @@ class LobMarket:
         return FamilyGroups(self.curves, [False] * self.n_assets)
 
 
-def lob_curve_from_density_csv(path) -> Empirical:
-    """Piecewise-linear depth profile from (price_offset, density) CSV rows.
-
-    Densities are interpolated linearly between offsets (trapezoid volume per
-    segment), so the cumulative curve is piecewise linear through the
-    integrated breakpoints.  A positive first offset leaves a spread gap with
-    zero volume below it.  A single header row is tolerated.
-    """
-    rows: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
-        for k, row in enumerate(csv.reader(fh)):
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                if k == 0:
-                    continue
-                raise ValueError(f"{path}: malformed density row {k}: {row!r}") from None
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least two density samples")
-    offsets = np.array([r[0] for r in rows])
-    dens = np.array([r[1] for r in rows])
-    if offsets[0] < 0.0 or not np.all(np.diff(offsets) > 0.0):
-        raise ValueError(f"{path}: price offsets must be nonnegative and strictly increasing")
-    if np.any(dens < 0.0):
-        raise ValueError(f"{path}: densities must be nonnegative")
-    seg = 0.5 * (dens[:-1] + dens[1:]) * np.diff(offsets)
-    if np.any(seg <= 0.0):
-        raise ValueError(f"{path}: zero-volume segment; depth must be strictly increasing")
-    volume = np.concatenate([[0.0], np.cumsum(seg)])
-    return Empirical(list(zip(offsets.tolist(), volume.tolist())))
-
-
 def lob_cost(market: LobMarket, j: int, volume):
     """Cost of a market order of size ``volume`` (or of each in an array) beyond mid-price notional.
 
@@ -248,6 +213,8 @@ class MarkowitzInstance:
         m = alpha.size
         if sigma.shape != (m, m):
             raise ValueError("sigma must be square and match alpha")
+        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(sigma))):
+            raise ValueError("alpha and sigma must be finite")
         if not np.allclose(sigma, sigma.T, atol=1e-12):
             raise ValueError("sigma must be symmetric")
         try:
@@ -262,15 +229,6 @@ class MarkowitzInstance:
     @property
     def n_assets(self) -> int:
         return int(self.alpha.size)
-
-
-def markowitz_to_json(mi: MarkowitzInstance) -> dict:
-    return {
-        "alpha": mi.alpha.tolist(),
-        "sigma": mi.sigma.tolist(),
-        "risk_aversion": mi.risk_aversion,
-        "lob": None if mi.lob is None else [c.to_json() for c in mi.lob.curves],
-    }
 
 
 def markowitz_from_json(obj: dict) -> MarkowitzInstance:

@@ -57,12 +57,10 @@ __all__ = [
     "Solution",
     "InfeasibleInstance",
     "NotConverged",
-    "PreconditionViolated",
     "solve_dual",
     "recover_primal",
     "certify",
     "solve",
-    "solve_uniform_bid",
     "solution_to_json",
     "solution_from_json",
     "primal_from_json",
@@ -87,10 +85,6 @@ class NotConverged(RuntimeError):
         self.best = best
         self.residual = residual
         super().__init__(f"did not converge: residual {residual:.3e}")
-
-
-class PreconditionViolated(ValueError):
-    """An operation's structural precondition does not hold."""
 
 
 # ---------------------------------------------------------------------------
@@ -831,36 +825,6 @@ def solve(
     )
 
 
-def solve_uniform_bid(inst: ProblemInstance):
-    """Single pseudo-bid special case: all valuations 1, complete bipartite graph.
-
-    The monotone root of sum_j lambda_j W_j(g_j^{-1}(rho)) = sum_i C_i is one
-    tie component with every item at slope 1 (``_tie_roots``), then
-    proportional fill.  Raises InfeasibleInstance when the supply cannot
-    reach the total target.
-    """
-    if inst.n_edges != inst.n_contracts * inst.n_items:
-        raise PreconditionViolated("every contract must value every item")
-    if not np.allclose(inst.edge_v, 1.0, rtol=0.0, atol=0.0):
-        raise PreconditionViolated("all valuations must equal 1")
-    total = float(inst.targets.sum())
-    m = inst.n_items
-    rho_star = float(_tie_roots(inst, np.array([total]), np.ones(1), np.zeros(m, dtype=np.intp),
-                                np.arange(m), np.ones(m), {})[0])
-    if math.isnan(rho_star):
-        raise InfeasibleInstance(None)
-
-    mu = np.full(m, rho_star)
-    bids = inst.groups.bid(mu)
-    s = inst.rates * inst.groups.win_rate(mu)
-    share = inst.targets / total
-    R = s[inst.edge_j] * share[inst.edge_i]
-    gamma = np.where(s[inst.edge_j] > 0.0, share[inst.edge_i], 0.0)
-    for arr in (s, R, bids, gamma):
-        arr.setflags(write=False)
-    return rho_star, PrimalSolution(s=s, R=R, x=bids, gamma=gamma, primal_value=_spend_rate(inst, s))
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -911,7 +875,9 @@ def primal_from_json(inst: ProblemInstance, obj: dict) -> tuple[np.ndarray, np.n
     if bad.size:
         raise ValueError(f"allocation entry {(contract[bad[0]], item[bad[0]])!r} is not an instance edge")
     R = np.zeros(inst.n_edges)
-    R[e] = np.fromiter(map(float, val), float, k)  # float() rejects null and other non-numbers
+    R[e] = np.fromiter(map(float, val), float, k)  # float() rejects null and strings, but NaN and inf pass
+    if not np.all(np.isfinite(R)):
+        raise ValueError("solution R has a non-finite entry")
     return rho, mu, PrimalSolution(s=s, R=R, x=bids, gamma=_mixing(inst, s, R), primal_value=_spend_rate(inst, s))
 
 

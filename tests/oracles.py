@@ -2,8 +2,8 @@
 
 Everything here recomputes target quantities by a route different from the
 library implementation (grid suprema, Monte-Carlo, exhaustive search,
-adaptive Simpson quadrature), so
-agreement is evidence rather than tautology.
+adaptive Simpson quadrature, dense rechecks), so agreement is evidence
+rather than tautology.
 """
 from __future__ import annotations
 
@@ -131,3 +131,21 @@ def quadrature_partial_mean(curve, x: float, tol: float = 1e-10) -> float:
     """∫_0^x u dW via integration by parts: x W(x) - ∫_0^x W."""
     x = float(x)
     return x * float(curve.eval(x)) - quadrature_integral_cdf(curve, x, tol)
+
+
+def supply_certificate_holds(inst, cert, margin: float) -> bool:
+    """Recheck an InfeasibilityCertificate's weighted inequality from the contracts and items themselves.
+
+    sum_i y_i C_i > sum_j (1 - margin) lambda_j mass_j max_i v_ij y_i, with y read
+    from the certificate's weights by contract id and a dense valuation matrix
+    built from each contract's valuations, not from the instance's edge arrays.
+    """
+    col = {item.id: j for j, item in enumerate(inst.items)}
+    v = np.zeros((len(inst.contracts), len(inst.items)))
+    for i, contract in enumerate(inst.contracts):
+        for item_id, value in contract.valuations.items():
+            v[i, col[item_id]] = value
+    y = np.array([cert.weights.get(contract.id, 0.0) for contract in inst.contracts])
+    demand = float(y @ np.array([contract.target_rate for contract in inst.contracts]))
+    capacity = np.array([(1.0 - margin) * item.arrival_rate * item.curve.total_mass for item in inst.items])
+    return demand > float(capacity @ (v * y[:, None]).max(axis=0))

@@ -536,6 +536,42 @@ def test_numbers_no_float_holds_exit_1(tmp_path, capsys, command, part, damage):
     assert captured.err.startswith(f"bidopt: {path}: ") and captured.err.count("\n") == 1
 
 
+def _solved_with_flow(value):
+    def damage(solved: dict) -> dict:
+        sol = solved["solution"]
+        return {**solved, "solution": {**sol, "R": [[*sol["R"][0][:2], value], *sol["R"][1:]]}}
+    return damage
+
+
+def _with_infinite_breakpoint(solved: dict) -> dict:
+    curve = {"family": "empirical", "breakpoints": [[0.0, 0.0], [1.0, 0.5], [math.inf, 1.0]]}
+    return {**MIXED, "items": [{**MIXED["items"][0], "curve": curve}, *MIXED["items"][1:]]}
+
+
+def _portfolio(alpha, sigma):
+    return lambda solved: {"alpha": alpha, "sigma": sigma, "risk_aversion": 2.0, "lob": None}
+
+
+# json reads the literals NaN and Infinity, so each reader checks that its numbers are finite
+@pytest.mark.parametrize("command, damage", [
+    pytest.param("certify", _solved_with_flow(math.nan), id="nan-flow-certify"),
+    pytest.param("certify", _solved_with_flow(math.inf), id="infinite-flow-certify"),
+    pytest.param("markowitz", _portfolio([math.nan, 0.5], [[1.0, 0.0], [0.0, 1.0]]), id="nan-alpha-markowitz"),
+    pytest.param("markowitz", _portfolio([1.0, 0.5], [[1.0, 0.0], [0.0, math.inf]]), id="infinite-sigma-markowitz"),
+    pytest.param("solve", _with_infinite_breakpoint, id="infinite-breakpoint-solve"),
+])
+def test_non_finite_numbers_exit_1(tmp_path, capsys, command, damage):
+    inp = write_json(tmp_path / "inst.json", MIXED)
+    solved = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
+    path = write_json(tmp_path / "damaged.json", damage(json.loads(solved.read_text())))
+    capsys.readouterr()
+    assert main([command, "--input", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bidopt: {path}: ") and captured.err.count("\n") == 1
+
+
 def power_law_doc(params, auction="first_price") -> dict:
     item = {"rate": 1.0, "curve": {"family": "power_law_density", "params": params}, "auction": auction}
     return {"items": [{"id": "p", **item}, {"id": "q", **item}],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bidopt.costs import (
     AcquisitionCost,
     AuctionKind,
+    NotDifferentiable,
     NotTwoConcave,
     OutOfRange,
     dark_pool_identity_check,
@@ -265,6 +266,17 @@ def test_bid_mapping_monotone():
         xs = np.linspace(1e-3, hi, 200)
         g = np.asarray(cost.bid_mapping(xs))
         assert np.all(np.diff(g) > 0.0), cost
+
+
+def test_empirical_bid_mapping_at_knots_and_in_a_spread_gap():
+    # x + W(x)/W'(x) with W's right-derivative at a knot
+    e = AcquisitionCost(EMP, "first_price")
+    assert e.bid_mapping(np.array([0.25, 0.75, 2.0])).tolist() == [0.75, 3.25, 8.0]
+    gap = AcquisitionCost(Empirical([(0.5, 0.0), (1.0, 0.5), (3.0, 1.0)]), "first_price")
+    assert gap.bid_mapping(0.5) == 0.5  # the gap's end: W = 0
+    assert gap.bid_mapping(1.0) == 3.0
+    with pytest.raises(NotDifferentiable):  # W' = 0 inside the support
+        gap.bid_mapping(0.25)
 
 
 def test_bid_mapping_inverse_out_of_range():

@@ -16,7 +16,6 @@ from bidopt.curves import (
     InsufficientSamples,
     PowerLawDensity,
     SupplyCurve,
-    UndifferentiableAtBreakpoint,
     _omega,
     alpha_concavity_check,
     curve_from_json,
@@ -80,11 +79,9 @@ def test_density_known_points():
     assert Exponential(1.0).density(-1.0) == 0.0
 
 
-def test_empirical_density_warns_at_knot():
+def test_empirical_density_is_the_right_derivative_at_a_knot():
     emp = Empirical([(1.0, 0.5), (3.0, 1.0)])
-    with pytest.warns(UndifferentiableAtBreakpoint):
-        d = emp.density(1.0)
-    assert d == pytest.approx(0.25)  # right-derivative
+    assert emp.density(1.0) == pytest.approx(0.25)
     assert emp.density(0.5) == pytest.approx(0.5)
     assert emp.density(2.0) == pytest.approx(0.25)
 

@@ -20,11 +20,9 @@ from bidopt.related import (
     budget_bids,
     budget_spend,
     lob_cost,
-    lob_curve_from_density_csv,
     markowitz_dual_objective,
     markowitz_from_json,
     markowitz_objective,
-    markowitz_to_json,
     solve_budget,
     solve_markowitz_dual,
     solve_markowitz_primal,
@@ -206,33 +204,20 @@ def test_lob_cost_convex_in_volume():
         assert np.all(np.diff(vals, 2) >= -1e-12)
 
 
-def test_density_csv_ingestion(tmp_path):
-    path = tmp_path / "book.csv"
-    path.write_text("price_offset,density\n0.0,1.6\n1.0,1.6\n2.0,1.6\n")
-    curve = lob_curve_from_density_csv(path)
-    # constant density 1.6 integrates to a straight line of slope 1.6
+def test_lob_cost_of_a_constant_density_book():
+    # density 1.6 on [0, 2] integrates to a straight line of slope 1.6
+    curve = Empirical([(0.0, 0.0), (1.0, 1.6), (2.0, 3.2)])
     assert curve.total_mass == pytest.approx(3.2)
     assert float(curve.eval(1.5)) == pytest.approx(2.4)
     market = LobMarket((curve,))
     assert lob_cost(market, 0, 1.0) == pytest.approx(1.0 / (2.0 * 1.6), rel=1e-12)
 
 
-def test_density_csv_spread_gap(tmp_path):
-    path = tmp_path / "gap.csv"
-    path.write_text("0.5,2.0\n1.5,2.0\n")
-    curve = lob_curve_from_density_csv(path)
-    assert float(curve.eval(0.5)) == 0.0  # no volume below the first offset
+def test_lob_book_with_a_spread_gap():
+    # density 2 on [0.5, 1.5]: no volume below the first offset
+    curve = Empirical([(0.5, 0.0), (1.5, 2.0)])
+    assert float(curve.eval(0.5)) == 0.0
     assert float(curve.eval(1.5)) == pytest.approx(2.0)
-
-
-def test_density_csv_rejects_bad_rows(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0.0,1.0\n1.0,nope\n")
-    with pytest.raises(ValueError):
-        lob_curve_from_density_csv(path)
-    path.write_text("0.0,1.0\n")
-    with pytest.raises(ValueError):
-        lob_curve_from_density_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +357,29 @@ def test_markowitz_primal_not_converged_carries_best():
 
 
 def test_markowitz_json_round_trip():
-    rng = np.random.default_rng(14)
-    mi = MarkowitzInstance(
-        alpha=np.array([0.4, 0.9]),
-        sigma=spd_matrix(rng, 2),
+    doc = {
+        "alpha": [0.4, 0.9],
+        "sigma": [[1.5, 0.3], [0.3, 0.8]],
+        "risk_aversion": 2.5,
+        "lob": [
+            {"family": "power_law_density", "params": {"w0": 2.0, "x_max": 1.5}},
+            {"family": "empirical", "breakpoints": [[0.5, 0.0], [1.0, 0.6], [2.0, 1.4]]},
+        ],
+    }
+    mi = markowitz_from_json(doc)
+    assert mi.alpha.tolist() == doc["alpha"]
+    assert mi.sigma.tolist() == doc["sigma"]
+    assert mi.risk_aversion == doc["risk_aversion"]
+    assert [c.to_json() for c in mi.lob.curves] == doc["lob"]
+    assert [c.total_mass for c in mi.lob.curves] == pytest.approx([2.25, 1.4])
+    direct = MarkowitzInstance(
+        alpha=np.array(doc["alpha"]),
+        sigma=np.array(doc["sigma"]),
         risk_aversion=2.5,
-        lob=lob_for(rng, 2),
+        lob=LobMarket((PowerLawDensity(2.0, 1.5), Empirical([(0.5, 0.0), (1.0, 0.6), (2.0, 1.4)]))),
     )
-    back = markowitz_from_json(markowitz_to_json(mi))
-    assert np.allclose(back.alpha, mi.alpha)
-    assert np.allclose(back.sigma, mi.sigma)
-    assert back.risk_aversion == mi.risk_aversion
-    assert np.allclose(
-        [c.total_mass for c in back.lob.curves], [c.total_mass for c in mi.lob.curves]
-    )
-    x_a = solve_markowitz_primal(mi, tol=1e-10)
-    x_b = solve_markowitz_primal(back, tol=1e-10)
+    x_a = solve_markowitz_primal(direct, tol=1e-10)
+    x_b = solve_markowitz_primal(mi, tol=1e-10)
     assert np.allclose(x_a, x_b, atol=1e-12)
 
 

@@ -19,17 +19,16 @@ from bidopt.solver import (
     DualSolution,
     InfeasibleInstance,
     NotConverged,
-    PreconditionViolated,
     certify,
     recover_primal,
     solution_from_json,
     solution_to_json,
     solve,
     solve_dual,
-    solve_uniform_bid,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from oracles import supply_certificate_holds  # noqa: E402
 from perfbench.workloads import mixed_pipeline  # noqa: E402
 
 
@@ -180,7 +179,9 @@ def test_scale_invariance():
 # uniform-bid special case
 
 
-def test_uniform_bid_matches_general_solver():
+def test_uniform_valuations_collapse_to_one_pseudo_bid():
+    # all valuations 1 on a complete bipartite graph: one bid rho* for every
+    # contract, whose win rates exactly buy the total target
     items = [
         ItemType("e", 1.0, Exponential(1.5), "second_price"),
         ItemType("h", 2.0, Hyperbolic(1.0), "first_price"),
@@ -191,18 +192,12 @@ def test_uniform_bid_matches_general_solver():
         Contract("c1", 0.7, {"e": 1.0, "h": 1.0, "b": 1.0}),
     ]
     inst = build_instance(items, contracts)
-    rho_star, primal = solve_uniform_bid(inst)
     sol = solve(inst, tol=1e-11)
-    # all pseudo-bids collapse to the single root
+    rho_star = sol.dual.rho[0]
     assert np.allclose(sol.dual.rho, rho_star, atol=1e-7)
-    assert sol.primal.primal_value == pytest.approx(primal.primal_value, rel=1e-8)
-    assert np.allclose(primal.x, sol.primal.x, atol=1e-7)
-
-
-def test_uniform_bid_preconditions():
-    inst = mixed_instance()  # not complete bipartite, valuations != 1
-    with pytest.raises(PreconditionViolated):
-        solve_uniform_bid(inst)
+    mu = np.full(inst.n_items, rho_star)  # every item's best valuation times rho* is rho*
+    assert inst.rates @ inst.groups.win_rate(mu) == pytest.approx(inst.targets.sum(), rel=1e-8)
+    assert np.allclose(sol.primal.x, inst.groups.bid(mu), atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +222,7 @@ def test_supply_below_unit_mass_is_infeasible():
     inst = _one_item(PowerLawDensity(1.0, 1.0), 0.8)
     with pytest.raises(InfeasibleInstance) as exc:
         solve(inst)
-    assert exc.value.check.certificate.verify(inst, 1e-6)
+    assert supply_certificate_holds(inst, exc.value.check.certificate, 1e-6)
 
 
 def test_supply_above_unit_mass_is_usable():
