@@ -33,11 +33,15 @@ reads, and any other option is a usage error::
 ``--tol``, ``--margin`` and ``--horizon`` must be positive.
 
 Exit codes: 0 success; 1 unreadable or malformed input (an instance with no
-contracts, a solution with a null entry or a non-integer ``iters``, a
+contracts, a solution with a null entry or an ``iters`` that is not a
+nonnegative integer, a bool or a string where a number belongs, a
 non-finite number wherever a number is read, or a JSON integer too large
-for a float, included); 2 infeasible
-instance; 3 non-convergence (a feasibility LP that ends at no optimum
-included) or a certificate that misses tolerance.
+for a float, included); 2 infeasible instance; 3 non-convergence (a
+feasibility LP that ends at no optimum included) or a certificate that
+misses tolerance.  The entries of an array (a solution's lists,
+breakpoints, budget values, ``alpha`` and ``sigma``, a policy's bids and
+weights) are read as numpy reads them, not one by one: a bool there reads
+as 0 or 1 and a numeric string as its number.
 """
 
 from __future__ import annotations
@@ -98,9 +102,8 @@ class ParseError(ValueError):
     """Input file missing, unreadable, or not matching the expected shape."""
 
 
-# what a document reader raises on a document of the wrong shape; OverflowError
-# comes from a JSON integer too large for a float (float(10**400))
-_BAD_INPUT = (KeyError, TypeError, ValueError, OverflowError)
+# what a document reader raises on a document of the wrong shape
+_BAD_INPUT = (KeyError, TypeError, ValueError)
 
 
 def _status(msg: str) -> None:
@@ -128,34 +131,29 @@ def _load_json(path) -> dict:
     return obj
 
 
-def _parse_instance(obj: dict, path) -> ProblemInstance:
-    doc = obj.get("instance", obj)
+def _parse(path, what: str, read, *args):
+    """``read(*args)``, with a malformed document's error as one ParseError that names ``path`` and ``what``."""
     try:
-        return instance_from_json(doc)
+        return read(*args)
     except _BAD_INPUT as exc:
-        raise ParseError(f"{path}: bad instance: {exc}") from exc
+        raise ParseError(f"{path}: bad {what}: {exc}") from exc
+
+
+def _parse_instance(obj: dict, path) -> ProblemInstance:
+    return _parse(path, "instance", instance_from_json, obj.get("instance", obj))
 
 
 def _parse_solution(inst: ProblemInstance, obj: dict, path, read=solution_from_json):
     """`read` of the document's solution entry: `solution_from_json`, or `primal_from_json` for the plan alone."""
     if "solution" not in obj:
         raise ParseError(f"{path}: no 'solution' entry; run `solve` first")
-    try:
-        return read(inst, obj["solution"])
-    except _BAD_INPUT as exc:
-        raise ParseError(f"{path}: bad solution: {exc}") from exc
+    return _parse(path, "solution", read, inst, obj["solution"])
 
 
-def _parse_budget(obj: dict, path) -> BudgetInstance:
-    try:
-        return BudgetInstance(
-            items=tuple(item_from_json({"id": f"item{k}", **_json_object(rec, f"item {k}")})
-                        for k, rec in enumerate(obj["items"])),
-            values=np.asarray(obj["values"], dtype=float),
-            budget=float(obj["budget"]),
-        )
-    except _BAD_INPUT as exc:
-        raise ParseError(f"{path}: bad budget problem: {exc}") from exc
+def _budget_from_json(obj: dict) -> BudgetInstance:
+    items = tuple(item_from_json({"id": f"item{k}", **_json_object(rec, f"item {k}")})
+                  for k, rec in enumerate(obj["items"]))
+    return BudgetInstance(items=items, values=obj["values"], budget=obj["budget"])
 
 
 def _emit_json(doc: dict, output) -> None:
@@ -215,14 +213,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     obj = _load_json(args.input)
     inst = _parse_instance(obj, args.input)
     if "policy" in obj:
-        rec = obj["policy"]
-        try:
-            policy = BidPolicy(
-                bids=np.asarray(rec["bids"], dtype=float),
-                gamma=np.asarray(rec["gamma"], dtype=float),
-            )
-        except _BAD_INPUT as exc:
-            raise ParseError(f"{args.input}: bad policy: {exc}") from exc
+        policy = _parse(args.input, "policy", lambda rec: BidPolicy(rec["bids"], rec["gamma"]), obj["policy"])
     elif "solution" in obj:
         # the replay needs only the plan: neither D(rho) nor the certificate
         *_, primal = _parse_solution(inst, obj, args.input, primal_from_json)
@@ -230,16 +221,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         sol = solve(inst, tol=args.tol, margin=args.margin)
         policy = policy_from_primal(inst, sol.primal)
-    try:
-        policy.check(inst)
-    except ValueError as exc:
-        raise ParseError(f"{args.input}: policy does not fit the instance: {exc}") from exc
-
-    report = simulate(
-        inst, policy, args.horizon, args.seed, csv_path=csv_path, json_path=args.output
-    )
-    if args.output is None:
-        _emit_json(report.to_json(), None)
+    _parse(args.input, "policy", policy.check, inst)
+    report = simulate(inst, policy, args.horizon, args.seed, csv_path=csv_path)
+    _emit_json(report.to_json(), args.output)
     ok = report.fulfillment_ok()
     _status(
         f"simulated horizon {args.horizon:g} over {report.n_batches} batches: "
@@ -268,7 +252,7 @@ def _cmd_feasibility(args: argparse.Namespace) -> int:
 
 def _cmd_budget(args: argparse.Namespace) -> int:
     obj = _load_json(args.input)
-    bi = _parse_budget(obj, args.input)
+    bi = _parse(args.input, "budget problem", _budget_from_json, obj)
     try:
         theta, bids = solve_budget(bi)
         binding = True
@@ -287,10 +271,7 @@ def _cmd_budget(args: argparse.Namespace) -> int:
 
 def _cmd_markowitz(args: argparse.Namespace) -> int:
     obj = _load_json(args.input)
-    try:
-        mi = markowitz_from_json(obj)
-    except _BAD_INPUT as exc:
-        raise ParseError(f"{args.input}: bad portfolio problem: {exc}") from exc
+    mi = _parse(args.input, "portfolio problem", markowitz_from_json, obj)
     x_primal = solve_markowitz_primal(mi, tol=args.tol)
     zeta, phi, x_dual = solve_markowitz_dual(mi, tol=args.tol)
     doc = {

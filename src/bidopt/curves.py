@@ -32,6 +32,9 @@ PowerLawDensity) is declared once, by its dataclass fields: they are its
 parameters in formula order, each checked positive and finite, its
 ``params()`` and its JSON form, and ``curve_from_json`` finds the family by
 its ``family`` name and builds it from exactly those fields.
+
+Every number a JSON document gives bidopt is read here, by ``_json_number``
+(one value) or ``_json_numbers`` (an array), next to ``_json_object``.
 """
 from __future__ import annotations
 
@@ -316,9 +319,7 @@ class _Parametric(SupplyCurve):
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be a positive finite number")
+            object.__setattr__(self, name, _json_number(getattr(self, name), name))
 
     def params(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -574,15 +575,12 @@ class Empirical(SupplyCurve):
     family = "empirical"
 
     def __init__(self, breakpoints: Sequence[tuple[float, float]]):
-        pts = [(float(a), float(b)) for a, b in breakpoints]
-        if pts and pts[0][1] != 0.0:
-            pts.insert(0, (0.0, 0.0))
+        pts = _json_numbers(breakpoints, "breakpoints", (None, 2))
+        if pts.size and pts[0, 1] != 0.0:
+            pts = np.vstack([(0.0, 0.0), pts])
         if len(pts) < 2:
             raise ValueError("need at least one breakpoint above the anchor")
-        xs = np.array([p[0] for p in pts])
-        ws = np.array([p[1] for p in pts])
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ws))):
-            raise ValueError("breakpoints must be finite")
+        xs, ws = pts.T.copy()
         if xs[0] < 0.0:
             raise ValueError("breakpoint positions must be nonnegative")
         if not (np.all(np.diff(xs) > 0.0) and np.all(np.diff(ws) > 0.0)):
@@ -784,6 +782,39 @@ def _json_object(obj, what: str) -> dict:
     return obj
 
 
+def _json_number(value, what: str, low: float | None = None) -> float:
+    """``value`` as a finite float above 0, or at least ``low``; otherwise a ValueError that names ``what``.
+
+    A bool, a string and an integer too large for a float are rejected, not converted.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a number, not {value!r:.40}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer past the float range
+        x = math.inf
+    if not (math.isfinite(x) and (x > 0.0 if low is None else x >= low)):
+        wanted = "a positive finite number" if low is None else f"a finite number >= {low:g}"
+        raise ValueError(f"{what} must be {wanted}, not {value!r:.40}")
+    return x
+
+
+def _json_numbers(values, what: str, shape: tuple) -> np.ndarray:
+    """``values`` as a float array of ``shape`` (None fits any length), all finite; else a ValueError naming ``what``.
+
+    Entries are read as numpy reads them, not scanned one by one: a bool reads as 0 or 1.
+    """
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must be an array of numbers: {exc}") from None
+    if arr.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
+        raise ValueError(f"{what} has shape {arr.shape}, not {shape}")
+    if not np.isfinite(arr).all():  # a JSON null reads as NaN
+        raise ValueError(f"{what} has a null or non-finite entry")
+    return arr
+
+
 def curve_from_json(obj: dict) -> SupplyCurve:
     """Rebuild a curve from its ``to_json`` form; a parametric family takes exactly its fields."""
     family = _json_object(obj, "curve").get("family")
@@ -791,7 +822,7 @@ def curve_from_json(obj: dict) -> SupplyCurve:
         pts = obj.get("breakpoints") or _json_object(obj.get("params", {}), "empirical curve params").get("breakpoints")
         if pts is None:
             raise ValueError("empirical curve needs breakpoints")
-        return Empirical([(float(a), float(b)) for a, b in pts])
+        return Empirical(pts)
     cls = _PARAMETRIC.get(family)
     if cls is None:
         raise ValueError(f"unknown curve family: {family!r}")

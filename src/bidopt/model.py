@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .costs import AuctionKind, FamilyGroups, _gate_first_price
-from .curves import SupplyCurve, _json_object, curve_from_json
+from .curves import SupplyCurve, _json_number, _json_object, curve_from_json
 
 __all__ = [
     "ItemType",
@@ -86,10 +86,7 @@ class ItemType:
 
     def __post_init__(self):
         object.__setattr__(self, "auction", AuctionKind.parse(self.auction))
-        rate = float(self.arrival_rate)
-        if not (rate > 0.0 and np.isfinite(rate)):
-            raise ValueError(f"item {self.id!r}: arrival_rate must be positive and finite")
-        object.__setattr__(self, "arrival_rate", rate)
+        object.__setattr__(self, "arrival_rate", _json_number(self.arrival_rate, f"item {self.id!r}: arrival_rate"))
         _gate_first_price(self.curve, self.auction)
 
 
@@ -106,15 +103,10 @@ class Contract:
     valuations: Mapping[str | int, float]
 
     def __post_init__(self):
-        target = float(self.target_rate)
-        if not (target > 0.0 and np.isfinite(target)):
-            raise ValueError(f"contract {self.id!r}: target_rate must be positive and finite")
-        object.__setattr__(self, "target_rate", target)
+        object.__setattr__(self, "target_rate", _json_number(self.target_rate, f"contract {self.id!r}: target_rate"))
         kept = {}
         for j, v in self.valuations.items():
-            v = float(v)
-            if v < 0.0 or not np.isfinite(v):
-                raise ValueError(f"contract {self.id!r}: valuation for {j!r} must be finite and >= 0")
+            v = _json_number(v, f"contract {self.id!r}: valuation for {j!r}", low=0.0)
             if v > 0.0:
                 kept[j] = v
         object.__setattr__(self, "valuations", kept)

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .costs import FamilyGroups, monotone_root
-from .curves import PowerLawDensity, SupplyCurve, _json_object, curve_from_json
+from .curves import PowerLawDensity, SupplyCurve, _json_number, _json_numbers, _json_object, curve_from_json
 from .model import ItemType, _Items
 from .solver import NotConverged
 
@@ -90,17 +90,14 @@ class BudgetInstance(_Items):
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
-        values = np.asarray(self.values, dtype=float)
+        values = _json_numbers(self.values, "values", (len(self.items),))
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if values.shape != (len(self.items),):
-            raise ValueError("need one value per item")
-        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
-            raise ValueError("values must be finite and nonnegative")
+        if np.any(values < 0.0):
+            raise ValueError("values must be nonnegative")
         if not np.any(values > 0.0):
             raise ValueError("at least one item value must be positive")
-        if not (self.budget > 0.0 and math.isfinite(self.budget)):
-            raise ValueError("budget must be positive and finite")
+        object.__setattr__(self, "budget", _json_number(self.budget, "budget"))
 
     @property
     def n_items(self) -> int:
@@ -204,25 +201,24 @@ class MarkowitzInstance:
     lob: LobMarket | None = None
 
     def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
+        alpha = _json_numbers(self.alpha, "alpha", (None,))
+        m = alpha.size
+        sigma = _json_numbers(self.sigma, "sigma", (m, m))
+        risk = _json_number(self.risk_aversion, "risk_aversion")
         alpha.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sigma", sigma)
-        m = alpha.size
-        if sigma.shape != (m, m):
-            raise ValueError("sigma must be square and match alpha")
-        if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(sigma))):
-            raise ValueError("alpha and sigma must be finite")
+        object.__setattr__(self, "risk_aversion", risk)
         if not np.allclose(sigma, sigma.T, atol=1e-12):
             raise ValueError("sigma must be symmetric")
         try:
             np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
             raise ValueError("sigma must be positive definite") from None
-        if not (self.risk_aversion > 0.0 and math.isfinite(self.risk_aversion)):
-            raise ValueError("risk_aversion must be positive and finite")
+        # the primal solver's step is 1 over this Lipschitz constant
+        if not risk * float(np.linalg.eigvalsh(sigma)[-1]) < math.inf:
+            raise ValueError("risk_aversion times the largest eigenvalue of sigma must be finite")
         if self.lob is not None and self.lob.n_assets != m:
             raise ValueError("lob must cover every asset")
 
@@ -235,12 +231,7 @@ def markowitz_from_json(obj: dict) -> MarkowitzInstance:
     lob = obj.get("lob")
     market = None if lob is None else LobMarket(
         tuple(curve_from_json(_json_object(c, f"lob curve {k}")) for k, c in enumerate(lob)))
-    return MarkowitzInstance(
-        alpha=np.asarray(obj["alpha"], dtype=float),
-        sigma=np.asarray(obj["sigma"], dtype=float),
-        risk_aversion=float(obj["risk_aversion"]),
-        lob=market,
-    )
+    return MarkowitzInstance(alpha=obj["alpha"], sigma=obj["sigma"], risk_aversion=obj["risk_aversion"], lob=market)
 
 
 def markowitz_objective(mi: MarkowitzInstance, x: np.ndarray) -> float:

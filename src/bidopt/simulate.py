@@ -38,13 +38,12 @@ batches are order-independent), and batch means give honest standard errors.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curves import Empirical
+from .curves import Empirical, _json_numbers
 from .model import ProblemInstance
 from .solver import PrimalSolution
 
@@ -70,8 +69,8 @@ class BidPolicy:
     gamma: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "bids", np.asarray(self.bids, dtype=float))
-        object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
+        object.__setattr__(self, "bids", _json_numbers(self.bids, "policy bids", (None,)))
+        object.__setattr__(self, "gamma", _json_numbers(self.gamma, "policy gamma", (None,)))
 
     def check(self, inst: ProblemInstance) -> None:
         """Validate shapes and mixing invariants against an instance."""
@@ -83,9 +82,9 @@ class BidPolicy:
             raise ValueError(
                 f"policy has {self.gamma.shape} mixing weights; instance has {inst.n_edges} edges"
             )
-        if not np.all(np.isfinite(self.bids)) or np.any(self.bids < 0.0):
-            raise ValueError("bids must be finite and nonnegative")
-        if np.any(self.gamma < -1e-12) or not np.all(np.isfinite(self.gamma)):
+        if np.any(self.bids < 0.0):
+            raise ValueError("bids must be nonnegative")
+        if np.any(self.gamma < -1e-12):
             raise ValueError("mixing weights must be nonnegative")
         mass = np.zeros(inst.n_items)
         np.add.at(mass, inst.edge_j, np.maximum(self.gamma, 0.0))
@@ -339,7 +338,6 @@ def simulate(
     n_batches: int = 20,
     deterministic_arrivals: bool = False,
     csv_path=None,
-    json_path=None,
 ) -> SimulationReport:
     """Replay ``policy`` for ``horizon`` time units and aggregate realized rates.
 
@@ -350,8 +348,7 @@ def simulate(
     box.  A batch that would draw more than _MAX_BATCH_POINTS points in
     expectation raises ValueError: Poisson arrivals draw only the points in
     the box, deterministic arrivals count every arrival.  ``csv_path`` dumps
-    the cumulative fulfillment-rate time series per contract, ``json_path``
-    the full report.
+    the cumulative fulfillment-rate time series per contract.
     """
     policy.check(inst)
     for it in inst.items:
@@ -405,8 +402,4 @@ def simulate(
     )
     if csv_path is not None:
         _write_fulfillment_csv(csv_path, inst, t_batch, value)
-    if json_path is not None:
-        with open(json_path, "w") as fh:
-            # json.dumps without indent runs json's C encoder; json.dump never does
-            fh.write(json.dumps(report.to_json(), sort_keys=True))
     return report

@@ -47,6 +47,7 @@ from typing import Mapping
 import numpy as np
 
 from .costs import monotone_root
+from .curves import _json_number, _json_numbers, _json_object
 from .model import (ProblemInstance, _highs_model, _highs_status, _lp_work, _run_lp, _slack_columns,
                     _transport_lp, check_adequate_supply)
 
@@ -719,10 +720,11 @@ def _spend_rate(inst: ProblemInstance, s: np.ndarray) -> float:
 
 
 def _mixing(inst: ProblemInstance, s: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Mixing weights gamma_e = R_e / s_j of each edge's item j (0 where s_j = 0)."""
+    """Mixing weights gamma_e = R_e / s_j of each edge's item j (0 where s_j = 0, infinite on overflow)."""
     gamma = np.zeros(inst.n_edges)
     nz = s[inst.edge_j] > 0.0
-    gamma[nz] = R[nz] / s[inst.edge_j[nz]]
+    with np.errstate(over="ignore"):
+        gamma[nz] = R[nz] / s[inst.edge_j[nz]]
     return gamma
 
 
@@ -854,12 +856,9 @@ def primal_from_json(inst: ProblemInstance, obj: dict) -> tuple[np.ndarray, np.n
     Neither D(rho) nor the certificate is evaluated (`solution_from_json`
     adds both), so a replay reads its plan without them.
     """
-    rho, mu, s, bids = (np.asarray(obj[key], dtype=float) for key in ("rho", "mu", "s", "bids"))
-    if rho.shape != (inst.n_contracts,) or any(a.shape != (inst.n_items,) for a in (mu, s, bids)):
-        raise ValueError("solution dimensions do not match the instance")
-    for key, a in zip(("rho", "mu", "s", "bids"), (rho, mu, s, bids)):
-        if not np.all(np.isfinite(a)):  # a JSON null reads as NaN
-            raise ValueError(f"solution {key} has a null or non-finite entry")
+    obj = _json_object(obj, "solution")
+    rho = _json_numbers(obj["rho"], "solution rho", (inst.n_contracts,))
+    mu, s, bids = (_json_numbers(obj[key], f"solution {key}", (inst.n_items,)) for key in ("mu", "s", "bids"))
 
     # each entry's edge by the contract-major key edge_i * n_items + edge_j, strictly increasing
     c_pos, j_pos = inst.positions
@@ -875,9 +874,7 @@ def primal_from_json(inst: ProblemInstance, obj: dict) -> tuple[np.ndarray, np.n
     if bad.size:
         raise ValueError(f"allocation entry {(contract[bad[0]], item[bad[0]])!r} is not an instance edge")
     R = np.zeros(inst.n_edges)
-    R[e] = np.fromiter(map(float, val), float, k)  # float() rejects null and strings, but NaN and inf pass
-    if not np.all(np.isfinite(R)):
-        raise ValueError("solution R has a non-finite entry")
+    R[e] = _json_numbers(val, "solution R", (k,))
     return rho, mu, PrimalSolution(s=s, R=R, x=bids, gamma=_mixing(inst, s, R), primal_value=_spend_rate(inst, s))
 
 
@@ -886,12 +883,12 @@ def solution_from_json(inst: ProblemInstance, obj: dict) -> Solution:
 
     Every derived value (dual and primal value, mixing weights, eps_active
     and the certificate) is recomputed, not trusted; only the iteration
-    count is read as written, and it must be a finite integer.
+    count is read as written, and it must be a nonnegative integer.
     """
-    iters = obj.get("iters", 0)
-    if isinstance(iters, bool) or not (isinstance(iters, int) or isinstance(iters, float) and iters.is_integer()):
-        raise ValueError(f"solution iters must be a finite integer, not {iters!r:.40}")
     rho, mu, primal = primal_from_json(inst, obj)
+    iters = _json_number(obj.get("iters", 0), "solution iters", low=0.0)
+    if not iters.is_integer():
+        raise ValueError(f"solution iters must be an integer, not {iters!r}")
     theta = mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]
     dual = DualSolution(rho=rho, mu=mu, theta=theta, dual_value=_dual_value(inst, rho))
     return Solution(

@@ -5,23 +5,29 @@ assert on exit codes); one test drives ``python -m bidopt.cli`` as a real
 subprocess to cover the module entry point.
 """
 
+import copy
 import csv
 import dataclasses
+import functools
 import json
 import math
+import operator
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bidopt.cli
 from bidopt.cli import main
 from bidopt.costs import AcquisitionCost
 from bidopt.curves import PowerLawDensity, alpha_concavity_check
 from bidopt.model import instance_from_json, random_instance
-from bidopt.solver import NotConverged, solve
+from bidopt.solver import NotConverged, solution_to_json, solve
 
 SCALAR = {
     "items": [
@@ -105,7 +111,8 @@ def test_round_trip_certificate_matches_in_memory(tmp_path):
 
 def test_compact_solve_document_round_trips(tmp_path):
     # solve and simulate write one line of JSON with sorted keys (json's C
-    # encoder), and certify and simulate read the solved document back
+    # encoder), and certify and simulate read the solved document back; the
+    # simulate report is the one the in-memory replay gives
     inp = write_json(tmp_path / "inst.json", MIXED)
     solved, sim = tmp_path / "solved.json", tmp_path / "sim.json"
     assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
@@ -114,7 +121,11 @@ def test_compact_solve_document_round_trips(tmp_path):
     assert main(["certify", "--input", str(solved)]) == 0
     assert main(["simulate", "--input", str(solved), "--seed", "3", "--horizon", "50", "--output", str(sim)]) == 0
     text = sim.read_text()
-    assert text == json.dumps(json.loads(text), sort_keys=True)
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    doc = json.loads(solved.read_text())
+    inst = instance_from_json(doc["instance"])
+    primal = bidopt.solver.solution_from_json(inst, doc["solution"]).primal
+    assert json.loads(text) == bidopt.simulate(inst, bidopt.policy_from_primal(inst, primal), 50.0, 3).to_json()
 
 
 def test_certify_rejects_tampering(tmp_path):
@@ -264,6 +275,18 @@ MISSPELT = {"family": "exponential", "params": {"rate": 1.0, "scael": 2.0}}
     pytest.param("budget", {"items": [{"rate": 1.0, "curve": [1], "auction": "second_price"}],
                             "values": [1.0], "budget": 0.5}, id="budget-curve-list"),
     pytest.param("markowitz", {**MARKOWITZ, "lob": [[1], [1]]}, id="markowitz-lob-list"),
+    # a solution entry that is not an object
+    *(pytest.param("certify", {"instance": SCALAR, "solution": value}, id=f"certify-solution-{value!r}")
+      for value in (0, "x", [], None, True)),
+    # a bool or a string where a number belongs
+    *(pytest.param("solve", doc(value), id=f"{name}-{value!r}")
+      for value in (True, "1.5")
+      for name, doc in (
+          ("rate", lambda v: {**SCALAR, "items": [{**SCALAR["items"][0], "rate": v}]}),
+          ("target", lambda v: {**SCALAR, "contracts": [{**SCALAR["contracts"][0], "target": v}]}),
+          ("valuation", lambda v: {**SCALAR, "contracts": [{**SCALAR["contracts"][0], "valuations": {"p": v}}]}))),
+    *(pytest.param("budget", {"items": [SCALAR["items"][0]], "values": [1.0], "budget": value},
+                   id=f"budget-{value!r}") for value in (True, "1.5")),
 ])
 def test_malformed_document_exits_1(tmp_path, capsys, command, doc):
     # one message line, no traceback
@@ -559,6 +582,10 @@ def _portfolio(alpha, sigma):
     pytest.param("markowitz", _portfolio([math.nan, 0.5], [[1.0, 0.0], [0.0, 1.0]]), id="nan-alpha-markowitz"),
     pytest.param("markowitz", _portfolio([1.0, 0.5], [[1.0, 0.0], [0.0, math.inf]]), id="infinite-sigma-markowitz"),
     pytest.param("solve", _with_infinite_breakpoint, id="infinite-breakpoint-solve"),
+    # finite, but risk_aversion times sigma's largest eigenvalue overflows: the primal step would be 0
+    pytest.param("markowitz", _portfolio([1.0, 0.5], [[1e308, 0.0], [0.0, 1.0]]), id="overflowing-sigma-markowitz"),
+    # finite, but alpha is not a vector
+    pytest.param("markowitz", _portfolio([[1.0, 0.5]], [[1.0, 0.0], [0.0, 1.0]]), id="two-dimensional-alpha-markowitz"),
 ])
 def test_non_finite_numbers_exit_1(tmp_path, capsys, command, damage):
     inp = write_json(tmp_path / "inst.json", MIXED)
@@ -725,6 +752,84 @@ def test_markowitz_routes_agree(tmp_path):
     assert res["max_disagreement"] <= 1e-6
     assert len(res["position"]) == 2
     assert math.isfinite(res["objective"])
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzz: no document a command reads ends in a traceback
+
+EMPIRICAL_MIXED = {**MIXED, "items": [
+    {**MIXED["items"][0], "curve": {"family": "empirical", "breakpoints": [[0.0, 0.0], [0.5, 0.4], [1.5, 0.8],
+                                                                          [3.0, 1.0]]}},
+    *MIXED["items"][1:]]}
+BUDGET = {"items": [{"rate": 1.0, "curve": {"family": "exponential", "params": {"rate": 1.0}},
+                     "auction": "second_price"},
+                    {"rate": 0.5, "curve": {"family": "power_law_density", "params": {"w0": 2.0, "x_max": 1.0}},
+                     "auction": "first_price"}],
+          "values": [1.0, 0.8], "budget": 0.3}
+PORTFOLIO = {**MARKOWITZ, "lob": [{"family": "power_law_density", "params": {"w0": 2.0, "x_max": 1.5}},
+                                  {"family": "empirical", "breakpoints": [[0.5, 0.0], [1.0, 0.6], [2.0, 1.4]]}]}
+# the commands that read each document kind
+MUTATED_COMMANDS = {
+    "instance": (["solve"], ["feasibility"]),
+    "solved": (["certify"], ["simulate", "--seed", "1", "--horizon", "20"]),
+    "budget": (["budget"],),
+    "portfolio": (["markowitz"],),
+}
+ODD_VALUES = (None, True, False, 0, -1, 0.5, 1e308, -1e308, 5e-324, HUGE, -HUGE, math.nan, math.inf, -math.inf,
+              "x", "1.5", [], [1.0, 2.0], {}, {"a": 1})
+DELETED = object()
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON document, the root's () first."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    """``doc`` with the node at ``path`` set to ``value``, or removed for DELETED."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = functools.reduce(operator.getitem, parents, doc)
+    if value is DELETED:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+@functools.cache
+def _mutation_document(kind: str) -> dict:
+    if kind != "solved":
+        return {"instance": EMPIRICAL_MIXED, "budget": BUDGET, "portfolio": PORTFOLIO}[kind]
+    inst = instance_from_json(EMPIRICAL_MIXED)
+    return {"instance": inst.to_json(), "solution": solution_to_json(inst, solve(inst))}
+
+
+@pytest.mark.parametrize("kind", list(MUTATED_COMMANDS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_documents_exit_cleanly(tmp_path, capsys, kind, data):
+    # any one node set to an odd value or deleted: exit 0-3 and never a
+    # traceback, and exit 1 prints one `bidopt: ` line; numpy's RuntimeWarnings
+    # are recorded, not raised, and only an exit 1 must be free of them
+    doc = _mutation_document(kind)
+    path = data.draw(st.sampled_from(list(_paths(doc))), label="path")
+    value = data.draw(st.sampled_from(ODD_VALUES + (DELETED,) if path else ODD_VALUES), label="value")
+    inp = write_json(tmp_path / "doc.json", _mutated(doc, path, value))
+    for command in MUTATED_COMMANDS[kind]:
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            code = main(command[:1] + ["--input", inp] + command[1:])
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            err = capsys.readouterr().err
+            assert err.startswith("bidopt: ") and err.count("\n") == 1 and not caught
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import importlib
-import json
 import math
 import re
 
@@ -164,10 +163,7 @@ def test_report_files(tmp_path):
     sol = solve(inst, tol=1e-10)
     policy = policy_from_primal(inst, sol.primal)
     csv_path = tmp_path / "fulfillment.csv"
-    json_path = tmp_path / "report.json"
-    report = simulate(
-        inst, policy, horizon=400.0, seed=2, csv_path=csv_path, json_path=json_path
-    )
+    report = simulate(inst, policy, horizon=400.0, seed=2, csv_path=csv_path)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "time,c0,c1,c2"
     assert len(lines) == 1 + report.n_batches
@@ -175,7 +171,6 @@ def test_report_files(tmp_path):
     tail = [float(tok) for tok in lines[-1].split(",")]
     assert tail[0] == pytest.approx(400.0)
     assert np.allclose(tail[1:], report.value_rate, atol=1e-9)
-    assert json.loads(json_path.read_text()) == report.to_json()
 
 
 def test_policy_validation():
