@@ -18,6 +18,16 @@ Every LP in bidopt is built and solved here, on scipy's private HiGHS
 binding: one transportation LP over the edges backs the adequate-supply
 check, :func:`max_scalable_target` and the solver's routing LP, and the
 solver's cutting-plane master is a persistent model on the same layer.
+The supply check's LP is priced: it starts from each contract's 10 best
+edges and brings in edges by reduced cost, re-solving warm, until a witness
+appears or none prices out.  On 2 cores the check takes 2.4 ms instead of
+12 ms on the 60 x 400 benchmark draw (660 of 3,721 columns, one solve), and
+7 ms instead of 110 ms on the 200 x 1200 draw; at 1.01 times that draw's
+largest satisfiable targets it takes 0.24 s instead of 2.8 s.
+:func:`max_scalable_target` stays over every edge: it is off the solve's
+path, and its objective moves with every column, so pricing runs to the
+end (10 and 34 rounds on those draws).  The routing LP's near-tight edges
+are its whole model.
 The binding is loaded straight from its file, without running the
 ``scipy.optimize`` package (see :func:`_load_highs`).
 """
@@ -347,6 +357,9 @@ class SupplyCheck:
     slack: float
     witness: np.ndarray | None = None
     certificate: InfeasibilityCertificate | None = field(default=None, repr=False)
+    # the priced LP's solves and its final column count (edges and slacks)
+    rounds: int = 0
+    columns: int = 0
 
     def __bool__(self) -> bool:
         return self.feasible
@@ -444,17 +457,31 @@ def _slack_columns(n: int, price: float):
     return np.full(n, price), np.arange(n + 1), np.arange(n), np.ones(n)
 
 
-def _transport_lp(inst: ProblemInstance, edge_cost, supply, demand, extra, edges=None):
+def _transport_lp(inst: ProblemInstance, edge_cost, supply, demand, extra, edges=None, start=None,
+                  enough: float = -np.inf):
     """min edge_cost.R + extra_cost.z  s.t.  lower <= V R + B z <= upper, S R <= supply, R, z >= 0.
 
     Edge column e has v_e in demand row ``edge_i[e]`` (V) and 1 in supply
     row ``n + edge_j[e]`` (S); with ``edges``, an index array, only those
     edges are columns, in that order, and ``edge_cost`` is theirs.
-    ``demand`` is (lower, upper) and ``extra`` is (extra_cost, start, index,
-    value), B in CSC form over the demand rows.  Returns (x, objective,
-    row_dual) with x = (R, z) and the demand rows' duals before the supply
-    rows', or None when HiGHS ends at no optimum.  Raises ValueError naming
-    an input outside the range HiGHS accepts.
+    ``demand`` is (lower, upper) and ``extra`` is (extra_cost, column
+    starts, row indices, values), B in CSC form over the demand rows.
+
+    Priced (delayed column generation; Ford & Fulkerson 1958, Dantzig &
+    Wolfe 1960): the model starts from the edges at positions ``start`` in
+    that list (all of them when None) and the extra columns.  After each
+    optimal solve every edge outside the model is priced at
+    c_e - v_e y_i - p_j under the demand-row duals y and the supply-row
+    duals p; those below -1e-12 are appended to the live model, which is
+    re-solved warm from its basis, until none prices out -- the last
+    restricted optimum is then the full one.  The loop also stops once the
+    objective is at most ``enough``.
+
+    Returns (x, objective, row_dual, rounds, columns) with x = (R, z), R
+    over the edge list with zeros off the model, the demand rows' duals
+    before the supply rows', the solves made and the model's final column
+    count; None when HiGHS ends a solve at no optimum.  Raises ValueError
+    naming an input outside the range HiGHS accepts.
     """
     n = inst.n_contracts
     ei, ej, ev = inst.edge_i, inst.edge_j, inst.edge_v
@@ -472,18 +499,47 @@ def _transport_lp(inst: ProblemInstance, edge_cost, supply, demand, extra, edges
         bad = vals[~(np.abs(vals) < limit)]
         if bad.size:
             raise ValueError(f"{name} {bad[0]:g} is outside the range HiGHS accepts ({kind} below {limit:g})")
-    cost = np.concatenate([edge_cost, extra_cost])
+    cols = np.arange(d) if start is None else np.asarray(start)
+    out = np.ones(d, dtype=bool)
+    out[cols] = False
+    k = cols.size
+    cost = np.concatenate([edge_cost[cols], extra_cost])
     highs = _highs_model(
         cost, np.full(cost.size, np.inf),
         np.concatenate([lower, np.full(supply.size, -np.inf)]), np.concatenate([upper, supply]),
-        np.concatenate([2 * np.arange(d), 2 * d + extra_start]),
-        np.concatenate([np.column_stack([ei, n + ej]).ravel(), extra_index]),
-        np.concatenate([np.column_stack([ev, np.ones(d)]).ravel(), extra_value]),
+        np.concatenate([2 * np.arange(k), 2 * k + extra_start]),
+        np.concatenate([np.column_stack([ei[cols], n + ej[cols]]).ravel(), extra_index]),
+        np.concatenate([np.column_stack([ev[cols], np.ones(k)]).ravel(), extra_value]),
     )
-    if not _run_lp(highs):
-        return None
-    sol = highs.getSolution()
-    return np.array(sol.col_value), float(highs.getInfo().objective_function_value), np.array(sol.row_dual)
+    # each model column's place in x: the start edges, the extra columns, then the priced edges
+    where = np.concatenate([cols, d + np.arange(extra_cost.size)])
+    rounds = 0
+    while True:
+        rounds += 1
+        if not _run_lp(highs):
+            return None
+        sol = highs.getSolution()
+        objective = float(highs.getInfo().objective_function_value)
+        row_dual = np.array(sol.row_dual)
+        if objective <= enough:
+            break
+        rest = np.flatnonzero(out)
+        reduced = edge_cost[rest] - ev[rest] * row_dual[ei[rest]] - row_dual[n + ej[rest]]
+        new = rest[reduced < -1e-12]
+        if not new.size:
+            break
+        k = new.size
+        _highs_status(highs.addCols(k, edge_cost[new], np.zeros(k), np.full(k, np.inf), 2 * k,
+                                    2 * np.arange(k, dtype=np.int32),
+                                    np.column_stack([ei[new], n + ej[new]]).astype(np.int32).ravel(),
+                                    np.column_stack([ev[new], np.ones(k)]).ravel()), "the priced edge columns")
+        # new columns keep the basis primal feasible: re-solve from it by primal simplex
+        highs.setOptionValue("simplex_strategy", 4)
+        out[new] = False
+        where = np.concatenate([where, new])
+    x = np.zeros(d + extra_cost.size)
+    x[where] = sol.col_value
+    return x, objective, row_dual, rounds, where.size
 
 
 def _weighted_shortfall(inst: ProblemInstance, y: np.ndarray, margin: float) -> float:
@@ -491,18 +547,42 @@ def _weighted_shortfall(inst: ProblemInstance, y: np.ndarray, margin: float) -> 
     return float(y @ inst.targets) - float(((1.0 - margin) * inst.capacities) @ inst.mu_of(y))
 
 
-def _supply_lp(inst: ProblemInstance, demand: np.ndarray, margin: float):
-    """The supply check's LP with the contracts asking for `demand`.
+# the supply LP starts from each contract's this many best edges by valuation
+_SUPPLY_START = 10
 
-    Returns (x, slack, row_dual, met) with x = (R, per-contract slacks
-    priced 1), slack their least total, and met when it is within
-    1e-9 (1 + total demand); None when HiGHS ends at no optimum.
+
+def _best_edges(inst: ProblemInstance, k: int) -> np.ndarray:
+    """Each contract's k best edges by valuation, in edge order; ties go to the lower item position.
+
+    One stable sort of i_e - v_e / (2 max v) keeps each contract's edges
+    together, ordered by falling valuation (valuations that round to one
+    key count as tied); it is ten times faster than a lexsort.
     """
+    order = np.argsort(inst.edge_i - 0.5 * (inst.edge_v / inst.edge_v.max()), kind="stable")
+    rank = np.empty(inst.n_edges, dtype=np.intp)
+    rank[order] = np.arange(inst.n_edges) - inst.contract_start[inst.edge_i]  # edges are contract-major
+    return np.flatnonzero(rank < k)
+
+
+def _supply_lp(inst: ProblemInstance, demand: np.ndarray, margin: float):
+    """The supply check's LP with the contracts asking for `demand`, priced from each contract's best edges.
+
+    Returns (x, slack, row_dual, met, rounds, columns) with x = (R,
+    per-contract slacks priced 1), slack their least total over the model,
+    met when it is within 1e-9 (1 + total demand), and the priced LP's
+    solves and final column count; None when HiGHS ends at no optimum.
+    Pricing stops as soon as the slack is met, since a witness over some
+    edges is one over all; otherwise it runs until no edge prices out, so
+    slack and duals are the full LP's.
+    """
+    enough = 1e-9 * (1.0 + float(demand.sum()))
     res = _transport_lp(inst, np.zeros(inst.n_edges), (1.0 - margin) * inst.capacities,
-                        (demand, demand), _slack_columns(inst.n_contracts, 1.0))
+                        (demand, demand), _slack_columns(inst.n_contracts, 1.0),
+                        start=_best_edges(inst, _SUPPLY_START), enough=enough)
     if res is None:
         return None
-    return *res, res[1] <= 1e-9 * (1.0 + float(demand.sum()))
+    x, slack, row_dual, rounds, columns = res
+    return x, slack, row_dual, slack <= enough, rounds, columns
 
 
 def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> SupplyCheck:
@@ -511,9 +591,11 @@ def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> Supply
     mass_j is the total mass of item j's supply curve: winning every auction
     acquires lambda_j mass_j per unit time.
 
-    Feasible outcomes carry an explicit witness R (edge-aligned).  Infeasible
-    outcomes carry an :class:`InfeasibilityCertificate` built from the LP
-    duals.  Raises LPFailure when HiGHS ends the LP at no optimum.
+    Feasible outcomes carry an explicit witness R (edge-aligned, zero off
+    the priced model).  Infeasible outcomes carry an
+    :class:`InfeasibilityCertificate` built from the priced LP's last duals,
+    which price every edge nonnegative.  Raises LPFailure when HiGHS ends
+    the LP at no optimum.
     """
     if not (0.0 <= margin < 1.0):
         raise ValueError("margin must lie in [0, 1)")
@@ -521,43 +603,44 @@ def check_adequate_supply(inst: ProblemInstance, margin: float = 1e-6) -> Supply
     res = _supply_lp(inst, inst.targets, margin)
     if res is None:
         raise LPFailure("feasibility LP found no optimum")
-    x, slack, row_dual, met = res
+    x, slack, row_dual, met, rounds, columns = res
     if met:
         witness = x[:d]
         witness.setflags(write=False)
-        return SupplyCheck(feasible=True, slack=0.0, witness=witness)
+        return SupplyCheck(feasible=True, slack=0.0, witness=witness, rounds=rounds, columns=columns)
 
     y = np.clip(row_dual[:n], 0.0, 1.0)
     shortfall = _weighted_shortfall(inst, y, margin)
 
-    # smallest top-k-by-weight contract set that violates the Hall-type ratio, else the whole support
+    # the Hall numbers of every top-k-by-weight prefix of the support at once: running demand, running
+    # best valuation, and the capacity of the items reached, each item counted from the first
+    # contract in the prefix that values it
     order = np.argsort(-y, kind="stable")
-    support = [k for k in order if y[k] > 1e-12] or [int(order[0])]
-    for k in range(1, len(support) + 1):
-        chosen = support[:k]
-        violated, demand, best_v, reach = _hall_numbers(inst, chosen)
-        if violated:
-            break
+    support = order[y[order] > 1e-12]
+    if not support.size:
+        support = order[:1]
+    k = support.size
+    demand = np.cumsum(inst.targets[support])
+    best_v = np.maximum.accumulate(np.maximum.reduceat(inst.edge_v, inst.contract_start[:-1])[support])
+    rank = np.full(n, k)
+    rank[support] = np.arange(k)
+    _, edge_i, nonempty, starts = inst.item_major
+    first = np.full(inst.n_items, k)
+    if starts.size:
+        first[nonempty] = np.minimum.reduceat(rank[edge_i], starts)
+    reach = np.cumsum(np.bincount(first, inst.capacities, minlength=k + 1)[:k])
+    # the smallest prefix that violates the Hall-type ratio, else the whole support
+    violated = np.flatnonzero(demand / best_v > reach)
+    last = int(violated[0]) if violated.size else k - 1
     cert = InfeasibilityCertificate(
-        contract_ids=tuple(inst.contracts[k].id for k in chosen),
-        weights={inst.contracts[k].id: float(y[k]) for k in support},
-        demand=demand,
-        best_valuation=best_v,
-        reachable_supply=reach,
+        contract_ids=tuple(inst.contracts[c].id for c in support[: last + 1]),
+        weights={inst.contracts[c].id: float(y[c]) for c in support},
+        demand=float(demand[last]),
+        best_valuation=float(best_v[last]),
+        reachable_supply=float(reach[last]),
         weighted_shortfall=shortfall,
     )
-    return SupplyCheck(feasible=False, slack=slack, certificate=cert)
-
-
-def _hall_numbers(inst: ProblemInstance, members: Sequence[int]):
-    """(violated?, demand, best valuation, reachable capacity) for a contract set."""
-    members = list(members)
-    demand = float(inst.targets[members].sum())
-    edge_sets = [inst.contract_edges(i) for i in members]
-    best_v = max(float(np.max(inst.edge_v[s])) for s in edge_sets)
-    reach_items = np.unique(np.concatenate([inst.edge_j[s] for s in edge_sets]))
-    reach = float(inst.capacities[reach_items].sum())
-    return demand / best_v > reach, demand, best_v, reach
+    return SupplyCheck(feasible=False, slack=slack, certificate=cert, rounds=rounds, columns=columns)
 
 
 def max_scalable_target(inst: ProblemInstance, margin: float = 1e-6) -> float:
@@ -665,8 +748,9 @@ def random_sparse_instance(
         for i in range(n_contracts)
     ]
     inst = build_instance(items, contracts)
-    # a draw that meets 1.25 times its targets is kept as it is; that one
-    # supply LP is far cheaper than max_scalable_target, needed only otherwise
+    # a draw that meets 1.25 times its targets is kept as it is; that priced
+    # supply LP is far cheaper than max_scalable_target, which stays over every
+    # edge and is needed only otherwise
     at_125 = _supply_lp(inst, 1.25 * inst.targets, 1e-3)
     if at_125 is not None and at_125[3]:
         return inst

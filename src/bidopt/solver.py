@@ -130,6 +130,7 @@ class CertificateReport:
     max_comp_slack: float
     max_mu_residual: float
     max_rho_residual: float
+    max_bid_residual: float
     tol: float
 
     @property
@@ -147,6 +148,7 @@ class CertificateReport:
             ("max_complementary_slack", self.max_comp_slack, self.max_comp_slack <= t),
             ("max_mu_residual", self.max_mu_residual, self.max_mu_residual <= t),
             ("max_rho_residual", self.max_rho_residual, self.max_rho_residual <= t),
+            ("max_bid_residual", self.max_bid_residual, self.max_bid_residual <= t),
         ]
 
     def to_csv(self, path) -> None:
@@ -666,6 +668,8 @@ def solve_dual(
     - routing_lps: the routing-LP verdicts run;
     - tie_root_calls, tie_root_evals: the tie roots' batch calls and balance
       evaluations;
+    - supply_lp_rounds, supply_lp_columns: the priced supply check's LP
+      solves and its final model columns (edges and slacks);
     - lp_solves, lp_simplex_iterations: solves and simplex iterations of
       every LP of the solve.
 
@@ -679,6 +683,7 @@ def solve_dual(
     chk = check_adequate_supply(inst, margin)
     if not chk:
         raise InfeasibleInstance(chk)
+    stats["supply_lp_rounds"], stats["supply_lp_columns"] = chk.rounds, chk.columns
     stats["tie_root_calls"] = stats["tie_root_evals"] = stats["routing_lps"] = 0
     warm = _warm_start(inst, stats)
     value, rho, _, used, kkt, routed = _kelley_phase(inst, _dual_value(inst, warm), warm, tol, stats=stats)
@@ -770,7 +775,7 @@ def recover_primal(inst: ProblemInstance, dual: DualSolution) -> PrimalSolution:
 def certify(
     inst: ProblemInstance, primal: PrimalSolution, dual: DualSolution, tol: float = 1e-6
 ) -> CertificateReport:
-    """Duality gap and KKT residuals of a (primal, dual) pair."""
+    """Duality gap, KKT residuals and the bids' distance from the bid map at mu, of a (primal, dual) pair."""
     p, d = primal.primal_value, dual.dual_value
     gap = (p - d) / (1.0 + abs(p))
 
@@ -789,6 +794,15 @@ def certify(
     rho_min = np.minimum.reduceat(ratio, inst.contract_start[:-1])  # every contract has an edge
     rho_res = float(np.max(np.abs(rho_min - dual.rho) / (1.0 + np.abs(dual.rho))))
 
+    # the plan ships the bid map at mu, x_j = g_j^{-1}(mu_j); a bid off it buys other rates than s
+    bid = inst.groups.bid(np.asarray(dual.mu, dtype=float))
+    miss = np.abs(primal.x - bid)
+    off = miss > 0.0
+    bid_res = 0.0
+    if off.any():
+        with np.errstate(divide="ignore", over="ignore"):  # where the map bids 0, any other bid reads as inf
+            bid_res = float(np.max(miss[off] / bid[off]))
+
     return CertificateReport(
         primal_value=p,
         dual_value=d,
@@ -798,6 +812,7 @@ def certify(
         max_comp_slack=comp,
         max_mu_residual=mu_res,
         max_rho_residual=rho_res,
+        max_bid_residual=bid_res,
         tol=tol,
     )
 

@@ -149,3 +149,29 @@ def supply_certificate_holds(inst, cert, margin: float) -> bool:
     demand = float(y @ np.array([contract.target_rate for contract in inst.contracts]))
     capacity = np.array([(1.0 - margin) * item.arrival_rate * item.curve.total_mass for item in inst.items])
     return demand > float(capacity @ (v * y[:, None]).max(axis=0))
+
+
+def supply_slack_every_edge(inst, margin: float) -> float:
+    """Least total slack of the adequate-supply LP with every valued pair a column, by scipy's ``linprog``.
+
+    sum_j v_ij R_ij + z_i = C_i and sum_i R_ij <= (1 - margin) lambda_j mass_j
+    over R, z >= 0, minimizing sum_i z_i.  The matrices are built densely from
+    each contract's valuations, not from the instance's edge arrays, and the
+    LP is solved cold and whole, with no pricing.
+    """
+    from scipy.optimize import linprog
+
+    col = {item.id: j for j, item in enumerate(inst.items)}
+    pairs = [(i, col[item_id], value)
+             for i, contract in enumerate(inst.contracts) for item_id, value in contract.valuations.items()]
+    n, k = len(inst.contracts), len(pairs)
+    a_eq = np.hstack([np.zeros((n, k)), np.eye(n)])
+    a_ub = np.zeros((len(inst.items), k + n))
+    for e, (i, j, value) in enumerate(pairs):
+        a_eq[i, e] = value
+        a_ub[j, e] = 1.0
+    capacity = [(1.0 - margin) * item.arrival_rate * item.curve.total_mass for item in inst.items]
+    res = linprog(np.r_[np.zeros(k), np.ones(n)], A_ub=a_ub, b_ub=capacity, A_eq=a_eq,
+                  b_eq=[contract.target_rate for contract in inst.contracts], bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)

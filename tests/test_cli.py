@@ -14,6 +14,7 @@ import math
 import operator
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -26,8 +27,9 @@ import bidopt.cli
 from bidopt.cli import main
 from bidopt.costs import AcquisitionCost
 from bidopt.curves import PowerLawDensity, alpha_concavity_check
-from bidopt.model import instance_from_json, random_instance
+from bidopt.model import instance_from_json, max_scalable_target, random_instance, random_sparse_instance
 from bidopt.solver import NotConverged, solution_to_json, solve
+from oracles import supply_certificate_holds
 
 SCALAR = {
     "items": [
@@ -138,6 +140,21 @@ def test_certify_rejects_tampering(tmp_path):
     assert main(["certify", "--input", str(solved)]) == 3
 
 
+def test_certify_rejects_bids_off_the_bid_map(tmp_path, capsys):
+    # halved bids buy about half of each planned rate, while rho, mu, s and R
+    # still read as optimal: only the bid row can fail them
+    inp = write_json(tmp_path / "inst.json", random_instance(np.random.default_rng(3), 4, 8).to_json())
+    solved = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
+    doc = json.loads(solved.read_text())
+    doc["solution"]["bids"] = [bid / 2.0 for bid in doc["solution"]["bids"]]
+    write_json(solved, doc)
+    capsys.readouterr()
+    assert main(["certify", "--input", str(solved)]) == 3
+    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
+    assert failed == ["max_bid_residual"]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -219,6 +236,21 @@ def test_feasibility_accepts_good_instance(tmp_path):
     feas = json.loads(out.read_text())
     assert feas["feasible"] is True
     assert feas["slack"] == 0.0
+
+
+def test_feasibility_certificate_of_a_boosted_sparse_draw_holds(tmp_path):
+    # targets at 1.01 times the largest satisfiable level: the priced supply
+    # LP runs to the end, and the weights of its last duals certify
+    inst = random_sparse_instance(np.random.default_rng(0), 30, 180)
+    doc = inst.to_json()
+    boost = 1.01 * max_scalable_target(inst, 1e-6)
+    for contract in doc["contracts"]:
+        contract["target"] *= boost
+    inp = write_json(tmp_path / "inst.json", doc)
+    out = tmp_path / "feas.json"
+    assert main(["feasibility", "--input", inp, "--output", str(out)]) == 2
+    cert = json.loads(out.read_text())["certificate"]
+    assert supply_certificate_holds(instance_from_json(doc), types.SimpleNamespace(weights=cert["weights"]), 1e-6)
 
 
 HUGE_TARGET = {**SCALAR, "contracts": [{"id": "c", "target": 1e300, "valuations": {"p": 1.0}}]}

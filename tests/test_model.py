@@ -23,7 +23,7 @@ from bidopt.model import (
     max_scalable_target,
     random_instance,
 )
-from oracles import supply_certificate_holds
+from oracles import supply_certificate_holds, supply_slack_every_edge
 
 
 def scalar_instance(target=1.0, rate=2.0):
@@ -215,6 +215,51 @@ def test_max_scalable_target_is_the_supply_checks_threshold(make):
     chk = check_adequate_supply(above, margin)
     assert not chk
     assert supply_certificate_holds(above, chk.certificate, margin)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda s=s: random_instance(np.random.default_rng(s), 8, 60, edge_prob=0.5), id=f"random-{s}")
+     for s in range(3)]
+    + [pytest.param(lambda s=s: random_sparse_instance(np.random.default_rng(s), 30, 180), id=f"sparse-{s}")
+       for s in range(2)],
+)
+@pytest.mark.parametrize("boost", [None, 1.01, 3.0], ids=["drawn", "1.01-tmax", "3-tmax"])
+def test_priced_supply_check_matches_the_every_edge_oracle(make, boost):
+    # these draws hold about 30 edges per contract, so the priced LP starts
+    # from a third of them; its verdict and least slack are the whole LP's
+    margin = 1e-3
+    inst = make()
+    if boost is not None:
+        inst = _scaled_targets(inst, boost * max_scalable_target(inst, margin))
+    chk = check_adequate_supply(inst, margin)
+    slack = supply_slack_every_edge(inst, margin)
+    tol = 1e-9 * (1.0 + inst.targets.sum())
+    assert bool(chk) == (slack <= tol) == (boost is None)
+    assert abs(chk.slack - slack) <= tol
+    assert chk.columns < inst.n_edges + inst.n_contracts
+    if not chk:
+        assert supply_certificate_holds(inst, chk.certificate, margin)
+
+
+def test_supply_check_prices_in_the_edges_its_start_set_misses():
+    # the contract's 10 best-valued items supply a fifth of its target and
+    # the two worse-valued ones the rest: only pricing brings them in
+    items = [ItemType(f"i{k}", 0.01 if k < 10 else 1.0, Exponential(1.0), "second_price") for k in range(12)]
+    inst = build_instance(items, [Contract("c", 1.0, {f"i{k}": 2.0 if k < 10 else 1.0 for k in range(12)})])
+    chk = check_adequate_supply(inst, margin=1e-3)
+    assert chk and chk.rounds > 1
+    R = chk.witness
+    assert np.all(R >= 0.0) and np.any(R[10:] > 0.0)
+    assert np.bincount(inst.edge_i, inst.edge_v * R)[0] == pytest.approx(1.0, abs=1e-9)
+    assert np.all(np.bincount(inst.edge_j, R) <= (1.0 - 1e-3) * inst.capacities * (1.0 + 1e-9))
+
+
+def test_supply_check_meets_sparse_60x400_from_its_start_set():
+    # the benchmark draw's 10 best edges per contract (600 of 3661) and its
+    # 60 slacks meet the targets in one solve
+    chk = check_adequate_supply(random_sparse_instance(np.random.default_rng(1), 60, 400))
+    assert chk and (chk.rounds, chk.columns) == (1, 660)
 
 
 @given(st.integers(0, 2**32 - 1))
