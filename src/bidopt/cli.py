@@ -37,8 +37,9 @@ contracts, a solution with a null entry or an ``iters`` that is not a
 nonnegative integer, a bool or a string where a number belongs, a
 non-finite number wherever a number is read, or a JSON integer too large
 for a float, included); 2 infeasible instance; 3 non-convergence (a
-feasibility LP that ends at no optimum included) or a certificate that
-misses tolerance.  The entries of an array (a solution's lists,
+feasibility LP that ends at no optimum included), a certificate that misses
+tolerance, or a ``markowitz`` relative gap (at the dual point read off its
+one primal solve) above ``--tol``.  The entries of an array (a solution's lists,
 breakpoints, budget values, ``alpha`` and ``sigma``, a policy's bids and
 weights) are read as numpy reads them, not one by one: a bool there reads
 as 0 or 1 and a numeric string as its number.
@@ -73,10 +74,11 @@ from .related import (
     BudgetInstance,
     BudgetSlack,
     budget_spend,
+    markowitz_dual_objective,
+    markowitz_dual_point,
     markowitz_from_json,
     markowitz_objective,
     solve_budget,
-    solve_markowitz_dual,
     solve_markowitz_primal,
 )
 from .simulate import BidPolicy, policy_from_primal, simulate
@@ -272,17 +274,22 @@ def _cmd_budget(args: argparse.Namespace) -> int:
 def _cmd_markowitz(args: argparse.Namespace) -> int:
     obj = _load_json(args.input)
     mi = _parse(args.input, "portfolio problem", markowitz_from_json, obj)
-    x_primal = solve_markowitz_primal(mi, tol=args.tol)
-    zeta, phi, x_dual = solve_markowitz_dual(mi, tol=args.tol)
+    x = solve_markowitz_primal(mi, tol=args.tol)
+    # the primal's own certificate: the gap at the dual point read off it
+    zeta, phi = markowitz_dual_point(mi, x)
+    objective = float(markowitz_objective(mi, x))
+    gap = (objective + markowitz_dual_objective(mi, zeta)) / (1.0 + abs(objective))
     doc = {
-        "position": [float(v) for v in x_primal],
-        "position_from_dual": [float(v) for v in x_dual],
-        "objective": float(markowitz_objective(mi, x_primal)),
+        "position": [float(v) for v in x],
+        "objective": objective,
         "margins": [float(v) for v in phi],
         "zeta": [float(v) for v in zeta],
-        "max_disagreement": float(np.max(np.abs(x_primal - x_dual))),
+        "relative_gap": float(gap),
     }
     _emit_json(doc, args.output)
+    if not gap <= args.tol:
+        _status(f"relative gap {gap:.3g} above tol {args.tol:g}")
+        return 3
     return 0
 
 
@@ -464,7 +471,7 @@ _COMMANDS = {
     "feasibility": (_cmd_feasibility, "run the adequate-supply check; report witness or certificate",
                     ("input", "margin")),
     "budget": (_cmd_budget, "solve the budget-capped bidder; report multiplier and bids", ("input",)),
-    "markowitz": (_cmd_markowitz, "solve the cost-aware portfolio by primal and dual routes",
+    "markowitz": (_cmd_markowitz, "solve the cost-aware portfolio and check its duality gap",
                   ("input", "tol")),
     "figures": (_cmd_figures, "regenerate the CSV data sets behind the standard plots",
                 ("tol", "seed", "margin")),

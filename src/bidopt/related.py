@@ -47,6 +47,7 @@ __all__ = [
     "solve_markowitz_dual",
     "markowitz_objective",
     "markowitz_dual_objective",
+    "markowitz_dual_point",
     "markowitz_from_json",
 ]
 
@@ -334,6 +335,21 @@ def markowitz_dual_objective(mi: MarkowitzInstance, zeta: np.ndarray) -> float:
     else:
         total, _ = _conjugate_terms(mi, mi.alpha - chol @ zeta)
     return total + 0.5 * float(zeta @ zeta) / mi.risk_aversion
+
+
+def markowitz_dual_point(mi: MarkowitzInstance, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dual point read off a portfolio x; returns (zeta, phi) with phi = L zeta.
+
+    Stationarity of the primal puts phi at risk Sigma x, so zeta = risk L^T x
+    with Sigma = L L^T.  Without a book the conjugate costs pin phi to alpha,
+    and zeta = L^{-1} alpha is the one point where the dual objective is
+    finite.
+    """
+    chol = np.linalg.cholesky(mi.sigma)
+    if mi.lob is None:
+        return np.linalg.solve(chol, mi.alpha), mi.alpha.copy()
+    zeta = mi.risk_aversion * (chol.T @ np.asarray(x, dtype=float))
+    return zeta, chol @ zeta
 
 
 def solve_markowitz_dual(

@@ -15,21 +15,27 @@ and v selects the contract.  The policy wins it when u <= W(b) -- the same
 event as W^{-1}(u) <= b under inverse transform -- and v is below the
 item's total weight m, and it credits the first edge whose running weight
 exceeds v.  So the points the policy can win lie in the box [0, W(b)) x
-[0, m), and cutting that box at the running weights leaves one cell per
-positive-weight edge, in which every point wins that edge.  By Poisson
-splitting (Kingman 1993) the cells hold independent Poisson counts of mean
-lambda t times their area, so a batch draws one count per cell (under
-deterministic arrivals, Binomial(round(lambda t), W(b) m) per item split
-over its cells by one multinomial), and hits, wins and value are sums of
-counts.  Only second-price cost needs single points: each winning point of
-a second-price cell draws its price quantile uniform on [0, W(b)); as
-W^{-1}(q) = scale shape(q) in each parametric family (Devroye 1986, ch. 2),
-a cell's price sum is its scale times its points' shapes summed, one
-in-place shape pass per (family, auction) group and batch.  Items take a
-fixed order that depends only on the instance: grouped by family and
-auction kind, an empirical curve a group of its own.  The cells, and so the draws,
-depend on the policy: two policies replayed with one seed do not share
-their draws.
+[0, m), and cutting that box at the running weights leaves one strip per
+positive-weight edge, in which every point wins that edge.  A second-price
+empirical curve's W^{-1} bends at its knots, so its strips are cut there
+too, one cell per segment below W(b); every other strip is one cell.  By
+Poisson splitting (Kingman 1993) the cells hold independent Poisson counts
+of mean lambda t times their area, so a batch draws one count per cell
+(under deterministic arrivals, Binomial(round(lambda t), W(b) m) per item
+split over its cells by one multinomial), and hits, wins and value are sums
+of counts.  Only second-price cost needs single points: each winning point
+of a second-price cell [q_lo, q_hi) x [v_lo, v_hi) draws one uniform U, at
+the price quantile q_lo + (q_hi - q_lo) U.  Where W^{-1} is linear on the
+cell -- an empirical segment, or any BoundedUniform cell -- the N points'
+price sum is N W^{-1}(q_lo) + (q_hi - q_lo) (dW^{-1}/dq) times the sum of
+their U (the composition method, Devroye 1986, sec. II.4): one sum per
+cell, no quantile evaluated.  The other families are scale families,
+W^{-1}(q) = scale shape(q) (Devroye 1986, ch. 2), so a cell's price sum is
+its scale times its points' shapes summed, one in-place shape pass per
+(family, auction) group and batch.  Items take a fixed order that depends
+only on the instance: grouped by family and auction kind, an empirical
+curve a group of its own.  The cells, and so the draws, depend on the
+policy: two policies replayed with one seed do not share their draws.
 
 Batches use RNG streams spawned from one seed, so runs are reproducible
 bit-for-bit, batches are independent (they could run in parallel; sums over
@@ -43,7 +49,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curves import Empirical, _json_numbers
+from .curves import BoundedUniform, Empirical, _json_numbers
 from .model import ProblemInstance
 from .solver import PrimalSolution
 
@@ -163,7 +169,7 @@ def _batch_rngs(seed, n_batches: int) -> list[np.random.Generator]:
 
 
 class _Cells:
-    """A policy's winnable box, cut into one cell per edge it can win.
+    """A policy's winnable box, cut into rectangles on which each price map is known.
 
     Items take positions group by group -- the (family, auction) groups of
     ``inst.groups``, where an empirical curve is a group of its own -- in
@@ -172,11 +178,14 @@ class _Cells:
     policy bids when v is below the item's total weight ``mix[p]``, for the
     first edge whose running weight exceeds v, and wins when u is at most
     W(b): under inverse transform that is the event W^{-1}(u) <= b, so ties
-    win.  With W(b) and the running weights clipped at 1, a cell is an edge
-    at an item with W(b) > 0 whose running weight rises above the one before
-    it, and its area is W(b) times that rise; a zero-weight edge repeats the
-    running weight before it, so it has no cell.  Cells lie by position,
-    then in ``item_edges`` order.
+    win.  With W(b) and the running weights clipped at 1, an edge at an item
+    with W(b) > 0 whose running weight rises above the one before it owns
+    the strip [0, W(b)) x [v_lo, v_hi) between the two; a zero-weight edge
+    repeats the running weight before it, so it owns none.  A strip is one
+    cell [q_lo, q_hi) x [v_lo, v_hi), except at a second-price empirical
+    item, whose W^{-1} bends at the curve's knots w_k: its strips are cut
+    there, one cell [w_k, min(w_{k+1}, W(b))) per segment below W(b).  Cells
+    lie by position, then by segment, then in ``item_edges`` order.
     """
 
     def __init__(self, inst: ProblemInstance, policy: BidPolicy):
@@ -200,8 +209,38 @@ class _Cells:
         rise = np.diff(cum, prepend=0.0)
         rise[first[deg > 0]] = cum[first[deg > 0]]
         live = (rise > 0.0) & (thr[edge_pos] > 0.0)
-        self.pos, self.edge = edge_pos[live], edges[live]
-        self.area = thr[self.pos] * rise[live]
+        self.pos, self.edge, rise = edge_pos[live], edges[live], rise[live]
+        # second-price cells pay a drawn price, first-price cells the bid; a
+        # second-price empirical strip is cut into one cell per segment
+        # below W(b), laid out segment by segment
+        groups = inst.groups.groups
+        second = np.zeros(inst.n_items, dtype=bool)
+        for sl, _, first_price, _ in groups:
+            second[sl] = not first_price
+        knots = [(sl, np.array(family.breakpoints).T) for sl, family, first_price, _ in groups
+                 if not first_price and isinstance(family, Empirical)]
+        segment = np.zeros(self.pos.size, dtype=np.intp)
+        if knots:
+            cuts = np.ones(inst.n_items, dtype=np.intp)
+            for sl, (_, ws) in knots:
+                cuts[sl] = np.searchsorted(ws, thr[sl])
+            n_cut = cuts[self.pos]
+            cell = np.repeat(np.arange(self.pos.size), n_cut)
+            segment = np.arange(cell.size) - np.repeat(np.cumsum(n_cut) - n_cut, n_cut)
+            by = np.lexsort((segment, self.pos[cell]))  # stable: edges keep their order
+            cell, segment = cell[by], segment[by]
+            self.pos, self.edge, rise = self.pos[cell], self.edge[cell], rise[cell]
+        self.q_lo, self.q_hi = np.zeros(self.pos.size), thr[self.pos]
+        # W^{-1}(q_lo) and dW^{-1}/dq on every cut cell, where W^{-1} is linear
+        base, slope = np.zeros(self.pos.size), np.zeros(self.pos.size)
+        for sl, (xs, ws) in knots:
+            a, b = np.searchsorted(self.pos, [sl.start, sl.stop])
+            k = segment[a:b]
+            self.q_lo[a:b] = ws[k]
+            self.q_hi[a:b] = np.minimum(ws[k + 1], self.q_hi[a:b])
+            base[a:b] = xs[k]
+            slope[a:b] = (xs[k + 1] - xs[k]) / (ws[k + 1] - ws[k])
+        self.area = (self.q_hi - self.q_lo) * rise
         self.arrival_rates = inst.rates[self.order]
         self.rates = self.arrival_rates[self.pos] * self.area
         # deterministic arrivals: per position the box's share of the
@@ -215,27 +254,40 @@ class _Cells:
         self.shares = np.zeros((inst.n_items, width))
         box = self.box[self.pos]
         self.shares[self.pos, self.column] = np.divide(self.area, box, out=np.zeros(self.pos.size), where=box > 0.0)
-        # second-price cells pay a drawn price, first-price cells the bid
-        priced = [(sl, family, params) for sl, family, first_price, params in inst.groups.groups if not first_price]
-        second = np.zeros(inst.n_items, dtype=bool)
-        for sl, _, _ in priced:
-            second[sl] = True
         self.bid = np.where(second, 0.0, policy.bids[self.order])[self.pos]
         self.contract, self.value = inst.edge_i[self.edge], inst.edge_v[self.edge]
         self.priced = np.flatnonzero(second[self.pos])
         priced_pos = self.pos[self.priced]
-        # a priced cell's points take price quantiles uniform on [0, u_hi),
-        # and its prices are its scale times its group's shape of them
-        self.u_hi = thr[priced_pos]
-        self.scale = np.ones(priced_pos.size)
-        self.groups = []
-        for sl, family, params in priced:
+        # a priced cell's points draw uniforms U, at price quantiles
+        # q_lo + (q_hi - q_lo) U.  Where W^{-1} is linear -- on a cut cell
+        # and on a BoundedUniform one -- a cell's price sum is its base
+        # W^{-1}(q_lo) per point plus its scale (q_hi - q_lo) dW^{-1}/dq times
+        # the sum of its U; elsewhere it is its scale times the sum of its
+        # group's shape of the quantiles U q_hi
+        self.u_hi = self.q_hi[self.priced]
+        extent = self.u_hi - self.q_lo[self.priced]
+        self.scale = extent * slope[self.priced]
+        base = base[self.priced]
+        self.based = np.flatnonzero(base)
+        self.base = base[self.based]
+        self.shaped, self.gaps = [], []
+        for sl, family, first_price, params in groups:
+            if first_price:
+                continue
             a, b = np.searchsorted(priced_pos, [sl.start, sl.stop])
             if isinstance(family, Empirical):
-                self.groups.append((a, b, _empirical_shape(family)))
+                # where the support starts above 0, a point at q = 0 prices
+                # at 0, as under ``inverse``, not at the first knot
+                x0 = family.breakpoints[0][0]
+                if x0 > 0.0 and b > a:
+                    self.gaps.append((a, b, x0, self.q_lo[self.priced[a:b]] == 0.0))
+                continue
+            scale = family.quantile_scale(*(p[priced_pos[a:b] - sl.start] for p in params))
+            if family is BoundedUniform:
+                self.scale[a:b] = scale * extent[a:b]
             else:
-                self.scale[a:b] = family.quantile_scale(*(p[priced_pos[a:b] - sl.start] for p in params))
-                self.groups.append((a, b, family.quantile_shape))
+                self.scale[a:b] = scale
+                self.shaped.append((a, b, family.quantile_shape))
 
     def predictions(self):
         """Fluid-model rates implied by the policy: per-contract value, per-item wins, cost."""
@@ -247,22 +299,31 @@ class _Cells:
         return value, inst.rates * mix * self.win, float(np.sum(inst.rates * mix * self.pay))
 
     def price(self, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Each cell's sum of second-price payments: its scale times the sum of its group's shape.
+        """Each cell's sum of second-price payments, from the uniforms of its points.
 
-        ``u`` holds the price quantiles of the priced cells' points, cell by
-        cell in order, and is overwritten: one pass per group turns its
-        slice into shapes in place, then one sum per cell.  Every quantile
-        lies in [0, W(b)), below the total mass, so the shapes need no guard.
+        ``u`` holds the uniforms of the priced cells' points, cell by cell in
+        order, and is overwritten: one pass per nonlinear group turns its
+        slice into quantiles and then into shapes in place, then one sum per
+        cell, which a linear cell takes of its uniforms as they are.  Every
+        quantile lies in [0, W(b)), below the total mass, so the shapes need
+        no guard.
         """
         n = counts[self.priced]
         start = np.concatenate(([0], np.cumsum(n)))
-        for a, b, shape in self.groups:
+        for a, b, shape in self.shaped:
             q = u[start[a] : start[b]]
+            q *= np.repeat(self.u_hi[a:b], n[a:b])
             shape(q, out=q)
         price = np.zeros(counts.size)
         live = np.flatnonzero(n)
         if live.size:
             price[self.priced[live]] = np.add.reduceat(u, start[live]) * self.scale[live]
+        if self.based.size:
+            price[self.priced[self.based]] += n[self.based] * self.base
+        for a, b, x0, first in self.gaps:
+            zero = np.flatnonzero(u[start[a] : start[b]] == 0.0) + start[a]
+            cell = np.searchsorted(start[a : b + 1], zero, side="right") - 1
+            np.subtract.at(price, self.priced[a:b][cell[first[cell]]], x0)
         return price
 
     def replay(self, counts: np.ndarray, price: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -272,38 +333,23 @@ class _Cells:
         return value, wins[self.rank], float(counts @ self.bid) + float(price.sum())
 
 
-def _empirical_shape(curve: Empirical):
-    """One curve's W^{-1} on quantiles in [0, mass), in place: its knots interpolated, 0 at q = 0 as under ``inverse``."""
-    gap = curve.breakpoints[0][0] > 0.0  # the support starts above 0
-
-    def shape(q, out):
-        zero = np.flatnonzero(q == 0.0) if gap else []
-        out[:] = curve.quantile(q)
-        out[zero] = 0.0
-
-    return shape
-
-
 def _draw_batch(rng: np.random.Generator, cells: _Cells, t_batch: float, deterministic: bool):
-    """One batch's point counts per cell, then the price quantiles of the priced cells' points.
+    """One batch's point counts per cell, then one uniform per point of the priced cells.
 
     Each cell's points form a Poisson process of rate lambda times the
     cell's area (Poisson splitting), so their count is Poisson.  Under
     deterministic arrivals a position's round(lambda t) arrivals put
     Binomial(round(lambda t), W(b) mix) in the box, split over its cells by
-    one multinomial draw.  A priced cell's points then take price quantiles
-    uniform on [0, W(b)), in position order.  Returns the counts and the
-    quantiles.
+    one multinomial draw.  A priced cell's points then draw the uniforms U
+    of their price quantiles q_lo + (q_hi - q_lo) U, in cell order.  Returns
+    the counts and the uniforms.
     """
     if deterministic:
         arrivals = np.round(cells.arrival_rates * t_batch).astype(np.int64)
         counts = rng.multinomial(rng.binomial(arrivals, cells.box), cells.shares)[cells.pos, cells.column]
     else:
         counts = rng.poisson(cells.rates * t_batch)
-    n = counts[cells.priced]
-    u = rng.random(n.sum())
-    u *= np.repeat(cells.u_hi, n)
-    return counts, u
+    return counts, rng.random(counts[cells.priced].sum())
 
 
 def _mean_se(batch_rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,8 +370,10 @@ def _write_fulfillment_csv(path, inst: ProblemInstance, t_batch: float, batch_va
 
 
 # the most points one batch may draw in expectation; drawing and pricing a
-# batch peaks at 16 bytes per second-price point (tracemalloc, every family:
-# the float64 quantiles and their upper ends), so 2**26 of them take 1 GiB
+# batch peaks at 16 bytes per second-price point of an Exponential,
+# Hyperbolic or PowerLawDensity cell (tracemalloc: the float64 uniforms and
+# their cells' upper ends) and at 8 bytes per point of a linear cell (the
+# uniforms alone), so 2**26 of them take at most 1 GiB
 _MAX_BATCH_POINTS = 2**26
 
 

@@ -28,6 +28,7 @@ from bidopt.cli import main
 from bidopt.costs import AcquisitionCost
 from bidopt.curves import PowerLawDensity, alpha_concavity_check
 from bidopt.model import instance_from_json, max_scalable_target, random_instance, random_sparse_instance
+from bidopt.related import markowitz_from_json, solve_markowitz_dual
 from bidopt.solver import NotConverged, solution_to_json, solve
 from oracles import supply_certificate_holds
 
@@ -781,9 +782,27 @@ def test_markowitz_routes_agree(tmp_path):
     out = tmp_path / "portfolio.json"
     assert main(["markowitz", "--input", inp, "--output", str(out)]) == 0
     res = json.loads(out.read_text())
-    assert res["max_disagreement"] <= 1e-6
+    # the gap bounds the position's distance from the optimum by
+    # sqrt(2 gap (1 + |P|) / mu), mu = risk * the least eigenvalue of sigma
+    # (0.86 here): a gap of 1e-13 keeps it below 1e-6
+    assert set(res) == {"position", "objective", "margins", "zeta", "relative_gap"}
+    assert abs(res["relative_gap"]) <= 1e-13
     assert len(res["position"]) == 2
     assert math.isfinite(res["objective"])
+    # the dual route, which the command no longer runs, lands on the same position
+    _, _, x_dual = solve_markowitz_dual(markowitz_from_json(doc))
+    assert np.max(np.abs(np.array(res["position"]) - x_dual)) <= 1e-6
+
+
+def test_markowitz_exits_3_on_a_gap_above_tol(tmp_path, monkeypatch):
+    # a position far from the optimum: its own dual point leaves a gap, which
+    # the document carries and the exit code reports
+    inp = write_json(tmp_path / "marko.json", PORTFOLIO)
+    monkeypatch.setattr(bidopt.cli, "solve_markowitz_primal", lambda mi, tol: np.zeros(mi.n_assets))
+    out = tmp_path / "portfolio.json"
+    assert main(["markowitz", "--input", inp, "--output", str(out)]) == 3
+    res = json.loads(out.read_text())
+    assert res["position"] == [0.0, 0.0] and res["relative_gap"] > 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -332,10 +332,10 @@ def box_of(inst, policy):
 
 
 def cell_bounds(inst, policy, cells):
-    """Each cell's strip of its item's box: the price side's upper end W(b),
-    and the selection side [lo, hi) between its edge's running weight and
-    the one before it, summed by np.cumsum over the item's own edges."""
-    thr, _ = box_of(inst, policy)
+    """Each cell's rectangle of its item's box: the price side [q_lo, q_hi)
+    as the cells lay it out, and the selection side [v_lo, v_hi) between its
+    edge's running weight and the one before it, summed by np.cumsum over
+    the item's own edges."""
     item = cells.order[cells.pos]
     v_lo, v_hi = np.zeros(item.size), np.zeros(item.size)
     for c, (j, e) in enumerate(zip(item.tolist(), cells.edge.tolist())):
@@ -343,7 +343,12 @@ def cell_bounds(inst, policy, cells):
         cum = np.minimum(np.cumsum(np.maximum(policy.gamma[edges], 0.0)), 1.0)
         k = int(np.flatnonzero(edges == e)[0])
         v_lo[c], v_hi[c] = (cum[k - 1] if k else 0.0), cum[k]
-    return thr[item], v_lo, v_hi
+    return cells.q_lo, cells.q_hi, v_lo, v_hi
+
+
+def knots_of(curve):
+    """An empirical curve's knot quantiles w_k, from its breakpoints."""
+    return np.array([w for _, w in curve.breakpoints])
 
 
 def test_cells_tile_the_box():
@@ -355,18 +360,49 @@ def test_cells_tile_the_box():
         cells = simulate_module._Cells(inst, policy)
         item = cells.order[cells.pos]
         thr, mix = box_of(inst, policy)
-        # one cell per positive-weight edge of an item the policy can win
+        # cells on every positive-weight edge of an item the policy can win,
+        # and on no other
         live = np.flatnonzero((policy.gamma > 0.0) & (thr[inst.edge_j] > 0.0))
-        assert np.array_equal(np.sort(cells.edge), live)
+        assert np.array_equal(np.unique(cells.edge), live)
         assert np.all(inst.edge_j[cells.edge] == item)
-        # each cell is its edge's strip [0, W(b)) x [lo, hi); the strips lie
-        # by position and then selection side without overlap, and their
-        # areas sum to the box
-        u_hi, v_lo, v_hi = cell_bounds(inst, policy, cells)
-        assert np.all(v_lo < v_hi)
+        q_lo, q_hi, v_lo, v_hi = cell_bounds(inst, policy, cells)
+        assert np.all(v_lo < v_hi) and np.all(q_lo < q_hi)
+        # each edge's cells tile its strip [0, W(b)) x [lo, hi): they share
+        # its selection side and cut its price side end to end; a
+        # second-price empirical edge has one cell per segment below W(b),
+        # every other edge one cell
+        cut = 0
+        for e in live.tolist():
+            at = np.flatnonzero(cells.edge == e)
+            j = int(inst.edge_j[e])
+            assert np.all(v_lo[at] == v_lo[at[0]]) and np.all(v_hi[at] == v_hi[at[0]])
+            lo, hi = np.sort(q_lo[at]), np.sort(q_hi[at])
+            assert lo[0] == 0.0 and np.array_equal(lo[1:], hi[:-1])
+            assert hi[-1] == pytest.approx(thr[j], rel=1e-12, abs=0.0)
+            curve = inst.items[j].curve
+            if isinstance(curve, Empirical) and inst.items[j].auction.value == "second_price":
+                assert at.size == np.count_nonzero(knots_of(curve) < thr[j])
+                cut += at.size > 1
+            else:
+                assert at.size == 1
+        assert cut > 0
+        # every linear cell -- a second-price empirical or BoundedUniform
+        # one -- lies inside one segment of its curve
+        for c in cells.priced.tolist():
+            curve = inst.items[int(item[c])].curve
+            if isinstance(curve, Empirical):
+                ws = knots_of(curve)
+                k = int(np.searchsorted(ws, q_lo[c], side="right")) - 1
+                assert ws[k] == q_lo[c] and q_hi[c] <= ws[k + 1]
+            elif isinstance(curve, BoundedUniform):
+                assert q_lo[c] == 0.0 and q_hi[c] <= curve.total_mass
+        # the cells lie by position, then by price side, then by selection
+        # side without overlap, and their areas sum to the box
         same = cells.pos[1:] == cells.pos[:-1]
-        assert np.all(cells.pos[1:] >= cells.pos[:-1]) and np.all(v_hi[:-1][same] <= v_lo[1:][same])
-        assert cells.area == pytest.approx(u_hi * (v_hi - v_lo), rel=1e-12, abs=0.0)
+        assert np.all(cells.pos[1:] >= cells.pos[:-1]) and np.all(q_lo[1:][same] >= q_lo[:-1][same])
+        flat = same & (q_lo[1:] == q_lo[:-1])
+        assert np.all(v_hi[:-1][flat] <= v_lo[1:][flat])
+        assert cells.area == pytest.approx((q_hi - q_lo) * (v_hi - v_lo), rel=1e-12, abs=0.0)
         area = np.bincount(item, weights=cells.area, minlength=inst.n_items)
         assert area == pytest.approx(thr * mix, rel=1e-12, abs=0.0)
     # the first policy's zero weights: between two edges (e2), leading (e1)
@@ -377,17 +413,20 @@ def test_cells_tile_the_box():
 def expand_cells(cells, bounds, counts, u, rng):
     """A batch's cells as explicit points, item-contiguous in position order.
 
-    A priced cell's points take the batch's own price quantiles; every other
-    quantile and every selection coordinate is uniform on the point's cell,
-    whose ``bounds`` come from ``cell_bounds``.  Returns the point counts per
-    position, the quantiles and the selection coordinates, as
-    ``replay_per_arrival`` reads them.
+    A priced cell's points take the batch's own uniforms U, at price
+    quantiles q_lo + (q_hi - q_lo) U; every other quantile and every
+    selection coordinate is uniform on the point's cell, whose ``bounds``
+    come from ``cell_bounds``.  Returns the point counts per position, the
+    quantiles and the selection coordinates, as ``replay_per_arrival`` reads
+    them.
     """
-    u_hi, v_lo, v_hi = bounds
-    u_all = rng.uniform(0.0, np.repeat(u_hi, counts))
+    q_lo, q_hi, v_lo, v_hi = bounds
+    lo, hi = np.repeat(q_lo, counts), np.repeat(q_hi, counts)
+    u_all = rng.uniform(lo, hi)
     priced = np.zeros(counts.size, dtype=bool)
     priced[cells.priced] = True
-    u_all[np.repeat(priced, counts)] = u
+    at = np.repeat(priced, counts)
+    u_all[at] = lo[at] + (hi[at] - lo[at]) * u
     v_all = rng.uniform(np.repeat(v_lo, counts), np.repeat(v_hi, counts))
     per_pos = np.bincount(cells.pos, weights=counts, minlength=cells.rank.size).astype(int)
     return per_pos, u_all, v_all
@@ -438,11 +477,22 @@ def test_flat_replay_matches_per_arrival_oracle():
     assert np.bincount(cells.order[cells.pos], weights=cells.area)[p2] == inst.items[p2].curve.total_mass * 0.6
 
 
+def per_point_prices(inst, cells, counts, u):
+    """Each priced cell's points priced by their own curve's inverse at the
+    quantiles q_lo + (q_hi - q_lo) U, summed per cell."""
+    item = cells.order[cells.pos[cells.priced]]
+    n = counts[cells.priced]
+    start = np.concatenate(([0], np.cumsum(n)))
+    q_lo, q_hi = cells.q_lo[cells.priced], cells.q_hi[cells.priced]
+    q = np.repeat(q_lo, n) + np.repeat(q_hi - q_lo, n) * u
+    return [inst.items[j].curve.inverse(q[a:b]).sum() for j, a, b in zip(item, start[:-1], start[1:])]
+
+
 def test_price_matches_the_per_point_inverse():
-    # each cell's scale times its group's shape summed, against every point
-    # priced by its own curve's inverse and summed per cell: all four
-    # families, the fitted curve whose support starts at 0, and the gap curve
-    # whose support starts above 0 with a drawn u = 0, which inverse prices at 0
+    # each cell's price sum, against every point priced by its own curve's
+    # inverse and summed per cell: all four families, the fitted curve whose
+    # support starts at 0, and the gap curve whose support starts above 0
+    # with a drawn U = 0 on its first segment, which inverse prices at 0
     inst, first = oracle_instance()
     ids = np.array([it.id for it in inst.items])
     for policy in (first, other_policy(inst)):
@@ -453,11 +503,41 @@ def test_price_matches_the_per_point_inverse():
             n = counts[cells.priced]
             start = np.concatenate(([0], np.cumsum(n)))
             assert set(ids[item[n > 0]]) == {"e2", "h2", "u2", "p2", "f2", "gap"}
-            u[start[np.flatnonzero((ids[item] == "gap") & (n > 0))[0]]] = 0.0
+            gap = (ids[item] == "gap") & (cells.q_lo[cells.priced] == 0.0)
+            u[start[np.flatnonzero(gap & (n > 0))[0]]] = 0.0
             price = cells.price(counts, u.copy())
-            want = [inst.items[j].curve.inverse(u[a:b]).sum() for j, a, b in zip(item, start[:-1], start[1:])]
-            np.testing.assert_allclose(price[cells.priced], want, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(price[cells.priced], per_point_prices(inst, cells, counts, u),
+                                       rtol=1e-13, atol=0.0)
             assert np.all(np.delete(price, cells.priced) == 0.0)
+
+
+def test_items_sharing_an_empirical_curve_are_each_cut():
+    # equal empirical curves under one auction share a group: each item's
+    # strips are still cut at the knots below its own W(b), and a drawn
+    # U = 0 on either item's first segment prices at 0, on a later one at
+    # its first knot
+    curve = Empirical([(0.2, 0.0), (1.0, 0.6), (1.5, 0.8), (2.0, 1.0)])
+    items = [ItemType(i, 2.0, curve, "second_price") for i in ("a", "b")]
+    inst = build_instance(items, [Contract("x", 0.5, {"a": 1.0, "b": 0.5}), Contract("y", 0.5, {"b": 1.0})])
+    assert len(inst.groups.groups) == 1
+    gamma = np.zeros(inst.n_edges)
+    gamma[inst.item_edges(0)] = [0.8]
+    gamma[inst.item_edges(1)] = [0.3, 0.6]
+    policy = BidPolicy(bids=np.array([1.8, 1.1]), gamma=gamma)
+    cells = simulate_module._Cells(inst, policy)
+    thr, _ = box_of(inst, policy)
+    for e in range(inst.n_edges):
+        assert np.count_nonzero(cells.edge == e) == np.count_nonzero(knots_of(curve) < thr[inst.edge_j[e]])
+    for rng in simulate_module._batch_rngs(4, 3):
+        counts, u = simulate_module._draw_batch(rng, cells, 50.0, False)
+        start = np.concatenate(([0], np.cumsum(counts[cells.priced])))
+        item = cells.order[cells.pos[cells.priced]]
+        for j in (0, 1):
+            u[start[np.flatnonzero((item == j) & (cells.q_lo[cells.priced] == 0.0))[-1]]] = 0.0
+        u[start[np.flatnonzero(cells.q_lo[cells.priced] > 0.0)[0]]] = 0.0
+        price = cells.price(counts, u.copy())
+        np.testing.assert_allclose(price[cells.priced], per_point_prices(inst, cells, counts, u),
+                                   rtol=1e-13, atol=0.0)
 
 
 def test_ab_policies_win_their_own_sub_boxes():
@@ -559,6 +639,26 @@ def test_grouped_predictions_match_per_item_route():
     assert report.predicted_cost_rate == pytest.approx(cost, rel=1e-12)
 
 
+class CountingRng:
+    """A batch's generator that counts the uniforms it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.uniforms = rng, 0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self, *args, **kwargs):
+        out = self.rng.random(*args, **kwargs)
+        self.uniforms += np.size(out)
+        return out
+
+    def uniform(self, *args, **kwargs):
+        out = self.rng.uniform(*args, **kwargs)
+        self.uniforms += np.size(out)
+        return out
+
+
 def test_replay_work_is_one_quantile_call_per_group_and_batch(monkeypatch):
     inst = random_sparse_instance(np.random.default_rng(1), 60, 400)
     rng = np.random.default_rng(2)
@@ -572,25 +672,6 @@ def test_replay_work_is_one_quantile_call_per_group_and_batch(monkeypatch):
     def counted(q, out=None):
         calls.append(q.size)
         return shape(q, out)
-
-    class CountingRng:
-        """A batch's generator that counts the uniforms it draws."""
-
-        def __init__(self, rng):
-            self.rng, self.uniforms = rng, 0
-
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
-
-        def random(self, *args, **kwargs):
-            out = self.rng.random(*args, **kwargs)
-            self.uniforms += np.size(out)
-            return out
-
-        def uniform(self, *args, **kwargs):
-            out = self.rng.uniform(*args, **kwargs)
-            self.uniforms += np.size(out)
-            return out
 
     rngs = []
     spawn = simulate_module._batch_rngs
@@ -614,6 +695,54 @@ def test_replay_work_is_one_quantile_call_per_group_and_batch(monkeypatch):
     assert np.array_equal(report.predicted_value_rate, value)
     assert np.array_equal(report.predicted_win_rate, win)
     assert report.predicted_cost_rate == pytest.approx(cost, rel=1e-12)
+
+
+def test_linear_cells_are_priced_without_a_quantile_call(monkeypatch):
+    # second-price empirical and BoundedUniform cells price from their sums
+    # of uniforms: once the batches start, neither family evaluates a
+    # quantile, each nonlinear group makes one shape pass per batch, and a
+    # batch draws one uniform per second-price win at most
+    inst, policy = oracle_instance()
+    shapes = {Exponential: 0, Hyperbolic: 0, PowerLawDensity: 0}
+    linear = []
+    batches = []
+
+    def counting(family, fn):
+        def counted(q, out=None):
+            if batches:
+                shapes[family] += 1
+            return fn(q, out)
+
+        return staticmethod(counted)
+
+    def forbidden(name, fn):
+        def called(*args, **kwargs):
+            if batches:
+                linear.append(name)
+            return fn(*args, **kwargs)
+
+        return called
+
+    for family in shapes:
+        monkeypatch.setattr(family, "quantile_shape", counting(family, family.quantile_shape))
+    monkeypatch.setattr(BoundedUniform, "quantile_shape",
+                        staticmethod(forbidden("BoundedUniform.quantile_shape", BoundedUniform.quantile_shape)))
+    monkeypatch.setattr(Empirical, "quantile", forbidden("Empirical.quantile", Empirical.quantile))
+    draw = simulate_module._draw_batch
+
+    def counted_draw(rng, cells, t_batch, deterministic):
+        rng = CountingRng(rng)
+        counts, u = draw(rng, cells, t_batch, deterministic)
+        batches.append((rng.uniforms, counts[cells.priced].sum()))
+        return counts, u
+
+    monkeypatch.setattr(simulate_module, "_draw_batch", counted_draw)
+    n_batches = 12
+    report = simulate(inst, policy, horizon=600.0, seed=2026, n_batches=n_batches)
+    assert len(batches) == n_batches and linear == []
+    assert shapes == {Exponential: n_batches, Hyperbolic: n_batches, PowerLawDensity: n_batches}
+    assert all(0 < uniforms <= wins for uniforms, wins in batches)
+    assert report.cost_rate > 0.0
 
 
 @pytest.mark.parametrize("seed", [None, [1, 2], -1, 1.0, True, "7"])
