@@ -37,7 +37,7 @@ def main() -> None:
     print()
 
     rep = simulate(inst, policy_from_primal(inst, sol.primal), horizon=20000.0, seed=7)
-    print(f"replayed {rep.horizon:g} time units ({rep.arrival_model} arrivals, seed {rep.seed})")
+    print(f"replayed {rep.horizon:g} time units (Poisson arrivals, seed {rep.seed})")
     for i, cid in enumerate(c.id for c in contracts):
         print(
             f"  {cid}: realized {rep.value_rate[i]:.4f} +- {rep.value_rate_se[i]:.4f}"

@@ -589,16 +589,21 @@ class Empirical(SupplyCurve):
         self._ws = ws
         self._xs.setflags(write=False)
         self._ws.setflags(write=False)
-        self._slopes = np.diff(ws) / np.diff(xs)
+        dx = np.diff(xs)
+        with np.errstate(all="ignore"):  # a value out of range fails the check below
+            self._slopes = np.diff(ws) / dx
+            self._w_per_slope = ws[:-1] / self._slopes  # the bid's segment offsets w_k / s_k
+            # prefix integrals of W at the breakpoints
+            self._cum_icdf = np.concatenate([[0.0], np.cumsum(ws[:-1] * dx + self._slopes * dx**2 / 2.0)])
+        bad = ~(np.isfinite(self._slopes) & (self._slopes > 0.0) & np.isfinite(self._w_per_slope)
+                & np.isfinite(self._cum_icdf[1:]))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"breakpoints ({xs[k]:.6g}, {ws[k]:.6g}) to ({xs[k + 1]:.6g}, {ws[k + 1]:.6g}): "
+                             "the segment's slope or the running integral of W is not a positive finite number")
         self._slopes.setflags(write=False)
         # the right-derivative of W after each breakpoint, padded with the 0 below the anchor
         self._slope_after = np.concatenate([[0.0], self._slopes, [0.0]])
-        self._w_per_slope = ws[:-1] / self._slopes  # the bid's segment offsets w_k / s_k
-        # prefix integrals of W at the breakpoints
-        dx = np.diff(xs)
-        self._cum_icdf = np.concatenate(
-            [[0.0], np.cumsum(ws[:-1] * dx + self._slopes * dx**2 / 2.0)]
-        )
 
     @property
     def breakpoints(self) -> tuple[tuple[float, float], ...]:

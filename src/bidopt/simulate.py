@@ -3,8 +3,7 @@
 The optimizer lives in a fluid model -- arrival rates, win probabilities,
 expected payments.  This module checks that picture against a discrete-event
 simulation.  Arrivals of each item type form independent Poisson processes
-matching the model rates (a deterministic-arrival mode exists for
-variance-free smoke tests); each arrival draws a clearing price from the
+matching the model rates; each arrival draws a clearing price from the
 item's supply curve by inverse transform; the policy picks a contract to bid
 for -- or abstains -- according to its per-arrival mixing weights.  A bid at
 or above the price wins (ties win) and pays the price on second-price items
@@ -20,16 +19,15 @@ positive-weight edge, in which every point wins that edge.  A second-price
 empirical curve's W^{-1} bends at its knots, so its strips are cut there
 too, one cell per segment below W(b); every other strip is one cell.  By
 Poisson splitting (Kingman 1993) the cells hold independent Poisson counts
-of mean lambda t times their area, so a batch draws one count per cell
-(under deterministic arrivals, Binomial(round(lambda t), W(b) m) per item
-split over its cells by one multinomial), and hits, wins and value are sums
-of counts.  Only second-price cost needs single points: each winning point
-of a second-price cell [q_lo, q_hi) x [v_lo, v_hi) draws one uniform U, at
-the price quantile q_lo + (q_hi - q_lo) U.  Where W^{-1} is linear on the
-cell -- an empirical segment, or any BoundedUniform cell -- the N points'
-price sum is N W^{-1}(q_lo) + (q_hi - q_lo) (dW^{-1}/dq) times the sum of
-their U (the composition method, Devroye 1986, sec. II.4): one sum per
-cell, no quantile evaluated.  The other families are scale families,
+of mean lambda t times their area, so a batch draws one count per cell, and
+hits, wins and value are sums of counts.  Only second-price cost needs
+single points: each winning point of a second-price cell [q_lo, q_hi) x
+[v_lo, v_hi) draws one uniform U, at the price quantile
+q_lo + (q_hi - q_lo) U.  Where W^{-1} is linear on the cell -- an empirical
+segment, or any BoundedUniform cell -- the N points' price sum is
+N W^{-1}(q_lo) + (q_hi - q_lo) (dW^{-1}/dq) times the sum of their U (the
+composition method, Devroye 1986, sec. II.4): one sum per cell, no quantile
+evaluated.  The other families are scale families,
 W^{-1}(q) = scale shape(q) (Devroye 1986, ch. 2), so a cell's price sum is
 its scale times its points' shapes summed, one in-place shape pass per
 (family, auction) group and batch.  Items take a fixed order that depends
@@ -121,6 +119,10 @@ def policy_from_primal(inst: ProblemInstance, primal: PrimalSolution) -> BidPoli
 # the report
 
 
+# standard errors a realized value rate may fall short of its target by
+_FULFILLMENT_SE = 3.0
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     """Realized rates next to the fluid-model predictions, with standard errors.
@@ -135,7 +137,6 @@ class SimulationReport:
     horizon: float
     n_batches: int
     seed: int
-    arrival_model: str
     targets: np.ndarray
     value_rate: np.ndarray
     value_rate_se: np.ndarray
@@ -147,9 +148,9 @@ class SimulationReport:
     cost_rate_se: float
     predicted_cost_rate: float
 
-    def fulfillment_ok(self, n_se: float = 3.0) -> bool:
-        """True when every contract's realized rate covers its target within n_se errors."""
-        return bool(np.all(self.value_rate + n_se * self.value_rate_se >= self.targets))
+    def fulfillment_ok(self) -> bool:
+        """True when every contract's realized rate covers its target within _FULFILLMENT_SE errors."""
+        return bool(np.all(self.value_rate + _FULFILLMENT_SE * self.value_rate_se >= self.targets))
 
     def to_json(self) -> dict:
         """Every field in field order, arrays as lists."""
@@ -241,19 +242,7 @@ class _Cells:
             base[a:b] = xs[k]
             slope[a:b] = (xs[k + 1] - xs[k]) / (ws[k + 1] - ws[k])
         self.area = (self.q_hi - self.q_lo) * rise
-        self.arrival_rates = inst.rates[self.order]
-        self.rates = self.arrival_rates[self.pos] * self.area
-        # deterministic arrivals: per position the box's share of the
-        # arrivals, and each cell's share of the box, the position's last
-        # cell in the last column
-        self.box = thr * np.minimum(self.mix, 1.0)
-        size = np.bincount(self.pos, minlength=inst.n_items)
-        width = int(size.max(initial=1))
-        nth = np.arange(self.pos.size) - np.repeat(np.cumsum(size) - size, size)
-        self.column = nth + (width - size)[self.pos]
-        self.shares = np.zeros((inst.n_items, width))
-        box = self.box[self.pos]
-        self.shares[self.pos, self.column] = np.divide(self.area, box, out=np.zeros(self.pos.size), where=box > 0.0)
+        self.rates = inst.rates[self.order][self.pos] * self.area
         self.bid = np.where(second, 0.0, policy.bids[self.order])[self.pos]
         self.contract, self.value = inst.edge_i[self.edge], inst.edge_v[self.edge]
         self.priced = np.flatnonzero(second[self.pos])
@@ -270,18 +259,11 @@ class _Cells:
         base = base[self.priced]
         self.based = np.flatnonzero(base)
         self.base = base[self.based]
-        self.shaped, self.gaps = [], []
+        self.shaped = []
         for sl, family, first_price, params in groups:
-            if first_price:
+            if first_price or isinstance(family, Empirical):
                 continue
             a, b = np.searchsorted(priced_pos, [sl.start, sl.stop])
-            if isinstance(family, Empirical):
-                # where the support starts above 0, a point at q = 0 prices
-                # at 0, as under ``inverse``, not at the first knot
-                x0 = family.breakpoints[0][0]
-                if x0 > 0.0 and b > a:
-                    self.gaps.append((a, b, x0, self.q_lo[self.priced[a:b]] == 0.0))
-                continue
             scale = family.quantile_scale(*(p[priced_pos[a:b] - sl.start] for p in params))
             if family is BoundedUniform:
                 self.scale[a:b] = scale * extent[a:b]
@@ -306,7 +288,8 @@ class _Cells:
         slice into quantiles and then into shapes in place, then one sum per
         cell, which a linear cell takes of its uniforms as they are.  Every
         quantile lies in [0, W(b)), below the total mass, so the shapes need
-        no guard.
+        no guard.  A point at quantile 0 of an empirical curve prices at its
+        first knot x0, the bottom of its price support.
         """
         n = counts[self.priced]
         start = np.concatenate(([0], np.cumsum(n)))
@@ -320,10 +303,6 @@ class _Cells:
             price[self.priced[live]] = np.add.reduceat(u, start[live]) * self.scale[live]
         if self.based.size:
             price[self.priced[self.based]] += n[self.based] * self.base
-        for a, b, x0, first in self.gaps:
-            zero = np.flatnonzero(u[start[a] : start[b]] == 0.0) + start[a]
-            cell = np.searchsorted(start[a : b + 1], zero, side="right") - 1
-            np.subtract.at(price, self.priced[a:b][cell[first[cell]]], x0)
         return price
 
     def replay(self, counts: np.ndarray, price: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -333,22 +312,16 @@ class _Cells:
         return value, wins[self.rank], float(counts @ self.bid) + float(price.sum())
 
 
-def _draw_batch(rng: np.random.Generator, cells: _Cells, t_batch: float, deterministic: bool):
+def _draw_batch(rng: np.random.Generator, cells: _Cells, t_batch: float):
     """One batch's point counts per cell, then one uniform per point of the priced cells.
 
     Each cell's points form a Poisson process of rate lambda times the
-    cell's area (Poisson splitting), so their count is Poisson.  Under
-    deterministic arrivals a position's round(lambda t) arrivals put
-    Binomial(round(lambda t), W(b) mix) in the box, split over its cells by
-    one multinomial draw.  A priced cell's points then draw the uniforms U
-    of their price quantiles q_lo + (q_hi - q_lo) U, in cell order.  Returns
-    the counts and the uniforms.
+    cell's area (Poisson splitting), so their count is Poisson.  A priced
+    cell's points then draw the uniforms U of their price quantiles
+    q_lo + (q_hi - q_lo) U, in cell order.  Returns the counts and the
+    uniforms.
     """
-    if deterministic:
-        arrivals = np.round(cells.arrival_rates * t_batch).astype(np.int64)
-        counts = rng.multinomial(rng.binomial(arrivals, cells.box), cells.shares)[cells.pos, cells.column]
-    else:
-        counts = rng.poisson(cells.rates * t_batch)
+    counts = rng.poisson(cells.rates * t_batch)
     return counts, rng.random(counts[cells.priced].sum())
 
 
@@ -384,7 +357,6 @@ def simulate(
     seed,
     *,
     n_batches: int = 20,
-    deterministic_arrivals: bool = False,
     csv_path=None,
 ) -> SimulationReport:
     """Replay ``policy`` for ``horizon`` time units and aggregate realized rates.
@@ -393,9 +365,8 @@ def simulate(
     ``n_batches`` equal batches of positive length with independent RNG streams spawned from
     ``seed``, a nonnegative integer; standard errors come from the spread of
     the batch means.  Each batch draws counts on the cells of the policy's
-    box.  A batch that would draw more than _MAX_BATCH_POINTS points in
-    expectation raises ValueError: Poisson arrivals draw only the points in
-    the box, deterministic arrivals count every arrival.  ``csv_path`` dumps
+    box.  A batch that would draw more than _MAX_BATCH_POINTS points of the
+    box in expectation raises ValueError.  ``csv_path`` dumps
     the cumulative fulfillment-rate time series per contract.
     """
     policy.check(inst)
@@ -415,7 +386,7 @@ def simulate(
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
     cells = _Cells(inst, policy)
-    points = t_batch * float(np.sum(cells.arrival_rates if deterministic_arrivals else cells.rates))
+    points = t_batch * float(np.sum(cells.rates))
     if not points <= _MAX_BATCH_POINTS:
         raise ValueError(f"horizon {horizon:g} puts {points:.3g} expected points in each of its {n_batches} "
                          f"batches, above the {_MAX_BATCH_POINTS} a batch may draw")
@@ -423,7 +394,7 @@ def simulate(
     wins = np.zeros((n_batches, inst.n_items))
     cost = np.zeros(n_batches)
     for b, rng in enumerate(_batch_rngs(seed, n_batches)):
-        counts, u = _draw_batch(rng, cells, t_batch, deterministic_arrivals)
+        counts, u = _draw_batch(rng, cells, t_batch)
         value[b], wins[b], cost[b] = cells.replay(counts, cells.price(counts, u))
     value_rate, value_se = _mean_se(value / t_batch)
     win_rate, win_se = _mean_se(wins / t_batch)
@@ -436,7 +407,6 @@ def simulate(
         horizon=float(horizon),
         n_batches=int(n_batches),
         seed=int(seed),
-        arrival_model="deterministic" if deterministic_arrivals else "poisson",
         targets=inst.targets,
         value_rate=value_rate,
         value_rate_se=value_se,

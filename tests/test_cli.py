@@ -665,6 +665,16 @@ def test_power_law_mass_overflow_exits_1(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("bidopt: ") and "total mass" in err[0]
 
 
+@pytest.mark.parametrize("breakpoints", [[[1e308, 0.5], [1.5e308, 1.0]], [[5e-324, 0.5], [1e-323, 1.0]]])
+def test_empirical_breakpoints_out_of_range_exit_1(tmp_path, capsys, breakpoints):
+    # the slope or the running integral of W overflows: one bidopt: line and no numpy warning
+    curve = {"family": "empirical", "breakpoints": breakpoints}
+    doc = {**SCALAR, "items": [{**SCALAR["items"][0], "curve": curve}]}
+    assert main(["solve", "--input", write_json(tmp_path / "inst.json", doc)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("bidopt: ") and "breakpoints (0, 0) to" in err[0]
+
+
 # ---------------------------------------------------------------------------
 # budget / markowitz
 

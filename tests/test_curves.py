@@ -259,6 +259,17 @@ def test_empirical_requires_strict_increase():
         Empirical([(2.0, 0.5), (1.0, 1.0)])
 
 
+@pytest.mark.parametrize("breakpoints", [
+    [(1e308, 0.5), (1.5e308, 1.0)],  # the running integral overflows in dx**2
+    [(5e-324, 0.5), (1e-323, 1.0)],  # the slope overflows
+    [(1e300, 1e-300), (2e300, 2e-300)],  # the slope underflows to 0
+])
+def test_empirical_rejects_slopes_and_integrals_out_of_range(breakpoints):
+    # with no numpy warning on the way: the suite turns warnings into errors
+    with pytest.raises(ValueError, match=r"^breakpoints \(0, 0\) to .* not a positive finite number"):
+        Empirical(breakpoints)
+
+
 def test_json_round_trip():
     for curve in all_curves():
         clone = curve_from_json(curve.to_json())

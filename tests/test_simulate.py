@@ -1,6 +1,8 @@
 import importlib
 import math
 import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,15 +136,6 @@ def test_mixed_optimal_policy_tracks_model():
     assert report.fulfillment_ok()
 
 
-def test_deterministic_arrival_mode():
-    inst = scalar_instance()
-    sol = solve(inst, tol=1e-12)
-    policy = policy_from_primal(inst, sol.primal)
-    report = simulate(inst, policy, horizon=2e4, seed=5, deterministic_arrivals=True)
-    assert report.arrival_model == "deterministic"
-    assert abs(report.win_rate[0] - 0.5) <= 3.0 * report.win_rate_se[0]
-
-
 # ---------------------------------------------------------------------------
 # determinism and outputs
 
@@ -201,30 +194,26 @@ def test_unnormalized_curve_rejected():
         simulate(inst, policy, horizon=10.0, seed=0)
 
 
-@pytest.mark.parametrize("deterministic", [False, True], ids=["poisson", "deterministic"])
 @pytest.mark.parametrize("horizon", [1e17, 1e19, 1e300])
-def test_a_horizon_beyond_the_batch_cap_is_rejected_before_any_draw(horizon, deterministic):
+def test_a_horizon_beyond_the_batch_cap_is_rejected_before_any_draw(horizon):
     # each batch would draw far more than 2**26 points; numpy's own errors
     # were a failed allocation, "lam value too large", "array is too big" and
     # an invalid cast
     inst = mixed_instance()
     policy = BidPolicy(bids=np.ones(inst.n_items), gamma=np.full(inst.n_edges, 0.3))
     with pytest.raises(ValueError, match="^" + re.escape(f"horizon {horizon:g} puts")):
-        simulate(inst, policy, horizon=horizon, seed=0, deterministic_arrivals=deterministic)
+        simulate(inst, policy, horizon=horizon, seed=0)
 
 
 def test_the_batch_cap_counts_the_points_a_batch_draws(monkeypatch):
-    # Poisson arrivals draw only the points in the box [0, W(b)) x [0, mix),
-    # here 0.5 x 0.5 of the arrivals; deterministic arrivals count every arrival
+    # a batch draws only the points in the box [0, W(b)) x [0, mix), here
+    # 0.5 x 0.5 of the arrivals
     inst = scalar_instance()
     policy = BidPolicy(bids=np.array([math.log(2.0)]), gamma=np.array([0.5]))
     monkeypatch.setattr(simulate_module, "_MAX_BATCH_POINTS", 1000)
     simulate(inst, policy, horizon=6e4, seed=0)  # 750 points per batch
     with pytest.raises(ValueError, match="^horizon 100000 puts 1.25e"):
         simulate(inst, policy, horizon=1e5, seed=0)
-    simulate(inst, policy, horizon=2e4, seed=0, deterministic_arrivals=True)  # 1000 arrivals per batch
-    with pytest.raises(ValueError, match="^horizon 60000 puts 3e"):
-        simulate(inst, policy, horizon=6e4, seed=0, deterministic_arrivals=True)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +225,7 @@ def test_the_batch_cap_counts_the_points_a_batch_draws(monkeypatch):
 def test_replay_bounds(bid, weight, seed):
     inst = scalar_instance()
     policy = BidPolicy(bids=np.array([bid]), gamma=np.array([weight]))
-    report = simulate(
-        inst, policy, horizon=40.0, seed=seed, n_batches=2, deterministic_arrivals=True
-    )
-    assert 0.0 <= report.win_rate[0] <= 1.0 + 1e-12
+    report = simulate(inst, policy, horizon=40.0, seed=seed, n_batches=2)
     assert report.cost_rate >= 0.0
     # single edge with unit value: every win credits the one contract
     assert report.value_rate[0] == pytest.approx(report.win_rate[0])
@@ -446,7 +432,7 @@ def replay_against_oracle(inst, policy, horizon, n_batches, seed):
     costs = np.zeros(n_batches)
     points = np.random.default_rng(seed + 1)
     for b, rng in enumerate(simulate_module._batch_rngs(seed, n_batches)):
-        counts, u = simulate_module._draw_batch(rng, cells, t_batch, False)
+        counts, u = simulate_module._draw_batch(rng, cells, t_batch)
         # price overwrites its quantiles
         value, wins, cost = cells.replay(counts, cells.price(counts, u.copy()))
         per_pos, u_all, v_all = expand_cells(cells, bounds, counts, u, points)
@@ -492,19 +478,15 @@ def test_price_matches_the_per_point_inverse():
     # each cell's price sum, against every point priced by its own curve's
     # inverse and summed per cell: all four families, the fitted curve whose
     # support starts at 0, and the gap curve whose support starts above 0
-    # with a drawn U = 0 on its first segment, which inverse prices at 0
     inst, first = oracle_instance()
     ids = np.array([it.id for it in inst.items])
     for policy in (first, other_policy(inst)):
         cells = simulate_module._Cells(inst, policy)
         item = cells.order[cells.pos[cells.priced]]
         for rng in simulate_module._batch_rngs(3, 4):
-            counts, u = simulate_module._draw_batch(rng, cells, 200.0, False)
+            counts, u = simulate_module._draw_batch(rng, cells, 200.0)
             n = counts[cells.priced]
-            start = np.concatenate(([0], np.cumsum(n)))
             assert set(ids[item[n > 0]]) == {"e2", "h2", "u2", "p2", "f2", "gap"}
-            gap = (ids[item] == "gap") & (cells.q_lo[cells.priced] == 0.0)
-            u[start[np.flatnonzero(gap & (n > 0))[0]]] = 0.0
             price = cells.price(counts, u.copy())
             np.testing.assert_allclose(price[cells.priced], per_point_prices(inst, cells, counts, u),
                                        rtol=1e-13, atol=0.0)
@@ -513,9 +495,8 @@ def test_price_matches_the_per_point_inverse():
 
 def test_items_sharing_an_empirical_curve_are_each_cut():
     # equal empirical curves under one auction share a group: each item's
-    # strips are still cut at the knots below its own W(b), and a drawn
-    # U = 0 on either item's first segment prices at 0, on a later one at
-    # its first knot
+    # strips are still cut at the knots below its own W(b), and each cell
+    # prices on its own segment
     curve = Empirical([(0.2, 0.0), (1.0, 0.6), (1.5, 0.8), (2.0, 1.0)])
     items = [ItemType(i, 2.0, curve, "second_price") for i in ("a", "b")]
     inst = build_instance(items, [Contract("x", 0.5, {"a": 1.0, "b": 0.5}), Contract("y", 0.5, {"b": 1.0})])
@@ -529,12 +510,7 @@ def test_items_sharing_an_empirical_curve_are_each_cut():
     for e in range(inst.n_edges):
         assert np.count_nonzero(cells.edge == e) == np.count_nonzero(knots_of(curve) < thr[inst.edge_j[e]])
     for rng in simulate_module._batch_rngs(4, 3):
-        counts, u = simulate_module._draw_batch(rng, cells, 50.0, False)
-        start = np.concatenate(([0], np.cumsum(counts[cells.priced])))
-        item = cells.order[cells.pos[cells.priced]]
-        for j in (0, 1):
-            u[start[np.flatnonzero((item == j) & (cells.q_lo[cells.priced] == 0.0))[-1]]] = 0.0
-        u[start[np.flatnonzero(cells.q_lo[cells.priced] > 0.0)[0]]] = 0.0
+        counts, u = simulate_module._draw_batch(rng, cells, 50.0)
         price = cells.price(counts, u.copy())
         np.testing.assert_allclose(price[cells.priced], per_point_prices(inst, cells, counts, u),
                                    rtol=1e-13, atol=0.0)
@@ -554,7 +530,7 @@ def test_ab_policies_win_their_own_sub_boxes():
         thr, mix = box_of(inst, rival)
         points = np.random.default_rng(seed + 1)
         for rng in simulate_module._batch_rngs(seed, n_batches):
-            counts, u = simulate_module._draw_batch(rng, cells, horizon / n_batches, False)
+            counts, u = simulate_module._draw_batch(rng, cells, horizon / n_batches)
             per_pos, u_all, v_all = expand_cells(cells, bounds, counts, u, points)
             _, wins, _ = replay_per_arrival(inst, rival, cells.order, per_pos, u_all, v_all)
             j_all = np.repeat(item, counts)
@@ -579,55 +555,26 @@ def test_box_draws_are_calibrated():
     assert np.all(np.abs(wins.var(axis=0, ddof=1) - mu) <= 4.0 * np.sqrt((mu + 2.0 * mu**2) / runs))
 
 
-@pytest.mark.parametrize("deterministic", [False, True], ids=["poisson", "deterministic"])
-def test_edge_hits_are_calibrated(deterministic):
-    # per edge and run, hits are Poisson(lambda t W(b) gamma_e), or under
-    # deterministic arrivals Binomial(round(lambda t), W(b) gamma_e): over S
+def test_edge_hits_are_calibrated():
+    # per edge and run, hits are Poisson(lambda t W(b) gamma_e): over S
     # seeded runs the sample mean has standard deviation sigma / sqrt(S) and
     # the sample variance about sqrt((mu_4 - sigma^4) / S)
     inst, policy = oracle_instance()
     cells = simulate_module._Cells(inst, policy)
     t_batch, runs = 4.0, 300
     edge = cells.edge
-    hits, wins = np.zeros((runs, inst.n_edges)), np.zeros((runs, inst.n_items))
+    hits = np.zeros((runs, inst.n_edges))
     for r, rng in enumerate(simulate_module._batch_rngs(29, runs)):
-        counts, u = simulate_module._draw_batch(rng, cells, t_batch, deterministic)
+        counts, _ = simulate_module._draw_batch(rng, cells, t_batch)
         hits[r] = np.bincount(edge, weights=counts, minlength=inst.n_edges)
-        wins[r] = cells.replay(counts, cells.price(counts, u))[1]
     thr, _ = box_of(inst, policy)
     p = thr[inst.edge_j] * np.maximum(policy.gamma, 0.0)
-    if deterministic:
-        n = np.round(inst.rates * t_batch)
-        assert np.all(wins <= n)
-        mean, var = n[inst.edge_j] * p, n[inst.edge_j] * p * (1.0 - p)
-        mu_4 = var * (1.0 + 3.0 * (n[inst.edge_j] - 2.0) * p * (1.0 - p))
-    else:
-        mean = var = inst.rates[inst.edge_j] * t_batch * p
-        mu_4 = var + 3.0 * var**2
+    mean = var = inst.rates[inst.edge_j] * t_batch * p
+    mu_4 = var + 3.0 * var**2
     assert np.all(np.abs(hits.mean(axis=0) - mean) <= 4.0 * np.sqrt(var / runs))
     assert np.all(np.abs(hits.var(axis=0, ddof=1) - var) <= 4.0 * np.sqrt((mu_4 - var**2) / runs))
     # the zero weights never hit
     assert np.all(hits[:, policy.gamma <= 0.0] == 0.0)
-
-
-def test_deterministic_box_draws_never_exceed_the_arrivals():
-    # under deterministic arrivals a batch holds round(lambda t) arrivals per
-    # item, and the box keeps Binomial(round(lambda t), W(b) mix) of them
-    inst, policy = oracle_instance()
-    cells = simulate_module._Cells(inst, policy)
-    t_batch, batches = 4.0, 400
-    n = np.round(inst.rates * t_batch)
-    wins = np.zeros((batches, inst.n_items))
-    for b, rng in enumerate(simulate_module._batch_rngs(3, batches)):
-        counts, u = simulate_module._draw_batch(rng, cells, t_batch, True)
-        wins[b] = cells.replay(counts, cells.price(counts, u))[1]
-    assert np.all(wins <= n)
-    thr, mix = box_of(inst, policy)
-    p = thr * mix
-    full = p == 1.0  # u2 bids above x_bar with weight 1
-    assert full.sum() == 1 and np.all(wins[:, full] == n[full])
-    sd = np.sqrt(n * p * (1.0 - p) / batches)
-    assert np.all(np.abs(wins.mean(axis=0) - n * p) <= 4.0 * sd)
 
 
 def test_grouped_predictions_match_per_item_route():
@@ -730,9 +677,9 @@ def test_linear_cells_are_priced_without_a_quantile_call(monkeypatch):
     monkeypatch.setattr(Empirical, "quantile", forbidden("Empirical.quantile", Empirical.quantile))
     draw = simulate_module._draw_batch
 
-    def counted_draw(rng, cells, t_batch, deterministic):
+    def counted_draw(rng, cells, t_batch):
         rng = CountingRng(rng)
-        counts, u = draw(rng, cells, t_batch, deterministic)
+        counts, u = draw(rng, cells, t_batch)
         batches.append((rng.uniforms, counts[cells.priced].sum()))
         return counts, u
 
@@ -743,6 +690,17 @@ def test_linear_cells_are_priced_without_a_quantile_call(monkeypatch):
     assert shapes == {Exponential: n_batches, Hyperbolic: n_batches, PowerLawDensity: n_batches}
     assert all(0 < uniforms <= wins for uniforms, wins in batches)
     assert report.cost_rate > 0.0
+
+
+def test_demo_script_certifies_and_replays(capsys):
+    # scripts/demo_solve.py runs to its last line, and every certificate row it prints is ok
+    runpy.run_path(str(Path(__file__).parents[1] / "scripts" / "demo_solve.py"), run_name="__main__")
+    out = capsys.readouterr().out.splitlines()
+    top = out.index("certificate:") + 1
+    rows = out[top : out.index("", top)]
+    assert any(row.split()[0] == "relative_gap" for row in rows)
+    assert all(row.split()[-1] == "ok" for row in rows)
+    assert out[-4].startswith("replayed 20000 time units") and out[-1].startswith("  spend rate: realized")
 
 
 @pytest.mark.parametrize("seed", [None, [1, 2], -1, 1.0, True, "7"])
