@@ -25,9 +25,9 @@ and `--compare` splits the master LP solves, simplex iterations and solve second
 `_ALL_EDGES_PER_ROW` edges per master row, where the master starts from every edge column
 (`n/a` for a save without the sizes).
 Each solve's tie-root work (`Solution.stats`: `tie_root_calls` batched root calls and
-`tie_root_evals` balance evaluations) and its priced supply check (`supply_lp_rounds` LP solves
-and `supply_lp_columns` final model columns) are saved too, and `--compare` prints their totals
-(`n/a` for a save without them).
+`tie_root_evals` balance evaluations), its routing verdicts (`routing_lps`) and its priced supply
+check (`supply_lp_rounds` LP solves and `supply_lp_columns` final model columns) are saved too, and
+`--compare` prints their totals (`n/a` for a save without them).
 """
 import argparse
 import sys
@@ -69,7 +69,7 @@ def corpus():
 
 REPLAY_BATCHES = 20
 # the counters of `Solution.stats` saved per instance
-STATS = ("tie_root_calls", "tie_root_evals", "supply_lp_rounds", "supply_lp_columns")
+STATS = ("tie_root_calls", "tie_root_evals", "routing_lps", "supply_lp_rounds", "supply_lp_columns")
 
 
 def replay_z(inst, sol, seed: int) -> tuple[float, float, float]:
@@ -163,6 +163,7 @@ def main() -> None:
                            ("lp_iterations", "simplex iterations", ".0f"), ("solve_s", "solve seconds", ".1f"),
                            ("replay_s", "replay seconds", ".1f"), ("tie_root_calls", "tie-root calls", ".0f"),
                            ("tie_root_evals", "tie-root balance evaluations", ".0f"),
+                           ("routing_lps", "routing verdicts", ".0f"),
                            ("supply_lp_rounds", "supply LP solves", ".0f"),
                            ("supply_lp_columns", "supply LP columns", ".0f")):
         total = [f"{np.nansum(run[key]):{fmt}}" if key in run else "n/a" for run in (now, old)]

@@ -23,12 +23,13 @@ once.  Each snap is judged as it lands, whatever its D: convergence is
 snapped point, which is stationary exactly when demand routes with no
 shortfall, the routing rides exact ties (zero theta-spend), and no priced
 supply is left unallocated.  The master asks for that verdict each time
-the support of its flows repeats from one solve to the next, and the first
-verdict that certifies ends the solve; a master that stops on its gap,
-stall or round budget instead gets one snap and one verdict at its end, and
-a point that verdict does not certify raises NotConverged.  Primal recovery
-takes the allocation from the flows of the routing LP that certified the
-point and rescales them to make fulfillment exact.
+the support of its flows repeats from one solve to the next, its model gap
+closes or its model value stalls, and the first verdict that certifies ends
+the solve; a master that runs out of solves or whose LP fails gets one snap
+and one verdict at its end, and a point that verdict does not certify raises
+NotConverged.  Primal recovery takes the allocation from the flows of the
+routing LP that certified the point and rescales them to make fulfillment
+exact.
 
 Both LPs run on the HiGHS layer of :mod:`bidopt.model`; the routing LP is
 its transportation LP with supplies lambda_j q_j(mu_j) and edge costs theta,
@@ -415,19 +416,13 @@ class _MasterLP:
 _ALL_EDGES_PER_ROW = 3
 
 
-def _lazy_edges(inst: ProblemInstance) -> bool:
-    """Whether the master generates its edge columns lazily: above _ALL_EDGES_PER_ROW edges per master row."""
-    return inst.n_edges > _ALL_EDGES_PER_ROW * (inst.n_contracts + 2 * int(np.count_nonzero(inst.item_major[2])))
-
-
-# a termination guard: the master stops on a verdict, its gap or its stall
-# test well before it (at most 17 solves over the 868 instances of
-# scripts/census.py)
+# a termination guard: the master stops on a certifying verdict well before
+# it (at most 17 solves over the 868 instances of scripts/census.py, 18 over
+# 1,200 fresh random draws)
 _MASTER_SOLVES = 60
 
 
-def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, tol: float,
-                  stats: dict | None = None, every_edge: bool = False):
+def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, tol: float, stats: dict):
     """Outer linearization of the acquisition terms (cutting planes).
 
     Each item's conjugate cost is convex and smooth in its multiplier, so the
@@ -444,9 +439,9 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     never rises at a fixed box (the stall test below stays sound) and stays
     an upper bound on the dual optimum.
 
-    The edge cuts mu_j >= v_ij rho_i enter the model as columns.  With
-    `every_edge`, or on an instance with at most _ALL_EDGES_PER_ROW edges per
-    master row, the model starts with all of them; otherwise they are
+    The edge cuts mu_j >= v_ij rho_i enter the model as columns.  On an
+    instance with at most _ALL_EDGES_PER_ROW edges per master row, the
+    model starts with all of them; otherwise they are
     generated lazily (delayed column generation): the model starts with the
     edges within 5% of their item's max at the incoming point, and after
     every solve each item's first argmax edge at the LP's rho joins it when
@@ -464,20 +459,21 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
     identified long before the model gap closes (Wright 1993), so whenever
     a solve's support repeats the previous optimal solve's, the best point
     is snapped onto it and the routing LP judges the snap
-    (`_snap_verdict`); a point it certifies ends the phase, and a failed
-    verdict only lets the master go on.
+    (`_snap_verdict`).  A closed model gap and a stalled model value are
+    verdict triggers too: only the verdict, never the model, decides.  A
+    point the verdict certifies ends the phase, and a failed verdict only
+    lets the master add its tangents and go on.
 
-    A phase that stops on its gap, stall or budget instead snaps onto the
-    flows of its last optimal solve (none when no solve was optimal) and
-    has that point judged.  Returns (value, rho, gap, LP solves, residual,
-    routing flows) of the last point judged: gap is the last model value
-    less that point's value (inf before any model value), and residual and
-    flows are its verdict's (`_snap_verdict`).  Adds the master's solve,
-    simplex iteration and cut counts, its routing verdicts and its stop
-    reason (verdict, gap, stall, budget or lp_failure) to `stats`.
+    A phase that runs out of solves or whose LP fails snaps onto the flows
+    of its last optimal solve (none when no solve was optimal) and has that
+    point judged.  Returns (value, rho, gap, residual, routing flows) of the
+    last point judged: gap is the last model value less that point's value
+    (inf before any model value), and residual and flows are its verdict's
+    (`_snap_verdict`).  Sets the master's solve, simplex
+    iteration and cut counts and its stop reason in `stats` and adds its
+    routing verdicts there; the stop reason names the trigger of the
+    certifying verdict (support, gap or stall) or else budget or lp_failure.
     """
-    if stats is None:
-        stats = {}
     # the items with edges; never none, as every instance has a contract and every contract an edge
     nz = np.flatnonzero(inst.item_major[2])
     m2, n = nz.size, inst.n_contracts
@@ -501,7 +497,7 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
                     np.column_stack([win.ravel(), np.ones(win.size)]), np.full(win.size, -1))
 
     mu_w = inst.mu_of(best_rho)
-    if every_edge or not _lazy_edges(inst):
+    if inst.n_edges <= _ALL_EDGES_PER_ROW * (n + 2 * m2):
         add_edge_cols(np.arange(inst.n_edges))
     else:
         mu_e = mu_w[inst.edge_j]
@@ -538,30 +534,29 @@ def _kelley_phase(inst: ProblemInstance, best_val: float, best_rho: np.ndarray, 
             best_val, best_rho = val_hat, rho_hat.copy()
         bound = model
         if model - best_val <= 1e-14 * (1.0 + abs(best_val)) + 0.05 * tol * _scale(inst):
-            stop = "gap"
-            break
-        if not new.size and model >= last_model - 1e-15 * (1.0 + abs(model)):
+            trigger = "gap"
+        elif not new.size and model >= last_model - 1e-15 * (1.0 + abs(model)):
             # tangent violations have dropped below the LP solver's feasibility
             # tolerance; the model cannot tighten further at this scale
-            stop = "stall"
-            break
+            trigger = "stall"
+        elif np.array_equal(support, last_support):
+            trigger = "support"
+        else:
+            trigger = None
         last_model = model
-        if np.array_equal(support, last_support):
+        if trigger:
             judged = _snap_verdict(inst, best_val, best_rho, flows, tol, stats)
             if judged[2] <= tol * _scale(inst):
-                stop = "verdict"
+                stop = trigger
                 break
         add_tangents(mu_hat, conj, win)
-    stats["master_solves"] = stats.get("master_solves", 0) + lp.solves
-    stats["master_simplex_iterations"] = stats.get("master_simplex_iterations", 0) + lp.iterations
-    stats["master_edge_rows"] = int(in_model.sum())
-    stats["master_rows_max"] = max(stats.get("master_rows_max", 0), lp.cuts_max)
-    stats["master_cols_pruned"] = stats.get("master_cols_pruned", 0) + lp.pruned
-    stats["master_stop"] = stop
-    if stop != "verdict":
+    stats.update(master_solves=lp.solves, master_simplex_iterations=lp.iterations,
+                 master_edge_rows=int(in_model.sum()), master_rows_max=lp.cuts_max, master_cols_pruned=lp.pruned,
+                 master_stop=stop)
+    if stop in ("budget", "lp_failure"):
         judged = _snap_verdict(inst, best_val, best_rho, flows, tol, stats)
     value, rho, residual, routed = judged
-    return value, rho, bound - value, lp.solves, residual, routed
+    return value, rho, bound - value, residual, routed
 
 
 def _snap_verdict(inst: ProblemInstance, value: float, rho: np.ndarray, flows, tol: float, stats: dict):
@@ -648,23 +643,23 @@ def solve_dual(
 
     One path: warm start -> warm cutting-plane master, which snaps onto the
     tie pattern of its edge columns' flows and asks the routing LP for a
-    verdict each time that pattern repeats, and stops once a verdict
-    certifies -> otherwise one snap and one routing-LP verdict at the
-    master's end.  The master starts from the warm start itself, and each
-    snap is judged as it lands: the routing LP decides it, with no
-    comparison of its D against the point it came from.  A master that held
-    only some of the edge columns and whose last verdict fails runs once
-    more from the point that verdict judged, with every edge column from
-    the start.  Keys it sets in `stats`:
+    verdict each time that pattern repeats, its model gap closes or its
+    model value stalls, and stops once a verdict certifies -> otherwise,
+    when the master runs out of solves or its LP fails, one snap and one
+    routing-LP verdict at its end.  The master starts from the warm start
+    itself, and each snap is judged as it lands: the routing LP decides it,
+    with no comparison of its D against the point it came from.  Keys it
+    sets in `stats`:
 
-    - iterations, master_solves: the master's LP solves (both runs);
+    - master_solves: the master's LP solves;
     - master_simplex_iterations: the master's simplex iterations;
     - master_edge_rows: edge cuts in the final master model;
     - master_rows_max: the most cuts (edge and tangent) any master solve held;
     - master_cols_pruned: the tangent cuts the master deleted;
-    - master_stop: why the master stopped: verdict (a routing LP certified
-      its snap), gap, stall, budget (_MASTER_SOLVES) or lp_failure;
-    - master_fallbacks: 1 when the master ran again with every edge column;
+    - master_stop: what triggered the verdict that certified the master's
+      snap (support: its flows' support repeated; gap: its model gap
+      closed; stall: its model value stalled), or budget (_MASTER_SOLVES)
+      or lp_failure;
     - routing_lps: the routing-LP verdicts run;
     - tie_root_calls, tie_root_evals: the tie roots' batch calls and balance
       evaluations;
@@ -686,14 +681,7 @@ def solve_dual(
     stats["supply_lp_rounds"], stats["supply_lp_columns"] = chk.rounds, chk.columns
     stats["tie_root_calls"] = stats["tie_root_evals"] = stats["routing_lps"] = 0
     warm = _warm_start(inst, stats)
-    value, rho, _, used, kkt, routed = _kelley_phase(inst, _dual_value(inst, warm), warm, tol, stats=stats)
-    stats["master_fallbacks"] = 0
-    if kkt > tol * _scale(inst) and _lazy_edges(inst):
-        # the lazy edge columns can miss an edge the tie pattern needs
-        stats["master_fallbacks"] = 1
-        value, rho, _, more, kkt, routed = _kelley_phase(inst, value, rho, tol, stats, every_edge=True)
-        used += more
-    stats["iterations"] = used
+    value, rho, _, kkt, routed = _kelley_phase(inst, _dual_value(inst, warm), warm, tol, stats=stats)
     stats.update({f"lp_{key}": _lp_work[key] - start for key, start in work.items()})
     if kkt > tol * _scale(inst):
         raise NotConverged(_finish_dual(inst, rho, value), kkt)
@@ -787,12 +775,15 @@ def certify(
 
     comp = float(np.max(dual.theta * primal.R, initial=0.0)) / (1.0 + abs(p))
 
-    mu_res = float(np.max(np.abs(inst.mu_of(np.asarray(dual.rho)) - dual.mu), initial=0.0))
+    rho = np.asarray(dual.rho)
+    mu_res = float(np.max(np.abs(inst.mu_of(rho) - dual.mu), initial=0.0))
     # at optimum every contract prices off its cheapest useful item:
-    # rho_i = min over edges of contract i of mu_j / v_ij
-    ratio = dual.mu[inst.edge_j] / inst.edge_v
-    rho_min = np.minimum.reduceat(ratio, inst.contract_start[:-1])  # every contract has an edge
-    rho_res = float(np.max(np.abs(rho_min - dual.rho) / (1.0 + np.abs(dual.rho))))
+    # rho_i = min over edges of contract i of mu_j / v_ij, read as the edge
+    # slack (mu_j - v_ij rho_i) / v_ij, which stays exact where v_ij rho_i
+    # underflows to mu_j = 0
+    slack = (dual.mu[inst.edge_j] - inst.edge_v * rho[inst.edge_i]) / inst.edge_v
+    rho_min = np.minimum.reduceat(slack, inst.contract_start[:-1])  # every contract has an edge
+    rho_res = float(np.max(np.abs(rho_min) / (1.0 + np.abs(rho))))
 
     # the plan ships the bid map at mu, x_j = g_j^{-1}(mu_j); a bid off it buys other rates than s
     bid = inst.groups.bid(np.asarray(dual.mu, dtype=float))
@@ -836,7 +827,7 @@ def solve(
         dual=dual,
         primal=primal,
         report=report,
-        iterations=stats.get("iterations", 0),
+        iterations=stats["master_solves"],
         eps_active=_eps_active(dual, primal),
         stats=MappingProxyType(stats),
     )

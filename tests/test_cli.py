@@ -156,6 +156,34 @@ def test_certify_rejects_bids_off_the_bid_map(tmp_path, capsys):
     assert failed == ["max_bid_residual"]
 
 
+def test_subnormal_valuation_solves_and_certifies(tmp_path):
+    # v_a rho underflows to mu_a = 0, so mu_a / v_a = 0 is no price of
+    # contract c's item a; the rho row reads the edge slack
+    # (mu_a - v_a rho) / v_a = 0 instead
+    curve = {"family": "exponential", "params": {"rate": 1.0}}
+    doc = {"items": [{"id": j, "rate": 1.0, "curve": curve, "auction": "second_price"} for j in "ab"],
+           "contracts": [{"id": "c", "target": 0.1, "valuations": {"a": 5e-324, "b": 1.0}}]}
+    inp = write_json(tmp_path / "inst.json", doc)
+    solved = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
+    assert main(["certify", "--input", str(solved)]) == 0
+
+
+def test_certify_rho_row_fails_a_raised_rho(tmp_path, capsys):
+    # the rho row stays as tight as mu_j / v_ij: one pseudo-bid raised by
+    # 1e-3 of itself, with mu as solved, fails it
+    inp = write_json(tmp_path / "inst.json", MIXED)
+    solved = tmp_path / "solved.json"
+    assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
+    doc = json.loads(solved.read_text())
+    doc["solution"]["rho"][1] *= 1.0 + 1e-3
+    write_json(solved, doc)
+    capsys.readouterr()
+    assert main(["certify", "--input", str(solved)]) == 3
+    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
+    assert "max_rho_residual" in failed
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
