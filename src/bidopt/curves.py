@@ -38,6 +38,7 @@ Every number a JSON document gives bidopt is read here, by ``_json_number``
 """
 from __future__ import annotations
 
+import bisect
 import math
 import types
 from dataclasses import dataclass
@@ -697,33 +698,44 @@ def fit_empirical(prices: Sequence[float], min_support: float) -> Empirical:
     """
     if min_support <= 0:
         raise ValueError("min_support must be positive")
-    arr = np.asarray(sorted(float(p) for p in prices), dtype=float)
+    arr = np.asarray(prices, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("prices must be a flat sequence")
+    arr = np.sort(arr)
     if arr.size == 0:
         raise InsufficientSamples("no samples")
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):
         raise ValueError("prices must be positive")
     values, counts = np.unique(arr, return_counts=True)
-    # greedy clustering: start a new cluster once the gap reaches min_support
-    cx: list[float] = []
-    cn: list[int] = []
-    start = values[0]
-    acc_num, acc_cnt = 0.0, 0
-    for v, c in zip(values, counts):
-        if v - start >= min_support and acc_cnt > 0:
-            cx.append(acc_num / acc_cnt)
-            cn.append(acc_cnt)
-            start = v
-            acc_num, acc_cnt = 0.0, 0
-        acc_num += v * c
-        acc_cnt += int(c)
-    cx.append(acc_num / acc_cnt)
-    cn.append(acc_cnt)
-    if len(cx) < 2:
+    # greedy clustering: start a new cluster at the first value v whose gap
+    # v - start to the cluster's start reaches min_support.  The gap grows
+    # with v, so one search per start finds it; the search compares v with
+    # start + min_support, which rounds, so it then steps to the first v
+    # whose gap itself reaches min_support
+    v = values.tolist()
+    starts = [0]
+    while True:
+        i = starts[-1]
+        k = bisect.bisect_left(v, v[i] + min_support, i + 1)
+        while k > i + 1 and v[k - 1] - v[i] >= min_support:
+            k -= 1
+        while k < len(v) and not v[k] - v[i] >= min_support:
+            k += 1
+        if k == len(v):
+            break
+        starts.append(k)
+    if len(starts) < 2:
         raise InsufficientSamples("need at least 2 distinct samples after merging")
-    n = arr.size
-    cum = np.cumsum(cn) / n
+    # each cluster's count-weighted mean, its sum taken left to right
+    weighted = values * counts
+    sums = weighted[starts]
+    for c, (a, b) in enumerate(zip(starts, [*starts[1:], len(v)])):
+        if b - a > 1:
+            sums[c] = np.cumsum(weighted[a:b])[-1]
+    cn = np.add.reduceat(counts, starts)
+    cum = np.cumsum(cn) / arr.size
     cum[-1] = 1.0
-    return Empirical(list(zip(cx, cum.tolist())))
+    return Empirical(list(zip((sums / cn).tolist(), cum.tolist())))
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,18 @@ only on the instance: grouped by family and auction kind, an empirical
 curve a group of its own.  The cells, and so the draws, depend on the
 policy: two policies replayed with one seed do not share their draws.
 
-Batches use RNG streams spawned from one seed, so runs are reproducible
-bit-for-bit, batches are independent (they could run in parallel; sums over
-batches are order-independent), and batch means give honest standard errors.
+A replay draws from one random stream per seed: first every batch's cell
+counts, then the uniforms of the priced points, batch by batch and in each
+batch cell by cell.  Disjoint stretches of one stream serve as independent
+streams when nothing runs in parallel (L'Ecuyer, Munger, Oreshkin & Simard
+2017), so batches are independent and batch means give honest standard
+errors.  A seed gives the same report every time, though not the numbers
+that versions drawing one spawned stream per batch printed for it.  The
+uniforms are drawn and priced in blocks of whole batches, each holding at
+most _BLOCK_POINTS points unless one batch alone holds more, so the memory
+they take is bounded by a block (the counts take 8 bytes per cell and
+batch); the per-batch cap _MAX_BATCH_POINTS still holds, and the block size
+does not change the report.
 """
 from __future__ import annotations
 
@@ -165,10 +174,6 @@ class SimulationReport:
 # the event loop
 
 
-def _batch_rngs(seed, n_batches: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n_batches)]
-
-
 class _Cells:
     """A policy's winnable box, cut into rectangles on which each price map is known.
 
@@ -281,48 +286,73 @@ class _Cells:
         return value, inst.rates * mix * self.win, float(np.sum(inst.rates * mix * self.pay))
 
     def price(self, counts: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Each cell's sum of second-price payments, from the uniforms of its points.
+        """Each batch's and cell's sum of second-price payments, from the uniforms of its points.
 
-        ``u`` holds the uniforms of the priced cells' points, cell by cell in
-        order, and is overwritten: one pass per nonlinear group turns its
-        slice into quantiles and then into shapes in place, then one sum per
-        cell, which a linear cell takes of its uniforms as they are.  Every
-        quantile lies in [0, W(b)), below the total mass, so the shapes need
-        no guard.  A point at quantile 0 of an empirical curve prices at its
-        first knot x0, the bottom of its price support.
+        ``counts`` holds a block of batches, one row of cell counts per
+        batch.  ``u`` holds the uniforms of the priced cells' points, batch by
+        batch and cell by cell in order, and is overwritten: one pass per
+        nonlinear group and batch turns its slice into quantiles and then
+        into shapes in place, then one sum per cell and batch, which a linear
+        cell takes of its uniforms as they are.  Every quantile lies in
+        [0, W(b)), below the total mass, so the shapes need no guard.  A point
+        at quantile 0 of an empirical curve prices at its first knot x0, the
+        bottom of its price support.
         """
-        n = counts[self.priced]
+        n = counts[:, self.priced]
+        width = n.shape[1]
         start = np.concatenate(([0], np.cumsum(n)))
-        for a, b, shape in self.shaped:
-            q = u[start[a] : start[b]]
-            q *= np.repeat(self.u_hi[a:b], n[a:b])
-            shape(q, out=q)
-        price = np.zeros(counts.size)
+        for r in range(n.shape[0]):
+            for a, b, shape in self.shaped:
+                q = u[start[r * width + a] : start[r * width + b]]
+                q *= np.repeat(self.u_hi[a:b], n[r, a:b])
+                shape(q, out=q)
+        price = np.zeros(counts.shape)
         live = np.flatnonzero(n)
         if live.size:
-            price[self.priced[live]] = np.add.reduceat(u, start[live]) * self.scale[live]
+            batch, cell = np.divmod(live, width)
+            price[batch, self.priced[cell]] = np.add.reduceat(u, start[live]) * self.scale[cell]
         if self.based.size:
-            price[self.priced[self.based]] += n[self.based] * self.base
+            price[:, self.priced[self.based]] += n[:, self.based] * self.base
         return price
 
-    def replay(self, counts: np.ndarray, price: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """One batch's value per contract, wins per item and cost: sums over the cells."""
-        wins = np.bincount(self.pos, weights=counts, minlength=self.rank.size)
-        value = np.bincount(self.contract, weights=counts * self.value, minlength=self.inst.n_contracts)
-        return value, wins[self.rank], float(counts @ self.bid) + float(price.sum())
+    def replay(self, counts: np.ndarray, price: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A block's value per contract, wins per item and cost, one row per batch: sums over the cells."""
+        n_batches, n_items, n_contracts = counts.shape[0], self.rank.size, self.inst.n_contracts
+        row = np.arange(n_batches)[:, None]
+        wins = np.bincount((self.pos + n_items * row).ravel(), weights=counts.ravel(),
+                           minlength=n_batches * n_items).reshape(n_batches, n_items)
+        value = np.bincount((self.contract + n_contracts * row).ravel(), weights=(counts * self.value).ravel(),
+                            minlength=n_batches * n_contracts).reshape(n_batches, n_contracts)
+        return value, wins[:, self.rank], (counts * self.bid).sum(axis=1) + price.sum(axis=1)
 
 
-def _draw_batch(rng: np.random.Generator, cells: _Cells, t_batch: float):
-    """One batch's point counts per cell, then one uniform per point of the priced cells.
+# the most uniforms one block of whole batches draws and prices at once, unless
+# a single batch draws more: about one batch of the mixed-pipeline benchmark,
+# so a block peaks at the memory one such batch took when each was drawn alone
+_BLOCK_POINTS = 2**16
+
+
+def _draw(rng: np.random.Generator, cells: _Cells, t_batch: float, n_batches: int):
+    """Every batch's point counts per cell, then the priced points' uniforms, block by block.
 
     Each cell's points form a Poisson process of rate lambda times the
-    cell's area (Poisson splitting), so their count is Poisson.  A priced
-    cell's points then draw the uniforms U of their price quantiles
-    q_lo + (q_hi - q_lo) U, in cell order.  Returns the counts and the
-    uniforms.
+    cell's area (Poisson splitting), so their count is Poisson; one call
+    draws them for every batch, one row per batch.  A priced cell's points
+    then draw the uniforms U of their price quantiles q_lo + (q_hi - q_lo) U,
+    batch by batch and in cell order, for blocks of consecutive whole
+    batches of at most _BLOCK_POINTS uniforms, or one batch that alone draws
+    more.  The stream is consumed in the same order whatever the blocks, so
+    they do not change the draws.  Yields each block's slice of batches,
+    its counts and its uniforms.
     """
-    counts = rng.poisson(cells.rates * t_batch)
-    return counts, rng.random(counts[cells.priced].sum())
+    counts = rng.poisson(cells.rates * t_batch, (n_batches, cells.rates.size))
+    drawn = np.cumsum(counts[:, cells.priced].sum(axis=1))
+    a = 0
+    while a < n_batches:
+        before = drawn[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(drawn, before + _BLOCK_POINTS, side="right")))
+        yield slice(a, b), counts[a:b], rng.random(drawn[b - 1] - before)
+        a = b
 
 
 def _mean_se(batch_rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -362,20 +392,21 @@ def simulate(
     """Replay ``policy`` for ``horizon`` time units and aggregate realized rates.
 
     The arguments are checked before any draw.  The horizon splits into
-    ``n_batches`` equal batches of positive length with independent RNG streams spawned from
-    ``seed``, a nonnegative integer; standard errors come from the spread of
-    the batch means.  Each batch draws counts on the cells of the policy's
-    box.  A batch that would draw more than _MAX_BATCH_POINTS points of the
+    ``n_batches`` equal batches of positive length, drawn from the one random
+    stream of ``seed``, a nonnegative integer; standard errors come from the
+    spread of the batch means.  Each batch draws counts on the cells of the
+    policy's box.  A batch that would draw more than _MAX_BATCH_POINTS points of the
     box in expectation raises ValueError.  ``csv_path`` dumps
     the cumulative fulfillment-rate time series per contract.
     """
     policy.check(inst)
-    for it in inst.items:
-        if it.curve.total_mass > 1.0 + 1e-12:
-            raise ValueError(
-                f"item {it.id!r}: supply curve carries mass {it.curve.total_mass:.6g} > 1 "
-                "and is not a price distribution"
-            )
+    heavy = np.flatnonzero(inst.masses > 1.0 + 1e-12)
+    if heavy.size:
+        j = int(heavy[0])
+        raise ValueError(
+            f"item {inst.items[j].id!r}: supply curve carries mass {inst.masses[j]:.6g} > 1 "
+            "and is not a price distribution"
+        )
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError("horizon must be positive and finite")
     if n_batches < 2:
@@ -393,9 +424,8 @@ def simulate(
     value = np.zeros((n_batches, inst.n_contracts))
     wins = np.zeros((n_batches, inst.n_items))
     cost = np.zeros(n_batches)
-    for b, rng in enumerate(_batch_rngs(seed, n_batches)):
-        counts, u = _draw_batch(rng, cells, t_batch)
-        value[b], wins[b], cost[b] = cells.replay(counts, cells.price(counts, u))
+    for block, counts, u in _draw(np.random.default_rng(seed), cells, t_batch, n_batches):
+        value[block], wins[block], cost[block] = cells.replay(counts, cells.price(counts, u))
     value_rate, value_se = _mean_se(value / t_batch)
     win_rate, win_se = _mean_se(wins / t_batch)
     cost_rate, cost_se = _mean_se(cost / t_batch)

@@ -52,6 +52,37 @@ def segment_max_first_price(curve, mu: float, rtol: float = 1e-12):
     return float(best), near
 
 
+def fit_empirical_knots(prices, min_support: float) -> list[tuple[float, float]]:
+    """``fit_empirical``'s knots by a plain loop over every distinct sample.
+
+    A cluster takes each sorted distinct value until one lies
+    ``min_support`` or more past the cluster's start; its knot is the
+    count-weighted mean, summed left to right, at its cumulative share.
+    Raises ValueError when fewer than two clusters remain.
+    """
+    arr = np.asarray(sorted(float(p) for p in prices), dtype=float)
+    values, counts = np.unique(arr, return_counts=True)
+    cx: list[float] = []
+    cn: list[int] = []
+    start = values[0]
+    acc_num, acc_cnt = 0.0, 0
+    for v, c in zip(values, counts):
+        if v - start >= min_support and acc_cnt > 0:
+            cx.append(acc_num / acc_cnt)
+            cn.append(acc_cnt)
+            start = v
+            acc_num, acc_cnt = 0.0, 0
+        acc_num += v * c
+        acc_cnt += int(c)
+    cx.append(acc_num / acc_cnt)
+    cn.append(acc_cnt)
+    if len(cx) < 2:
+        raise ValueError("one cluster")
+    cum = np.cumsum(cn) / arr.size
+    cum[-1] = 1.0
+    return list(zip(cx, cum.tolist()))
+
+
 def ks_distance(curve, samples: np.ndarray, grid: int = 4096) -> float:
     """Kolmogorov-Smirnov distance between the empirical CDF of ``samples``
     and the curve, evaluated on a dense quantile grid plus the sample points."""

@@ -301,7 +301,7 @@ def test_usage_error_exits_1(argv, tmp_path, capsys, monkeypatch):
             doc, message = {"instance": SCALAR, "policy": {"bids": [0.7], "gamma": [0.8]}}, "bidopt: horizon 5e-324 "
         else:
             doc, message = HUGE_TARGET, "bidopt: contract target 1e+300"
-        monkeypatch.setattr(sys.modules["bidopt.simulate"], "_draw_batch", None)
+        monkeypatch.setattr(sys.modules["bidopt.simulate"], "_draw", None)
         out = tmp_path / "sim.json"
         assert main([*argv, write_json(tmp_path / "inst.json", doc), "--output", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
@@ -438,7 +438,7 @@ def test_simulate_output_named_like_its_csv_exits_1(tmp_path, capsys, monkeypatc
     solved = tmp_path / "solved.json"
     assert main(["solve", "--input", inp, "--output", str(solved)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(sys.modules["bidopt.simulate"], "_draw_batch", None)
+    monkeypatch.setattr(sys.modules["bidopt.simulate"], "_draw", None)
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--input", str(solved), "--seed", "11", "--output", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -21,7 +23,11 @@ from bidopt.curves import (
     curve_from_json,
     fit_empirical,
 )
-from oracles import ks_distance
+from oracles import fit_empirical_knots, ks_distance
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+import bidopt  # noqa: E402
+from perfbench.workloads import mixed_pipeline  # noqa: E402
 
 LN2 = math.log(2.0)
 
@@ -173,6 +179,80 @@ def test_fit_empirical_min_support_merges():
 def test_fit_empirical_rejects_nonpositive():
     with pytest.raises(ValueError):
         fit_empirical([0.0, 1.0], min_support=1e-9)
+    with pytest.raises(ValueError, match="positive"):
+        fit_empirical([1.0, math.nan, 2.0], min_support=1e-9)
+
+
+def loop_fit(prices, min_support):
+    """The loop reference's knots, as an Empirical curve."""
+    return Empirical(fit_empirical_knots(prices, min_support))
+
+
+def test_fit_empirical_matches_the_loop_on_the_mixed_pipeline_draws(monkeypatch):
+    # every fit the mixed-pipeline benchmark makes, bit for bit
+    fits = []
+    fit = bidopt.fit_empirical
+
+    def checked(prices, min_support):
+        curve = fit(prices, min_support)
+        assert curve.breakpoints == loop_fit(prices, min_support).breakpoints
+        fits.append(min_support)
+        return curve
+
+    monkeypatch.setattr(bidopt, "fit_empirical", checked)
+    mixed_pipeline()
+    assert len(fits) >= 5
+
+
+@pytest.mark.parametrize("prices, min_support, xs", [
+    # ties merge, then each distinct value is its own cluster
+    ([3.0, 1.0, 1.0, 2.0, 3.0, 3.0, 7.0], 1e-9, [1.0, 2.0, 3.0, 7.0]),
+    # a gap exactly min_support wide starts a new cluster
+    ([1.0, 1.5, 2.0, 2.25], 0.5, [1.0, 1.5, 2.125]),
+    ([0.25, 0.5, 0.5, 0.75], 0.25, [0.25, 0.5, 0.75]),
+    # 1.3866145483714679e-12 < 4.0807628368646937e-13 + 9.785382646849986e-13
+    # as rounded, yet their difference rounds up to min_support
+    ([4.0807628368646937e-13, 1.3866145483714679e-12], 9.785382646849986e-13,
+     [4.0807628368646937e-13, 1.3866145483714679e-12]),
+])
+def test_fit_empirical_knots_match_the_loop(prices, min_support, xs):
+    curve = fit_empirical(prices, min_support)
+    assert curve.breakpoints == loop_fit(prices, min_support).breakpoints
+    assert [x for x, _ in curve.breakpoints[1:]] == xs
+
+
+@pytest.mark.parametrize("prices, min_support", [
+    ([2.0, 2.0, 2.0], 1e-9),
+    ([1.0, 1.25, 1.4999999999999998], 0.5),
+    # 0.4 - 0.30000000000000004 rounds below 0.1, though 0.4 is their
+    # rounded sum
+    ([0.30000000000000004, 0.4], 0.1),
+])
+def test_fit_empirical_single_cluster_is_insufficient(prices, min_support):
+    with pytest.raises(ValueError):
+        loop_fit(prices, min_support)
+    with pytest.raises(InsufficientSamples):
+        fit_empirical(prices, min_support)
+
+
+@given(ks=st.lists(st.integers(1, 40), min_size=1, max_size=60),
+       min_support=st.sampled_from([1e-9, 0.1, 0.2, 0.3, 0.7, 1.1]))
+def test_fit_empirical_matches_the_loop_on_decimal_grids(ks, min_support):
+    # tenths rounded to doubles: ties, and gaps that round on either side of
+    # min_support
+    prices = [k * 0.1 for k in ks]
+    try:
+        knots = loop_fit(prices, min_support).breakpoints
+    except ValueError:
+        with pytest.raises(InsufficientSamples):
+            fit_empirical(prices, min_support)
+        return
+    assert fit_empirical(prices, min_support).breakpoints == knots
+
+
+def test_fit_empirical_rejects_prices_that_are_not_flat():
+    with pytest.raises(ValueError, match="flat"):
+        fit_empirical([[1.0, 2.0], [3.0, 4.0]], min_support=1e-9)
 
 
 def test_fit_empirical_ks_convergence():

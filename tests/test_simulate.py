@@ -186,11 +186,17 @@ def test_policy_validation():
 
 
 def test_unnormalized_curve_rejected():
-    # depth profiles with mass > 1 are fine to optimize but have no price law
-    item = ItemType("d", 1.0, PowerLawDensity(0.8, 2.0), "second_price")
-    inst = build_instance([item], [Contract("x", 0.5, {"d": 1.0})])
-    policy = BidPolicy(bids=np.array([1.0]), gamma=np.array([1.0]))
-    with pytest.raises(ValueError, match="mass"):
+    # depth profiles with mass > 1 are fine to optimize but have no price
+    # law; the error names the first such item
+    items = [
+        ItemType("a", 1.0, Exponential(1.0), "second_price"),
+        ItemType("d", 1.0, PowerLawDensity(0.8, 2.0), "second_price"),
+        ItemType("e", 1.0, PowerLawDensity(0.9, 2.0), "second_price"),
+    ]
+    inst = build_instance(items, [Contract("x", 0.5, {"a": 1.0, "d": 1.0, "e": 1.0})])
+    policy = BidPolicy(bids=np.ones(3), gamma=np.full(3, 0.5))
+    message = "item 'd': supply curve carries mass 1.6 > 1 and is not a price distribution"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         simulate(inst, policy, horizon=10.0, seed=0)
 
 
@@ -418,33 +424,45 @@ def expand_cells(cells, bounds, counts, u, rng):
     return per_pos, u_all, v_all
 
 
+def draws(cells, seed, t_batch, n_batches):
+    """The replay's draws for one seed: yields each block's slice of batches,
+    its counts (one row per batch) and each of its batches' own uniforms."""
+    for block, counts, u in simulate_module._draw(np.random.default_rng(seed), cells, t_batch, n_batches):
+        assert u.size == counts[:, cells.priced].sum()
+        yield block, counts, np.split(u, np.cumsum(counts[:, cells.priced].sum(axis=1))[:-1])
+
+
 def replay_against_oracle(inst, policy, horizon, n_batches, seed):
-    """Replay each batch's cells and, point by point, the per-arrival oracle.
+    """Replay each block's cells and, batch by batch and point by point, the
+    per-arrival oracle.
 
     Checks that they agree and that the policy wins every drawn point, all
     of which lie in its box [0, W(b)) x [0, mix); returns the cost rate per
-    batch.
+    batch and the number of batches in each block.
     """
     cells = simulate_module._Cells(inst, policy)
     bounds = cell_bounds(inst, policy, cells)
     item = cells.order[cells.pos]
     t_batch = horizon / n_batches
     costs = np.zeros(n_batches)
+    blocks = []
     points = np.random.default_rng(seed + 1)
-    for b, rng in enumerate(simulate_module._batch_rngs(seed, n_batches)):
-        counts, u = simulate_module._draw_batch(rng, cells, t_batch)
+    for block, counts, us in draws(cells, seed, t_batch, n_batches):
         # price overwrites its quantiles
-        value, wins, cost = cells.replay(counts, cells.price(counts, u.copy()))
-        per_pos, u_all, v_all = expand_cells(cells, bounds, counts, u, points)
-        o_value, o_wins, o_cost = replay_per_arrival(inst, policy, cells.order, per_pos, u_all, v_all)
-        assert np.array_equal(wins, o_wins)
-        # the replay sums per-cell totals, the oracle one point at a time:
-        # equal up to the summation order
-        assert value == pytest.approx(o_value, rel=1e-12)
-        assert cost == pytest.approx(o_cost, rel=1e-12)
-        assert np.array_equal(wins, np.bincount(item, weights=counts, minlength=inst.n_items))
-        costs[b] = o_cost / t_batch
-    return costs
+        values, wins, cost = cells.replay(counts, cells.price(counts, np.concatenate(us)))
+        blocks.append(len(us))
+        for r, b in enumerate(range(n_batches)[block]):
+            per_pos, u_all, v_all = expand_cells(cells, bounds, counts[r], us[r], points)
+            o_value, o_wins, o_cost = replay_per_arrival(inst, policy, cells.order, per_pos, u_all, v_all)
+            assert np.array_equal(wins[r], o_wins)
+            # the replay sums per-cell totals, the oracle one point at a time:
+            # equal up to the summation order
+            assert values[r] == pytest.approx(o_value, rel=1e-12)
+            assert cost[r] == pytest.approx(o_cost, rel=1e-12)
+            assert np.array_equal(wins[r], np.bincount(item, weights=counts[r], minlength=inst.n_items))
+            costs[b] = o_cost / t_batch
+    assert sum(blocks) == n_batches
+    return costs, blocks
 
 
 def test_flat_replay_matches_per_arrival_oracle():
@@ -452,7 +470,7 @@ def test_flat_replay_matches_per_arrival_oracle():
     # every branch is exercised: the winning items are exactly those with a
     # positive bid, weight and W(b) on some edge
     for policy, losers in ((first, ("h1", "lone", "rare")), (other_policy(inst), ("lone", "rare"))):
-        costs = replay_against_oracle(inst, policy, horizon=450.0, n_batches=3, seed=5)
+        costs, _ = replay_against_oracle(inst, policy, horizon=450.0, n_batches=3, seed=5)
         report = simulate(inst, policy, horizon=450.0, seed=5, n_batches=3)
         assert report.cost_rate == pytest.approx(costs.mean(), rel=1e-12)
         assert set(np.flatnonzero(report.win_rate)) == {
@@ -461,6 +479,32 @@ def test_flat_replay_matches_per_arrival_oracle():
     cells = simulate_module._Cells(inst, first)
     p2 = [it.id for it in inst.items].index("p2")
     assert np.bincount(cells.order[cells.pos], weights=cells.area)[p2] == inst.items[p2].curve.total_mass * 0.6
+
+
+def test_the_block_budget_leaves_the_report_bit_identical(monkeypatch):
+    # the stream is drawn batch by batch whatever the blocks, and each batch
+    # sums in its own order: blocks of one batch, of a few and of all twelve
+    # give one report, bit for bit
+    inst, policy = oracle_instance()
+    blocks = counting_draws(monkeypatch)
+
+    def report(points, seed=11):
+        monkeypatch.setattr(simulate_module, "_BLOCK_POINTS", points)
+        blocks.clear()
+        return simulate(inst, policy, horizon=600.0, seed=seed, n_batches=12).to_json()
+
+    one = report(1)
+    assert len(blocks) == 12
+    some = int(sum(points for _, _, points in blocks[:3]))
+    assert report(some) == one and 1 < len(blocks) < 12
+    assert report(2**26) == one and len(blocks) == 1
+    # one seed, one report; another seed, another
+    assert report(2**26) == one
+    assert report(2**26, seed=12)["cost_rate"] != one["cost_rate"]
+    # a block of twelve batches against the per-arrival oracle, batch by batch
+    costs, sizes = replay_against_oracle(inst, policy, horizon=600.0, n_batches=12, seed=11)
+    assert sizes == [12]
+    assert one["cost_rate"] == pytest.approx(costs.mean(), rel=1e-12)
 
 
 def per_point_prices(inst, cells, counts, u):
@@ -483,14 +527,14 @@ def test_price_matches_the_per_point_inverse():
     for policy in (first, other_policy(inst)):
         cells = simulate_module._Cells(inst, policy)
         item = cells.order[cells.pos[cells.priced]]
-        for rng in simulate_module._batch_rngs(3, 4):
-            counts, u = simulate_module._draw_batch(rng, cells, 200.0)
-            n = counts[cells.priced]
-            assert set(ids[item[n > 0]]) == {"e2", "h2", "u2", "p2", "f2", "gap"}
-            price = cells.price(counts, u.copy())
-            np.testing.assert_allclose(price[cells.priced], per_point_prices(inst, cells, counts, u),
-                                       rtol=1e-13, atol=0.0)
-            assert np.all(np.delete(price, cells.priced) == 0.0)
+        for _, counts, us in draws(cells, 3, 200.0, 4):
+            price = cells.price(counts, np.concatenate(us))
+            for r, u in enumerate(us):
+                n = counts[r, cells.priced]
+                assert set(ids[item[n > 0]]) == {"e2", "h2", "u2", "p2", "f2", "gap"}
+                np.testing.assert_allclose(price[r, cells.priced], per_point_prices(inst, cells, counts[r], u),
+                                           rtol=1e-13, atol=0.0)
+            assert np.all(np.delete(price, cells.priced, axis=1) == 0.0)
 
 
 def test_items_sharing_an_empirical_curve_are_each_cut():
@@ -509,11 +553,11 @@ def test_items_sharing_an_empirical_curve_are_each_cut():
     thr, _ = box_of(inst, policy)
     for e in range(inst.n_edges):
         assert np.count_nonzero(cells.edge == e) == np.count_nonzero(knots_of(curve) < thr[inst.edge_j[e]])
-    for rng in simulate_module._batch_rngs(4, 3):
-        counts, u = simulate_module._draw_batch(rng, cells, 50.0)
-        price = cells.price(counts, u.copy())
-        np.testing.assert_allclose(price[cells.priced], per_point_prices(inst, cells, counts, u),
-                                   rtol=1e-13, atol=0.0)
+    for _, counts, us in draws(cells, 4, 50.0, 3):
+        price = cells.price(counts, np.concatenate(us))
+        for r, u in enumerate(us):
+            np.testing.assert_allclose(price[r, cells.priced], per_point_prices(inst, cells, counts[r], u),
+                                       rtol=1e-13, atol=0.0)
 
 
 def test_ab_policies_win_their_own_sub_boxes():
@@ -529,14 +573,14 @@ def test_ab_policies_win_their_own_sub_boxes():
         item = cells.order[cells.pos]
         thr, mix = box_of(inst, rival)
         points = np.random.default_rng(seed + 1)
-        for rng in simulate_module._batch_rngs(seed, n_batches):
-            counts, u = simulate_module._draw_batch(rng, cells, horizon / n_batches)
-            per_pos, u_all, v_all = expand_cells(cells, bounds, counts, u, points)
-            _, wins, _ = replay_per_arrival(inst, rival, cells.order, per_pos, u_all, v_all)
-            j_all = np.repeat(item, counts)
-            inside = (u_all < thr[j_all]) & (v_all < mix[j_all])
-            assert np.array_equal(wins, np.bincount(j_all[inside], minlength=inst.n_items))
-            assert 0 < inside.sum() < inside.size
+        for _, rows, us in draws(cells, seed, horizon / n_batches, n_batches):
+            for counts, u in zip(rows, us, strict=True):
+                per_pos, u_all, v_all = expand_cells(cells, bounds, counts, u, points)
+                _, wins, _ = replay_per_arrival(inst, rival, cells.order, per_pos, u_all, v_all)
+                j_all = np.repeat(item, counts)
+                inside = (u_all < thr[j_all]) & (v_all < mix[j_all])
+                assert np.array_equal(wins, np.bincount(j_all[inside], minlength=inst.n_items))
+                assert 0 < inside.sum() < inside.size
 
 
 def test_box_draws_are_calibrated():
@@ -564,9 +608,9 @@ def test_edge_hits_are_calibrated():
     t_batch, runs = 4.0, 300
     edge = cells.edge
     hits = np.zeros((runs, inst.n_edges))
-    for r, rng in enumerate(simulate_module._batch_rngs(29, runs)):
-        counts, _ = simulate_module._draw_batch(rng, cells, t_batch)
-        hits[r] = np.bincount(edge, weights=counts, minlength=inst.n_edges)
+    for block, counts, _ in draws(cells, 29, t_batch, runs):
+        for r, row in zip(range(runs)[block], counts, strict=True):
+            hits[r] = np.bincount(edge, weights=row, minlength=inst.n_edges)
     thr, _ = box_of(inst, policy)
     p = thr[inst.edge_j] * np.maximum(policy.gamma, 0.0)
     mean = var = inst.rates[inst.edge_j] * t_batch * p
@@ -587,7 +631,7 @@ def test_grouped_predictions_match_per_item_route():
 
 
 class CountingRng:
-    """A batch's generator that counts the uniforms it draws."""
+    """A replay's generator that counts the uniforms it draws."""
 
     def __init__(self, rng):
         self.rng, self.uniforms = rng, 0
@@ -606,6 +650,23 @@ class CountingRng:
         return out
 
 
+def counting_draws(monkeypatch):
+    """Spies on the replay's draws: returns a list that gets, per block, its
+    slice of batches, the uniforms it drew and its counts at priced cells."""
+    blocks = []
+    draw = simulate_module._draw
+
+    def counted(rng, cells, t_batch, n_batches):
+        rng = CountingRng(rng)
+        for block, counts, u in draw(rng, cells, t_batch, n_batches):
+            blocks.append((block, rng.uniforms, counts[:, cells.priced].sum()))
+            rng.uniforms = 0
+            yield block, counts, u
+
+    monkeypatch.setattr(simulate_module, "_draw", counted)
+    return blocks
+
+
 def test_replay_work_is_one_quantile_call_per_group_and_batch(monkeypatch):
     inst = random_sparse_instance(np.random.default_rng(1), 60, 400)
     rng = np.random.default_rng(2)
@@ -620,24 +681,24 @@ def test_replay_work_is_one_quantile_call_per_group_and_batch(monkeypatch):
         calls.append(q.size)
         return shape(q, out)
 
-    rngs = []
-    spawn = simulate_module._batch_rngs
-
-    def counting_rngs(seed, n_batches):
-        rngs.extend(CountingRng(rng) for rng in spawn(seed, n_batches))
-        return rngs
-
     monkeypatch.setattr(Exponential, "quantile_shape", staticmethod(counted))
-    monkeypatch.setattr(simulate_module, "_batch_rngs", counting_rngs)
+    blocks = counting_draws(monkeypatch)
     horizon = 1e5 / float(inst.rates.sum())
-    report = simulate(inst, policy, horizon=horizon, seed=2026, n_batches=20)
-    # one (exponential, second price) group, one shape pass per batch: the
-    # per-item replay made 7,965 inverse calls here
-    assert len(calls) == 20
-    assert sum(calls) == pytest.approx(report.win_rate.sum() * horizon)
-    # each batch draws a uniform only for a second-price win's price, none
-    # to select a contract
-    assert all(rng.uniforms <= wins for rng, wins in zip(rngs, calls, strict=True))
+    # a budget of one point makes each block one batch
+    for points, n_blocks in ((1, 20), (simulate_module._BLOCK_POINTS, 1)):
+        monkeypatch.setattr(simulate_module, "_BLOCK_POINTS", points)
+        calls.clear()
+        blocks.clear()
+        report = simulate(inst, policy, horizon=horizon, seed=2026, n_batches=20)
+        # one (exponential, second price) group, one shape pass per batch: the
+        # per-item replay made 7,965 inverse calls here
+        assert len(calls) == 20
+        assert sum(calls) == pytest.approx(report.win_rate.sum() * horizon)
+        # each block draws a uniform only for a second-price win's price, none
+        # to select a contract
+        assert len(blocks) == n_blocks
+        assert [b for block, _, _ in blocks for b in range(20)[block]] == list(range(20))
+        assert all(uniforms <= sum(calls[block]) for block, uniforms, _ in blocks)
     value, win, cost = per_item_predictions(inst, policy)
     assert np.array_equal(report.predicted_value_rate, value)
     assert np.array_equal(report.predicted_win_rate, win)
@@ -648,15 +709,15 @@ def test_linear_cells_are_priced_without_a_quantile_call(monkeypatch):
     # second-price empirical and BoundedUniform cells price from their sums
     # of uniforms: once the batches start, neither family evaluates a
     # quantile, each nonlinear group makes one shape pass per batch, and a
-    # batch draws one uniform per second-price win at most
+    # block draws one uniform per second-price win at most
     inst, policy = oracle_instance()
     shapes = {Exponential: 0, Hyperbolic: 0, PowerLawDensity: 0}
     linear = []
-    batches = []
+    blocks = counting_draws(monkeypatch)  # filled once the first block is drawn
 
     def counting(family, fn):
         def counted(q, out=None):
-            if batches:
+            if blocks:
                 shapes[family] += 1
             return fn(q, out)
 
@@ -664,7 +725,7 @@ def test_linear_cells_are_priced_without_a_quantile_call(monkeypatch):
 
     def forbidden(name, fn):
         def called(*args, **kwargs):
-            if batches:
+            if blocks:
                 linear.append(name)
             return fn(*args, **kwargs)
 
@@ -675,21 +736,18 @@ def test_linear_cells_are_priced_without_a_quantile_call(monkeypatch):
     monkeypatch.setattr(BoundedUniform, "quantile_shape",
                         staticmethod(forbidden("BoundedUniform.quantile_shape", BoundedUniform.quantile_shape)))
     monkeypatch.setattr(Empirical, "quantile", forbidden("Empirical.quantile", Empirical.quantile))
-    draw = simulate_module._draw_batch
-
-    def counted_draw(rng, cells, t_batch):
-        rng = CountingRng(rng)
-        counts, u = draw(rng, cells, t_batch)
-        batches.append((rng.uniforms, counts[cells.priced].sum()))
-        return counts, u
-
-    monkeypatch.setattr(simulate_module, "_draw_batch", counted_draw)
     n_batches = 12
-    report = simulate(inst, policy, horizon=600.0, seed=2026, n_batches=n_batches)
-    assert len(batches) == n_batches and linear == []
-    assert shapes == {Exponential: n_batches, Hyperbolic: n_batches, PowerLawDensity: n_batches}
-    assert all(0 < uniforms <= wins for uniforms, wins in batches)
-    assert report.cost_rate > 0.0
+    # a budget of one point makes each block one batch
+    for points, n_blocks in ((1, n_batches), (simulate_module._BLOCK_POINTS, 1)):
+        monkeypatch.setattr(simulate_module, "_BLOCK_POINTS", points)
+        blocks.clear()
+        shapes = dict.fromkeys(shapes, 0)
+        report = simulate(inst, policy, horizon=600.0, seed=2026, n_batches=n_batches)
+        assert len(blocks) == n_blocks and linear == []
+        assert [b for block, _, _ in blocks for b in range(n_batches)[block]] == list(range(n_batches))
+        assert shapes == {Exponential: n_batches, Hyperbolic: n_batches, PowerLawDensity: n_batches}
+        assert all(0 < uniforms <= wins for _, uniforms, wins in blocks)
+        assert report.cost_rate > 0.0
 
 
 def test_demo_script_certifies_and_replays(capsys):
@@ -711,7 +769,7 @@ def test_bad_seed_rejected_before_any_batch(monkeypatch, seed):
     def no_batches(*args):
         raise AssertionError("a batch was drawn")
 
-    monkeypatch.setattr(simulate_module, "_draw_batch", no_batches)
+    monkeypatch.setattr(simulate_module, "_draw", no_batches)
     with pytest.raises(ValueError, match="seed"):
         simulate(inst, policy, horizon=1e5, seed=seed)
 
@@ -725,7 +783,7 @@ def test_a_horizon_of_zero_length_batches_is_rejected_before_any_batch(monkeypat
     def no_batches(*args):
         raise AssertionError("a batch was drawn")
 
-    monkeypatch.setattr(simulate_module, "_draw_batch", no_batches)
+    monkeypatch.setattr(simulate_module, "_draw", no_batches)
     with pytest.raises(ValueError, match=re.escape(f"horizon {horizon!r} splits into 20 batches of length 0")):
         simulate(inst, policy, horizon=horizon, seed=1)
 
